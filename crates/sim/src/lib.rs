@@ -8,9 +8,10 @@
 //! in software:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time.
-//! * [`EventQueue`] — a stable (FIFO-on-tie) min-heap of timed events; each
-//!   subsystem model drains its own typed queue, or a top-level glue loop
-//!   drains one queue of a system-wide event enum.
+//! * [`EventQueue`] — a stable (FIFO-on-tie) queue of timed events: a
+//!   monotonic fast lane plus a calendar wheel for out-of-order pushes;
+//!   each subsystem model drains its own typed queue, or a top-level glue
+//!   loop drains one queue of a system-wide event enum.
 //! * [`resource`] — *timeline resources*: bandwidth pipes and serial service
 //!   units that answer "if work arrives at `t`, when does it finish?" while
 //!   correctly accounting for busy periods. These model PCIe links, DMA

@@ -53,7 +53,7 @@
 //! assert_eq!(ring.samples().collect::<Vec<_>>(), vec![(0, 20), (1, 10)]);
 //! ```
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use crate::queue::EventQueue;
@@ -176,6 +176,8 @@ pub struct Sampler {
     interval: SimDuration,
     capacity: usize,
     series: Vec<TimeSeries>,
+    /// Name → id of the first series registered under that name.
+    index: BTreeMap<String, SeriesId>,
     ticks: EventQueue<Tick>,
     /// Windows closed so far; window `closed - 1` is the one being (or
     /// last) sampled.
@@ -200,6 +202,7 @@ impl Sampler {
             interval,
             capacity,
             series: Vec::new(),
+            index: BTreeMap::new(),
             ticks,
             closed: 0,
         }
@@ -236,10 +239,9 @@ impl Sampler {
     /// close, like every other series. A counter's first sample is its raw
     /// cumulative value.
     pub fn register(&mut self, name: &str, unit: &'static str, kind: SeriesKind) -> SeriesId {
-        debug_assert!(
-            self.series.iter().all(|s| s.name != name),
-            "duplicate series {name}"
-        );
+        debug_assert!(!self.index.contains_key(name), "duplicate series {name}");
+        let id = SeriesId(self.series.len());
+        self.index.entry(name.to_string()).or_insert(id);
         self.series.push(TimeSeries {
             name: name.to_string(),
             unit,
@@ -249,7 +251,7 @@ impl Sampler {
             total: self.closed,
             last_raw: 0,
         });
-        SeriesId(self.series.len() - 1)
+        id
     }
 
     /// Pops the next due window close: if simulated time `now` has reached
@@ -311,9 +313,15 @@ impl Sampler {
         &self.series
     }
 
+    /// The id of the series registered under `name` (the first one, should
+    /// a release build register a name twice).
+    pub fn series_id(&self, name: &str) -> Option<SeriesId> {
+        self.index.get(name).copied()
+    }
+
     /// Looks up a series by name.
     pub fn series_by_name(&self, name: &str) -> Option<&TimeSeries> {
-        self.series.iter().find(|s| s.name == name)
+        self.series_id(name).and_then(|id| self.series.get(id.0))
     }
 }
 
@@ -369,8 +377,10 @@ pub struct Condition {
 }
 
 impl Condition {
-    fn holds(&self, sampler: &Sampler, window: u64) -> Option<u64> {
-        let v = sampler.series_by_name(&self.series)?.value_at(window)?;
+    /// The value of series `id` in `window` if it passes the threshold;
+    /// `None` for an unresolved series or a window it has no sample for.
+    fn holds(&self, sampler: &Sampler, id: Option<SeriesId>, window: u64) -> Option<u64> {
+        let v = sampler.series.get(id?.0)?.value_at(window)?;
         self.cmp.test(v, self.threshold).then_some(v)
     }
 }
@@ -575,11 +585,29 @@ pub struct AnomalyEvent {
 /// Evaluates [`SloRule`]s against a [`Sampler`] at every window close,
 /// tracking per-rule streaks and emitting [`AnomalyEvent`]s plus
 /// `telemetry`-layer trace spans when a streak completes.
+///
+/// A watchdog evaluates against one sampler. Rule series are resolved to
+/// [`SeriesId`]s at the first evaluation and again whenever the sampler's
+/// series count has grown or a rule was added since, so a rule may name a
+/// series registered later (a disk attached mid-run) and starts matching
+/// once it exists; a series that never exists never fires.
 #[derive(Debug, Clone, Default)]
 pub struct SloWatchdog {
     rules: Vec<SloRule>,
     streaks: Vec<u32>,
+    /// Per rule, its primary and guard series ids (parallel to `rules`).
+    resolved: Vec<RuleIds>,
+    /// The sampler's series count when `resolved` was filled; `None`
+    /// until the first evaluation and after every `add_rule`.
+    resolved_for: Option<usize>,
     anomalies: Vec<AnomalyEvent>,
+}
+
+/// A rule's series, resolved by name (`None`: not registered).
+#[derive(Debug, Clone, Copy)]
+struct RuleIds {
+    primary: Option<SeriesId>,
+    guard: Option<SeriesId>,
 }
 
 impl SloWatchdog {
@@ -592,6 +620,7 @@ impl SloWatchdog {
     pub fn add_rule(&mut self, rule: SloRule) {
         self.rules.push(rule);
         self.streaks.push(0);
+        self.resolved_for = None;
     }
 
     /// The registered rules.
@@ -611,12 +640,26 @@ impl SloWatchdog {
             return;
         };
         let at = sampler.window_end(window);
-        for (i, rule) in self.rules.iter().enumerate() {
-            let value = rule.primary.holds(sampler, window).filter(|_| {
-                rule.guard
-                    .as_ref()
-                    .is_none_or(|g| g.holds(sampler, window).is_some())
-            });
+        if self.resolved_for != Some(sampler.series.len()) {
+            self.resolved = self
+                .rules
+                .iter()
+                .map(|r| RuleIds {
+                    primary: sampler.series_id(&r.primary.series),
+                    guard: r.guard.as_ref().and_then(|g| sampler.series_id(&g.series)),
+                })
+                .collect();
+            self.resolved_for = Some(sampler.series.len());
+        }
+        for (i, (rule, ids)) in self.rules.iter().zip(&self.resolved).enumerate() {
+            let value = rule
+                .primary
+                .holds(sampler, ids.primary, window)
+                .filter(|_| {
+                    rule.guard
+                        .as_ref()
+                        .is_none_or(|g| g.holds(sampler, ids.guard, window).is_some())
+                });
             match value {
                 Some(v) => {
                     self.streaks[i] += 1;
@@ -754,6 +797,7 @@ pub fn digest_hash(sampler: &Sampler) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
     use crate::trace::validate_chrome_trace;
 
     fn t(ns: u64) -> SimTime {
@@ -945,6 +989,186 @@ mod tests {
         s.sample(g, 1);
         wd.evaluate(&s, &Tracer::disabled());
         assert!(wd.anomalies().is_empty());
+    }
+
+    #[test]
+    fn watchdog_matches_series_registered_after_windows_closed() {
+        let mut s = Sampler::new(dur(10), 4);
+        let a = s.register("a", "n", SeriesKind::Gauge);
+        let mut wd = SloWatchdog::new();
+        wd.add_rule(SloRule::parse("late above 5 for 1").unwrap());
+        let tracer = Tracer::disabled();
+        for w in 0..2u64 {
+            assert!(s.due(t((w + 1) * 10)).is_some());
+            s.sample(a, 9);
+            wd.evaluate(&s, &tracer);
+        }
+        assert!(wd.anomalies().is_empty(), "no series, no anomaly");
+        // A disk attaching mid-run registers its series late; the rule
+        // installed before it existed starts matching from then on.
+        let late = s.register("late", "n", SeriesKind::Gauge);
+        assert!(s.due(t(30)).is_some());
+        s.sample(a, 9);
+        s.sample(late, 9);
+        wd.evaluate(&s, &tracer);
+        assert_eq!(wd.anomalies().len(), 1);
+        assert_eq!(wd.anomalies()[0].series, "late");
+        assert_eq!(wd.anomalies()[0].window, 2);
+    }
+
+    #[test]
+    fn series_by_name_returns_first_registration() {
+        let mut s = Sampler::new(dur(10), 4);
+        let first = s.register("dup", "first", SeriesKind::Gauge);
+        // Debug builds reject the duplicate before touching the sampler;
+        // release builds register it, and lookups keep the first one.
+        let dup = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            s.register("dup", "second", SeriesKind::Counter)
+        }));
+        assert_eq!(dup.is_err(), cfg!(debug_assertions));
+        assert_eq!(s.series_id("dup"), Some(first));
+        assert_eq!(s.series_by_name("dup").map(TimeSeries::unit), Some("first"));
+        assert_eq!(s.series_id("missing"), None);
+    }
+
+    /// Reference evaluator: the watchdog as it was before rules resolved
+    /// to series ids, scanning the series table by name for every
+    /// condition in every window.
+    #[derive(Default)]
+    struct NameScanWatchdog {
+        rules: Vec<SloRule>,
+        streaks: Vec<u32>,
+        anomalies: Vec<AnomalyEvent>,
+    }
+
+    impl NameScanWatchdog {
+        fn add_rule(&mut self, rule: SloRule) {
+            self.rules.push(rule);
+            self.streaks.push(0);
+        }
+
+        fn holds(sampler: &Sampler, c: &Condition, window: u64) -> Option<u64> {
+            let series = sampler.series().iter().find(|s| s.name == c.series)?;
+            let v = series.value_at(window)?;
+            c.cmp.test(v, c.threshold).then_some(v)
+        }
+
+        fn evaluate(&mut self, sampler: &Sampler) {
+            let Some(window) = sampler.closed_windows().checked_sub(1) else {
+                return;
+            };
+            for (i, rule) in self.rules.iter().enumerate() {
+                let value = Self::holds(sampler, &rule.primary, window).filter(|_| {
+                    rule.guard
+                        .as_ref()
+                        .is_none_or(|g| Self::holds(sampler, g, window).is_some())
+                });
+                let Some(v) = value else {
+                    self.streaks[i] = 0;
+                    continue;
+                };
+                self.streaks[i] += 1;
+                if self.streaks[i] == rule.consecutive {
+                    self.anomalies.push(AnomalyEvent {
+                        rule: rule.name.clone(),
+                        rule_index: i,
+                        text: rule.to_string(),
+                        series: rule.primary.series.clone(),
+                        window,
+                        at: sampler.window_end(window),
+                        value: v,
+                        consecutive: rule.consecutive,
+                    });
+                }
+            }
+        }
+    }
+
+    /// Series `s0..s7` may be registered; `gone0`/`gone1` never are.
+    fn gen_series_name(rng: &mut SimRng) -> String {
+        match rng.range(0, 10) {
+            k @ 0..=7 => format!("s{k}"),
+            k => format!("gone{}", k - 8),
+        }
+    }
+
+    fn gen_rule(rng: &mut SimRng) -> SloRule {
+        let cond = |rng: &mut SimRng| {
+            let cmp = if rng.range(0, 2) == 0 {
+                "above"
+            } else {
+                "below"
+            };
+            format!("{} {cmp} {}", gen_series_name(rng), rng.range(0, 8))
+        };
+        let mut text = format!("{} for {}", cond(rng), rng.range(1, 4));
+        if rng.range(0, 3) == 0 {
+            text = format!("{text} while {}", cond(rng));
+        }
+        SloRule::parse(&text).expect("generated rule parses")
+    }
+
+    #[test]
+    fn resolved_watchdog_matches_name_lookup() {
+        // Which of the cases the generator is meant to reach were reached.
+        let (mut guarded, mut late_series, mut late_rule) = (0, 0, 0);
+        for seed in 0..64u64 {
+            let mut rng = SimRng::seed(seed);
+            let mut s = Sampler::new(dur(10), 4);
+            let mut wd = SloWatchdog::new();
+            let mut reference = NameScanWatchdog::default();
+            // Rules come first, as `Telemetry::new` installs them before
+            // any disk registers its series.
+            let initial_rules = rng.range(0, 6) as usize;
+            for _ in 0..initial_rules {
+                let rule = gen_rule(&mut rng);
+                wd.add_rule(rule.clone());
+                reference.add_rule(rule);
+            }
+            let mut ids = Vec::new();
+            let mut registered_at = [None; 8];
+            for w in 0..24u64 {
+                // Window 0 registers before any window closes; later
+                // windows register late, like a disk attached mid-run.
+                for (k, at) in registered_at.iter_mut().enumerate() {
+                    if at.is_none() && rng.range(0, 4) == 0 {
+                        let kind = if rng.range(0, 2) == 0 {
+                            SeriesKind::Gauge
+                        } else {
+                            SeriesKind::Counter
+                        };
+                        ids.push(s.register(&format!("s{k}"), "n", kind));
+                        *at = Some(w);
+                    }
+                }
+                assert!(s.due(t((w + 1) * 10)).is_some());
+                for &id in &ids {
+                    s.sample(id, rng.range(0, 10));
+                }
+                if rng.range(0, 5) == 0 {
+                    let rule = gen_rule(&mut rng);
+                    wd.add_rule(rule.clone());
+                    reference.add_rule(rule);
+                }
+                wd.evaluate(&s, &Tracer::disabled());
+                reference.evaluate(&s);
+                assert_eq!(
+                    wd.anomalies(),
+                    reference.anomalies,
+                    "seed {seed} window {w}"
+                );
+            }
+            for a in wd.anomalies() {
+                assert!(a.series.starts_with('s'), "missing series fired: {a:?}");
+                let k: usize = a.series[1..].parse().unwrap();
+                late_series += usize::from(registered_at[k].is_some_and(|w| w > 0));
+                late_rule += usize::from(a.rule_index >= initial_rules);
+                guarded += usize::from(wd.rules()[a.rule_index].guard.is_some());
+            }
+        }
+        assert!(guarded > 0, "no guarded rule fired");
+        assert!(late_series > 0, "no late-registered series fired");
+        assert!(late_rule > 0, "no rule added after evaluation began fired");
     }
 
     #[test]
