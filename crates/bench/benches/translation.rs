@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks of the translation machinery: extent-tree
 //! serialization, device-side walks at each depth, and the BTLB. These
 //! measure the *simulator's* wall-clock cost (how fast the model runs),
-//! complementing the simulated-time harnesses in `src/bin/`.
+//! complementing the simulated-time entries in `src/experiments/`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nesc_core::Btlb;

@@ -14,13 +14,13 @@
 //!   perfetto [--out PATH]    re-export the dump as a merged Perfetto trace
 //! ```
 //!
-//! The dump defaults to `results/forensic_dump.json` (written by the
-//! `forensics` harness).
+//! The dump defaults to `results/forensic_dump.json` (written by
+//! `nesc-bench run forensics`).
 
 use std::process::ExitCode;
 
 use nesc_bench::forensic::ForensicDump;
-use nesc_bench::{fmt, print_table};
+use nesc_bench::{fmt, table};
 use nesc_sim::FlightEventKind;
 
 struct Args {
@@ -99,7 +99,7 @@ fn parse_args() -> Result<Args, ExitCode> {
 
 fn load(path: &str) -> Result<ForensicDump, ExitCode> {
     let text = std::fs::read_to_string(path).map_err(|e| {
-        eprintln!("cannot read {path}: {e} (run the `forensics` harness first)");
+        eprintln!("cannot read {path}: {e} (run `nesc-bench run forensics` first)");
         ExitCode::FAILURE
     })?;
     ForensicDump::parse(&text).map_err(|e| {
@@ -152,7 +152,10 @@ fn timeline(d: &ForensicDump, vf: Option<u32>, limit: usize) {
         Some(v) => format!("Timeline — VF {v} ({} of {} events)", shown, events.len()),
         None => format!("Timeline ({} of {} events)", shown, events.len()),
     };
-    print_table(&title, &["t us", "event", "func", "a", "b"], &rows);
+    print!(
+        "{}",
+        table(&title, &["t us", "event", "func", "a", "b"], &rows)
+    );
 }
 
 /// The "why was this request slow" view. Returns false when the two
@@ -188,16 +191,19 @@ fn why(d: &ForensicDump) -> bool {
             if agree { "yes" } else { "NO" }.to_string(),
         ]);
     }
-    print_table(
-        &format!(
-            "Why was request {} slow? ({} us on disk {}, window {})",
-            worst.seq,
-            fmt(worst.latency_ns as f64 / 1000.0),
-            worst.disk,
-            worst.window
-        ),
-        &["phase", "events us", "spans us", "% of total", "agree"],
-        &rows,
+    print!(
+        "{}",
+        table(
+            &format!(
+                "Why was request {} slow? ({} us on disk {}, window {})",
+                worst.seq,
+                fmt(worst.latency_ns as f64 / 1000.0),
+                worst.disk,
+                worst.window
+            ),
+            &["phase", "events us", "spans us", "% of total", "agree"],
+            &rows,
+        )
     );
     let total: u64 = from_events.iter().map(|(_, ns)| ns).sum();
     if total != worst.latency_ns {
@@ -239,10 +245,13 @@ fn contention(d: &ForensicDump, top: usize) {
             ]
         })
         .collect();
-    print_table(
-        &format!("Top-{top} contention (service busy time per function)"),
-        &["func", "media us", "link us", "total us"],
-        &rows,
+    print!(
+        "{}",
+        table(
+            &format!("Top-{top} contention (service busy time per function)"),
+            &["func", "media us", "link us", "total us"],
+            &rows,
+        )
     );
 }
 

@@ -1,34 +1,19 @@
 #![warn(missing_docs)]
 
-//! Shared helpers for the figure-regeneration harnesses.
+//! The experiment harness regenerating every table and figure of the NeSC
+//! paper's evaluation (§VII), its ablations and extension studies, and the
+//! observability and scale-out results.
 //!
-//! Every table and figure in the NeSC paper's evaluation (§VII) has a
-//! binary in `src/bin/` that regenerates it against the simulated system:
-//!
-//! | binary | reproduces |
-//! |--------|------------|
-//! | `fig2_direct_speedup` | Fig. 2 — direct-assignment speedup over virtio vs. device bandwidth |
-//! | `fig9_latency` | Fig. 9 — raw access latency vs. block size, all paths |
-//! | `fig10_bandwidth` | Fig. 10 — raw bandwidth vs. block size, all paths |
-//! | `fig11_fs_overhead` | Fig. 11 — filesystem overhead on write latency |
-//! | `fig12_apps` | Fig. 12a/b — application speedups |
-//! | `table1_platform` | Table I — experimental platform |
-//! | `table2_benchmarks` | Table II — benchmark list |
-//! | `ablation_btlb` | BTLB size sweep (design choice, §V-B) |
-//! | `ablation_walk_overlap` | walk-unit overlap on/off (§V-B) |
-//! | `ablation_tree_depth` | extent-tree depth vs. translation cost (§IV-B) |
-//! | `ablation_scheduler` | round-robin fairness across VFs (§V-A) |
-//!
-//! Each binary prints a human-readable table and writes machine-readable
-//! JSON under `results/`.
+//! Each result is one entry of the [`experiments`] registry, driven by the
+//! `nesc-bench` binary (`nesc-bench run <name|all>`, `nesc-bench check`).
 
+pub mod experiments;
 pub mod forensic;
 pub mod hotpath;
 
-use std::fs;
-use std::path::Path;
-
+use nesc_extent::Vlba;
 use nesc_hypervisor::{DiskId, DiskKind, System, SystemBuilder, VmId};
+use nesc_sim::{SimDuration, SimRng};
 
 /// Builds the standard experimental system: the VC707-calibrated device
 /// (with the prototype's trampoline-copy pessimism, as measured in the
@@ -54,9 +39,108 @@ pub fn paper_block_sizes() -> Vec<u64> {
     vec![512, 1024, 2048, 4096, 8192, 16384, 32768]
 }
 
-/// Prints a fixed-width table.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n=== {title} ===");
+/// A block size as the figures' `KB` column prints it (`0.5`, `1`, `32`).
+pub fn kb_label(bytes: u64) -> String {
+    if bytes < 1024 {
+        format!("{:.1}", bytes as f64 / 1024.0)
+    } else {
+        format!("{}", bytes / 1024)
+    }
+}
+
+/// The pruning-pressure scenario shared by the ablation, the telemetry
+/// dashboard and the forensic trigger: a fragmented image (interleaved
+/// allocation, so its tree has prunable internal levels) read 256 times
+/// at random 4 KiB offsets in a hot 256-block set, with one hot subtree
+/// evicted every `prune_every` reads (0 = never), then idled past the
+/// last telemetry window. Returns the system and the mean read latency in
+/// µs.
+pub fn prune_pressure(builder: SystemBuilder, prune_every: u64) -> (System, f64) {
+    const OPS: u64 = 256;
+    let mut sys = builder.capacity_blocks(256 * 1024).build();
+    let vm = sys.create_vm();
+    let img = sys
+        .create_image("hot.img", 8 << 20, false)
+        .expect("fresh host fs");
+    let other = sys
+        .create_image("interleave.img", 8 << 20, false)
+        .expect("fresh host fs");
+    for b in 0..4096u64 {
+        sys.host_fs_mut()
+            .allocate_range(img, Vlba(b), 1)
+            .expect("space for 4 MiB");
+        sys.host_fs_mut()
+            .allocate_range(other, Vlba(b), 1)
+            .expect("space for 4 MiB");
+    }
+    let disk = sys.attach(vm, DiskKind::NescDirect, Some(img));
+    let mut rng = SimRng::seed(99);
+    let mut buf = vec![0u8; 4096];
+    let mut total_us = 0.0;
+    for i in 0..OPS {
+        if prune_every > 0 && i % prune_every == 0 {
+            // Evict inside the hot set, so the eviction actually matters
+            // (evicting cold mappings is free — the point of pruning).
+            let victim = Vlba(rng.range(0, 252));
+            sys.prune_image_mapping(disk, victim);
+        }
+        let offset = (rng.range(0, 252) / 4) * 4 * 1024;
+        total_us += sys.read(disk, offset, &mut buf).as_micros_f64();
+    }
+    sys.think(SimDuration::from_micros(200));
+    sys.telemetry_finish();
+    (sys, total_us / OPS as f64)
+}
+
+/// Disks in the [`mixed_vfs`] system.
+pub const MIXED_VFS: usize = 3;
+
+/// The mixed multi-VF system shared by the telemetry dashboard and the
+/// telemetry-overhead harness: [`MIXED_VFS`] 8 MiB NeSC-direct disks on a
+/// 256 Ki-block device built from `builder`.
+pub fn mixed_vfs(builder: SystemBuilder) -> (System, Vec<DiskId>) {
+    let mut sys = builder.capacity_blocks(256 * 1024).max_vfs(8).build();
+    let disks = (0..MIXED_VFS)
+        .map(|i| {
+            sys.quick_disk(DiskKind::NescDirect, &format!("vf{i}.img"), 8 << 20)
+                .disk
+        })
+        .collect();
+    (sys, disks)
+}
+
+/// Drives `requests` seeded 2–16 KiB requests (60% reads) at random
+/// 16 KiB-aligned offsets of `disks`, thinking 1 to `max_think_us` µs
+/// between them. Returns each request's simulated latency in ns.
+pub fn drive_mixed(
+    sys: &mut System,
+    disks: &[DiskId],
+    seed: u64,
+    requests: u64,
+    max_think_us: u64,
+) -> Vec<u64> {
+    let mut rng = SimRng::seed(seed);
+    let sizes = [2048u64, 4096, 8192, 16384];
+    let mut buf = vec![0u8; 16384];
+    let mut latencies = Vec::with_capacity(requests as usize);
+    for _ in 0..requests {
+        let d = disks[rng.range(0, disks.len() as u64) as usize];
+        let bytes = sizes[rng.range(0, sizes.len() as u64) as usize] as usize;
+        let offset = rng.range(0, (8 << 20) / 16384) * 16384;
+        let lat = if rng.range(0, 100) < 60 {
+            sys.read(d, offset, &mut buf[..bytes])
+        } else {
+            sys.write(d, offset, &buf[..bytes])
+        };
+        latencies.push(lat.as_nanos());
+        sys.think(SimDuration::from_micros(rng.range(1, max_think_us)));
+    }
+    latencies
+}
+
+/// Renders a fixed-width table: a blank line, the `=== title ===` rule,
+/// the header row, a dash row and the right-aligned body rows.
+pub fn table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     let widths: Vec<usize> = headers
         .iter()
         .enumerate()
@@ -74,25 +158,15 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
             .zip(&widths)
             .map(|(c, w)| format!("{c:>w$}", w = w))
             .collect();
-        println!("  {}", joined.join("  "));
+        format!("  {}\n", joined.join("  "))
     };
-    line(headers.iter().map(|s| s.to_string()).collect());
-    line(widths.iter().map(|w| "-".repeat(*w)).collect());
+    let mut out = format!("\n=== {title} ===\n");
+    out += &line(headers.iter().map(|s| s.to_string()).collect());
+    out += &line(widths.iter().map(|w| "-".repeat(*w)).collect());
     for r in rows {
-        line(r.clone());
+        out += &line(r.clone());
     }
-}
-
-/// Writes a JSON document under `results/<name>.json`.
-pub fn emit_json(name: &str, value: &serde_json::Value) {
-    let dir = Path::new("results");
-    if fs::create_dir_all(dir).is_ok() {
-        let path = dir.join(format!("{name}.json"));
-        if let Ok(s) = serde_json::to_string_pretty(value) {
-            let _ = fs::write(&path, s);
-            println!("\n[results written to {}]", path.display());
-        }
-    }
+    out
 }
 
 /// Formats a float with sensible precision for tables.
@@ -123,6 +197,8 @@ mod tests {
         let sizes = paper_block_sizes();
         assert_eq!(*sizes.first().unwrap(), 512);
         assert_eq!(*sizes.last().unwrap(), 32768);
+        assert_eq!(kb_label(512), "0.5");
+        assert_eq!(kb_label(32768), "32");
     }
 
     #[test]
@@ -130,5 +206,11 @@ mod tests {
         assert_eq!(fmt(123.456), "123");
         assert_eq!(fmt(12.34), "12.3");
         assert_eq!(fmt(1.234), "1.23");
+    }
+
+    #[test]
+    fn table_right_aligns_columns() {
+        let t = table("T", &["a", "bb"], &[vec!["123".into(), "4".into()]]);
+        assert_eq!(t, "\n=== T ===\n    a  bb\n  ---  --\n  123   4\n");
     }
 }

@@ -43,7 +43,6 @@ use crate::function::{FunctionContext, FunctionKind, PendingRequest, StalledRequ
 use crate::regs::{self, offsets, FunctionRegisters};
 use crate::ring::RingState;
 use crate::stats::{DeviceStats, FuncStats};
-use crate::trace::RequestTrace;
 
 /// Index of a function on the device; `FuncId(0)` is always the PF.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -239,11 +238,6 @@ pub struct NescDevice {
     stats: DeviceStats,
     /// Per-function service counters, struct-of-arrays by dense func id.
     func_stats: FuncStats,
-    tracing: bool,
-    /// `tracing || tracer.is_enabled()`, cached so the request hot path
-    /// pays a single flag test when both are off.
-    instrumented: bool,
-    traces: Vec<RequestTrace>,
     /// Span tracer shared with the hypervisor (no-op unless enabled).
     tracer: Tracer,
     /// Device span of the request currently in the pipeline; translation,
@@ -316,9 +310,6 @@ impl NescDevice {
             stall_level: None,
             stats: DeviceStats::default(),
             func_stats: FuncStats::with_len(1),
-            tracing: false,
-            instrumented: false,
-            traces: Vec::new(),
             tracer: Tracer::disabled(),
             cur_span: SpanId::NONE,
             flight: FlightHandle::disabled(),
@@ -364,18 +355,6 @@ impl NescDevice {
         &self.btlb
     }
 
-    /// Enables or disables per-request tracing (off by default; traces
-    /// accumulate until [`take_traces`](Self::take_traces)).
-    pub fn set_tracing(&mut self, on: bool) {
-        self.tracing = on;
-        self.instrumented = self.tracing || self.tracer.is_enabled();
-    }
-
-    /// Drains the recorded request traces, oldest first.
-    pub fn take_traces(&mut self) -> Vec<RequestTrace> {
-        std::mem::take(&mut self.traces)
-    }
-
     /// Attaches a span tracer (cloned into the PCIe link): every request
     /// the device processes emits a `core`-layer device span — with
     /// translation, extent-walk, media and DMA child spans — parented on
@@ -383,7 +362,6 @@ impl NescDevice {
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.link.set_tracer(tracer.clone());
         self.tracer = tracer;
-        self.instrumented = self.tracing || self.tracer.is_enabled();
     }
 
     /// Attaches a flight recorder: queue, scheduler, BTLB, media and link
@@ -1007,88 +985,49 @@ impl NescDevice {
         from_block: u64,
         resumed: bool,
     ) {
-        if !self.instrumented {
+        if !self.tracer.is_enabled() {
             return self.process_vf_request_inner(start, func, pending, from_block);
         }
-        let spans = self.tracer.is_enabled();
-        let dev_span = if spans {
-            let parent = self.tracer.bound(pending.req.id.0);
-            // A resumed request gets a fresh span starting at the resume
-            // point; the original one closed at its miss interrupt.
-            let (name, opened) = if resumed {
-                ("device_resume", start)
-            } else {
-                ("device", pending.arrived)
-            };
-            let s = self.tracer.start(parent, "core", name, opened);
-            self.tracer.attr(s, "func", func.0 as u64);
-            self.tracer.attr(s, "blocks", pending.req.block_count);
-            if !resumed && start > pending.arrived {
-                self.tracer.span(s, "core", "queue", pending.arrived, start);
-            }
-            self.cur_span = s;
-            self.link.set_span_parent(s);
-            s
+        let parent = self.tracer.bound(pending.req.id.0);
+        // A resumed request gets a fresh span starting at the resume
+        // point; the original one closed at its miss interrupt.
+        let (name, opened) = if resumed {
+            ("device_resume", start)
         } else {
-            SpanId::NONE
+            ("device", pending.arrived)
         };
-        let walks0 = self.stats.walks;
-        let hits0 = self.btlb.hits();
+        let dev_span = self.tracer.start(parent, "core", name, opened);
+        self.tracer.attr(dev_span, "func", func.0 as u64);
+        self.tracer
+            .attr(dev_span, "blocks", pending.req.block_count);
+        if !resumed && start > pending.arrived {
+            self.tracer
+                .span(dev_span, "core", "queue", pending.arrived, start);
+        }
+        self.cur_span = dev_span;
+        self.link.set_span_parent(dev_span);
         let out0 = self.outputs.len();
         self.process_vf_request_inner(start, func, pending, from_block);
-        let completion = self.outputs[out0..].iter().find_map(|o| match o {
-            NescOutput::Completion { at, id, status, .. } if *id == pending.req.id => {
-                Some((*at, *status))
-            }
+        let completed = self.outputs[out0..].iter().find_map(|o| match o {
+            NescOutput::Completion { at, id, .. } if *id == pending.req.id => Some(*at),
             _ => None,
         });
-        if spans {
-            match completion {
-                Some((at, _)) => self.tracer.end(dev_span, at),
-                None => {
-                    // Stalled on a translation miss: close this span at the
-                    // miss interrupt; the resume opens its own span.
-                    if let Some(at) = self.outputs[out0..].iter().find_map(|o| match o {
-                        NescOutput::HostInterrupt { at, .. } => Some(*at),
-                        _ => None,
-                    }) {
-                        self.tracer.attr(dev_span, "stalled", 1);
-                        self.tracer.end(dev_span, at);
-                    }
+        match completed {
+            Some(at) => self.tracer.end(dev_span, at),
+            None => {
+                // Stalled on a translation miss: close this span at the
+                // miss interrupt; the resume opens its own span.
+                if let Some(at) = self.outputs[out0..].iter().find_map(|o| match o {
+                    NescOutput::HostInterrupt { at, .. } => Some(*at),
+                    _ => None,
+                }) {
+                    self.tracer.attr(dev_span, "stalled", 1);
+                    self.tracer.end(dev_span, at);
                 }
             }
-            self.cur_span = SpanId::NONE;
-            self.link.set_span_parent(SpanId::NONE);
         }
-        if !self.tracing {
-            return;
-        }
-        if let Some((at, status)) = completion {
-            debug_assert!(
-                pending.arrived <= start && start <= at,
-                "request {:?} timestamps must be monotonic: arrived {} dispatched {} completed {}",
-                pending.req.id,
-                pending.arrived,
-                start,
-                at
-            );
-            self.traces.push(RequestTrace {
-                id: pending.req.id,
-                func,
-                op: pending.req.op,
-                lba: pending.req.lba,
-                blocks: pending.req.block_count,
-                arrived: pending.arrived,
-                // For a resumed request this is the resume point; the
-                // original dispatch was before the stall.
-                dispatched: start,
-                completed: at,
-                walks: (self.stats.walks - walks0) as u32,
-                btlb_hits: (self.btlb.hits() - hits0) as u32,
-                stalled: resumed,
-                status,
-            });
-        }
+        self.cur_span = SpanId::NONE;
+        self.link.set_span_parent(SpanId::NONE);
     }
 
     fn process_vf_request_inner(
@@ -2393,9 +2332,8 @@ mod tests {
     }
 
     #[test]
-    fn tracing_records_request_lifecycle() {
+    fn first_block_walks_and_the_rest_hit_the_btlb() {
         let (mem, mut dev) = setup();
-        dev.set_tracing(true);
         let vf = make_vf(
             &mem,
             &mut dev,
@@ -2404,85 +2342,24 @@ mod tests {
         );
         let buf = alloc_buf(&mem, 4);
         let t0 = dev.ring_doorbell(SimTime::ZERO);
-        dev.submit(
-            t0,
-            vf,
-            BlockRequest::new(RequestId(1), BlockOp::Read, Vlba(0), 4),
-            buf,
-        );
-        dev.submit(
-            t0,
-            vf,
-            BlockRequest::new(RequestId(2), BlockOp::Read, Vlba(4), 4),
-            buf,
-        );
-        dev.advance(HORIZON);
-        let traces = dev.take_traces();
-        assert_eq!(traces.len(), 2);
-        let t = &traces[0];
-        assert_eq!(t.id, RequestId(1));
-        assert_eq!(t.blocks, 4);
-        assert_eq!(t.walks, 1, "first block walks");
-        assert_eq!(t.btlb_hits, 3, "rest hit the fresh extent");
-        assert!(!t.stalled);
-        assert!(t.completed > t.dispatched && t.dispatched >= t.arrived);
-        assert!(t.latency() > t.queueing());
-        // Second request is all hits.
-        assert_eq!(traces[1].walks, 0);
-        assert_eq!(traces[1].btlb_hits, 4);
-        // Drained: nothing left.
-        assert!(dev.take_traces().is_empty());
-    }
-
-    #[test]
-    fn tracing_marks_resumed_requests_as_stalled() {
-        let (mem, mut dev) = setup();
-        dev.set_tracing(true);
-        let vf = make_vf(&mem, &mut dev, &[], 8);
-        let buf = alloc_buf(&mem, 1);
-        dev.submit(
-            SimTime::ZERO,
-            vf,
-            BlockRequest::new(RequestId(3), BlockOp::Write, Vlba(0), 1),
-            buf,
-        );
-        let outs = dev.advance(HORIZON);
-        assert!(dev.take_traces().is_empty(), "no trace while stalled");
-        let irq_at = outs.iter().find(|o| !o.is_completion()).unwrap().at();
-        let tree: ExtentTree = [ExtentMapping::new(Vlba(0), Plba(50), 1)]
-            .into_iter()
-            .collect();
-        let root = tree.serialize(&mut mem.borrow_mut());
-        dev.mmio_write(vf, offsets::EXTENT_TREE_ROOT, root, irq_at);
-        dev.mmio_write(vf, offsets::REWALK_TREE, 1, irq_at);
-        dev.advance(HORIZON);
-        let traces = dev.take_traces();
-        assert_eq!(traces.len(), 1);
-        assert!(
-            traces[0].stalled,
-            "a request that missed is stalled even when it resumes from block 0"
-        );
-        assert!(matches!(traces[0].status, CompletionStatus::Ok));
-    }
-
-    #[test]
-    fn tracing_off_records_nothing() {
-        let (mem, mut dev) = setup();
-        let vf = make_vf(
-            &mem,
-            &mut dev,
-            &[ExtentMapping::new(Vlba(0), Plba(0), 4)],
-            4,
-        );
-        let buf = alloc_buf(&mem, 1);
-        dev.submit(
-            SimTime::ZERO,
-            vf,
-            BlockRequest::new(RequestId(1), BlockOp::Read, Vlba(0), 1),
-            buf,
-        );
-        dev.advance(HORIZON);
-        assert!(dev.take_traces().is_empty());
+        let mut read = |id: u64, lba: u64| {
+            let (walks0, hits0) = (dev.stats().walks, dev.btlb().hits());
+            dev.submit(
+                t0,
+                vf,
+                BlockRequest::new(RequestId(id), BlockOp::Read, Vlba(lba), 4),
+                buf,
+            );
+            let outs = dev.advance(HORIZON);
+            assert!(matches!(
+                outs.as_slice(),
+                [NescOutput::Completion { id: done, status: CompletionStatus::Ok, .. }]
+                    if *done == RequestId(id)
+            ));
+            (dev.stats().walks - walks0, dev.btlb().hits() - hits0)
+        };
+        assert_eq!(read(1, 0), (1, 3), "first block walks, the rest hit");
+        assert_eq!(read(2, 4), (0, 4), "the cached extent serves all four");
     }
 
     #[test]

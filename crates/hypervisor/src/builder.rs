@@ -38,7 +38,6 @@ pub struct SystemBuilder {
     cfg: NescConfig,
     costs: SoftwareCosts,
     tracing: bool,
-    request_tracing: bool,
     media_throttle: Option<u64>,
     telemetry: Option<TelemetryConfig>,
 }
@@ -57,7 +56,6 @@ impl SystemBuilder {
             cfg: NescConfig::prototype(),
             costs: SoftwareCosts::calibrated(),
             tracing: false,
-            request_tracing: false,
             media_throttle: None,
             telemetry: None,
         }
@@ -188,15 +186,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Enables the device's per-request [`RequestTrace`] recording
-    /// (BTLB hits, walks, stall flags) alongside or instead of spans.
-    ///
-    /// [`RequestTrace`]: nesc_core::RequestTrace
-    pub fn request_tracing(mut self, on: bool) -> Self {
-        self.request_tracing = on;
-        self
-    }
-
     /// Assembles the system.
     ///
     /// # Panics
@@ -207,9 +196,6 @@ impl SystemBuilder {
         let mut sys = System::new(self.cfg, self.costs);
         if self.tracing {
             sys.set_tracing(true);
-        }
-        if self.request_tracing {
-            sys.device_mut().set_tracing(true);
         }
         if let Some(b) = self.media_throttle {
             sys.device_mut().set_media_throttle(Some(b));
