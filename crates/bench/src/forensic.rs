@@ -710,4 +710,34 @@ mod tests {
         );
         assert_eq!(dump.breakdown_from_events(8), None);
     }
+
+    /// The ring and the span tree are two folds of one probe report, so
+    /// every exemplar in the committed dump — not only the worst, which
+    /// `nesc-inspect why` shows — must get the same phase breakdown from
+    /// both.
+    #[test]
+    fn committed_dump_breakdowns_agree_for_every_exemplar() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../results/forensic_dump.json"
+        );
+        let text = std::fs::read_to_string(path).unwrap();
+        let dump = ForensicDump::parse(&text).unwrap();
+        assert!(!dump.exemplars.is_empty());
+        for ex in &dump.exemplars {
+            let events = dump.breakdown_from_events(ex.seq).unwrap_or_else(|| {
+                panic!("request {}'s anchor events fell out of the ring", ex.seq)
+            });
+            let events: Vec<(String, u64)> = events
+                .into_iter()
+                .map(|(n, ns)| (n.to_string(), ns))
+                .collect();
+            assert_eq!(
+                events,
+                ForensicDump::breakdown_from_spans(ex),
+                "request {}",
+                ex.seq
+            );
+        }
+    }
 }

@@ -31,10 +31,7 @@ use std::rc::Rc;
 
 use nesc_extent::{validate_ring_tail, walk_run, Plba, Untrusted, Vlba, WalkOutcome};
 use nesc_pcie::{HostAddr, HostMemory, PcieLink};
-use nesc_sim::{
-    EventQueue, FlightEventKind, FlightHandle, Pipe, ReadyTable, ServiceUnit, SimDuration, SimTime,
-    SpanId, Tracer,
-};
+use nesc_sim::{EventQueue, Obs, Pipe, Probe, ReadyTable, ServiceUnit, SimDuration, SimTime};
 use nesc_storage::{BlockOp, BlockRequest, BlockStore, Media, RequestId, StoreError, BLOCK_SIZE};
 
 use crate::btlb::Btlb;
@@ -238,16 +235,9 @@ pub struct NescDevice {
     stats: DeviceStats,
     /// Per-function service counters, struct-of-arrays by dense func id.
     func_stats: FuncStats,
-    /// Span tracer shared with the hypervisor (no-op unless enabled).
-    tracer: Tracer,
-    /// Device span of the request currently in the pipeline; translation,
-    /// walk, media and link spans attach under it.
-    cur_span: SpanId,
-    /// Flight recorder shared with the hypervisor (no-op unless enabled).
-    flight: FlightHandle,
-    /// Function of the request currently in the pipeline — the `func` the
-    /// media/link flight events are attributed to.
-    cur_func: u32,
+    /// The lifecycle probe shared with the hypervisor (off unless
+    /// tracing or the flight recorder is on).
+    probe: Probe,
     /// Reusable record of the nesting levels visited by one translation:
     /// `(func, vlba at that level, plba it translated to)`.
     chain_scratch: Vec<(u16, Vlba, Plba)>,
@@ -310,10 +300,7 @@ impl NescDevice {
             stall_level: None,
             stats: DeviceStats::default(),
             func_stats: FuncStats::with_len(1),
-            tracer: Tracer::disabled(),
-            cur_span: SpanId::NONE,
-            flight: FlightHandle::disabled(),
-            cur_func: 0,
+            probe: Probe::default(),
             chain_scratch: Vec::new(),
             time_scratch: Vec::new(),
         }
@@ -355,21 +342,13 @@ impl NescDevice {
         &self.btlb
     }
 
-    /// Attaches a span tracer (cloned into the PCIe link): every request
-    /// the device processes emits a `core`-layer device span — with
-    /// translation, extent-walk, media and DMA child spans — parented on
-    /// whatever span the submitter bound to the request id.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.link.set_tracer(tracer.clone());
-        self.tracer = tracer;
-    }
-
-    /// Attaches a flight recorder: queue, scheduler, BTLB, media and link
-    /// events are appended into its ring as the pipeline processes
-    /// requests. Independent of span tracing — the ring records even when
-    /// no tracer is attached.
-    pub fn set_flight(&mut self, flight: FlightHandle) {
-        self.flight = flight;
+    /// Attaches the lifecycle probe: every phase of every request the
+    /// device processes — queueing, dispatch, the device span with its
+    /// translation, walk, media and DMA passes, completion or stall — is
+    /// reported to it once, and it records the spans (under whatever
+    /// span the submitter bound to the request id) and ring events.
+    pub fn set_probe(&mut self, probe: Probe) {
+        self.probe = probe;
     }
 
     /// Throttles the storage medium (Fig. 2's emulated device speeds).
@@ -623,7 +602,9 @@ impl NescDevice {
             // One descriptor-fetch DMA covers the batch (devices coalesce).
             let bytes = descriptors.len() as u64 * crate::ring::DESCRIPTOR_BYTES;
             let fetch_done = if bytes > 0 {
-                self.link.dma_read(now, bytes).complete
+                let end = self.link.dma_read(now, bytes).complete;
+                self.probe.report(Obs::DescriptorFetch(bytes, now, end));
+                end
             } else {
                 now
             };
@@ -684,17 +665,11 @@ impl NescDevice {
             self.process_pf_request(svc.end, pending);
         } else {
             let rid = pending.req.id;
-            self.functions[func.0 as usize].queue.push_back(pending);
-            if self.flight.is_enabled() {
-                let depth = self.functions[func.0 as usize].queue.len() as u64;
-                self.flight.append(
-                    now,
-                    FlightEventKind::QueueEnter,
-                    u32::from(func.0),
-                    rid.0,
-                    depth,
-                );
-            }
+            let queue = &mut self.functions[func.0 as usize].queue;
+            queue.push_back(pending);
+            let depth = queue.len() as u64;
+            self.probe
+                .report(Obs::Queued(u32::from(func.0), rid.0, depth, now));
             self.refresh_ready(func.0 as usize);
             self.schedule_mux(now);
         }
@@ -856,22 +831,10 @@ impl NescDevice {
         };
         let cost = self.cfg.mux_per_request + self.cfg.split_per_block * pending.req.block_count;
         let svc = self.mux.serve(now, cost);
-        if self.flight.is_enabled() {
-            self.flight.append(
-                now,
-                FlightEventKind::QueueExit,
-                pick as u32,
-                pending.req.id.0,
-                pending.arrived.as_nanos(),
-            );
-            self.flight.append(
-                svc.start,
-                FlightEventKind::SchedDispatch,
-                pick as u32,
-                pending.req.id.0,
-                pending.req.block_count,
-            );
-        }
+        let req = &pending.req;
+        let (f, id, blocks, arrived) = (pick as u32, req.id.0, req.block_count, pending.arrived);
+        self.probe
+            .report(Obs::Dispatched(f, id, blocks, arrived, now, svc.start));
         self.process_vf_request(svc.end, FuncId(pick as u16), pending, 0, false);
         self.refresh_ready(pick);
         self.schedule_mux(svc.end);
@@ -918,35 +881,10 @@ impl NescDevice {
     }
 
     fn process_pf_request(&mut self, start: SimTime, pending: PendingRequest) {
-        if !self.tracer.is_enabled() {
-            return self.process_pf_request_inner(start, pending);
-        }
-        let id = pending.req.id;
-        let span = self
-            .tracer
-            .start(self.tracer.bound(id.0), "core", "device", pending.arrived);
-        self.tracer.attr(span, "blocks", pending.req.block_count);
-        if start > pending.arrived {
-            self.tracer
-                .span(span, "core", "queue", pending.arrived, start);
-        }
-        self.cur_span = span;
-        self.link.set_span_parent(span);
-        let out0 = self.outputs.len();
-        self.process_pf_request_inner(start, pending);
-        if let Some(at) = self.outputs[out0..].iter().find_map(|o| match o {
-            NescOutput::Completion { at, id: cid, .. } if *cid == id => Some(*at),
-            _ => None,
-        }) {
-            self.tracer.end(span, at);
-        }
-        self.cur_span = SpanId::NONE;
-        self.link.set_span_parent(SpanId::NONE);
-    }
-
-    fn process_pf_request_inner(&mut self, start: SimTime, pending: PendingRequest) {
-        self.cur_func = 0;
         let req = pending.req;
+        let (id, blocks) = (req.id.0, req.block_count);
+        self.probe
+            .report(Obs::DeviceOpen(0, id, blocks, pending.arrived, start));
         if req.end_lba() > Vlba(self.cfg.capacity_blocks) {
             self.complete(start, self.pf(), req.id, CompletionStatus::OutOfRange);
             return;
@@ -977,6 +915,8 @@ impl NescDevice {
         self.complete(last_done, self.pf(), req.id, CompletionStatus::Ok);
     }
 
+    /// Runs a VF request through translation and transfer from block
+    /// `from_block`; a `resumed` request continues after a miss stall.
     fn process_vf_request(
         &mut self,
         start: SimTime,
@@ -985,60 +925,13 @@ impl NescDevice {
         from_block: u64,
         resumed: bool,
     ) {
-        if !self.tracer.is_enabled() {
-            return self.process_vf_request_inner(start, func, pending, from_block);
-        }
-        let parent = self.tracer.bound(pending.req.id.0);
-        // A resumed request gets a fresh span starting at the resume
-        // point; the original one closed at its miss interrupt.
-        let (name, opened) = if resumed {
-            ("device_resume", start)
-        } else {
-            ("device", pending.arrived)
-        };
-        let dev_span = self.tracer.start(parent, "core", name, opened);
-        self.tracer.attr(dev_span, "func", func.0 as u64);
-        self.tracer
-            .attr(dev_span, "blocks", pending.req.block_count);
-        if !resumed && start > pending.arrived {
-            self.tracer
-                .span(dev_span, "core", "queue", pending.arrived, start);
-        }
-        self.cur_span = dev_span;
-        self.link.set_span_parent(dev_span);
-        let out0 = self.outputs.len();
-        self.process_vf_request_inner(start, func, pending, from_block);
-        let completed = self.outputs[out0..].iter().find_map(|o| match o {
-            NescOutput::Completion { at, id, .. } if *id == pending.req.id => Some(*at),
-            _ => None,
-        });
-        match completed {
-            Some(at) => self.tracer.end(dev_span, at),
-            None => {
-                // Stalled on a translation miss: close this span at the
-                // miss interrupt; the resume opens its own span.
-                if let Some(at) = self.outputs[out0..].iter().find_map(|o| match o {
-                    NescOutput::HostInterrupt { at, .. } => Some(*at),
-                    _ => None,
-                }) {
-                    self.tracer.attr(dev_span, "stalled", 1);
-                    self.tracer.end(dev_span, at);
-                }
-            }
-        }
-        self.cur_span = SpanId::NONE;
-        self.link.set_span_parent(SpanId::NONE);
-    }
-
-    fn process_vf_request_inner(
-        &mut self,
-        start: SimTime,
-        func: FuncId,
-        pending: PendingRequest,
-        from_block: u64,
-    ) {
-        self.cur_func = u32::from(func.0);
         let req = pending.req;
+        let (f, id, blocks) = (u32::from(func.0), req.id.0, req.block_count);
+        self.probe.report(if resumed {
+            Obs::DeviceResume(f, id, blocks, start)
+        } else {
+            Obs::DeviceOpen(f, id, blocks, pending.arrived, start)
+        });
         let regs_size = self.functions[func.0 as usize].regs.device_size_blocks;
         if req.end_lba() > Vlba(regs_size) {
             self.complete(start, func, req.id, CompletionStatus::OutOfRange);
@@ -1190,10 +1083,12 @@ impl NescDevice {
                     times.push(rt.at);
                     for j in 1..rt.run {
                         let lookup_end = batch_start + lookup_cost * (j * rt.chain_levels);
-                        times.push(self.run_walk_dmas(lookup_end, rt.hole_levels));
+                        times.push(self.run_walk_dmas(lookup_end, rt.hole_levels, None));
                     }
                     self.engine_read.transfer_run(BLOCK_SIZE, &mut times);
-                    self.link.dma_write_run(BLOCK_SIZE, &mut times);
+                    self.probe.pass(Obs::ZeroFill, BLOCK_SIZE, &mut times, |t| {
+                        self.link.dma_write_run(BLOCK_SIZE, t)
+                    });
                     if let Some(&done) = times.last() {
                         last_done = last_done.max(done);
                     }
@@ -1265,16 +1160,8 @@ impl NescDevice {
                     let wr = walk_run(&self.mem.borrow(), root, lba, run);
                     self.stats.walks += 1;
                     self.stats.walk_levels += wr.result.levels as u64;
-                    let t_walk = self.run_walk_dmas(lookup.end, wr.result.levels);
-                    if self.flight.is_enabled() {
-                        self.flight.append(
-                            t_walk,
-                            FlightEventKind::BtlbMiss,
-                            u32::from(level.0),
-                            lba.byte_offset(),
-                            wr.result.levels as u64,
-                        );
-                    }
+                    let miss = (u32::from(level.0), lba.byte_offset());
+                    let t_walk = self.run_walk_dmas(lookup.end, wr.result.levels, Some(miss));
                     match wr.result.outcome {
                         WalkOutcome::Mapped(e) => {
                             self.btlb.insert(level.0, e);
@@ -1366,21 +1253,10 @@ impl NescDevice {
             }
         };
         self.chain_scratch = chain;
-        if self.cur_span.is_some() {
-            self.trace_translate(ready, result.at, result.run, result.chain_levels);
-        }
+        let (run, levels) = (result.run, result.chain_levels);
+        self.probe
+            .report(Obs::Translate(run, levels, ready, result.at));
         result
-    }
-
-    /// Span emission for one translation run. Outlined and `#[cold]` so the
-    /// tracing-disabled hot path pays only the `cur_span` test above.
-    #[cold]
-    fn trace_translate(&self, ready: SimTime, at: SimTime, run: u64, levels: u64) {
-        let s = self
-            .tracer
-            .span(self.cur_span, "core", "translate", ready, at);
-        self.tracer.attr(s, "run", run);
-        self.tracer.attr(s, "levels", levels);
     }
 
     /// Re-bounds a run after the whole chain has resolved: blocks past the
@@ -1411,7 +1287,9 @@ impl NescDevice {
     }
 
     /// Runs the chained tree-node DMAs of one walk on the least-loaded walk
-    /// slot; returns when the walk resolves.
+    /// slot; returns when the walk resolves. `miss` names the nesting
+    /// level and vLBA byte offset of the BTLB miss that caused the walk
+    /// (`None` for a hole re-walk).
     ///
     /// Each level costs one host-memory read round trip plus the node's
     /// wire time. The slot is occupied for the whole chain, so the number
@@ -1420,7 +1298,7 @@ impl NescDevice {
     /// data traffic (512 B per level vs 1 KiB per block), so its link
     /// *occupancy* is folded into the per-level latency rather than
     /// contending on the link timeline.
-    fn run_walk_dmas(&mut self, ready: SimTime, levels: u32) -> SimTime {
+    fn run_walk_dmas(&mut self, ready: SimTime, levels: u32, miss: Option<(u32, u64)>) -> SimTime {
         let per_level = self.cfg.link.read_round_trip
             + self.cfg.link.wire_time(self.cfg.tree_node_bytes)
             + self.cfg.walk_level_processing;
@@ -1431,18 +1309,8 @@ impl NescDevice {
             return ready;
         };
         let end = slot.serve(ready, per_level * levels as u64).end;
-        if self.cur_span.is_some() {
-            self.trace_walk(ready, end, levels);
-        }
+        self.probe.report(Obs::Walk(levels, miss, ready, end));
         end
-    }
-
-    #[cold]
-    fn trace_walk(&self, ready: SimTime, end: SimTime, levels: u32) {
-        let s = self
-            .tracer
-            .span(self.cur_span, "extent", "walk", ready, end);
-        self.tracer.attr(s, "levels", levels as u64);
     }
 
     /// Moves `blocks` consecutive blocks between the store and host memory
@@ -1517,97 +1385,26 @@ impl NescDevice {
     /// interleaving — while paying each unit's fixed costs once per run
     /// instead of once per block.
     fn transfer_run_timing(&mut self, op: BlockOp, plba: Plba, times: &mut [SimTime]) {
-        // One flag for both observers: the span emission stays gated on
-        // `cur_span` exactly as before, the flight events on the recorder,
-        // and with both off the hot path pays only these tests.
-        let record = self.cur_span.is_some() || self.flight.is_enabled();
+        let offset = plba.byte_offset();
         match op {
             BlockOp::Read => {
-                let t0 = if record { times.first().copied() } else { None };
-                self.media.access_run(
-                    BlockOp::Read,
-                    plba.byte_offset(),
-                    BLOCK_SIZE,
-                    BLOCK_SIZE,
-                    times,
-                );
-                if t0.is_some() {
-                    if self.cur_span.is_some() {
-                        self.media_span(t0, times);
-                    }
-                    self.flight_service(FlightEventKind::MediaService, t0, times);
-                }
+                self.probe.pass(Obs::MediaPass, BLOCK_SIZE, times, |t| {
+                    self.media.access_run(op, offset, BLOCK_SIZE, BLOCK_SIZE, t)
+                });
                 self.engine_read.transfer_run(BLOCK_SIZE, times);
-                let l0 = if self.flight.is_enabled() {
-                    times.first().copied()
-                } else {
-                    None
-                };
-                self.link.dma_write_run(BLOCK_SIZE, times);
-                if l0.is_some() {
-                    self.flight_service(FlightEventKind::LinkService, l0, times);
-                }
+                self.probe.pass(Obs::DmaWrite, BLOCK_SIZE, times, |t| {
+                    self.link.dma_write_run(BLOCK_SIZE, t)
+                });
             }
             BlockOp::Write => {
-                let l0 = if self.flight.is_enabled() {
-                    times.first().copied()
-                } else {
-                    None
-                };
-                self.link.dma_read_run(BLOCK_SIZE, times);
-                if l0.is_some() {
-                    self.flight_service(FlightEventKind::LinkService, l0, times);
-                }
+                self.probe.pass(Obs::DmaRead, BLOCK_SIZE, times, |t| {
+                    self.link.dma_read_run(BLOCK_SIZE, t)
+                });
                 self.engine_write.transfer_run(BLOCK_SIZE, times);
-                let t0 = if record { times.first().copied() } else { None };
-                self.media.access_run(
-                    BlockOp::Write,
-                    plba.byte_offset(),
-                    BLOCK_SIZE,
-                    BLOCK_SIZE,
-                    times,
-                );
-                if t0.is_some() {
-                    if self.cur_span.is_some() {
-                        self.media_span(t0, times);
-                    }
-                    self.flight_service(FlightEventKind::MediaService, t0, times);
-                }
+                self.probe.pass(Obs::MediaPass, BLOCK_SIZE, times, |t| {
+                    self.media.access_run(op, offset, BLOCK_SIZE, BLOCK_SIZE, t)
+                });
             }
-        }
-    }
-
-    /// Appends one flight event for a batched media/link pass: `t0` is the
-    /// first block's entry into the unit, `times` holds the per-block
-    /// completion times (the event lands at the last one). Call sites gate
-    /// on `t0.is_some()`, so the recorder-disabled hot path never reaches
-    /// this (and unlike [`media_span`](Self::media_span) it is *not*
-    /// `#[cold]`: when the recorder is on it runs twice per transfer run).
-    fn flight_service(&self, kind: FlightEventKind, t0: Option<SimTime>, times: &[SimTime]) {
-        if !self.flight.is_enabled() {
-            return;
-        }
-        if let (Some(start), Some(&end)) = (t0, times.last()) {
-            self.flight.append(
-                end,
-                kind,
-                self.cur_func,
-                start.as_nanos(),
-                times.len() as u64,
-            );
-        }
-    }
-
-    /// Records a `storage`-layer span for one batched media pass:
-    /// `t0` is the first block's arrival at the medium (None when tracing
-    /// is off), `times` holds the per-block media completion times.
-    #[cold]
-    fn media_span(&mut self, t0: Option<SimTime>, times: &[SimTime]) {
-        if let (Some(start), Some(&end)) = (t0, times.last()) {
-            let s = self
-                .tracer
-                .span(self.cur_span, "storage", "media", start, end);
-            self.tracer.attr(s, "blocks", times.len() as u64);
         }
     }
 
@@ -1658,11 +1455,13 @@ impl NescDevice {
         self.stalled_func = Some(func);
         self.stall_level = Some(level);
         self.stats.miss_interrupts += 1;
+        let at = at + self.cfg.interrupt_cost;
         self.outputs.push(NescOutput::HostInterrupt {
-            at: at + self.cfg.interrupt_cost,
+            at,
             func: level,
             reason,
         });
+        self.probe.report(Obs::DeviceStalled(at));
     }
 
     fn complete(&mut self, at: SimTime, func: FuncId, id: RequestId, status: CompletionStatus) {
@@ -1670,12 +1469,14 @@ impl NescDevice {
             CompletionStatus::Ok => self.stats.requests_completed += 1,
             _ => self.stats.requests_failed += 1,
         }
+        let at = at + self.cfg.interrupt_cost;
         self.outputs.push(NescOutput::Completion {
-            at: at + self.cfg.interrupt_cost,
+            at,
             func,
             id,
             status,
         });
+        self.probe.report(Obs::DeviceDone(at));
     }
 
     fn count_blocks(&mut self, op: BlockOp, n: u64) {

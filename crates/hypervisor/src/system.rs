@@ -31,8 +31,8 @@ use nesc_extent::{Plba, Untrusted, Vlba};
 use nesc_fs::{Filesystem, FsError, Ino};
 use nesc_pcie::{HostAddr, HostMemory};
 use nesc_sim::{
-    FlightEventKind, FlightHandle, Metrics, ServiceUnit, SimDuration, SimTime, Span, SpanId,
-    Throughput, Tracer,
+    FlightHandle, Metrics, Obs, Probe, ServiceUnit, SimDuration, SimTime, Span, Throughput, Tracer,
+    Via,
 };
 use nesc_storage::{BlockOp, BlockRequest, RequestId, BLOCK_SIZE};
 use nesc_virtio::{BlkRequest, BlkRequestType, BlkStatus, Virtqueue};
@@ -74,6 +74,30 @@ pub enum DiskKind {
     /// The hypervisor's own raw access to the PF (the "Host" baseline; no
     /// virtualization, no image file).
     HostRaw,
+}
+
+impl DiskKind {
+    /// The path's observability identity: the probe's [`Via`] and the
+    /// metric names its requests count under,
+    /// `[requests, bytes, latency_ns, errors]`.
+    fn observed(self) -> (Via, [&'static str; 4]) {
+        macro_rules! names {
+            ($path:literal) => {
+                [
+                    concat!("requests_", $path),
+                    concat!("bytes_", $path),
+                    concat!("latency_ns_", $path),
+                    concat!("errors_", $path),
+                ]
+            };
+        }
+        match self {
+            DiskKind::NescDirect => (Via::Direct, names!("nesc_direct")),
+            DiskKind::Virtio => (Via::Virtio, names!("virtio")),
+            DiskKind::Emulated => (Via::Emulated, names!("emulated")),
+            DiskKind::HostRaw => (Via::Host, names!("host_raw")),
+        }
+    }
 }
 
 /// One tenant's stream description for [`System::run_mixed`].
@@ -177,17 +201,15 @@ pub struct System {
     now: SimTime,
     next_req: u64,
     completed: BTreeMap<RequestId, (SimTime, CompletionStatus)>,
-    /// Span tracer shared with the device (no-op until enabled).
-    tracer: Tracer,
+    /// The lifecycle probe shared with the device and telemetry: the span
+    /// tracer plus the telemetry's flight recorder (off until either is
+    /// enabled).
+    probe: Probe,
     /// Named counters + latency histograms accumulated per request.
     metrics: Metrics,
     /// Deterministic time-series sampling + SLO watchdog (None = off; the
     /// request path pays one `Option` check when disabled).
     telemetry: Option<Telemetry>,
-    /// Flight recorder handle cloned from the telemetry subsystem
-    /// (disabled unless configured there); the issue path appends
-    /// request lifecycle events through it.
-    flight: FlightHandle,
 }
 
 impl std::fmt::Debug for System {
@@ -219,10 +241,9 @@ impl System {
             now: SimTime::ZERO,
             next_req: 1,
             completed: BTreeMap::new(),
-            tracer: Tracer::disabled(),
+            probe: Probe::default(),
             metrics: Metrics::new(),
             telemetry: None,
-            flight: FlightHandle::disabled(),
         }
     }
 
@@ -232,27 +253,34 @@ impl System {
     }
 
     /// Enables or disables span tracing across every layer of the stack.
-    /// Enabling installs a fresh shared tracer in the hypervisor *and* the
-    /// device (so PCIe / translation / media spans stitch under the same
-    /// request roots); disabling swaps in a no-op tracer.
+    /// Enabling installs a fresh shared tracer in the probe the hypervisor,
+    /// device and telemetry report through (so PCIe / translation / media
+    /// spans stitch under the same request roots); disabling swaps in a
+    /// no-op tracer.
     pub fn set_tracing(&mut self, on: bool) {
-        self.tracer = if on {
-            Tracer::enabled()
-        } else {
-            Tracer::disabled()
-        };
-        self.dev.set_tracer(self.tracer.clone());
+        self.install_probe(on.then(Tracer::enabled).unwrap_or_default());
+    }
+
+    /// Rebuilds the probe from `tracer` and the telemetry's flight
+    /// recorder, and hands it to every reporting layer.
+    fn install_probe(&mut self, tracer: Tracer) {
+        let flight = self.telemetry.as_ref().map(Telemetry::flight);
+        self.probe = Probe::new(tracer, flight.cloned().unwrap_or_default());
+        self.dev.set_probe(self.probe.clone());
+        if let Some(tel) = self.telemetry.as_mut() {
+            tel.set_probe(self.probe.clone());
+        }
     }
 
     /// The span tracer (a cheap handle; disabled unless
     /// [`set_tracing`](Self::set_tracing) enabled it).
     pub fn tracer(&self) -> &Tracer {
-        &self.tracer
+        self.probe.tracer()
     }
 
     /// Drains all spans recorded so far, in creation order.
     pub fn take_spans(&mut self) -> Vec<Span> {
-        self.tracer.take_spans()
+        self.probe.tracer().take_spans()
     }
 
     /// The accumulated metrics registry (per-path request counters and
@@ -276,17 +304,16 @@ impl System {
         for (i, d) in self.disks.iter().enumerate() {
             tel.register_disk(DiskId(i), d.vf);
         }
-        // One recorder, every layer: the device appends queue/scheduler/
-        // BTLB/media/link events, the issue path the request lifecycle.
-        self.flight = tel.flight().clone();
-        self.dev.set_flight(self.flight.clone());
         self.telemetry = Some(tel);
+        // One recorder, every layer: the probe records the device's and
+        // the issue path's lifecycle events into the telemetry's ring.
+        self.install_probe(self.probe.tracer().clone());
     }
 
     /// The flight-recorder handle (disabled unless telemetry configured
     /// it).
     pub fn flight(&self) -> &FlightHandle {
-        &self.flight
+        self.probe.flight()
     }
 
     /// The telemetry subsystem, if enabled.
@@ -303,11 +330,11 @@ impl System {
     }
 
     /// Drives the sampler to `at`. Disjoint-field borrows let the
-    /// telemetry subsystem read the device and tracer in place — no
-    /// take/put-back move of the whole subsystem per call.
+    /// telemetry subsystem read the device in place — no take/put-back
+    /// move of the whole subsystem per call.
     fn poll_telemetry(&mut self, at: SimTime) {
         if let Some(tel) = self.telemetry.as_mut() {
-            tel.poll(at, &self.dev, &self.tracer);
+            tel.poll(at, &self.dev);
         }
     }
 
@@ -570,15 +597,8 @@ impl System {
         if let Some(tel) = self.telemetry.as_mut() {
             tel.record_rewalk(t - at);
         }
-        if self.flight.is_enabled() {
-            self.flight.append(
-                t,
-                FlightEventKind::Rewalk,
-                u32::from(func.0),
-                at.as_nanos(),
-                disk_id.0 as u64,
-            );
-        }
+        self.probe
+            .report(Obs::Rewalk(u32::from(func.0), disk_id.0 as u32, at, t));
         match reason {
             IrqReason::WriteMiss {
                 miss_vlba,
@@ -656,16 +676,6 @@ impl System {
     /// global clock; returns the guest-observed completion time and the
     /// request's final status. `data` is written for writes; for reads the
     /// caller extracts from the buffer.
-    /// Metric key suffix of a path.
-    fn path_name(kind: DiskKind) -> &'static str {
-        match kind {
-            DiskKind::NescDirect => "nesc_direct",
-            DiskKind::Virtio => "virtio",
-            DiskKind::Emulated => "emulated",
-            DiskKind::HostRaw => "host_raw",
-        }
-    }
-
     fn issue_once(
         &mut self,
         disk_id: DiskId,
@@ -681,46 +691,34 @@ impl System {
             return (issue, CompletionStatus::DeviceError);
         }
         let kind = self.disks[disk_id.0].kind;
+        let (via, [requests, bytes, latency_ns, errors]) = kind.observed();
         // The request root span: the path below emits children that tile
         // [issue, done] exactly, so the root's direct children always sum
         // to the guest-observed end-to-end latency.
-        let root = if self.tracer.is_enabled() {
-            let layer = if kind == DiskKind::HostRaw {
-                "hypervisor"
-            } else {
-                "guest"
-            };
-            let s = self.tracer.start(SpanId::NONE, layer, "request", issue);
-            self.tracer.attr(s, "disk", disk_id.0 as u64);
-            self.tracer.attr(s, "bytes", len);
-            self.tracer.attr(s, "write", (op == BlockOp::Write) as u64);
-            s
-        } else {
-            SpanId::NONE
-        };
-        // The id the engine below will mint first — what the flight
-        // recorder's exemplar notes and ring events join on.
-        let seq = self.next_req;
+        // `seq` is the id the engine below will mint first — what the
+        // flight recorder's exemplar notes and ring events join on.
+        let (disk, seq, write) = (disk_id.0 as u32, self.next_req, op == BlockOp::Write);
+        self.probe
+            .report(Obs::Issued(via, disk, seq, len, write, issue));
         let (done, status) = match kind {
-            DiskKind::NescDirect => self.direct_io(disk_id, op, offset, len, issue, data, root),
-            DiskKind::HostRaw => self.host_io(disk_id, op, offset, len, issue, data, root),
+            DiskKind::NescDirect => self.direct_io(disk_id, op, offset, len, issue, data),
+            DiskKind::HostRaw => self.host_io(disk_id, op, offset, len, issue, data),
             DiskKind::Virtio | DiskKind::Emulated => {
-                self.paravirt_io(disk_id, op, offset, len, issue, data, root)
+                self.paravirt_io(disk_id, op, offset, len, issue, data)
             }
         };
-        if root.is_some() {
-            self.tracer
-                .attr(root, "failed", (status != CompletionStatus::Ok) as u64);
-            self.tracer.end(root, done);
-        }
-        let path = Self::path_name(kind);
-        self.metrics.inc(&format!("requests_{path}"), 1);
-        self.metrics.inc(&format!("bytes_{path}"), len);
+        // Closing the root also notes the completion for exemplar
+        // selection *before* the poll below, so a window closing at
+        // `done` folds it in.
+        self.probe
+            .report(Obs::Finished(status != CompletionStatus::Ok, done));
+        let latency = done - issue;
+        self.metrics.inc(requests, 1);
+        self.metrics.inc(bytes, len);
         if status == CompletionStatus::Ok {
-            self.metrics
-                .record(&format!("latency_ns_{path}"), (done - issue).as_nanos());
+            self.metrics.record(latency_ns, latency.as_nanos());
         } else {
-            self.metrics.inc(&format!("errors_{path}"), 1);
+            self.metrics.inc(errors, 1);
         }
         // Deferred telemetry: append one fixed-size observation record and
         // poll only when this completion crosses a window boundary. The
@@ -728,26 +726,15 @@ impl System {
         // lands in the window containing its completion time exactly as
         // the historical poll-then-record sequence did.
         // nesc-lint: hot
-        if self.flight.is_enabled() {
-            // Note the completion for exemplar selection *before* the
-            // poll below, so a window closing at `done` folds it in.
-            self.flight
-                .note_request(done, seq, disk_id.0 as u32, (done - issue).as_nanos(), root);
-        }
-        // nesc-lint: hot
         if let Some(tel) = self.telemetry.as_mut() {
-            tel.record_request(done, disk_id, len, done - issue);
+            tel.record_request(done, disk_id, len, latency);
             if tel.due(done) {
-                tel.poll(done, &self.dev, &self.tracer);
+                tel.poll(done, &self.dev);
             }
         }
         (done, status)
     }
 
-    // allow: the per-path I/O engines thread the same eight request
-    // parameters (disk, op, range, issue time, payload, span root); they
-    // are internal call targets of try_read/try_write, not public API.
-    #[allow(clippy::too_many_arguments)]
     fn direct_io(
         &mut self,
         disk_id: DiskId,
@@ -756,7 +743,6 @@ impl System {
         len: u64,
         issue: SimTime,
         data: Option<&[u8]>,
-        root: SpanId,
     ) -> (SimTime, CompletionStatus) {
         let (vm, vf, buf) = {
             let d = &self.disks[disk_id.0];
@@ -794,40 +780,11 @@ impl System {
             d.ring_tail = (d.ring_tail + 1) % RING_ENTRIES;
         }
         let t_db = self.dev.ring_doorbell(t);
-        if self.flight.is_enabled() {
-            self.flight.append(
-                issue,
-                FlightEventKind::RequestStart,
-                u32::from(vf.0),
-                id.0,
-                disk_id.0 as u64,
-            );
-            self.flight.append(
-                t_db,
-                FlightEventKind::Doorbell,
-                u32::from(vf.0),
-                id.0,
-                t.as_nanos(),
-            );
-        }
-        let traced = root.is_some();
-        let dev_wait = if traced {
-            self.tracer.span(root, "guest", "guest_submit", issue, t);
-            self.tracer.span(root, "pcie", "doorbell", t, t_db);
-            let s = self.tracer.start(root, "core", "device_wait", t_db);
-            self.tracer.bind(id.0, s);
-            s
-        } else {
-            SpanId::NONE
-        };
+        self.probe.report(Obs::Rang(u32::from(vf.0), id.0, t, t_db));
         let tail = self.disks[disk_id.0].ring_tail;
         self.dev
             .mmio_write(vf, nesc_core::regs::offsets::RING_TAIL, tail as u64, t_db);
         let (tc, status) = self.wait_for(id);
-        if traced {
-            self.tracer.end(dev_wait, tc);
-            self.tracer.unbind(id.0);
-        }
         // Completion handling is charged additively rather than on the
         // vCPU timeline: serving it there would serialize the *next*
         // request's submission behind this completion (the model issues
@@ -842,23 +799,10 @@ impl System {
             } else {
                 SimDuration::ZERO
             };
-        if traced {
-            self.tracer.span(root, "guest", "guest_complete", tc, done);
-        }
-        if self.flight.is_enabled() {
-            self.flight.append(
-                done,
-                FlightEventKind::RequestComplete,
-                u32::from(vf.0),
-                id.0,
-                tc.as_nanos(),
-            );
-        }
+        self.probe.report(Obs::Answered(tc, done));
         (done, status)
     }
 
-    // allow: same eight-parameter internal engine signature as direct_io.
-    #[allow(clippy::too_many_arguments)]
     fn host_io(
         &mut self,
         disk_id: DiskId,
@@ -867,7 +811,6 @@ impl System {
         len: u64,
         issue: SimTime,
         data: Option<&[u8]>,
-        root: SpanId,
     ) -> (SimTime, CompletionStatus) {
         let buf = self.disks[disk_id.0].buf;
         let (first_block, nblocks) = Self::covering(offset, len);
@@ -881,17 +824,7 @@ impl System {
         }
         let t_db = self.dev.ring_doorbell(t);
         let id = self.fresh_id();
-        let traced = root.is_some();
-        let dev_wait = if traced {
-            self.tracer
-                .span(root, "hypervisor", "host_submit", issue, t);
-            self.tracer.span(root, "pcie", "doorbell", t, t_db);
-            let s = self.tracer.start(root, "core", "device_wait", t_db);
-            self.tracer.bind(id.0, s);
-            s
-        } else {
-            SpanId::NONE
-        };
+        self.probe.report(Obs::Rang(0, id.0, t, t_db));
         // nesc-lint::allow(T2): a HostRaw disk *is* the raw device — its
         // byte offsets are physical by definition, so the covering block
         // index is minted as a pLBA right here, at the hypervisor/device
@@ -903,17 +836,10 @@ impl System {
         );
         let (tc, status) = self.wait_for(id);
         let done = tc + self.costs.guest_stack_complete;
-        if traced {
-            self.tracer.end(dev_wait, tc);
-            self.tracer.unbind(id.0);
-            self.tracer
-                .span(root, "hypervisor", "host_complete", tc, done);
-        }
+        self.probe.report(Obs::Answered(tc, done));
         (done, status)
     }
 
-    // allow: same eight-parameter internal engine signature as direct_io.
-    #[allow(clippy::too_many_arguments)]
     fn paravirt_io(
         &mut self,
         disk_id: DiskId,
@@ -922,9 +848,7 @@ impl System {
         len: u64,
         issue: SimTime,
         data: Option<&[u8]>,
-        root: SpanId,
     ) -> (SimTime, CompletionStatus) {
-        let traced = root.is_some();
         let (vm, kind, ino, buf, bounce, hdr, status_addr) = {
             let d = &self.disks[disk_id.0];
             let Some(ino) = d.ino else {
@@ -979,15 +903,7 @@ impl System {
             backend_cost += self.costs.host_fs_write_extra;
         }
         let tb = self.disks[disk_id.0].backend.serve(t, backend_cost).end;
-        if traced {
-            self.tracer.span(root, "guest", "guest_submit", issue, t1);
-            if kind == DiskKind::Virtio {
-                self.tracer.span(root, "virtio", "kick", t1, t);
-            } else {
-                self.tracer.span(root, "hypervisor", "trap_emulate", t1, t);
-            }
-            self.tracer.span(root, "hypervisor", "host_backend", t, tb);
-        }
+        self.probe.report(Obs::Backend(t1, t, tb));
         // Functional: consume the chain (Virtio). The chain was published
         // a few lines up, so an empty ring here is a model bug; the
         // backend just skips the ring bookkeeping and serves the request
@@ -1033,9 +949,7 @@ impl System {
                     .write(status_addr, &[BlkStatus::IoErr.byte()]);
             }
             let done = tb + self.costs.interrupt_inject + self.costs.guest_stack_complete;
-            if traced {
-                self.tracer.span(root, "guest", "guest_complete", tb, done);
-            }
+            self.probe.report(Obs::Answered(tb, done));
             return (done, CompletionStatus::WriteFailed);
         }
         // Functional bounce handling. For writes: existing content +
@@ -1058,29 +972,23 @@ impl System {
         }
         // --- Device I/O through the PF, one request per physical run. ---
         let runs = self.image_runs(ino, first_block, nblocks);
-        let mut ids: Vec<(RequestId, u64, u64)> = Vec::new(); // (id, buf_off, blocks)
+        let mut ids = Vec::new();
         let mut last = tb;
         let mut final_status = CompletionStatus::Ok;
         let mut buf_off = 0u64;
         let t_db = self.dev.ring_doorbell(tb);
-        let dev_wait = if traced {
-            self.tracer.start(root, "core", "device_wait", tb)
-        } else {
-            SpanId::NONE
-        };
+        self.probe.report(Obs::Awaiting(tb));
         for (plba, run_blocks) in runs {
             match plba {
                 Some(p) => {
                     let id = self.fresh_id();
-                    if traced {
-                        self.tracer.bind(id.0, dev_wait);
-                    }
+                    self.probe.report(Obs::Forwarded(id.0));
                     self.dev.submit_pf(
                         t_db,
                         BlockRequest::new(id, op, p, run_blocks),
                         bounce + buf_off,
                     );
-                    ids.push((id, buf_off, run_blocks));
+                    ids.push(id);
                 }
                 None => {
                     // A hole in the image: the host page cache serves
@@ -1095,18 +1003,12 @@ impl System {
             }
             buf_off += run_blocks * BLOCK_SIZE;
         }
-        for (id, _, _) in &ids {
+        for id in &ids {
             let (tc, st) = self.wait_for(*id);
             if !matches!(st, CompletionStatus::Ok) {
                 final_status = st;
             }
             last = last.max(tc);
-        }
-        if traced {
-            for (id, _, _) in &ids {
-                self.tracer.unbind(id.0);
-            }
-            self.tracer.end(dev_wait, last);
         }
         // Functional: reads land in the guest buffer via the bounce.
         if op == BlockOp::Read {
@@ -1125,10 +1027,7 @@ impl System {
         }
         // --- Completion: interrupt injection + guest-side unwinding. ---
         let done = last + self.costs.interrupt_inject + self.costs.guest_stack_complete;
-        if traced {
-            self.tracer
-                .span(root, "guest", "guest_complete", last, done);
-        }
+        self.probe.report(Obs::Answered(last, done));
         (done, final_status)
     }
 

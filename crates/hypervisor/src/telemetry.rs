@@ -48,7 +48,7 @@
 use nesc_core::{FuncId, NescDevice};
 use nesc_sim::perfmon::{series_json, utilization_ppm, SeriesKind};
 use nesc_sim::{AnomalyEvent, Histogram, Sampler, SeriesId, SimDuration, SloRule, SloWatchdog};
-use nesc_sim::{FlightConfig, FlightEventKind, FlightHandle, SimTime, Tracer};
+use nesc_sim::{FlightConfig, FlightHandle, Obs, Probe, SimTime, Tracer};
 
 use crate::system::DiskId;
 
@@ -184,11 +184,10 @@ pub struct Telemetry {
     prev_media_busy: SimDuration,
     prev_link_up: SimDuration,
     prev_link_down: SimDuration,
-    /// The flight recorder (disabled unless configured). The same handle
-    /// is cloned into the device and the system's issue path.
-    flight: FlightHandle,
-    /// Anomalies already mirrored into the flight ring / forensic dump.
-    anomaly_seen: usize,
+    /// The probe anomalies and window closes report through. It owns the
+    /// flight recorder (disabled unless configured); the system shares
+    /// one probe between this subsystem and the device.
+    probe: Probe,
     /// The forensic dump captured when the watchdog first fired, if any.
     forensic: Option<serde_json::Value>,
 }
@@ -205,10 +204,7 @@ impl Telemetry {
     pub fn new(cfg: TelemetryConfig) -> Self {
         let mut sampler = Sampler::new(cfg.interval, cfg.capacity);
         let mut watchdog = SloWatchdog::new();
-        let flight = match cfg.flight {
-            Some(fc) => FlightHandle::enabled(fc),
-            None => FlightHandle::disabled(),
-        };
+        let flight = cfg.flight.map(FlightHandle::enabled).unwrap_or_default();
         for rule in cfg.rules {
             watchdog.add_rule(rule);
         }
@@ -239,8 +235,7 @@ impl Telemetry {
             prev_media_busy: SimDuration::ZERO,
             prev_link_up: SimDuration::ZERO,
             prev_link_down: SimDuration::ZERO,
-            flight,
-            anomaly_seen: 0,
+            probe: Probe::new(Tracer::disabled(), flight),
             forensic: None,
         }
     }
@@ -346,7 +341,7 @@ impl Telemetry {
     /// sample per series per window and running the watchdog. Busy-time
     /// probes are read from the device; an idle stretch closes several
     /// windows in one call (counters record zeros after the first).
-    pub fn poll(&mut self, now: SimTime, dev: &NescDevice, tracer: &Tracer) {
+    pub fn poll(&mut self, now: SimTime, dev: &NescDevice) {
         if !self.due(now) {
             return;
         }
@@ -417,46 +412,28 @@ impl Telemetry {
                     self.sampler.sample(id, dev.ring_depth(func) as u64);
                 }
             }
-            self.watchdog.evaluate(&self.sampler, tracer);
-            if self.flight.is_enabled() {
+            let fired = self.watchdog.anomalies().len();
+            self.watchdog.evaluate(&self.sampler);
+            for a in self.watchdog.anomalies().get(fired..).unwrap_or_default() {
+                self.probe.report(Obs::Anomaly(a));
+            }
+            if self.probe.flight().is_enabled() {
                 let window = self.sampler.closed_windows().saturating_sub(1);
-                self.flight.close_window(end.as_nanos(), window, tracer);
-                self.note_anomalies(end);
+                self.probe.close_window(end.as_nanos(), window);
+                // The first anomaly snapshots the forensic dump — after
+                // the window's exemplar fold, so the dump holds the
+                // breaching window's worst requests.
+                if self.forensic.is_none() {
+                    if let Some(first) = self.watchdog.anomalies().get(fired) {
+                        self.forensic = Some(self.forensic_json(first));
+                    }
+                }
             }
         }
         self.next_due_ns = self
             .sampler
             .window_end(self.sampler.closed_windows())
             .as_nanos();
-    }
-
-    /// Mirrors watchdog anomalies the recorder has not seen yet into the
-    /// flight ring, and snapshots the forensic dump when the first one
-    /// fires — after the window's exemplar fold, so the dump holds the
-    /// breaching window's worst requests.
-    fn note_anomalies(&mut self, end: SimTime) {
-        let anomalies = self.watchdog.anomalies();
-        if anomalies.len() <= self.anomaly_seen {
-            return;
-        }
-        let first_new = self.anomaly_seen;
-        for a in &anomalies[self.anomaly_seen..] {
-            self.flight.append(
-                end,
-                FlightEventKind::Anomaly,
-                0,
-                a.rule_index as u64,
-                a.window,
-            );
-        }
-        self.anomaly_seen = anomalies.len();
-        if self.forensic.is_none() {
-            if let Some(first) = self.watchdog.anomalies().get(first_new) {
-                let first = first.clone();
-                let dump = self.forensic_json(&first);
-                self.forensic = Some(dump);
-            }
-        }
     }
 
     /// Assembles the deterministic forensic dump: the triggering anomaly,
@@ -475,7 +452,7 @@ impl Telemetry {
                 "consecutive": a.consecutive,
             },
             "series": series_json(&self.sampler),
-            "flight": self.flight.snapshot_json(),
+            "flight": self.probe.flight().snapshot_json(),
         })
     }
 
@@ -494,11 +471,15 @@ impl Telemetry {
         self.watchdog.anomalies()
     }
 
-    /// The flight-recorder handle (disabled unless configured). The
-    /// system clones this into the device so every layer records into
-    /// one ring.
+    /// The flight-recorder handle (disabled unless configured).
     pub fn flight(&self) -> &FlightHandle {
-        &self.flight
+        self.probe.flight()
+    }
+
+    /// Installs the probe the system shares with the device; it must
+    /// fold into this subsystem's [`flight`](Self::flight) recorder.
+    pub fn set_probe(&mut self, probe: Probe) {
+        self.probe = probe;
     }
 
     /// The forensic dump captured when the watchdog first fired, if any.

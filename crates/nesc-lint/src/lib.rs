@@ -130,6 +130,7 @@ pub fn classify(rel: &Path) -> Option<LintContext> {
                 | "crates/core/src/function.rs"
                 | "crates/sim/src/queue.rs"
                 | "crates/sim/src/flight.rs"
+                | "crates/sim/src/probe.rs"
                 | "crates/hypervisor/src/system.rs"
                 | "crates/hypervisor/src/telemetry.rs"
         ),
@@ -340,6 +341,8 @@ mod tests {
         assert!(dev.device_loop);
         let fl = classify(Path::new("crates/sim/src/flight.rs")).unwrap();
         assert!(fl.device_loop && !fl.scheduling_core);
+        let probe = classify(Path::new("crates/sim/src/probe.rs")).unwrap();
+        assert!(probe.device_loop && !probe.trace_impl);
         let rep = classify(Path::new("crates/hypervisor/src/report.rs"));
         assert!(rep.is_none_or(|c| !c.device_loop));
         let it = classify(Path::new("tests/tests/determinism.rs")).unwrap();

@@ -10,7 +10,7 @@
 //! notes its ~1 GB/s prototype is limited by the academic DMA engine rather
 //! than the link. Both the link and DMA-engine ceilings are modeled.
 
-use nesc_sim::{ServiceUnit, SimDuration, SimTime, SpanId, Tracer};
+use nesc_sim::{ServiceUnit, SimDuration, SimTime};
 
 /// PCIe signalling generation; determines per-lane effective bandwidth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -146,8 +146,6 @@ pub struct PcieLink {
     params: LinkParams,
     upstream: ServiceUnit,
     downstream: ServiceUnit,
-    tracer: Tracer,
-    span_parent: SpanId,
 }
 
 impl PcieLink {
@@ -157,8 +155,6 @@ impl PcieLink {
             params,
             upstream: ServiceUnit::new(),
             downstream: ServiceUnit::new(),
-            tracer: Tracer::disabled(),
-            span_parent: SpanId::NONE,
         }
     }
 
@@ -167,32 +163,15 @@ impl PcieLink {
         &self.params
     }
 
-    /// Attaches a span tracer: DMA transfers emit `pcie`-layer spans under
-    /// the parent set via [`set_span_parent`](Self::set_span_parent).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// Sets the span the next transfers report under (the device sets this
-    /// to the in-flight request's device span).
-    #[inline]
-    pub fn set_span_parent(&mut self, parent: SpanId) {
-        self.span_parent = parent;
-    }
-
     /// Device writes `bytes` into host memory (posted, upstream direction).
     pub fn dma_write(&mut self, now: SimTime, bytes: u64) -> DmaTiming {
         let dur = self.params.wire_time(bytes);
         let svc = self.upstream.serve(now, dur);
-        let timing = DmaTiming {
+        DmaTiming {
             start: svc.start,
             wire_end: svc.end,
             complete: svc.end + self.params.posted_latency,
-        };
-        if self.tracer.is_enabled() {
-            self.trace_dma("dma_write", now, timing.complete, bytes, 1);
         }
-        timing
     }
 
     /// Device reads `bytes` from host memory (non-posted): a small request
@@ -210,15 +189,11 @@ impl PcieLink {
         let cpl = self
             .downstream
             .serve(data_ready, self.params.wire_time(bytes));
-        let timing = DmaTiming {
+        DmaTiming {
             start: req.start,
             wire_end: cpl.end,
             complete: cpl.end,
-        };
-        if self.tracer.is_enabled() {
-            self.trace_dma("dma_read", now, timing.complete, bytes, 1);
         }
-        timing
     }
 
     /// Serves a run of equal-size DMA writes in arrival order: `times[j]`
@@ -228,18 +203,10 @@ impl PcieLink {
     ///
     /// [`dma_write`]: PcieLink::dma_write
     pub fn dma_write_run(&mut self, bytes_each: u64, times: &mut [SimTime]) {
-        let issue = if self.tracer.is_enabled() {
-            times.first().copied()
-        } else {
-            None
-        };
         let dur = self.params.wire_time(bytes_each);
         self.upstream.serve_run(dur, times);
         for t in times.iter_mut() {
             *t += self.params.posted_latency;
-        }
-        if let (Some(start), Some(&end)) = (issue, times.last()) {
-            self.trace_dma_run("dma_write", start, end, bytes_each, times.len() as u64);
         }
     }
 
@@ -252,11 +219,6 @@ impl PcieLink {
     ///
     /// [`dma_read`]: PcieLink::dma_read
     pub fn dma_read_run(&mut self, bytes_each: u64, times: &mut [SimTime]) {
-        let issue = if self.tracer.is_enabled() {
-            times.first().copied()
-        } else {
-            None
-        };
         let req_dur = self.params.wire_time(0).min(SimDuration::from_nanos(100));
         self.upstream.serve_run(req_dur, times);
         for t in times.iter_mut() {
@@ -264,34 +226,6 @@ impl PcieLink {
         }
         self.downstream
             .serve_run(self.params.wire_time(bytes_each), times);
-        if let (Some(start), Some(&end)) = (issue, times.last()) {
-            self.trace_dma_run("dma_read", start, end, bytes_each, times.len() as u64);
-        }
-    }
-
-    /// Span emission for one DMA (or coalesced descriptor fetch). Outlined
-    /// and `#[cold]` so the tracing-disabled hot path pays only a branch.
-    #[cold]
-    fn trace_dma(&self, name: &'static str, start: SimTime, end: SimTime, bytes: u64, n: u64) {
-        let id = self.tracer.span(self.span_parent, "pcie", name, start, end);
-        self.tracer.attr(id, "bytes", bytes);
-        if n > 1 {
-            self.tracer.attr(id, "transfers", n);
-        }
-    }
-
-    #[cold]
-    fn trace_dma_run(
-        &self,
-        name: &'static str,
-        start: SimTime,
-        end: SimTime,
-        bytes_each: u64,
-        transfers: u64,
-    ) {
-        let id = self.tracer.span(self.span_parent, "pcie", name, start, end);
-        self.tracer.attr(id, "bytes", bytes_each * transfers);
-        self.tracer.attr(id, "transfers", transfers);
     }
 
     /// Host CPU writes a small register on the device (posted MMIO write,

@@ -17,9 +17,10 @@
 //!   telemetry window closes, [`FlightRecorder::close_window`] folds the
 //!   notes by timestamp (an observation at `t` belongs to the window
 //!   ending at `W` iff `t < W`, exactly like the sampler), keeps the
-//!   worst-K by latency, and snapshots their span subtrees via
-//!   [`Tracer::subtree`] — so the p99-busting requests keep full traces
-//!   while everything else stays coarse.
+//!   worst-K by latency, and snapshots their span subtrees through the
+//!   caller's capture (the [`Probe`](crate::Probe) passes
+//!   [`Tracer::subtree`](crate::Tracer::subtree)) — so the p99-busting
+//!   requests keep full traces while everything else stays coarse.
 //! * **Determinism** — everything is driven by simulated time and
 //!   integer state; the same seed produces a byte-identical
 //!   [`FlightRecorder::snapshot_json`], which is what makes the forensic
@@ -28,14 +29,14 @@
 //! # Example
 //!
 //! ```
-//! use nesc_sim::{FlightConfig, FlightEventKind, FlightHandle, SimTime, Tracer};
+//! use nesc_sim::{FlightConfig, FlightEventKind, FlightRecorder, SimTime, SpanId};
 //!
-//! let flight = FlightHandle::enabled(FlightConfig::default());
-//! flight.append(SimTime::from_nanos(10), FlightEventKind::Doorbell, 1, 42, 0);
-//! flight.note_request(SimTime::from_nanos(900), 42, 0, 890, nesc_sim::SpanId::NONE);
-//! flight.close_window(1_000, 0, &Tracer::disabled());
-//! assert_eq!(flight.with(|r| r.total()), Some(1));
-//! assert_eq!(flight.with(|r| r.exemplars().len()), Some(1));
+//! let rec = FlightRecorder::new(FlightConfig::default());
+//! rec.append(SimTime::from_nanos(10), FlightEventKind::Doorbell, 1, 42, 0);
+//! rec.note_request(SimTime::from_nanos(900), 42, 0, 890, SpanId::NONE);
+//! rec.close_window(1_000, 0, |_| Vec::new());
+//! assert_eq!(rec.total(), 1);
+//! assert_eq!(rec.exemplars().len(), 1);
 //! ```
 
 use std::cell::{Cell, Ref, RefCell};
@@ -44,7 +45,7 @@ use std::rc::Rc;
 
 use crate::selfcheck::fnv1a;
 use crate::time::SimTime;
-use crate::trace::{Span, SpanId, Tracer};
+use crate::trace::{Span, SpanId};
 
 /// What one ring slot records. The discriminant is the integer stored in
 /// the serialized dump; [`FlightEventKind::from_u8`] decodes it back.
@@ -318,9 +319,10 @@ impl FlightRecorder {
     /// Folds the completion notes of the window ending at `end_ns`
     /// (exactly those with `t_ns < end_ns`), keeps the worst-K by latency
     /// (ties broken by earlier sequence id, so selection is total and
-    /// deterministic), captures each keeper's span subtree, and evicts
-    /// exemplar windows older than the retention horizon.
-    pub fn close_window(&self, end_ns: u64, window: u64, tracer: &Tracer) {
+    /// deterministic), captures each keeper's span subtree with
+    /// `subtree(root)`, and evicts exemplar windows older than the
+    /// retention horizon.
+    pub fn close_window(&self, end_ns: u64, window: u64, subtree: impl Fn(SpanId) -> Vec<Span>) {
         // Evict first: windows only advance, so the stale exemplars are a
         // prefix of the deque and popping them is O(evicted). New pushes
         // below carry `window` itself and are always retained.
@@ -355,7 +357,7 @@ impl FlightRecorder {
                 t_ns: p.t_ns,
                 latency_ns: p.latency_ns,
                 root: p.root.0,
-                spans: tracer.subtree(p.root),
+                spans: subtree(p.root),
             });
         }
     }
@@ -450,8 +452,8 @@ impl FlightRecorder {
     }
 }
 
-/// A cheaply cloneable recorder handle shared by every layer, mirroring
-/// [`Tracer`]: disabled (the default) it holds no allocation and every
+/// A cheaply cloneable recorder handle, mirroring [`Tracer`](crate::Tracer):
+/// disabled (the default) it holds no allocation and every
 /// operation is a no-op behind one branch; enabled, all clones record
 /// into the same ring.
 #[derive(Debug, Clone, Default)]
@@ -478,35 +480,15 @@ impl FlightHandle {
         self.inner.is_some()
     }
 
-    /// Appends one event (no-op when disabled).
-    // nesc-lint: hot
-    #[inline]
-    pub fn append(&self, t: SimTime, kind: FlightEventKind, func: u32, a: u64, b: u64) {
-        if let Some(rec) = &self.inner {
-            rec.append(t, kind, func, a, b);
-        }
-    }
-
-    /// Notes one completed request for exemplar selection (no-op when
-    /// disabled).
-    // nesc-lint: hot
-    #[inline]
-    pub fn note_request(&self, done: SimTime, seq: u64, disk: u32, latency_ns: u64, root: SpanId) {
-        if let Some(rec) = &self.inner {
-            rec.note_request(done, seq, disk, latency_ns, root);
-        }
-    }
-
-    /// Folds the window ending at `end_ns` (no-op when disabled).
-    pub fn close_window(&self, end_ns: u64, window: u64, tracer: &Tracer) {
-        if let Some(rec) = &self.inner {
-            rec.close_window(end_ns, window, tracer);
-        }
-    }
-
     /// Runs `f` against the recorder, if enabled.
     pub fn with<R>(&self, f: impl FnOnce(&FlightRecorder) -> R) -> Option<R> {
-        self.inner.as_deref().map(f)
+        self.recorder().map(f)
+    }
+
+    /// The recorder, if enabled.
+    #[inline]
+    pub(crate) fn recorder(&self) -> Option<&FlightRecorder> {
+        self.inner.as_deref()
     }
 
     /// The serialized recorder state, if enabled.
@@ -532,9 +514,7 @@ mod tests {
     fn disabled_handle_is_noop() {
         let h = FlightHandle::disabled();
         assert!(!h.is_enabled());
-        h.append(t(1), FlightEventKind::Doorbell, 0, 0, 0);
-        h.note_request(t(2), 1, 0, 10, SpanId::NONE);
-        h.close_window(100, 0, &Tracer::disabled());
+        assert_eq!(h.with(|r| r.total()), None);
         assert_eq!(h.snapshot_json(), None);
         assert_eq!(h.digest_hash(), 0);
     }
@@ -567,11 +547,11 @@ mod tests {
         r.note_request(t(20), 2, 0, 900, SpanId::NONE);
         r.note_request(t(30), 3, 0, 900, SpanId::NONE);
         r.note_request(t(150), 4, 0, 9999, SpanId::NONE);
-        r.close_window(100, 0, &Tracer::disabled());
+        r.close_window(100, 0, |_| Vec::new());
         let kept: Vec<u64> = r.exemplars().iter().map(|e| e.seq).collect();
         assert_eq!(kept, vec![2, 3], "ties break toward the earlier request");
         // The late completion folds into the next window.
-        r.close_window(200, 1, &Tracer::disabled());
+        r.close_window(200, 1, |_| Vec::new());
         assert_eq!(r.exemplars().len(), 3);
         assert_eq!(r.exemplars()[2].seq, 4);
         assert_eq!(r.exemplars()[2].window, 1);
@@ -582,7 +562,7 @@ mod tests {
         let r = FlightRecorder::new(FlightConfig::default().exemplar_windows(2));
         for w in 0..5u64 {
             r.note_request(t(w * 100 + 10), w, 0, 100, SpanId::NONE);
-            r.close_window((w + 1) * 100, w, &Tracer::disabled());
+            r.close_window((w + 1) * 100, w, |_| Vec::new());
         }
         let windows: Vec<u64> = r.exemplars().iter().map(|e| e.window).collect();
         assert_eq!(windows, vec![3, 4], "only the retention horizon survives");
@@ -590,6 +570,7 @@ mod tests {
 
     #[test]
     fn exemplars_capture_span_subtrees() {
+        use crate::trace::Tracer;
         let tracer = Tracer::enabled();
         let root = tracer.start(SpanId::NONE, "guest", "request", t(0));
         let child = tracer.span(root, "core", "device", t(10), t(90));
@@ -599,7 +580,7 @@ mod tests {
         tracer.span(SpanId::NONE, "guest", "request", t(200), t(300));
         let r = FlightRecorder::new(FlightConfig::default());
         r.note_request(t(100), 7, 0, 100, root);
-        r.close_window(1_000, 0, &tracer);
+        r.close_window(1_000, 0, |root| tracer.subtree(root));
         let x = &r.exemplars()[0];
         assert_eq!(x.root, root.0);
         assert_eq!(x.spans.len(), 2);
@@ -616,7 +597,7 @@ mod tests {
             r.append(t(5), FlightEventKind::RequestStart, 1, 42, 0);
             r.append(t(9), FlightEventKind::Doorbell, 1, 42, 5);
             r.note_request(t(50), 42, 0, 45, SpanId::NONE);
-            r.close_window(100, 0, &Tracer::disabled());
+            r.close_window(100, 0, |_| Vec::new());
             serde_json::to_string(&r.snapshot_json()).unwrap()
         };
         let a = run();

@@ -26,6 +26,8 @@
 //!   simulated time (gauge/counter-delta series in ring buffers), the SLO
 //!   watchdog with declarative threshold rules, and the JSON/CSV/Perfetto
 //!   counter-track exporters.
+//! * [`probe`] — the one probe every layer reports a request's lifecycle
+//!   through, folding each observation into spans and flight-ring rows.
 //! * [`flight`] — the deterministic flight recorder: a bounded,
 //!   preallocated ring of compact integer-only events appended on the hot
 //!   path, plus per-window worst-K exemplar retention of full request
@@ -66,6 +68,7 @@ pub mod gen;
 pub mod hash;
 pub mod metrics;
 pub mod perfmon;
+pub mod probe;
 pub mod queue;
 pub mod resource;
 pub mod rng;
@@ -82,6 +85,7 @@ pub use gen::{BurstyArrivals, ZipfLike};
 pub use hash::{IntHashBuilder, IntHasher};
 pub use metrics::Metrics;
 pub use perfmon::{AnomalyEvent, Sampler, SeriesId, SeriesKind, SloRule, SloWatchdog, TimeSeries};
+pub use probe::{Obs, Pass, Probe, Via};
 pub use queue::EventQueue;
 pub use resource::{Pipe, ServiceUnit};
 pub use rng::SimRng;

@@ -21,11 +21,11 @@
 //!
 //! On top of the series sit the [`SloWatchdog`] — declarative threshold
 //! rules ("p99 above X for 3 consecutive windows", optionally guarded by a
-//! second condition) that emit deterministic [`AnomalyEvent`]s and
-//! `telemetry`-layer spans — and the exporters: [`series_json`] /
-//! [`series_csv`] for `results/`, and [`merge_counter_tracks`] which
-//! appends Perfetto `ph:"C"` counter tracks to an existing Chrome-trace
-//! document so the time series render alongside the span swimlanes.
+//! second condition) that emit deterministic [`AnomalyEvent`]s — and the
+//! exporters: [`series_json`] / [`series_csv`] for `results/`, and
+//! [`merge_counter_tracks`] which appends Perfetto `ph:"C"` counter tracks
+//! to an existing Chrome-trace document so the time series render
+//! alongside the span swimlanes.
 //!
 //! # Example
 //!
@@ -59,7 +59,6 @@ use std::fmt;
 use crate::queue::EventQueue;
 use crate::selfcheck::fnv1a;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{SpanId, Tracer};
 
 /// Handle to one registered series (index into the sampler's table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -576,15 +575,19 @@ pub struct AnomalyEvent {
     pub window: u64,
     /// Simulated time of that window's end.
     pub at: SimTime,
+    /// Simulated start of the streak's first window.
+    pub start: SimTime,
     /// The primary series' value in that window.
     pub value: u64,
+    /// The primary condition's threshold.
+    pub threshold: u64,
     /// Length of the completed streak.
     pub consecutive: u32,
 }
 
 /// Evaluates [`SloRule`]s against a [`Sampler`] at every window close,
-/// tracking per-rule streaks and emitting [`AnomalyEvent`]s plus
-/// `telemetry`-layer trace spans when a streak completes.
+/// tracking per-rule streaks and emitting [`AnomalyEvent`]s when a streak
+/// completes.
 ///
 /// A watchdog evaluates against one sampler. Rule series are resolved to
 /// [`SeriesId`]s at the first evaluation and again whenever the sampler's
@@ -633,9 +636,9 @@ impl SloWatchdog {
     /// rule's streak reaches its `consecutive` target the anomaly is
     /// recorded once (the streak keeps counting, so a second anomaly for
     /// the same rule requires the condition to lapse and persist again)
-    /// and, if `tracer` is enabled, an `anomaly` span covering the whole
-    /// breached stretch is emitted on the `telemetry` layer.
-    pub fn evaluate(&mut self, sampler: &Sampler, tracer: &Tracer) {
+    /// (the telemetry subsystem reports it to the probe, which records
+    /// the `telemetry:anomaly` span over the whole breached stretch).
+    pub fn evaluate(&mut self, sampler: &Sampler) {
         let Some(window) = sampler.closed_windows().checked_sub(1) else {
             return;
         };
@@ -664,25 +667,18 @@ impl SloWatchdog {
                 Some(v) => {
                     self.streaks[i] += 1;
                     if self.streaks[i] == rule.consecutive {
-                        let text = rule.to_string();
-                        let text_hash = fnv1a(text.as_bytes());
                         self.anomalies.push(AnomalyEvent {
                             rule: rule.name.clone(),
                             rule_index: i,
-                            text,
+                            text: rule.to_string(),
                             series: rule.primary.series.clone(),
                             window,
                             at,
+                            start: sampler.window_start(window + 1 - u64::from(rule.consecutive)),
                             value: v,
+                            threshold: rule.primary.threshold,
                             consecutive: rule.consecutive,
                         });
-                        let start = sampler.window_start(window + 1 - u64::from(rule.consecutive));
-                        let span = tracer.span(SpanId::NONE, "telemetry", "anomaly", start, at);
-                        tracer.attr(span, "rule", i as u64);
-                        tracer.attr(span, "rule_text_hash", text_hash);
-                        tracer.attr(span, "window", window);
-                        tracer.attr(span, "value", v);
-                        tracer.attr(span, "threshold", rule.primary.threshold);
                     }
                 }
                 None => self.streaks[i] = 0,
@@ -935,28 +931,21 @@ mod tests {
         let g = s.register("lat", "ns", SeriesKind::Gauge);
         let mut wd = SloWatchdog::new();
         wd.add_rule(SloRule::parse("lat above 100 for 3").unwrap());
-        let tracer = Tracer::enabled();
         // Two hot windows, one cool (streak resets), then three hot.
         let values = [150u64, 150, 50, 200, 200, 200, 200];
         for (w, &v) in values.iter().enumerate() {
             assert!(s.due(t((w as u64 + 1) * 10)).is_some());
             s.sample(g, v);
-            wd.evaluate(&s, &tracer);
+            wd.evaluate(&s);
         }
         let anomalies = wd.anomalies();
         assert_eq!(anomalies.len(), 1, "fires once per completed streak");
         let a = &anomalies[0];
         assert_eq!(a.window, 5, "third consecutive hot window");
         assert_eq!(a.at, t(60));
+        assert_eq!(a.start, t(30), "the streak began with window 3");
         assert_eq!(a.value, 200);
-        // The trace span covers the breached stretch [30, 60].
-        let spans = tracer.take_spans();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].layer, "telemetry");
-        assert_eq!(spans[0].name, "anomaly");
-        assert_eq!(spans[0].start, t(30));
-        assert_eq!(spans[0].end, t(60));
-        assert_eq!(spans[0].attr("threshold"), Some(100));
+        assert_eq!(a.threshold, 100);
     }
 
     #[test]
@@ -966,14 +955,13 @@ mod tests {
         let depth = s.register("depth", "n", SeriesKind::Gauge);
         let mut wd = SloWatchdog::new();
         wd.add_rule(SloRule::parse("util below 1000 for 2 while depth above 3").unwrap());
-        let tracer = Tracer::disabled();
         // Window 0: util low but queue empty -> guard fails, no streak.
         // Windows 1-2: util low AND deep queue -> anomaly at window 2.
         for (w, (u, d)) in [(500u64, 0u64), (500, 8), (500, 8)].iter().enumerate() {
             assert!(s.due(t((w as u64 + 1) * 10)).is_some());
             s.sample(util, *u);
             s.sample(depth, *d);
-            wd.evaluate(&s, &tracer);
+            wd.evaluate(&s);
         }
         assert_eq!(wd.anomalies().len(), 1);
         assert_eq!(wd.anomalies()[0].window, 2);
@@ -987,7 +975,7 @@ mod tests {
         wd.add_rule(SloRule::parse("nonexistent above 0 for 1").unwrap());
         assert!(s.due(t(10)).is_some());
         s.sample(g, 1);
-        wd.evaluate(&s, &Tracer::disabled());
+        wd.evaluate(&s);
         assert!(wd.anomalies().is_empty());
     }
 
@@ -997,11 +985,10 @@ mod tests {
         let a = s.register("a", "n", SeriesKind::Gauge);
         let mut wd = SloWatchdog::new();
         wd.add_rule(SloRule::parse("late above 5 for 1").unwrap());
-        let tracer = Tracer::disabled();
         for w in 0..2u64 {
             assert!(s.due(t((w + 1) * 10)).is_some());
             s.sample(a, 9);
-            wd.evaluate(&s, &tracer);
+            wd.evaluate(&s);
         }
         assert!(wd.anomalies().is_empty(), "no series, no anomaly");
         // A disk attaching mid-run registers its series late; the rule
@@ -1010,7 +997,7 @@ mod tests {
         assert!(s.due(t(30)).is_some());
         s.sample(a, 9);
         s.sample(late, 9);
-        wd.evaluate(&s, &tracer);
+        wd.evaluate(&s);
         assert_eq!(wd.anomalies().len(), 1);
         assert_eq!(wd.anomalies()[0].series, "late");
         assert_eq!(wd.anomalies()[0].window, 2);
@@ -1076,7 +1063,9 @@ mod tests {
                         series: rule.primary.series.clone(),
                         window,
                         at: sampler.window_end(window),
+                        start: sampler.window_start(window + 1 - u64::from(rule.consecutive)),
                         value: v,
+                        threshold: rule.primary.threshold,
                         consecutive: rule.consecutive,
                     });
                 }
@@ -1150,7 +1139,7 @@ mod tests {
                     wd.add_rule(rule.clone());
                     reference.add_rule(rule);
                 }
-                wd.evaluate(&s, &Tracer::disabled());
+                wd.evaluate(&s);
                 reference.evaluate(&s);
                 assert_eq!(
                     wd.anomalies(),
@@ -1204,8 +1193,8 @@ mod tests {
 
     #[test]
     fn counter_tracks_merge_into_valid_chrome_trace() {
-        let tracer = Tracer::enabled();
-        let span = tracer.start(SpanId::NONE, "core", "device", t(0));
+        let tracer = crate::trace::Tracer::enabled();
+        let span = tracer.start(crate::trace::SpanId::NONE, "core", "device", t(0));
         tracer.end(span, t(25));
         let mut s = Sampler::new(dur(10), 4);
         let g = s.register("core.depth", "n", SeriesKind::Gauge);

@@ -1,0 +1,765 @@
+//! One probe per request lifecycle.
+//!
+//! The hypervisor's I/O paths, the device (with the PCIe link it drives)
+//! and the telemetry subsystem report each phase of a request's life
+//! once, as one typed [`Obs`]ervation, and the [`Probe`] folds it into
+//! both channels: spans on the [`Tracer`] and rows in the flight ring
+//! ([`FlightHandle`]). Each variant's docs give its fold; DESIGN.md §7
+//! tabulates them. The probe is on exactly when a channel is; off, a
+//! report is one branch. It owns the state the layers used to thread by
+//! hand: the issued request and its root span, the open `device_wait` and
+//! device spans, and the request id → parent span bindings.
+//!
+//! Positional payloads list identities, then quantities, then times.
+//!
+//! # Example
+//!
+//! ```
+//! use nesc_sim::{FlightConfig, FlightHandle, Obs, Probe, SimTime, Tracer};
+//!
+//! let probe = Probe::new(Tracer::enabled(), FlightHandle::enabled(FlightConfig::default()));
+//! let t = SimTime::from_nanos;
+//! probe.report(Obs::Queued(1, 7, 1, t(10)));
+//! probe.report(Obs::DeviceOpen(1, 7, 2, t(10), t(40)));
+//! probe.report(Obs::DeviceDone(t(90)));
+//! let spans = probe.tracer().take_spans();
+//! assert_eq!((spans[0].name, spans[1].name), ("device", "queue"));
+//! assert_eq!(probe.flight().with(|r| r.total()), Some(1));
+//! ```
+
+use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
+use std::rc::Rc;
+
+use crate::flight::{FlightEventKind, FlightHandle, FlightRecorder};
+use crate::hash::IntHashBuilder;
+use crate::perfmon::AnomalyEvent;
+use crate::selfcheck::fnv1a;
+use crate::time::SimTime;
+use crate::trace::{SpanId, Tracer};
+
+/// The I/O path a request takes — the paper's four. It names the
+/// hypervisor's spans, and only the direct path mirrors the request
+/// lifecycle into the flight ring.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Via {
+    /// A guest's directly assigned NeSC VF.
+    Direct,
+    /// virtio-blk through the host backend.
+    Virtio,
+    /// Trap-and-emulate through the host backend.
+    Emulated,
+    /// The hypervisor's own raw PF access.
+    Host,
+}
+
+/// `(blocks, block_bytes, start, end)`: one batched pass of a run of
+/// blocks through a unit, from the first block's entry to the last one's
+/// completion.
+#[derive(Debug, Clone, Copy)]
+pub struct Pass(pub u64, pub u64, pub SimTime, pub SimTime);
+
+/// One lifecycle observation and its fold. `func` is a device function
+/// index (0 = the PF), `id` a device request id; "the root" is the issued
+/// request's root span and "the device span" the open `core:device` (or
+/// `core:device_resume`) span. Ring rows are written
+/// `Kind(time; func, a, b)`.
+#[derive(Debug, Clone, Copy)]
+pub enum Obs<'a> {
+    /// `(path, disk, seq, bytes, write, at)`: a request was issued; `seq`
+    /// is the first device id it mints. Opens the root `guest:request`
+    /// (`hypervisor:request` on the host path) {disk, bytes, write}.
+    Issued(Via, u32, u64, u64, bool, SimTime),
+    /// `(func, id, rang, landed)`: the submit stack finished and its
+    /// doorbell write landed. Under the root: `guest:guest_submit` (host:
+    /// `hypervisor:host_submit`) and `pcie:doorbell`, then
+    /// `core:device_wait` opens with `id` bound to it. Ring, direct only:
+    /// `RequestStart(issue; func, id, disk)`, `Doorbell(landed; func, id,
+    /// rang)`.
+    Rang(u32, u64, SimTime, SimTime),
+    /// `(trapped, kicked, served)`: a paravirtual request's guest stack,
+    /// kick or trap, and host backend. Under the root:
+    /// `guest:guest_submit`, `virtio:kick` (emulation:
+    /// `hypervisor:trap_emulate`), `hypervisor:host_backend`.
+    Backend(SimTime, SimTime, SimTime),
+    /// `(at)`: the backend starts waiting on the device; opens
+    /// `core:device_wait` under the root.
+    Awaiting(SimTime),
+    /// `(id)`: the backend forwarded device request `id`; binds it to the
+    /// open `device_wait`.
+    Forwarded(u64),
+    /// `(device_done, done)`: the device answered and the completion
+    /// stack finished. Closes `device_wait` (unbinding its ids), then
+    /// `guest:guest_complete` (host: `hypervisor:host_complete`) under
+    /// the root. Ring, direct only: `RequestComplete(done; func, id,
+    /// device_done)`.
+    Answered(SimTime, SimTime),
+    /// `(failed, done)`: the request finished. The root gets {failed} and
+    /// closes; the recorder notes it as an exemplar candidate.
+    Finished(bool, SimTime),
+    /// `(func, disk, irq_at, served)`: the miss handler served an
+    /// interrupt. Ring: `Rewalk(served; func, irq_at, disk)`.
+    Rewalk(u32, u32, SimTime, SimTime),
+    /// An SLO watchdog rule fired. Root span `telemetry:anomaly` over the
+    /// breached stretch {rule, rule_text_hash, window, value, threshold};
+    /// ring: `Anomaly(at; 0, rule, window)`.
+    Anomaly(&'a AnomalyEvent),
+    /// `(func, id, depth, at)`: a request entered its function's queue.
+    /// Ring: `QueueEnter(at; func, id, depth)`.
+    Queued(u32, u64, u64, SimTime),
+    /// `(func, id, blocks, arrived, at, start)`: the multiplexer popped
+    /// the request at `at` and began dispatching it at `start`. Ring:
+    /// `QueueExit(at; func, id, arrived)`, `SchedDispatch(start; func, id,
+    /// blocks)`.
+    Dispatched(u32, u64, u64, SimTime, SimTime, SimTime),
+    /// `(func, id, blocks, arrived, start)`: the device began a request.
+    /// Opens the device span `core:device` at `arrived` under the span
+    /// bound to `id` {func (VFs only), blocks}, with a `core:queue` child
+    /// up to `start` if it waited.
+    DeviceOpen(u32, u64, u64, SimTime, SimTime),
+    /// `(func, id, blocks, at)`: the device resumed a request stalled on
+    /// a miss. Opens the device span `core:device_resume` under the span
+    /// bound to `id` {func, blocks}; no queue child.
+    DeviceResume(u32, u64, u64, SimTime),
+    /// `(at)`: the request completed; closes the device span.
+    DeviceDone(SimTime),
+    /// `(at)`: the request stalled on a miss interrupt; the device span
+    /// gets {stalled=1} and closes.
+    DeviceStalled(SimTime),
+    /// `(run, levels, start, end)`: one run translated. `core:translate`
+    /// under the device span {run, levels}.
+    Translate(u64, u64, SimTime, SimTime),
+    /// `(levels, miss, start, end)`: one extent walk; `miss` is the BTLB
+    /// miss behind it (nesting level, vLBA byte offset), `None` for a hole
+    /// re-walk. `extent:walk` under the device span {levels}; ring, misses
+    /// only: `BtlbMiss(end; level, vlba, levels)`.
+    Walk(u32, Option<(u32, u64)>, SimTime, SimTime),
+    /// A media pass. `storage:media` under the device span {blocks};
+    /// ring: `MediaService(end; func, start, blocks)`.
+    MediaPass(Pass),
+    /// A host-to-device DMA pass. `pcie:dma_read` under the device span
+    /// {bytes, transfers}; ring: `LinkService(end; func, start, blocks)`.
+    DmaRead(Pass),
+    /// A device-to-host DMA pass. `pcie:dma_write` under the device span
+    /// {bytes, transfers}; ring: `LinkService(end; func, start, blocks)`.
+    DmaWrite(Pass),
+    /// A hole read's zero-fill DMA. `pcie:dma_write` under the device
+    /// span {bytes, transfers}; no ring row.
+    ZeroFill(Pass),
+    /// `(bytes, start, end)`: one coalesced command-descriptor fetch.
+    /// `pcie:dma_read` under the device span, if any {bytes}.
+    DescriptorFetch(u64, SimTime, SimTime),
+}
+
+/// State shared by every clone of an on probe.
+#[derive(Debug, Default)]
+struct Open {
+    /// The issued request: its path, disk, sequence id and issue time.
+    issued: Cell<(Option<Via>, u32, u64, SimTime)>,
+    /// The function and device id its doorbell submitted.
+    submitted: Cell<(u32, u64)>,
+    root: Cell<SpanId>,
+    /// The root's open `device_wait` span.
+    wait: Cell<SpanId>,
+    /// The device span of the request in the pipeline, and its function.
+    device: Cell<SpanId>,
+    func: Cell<u32>,
+    /// Device request id → the span its device span opens under.
+    parents: RefCell<HashMap<u64, SpanId, IntHashBuilder>>,
+}
+
+/// A cheaply cloned handle every reporting layer holds; clones share one
+/// tracer, one flight ring and one set of open spans.
+#[derive(Debug, Clone, Default)]
+pub struct Probe {
+    tracer: Tracer,
+    flight: FlightHandle,
+    /// `None` exactly when both channels are off.
+    open: Option<Rc<Open>>,
+}
+
+impl Probe {
+    /// A probe folding into `tracer` and `flight`; off when both are
+    /// disabled.
+    pub fn new(tracer: Tracer, flight: FlightHandle) -> Self {
+        let open = (tracer.is_enabled() || flight.is_enabled()).then(Rc::default);
+        Probe {
+            tracer,
+            flight,
+            open,
+        }
+    }
+
+    /// The span tracer the probe folds into.
+    pub fn tracer(&self) -> &Tracer {
+        &self.tracer
+    }
+
+    /// The flight recorder the probe folds into.
+    pub fn flight(&self) -> &FlightHandle {
+        &self.flight
+    }
+
+    /// Reports one observation: a single branch when the probe is off.
+    #[inline(always)]
+    pub fn report(&self, obs: Obs<'_>) {
+        if let Some(open) = self.open.as_deref() {
+            self.fold(open, obs);
+        }
+    }
+
+    /// Runs one batched unit pass over `times` (each block's entry time
+    /// on entry, its completion time on return) and reports it as
+    /// `obs(pass)`. An empty run reports nothing.
+    #[inline(always)]
+    pub fn pass(
+        &self,
+        obs: impl FnOnce(Pass) -> Obs<'static>,
+        block_bytes: u64,
+        times: &mut [SimTime],
+        run: impl FnOnce(&mut [SimTime]),
+    ) {
+        let start = self.open.as_ref().and_then(|_| times.first().copied());
+        run(times);
+        if let (Some(start), Some(&end)) = (start, times.last()) {
+            self.report(obs(Pass(times.len() as u64, block_bytes, start, end)));
+        }
+    }
+
+    /// Folds the flight recorder's exemplar notes for the window ending
+    /// at `end_ns`, capturing each keeper's span tree from the tracer.
+    pub fn close_window(&self, end_ns: u64, window: u64) {
+        self.flight.with(|rec| {
+            rec.close_window(end_ns, window, |root| self.tracer.subtree(root));
+        });
+    }
+
+    /// Inlined into each reporting site, where the variant is known, so
+    /// the state update and ring rows of a recorder-only run cost what a
+    /// direct append would.
+    #[inline(always)]
+    fn fold(&self, open: &Open, obs: Obs<'_>) {
+        match obs {
+            Obs::Issued(path, disk, seq, _, _, at) => open.issued.set((Some(path), disk, seq, at)),
+            Obs::Rang(func, id, _, _) => open.submitted.set((func, id)),
+            Obs::DeviceOpen(func, ..) | Obs::DeviceResume(func, ..) => open.func.set(func),
+            _ => {}
+        }
+        // Ring first: a `Finished` note reads the root the span fold
+        // then closes.
+        if let Some(rec) = self.flight.recorder() {
+            ring(rec, open, obs);
+        }
+        if self.tracer.is_enabled() {
+            self.spans(open, obs);
+        }
+    }
+
+    #[cold]
+    fn spans(&self, open: &Open, obs: Obs<'_>) {
+        let t = &self.tracer;
+        let (path, _, _, issue) = open.issued.get();
+        let (root, dev) = (open.root.get(), open.device.get());
+        let host = path == Some(Via::Host);
+        match obs {
+            Obs::Issued(_, disk, _, bytes, write, at) => {
+                let layer = if host { "hypervisor" } else { "guest" };
+                let s = t.start(SpanId::NONE, layer, "request", at);
+                t.attr(s, "disk", u64::from(disk));
+                t.attr(s, "bytes", bytes);
+                t.attr(s, "write", u64::from(write));
+                open.root.set(s);
+            }
+            Obs::Rang(_, id, rang, landed) => {
+                let layer = if host { "hypervisor" } else { "guest" };
+                let name = if host { "host_submit" } else { "guest_submit" };
+                t.span(root, layer, name, issue, rang);
+                t.span(root, "pcie", "doorbell", rang, landed);
+                let wait = t.start(root, "core", "device_wait", landed);
+                open.wait.set(wait);
+                open.parents.borrow_mut().insert(id, wait);
+            }
+            Obs::Backend(trapped, kicked, served) => {
+                t.span(root, "guest", "guest_submit", issue, trapped);
+                let virtio = path == Some(Via::Virtio);
+                let layer = if virtio { "virtio" } else { "hypervisor" };
+                let name = if virtio { "kick" } else { "trap_emulate" };
+                t.span(root, layer, name, trapped, kicked);
+                t.span(root, "hypervisor", "host_backend", kicked, served);
+            }
+            Obs::Awaiting(at) => open.wait.set(t.start(root, "core", "device_wait", at)),
+            Obs::Forwarded(id) => {
+                open.parents.borrow_mut().insert(id, open.wait.get());
+            }
+            Obs::Answered(device_done, done) => {
+                let wait = open.wait.replace(SpanId::NONE);
+                if wait.is_some() {
+                    t.end(wait, device_done);
+                    open.parents.borrow_mut().retain(|_, p| *p != wait);
+                }
+                let layer = if host { "hypervisor" } else { "guest" };
+                let name = if host {
+                    "host_complete"
+                } else {
+                    "guest_complete"
+                };
+                t.span(root, layer, name, device_done, done);
+            }
+            Obs::Finished(failed, done) => {
+                t.attr(root, "failed", u64::from(failed));
+                t.end(root, done);
+                open.root.set(SpanId::NONE);
+            }
+            Obs::Anomaly(a) => {
+                let s = t.span(SpanId::NONE, "telemetry", "anomaly", a.start, a.at);
+                t.attr(s, "rule", a.rule_index as u64);
+                t.attr(s, "rule_text_hash", fnv1a(a.text.as_bytes()));
+                t.attr(s, "window", a.window);
+                t.attr(s, "value", a.value);
+                t.attr(s, "threshold", a.threshold);
+            }
+            Obs::DeviceOpen(func, id, blocks, arrived, start) => {
+                let s = t.start(open.parent_of(id), "core", "device", arrived);
+                if func != 0 {
+                    t.attr(s, "func", u64::from(func));
+                }
+                t.attr(s, "blocks", blocks);
+                if start > arrived {
+                    t.span(s, "core", "queue", arrived, start);
+                }
+                open.device.set(s);
+            }
+            Obs::DeviceResume(func, id, blocks, at) => {
+                let s = t.start(open.parent_of(id), "core", "device_resume", at);
+                t.attr(s, "func", u64::from(func));
+                t.attr(s, "blocks", blocks);
+                open.device.set(s);
+            }
+            Obs::DeviceDone(at) => t.end(open.device.replace(SpanId::NONE), at),
+            Obs::DeviceStalled(at) => {
+                t.attr(dev, "stalled", 1);
+                t.end(open.device.replace(SpanId::NONE), at);
+            }
+            Obs::Translate(run, levels, start, end) => {
+                let s = t.span(dev, "core", "translate", start, end);
+                t.attr(s, "run", run);
+                t.attr(s, "levels", levels);
+            }
+            Obs::Walk(levels, _, start, end) => {
+                let s = t.span(dev, "extent", "walk", start, end);
+                t.attr(s, "levels", u64::from(levels));
+            }
+            Obs::MediaPass(Pass(blocks, _, start, end)) => {
+                let s = t.span(dev, "storage", "media", start, end);
+                t.attr(s, "blocks", blocks);
+            }
+            Obs::DmaRead(p) | Obs::DmaWrite(p) | Obs::ZeroFill(p) => {
+                let Pass(blocks, block_bytes, start, end) = p;
+                let read = matches!(obs, Obs::DmaRead(_));
+                let name = if read { "dma_read" } else { "dma_write" };
+                let s = t.span(dev, "pcie", name, start, end);
+                t.attr(s, "bytes", block_bytes * blocks);
+                t.attr(s, "transfers", blocks);
+            }
+            Obs::DescriptorFetch(bytes, start, end) => {
+                let s = t.span(dev, "pcie", "dma_read", start, end);
+                t.attr(s, "bytes", bytes);
+            }
+            Obs::Rewalk(..) | Obs::Queued(..) | Obs::Dispatched(..) => {}
+        }
+    }
+}
+
+impl Open {
+    /// The span a device request's span opens under.
+    fn parent_of(&self, id: u64) -> SpanId {
+        let parents = self.parents.borrow();
+        parents.get(&id).copied().unwrap_or(SpanId::NONE)
+    }
+}
+
+/// The ring half of the fold: at most two fixed-size appends (or one
+/// exemplar note) per observation.
+// nesc-lint: hot
+#[inline(always)]
+fn ring(rec: &FlightRecorder, open: &Open, obs: Obs<'_>) {
+    use FlightEventKind as K;
+    let (path, disk, seq, issue) = open.issued.get();
+    let (direct, f) = (path == Some(Via::Direct), open.func.get());
+    match obs {
+        Obs::Rang(func, id, rang, landed) if direct => {
+            rec.append(issue, K::RequestStart, func, id, u64::from(disk));
+            rec.append(landed, K::Doorbell, func, id, rang.as_nanos());
+        }
+        Obs::Answered(device_done, done) if direct => {
+            let (func, id) = open.submitted.get();
+            rec.append(done, K::RequestComplete, func, id, device_done.as_nanos());
+        }
+        Obs::Finished(_, done) => {
+            let latency = done.saturating_since(issue).as_nanos();
+            rec.note_request(done, seq, disk, latency, open.root.get());
+        }
+        Obs::Rewalk(func, disk, irq_at, served) => {
+            rec.append(served, K::Rewalk, func, irq_at.as_nanos(), u64::from(disk));
+        }
+        Obs::Anomaly(a) => rec.append(a.at, K::Anomaly, 0, a.rule_index as u64, a.window),
+        Obs::Queued(func, id, depth, at) => rec.append(at, K::QueueEnter, func, id, depth),
+        Obs::Dispatched(func, id, blocks, arrived, at, start) => {
+            rec.append(at, K::QueueExit, func, id, arrived.as_nanos());
+            rec.append(start, K::SchedDispatch, func, id, blocks);
+        }
+        Obs::Walk(levels, Some((level, vlba)), _, end) => {
+            rec.append(end, K::BtlbMiss, level, vlba, u64::from(levels));
+        }
+        Obs::MediaPass(Pass(blocks, _, start, end)) => {
+            rec.append(end, K::MediaService, f, start.as_nanos(), blocks);
+        }
+        Obs::DmaRead(Pass(blocks, _, start, end)) | Obs::DmaWrite(Pass(blocks, _, start, end)) => {
+            rec.append(end, K::LinkService, f, start.as_nanos(), blocks);
+        }
+        _ => {}
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::flight::{FlightConfig, FlightEvent};
+    use crate::time::SimDuration;
+    use crate::trace::Span;
+
+    fn t(ns: u64) -> SimTime {
+        SimTime::from_nanos(ns)
+    }
+
+    fn anomaly() -> AnomalyEvent {
+        AnomalyEvent {
+            rule: "slow".into(),
+            rule_index: 1,
+            text: "x above 5 for 2".into(),
+            series: "x".into(),
+            window: 9,
+            at: t(1000),
+            start: t(800),
+            value: 7,
+            threshold: 5,
+            consecutive: 2,
+        }
+    }
+
+    /// Every observation variant, in the order the layers report them: a
+    /// direct request that stalls on a miss and resumes, a host request, a
+    /// virtio request, an emulated write that fails before the device,
+    /// and a watchdog anomaly.
+    fn script(a: &AnomalyEvent) -> Vec<Obs<'_>> {
+        use Obs::*;
+        vec![
+            Issued(Via::Direct, 2, 5, 4096, true, t(100)),
+            Rang(3, 5, t(110), t(120)),
+            DescriptorFetch(32, t(120), t(125)),
+            Queued(3, 5, 1, t(125)),
+            Dispatched(3, 5, 8, t(125), t(130), t(131)),
+            DeviceOpen(3, 5, 8, t(125), t(140)),
+            Walk(2, Some((3, 4096)), t(140), t(150)),
+            Translate(8, 1, t(140), t(150)),
+            Walk(2, None, t(150), t(155)),
+            DmaRead(Pass(8, 512, t(155), t(170))),
+            MediaPass(Pass(8, 512, t(170), t(190))),
+            DeviceStalled(t(195)),
+            Rewalk(3, 2, t(195), t(205)),
+            DeviceResume(3, 5, 8, t(210)),
+            DmaWrite(Pass(2, 512, t(210), t(220))),
+            ZeroFill(Pass(1, 512, t(220), t(225))),
+            DeviceDone(t(230)),
+            Answered(t(230), t(240)),
+            Finished(false, t(240)),
+            Issued(Via::Host, 0, 6, 512, false, t(300)),
+            Rang(0, 6, t(310), t(320)),
+            DeviceOpen(0, 6, 1, t(320), t(320)),
+            DeviceDone(t(330)),
+            Answered(t(330), t(335)),
+            Finished(true, t(335)),
+            Issued(Via::Virtio, 1, 7, 8192, false, t(400)),
+            Backend(t(410), t(420), t(430)),
+            Awaiting(t(430)),
+            Forwarded(7),
+            DeviceOpen(0, 7, 2, t(431), t(431)),
+            DeviceDone(t(440)),
+            Answered(t(440), t(450)),
+            Finished(false, t(450)),
+            Issued(Via::Emulated, 1, 8, 512, true, t(500)),
+            Backend(t(505), t(515), t(520)),
+            Answered(t(520), t(530)),
+            Finished(true, t(530)),
+            Anomaly(a),
+        ]
+    }
+
+    type Attrs = &'static [(&'static str, u64)];
+
+    /// The spans the script folds into before its anomaly, ids in
+    /// creation order from 1: `(parent, layer, name, start, end, attrs)`.
+    fn want_spans() -> Vec<(u64, &'static str, &'static str, u64, u64, Attrs)> {
+        vec![
+            (
+                0,
+                "guest",
+                "request",
+                100,
+                240,
+                &[("disk", 2), ("bytes", 4096), ("write", 1), ("failed", 0)],
+            ),
+            (1, "guest", "guest_submit", 100, 110, &[]),
+            (1, "pcie", "doorbell", 110, 120, &[]),
+            (1, "core", "device_wait", 120, 230, &[]),
+            (0, "pcie", "dma_read", 120, 125, &[("bytes", 32)]),
+            (
+                4,
+                "core",
+                "device",
+                125,
+                195,
+                &[("func", 3), ("blocks", 8), ("stalled", 1)],
+            ),
+            (6, "core", "queue", 125, 140, &[]),
+            (6, "extent", "walk", 140, 150, &[("levels", 2)]),
+            (
+                6,
+                "core",
+                "translate",
+                140,
+                150,
+                &[("run", 8), ("levels", 1)],
+            ),
+            (6, "extent", "walk", 150, 155, &[("levels", 2)]),
+            (
+                6,
+                "pcie",
+                "dma_read",
+                155,
+                170,
+                &[("bytes", 4096), ("transfers", 8)],
+            ),
+            (6, "storage", "media", 170, 190, &[("blocks", 8)]),
+            (
+                4,
+                "core",
+                "device_resume",
+                210,
+                230,
+                &[("func", 3), ("blocks", 8)],
+            ),
+            (
+                13,
+                "pcie",
+                "dma_write",
+                210,
+                220,
+                &[("bytes", 1024), ("transfers", 2)],
+            ),
+            (
+                13,
+                "pcie",
+                "dma_write",
+                220,
+                225,
+                &[("bytes", 512), ("transfers", 1)],
+            ),
+            (1, "guest", "guest_complete", 230, 240, &[]),
+            (
+                0,
+                "hypervisor",
+                "request",
+                300,
+                335,
+                &[("disk", 0), ("bytes", 512), ("write", 0), ("failed", 1)],
+            ),
+            (17, "hypervisor", "host_submit", 300, 310, &[]),
+            (17, "pcie", "doorbell", 310, 320, &[]),
+            (17, "core", "device_wait", 320, 330, &[]),
+            (20, "core", "device", 320, 330, &[("blocks", 1)]),
+            (17, "hypervisor", "host_complete", 330, 335, &[]),
+            (
+                0,
+                "guest",
+                "request",
+                400,
+                450,
+                &[("disk", 1), ("bytes", 8192), ("write", 0), ("failed", 0)],
+            ),
+            (23, "guest", "guest_submit", 400, 410, &[]),
+            (23, "virtio", "kick", 410, 420, &[]),
+            (23, "hypervisor", "host_backend", 420, 430, &[]),
+            (23, "core", "device_wait", 430, 440, &[]),
+            (27, "core", "device", 431, 440, &[("blocks", 2)]),
+            (23, "guest", "guest_complete", 440, 450, &[]),
+            (
+                0,
+                "guest",
+                "request",
+                500,
+                530,
+                &[("disk", 1), ("bytes", 512), ("write", 1), ("failed", 1)],
+            ),
+            (30, "guest", "guest_submit", 500, 505, &[]),
+            (30, "hypervisor", "trap_emulate", 505, 515, &[]),
+            (30, "hypervisor", "host_backend", 515, 520, &[]),
+            (30, "guest", "guest_complete", 520, 530, &[]),
+        ]
+    }
+
+    /// The ring rows the script folds into: `(t, kind, func, a, b)`.
+    fn want_rows() -> Vec<(u64, FlightEventKind, u32, u64, u64)> {
+        use FlightEventKind::*;
+        vec![
+            (100, RequestStart, 3, 5, 2),
+            (120, Doorbell, 3, 5, 110),
+            (125, QueueEnter, 3, 5, 1),
+            (130, QueueExit, 3, 5, 125),
+            (131, SchedDispatch, 3, 5, 8),
+            (150, BtlbMiss, 3, 4096, 2),
+            (170, LinkService, 3, 155, 8),
+            (190, MediaService, 3, 170, 8),
+            (205, Rewalk, 3, 195, 2),
+            (220, LinkService, 3, 210, 2),
+            (240, RequestComplete, 3, 5, 230),
+            (1000, Anomaly, 0, 1, 9),
+        ]
+    }
+
+    /// The exemplar notes the script leaves: `(seq, disk, latency, root)`.
+    const WANT_NOTES: [(u64, u32, u64, u64); 4] = [
+        (5, 2, 140, 1),
+        (6, 0, 35, 17),
+        (7, 1, 50, 23),
+        (8, 1, 30, 30),
+    ];
+
+    struct Out {
+        spans: Vec<Span>,
+        rows: Vec<FlightEvent>,
+        notes: Vec<(u64, u32, u64, u64)>,
+    }
+
+    /// Runs the script with each channel on or off.
+    fn run(tracing: bool, recording: bool) -> Out {
+        let tracer = if tracing {
+            Tracer::enabled()
+        } else {
+            Tracer::disabled()
+        };
+        let flight = if recording {
+            FlightHandle::enabled(FlightConfig::default().exemplar_k(8))
+        } else {
+            FlightHandle::disabled()
+        };
+        let probe = Probe::new(tracer, flight);
+        let a = anomaly();
+        for obs in script(&a) {
+            probe.clone().report(obs);
+        }
+        probe.close_window(10_000, 0);
+        let (rows, mut notes) = probe
+            .flight()
+            .with(|r| {
+                let exemplars = r.exemplars();
+                let notes = exemplars
+                    .iter()
+                    .map(|x| (x.seq, x.disk, x.latency_ns, x.root));
+                (r.events().collect(), notes.collect::<Vec<_>>())
+            })
+            .unwrap_or_default();
+        notes.sort();
+        let open = probe.open.as_deref();
+        assert!(
+            open.is_none_or(|o| o.parents.borrow().is_empty()),
+            "every binding is released when its wait closes"
+        );
+        let spans = probe.tracer().take_spans();
+        Out { spans, rows, notes }
+    }
+
+    #[test]
+    fn off_records_nothing() {
+        let probe = Probe::default();
+        assert!(probe.open.is_none());
+        let out = run(false, false);
+        assert!(out.spans.is_empty() && out.rows.is_empty() && out.notes.is_empty());
+    }
+
+    #[test]
+    fn fold_table_under_every_setting() {
+        let spans = |out: &Out| {
+            let rows = out.spans.iter().map(|s| {
+                let attrs: Vec<(&str, u64)> = s.attrs.clone();
+                let (start, end) = (s.start.as_nanos(), s.end.as_nanos());
+                (s.id.0, s.parent.0, s.layer, s.name, start, end, attrs)
+            });
+            rows.collect::<Vec<_>>()
+        };
+        let mut want: Vec<_> = want_spans()
+            .into_iter()
+            .enumerate()
+            .map(|(i, (parent, layer, name, start, end, attrs))| {
+                (
+                    i as u64 + 1,
+                    parent,
+                    layer,
+                    name,
+                    start,
+                    end,
+                    attrs.to_vec(),
+                )
+            })
+            .collect();
+        let hash = fnv1a(anomaly().text.as_bytes());
+        let attrs = [("rule", 1), ("rule_text_hash", hash), ("window", 9)];
+        let attrs = [&attrs[..], &[("value", 7), ("threshold", 5)]].concat();
+        want.push((35, 0, "telemetry", "anomaly", 800, 1000, attrs));
+        let rows = |out: &Out| {
+            let rows = out.rows.iter().map(|e| (e.t_ns, e.kind, e.func, e.a, e.b));
+            rows.collect::<Vec<_>>()
+        };
+        let untraced_notes: Vec<_> = WANT_NOTES
+            .iter()
+            .map(|&(s, d, l, _)| (s, d, l, 0))
+            .collect();
+
+        let (traced, recorded, both) = (run(true, false), run(false, true), run(true, true));
+        assert_eq!(spans(&traced), want, "tracing only: the span table");
+        assert!(traced.rows.is_empty() && traced.notes.is_empty());
+        assert_eq!(
+            rows(&recorded),
+            want_rows(),
+            "recorder only: the ring table"
+        );
+        assert_eq!(
+            recorded.notes, untraced_notes,
+            "no tracer, no exemplar roots"
+        );
+        assert!(recorded.spans.is_empty());
+        // Each channel records the same whether or not the other is on.
+        assert_eq!(spans(&both), want);
+        assert_eq!(rows(&both), want_rows());
+        assert_eq!(both.notes, WANT_NOTES.to_vec());
+    }
+
+    #[test]
+    fn pass_reports_only_nonempty_runs_and_only_when_on() {
+        let probe = Probe::new(Tracer::enabled(), FlightHandle::disabled());
+        let mut times = [t(1), t(2)];
+        probe.pass(Obs::MediaPass, 512, &mut times, |ts| {
+            ts.iter_mut()
+                .for_each(|x| *x += SimDuration::from_nanos(10));
+        });
+        probe.pass(Obs::MediaPass, 512, &mut [], |_| {});
+        let spans = probe.tracer().take_spans();
+        assert_eq!(spans.len(), 1, "an empty run reports nothing");
+        assert_eq!((spans[0].start, spans[0].end), (t(1), t(12)));
+        assert_eq!(spans[0].attr("blocks"), Some(2));
+        // Off, the unit still runs.
+        let mut times = [t(1)];
+        Probe::default().pass(Obs::MediaPass, 512, &mut times, |ts| ts[0] = t(9));
+        assert_eq!(times, [t(9)]);
+    }
+}

@@ -6,7 +6,8 @@
 //! cannot attribute time to layers; spans can. This module provides a
 //! deterministic, simulation-time span tracer that every layer of the
 //! model (guest syscall, hypervisor stack, virtio ring, PCIe link,
-//! translation unit, media service) reports into:
+//! translation unit, media service) reports into, through the
+//! [`Probe`](crate::Probe)'s fold:
 //!
 //! * [`Span`] — one timed interval on one layer, with a parent link and
 //!   `key=value` attributes, forming a tree per request;
@@ -47,8 +48,9 @@ use crate::hash::IntHashBuilder;
 use crate::time::SimTime;
 
 /// Identity of one span. `SpanId::NONE` (0) means "no span" — it is what a
-/// disabled tracer returns and what root spans use as their parent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// disabled tracer returns, what root spans use as their parent, and the
+/// default.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SpanId(pub u64);
 
 impl SpanId {
@@ -100,10 +102,6 @@ struct TraceLog {
     /// Ids `1..=drained` were taken by earlier [`Tracer::take_spans`]
     /// calls; mutations aimed at them are ignored.
     drained: u64,
-    /// Cross-layer stitching: callers bind an opaque key (e.g. a request
-    /// id) to a span so a lower layer can find its parent without the
-    /// upper layer threading `SpanId`s through every signature.
-    bindings: HashMap<u64, SpanId, IntHashBuilder>,
 }
 
 impl TraceLog {
@@ -120,8 +118,7 @@ impl TraceLog {
 /// Disabled (the default) it holds no allocation and every method is a
 /// no-op returning [`SpanId::NONE`]; enabled it appends to a shared span
 /// log. Handles cloned from one enabled tracer all record into the same
-/// log, which is how spans emitted by the PCIe link end up in the same
-/// tree as the guest-level request span.
+/// log; the [`Probe`](crate::Probe) is what every layer reports through.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
     inner: Option<Rc<RefCell<TraceLog>>>,
@@ -219,34 +216,6 @@ impl Tracer {
         }
     }
 
-    /// Binds an opaque key (typically a request id) to a span so another
-    /// layer can recover its parent via [`bound`](Self::bound).
-    pub fn bind(&self, key: u64, id: SpanId) {
-        if let Some(inner) = &self.inner {
-            inner.borrow_mut().bindings.insert(key, id);
-        }
-    }
-
-    /// The span bound to `key`, if any.
-    pub fn bound(&self, key: u64) -> SpanId {
-        match &self.inner {
-            Some(inner) => inner
-                .borrow()
-                .bindings
-                .get(&key)
-                .copied()
-                .unwrap_or(SpanId::NONE),
-            None => SpanId::NONE,
-        }
-    }
-
-    /// Removes a binding.
-    pub fn unbind(&self, key: u64) {
-        if let Some(inner) = &self.inner {
-            inner.borrow_mut().bindings.remove(&key);
-        }
-    }
-
     /// Number of spans recorded so far.
     pub fn len(&self) -> usize {
         match &self.inner {
@@ -261,9 +230,9 @@ impl Tracer {
     }
 
     /// Drains all recorded spans, in creation (id) order. Id assignment
-    /// continues from where it left off, so ids stay unique across drains;
-    /// bindings are left untouched. Drained spans can no longer be ended
-    /// or annotated, so drain only at quiescent points.
+    /// continues from where it left off, so ids stay unique across drains.
+    /// Drained spans can no longer be ended or annotated, so drain only at
+    /// quiescent points.
     pub fn take_spans(&self) -> Vec<Span> {
         match &self.inner {
             Some(inner) => {
@@ -557,8 +526,6 @@ mod tests {
         assert_eq!(id, SpanId::NONE);
         tr.end(id, t(10));
         tr.attr(id, "k", 1);
-        tr.bind(7, id);
-        assert_eq!(tr.bound(7), SpanId::NONE);
         assert!(tr.take_spans().is_empty());
     }
 
@@ -575,17 +542,6 @@ mod tests {
         assert_eq!(spans[1].parent, SpanId(1));
         let tree = SpanTree::new(spans);
         tree.check_nesting().unwrap();
-    }
-
-    #[test]
-    fn bindings_stitch_layers() {
-        let tr = Tracer::enabled();
-        let parent = tr.start(SpanId::NONE, "guest", "request", t(0));
-        tr.bind(42, parent);
-        let lower = tr.clone();
-        assert_eq!(lower.bound(42), parent);
-        lower.unbind(42);
-        assert_eq!(lower.bound(42), SpanId::NONE);
     }
 
     #[test]

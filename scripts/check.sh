@@ -19,6 +19,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> cargo build --release (hostbench)"
+# The host-cost benchmark is its own workspace, so the root build never
+# compiles it; build it here so an API change that breaks it shows now.
+cargo build --release --manifest-path hostbench/Cargo.toml
+
 echo "==> cargo test -q"
 cargo test -q
 
@@ -94,6 +99,21 @@ if ! cargo run --release -q -p nesc-bench -- check; then
     echo "      (or the simulator diverged between same-seed runs)" >&2
     exit 1
 fi
+
+echo "==> hostbench smoke: every workload, every layer rung, correct results"
+# `--trace 1` runs each workload on the layer ladder (bare, telemetry,
+# watchdog, flight recorder, span tracer) — the only runs of the probe
+# with tracing alone and with the recorder alone. Only the workload's own
+# correctness verdict is gated here, never its timings.
+for workload in paper prune_pressure fleet fleet_250; do
+    verdict=$(cargo run --release -q --manifest-path hostbench/Cargo.toml -- \
+        --workload "$workload" --seed 7 --seconds 1 --trace 1 | tail -n 1)
+    if [[ "$verdict" != *'"correct": true'* ]]; then
+        echo "FAIL: hostbench $workload no longer reproduces its run: $verdict" >&2
+        exit 1
+    fi
+    echo "OK: hostbench $workload correct"
+done
 
 echo "==> nesc-inspect: worst-request breakdown must match its span tree"
 # `why` exits non-zero if the latency breakdown reconstructed from ring
