@@ -230,7 +230,7 @@ pub fn check(golden_dir: &Path) -> Result<(), Vec<String>> {
 }
 
 /// Runs the mixed multi-VF workload twice from one seed and requires
-/// identical run digests (event sequence, span tree, metrics at every
+/// identical run digests (event sequence, span tree, per-path totals at every
 /// checkpoint) — a nondeterminism bug that escaped `nesc-lint`'s static
 /// rules shows here. A different seed must diverge, proving the detector
 /// is not blind.

@@ -63,7 +63,7 @@ pub use workload::{ScenarioSpec, TenantClass, TenantIo, TenantSpec, Workload, Wo
 ///
 /// Pulls in the facade types (builder, system handles, error enum), the
 /// simulation time types, and the observability surface (tracer, spans,
-/// metrics) so a typical experiment needs a single `use`.
+/// per-path totals) so a typical experiment needs a single `use`.
 pub mod prelude {
     pub use crate::builder::SystemBuilder;
     pub use crate::costs::SoftwareCosts;
@@ -79,8 +79,8 @@ pub mod prelude {
     pub use nesc_core::NescConfig;
     pub use nesc_sim::{
         chrome_trace_json, AnomalyEvent, Exemplar, FlightConfig, FlightEvent, FlightEventKind,
-        FlightHandle, Metrics, Sampler, SimDuration, SimTime, SloRule, SloWatchdog, Span, SpanId,
-        SpanTree, Tracer,
+        FlightHandle, PathTotals, Sampler, SimDuration, SimTime, SloRule, SloWatchdog, Span,
+        SpanId, SpanTree, Tracer,
     };
     pub use nesc_storage::BlockOp;
 }

@@ -31,8 +31,8 @@ use nesc_extent::{Plba, Untrusted, Vlba};
 use nesc_fs::{Filesystem, FsError, Ino};
 use nesc_pcie::{HostAddr, HostMemory};
 use nesc_sim::{
-    FlightHandle, Metrics, Obs, Probe, ServiceUnit, SimDuration, SimTime, Span, Throughput, Tracer,
-    Via,
+    FlightHandle, Obs, PathTotals, Probe, ServiceUnit, SimDuration, SimTime, Span, Throughput,
+    Tracer, Via,
 };
 use nesc_storage::{BlockOp, BlockRequest, RequestId, BLOCK_SIZE};
 use nesc_virtio::{BlkRequest, BlkRequestType, BlkStatus, Virtqueue};
@@ -77,25 +77,13 @@ pub enum DiskKind {
 }
 
 impl DiskKind {
-    /// The path's observability identity: the probe's [`Via`] and the
-    /// metric names its requests count under,
-    /// `[requests, bytes, latency_ns, errors]`.
-    fn observed(self) -> (Via, [&'static str; 4]) {
-        macro_rules! names {
-            ($path:literal) => {
-                [
-                    concat!("requests_", $path),
-                    concat!("bytes_", $path),
-                    concat!("latency_ns_", $path),
-                    concat!("errors_", $path),
-                ]
-            };
-        }
+    /// The path the probe reports and tallies this kind's requests under.
+    fn via(self) -> Via {
         match self {
-            DiskKind::NescDirect => (Via::Direct, names!("nesc_direct")),
-            DiskKind::Virtio => (Via::Virtio, names!("virtio")),
-            DiskKind::Emulated => (Via::Emulated, names!("emulated")),
-            DiskKind::HostRaw => (Via::Host, names!("host_raw")),
+            DiskKind::NescDirect => Via::Direct,
+            DiskKind::Virtio => Via::Virtio,
+            DiskKind::Emulated => Via::Emulated,
+            DiskKind::HostRaw => Via::Host,
         }
     }
 }
@@ -201,12 +189,10 @@ pub struct System {
     now: SimTime,
     next_req: u64,
     completed: BTreeMap<RequestId, (SimTime, CompletionStatus)>,
-    /// The lifecycle probe shared with the device and telemetry: the span
-    /// tracer plus the telemetry's flight recorder (off until either is
-    /// enabled).
+    /// The lifecycle probe shared with the device and telemetry: the
+    /// always-on tally of finished requests, plus the span tracer and the
+    /// telemetry's flight recorder (off until either is enabled).
     probe: Probe,
-    /// Named counters + latency histograms accumulated per request.
-    metrics: Metrics,
     /// Deterministic time-series sampling + SLO watchdog (None = off; the
     /// request path pays one `Option` check when disabled).
     telemetry: Option<Telemetry>,
@@ -242,7 +228,6 @@ impl System {
             next_req: 1,
             completed: BTreeMap::new(),
             probe: Probe::default(),
-            metrics: Metrics::new(),
             telemetry: None,
         }
     }
@@ -261,11 +246,12 @@ impl System {
         self.install_probe(on.then(Tracer::enabled).unwrap_or_default());
     }
 
-    /// Rebuilds the probe from `tracer` and the telemetry's flight
-    /// recorder, and hands it to every reporting layer.
+    /// Rewires the probe to `tracer` and the telemetry's flight recorder,
+    /// keeping its tally, and hands it to every reporting layer.
     fn install_probe(&mut self, tracer: Tracer) {
         let flight = self.telemetry.as_ref().map(Telemetry::flight);
-        self.probe = Probe::new(tracer, flight.cloned().unwrap_or_default());
+        let flight = flight.cloned().unwrap_or_default();
+        self.probe = self.probe.rewired(tracer, flight);
         self.dev.set_probe(self.probe.clone());
         if let Some(tel) = self.telemetry.as_mut() {
             tel.set_probe(self.probe.clone());
@@ -283,16 +269,11 @@ impl System {
         self.probe.tracer().take_spans()
     }
 
-    /// The accumulated metrics registry (per-path request counters and
-    /// latency histograms).
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// Mutable metrics access (harnesses fold their own counters in
-    /// before exporting).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
+    /// The request totals of one path since the system was built:
+    /// requests, bytes, errors, and the latency histogram of the OK
+    /// requests (counted whether or not tracing or telemetry is on).
+    pub fn path_totals(&self, kind: DiskKind) -> PathTotals {
+        self.probe.totals(kind.via())
     }
 
     /// Enables telemetry: installs the perfmon sampler + SLO watchdog and
@@ -306,8 +287,10 @@ impl System {
         }
         self.telemetry = Some(tel);
         // One recorder, every layer: the probe records the device's and
-        // the issue path's lifecycle events into the telemetry's ring.
+        // the issue path's lifecycle events into the telemetry's ring,
+        // and its window list starts with this telemetry.
         self.install_probe(self.probe.tracer().clone());
+        self.probe.open_windows();
     }
 
     /// The flight-recorder handle (disabled unless telemetry configured
@@ -594,9 +577,6 @@ impl System {
             return;
         };
         let t = self.host_cpu.serve(at, self.costs.miss_handler).end;
-        if let Some(tel) = self.telemetry.as_mut() {
-            tel.record_rewalk(t - at);
-        }
         self.probe
             .report(Obs::Rewalk(u32::from(func.0), disk_id.0 as u32, at, t));
         match reason {
@@ -687,47 +667,33 @@ impl System {
     ) -> (SimTime, CompletionStatus) {
         debug_assert!(len > 0 && len <= MAX_REQUEST_BYTES, "request size {len}");
         let len = len.clamp(1, MAX_REQUEST_BYTES);
-        if self.disks[disk_id.0].detached {
-            return (issue, CompletionStatus::DeviceError);
-        }
-        let kind = self.disks[disk_id.0].kind;
-        let (via, [requests, bytes, latency_ns, errors]) = kind.observed();
+        let d = &self.disks[disk_id.0];
+        let (kind, detached) = (d.kind, d.detached);
         // The request root span: the path below emits children that tile
         // [issue, done] exactly, so the root's direct children always sum
         // to the guest-observed end-to-end latency.
         // `seq` is the id the engine below will mint first — what the
-        // flight recorder's exemplar notes and ring events join on.
+        // exemplars and ring events join on.
         let (disk, seq, write) = (disk_id.0 as u32, self.next_req, op == BlockOp::Write);
         self.probe
-            .report(Obs::Issued(via, disk, seq, len, write, issue));
+            .report(Obs::Issued(kind.via(), disk, seq, len, write, issue));
         let (done, status) = match kind {
+            // A detached disk fails at once, but still counts as an attempt.
+            _ if detached => (issue, CompletionStatus::DeviceError),
             DiskKind::NescDirect => self.direct_io(disk_id, op, offset, len, issue, data),
             DiskKind::HostRaw => self.host_io(disk_id, op, offset, len, issue, data),
             DiskKind::Virtio | DiskKind::Emulated => {
                 self.paravirt_io(disk_id, op, offset, len, issue, data)
             }
         };
-        // Closing the root also notes the completion for exemplar
-        // selection *before* the poll below, so a window closing at
-        // `done` folds it in.
+        // The one accounting call per request: the tally counts it against
+        // its path and, with telemetry on, adds it to the window list
+        // *before* the poll below, so a window closing at `done` folds it
+        // in.
         self.probe
             .report(Obs::Finished(status != CompletionStatus::Ok, done));
-        let latency = done - issue;
-        self.metrics.inc(requests, 1);
-        self.metrics.inc(bytes, len);
-        if status == CompletionStatus::Ok {
-            self.metrics.record(latency_ns, latency.as_nanos());
-        } else {
-            self.metrics.inc(errors, 1);
-        }
-        // Deferred telemetry: append one fixed-size observation record and
-        // poll only when this completion crosses a window boundary. The
-        // poll folds records into windows by timestamp, so the observation
-        // lands in the window containing its completion time exactly as
-        // the historical poll-then-record sequence did.
         // nesc-lint: hot
         if let Some(tel) = self.telemetry.as_mut() {
-            tel.record_request(done, disk_id, len, latency);
             if tel.due(done) {
                 tel.poll(done, &self.dev);
             }
@@ -1702,9 +1668,44 @@ mod tests {
             sys.try_write(disk, 0, &[2u8; 1024]),
             Err(NescError::Device)
         ));
+        // The rejected write still counts against its path, as a failure.
+        let totals = sys.path_totals(DiskKind::NescDirect);
+        assert_eq!((totals.requests, totals.errors), (2, 1));
+        assert_eq!(totals.latency_ns.count(), 1, "failures keep no latency");
         // The slot is reusable by a new tenant.
         let disk2 = sys.quick_disk(DiskKind::NescDirect, "d2.img", 1 << 20).disk;
         sys.write(disk2, 0, &[3u8; 1024]);
+        assert_eq!(sys.path_totals(DiskKind::NescDirect).requests, 3);
+    }
+
+    #[test]
+    fn switching_channels_mid_run_keeps_the_totals() {
+        let mut sys = small_system();
+        let disk = sys.quick_disk(DiskKind::Virtio, "m.img", 1 << 20).disk;
+        let requests = |sys: &System| sys.path_totals(DiskKind::Virtio).requests;
+        sys.write(disk, 0, &[1u8; 1024]);
+        // Each switch rewires the probe; the tally moves with it.
+        sys.set_tracing(true);
+        assert_eq!(requests(&sys), 1);
+        sys.write(disk, 0, &[2u8; 1024]);
+        sys.set_telemetry(TelemetryConfig::windowed(SimDuration::from_micros(10)));
+        assert_eq!(requests(&sys), 2);
+        sys.write(disk, 0, &[3u8; 1024]);
+        sys.set_tracing(false);
+        sys.write(disk, 0, &[4u8; 1024]);
+        let totals = sys.path_totals(DiskKind::Virtio);
+        assert_eq!((totals.requests, totals.bytes), (4, 4 * 1024));
+        assert_eq!(totals.latency_ns.count(), 4);
+        // Telemetry windows see only what finished after it attached, and
+        // the tracing switch in between lost none of that either.
+        sys.think(SimDuration::from_micros(100));
+        sys.telemetry_finish();
+        let sampler = sys.telemetry().map(Telemetry::sampler);
+        let series = sampler.and_then(|s| s.series_by_name("hv.vf0.requests"));
+        let windowed: u64 = series
+            .map(|s| s.samples().map(|(_, v)| v).sum())
+            .unwrap_or(0);
+        assert_eq!(windowed, 2);
     }
 
     #[test]

@@ -12,19 +12,21 @@
 //!   handler's rewalk service rate and p99.
 //!
 //! Everything is driven by *simulated* time, and sampling is *deferred*
-//! off the hot path: each request completion appends one fixed-size
-//! observation record ([`Telemetry::record_request`]) and performs a
-//! single integer compare against the cached next window end
-//! ([`Telemetry::due`]). Only when a completion (or idle think time)
-//! crosses a window boundary does [`Telemetry::poll`] run: it folds the
-//! pending records into their windows by timestamp, closes every window
-//! whose end has passed, commits one sample per series per window, and
-//! runs the watchdog. The fold is exact — an observation at time `t` is
-//! visible to a window ending at `W` iff `t < W`, which is precisely the
-//! window an eager record-after-poll would have landed it in — so the
-//! exported series are byte-identical to inline polling while the
-//! per-request cost drops to an append. No wall clock, no background
-//! thread — the same seed produces byte-identical time series.
+//! off the hot path. Telemetry keeps no per-request state: each finished
+//! request joins the shared [`Probe`]'s window list (one fixed-size
+//! [`Completion`](nesc_sim::Completion) per request, from its `Finished`
+//! report) and the miss handler's `Rewalk` reports feed the probe's
+//! rewalk tally; the completion path then makes a single integer compare
+//! against the cached next window end ([`Telemetry::due`]). Only when a
+//! completion (or idle think time) crosses a window boundary does
+//! [`Telemetry::poll`] run: for every window whose end has passed it has
+//! the probe split off that window's completions, folds them into the
+//! per-disk raws, commits one sample per series, and runs the watchdog.
+//! The split is exact — a completion at time `t` belongs to the window
+//! ending at `W` iff `t < W`, precisely the window an eager
+//! record-after-poll would have landed it in — so the exported series are
+//! byte-identical to inline polling. No wall clock, no background thread
+//! — the same seed produces byte-identical time series.
 //!
 //! # Example
 //!
@@ -133,20 +135,6 @@ struct VfSeries {
     hist: Histogram,
 }
 
-/// One deferred per-request observation: appended by the hot path, folded
-/// into its disk's raw counters when the window containing `t_ns` closes.
-#[derive(Debug, Clone, Copy)]
-struct PendingObs {
-    /// Completion time (nanoseconds) — decides the window it lands in.
-    t_ns: u64,
-    /// Disk index (dense attach order).
-    disk: u32,
-    /// Request payload bytes.
-    bytes: u64,
-    /// Completion latency in nanoseconds.
-    latency_ns: u64,
-}
-
 /// The assembled telemetry subsystem (see the module docs).
 #[derive(Debug)]
 pub struct Telemetry {
@@ -168,15 +156,9 @@ pub struct Telemetry {
     /// Per-disk accounting, indexed by dense disk index (attach order).
     /// `None` marks an index whose disk was never registered.
     vfs: Vec<Option<VfSeries>>,
-    /// Deferred per-request observations since the last window close (the
-    /// hot path appends; [`poll`](Self::poll) drains at window
-    /// boundaries). Capacity is retained across drains.
-    pending: Vec<PendingObs>,
     /// Cached end of the oldest unclosed window, in nanoseconds — the hot
     /// path's single-compare test for "is any window due".
     next_due_ns: u64,
-    rewalk_count: u64,
-    rewalk_hist: Histogram,
     // Previous cumulative raws for windowed-ratio gauges.
     prev_btlb_lookups: u64,
     prev_btlb_hits: u64,
@@ -184,9 +166,10 @@ pub struct Telemetry {
     prev_media_busy: SimDuration,
     prev_link_up: SimDuration,
     prev_link_down: SimDuration,
-    /// The probe anomalies and window closes report through. It owns the
-    /// flight recorder (disabled unless configured); the system shares
-    /// one probe between this subsystem and the device.
+    /// The probe anomalies report through and window closes read. It owns
+    /// the flight recorder (disabled unless configured) and the tally of
+    /// finished requests and rewalks; the system shares one probe between
+    /// this subsystem, the device and its own I/O paths.
     probe: Probe,
     /// The forensic dump captured when the watchdog first fired, if any.
     forensic: Option<serde_json::Value>,
@@ -225,10 +208,7 @@ impl Telemetry {
             sampler,
             watchdog,
             vfs: Vec::new(),
-            pending: Vec::new(),
             next_due_ns,
-            rewalk_count: 0,
-            rewalk_hist: Histogram::new(),
             prev_btlb_lookups: 0,
             prev_btlb_hits: 0,
             prev_walk_busy: SimDuration::ZERO,
@@ -279,62 +259,12 @@ impl Telemetry {
         self.vfs[d] = Some(vf);
     }
 
-    /// Accounts one completed request against its disk — the hot-path
-    /// append. The observation is *deferred*: nothing but a fixed-size
-    /// record push happens here; [`poll`](Self::poll) folds it into the
-    /// disk's raw counters when the window containing `done` closes, so it
-    /// lands in exactly the window an eager record-after-poll would have
-    /// (a record at `t` is visible to a window ending at `W` iff `t < W`).
-    // nesc-lint: hot
-    #[inline]
-    pub fn record_request(
-        &mut self,
-        done: SimTime,
-        disk: DiskId,
-        bytes: u64,
-        latency: SimDuration,
-    ) {
-        self.pending.push(PendingObs {
-            t_ns: done.as_nanos(),
-            disk: disk.0 as u32,
-            bytes,
-            latency_ns: latency.as_nanos(),
-        });
-    }
-
     /// Whether any telemetry window ends at or before `now` — the hot
     /// path's single branch deciding if [`poll`](Self::poll) must run.
     // nesc-lint: hot
     #[inline]
     pub fn due(&self, now: SimTime) -> bool {
         now.as_nanos() >= self.next_due_ns
-    }
-
-    /// Folds every deferred observation earlier than `window_end_ns` into
-    /// its disk's raw counters, removing it from the pending list.
-    /// Application order does not matter: the raws are sums and a
-    /// histogram, both commutative.
-    fn fold_pending(&mut self, window_end_ns: u64) {
-        let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].t_ns < window_end_ns {
-                let r = self.pending.swap_remove(i);
-                if let Some(Some(vf)) = self.vfs.get_mut(r.disk as usize) {
-                    vf.raw_requests += 1;
-                    vf.raw_bytes += r.bytes;
-                    vf.hist.record(r.latency_ns);
-                }
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Accounts one miss-handler rewalk service (interrupt to
-    /// `RewalkTree` write-back).
-    pub fn record_rewalk(&mut self, latency: SimDuration) {
-        self.rewalk_count += 1;
-        self.rewalk_hist.record(latency.as_nanos());
     }
 
     /// Closes every window whose end time has passed, committing one
@@ -346,7 +276,19 @@ impl Telemetry {
             return;
         }
         while let Some(end) = self.sampler.due(now) {
-            self.fold_pending(end.as_nanos());
+            let window = self.sampler.closed_windows().saturating_sub(1);
+            let (vfs, mut rewalk_p99) = (&mut self.vfs, 0);
+            self.probe
+                .close_window(end.as_nanos(), window, |done, rewalk_ns| {
+                    for c in done {
+                        if let Some(Some(vf)) = vfs.get_mut(c.disk as usize) {
+                            vf.raw_requests += 1;
+                            vf.raw_bytes += c.bytes;
+                            vf.hist.record(c.latency_ns);
+                        }
+                    }
+                    rewalk_p99 = rewalk_ns.percentile(99.0);
+                });
             let interval = self.sampler.interval();
             let stats = dev.stats();
             self.sampler.sample(self.s_btlb_lookups, stats.btlb_lookups);
@@ -388,14 +330,8 @@ impl Telemetry {
             );
             self.prev_link_down = down;
 
-            self.sampler.sample(self.s_rewalks, self.rewalk_count);
-            let rewalk_p99 = if self.rewalk_hist.count() == 0 {
-                0
-            } else {
-                self.rewalk_hist.percentile(99.0)
-            };
+            self.sampler.sample(self.s_rewalks, self.probe.rewalks());
             self.sampler.sample(self.s_rewalk_p99, rewalk_p99);
-            self.rewalk_hist.reset();
 
             for vf in self.vfs.iter_mut().flatten() {
                 self.sampler.sample(vf.requests, vf.raw_requests);
@@ -417,16 +353,12 @@ impl Telemetry {
             for a in self.watchdog.anomalies().get(fired..).unwrap_or_default() {
                 self.probe.report(Obs::Anomaly(a));
             }
-            if self.probe.flight().is_enabled() {
-                let window = self.sampler.closed_windows().saturating_sub(1);
-                self.probe.close_window(end.as_nanos(), window);
-                // The first anomaly snapshots the forensic dump — after
-                // the window's exemplar fold, so the dump holds the
-                // breaching window's worst requests.
-                if self.forensic.is_none() {
-                    if let Some(first) = self.watchdog.anomalies().get(fired) {
-                        self.forensic = Some(self.forensic_json(first));
-                    }
+            // The first anomaly snapshots the forensic dump — after the
+            // window's exemplar fold, so the dump holds the breaching
+            // window's worst requests.
+            if self.probe.flight().is_enabled() && self.forensic.is_none() {
+                if let Some(first) = self.watchdog.anomalies().get(fired) {
+                    self.forensic = Some(self.forensic_json(first));
                 }
             }
         }
@@ -477,7 +409,8 @@ impl Telemetry {
     }
 
     /// Installs the probe the system shares with the device; it must
-    /// fold into this subsystem's [`flight`](Self::flight) recorder.
+    /// fold into this subsystem's [`flight`](Self::flight) recorder and
+    /// keep the window list ([`Probe::open_windows`]).
     pub fn set_probe(&mut self, probe: Probe) {
         self.probe = probe;
     }
@@ -492,7 +425,7 @@ impl Telemetry {
 mod tests {
     use super::*;
     use crate::prelude::*;
-    use nesc_sim::perfmon;
+    use nesc_sim::{perfmon, Via};
 
     fn run_workload(mut sys: System) -> System {
         let a = sys.quick_disk(DiskKind::NescDirect, "a.img", 1 << 20).disk;
@@ -674,6 +607,40 @@ mod tests {
             let li = instr.write(di, i * 4096, &[3u8; 4096]);
             assert_eq!(lp, li, "the recorder must be timing-invisible");
         }
+    }
+
+    #[test]
+    fn completions_land_in_the_window_of_their_own_time() {
+        // Windows of 100 ns, a flight recorder keeping the worst two.
+        let interval = SimDuration::from_nanos(100);
+        let mut tel =
+            Telemetry::new(TelemetryConfig::windowed(interval).flight(FlightConfig::default()));
+        tel.register_disk(DiskId(0), None);
+        let probe = Probe::new(Tracer::disabled(), tel.flight().clone());
+        probe.open_windows();
+        tel.set_probe(probe.clone());
+        let t = SimTime::from_nanos;
+        let finish = |seq, issued, done| {
+            probe.report(Obs::Issued(Via::Direct, 0, seq, 512, false, t(issued)));
+            probe.report(Obs::Finished(false, t(done)));
+        };
+        finish(1, 10, 100); // exactly at the first window's end: window 1
+        finish(2, 20, 150);
+        finish(3, 40, 250); // finishes after the later-issued request 4
+        finish(4, 50, 60);
+        let sys = SystemBuilder::new().capacity_blocks(64 * 1024).build();
+        tel.poll(t(100), sys.device());
+        tel.poll(t(300), sys.device());
+        let requests = tel.sampler().series_by_name("hv.vf0.requests").unwrap();
+        let per_window: Vec<u64> = requests.samples().map(|(_, v)| v).collect();
+        assert_eq!(per_window, vec![1, 2, 1]);
+        let exemplars = tel.flight().with(|r| {
+            let kept = r.exemplars();
+            let kept = kept.iter().map(|x| (x.window, x.seq, x.t_ns));
+            kept.collect::<Vec<_>>()
+        });
+        let want = vec![(0, 4, 60), (1, 2, 150), (1, 1, 100), (2, 3, 250)];
+        assert_eq!(exemplars, Some(want), "ranked by latency within a window");
     }
 
     #[test]

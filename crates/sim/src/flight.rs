@@ -12,15 +12,16 @@
 //!   [`FlightEvent`] into a preallocated ring by index. Zero allocation in
 //!   steady state, one branch when disabled, and the write is inside a
 //!   `nesc-lint: hot` region so rules D7/P2 police it.
-//! * **Exemplars** — the hot path only *notes* request completions
-//!   ([`FlightRecorder::note_request`], a fixed-size push). When a
-//!   telemetry window closes, [`FlightRecorder::close_window`] folds the
-//!   notes by timestamp (an observation at `t` belongs to the window
-//!   ending at `W` iff `t < W`, exactly like the sampler), keeps the
-//!   worst-K by latency, and snapshots their span subtrees through the
-//!   caller's capture (the [`Probe`](crate::Probe) passes
-//!   [`Tracer::subtree`](crate::Tracer::subtree)) — so the p99-busting
-//!   requests keep full traces while everything else stays coarse.
+//! * **Exemplars** — the recorder keeps no per-request state. When a
+//!   telemetry window closes, the [`Probe`](crate::Probe) splits its
+//!   tally's window list by timestamp (a completion at `t` belongs to the
+//!   window ending at `W` iff `t < W`, exactly like the sampler) and
+//!   hands that window's [`Completion`]s to
+//!   [`FlightRecorder::close_window`], which keeps the worst-K by latency
+//!   and snapshots their span subtrees through the caller's capture (the
+//!   probe passes [`Tracer::subtree`](crate::Tracer::subtree)) — so the
+//!   p99-busting requests keep full traces while everything else stays
+//!   coarse.
 //! * **Determinism** — everything is driven by simulated time and
 //!   integer state; the same seed produces a byte-identical
 //!   [`FlightRecorder::snapshot_json`], which is what makes the forensic
@@ -29,12 +30,13 @@
 //! # Example
 //!
 //! ```
-//! use nesc_sim::{FlightConfig, FlightEventKind, FlightRecorder, SimTime, SpanId};
+//! use nesc_sim::{Completion, FlightConfig, FlightEventKind, FlightRecorder, SimTime, SpanId};
 //!
 //! let rec = FlightRecorder::new(FlightConfig::default());
 //! rec.append(SimTime::from_nanos(10), FlightEventKind::Doorbell, 1, 42, 0);
-//! rec.note_request(SimTime::from_nanos(900), 42, 0, 890, SpanId::NONE);
-//! rec.close_window(1_000, 0, |_| Vec::new());
+//! let (t_ns, seq, disk, bytes, latency_ns, root) = (900, 42, 0, 512, 890, SpanId::NONE);
+//! let mut window = [Completion { t_ns, seq, disk, bytes, latency_ns, root }];
+//! rec.close_window(0, &mut window, |_| Vec::new());
 //! assert_eq!(rec.total(), 1);
 //! assert_eq!(rec.exemplars().len(), 1);
 //! ```
@@ -43,6 +45,7 @@ use std::cell::{Cell, Ref, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
+use crate::probe::Completion;
 use crate::selfcheck::fnv1a;
 use crate::time::SimTime;
 use crate::trace::{Span, SpanId};
@@ -200,22 +203,6 @@ impl FlightConfig {
     }
 }
 
-/// A hot-path note of one completed request, folded into exemplars when
-/// its window closes (mirrors the perfmon sampler's `PendingObs`).
-#[derive(Debug, Clone, Copy)]
-struct PendingExemplar {
-    /// Completion time in nanoseconds — decides the window it lands in.
-    t_ns: u64,
-    /// Request sequence id (the device request id minted at issue).
-    seq: u64,
-    /// Disk index (dense attach order).
-    disk: u32,
-    /// End-to-end latency in nanoseconds.
-    latency_ns: u64,
-    /// The request's root span (NONE when tracing is off).
-    root: SpanId,
-}
-
 /// One retained worst-K request: its identity, its window, and the full
 /// span subtree captured at window close.
 #[derive(Debug, Clone)]
@@ -254,15 +241,10 @@ pub struct FlightRecorder {
     head: Cell<usize>,
     /// Events ever appended (dropped = total - retained).
     total: Cell<u64>,
-    /// Deferred completion notes since the last window close. Capacity is
-    /// retained across folds.
-    pending: RefCell<Vec<PendingExemplar>>,
     /// Retained exemplars, oldest window first, rank order within a
     /// window. A deque so the per-window eviction pops stale fronts in
     /// O(evicted) instead of shifting the survivors every window.
     exemplars: RefCell<VecDeque<Exemplar>>,
-    /// Scratch for one window's fold (capacity retained).
-    fold_scratch: RefCell<Vec<PendingExemplar>>,
 }
 
 impl FlightRecorder {
@@ -274,9 +256,7 @@ impl FlightRecorder {
             buf,
             head: Cell::new(0),
             total: Cell::new(0),
-            pending: RefCell::new(Vec::new()),
             exemplars: RefCell::new(VecDeque::new()),
-            fold_scratch: RefCell::new(Vec::new()),
         }
     }
 
@@ -301,28 +281,17 @@ impl FlightRecorder {
         }
     }
 
-    /// Notes one completed request for exemplar selection — the hot-path
-    /// append (a fixed-size push; the worst-K fold is deferred to
-    /// [`close_window`](Self::close_window), so capacity is retained).
-    // nesc-lint: hot
-    #[inline]
-    pub fn note_request(&self, done: SimTime, seq: u64, disk: u32, latency_ns: u64, root: SpanId) {
-        self.pending.borrow_mut().push(PendingExemplar {
-            t_ns: done.as_nanos(),
-            seq,
-            disk,
-            latency_ns,
-            root,
-        });
-    }
-
-    /// Folds the completion notes of the window ending at `end_ns`
-    /// (exactly those with `t_ns < end_ns`), keeps the worst-K by latency
-    /// (ties broken by earlier sequence id, so selection is total and
-    /// deterministic), captures each keeper's span subtree with
-    /// `subtree(root)`, and evicts exemplar windows older than the
-    /// retention horizon.
-    pub fn close_window(&self, end_ns: u64, window: u64, subtree: impl Fn(SpanId) -> Vec<Span>) {
+    /// Folds `done`, the completions of window `window`: keeps the
+    /// worst-K by latency (ties broken by earlier sequence id, then by
+    /// position in `done`, which it sorts in place), captures each
+    /// keeper's span subtree with `subtree(root)`, and evicts exemplar
+    /// windows older than the retention horizon.
+    pub fn close_window(
+        &self,
+        window: u64,
+        done: &mut [Completion],
+        subtree: impl Fn(SpanId) -> Vec<Span>,
+    ) {
         // Evict first: windows only advance, so the stale exemplars are a
         // prefix of the deque and popping them is O(evicted). New pushes
         // below carry `window` itself and are always retained.
@@ -332,24 +301,8 @@ impl FlightRecorder {
         while exemplars.front().is_some_and(|e| !keep(e)) {
             exemplars.pop_front();
         }
-        let mut pending = self.pending.borrow_mut();
-        if pending.is_empty() || self.cfg.exemplar_k == 0 {
-            pending.clear();
-            return;
-        }
-        let mut scratch = self.fold_scratch.borrow_mut();
-        scratch.clear();
-        let mut i = 0;
-        while i < pending.len() {
-            if pending.get(i).is_some_and(|p| p.t_ns < end_ns) {
-                scratch.push(pending.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        scratch.sort_by(|x, y| y.latency_ns.cmp(&x.latency_ns).then(x.seq.cmp(&y.seq)));
-        scratch.truncate(self.cfg.exemplar_k);
-        for p in scratch.iter() {
+        done.sort_by(|x, y| y.latency_ns.cmp(&x.latency_ns).then(x.seq.cmp(&y.seq)));
+        for p in done.iter().take(self.cfg.exemplar_k) {
             exemplars.push_back(Exemplar {
                 window,
                 seq: p.seq,
@@ -510,6 +463,18 @@ mod tests {
         SimTime::from_nanos(ns)
     }
 
+    fn done(t_ns: u64, seq: u64, latency_ns: u64, root: SpanId) -> Completion {
+        let (disk, bytes) = (0, 512);
+        Completion {
+            t_ns,
+            seq,
+            disk,
+            bytes,
+            latency_ns,
+            root,
+        }
+    }
+
     #[test]
     fn disabled_handle_is_noop() {
         let h = FlightHandle::disabled();
@@ -542,16 +507,16 @@ mod tests {
     #[test]
     fn worst_k_fold_selects_by_latency_then_seq() {
         let r = FlightRecorder::new(FlightConfig::default().exemplar_k(2));
-        // Three completions in window 0; one more that belongs to window 1.
-        r.note_request(t(10), 1, 0, 500, SpanId::NONE);
-        r.note_request(t(20), 2, 0, 900, SpanId::NONE);
-        r.note_request(t(30), 3, 0, 900, SpanId::NONE);
-        r.note_request(t(150), 4, 0, 9999, SpanId::NONE);
-        r.close_window(100, 0, |_| Vec::new());
+        let none = SpanId::NONE;
+        let mut w0 = [
+            done(10, 1, 500, none),
+            done(20, 3, 900, none),
+            done(30, 2, 900, none),
+        ];
+        r.close_window(0, &mut w0, |_| Vec::new());
         let kept: Vec<u64> = r.exemplars().iter().map(|e| e.seq).collect();
         assert_eq!(kept, vec![2, 3], "ties break toward the earlier request");
-        // The late completion folds into the next window.
-        r.close_window(200, 1, |_| Vec::new());
+        r.close_window(1, &mut [done(150, 4, 9999, none)], |_| Vec::new());
         assert_eq!(r.exemplars().len(), 3);
         assert_eq!(r.exemplars()[2].seq, 4);
         assert_eq!(r.exemplars()[2].window, 1);
@@ -561,8 +526,8 @@ mod tests {
     fn exemplar_windows_are_evicted_past_the_horizon() {
         let r = FlightRecorder::new(FlightConfig::default().exemplar_windows(2));
         for w in 0..5u64 {
-            r.note_request(t(w * 100 + 10), w, 0, 100, SpanId::NONE);
-            r.close_window((w + 1) * 100, w, |_| Vec::new());
+            let mut window = [done(w * 100 + 10, w, 100, SpanId::NONE)];
+            r.close_window(w, &mut window, |_| Vec::new());
         }
         let windows: Vec<u64> = r.exemplars().iter().map(|e| e.window).collect();
         assert_eq!(windows, vec![3, 4], "only the retention horizon survives");
@@ -579,8 +544,9 @@ mod tests {
         // An unrelated root must not leak into the subtree.
         tracer.span(SpanId::NONE, "guest", "request", t(200), t(300));
         let r = FlightRecorder::new(FlightConfig::default());
-        r.note_request(t(100), 7, 0, 100, root);
-        r.close_window(1_000, 0, |root| tracer.subtree(root));
+        r.close_window(0, &mut [done(100, 7, 100, root)], |root| {
+            tracer.subtree(root)
+        });
         let x = &r.exemplars()[0];
         assert_eq!(x.root, root.0);
         assert_eq!(x.spans.len(), 2);
@@ -596,8 +562,7 @@ mod tests {
             let r = FlightRecorder::new(FlightConfig::default().capacity(8));
             r.append(t(5), FlightEventKind::RequestStart, 1, 42, 0);
             r.append(t(9), FlightEventKind::Doorbell, 1, 42, 5);
-            r.note_request(t(50), 42, 0, 45, SpanId::NONE);
-            r.close_window(100, 0, |_| Vec::new());
+            r.close_window(0, &mut [done(50, 42, 45, SpanId::NONE)], |_| Vec::new());
             serde_json::to_string(&r.snapshot_json()).unwrap()
         };
         let a = run();

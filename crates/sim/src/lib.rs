@@ -19,15 +19,15 @@
 //! * [`stats`] — histograms, percentile summaries and throughput meters used
 //!   by the benchmark harnesses to regenerate the paper's figures.
 //! * [`trace`] — the hierarchical span tracer every simulated layer reports
-//!   into (plus the Chrome/Perfetto trace-event exporter), and [`metrics`] —
-//!   the named counter/histogram registry the observability exporters
-//!   serialize. Both are zero-cost no-ops until explicitly enabled.
+//!   into (plus the Chrome/Perfetto trace-event exporter), a zero-cost
+//!   no-op until explicitly enabled.
 //! * [`perfmon`] — deterministic windowed time-series sampling driven by
 //!   simulated time (gauge/counter-delta series in ring buffers), the SLO
 //!   watchdog with declarative threshold rules, and the JSON/CSV/Perfetto
 //!   counter-track exporters.
 //! * [`probe`] — the one probe every layer reports a request's lifecycle
-//!   through, folding each observation into spans and flight-ring rows.
+//!   through, folding each observation into spans, flight-ring rows and
+//!   the always-on tally of per-path totals and window completions.
 //! * [`flight`] — the deterministic flight recorder: a bounded,
 //!   preallocated ring of compact integer-only events appended on the hot
 //!   path, plus per-window worst-K exemplar retention of full request
@@ -40,8 +40,9 @@
 //!   function multiplexer, including the bitmap/heap [`ReadyTable`] that
 //!   keeps 1000-function dispatch O(changed state) per event.
 //! * [`selfcheck`] — the runtime divergence self-check: digest a run's
-//!   event sequence, span tree and metrics, run it twice from one seed,
-//!   and report the first diverging event if reproducibility ever breaks.
+//!   event sequence, span tree and per-path totals, run it twice from one
+//!   seed, and report the first diverging event if reproducibility ever
+//!   breaks.
 //!
 //! Everything is single-threaded and deterministic given a seed: running the
 //! same experiment twice produces bit-identical results, which is what makes
@@ -66,7 +67,6 @@
 pub mod flight;
 pub mod gen;
 pub mod hash;
-pub mod metrics;
 pub mod perfmon;
 pub mod probe;
 pub mod queue;
@@ -83,9 +83,8 @@ pub use flight::{
 };
 pub use gen::{BurstyArrivals, ZipfLike};
 pub use hash::{IntHashBuilder, IntHasher};
-pub use metrics::Metrics;
 pub use perfmon::{AnomalyEvent, Sampler, SeriesId, SeriesKind, SloRule, SloWatchdog, TimeSeries};
-pub use probe::{Obs, Pass, Probe, Via};
+pub use probe::{Completion, Obs, Pass, PathTotals, Probe, Via};
 pub use queue::EventQueue;
 pub use resource::{Pipe, ServiceUnit};
 pub use rng::SimRng;

@@ -435,6 +435,34 @@ mod tests {
     }
 
     #[test]
+    fn histogram_merge_matches_one_recorder() {
+        // A sample stream split across two histograms and merged is
+        // bucket-for-bucket the whole stream recorded into one: counts,
+        // extremes, mean and every percentile.
+        let samples: Vec<u64> = (0..200u64).map(|i| (i * i * 7 + 13) % 100_000).collect();
+        let (left, right) = samples.split_at(73);
+        let (mut a, mut b, mut whole) = (Histogram::new(), Histogram::new(), Histogram::new());
+        left.iter().for_each(|&v| a.record(v));
+        right.iter().for_each(|&v| b.record(v));
+        samples.iter().for_each(|&v| whole.record(v));
+        a.merge(&b);
+        let shape = |h: &Histogram| {
+            let ps = [1.0, 25.0, 50.0, 90.0, 99.0, 100.0].map(|p| h.percentile(p));
+            (h.count(), h.min(), h.max(), h.mean(), ps)
+        };
+        assert_eq!(shape(&a), shape(&whole));
+        // An empty merge changes nothing; a self-merge doubles the count
+        // and leaves every quantile where it was.
+        let before = shape(&a);
+        a.merge(&Histogram::new());
+        assert_eq!(shape(&a), before);
+        let copy = a.clone();
+        a.merge(&copy);
+        assert_eq!(a.count(), 2 * before.0);
+        assert_eq!(shape(&a).4, before.4, "quantiles moved under self-merge");
+    }
+
+    #[test]
     fn histogram_display_nonempty() {
         let mut h = Histogram::new();
         h.record(5);

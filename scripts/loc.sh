@@ -1,0 +1,46 @@
+#!/usr/bin/env bash
+# Report-only size census: non-test lines per crate and for the files the
+# observability refactors shrink, plus the number of probe emission sites
+# (`probe.report(` / `probe.pass(` calls outside comments, a call split
+# across lines included) per file. A file's non-test lines are the lines
+# above its first `#[cfg(test)]` (the whole file if it has none). Never
+# fails on the numbers; it only prints them.
+#
+# Usage: scripts/loc.sh
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+# Non-test line count of one file.
+nontest() {
+    awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"
+}
+
+echo "non-test lines per crate:"
+total=0
+for dir in crates/*/; do
+    n=0
+    while IFS= read -r f; do
+        n=$((n + $(nontest "$f")))
+    done < <(find "$dir/src" -name '*.rs' | sort)
+    total=$((total + n))
+    printf '  %-12s %6d\n' "$(basename "$dir")" "$n"
+done
+printf '  %-12s %6d\n' "total" "$total"
+
+echo "non-test lines of the probe-fold files:"
+sum=0
+for f in crates/sim/src/{metrics,flight,probe}.rs crates/hypervisor/src/{system,telemetry}.rs; do
+    n=0
+    [ -f "$f" ] && n=$(nontest "$f")
+    sum=$((sum + n))
+    printf '  %-36s %6d\n' "$f" "$n"
+done
+printf '  %-36s %6d\n' "total" "$sum"
+
+echo "probe emission sites (non-test probe.report( / probe.pass( calls) per file:"
+find crates -path '*/src/*' -name '*.rs' | sort | xargs perl -0777 -ne '
+    s/^#\[cfg\(test\)\].*//ms;
+    s{^\s*//.*$}{}mg;
+    my $n = () = /probe\s*\.(?:report|pass)\(/g;
+    if ($n) { printf "  %-36s %6d\n", $ARGV, $n; $t += $n }
+    END { printf "  %-36s %6d\n", "total", $t }'

@@ -82,8 +82,8 @@ fn fileio_latency_histogram_is_deterministic() {
 #[test]
 fn mixed_multivf_same_seed_digests_are_identical() {
     // The full divergence-check surface: a seeded read/write mix across
-    // several VFs, digested down to event sequence + span tree + metrics
-    // hashes. Two runs from one seed must agree on every checkpoint.
+    // several VFs, digested down to event sequence + span tree + per-path
+    // totals hashes. Two runs from one seed must agree on every checkpoint.
     let wl = MixedVfSelfCheck::default();
     let a = wl.digest(0xD15C_05ED);
     let b = wl.digest(0xD15C_05ED);

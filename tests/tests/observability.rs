@@ -1,7 +1,7 @@
 //! The observability subsystem, end to end: span-tree invariants on every
 //! virtualization path, deterministic trace reproduction, the
 //! partition-equals-latency guarantee the breakdown harness relies on,
-//! the metrics registry, and the Perfetto exporter.
+//! the per-path request totals, and the Perfetto exporter.
 
 use nesc_hypervisor::prelude::*;
 
@@ -210,23 +210,20 @@ fn disabled_tracing_records_nothing() {
     sys.write(disk, 0, &[9u8; 4096]);
     assert!(!sys.tracer().is_enabled());
     assert!(sys.take_spans().is_empty());
-    // Metrics still accumulate — they are cheap and always on.
-    assert_eq!(sys.metrics().counter("requests_nesc_direct"), 1);
+    // The per-path totals still accumulate — they are cheap and always on.
+    assert_eq!(sys.path_totals(DiskKind::NescDirect).requests, 1);
 }
 
 #[test]
 fn metrics_count_requests_bytes_and_errors_per_path() {
     let (mut sys, disk) = traced(DiskKind::NescDirect);
     run_small_workload(&mut sys, disk);
-    let m = sys.metrics();
+    let m = sys.path_totals(DiskKind::NescDirect);
     // Warm-up write + 3 workload requests.
-    assert_eq!(m.counter("requests_nesc_direct"), 4);
-    assert_eq!(
-        m.counter("bytes_nesc_direct"),
-        64 * 1024 + 4096 + 8192 + 4096
-    );
-    assert_eq!(m.counter("errors_nesc_direct"), 0);
-    let lat = m.histogram("latency_ns_nesc_direct").expect("histogram");
+    assert_eq!(m.requests, 4);
+    assert_eq!(m.bytes, 64 * 1024 + 4096 + 8192 + 4096);
+    assert_eq!(m.errors, 0);
+    let lat = &m.latency_ns;
     assert_eq!(lat.count(), 4);
     assert!(lat.min() > 0 && lat.max() >= lat.min());
 
@@ -236,7 +233,12 @@ fn metrics_count_requests_bytes_and_errors_per_path() {
         sys.try_read(disk, 1 << 40, &mut buf),
         Err(NescError::OutOfRange)
     );
-    assert_eq!(sys.metrics().counter("errors_nesc_direct"), 1);
+    let m = sys.path_totals(DiskKind::NescDirect);
+    assert_eq!((m.requests, m.errors, m.latency_ns.count()), (5, 1, 4));
+    // No other path saw a request.
+    for kind in [DiskKind::Virtio, DiskKind::Emulated, DiskKind::HostRaw] {
+        assert_eq!(sys.path_totals(kind).requests, 0, "{kind:?}");
+    }
 }
 
 #[test]
