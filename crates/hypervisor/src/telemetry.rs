@@ -21,7 +21,11 @@
 //! completion (or idle think time) crosses a window boundary does
 //! [`Telemetry::poll`] run: for every window whose end has passed it has
 //! the probe split off that window's completions, folds them into the
-//! per-disk raws, commits one sample per series, and runs the watchdog.
+//! per-disk raws, samples the fixed series and the disks and rings the
+//! window touched, and runs the watchdog. A close costs what the window
+//! touched, not what is attached: an untouched disk's series all read 0,
+//! which is what the sampler records for a series left unsampled, and the
+//! watchdog only evaluates the rules on series that are non-zero.
 //! The split is exact — a completion at time `t` belongs to the window
 //! ending at `W` iff `t < W`, precisely the window an eager
 //! record-after-poll would have landed it in — so the exported series are
@@ -58,7 +62,7 @@ use crate::system::DiskId;
 /// capacity per series, and the SLO watchdog rules.
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
-    /// Window length; every series commits one sample per window.
+    /// Window length; every series holds one value per window.
     pub interval: SimDuration,
     /// Retained windows per series (older samples are evicted).
     pub capacity: usize,
@@ -118,16 +122,14 @@ impl TelemetryConfig {
     }
 }
 
-/// Per-disk series: windowed request/byte counters, latency percentiles,
-/// and (for NescDirect disks) the VF's command-ring depth.
+/// Per-disk series: windowed request/byte counters and latency
+/// percentiles.
 #[derive(Debug)]
 struct VfSeries {
     requests: SeriesId,
     bytes: SeriesId,
     p50: SeriesId,
     p99: SeriesId,
-    /// Ring-depth gauge and its function, for NescDirect disks.
-    ring: Option<(SeriesId, FuncId)>,
     /// Cumulative raws feeding the counter series.
     raw_requests: u64,
     raw_bytes: u64,
@@ -156,6 +158,14 @@ pub struct Telemetry {
     /// Per-disk accounting, indexed by dense disk index (attach order).
     /// `None` marks an index whose disk was never registered.
     vfs: Vec<Option<VfSeries>>,
+    /// Command-ring depth gauges, indexed by VF function index.
+    rings: Vec<Option<SeriesId>>,
+    /// The closing window's disks with a completion (capacity retained).
+    disks: Vec<u32>,
+    /// Functions whose ring may be non-empty at the next close: those
+    /// sampled non-zero at the last one. A close adds the functions a
+    /// request was queued on since.
+    funcs: Vec<u32>,
     /// Cached end of the oldest unclosed window, in nanoseconds — the hot
     /// path's single-compare test for "is any window due".
     next_due_ns: u64,
@@ -208,6 +218,9 @@ impl Telemetry {
             sampler,
             watchdog,
             vfs: Vec::new(),
+            rings: Vec::new(),
+            disks: Vec::new(),
+            funcs: Vec::new(),
             next_due_ns,
             prev_btlb_lookups: 0,
             prev_btlb_hits: 0,
@@ -223,7 +236,9 @@ impl Telemetry {
     /// Registers the per-disk series (`hv.vf<d>.*`; and
     /// `core.ring_depth.f<f>` when the disk has a VF). A disk attached
     /// after windows have already closed starts sampling at the current
-    /// window.
+    /// window. Its ring must be empty now (a fresh VF's is, and the system
+    /// drains every ring before an I/O call returns): from here on, only
+    /// a `Queued` report makes the ring's gauge due.
     pub fn register_disk(&mut self, disk: DiskId, func: Option<FuncId>) {
         let d = disk.0;
         let vf = VfSeries {
@@ -241,14 +256,6 @@ impl Telemetry {
             p99: self
                 .sampler
                 .register(&format!("hv.vf{d}.p99_ns"), "ns", SeriesKind::Gauge),
-            ring: func.map(|f| {
-                let id = self.sampler.register(
-                    &format!("core.ring_depth.f{}", f.0),
-                    "entries",
-                    SeriesKind::Gauge,
-                );
-                (id, f)
-            }),
             raw_requests: 0,
             raw_bytes: 0,
             hist: Histogram::new(),
@@ -257,6 +264,15 @@ impl Telemetry {
             self.vfs.resize_with(d + 1, || None);
         }
         self.vfs[d] = Some(vf);
+        if let Some(FuncId(f)) = func {
+            let name = format!("core.ring_depth.f{f}");
+            let id = self.sampler.register(&name, "entries", SeriesKind::Gauge);
+            let f = usize::from(f);
+            if self.rings.len() <= f {
+                self.rings.resize(f + 1, None);
+            }
+            self.rings[f] = Some(id);
+        }
     }
 
     /// Whether any telemetry window ends at or before `now` — the hot
@@ -267,26 +283,41 @@ impl Telemetry {
         now.as_nanos() >= self.next_due_ns
     }
 
-    /// Closes every window whose end time has passed, committing one
-    /// sample per series per window and running the watchdog. Busy-time
-    /// probes are read from the device; an idle stretch closes several
-    /// windows in one call (counters record zeros after the first).
+    /// Closes every window whose end time has passed, sampling the fixed
+    /// series and the disks and rings the window touched, and running the
+    /// watchdog. Busy-time probes are read from the device; an idle
+    /// stretch closes several windows in one call (counters record zeros
+    /// after the first).
+    ///
+    /// A window touches a disk with a completion in it, and a ring that
+    /// was pushed to since the previous close or was sampled non-empty at
+    /// it: a ring only deepens on a push. Every other per-disk series
+    /// reads 0 (its counter's raw value unchanged, its histogram empty),
+    /// which the sampler records for an unsampled series.
     pub fn poll(&mut self, now: SimTime, dev: &NescDevice) {
         if !self.due(now) {
             return;
         }
         while let Some(end) = self.sampler.due(now) {
             let window = self.sampler.closed_windows().saturating_sub(1);
-            let (vfs, mut rewalk_p99) = (&mut self.vfs, 0);
+            let (vfs, disks, funcs) = (&mut self.vfs, &mut self.disks, &mut self.funcs);
+            let mut rewalk_p99 = 0;
+            disks.clear();
             self.probe
-                .close_window(end.as_nanos(), window, |done, rewalk_ns| {
+                .close_window(end.as_nanos(), window, |done, queued, rewalk_ns| {
                     for c in done {
                         if let Some(Some(vf)) = vfs.get_mut(c.disk as usize) {
+                            // The histogram empties at each close, so the
+                            // disk's first completion lists it.
+                            if vf.hist.count() == 0 {
+                                disks.push(c.disk);
+                            }
                             vf.raw_requests += 1;
                             vf.raw_bytes += c.bytes;
                             vf.hist.record(c.latency_ns);
                         }
                     }
+                    funcs.extend_from_slice(queued);
                     rewalk_p99 = rewalk_ns.percentile(99.0);
                 });
             let interval = self.sampler.interval();
@@ -333,21 +364,30 @@ impl Telemetry {
             self.sampler.sample(self.s_rewalks, self.probe.rewalks());
             self.sampler.sample(self.s_rewalk_p99, rewalk_p99);
 
-            for vf in self.vfs.iter_mut().flatten() {
+            for &d in &self.disks {
+                let Some(Some(vf)) = self.vfs.get_mut(d as usize) else {
+                    continue;
+                };
                 self.sampler.sample(vf.requests, vf.raw_requests);
                 self.sampler.sample(vf.bytes, vf.raw_bytes);
-                let (p50, p99) = if vf.hist.count() == 0 {
-                    (0, 0)
-                } else {
-                    vf.hist.percentile_pair(50.0, 99.0)
-                };
+                let (p50, p99) = vf.hist.percentile_pair(50.0, 99.0);
                 self.sampler.sample(vf.p50, p50);
                 self.sampler.sample(vf.p99, p99);
                 vf.hist.reset();
-                if let Some((id, func)) = vf.ring {
-                    self.sampler.sample(id, dev.ring_depth(func) as u64);
-                }
             }
+            self.funcs.sort_unstable();
+            // `dedup_by_key`, not `dedup`: nesc-lint's call graph would
+            // resolve the latter to `Filesystem::dedup`.
+            self.funcs.dedup_by_key(|f| *f);
+            self.funcs.retain(|&f| {
+                let ring = self.rings.get(f as usize).copied().flatten();
+                let Some((id, func)) = ring.zip(u16::try_from(f).ok()) else {
+                    return false;
+                };
+                let depth = dev.ring_depth(FuncId(func)) as u64;
+                self.sampler.sample(id, depth);
+                depth > 0
+            });
             let fired = self.watchdog.anomalies().len();
             self.watchdog.evaluate(&self.sampler);
             for a in self.watchdog.anomalies().get(fired..).unwrap_or_default() {
@@ -426,6 +466,8 @@ mod tests {
     use super::*;
     use crate::prelude::*;
     use nesc_sim::{perfmon, Via};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn run_workload(mut sys: System) -> System {
         let a = sys.quick_disk(DiskKind::NescDirect, "a.img", 1 << 20).disk;
@@ -661,5 +703,113 @@ mod tests {
         assert!(s.first_window() > 0, "late series starts late");
         assert_eq!(s.samples().map(|(_, v)| v).sum::<u64>(), 1);
         let _ = (a, b);
+    }
+
+    #[test]
+    fn a_window_close_costs_what_the_window_touched() {
+        // 256 tenants with a p99 rule each; only 4 issue I/O. One more
+        // rule holds on 0, so the watchdog evaluates it every window.
+        const VFS: usize = 256;
+        const ACTIVE: u64 = 4;
+        let mut cfg = TelemetryConfig::windowed(SimDuration::from_micros(50));
+        for d in 0..VFS {
+            cfg = cfg.rule_text(&format!("hv.vf{d}.p99_ns above 1000000 for 3"));
+        }
+        let cfg = cfg.rule_text("hv.vf200.requests below 1 for 1000000");
+        let zero_holding = 1;
+        let mut sys = SystemBuilder::new()
+            .capacity_blocks(64 * 1024)
+            .max_vfs(VFS as u16 + 2)
+            .telemetry(cfg)
+            .build();
+        let disks: Vec<DiskId> = (0..VFS)
+            .map(|i| {
+                let name = format!("t{i}.img");
+                sys.quick_disk(DiskKind::NescDirect, &name, 64 << 10).disk
+            })
+            .collect();
+        // Windows closed, samples committed, rules evaluated.
+        let counts = |sys: &System| {
+            let tel = sys.telemetry().expect("telemetry enabled");
+            let sampler = tel.sampler();
+            let closed = sampler.closed_windows();
+            (
+                closed,
+                sampler.samples_committed(),
+                tel.watchdog().rules_evaluated(),
+            )
+        };
+        // Only the active tenants can be touched: 10 fixed series plus 5
+        // per touched VF, and their rules plus the zero-holding one.
+        let (max_samples, max_rules) = (10 + 5 * ACTIVE, ACTIVE + zero_holding);
+        let mut last = counts(&sys);
+        let mut checked = 0;
+        for i in 0..240u64 {
+            let disk = disks[(i % ACTIVE) as usize];
+            sys.write(disk, (i % 8) * 4096, &[i as u8; 4096]);
+            sys.think(SimDuration::from_micros(3 * (i % 5)));
+            let now = counts(&sys);
+            // One write and think never spans two windows, so each delta
+            // is one window's work.
+            let closed = now.0 - last.0;
+            assert!(closed <= 1, "step {i} closed {closed} windows");
+            if closed == 1 {
+                let (samples, rules) = (now.1 - last.1, now.2 - last.2);
+                assert!(
+                    samples <= max_samples,
+                    "window {}: {samples} samples",
+                    last.0
+                );
+                assert!(rules <= max_rules, "window {}: {rules} rules", last.0);
+                checked += 1;
+            }
+            last = now;
+        }
+        assert!(checked >= 20, "only {checked} windows closed");
+    }
+
+    #[test]
+    fn a_ring_left_non_empty_reports_its_depth_until_it_drains() {
+        use nesc_extent::{ExtentMapping, ExtentTree, Plba, Vlba};
+        use nesc_storage::{BlockRequest, RequestId};
+        let mem = Rc::new(RefCell::new(nesc_pcie::HostMemory::new()));
+        let mut dev = NescDevice::new(NescConfig::prototype(), Rc::clone(&mem));
+        let tree: ExtentTree = [ExtentMapping::new(Vlba(0), Plba(100), 16)]
+            .into_iter()
+            .collect();
+        let root = tree.serialize(&mut mem.borrow_mut());
+        let vf = dev.create_vf(root, 16).expect("a free VF slot");
+        let buf = mem.borrow_mut().alloc(4096, 8);
+        let mut tel = Telemetry::new(TelemetryConfig::windowed(SimDuration::from_nanos(100)));
+        tel.register_disk(DiskId(0), Some(vf));
+        let probe = Probe::new(Tracer::disabled(), tel.flight().clone());
+        probe.open_windows();
+        tel.set_probe(probe.clone());
+        dev.set_probe(probe);
+        let t = SimTime::from_nanos;
+        // Three requests queue in window 0 and stay queued: no dispatch
+        // until the device advances.
+        for id in 1..=3 {
+            let req = BlockRequest::new(RequestId(id), BlockOp::Write, Vlba(id - 1), 1);
+            dev.submit(t(10), vf, req, buf);
+        }
+        tel.poll(t(100), &dev);
+        // Window 1 has no completion and no doorbell: the depth carries.
+        tel.poll(t(200), &dev);
+        let outs = dev.advance(t(1_000_000));
+        assert_eq!(outs.iter().filter(|o| o.is_completion()).count(), 3);
+        // Window 2 sees the drained ring once; window 3 no longer samples it.
+        tel.poll(t(300), &dev);
+        let before = tel.sampler().samples_committed();
+        tel.poll(t(400), &dev);
+        assert_eq!(
+            tel.sampler().samples_committed() - before,
+            10,
+            "only the fixed series"
+        );
+        let name = format!("core.ring_depth.f{}", vf.0);
+        let ring = tel.sampler().series_by_name(&name).expect("ring gauge");
+        let depths: Vec<u64> = ring.samples().map(|(_, v)| v).collect();
+        assert_eq!(depths, vec![3, 3, 0, 0]);
     }
 }

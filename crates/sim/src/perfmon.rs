@@ -15,9 +15,12 @@
 //! * every stored sample is a `u64` (nanoseconds, bytes, operations, or
 //!   parts-per-million for utilizations), so exports are byte-stable and no
 //!   float ever feeds back into scheduling (nesc-lint D4);
-//! * series are registered before the first window closes and sampled once
-//!   per closed window, in registration order, so two same-seed runs
-//!   produce identical rings.
+//! * a series is sampled at most once per closed window and reads 0 in a
+//!   window it is not sampled in (a counter keeps its previous raw value),
+//!   so an owner samples only what may be non-zero and two same-seed runs
+//!   still produce identical series. Only non-zero samples are stored,
+//!   tagged with their window; every accessor and exporter fills in the
+//!   zeros, walking each series' stored samples once.
 //!
 //! On top of the series sit the [`SloWatchdog`] — declarative threshold
 //! rules ("p99 above X for 3 consecutive windows", optionally guarded by a
@@ -84,73 +87,100 @@ impl SeriesKind {
     }
 }
 
-/// One ring-buffered series of per-window samples.
-#[derive(Debug, Clone)]
-pub struct TimeSeries {
+/// One registered series: its identity, counter-delta state, and the
+/// non-zero samples of its retained windows.
+#[derive(Debug)]
+struct SeriesRing {
     name: String,
     unit: &'static str,
     kind: SeriesKind,
-    capacity: usize,
-    samples: VecDeque<u64>,
-    /// Samples ever committed (ring evictions included).
-    total: u64,
+    /// The first window the series has a sample for (windows closed when
+    /// it was registered).
+    registered: u64,
+    /// The next window the series may be sampled in (at-most-once state).
+    next: u64,
+    /// `(window, value)` of every non-zero sample, oldest first; windows
+    /// the ring has since evicted are dropped at the next push.
+    nonzero: VecDeque<(u64, u64)>,
     /// Raw value at the previous sample (counter-delta state).
     last_raw: u64,
 }
 
-impl TimeSeries {
+/// One series as its sampler sees it: a borrowed view that fills in the
+/// zero of every retained window the series holds no sample for.
+///
+/// The retained windows are the last `capacity` closed windows since the
+/// series was registered.
+#[derive(Debug, Clone, Copy)]
+pub struct TimeSeries<'a> {
+    ring: &'a SeriesRing,
+    /// The sampler's closed-window count.
+    closed: u64,
+    capacity: u64,
+}
+
+impl<'a> TimeSeries<'a> {
     /// Series name (e.g. `"core.btlb_hits"`).
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(self) -> &'a str {
+        &self.ring.name
     }
 
     /// Unit label (e.g. `"ops"`, `"ns"`, `"ppm"`).
-    pub fn unit(&self) -> &'static str {
-        self.unit
+    pub fn unit(self) -> &'static str {
+        self.ring.unit
     }
 
     /// Gauge or counter-delta.
-    pub fn kind(&self) -> SeriesKind {
-        self.kind
+    pub fn kind(self) -> SeriesKind {
+        self.ring.kind
     }
 
-    /// Number of samples currently held (≤ ring capacity).
-    pub fn len(&self) -> usize {
-        self.samples.len()
+    /// Number of windows currently retained (≤ ring capacity).
+    pub fn len(self) -> usize {
+        (self.closed - self.first_window()) as usize
     }
 
-    /// Whether no window has been committed yet.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+    /// Whether no window has closed since the series was registered.
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
     }
 
     /// Window index of the oldest retained sample.
-    pub fn first_window(&self) -> u64 {
-        self.total - self.samples.len() as u64
+    pub fn first_window(self) -> u64 {
+        let floor = self.closed.saturating_sub(self.capacity);
+        self.ring.registered.max(floor)
     }
 
-    /// Iterates `(window_index, value)` pairs, oldest first.
-    pub fn samples(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+    /// Iterates `(window_index, value)` pairs of every retained window,
+    /// oldest first, walking the stored samples once.
+    pub fn samples(self) -> impl Iterator<Item = (u64, u64)> + 'a {
         let first = self.first_window();
-        self.samples
+        let mut stored = self
+            .ring
+            .nonzero
             .iter()
-            .enumerate()
-            .map(move |(i, &v)| (first + i as u64, v))
+            .skip_while(move |&&(w, _)| w < first)
+            .peekable();
+        (first..self.closed).map(move |w| {
+            let v = stored.next_if(|&&(at, _)| at == w).map_or(0, |&(_, v)| v);
+            (w, v)
+        })
     }
 
     /// The sample for `window`, if still retained.
-    pub fn value_at(&self, window: u64) -> Option<u64> {
-        if window < self.first_window() {
+    pub fn value_at(self, window: u64) -> Option<u64> {
+        if window < self.first_window() || window >= self.closed {
             return None;
         }
-        self.samples
-            .get((window - self.first_window()) as usize)
-            .copied()
+        let stored = &self.ring.nonzero;
+        let found = stored.binary_search_by_key(&window, |&(w, _)| w);
+        Some(found.map_or(0, |i| stored[i].1))
     }
 
     /// The most recent `(window_index, value)` pair.
-    pub fn latest(&self) -> Option<(u64, u64)> {
-        self.samples.back().map(|&v| (self.total - 1, v))
+    pub fn latest(self) -> Option<(u64, u64)> {
+        let w = self.closed.checked_sub(1)?;
+        self.value_at(w).map(|v| (w, v))
     }
 }
 
@@ -170,26 +200,36 @@ struct Tick {
 /// `[k·interval, (k+1)·interval)`; an observation at exactly `k·interval`
 /// therefore belongs to window `k` (the close for window `k-1` fires
 /// first).
+///
+/// A series is sampled at most once per closed window, and one left
+/// unsampled reads 0 for that window; a counter left unsampled keeps its
+/// previous raw value. So a window close costs what its owner samples,
+/// not what it registered: only non-zero samples are stored.
 #[derive(Debug)]
 pub struct Sampler {
     interval: SimDuration,
     capacity: usize,
-    series: Vec<TimeSeries>,
+    series: Vec<SeriesRing>,
     /// Name → id of the first series registered under that name.
     index: BTreeMap<String, SeriesId>,
     ticks: EventQueue<Tick>,
     /// Windows closed so far; window `closed - 1` is the one being (or
     /// last) sampled.
     closed: u64,
+    /// Series sampled non-zero in window `closed - 1`, in sampling order.
+    nonzero_ids: Vec<SeriesId>,
+    /// Samples committed so far, zeros included (a report-only work
+    /// count).
+    committed: u64,
 }
 
 impl Sampler {
     /// Creates a sampler closing a window every `interval`, retaining the
-    /// most recent `capacity` samples per series.
+    /// most recent `capacity` windows per series.
     ///
     /// A zero interval (a contract violation: windows must advance
     /// simulated time) is widened to one nanosecond, and a zero capacity
-    /// retains one sample.
+    /// retains one window.
     pub fn new(interval: SimDuration, capacity: usize) -> Self {
         debug_assert!(!interval.is_zero(), "sampling interval must be positive");
         debug_assert!(capacity > 0, "ring capacity must be positive");
@@ -204,6 +244,8 @@ impl Sampler {
             index: BTreeMap::new(),
             ticks,
             closed: 0,
+            nonzero_ids: Vec::new(),
+            committed: 0,
         }
     }
 
@@ -222,6 +264,12 @@ impl Sampler {
         self.closed
     }
 
+    /// Samples committed through [`sample`](Self::sample) so far, zeros
+    /// included: the sampler's deterministic work count.
+    pub fn samples_committed(&self) -> u64 {
+        self.committed
+    }
+
     /// Start of window `w`.
     pub fn window_start(&self, w: u64) -> SimTime {
         SimTime::ZERO + self.interval * w
@@ -234,20 +282,20 @@ impl Sampler {
 
     /// Registers a series. A series registered after windows have already
     /// closed simply starts at the current window (earlier windows have no
-    /// sample for it); from then on it must be sampled exactly once per
-    /// close, like every other series. A counter's first sample is its raw
-    /// cumulative value.
+    /// sample for it); from then on it reads 0 in every window it is not
+    /// sampled in, like every other series. A counter's first sample is
+    /// its raw cumulative value.
     pub fn register(&mut self, name: &str, unit: &'static str, kind: SeriesKind) -> SeriesId {
         debug_assert!(!self.index.contains_key(name), "duplicate series {name}");
         let id = SeriesId(self.series.len());
         self.index.entry(name.to_string()).or_insert(id);
-        self.series.push(TimeSeries {
+        self.series.push(SeriesRing {
             name: name.to_string(),
             unit,
             kind,
-            capacity: self.capacity,
-            samples: VecDeque::new(),
-            total: self.closed,
+            registered: self.closed,
+            next: self.closed,
+            nonzero: VecDeque::new(),
             last_raw: 0,
         });
         id
@@ -255,9 +303,10 @@ impl Sampler {
 
     /// Pops the next due window close: if simulated time `now` has reached
     /// (or passed) the end of the oldest unclosed window, that window is
-    /// closed and its end time returned; the owner must then
-    /// [`sample`](Self::sample) every registered series before calling
-    /// `due` again. Returns `None` when no window end has been reached.
+    /// closed and its end time returned; the owner then
+    /// [`sample`](Self::sample)s the series that may be non-zero in it
+    /// before calling `due` again. Returns `None` when no window end has
+    /// been reached.
     ///
     /// Callers drive this in a loop (`while let Some(end) = sampler.due(now)`)
     /// so that an idle stretch spanning several windows closes each of them
@@ -273,43 +322,58 @@ impl Sampler {
         );
         debug_assert_eq!(tick.window, self.closed, "windows close in order");
         self.closed = tick.window + 1;
+        self.nonzero_ids.clear();
         Some(t)
     }
 
     /// Commits the raw probe value for the window just closed by
     /// [`due`](Self::due). Gauges store `raw`; counters store the delta
-    /// since the previous window's raw value.
+    /// since the previous sample's raw value. Only a non-zero value is
+    /// stored.
     ///
     /// A sample outside a window close (a contract violation) is dropped;
-    /// debug builds assert that each series receives exactly one sample
+    /// debug builds assert that each series receives at most one sample
     /// per closed window.
     pub fn sample(&mut self, id: SeriesId, raw: u64) {
         debug_assert!(self.closed > 0, "sample() outside a window close");
-        if self.closed == 0 {
+        let Some(window) = self.closed.checked_sub(1) else {
             return;
-        }
+        };
         let s = &mut self.series[id.0];
-        debug_assert_eq!(
-            s.total + 1,
-            self.closed,
-            "series {} must be sampled exactly once per closed window",
+        debug_assert!(
+            s.next <= window,
+            "series {} must be sampled at most once per closed window",
             s.name
         );
+        s.next = window + 1;
+        self.committed += 1;
         let value = match s.kind {
             SeriesKind::Gauge => raw,
             SeriesKind::Counter => raw.saturating_sub(s.last_raw),
         };
         s.last_raw = raw;
-        if s.samples.len() == s.capacity {
-            s.samples.pop_front();
+        if value == 0 {
+            return;
         }
-        s.samples.push_back(value);
-        s.total += 1;
+        let floor = self.closed.saturating_sub(self.capacity as u64);
+        while s.nonzero.front().is_some_and(|&(w, _)| w < floor) {
+            s.nonzero.pop_front();
+        }
+        s.nonzero.push_back((window, value));
+        self.nonzero_ids.push(id);
+    }
+
+    fn view<'a>(&self, ring: &'a SeriesRing) -> TimeSeries<'a> {
+        TimeSeries {
+            ring,
+            closed: self.closed,
+            capacity: self.capacity as u64,
+        }
     }
 
     /// All series, in registration order.
-    pub fn series(&self) -> &[TimeSeries] {
-        &self.series
+    pub fn series(&self) -> impl Iterator<Item = TimeSeries<'_>> + '_ {
+        self.series.iter().map(|ring| self.view(ring))
     }
 
     /// The id of the series registered under `name` (the first one, should
@@ -319,8 +383,12 @@ impl Sampler {
     }
 
     /// Looks up a series by name.
-    pub fn series_by_name(&self, name: &str) -> Option<&TimeSeries> {
-        self.series_id(name).and_then(|id| self.series.get(id.0))
+    pub fn series_by_name(&self, name: &str) -> Option<TimeSeries<'_>> {
+        self.series_id(name).and_then(|id| self.get(id))
+    }
+
+    fn get(&self, id: SeriesId) -> Option<TimeSeries<'_>> {
+        self.series.get(id.0).map(|ring| self.view(ring))
     }
 }
 
@@ -379,8 +447,13 @@ impl Condition {
     /// The value of series `id` in `window` if it passes the threshold;
     /// `None` for an unresolved series or a window it has no sample for.
     fn holds(&self, sampler: &Sampler, id: Option<SeriesId>, window: u64) -> Option<u64> {
-        let v = sampler.series.get(id?.0)?.value_at(window)?;
+        let v = sampler.get(id?)?.value_at(window)?;
         self.cmp.test(v, self.threshold).then_some(v)
+    }
+
+    /// Whether a window in which the series reads 0 passes the threshold.
+    fn holds_on_zero(&self) -> bool {
+        self.cmp.test(0, self.threshold)
     }
 }
 
@@ -594,6 +667,13 @@ pub struct AnomalyEvent {
 /// series count has grown or a rule was added since, so a rule may name a
 /// series registered later (a disk attached mid-run) and starts matching
 /// once it exists; a series that never exists never fires.
+///
+/// A window costs O(rules it touches), not O(rules): a rule none of whose
+/// series was sampled non-zero reads 0 everywhere, so unless it holds on
+/// 0 (a `below` primary, say) it fails — and if its streak is already 0,
+/// failing changes nothing. Each window evaluates, in rule order, the
+/// rules on a series sampled non-zero, the rules with a running streak
+/// and the rules that hold on 0.
 #[derive(Debug, Clone, Default)]
 pub struct SloWatchdog {
     rules: Vec<SloRule>,
@@ -603,6 +683,16 @@ pub struct SloWatchdog {
     /// The sampler's series count when `resolved` was filled; `None`
     /// until the first evaluation and after every `add_rule`.
     resolved_for: Option<usize>,
+    /// Series id → the rules reading it (filled with `resolved`).
+    rules_of: Vec<Vec<usize>>,
+    /// Rules that hold in a window where their series all read 0.
+    zero_holding: Vec<usize>,
+    /// Rules whose streak is above 0, ascending.
+    streaking: Vec<usize>,
+    /// The rules due in the window being evaluated (capacity retained).
+    due: Vec<usize>,
+    /// Rule evaluations so far (a report-only work count).
+    evaluated: u64,
     anomalies: Vec<AnomalyEvent>,
 }
 
@@ -631,8 +721,40 @@ impl SloWatchdog {
         &self.rules
     }
 
-    /// Evaluates every rule against the most recently closed window.
-    /// Call once per window close, after all series are sampled. When a
+    /// Rule evaluations so far: the watchdog's deterministic work count.
+    pub fn rules_evaluated(&self) -> u64 {
+        self.evaluated
+    }
+
+    /// Resolves every rule's series and indexes the rules by series.
+    fn resolve(&mut self, sampler: &Sampler) {
+        self.resolved = self
+            .rules
+            .iter()
+            .map(|r| RuleIds {
+                primary: sampler.series_id(&r.primary.series),
+                guard: r.guard.as_ref().and_then(|g| sampler.series_id(&g.series)),
+            })
+            .collect();
+        self.rules_of = vec![Vec::new(); sampler.series.len()];
+        for (i, ids) in self.resolved.iter().enumerate() {
+            for id in [ids.primary, ids.guard].into_iter().flatten() {
+                if let Some(rules) = self.rules_of.get_mut(id.0) {
+                    rules.push(i);
+                }
+            }
+        }
+        self.zero_holding = (self.rules.iter().enumerate())
+            .filter(|(_, r)| {
+                r.primary.holds_on_zero() && r.guard.as_ref().is_none_or(Condition::holds_on_zero)
+            })
+            .map(|(i, _)| i)
+            .collect();
+        self.resolved_for = Some(sampler.series.len());
+    }
+
+    /// Evaluates the rules against the most recently closed window.
+    /// Call once per window close, after its series are sampled. When a
     /// rule's streak reaches its `consecutive` target the anomaly is
     /// recorded once (the streak keeps counting, so a second anomaly for
     /// the same rule requires the condition to lapse and persist again)
@@ -644,17 +766,22 @@ impl SloWatchdog {
         };
         let at = sampler.window_end(window);
         if self.resolved_for != Some(sampler.series.len()) {
-            self.resolved = self
-                .rules
-                .iter()
-                .map(|r| RuleIds {
-                    primary: sampler.series_id(&r.primary.series),
-                    guard: r.guard.as_ref().and_then(|g| sampler.series_id(&g.series)),
-                })
-                .collect();
-            self.resolved_for = Some(sampler.series.len());
+            self.resolve(sampler);
         }
-        for (i, (rule, ids)) in self.rules.iter().zip(&self.resolved).enumerate() {
+        let mut due = std::mem::take(&mut self.due);
+        due.clear();
+        due.append(&mut self.streaking);
+        due.extend_from_slice(&self.zero_holding);
+        for id in &sampler.nonzero_ids {
+            due.extend_from_slice(self.rules_of.get(id.0).map_or(&[], Vec::as_slice));
+        }
+        due.sort_unstable();
+        // `dedup_by_key`, not `dedup`: nesc-lint's call graph would resolve
+        // the latter to `Filesystem::dedup`.
+        due.dedup_by_key(|i| *i);
+        self.evaluated += due.len() as u64;
+        for &i in &due {
+            let (rule, ids) = (&self.rules[i], self.resolved[i]);
             let value = rule
                 .primary
                 .holds(sampler, ids.primary, window)
@@ -663,27 +790,28 @@ impl SloWatchdog {
                         .as_ref()
                         .is_none_or(|g| g.holds(sampler, ids.guard, window).is_some())
                 });
-            match value {
-                Some(v) => {
-                    self.streaks[i] += 1;
-                    if self.streaks[i] == rule.consecutive {
-                        self.anomalies.push(AnomalyEvent {
-                            rule: rule.name.clone(),
-                            rule_index: i,
-                            text: rule.to_string(),
-                            series: rule.primary.series.clone(),
-                            window,
-                            at,
-                            start: sampler.window_start(window + 1 - u64::from(rule.consecutive)),
-                            value: v,
-                            threshold: rule.primary.threshold,
-                            consecutive: rule.consecutive,
-                        });
-                    }
-                }
-                None => self.streaks[i] = 0,
+            let Some(v) = value else {
+                self.streaks[i] = 0;
+                continue;
+            };
+            self.streaks[i] += 1;
+            self.streaking.push(i);
+            if self.streaks[i] == rule.consecutive {
+                self.anomalies.push(AnomalyEvent {
+                    rule: rule.name.clone(),
+                    rule_index: i,
+                    text: rule.to_string(),
+                    series: rule.primary.series.clone(),
+                    window,
+                    at,
+                    start: sampler.window_start(window + 1 - u64::from(rule.consecutive)),
+                    value: v,
+                    threshold: rule.primary.threshold,
+                    consecutive: rule.consecutive,
+                });
             }
         }
+        self.due = due;
     }
 
     /// All anomalies recorded so far, in emission order.
@@ -696,22 +824,27 @@ impl SloWatchdog {
 // Exporters
 // ---------------------------------------------------------------------------
 
+/// Every series sorted by name — the column order of every exporter.
+fn by_name(sampler: &Sampler) -> Vec<TimeSeries<'_>> {
+    let mut cols: Vec<TimeSeries<'_>> = sampler.series().collect();
+    cols.sort_by(|a, b| a.name().cmp(b.name()));
+    cols
+}
+
 /// Serializes every series as JSON: the interval, windows closed, and per
 /// series (sorted by name) its kind, unit, first retained window and the
 /// sample ring. All values are integers, so the output is byte-stable for
 /// a deterministic run.
 pub fn series_json(sampler: &Sampler) -> serde_json::Value {
-    let mut names: Vec<&TimeSeries> = sampler.series().iter().collect();
-    names.sort_by(|a, b| a.name.cmp(&b.name));
-    let series: Vec<serde_json::Value> = names
-        .iter()
+    let series: Vec<serde_json::Value> = by_name(sampler)
+        .into_iter()
         .map(|s| {
             serde_json::json!({
                 "name": s.name(),
                 "unit": s.unit(),
                 "kind": s.kind().as_str(),
                 "first_window": s.first_window(),
-                "samples": s.samples.iter().copied().collect::<Vec<u64>>(),
+                "samples": s.samples().map(|(_, v)| v).collect::<Vec<u64>>(),
             })
         })
         .collect();
@@ -726,8 +859,7 @@ pub fn series_json(sampler: &Sampler) -> serde_json::Value {
 /// (`window,end_ns` then one column per series, sorted by name; windows a
 /// ring has already evicted render as empty cells).
 pub fn series_csv(sampler: &Sampler) -> String {
-    let mut cols: Vec<&TimeSeries> = sampler.series().iter().collect();
-    cols.sort_by(|a, b| a.name.cmp(&b.name));
+    let cols = by_name(sampler);
     let mut out = String::from("window,end_ns");
     for c in &cols {
         out.push(',');
@@ -735,11 +867,13 @@ pub fn series_csv(sampler: &Sampler) -> String {
     }
     out.push('\n');
     let first = cols.iter().map(|c| c.first_window()).min().unwrap_or(0);
+    // One cursor per column, each walking its series once.
+    let mut cursors: Vec<_> = cols.iter().map(|c| c.samples().peekable()).collect();
     for w in first..sampler.closed_windows() {
         out.push_str(&format!("{w},{}", sampler.window_end(w).as_nanos()));
-        for c in &cols {
+        for cursor in &mut cursors {
             out.push(',');
-            if let Some(v) = c.value_at(w) {
+            if let Some((_, v)) = cursor.next_if(|&(at, _)| at == w) {
                 out.push_str(&v.to_string());
             }
         }
@@ -752,10 +886,8 @@ pub fn series_csv(sampler: &Sampler) -> String {
 /// sample of every series — one counter track per series name, timestamped
 /// at each window's end.
 pub fn counter_track_events(sampler: &Sampler) -> Vec<serde_json::Value> {
-    let mut cols: Vec<&TimeSeries> = sampler.series().iter().collect();
-    cols.sort_by(|a, b| a.name.cmp(&b.name));
     let mut events = Vec::new();
-    for c in cols {
+    for c in by_name(sampler) {
         for (w, v) in c.samples() {
             events.push(serde_json::json!({
                 "name": c.name(),
@@ -1035,7 +1167,7 @@ mod tests {
         }
 
         fn holds(sampler: &Sampler, c: &Condition, window: u64) -> Option<u64> {
-            let series = sampler.series().iter().find(|s| s.name == c.series)?;
+            let series = sampler.series().find(|s| s.name() == c.series)?;
             let v = series.value_at(window)?;
             c.cmp.test(v, c.threshold).then_some(v)
         }
@@ -1158,6 +1290,139 @@ mod tests {
         assert!(guarded > 0, "no guarded rule fired");
         assert!(late_series > 0, "no late-registered series fired");
         assert!(late_rule > 0, "no rule added after evaluation began fired");
+    }
+
+    #[test]
+    fn sparse_sampling_matches_a_dense_twin() {
+        // Which of the cases the generator is meant to reach were reached.
+        let (mut late, mut evicted, mut catch_up) = (0, 0, 0);
+        let (mut zero_primary, mut zero_guard) = (0, 0);
+        for seed in 0..64u64 {
+            let mut rng = SimRng::seed(seed);
+            // The sparse sampler skips series that read 0; its dense twin
+            // gets every series every window, the skipped ones as 0, and
+            // is watched by the reference evaluator of every rule.
+            let (mut sparse, mut dense) = (Sampler::new(dur(10), 4), Sampler::new(dur(10), 4));
+            let mut wd = SloWatchdog::new();
+            let mut reference = NameScanWatchdog::default();
+            for _ in 0..rng.range(0, 6) {
+                let rule = gen_rule(&mut rng);
+                wd.add_rule(rule.clone());
+                reference.add_rule(rule);
+            }
+            // Per registered series: id, kind, raw value, registration
+            // window, and the raw the sparse sampler last saw; and the
+            // value it should read in each window since registration.
+            let mut series: Vec<(SeriesId, SeriesKind, u64, u64, u64)> = Vec::new();
+            let mut truth: Vec<Vec<u64>> = Vec::new();
+            let mut registered = [false; 8];
+            let mut now = 0;
+            while dense.closed_windows() < 24 {
+                for (k, done) in registered.iter_mut().enumerate() {
+                    if !*done && rng.range(0, 4) == 0 {
+                        let kind = if rng.range(0, 2) == 0 {
+                            SeriesKind::Gauge
+                        } else {
+                            SeriesKind::Counter
+                        };
+                        let name = format!("s{k}");
+                        let id = sparse.register(&name, "n", kind);
+                        assert_eq!(dense.register(&name, "n", kind), id);
+                        series.push((id, kind, 0, dense.closed_windows(), 0));
+                        truth.push(Vec::new());
+                        *done = true;
+                    }
+                }
+                // New raws, snapshotted once per poll: half the gauges read
+                // 0, half the counters stand still.
+                for (_, kind, raw, _, _) in &mut series {
+                    let step = if rng.range(0, 2) == 0 {
+                        0
+                    } else {
+                        rng.range(1, 10)
+                    };
+                    *raw = match kind {
+                        SeriesKind::Gauge => step,
+                        SeriesKind::Counter => *raw + step,
+                    };
+                }
+                if rng.range(0, 5) == 0 {
+                    let rule = gen_rule(&mut rng);
+                    wd.add_rule(rule.clone());
+                    reference.add_rule(rule);
+                }
+                // Mostly one window per poll; sometimes an idle stretch
+                // closes several.
+                now += 10
+                    * if rng.range(0, 4) == 0 {
+                        rng.range(2, 5)
+                    } else {
+                        1
+                    };
+                let mut closed = 0;
+                while let Some(end) = sparse.due(t(now)) {
+                    assert_eq!(dense.due(t(now)), Some(end));
+                    closed += 1;
+                    for ((id, kind, raw, _, seen), truth) in series.iter_mut().zip(&mut truth) {
+                        dense.sample(*id, *raw);
+                        let value = match kind {
+                            SeriesKind::Gauge => *raw,
+                            SeriesKind::Counter => *raw - *seen,
+                        };
+                        truth.push(value);
+                        // A series that reads 0 may still be sampled.
+                        if value != 0 || rng.range(0, 2) == 0 {
+                            sparse.sample(*id, *raw);
+                            *seen = *raw;
+                        }
+                    }
+                    let fired = wd.anomalies().len();
+                    wd.evaluate(&sparse);
+                    reference.evaluate(&dense);
+                    assert_eq!(wd.anomalies(), reference.anomalies, "seed {seed}");
+                    for a in &wd.anomalies()[fired..] {
+                        zero_primary += usize::from(a.value == 0);
+                        let guard = wd.rules()[a.rule_index].guard.as_ref();
+                        let guard = guard.and_then(|g| sparse.series_by_name(&g.series));
+                        zero_guard +=
+                            usize::from(guard.and_then(|g| g.value_at(a.window)) == Some(0));
+                    }
+                }
+                catch_up += usize::from(closed > 1);
+            }
+            for (&(id, _, _, at, _), truth) in series.iter().zip(&truth) {
+                // The last 4 windows since registration, zeros included.
+                let kept = truth.len().saturating_sub(4);
+                let first = at + kept as u64;
+                let want: Vec<(u64, u64)> = (first..).zip(truth[kept..].iter().copied()).collect();
+                let s = sparse.get(id).unwrap();
+                assert_eq!(s.samples().collect::<Vec<_>>(), want, "seed {seed}");
+                assert_eq!((s.first_window(), s.len()), (first, want.len()));
+                assert_eq!(s.latest(), want.last().copied());
+                for w in 0..25 {
+                    let v = want.iter().find(|&&(at, _)| at == w).map(|&(_, v)| v);
+                    assert_eq!(s.value_at(w), v, "seed {seed} window {w}");
+                }
+                late += usize::from(at > 0 && s.samples().any(|(_, v)| v > 0));
+                evicted += usize::from(first > at);
+            }
+            assert_eq!(series_json(&sparse), series_json(&dense), "seed {seed}");
+            assert_eq!(series_csv(&sparse), series_csv(&dense), "seed {seed}");
+            assert_eq!(
+                counter_track_events(&sparse),
+                counter_track_events(&dense),
+                "seed {seed}"
+            );
+            assert!(
+                sparse.samples_committed() < dense.samples_committed(),
+                "seed {seed}: the sparse sampler skipped nothing"
+            );
+        }
+        assert!(late > 0, "no late-registered series held a sample");
+        assert!(evicted > 0, "no ring evicted a window");
+        assert!(catch_up > 0, "no poll closed several windows");
+        assert!(zero_primary > 0, "no rule fired on a primary reading 0");
+        assert!(zero_guard > 0, "no rule fired on a guard reading 0");
     }
 
     #[test]

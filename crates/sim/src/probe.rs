@@ -5,11 +5,12 @@
 //! once, as one typed [`Obs`]ervation, and the [`Probe`] folds it three
 //! ways: spans on the [`Tracer`], rows in the flight ring
 //! ([`FlightHandle`]), and the *tally* — per-path [`PathTotals`], the
-//! window list of [`Completion`]s and the rewalk counts. Each variant's
-//! docs give its fold; DESIGN.md §7 tabulates them. The tally is always
-//! on and sees only `Issued`, `Finished` and `Rewalk`; the span and ring
-//! folds are on exactly when a channel is, and off, every other report is
-//! one branch. The probe owns the state the layers used to thread by
+//! window list of [`Completion`]s, the functions queued on since the last
+//! window close and the rewalk counts. Each variant's docs give its fold;
+//! DESIGN.md §7 tabulates them. The tally is always on and sees only
+//! `Issued`, `Queued`, `Finished` and `Rewalk`; the span and ring folds
+//! are on exactly when a channel is, and off, every other report is one
+//! branch. The probe owns the state the layers used to thread by
 //! hand: the issued request and its root span, the open `device_wait` and
 //! device spans, and the request id → parent span bindings.
 //!
@@ -117,6 +118,7 @@ pub enum Obs<'a> {
     /// ring: `Anomaly(at; 0, rule, window)`.
     Anomaly(&'a AnomalyEvent),
     /// `(func, id, depth, at)`: a request entered its function's queue.
+    /// While windowed, the tally lists `func` for the next window close.
     /// Ring: `QueueEnter(at; func, id, depth)`.
     Queued(u32, u64, u64, SimTime),
     /// `(func, id, blocks, arrived, at, start)`: the multiplexer popped
@@ -208,6 +210,12 @@ struct Tally {
     windowed: Cell<bool>,
     /// Completions not yet split off into a closed window.
     pending: RefCell<Vec<Completion>>,
+    /// No completion in `pending` is earlier than this: a lower bound,
+    /// exact after each split.
+    earliest: Cell<u64>,
+    /// Functions a request was queued on since the last window close, one
+    /// entry per `Queued` report, while windowed.
+    queued: RefCell<Vec<u32>>,
     /// The closing window's completions (capacity retained).
     window: RefCell<Vec<Completion>>,
     rewalks: Cell<u64>,
@@ -275,6 +283,7 @@ impl Probe {
     pub fn open_windows(&self) {
         self.tally.windowed.set(true);
         self.tally.pending.borrow_mut().clear();
+        self.tally.queued.borrow_mut().clear();
         self.tally.rewalk_ns.borrow_mut().reset();
     }
 
@@ -289,15 +298,15 @@ impl Probe {
         self.tally.rewalks.get()
     }
 
-    /// Reports one observation. Only `Issued`, `Finished` and `Rewalk`
-    /// reach the tally; any other report is a single branch when the
-    /// channels are off.
+    /// Reports one observation. Only `Issued`, `Queued`, `Finished` and
+    /// `Rewalk` reach the tally; any other report is a single branch when
+    /// the channels are off.
     #[inline(always)]
     pub fn report(&self, obs: Obs<'_>) {
         let open = self.open.as_deref();
         // Tally first: a `Finished` completion reads the root the span
         // fold then closes.
-        if let Obs::Issued(..) | Obs::Finished(..) | Obs::Rewalk(..) = obs {
+        if let Obs::Issued(..) | Obs::Queued(..) | Obs::Finished(..) | Obs::Rewalk(..) = obs {
             let root = open.map_or(SpanId::NONE, |o| o.root.get());
             tally(&self.tally, root, obs);
         }
@@ -325,30 +334,37 @@ impl Probe {
     }
 
     /// Closes the window ending at `end_ns`: splits off its completions
-    /// (exactly those with `t_ns < end_ns`), hands them and the window's
-    /// rewalk latencies to `read`, then folds the flight recorder's
-    /// exemplars for `window` from the same completions, capturing each
-    /// keeper's span tree from the tracer.
+    /// (exactly those with `t_ns < end_ns`), hands them, the functions a
+    /// request was queued on since the previous close (one entry per
+    /// request) and the window's rewalk latencies to `read`, then folds
+    /// the flight recorder's exemplars for `window` from the same
+    /// completions, capturing each keeper's span tree from the tracer.
+    /// When nothing pending is that early, the list is not scanned.
     pub fn close_window(
         &self,
         end_ns: u64,
         window: u64,
-        read: impl FnOnce(&[Completion], &Histogram),
+        read: impl FnOnce(&[Completion], &[u32], &Histogram),
     ) {
         let mut done = self.tally.window.borrow_mut();
         done.clear();
-        let mut pending = self.tally.pending.borrow_mut();
-        let mut i = 0;
-        while i < pending.len() {
-            if pending.get(i).is_some_and(|c| c.t_ns < end_ns) {
-                done.push(pending.swap_remove(i));
-            } else {
-                i += 1;
+        if self.tally.earliest.get() < end_ns {
+            let mut pending = self.tally.pending.borrow_mut();
+            let (mut i, mut earliest) = (0, u64::MAX);
+            while let Some(c) = pending.get(i) {
+                if c.t_ns < end_ns {
+                    done.push(pending.swap_remove(i));
+                } else {
+                    earliest = earliest.min(c.t_ns);
+                    i += 1;
+                }
             }
+            self.tally.earliest.set(earliest);
         }
-        drop(pending);
+        let mut queued = self.tally.queued.borrow_mut();
         let mut rewalk_ns = self.tally.rewalk_ns.borrow_mut();
-        read(&done, &rewalk_ns);
+        read(&done, &queued, &rewalk_ns);
+        queued.clear();
         rewalk_ns.reset();
         self.flight.with(|rec| {
             rec.close_window(window, &mut done, |root| self.tracer.subtree(root));
@@ -496,8 +512,9 @@ impl Open {
     }
 }
 
-/// The tally half of the fold: one `Cell` store per issue; per finish,
-/// one totals update and, while windowed, one fixed-size push.
+/// The tally half of the fold: one `Cell` store per issue; while
+/// windowed, one push per queued request; per finish, one totals update
+/// and, while windowed, one fixed-size push.
 // nesc-lint: hot
 #[inline(always)]
 fn tally(t: &Tally, root: SpanId, obs: Obs<'_>) {
@@ -519,6 +536,7 @@ fn tally(t: &Tally, root: SpanId, obs: Obs<'_>) {
                 }
             }
             if t.windowed.get() {
+                t.earliest.set(t.earliest.get().min(done.as_nanos()));
                 t.pending.borrow_mut().push(Completion {
                     t_ns: done.as_nanos(),
                     seq,
@@ -529,6 +547,7 @@ fn tally(t: &Tally, root: SpanId, obs: Obs<'_>) {
                 });
             }
         }
+        Obs::Queued(func, ..) if t.windowed.get() => t.queued.borrow_mut().push(func),
         Obs::Rewalk(_, _, irq_at, served) => {
             t.rewalks.set(t.rewalks.get() + 1);
             let latency = served.saturating_since(irq_at).as_nanos();
@@ -808,9 +827,11 @@ mod tests {
         rows: Vec<FlightEvent>,
         /// Exemplars as `(seq, disk, latency, root)`.
         notes: Vec<(u64, u32, u64, u64)>,
-        /// The tally: the window's completions, the per-path totals, and
-        /// the rewalk count with the window's largest rewalk latency.
+        /// The tally: the window's completions, the functions queued on,
+        /// the per-path totals, and the rewalk count with the window's
+        /// largest rewalk latency.
         done: Vec<Done>,
+        queued: Vec<u32>,
         totals: Vec<(u64, u64, u64, u64, u64)>,
         rewalks: (u64, u64),
     }
@@ -833,10 +854,11 @@ mod tests {
         for obs in script(&a) {
             probe.clone().report(obs);
         }
-        let (mut done, mut rewalk_max) = (Vec::new(), 0);
-        probe.close_window(10_000, 0, |window, rewalk_ns| {
+        let (mut done, mut queued, mut rewalk_max) = (Vec::new(), Vec::new(), 0);
+        probe.close_window(10_000, 0, |window, funcs, rewalk_ns| {
             let row = |c: &Completion| (c.t_ns, c.seq, c.disk, c.bytes, c.latency_ns, c.root.0);
             done = window.iter().map(row).collect();
+            queued = funcs.to_vec();
             rewalk_max = rewalk_ns.max();
         });
         done.sort();
@@ -868,6 +890,7 @@ mod tests {
             rows,
             notes,
             done,
+            queued,
             totals,
             rewalks,
         }
@@ -933,6 +956,7 @@ mod tests {
         // included.
         for (out, (tracing, _)) in [&off, &traced, &recorded, &both].into_iter().zip(settings) {
             assert_eq!(out.done, want_done(tracing), "the window list");
+            assert_eq!(out.queued, vec![3], "the one queued request's function");
             assert_eq!(out.totals, WANT_TOTALS.to_vec(), "the per-path totals");
             assert_eq!(out.rewalks, (1, 10), "one 10 ns rewalk");
         }
@@ -961,7 +985,7 @@ mod tests {
     /// sorted, and its largest rewalk latency.
     fn close(probe: &Probe, end_ns: u64) -> (Vec<u64>, u64) {
         let mut out = (Vec::new(), 0);
-        probe.close_window(end_ns, 0, |done, rewalk_ns| {
+        probe.close_window(end_ns, 0, |done, _, rewalk_ns| {
             out = (done.iter().map(|c| c.seq).collect(), rewalk_ns.max());
         });
         out.0.sort();
@@ -1043,6 +1067,42 @@ mod tests {
         probe.report(Obs::Rewalk(0, 1, t(150), t(155)));
         assert_eq!(close(&probe, 200), (vec![1, 3], 5));
         assert_eq!(probe.rewalks(), 2, "the rewalk count spans windows");
+    }
+
+    #[test]
+    fn queued_functions_reach_only_the_next_close() {
+        let probe = Probe::default();
+        let queued = |probe: &Probe, end_ns| {
+            let mut funcs = Vec::new();
+            probe.close_window(end_ns, 0, |_, queued, _| funcs = queued.to_vec());
+            funcs
+        };
+        probe.report(Obs::Queued(4, 1, 1, t(10)));
+        assert_eq!(queued(&probe, 100), vec![], "not windowed, not listed");
+        probe.open_windows();
+        for (func, id) in [(2, 2), (5, 3), (2, 4)] {
+            probe.report(Obs::Queued(func, id, 1, t(110)));
+        }
+        // One entry per report, handed to the first close of an idle
+        // stretch and to none after it.
+        assert_eq!(queued(&probe, 200), vec![2, 5, 2]);
+        assert_eq!(queued(&probe, 300), vec![]);
+    }
+
+    #[test]
+    fn a_close_that_skips_the_scan_splits_later_completions_alike() {
+        let probe = Probe::default();
+        probe.open_windows();
+        request(&probe, Via::Direct, 1, 0, 450, false);
+        // Nothing pending ends before 400: these closes skip the scan.
+        for end in [100, 200, 300, 400] {
+            assert_eq!(close(&probe, end), (vec![], 0), "window ending {end}");
+        }
+        // A completion earlier than the one pending lowers the bound.
+        request(&probe, Via::Direct, 2, 400, 420, false);
+        assert_eq!(close(&probe, 430), (vec![2], 0));
+        assert_eq!(close(&probe, 500), (vec![1], 0));
+        assert_eq!(close(&probe, 600), (vec![], 0));
     }
 
     #[test]
