@@ -505,7 +505,7 @@ pub fn forensics(out: &mut Out) -> Result<(), String> {
         let dump = tel
             .forensic_dump()
             .ok_or("the prune storm must trip the watchdog")?;
-        serde_json::to_string_pretty(dump).map_err(|e| e.to_string())
+        serde_json::to_string_pretty(&dump.to_json()).map_err(|e| e.to_string())
     };
 
     out.line("Forensics: anomaly-triggered flight-recorder dump");

@@ -56,7 +56,7 @@ pub use guestfs::GuestFilesystem;
 pub use system::{
     DiskId, DiskKind, OpenRequest, ProvisionedDisk, StreamResult, StreamSpec, System, VmId,
 };
-pub use telemetry::{Telemetry, TelemetryConfig};
+pub use telemetry::{ForensicSnapshot, Telemetry, TelemetryConfig};
 pub use workload::{ScenarioSpec, TenantClass, TenantIo, TenantSpec, Workload, WorkloadReport};
 
 /// One-stop imports for harnesses, examples, and tests.
@@ -72,7 +72,7 @@ pub mod prelude {
     pub use crate::system::{
         DiskId, DiskKind, OpenRequest, ProvisionedDisk, StreamResult, StreamSpec, System, VmId,
     };
-    pub use crate::telemetry::{Telemetry, TelemetryConfig};
+    pub use crate::telemetry::{ForensicSnapshot, Telemetry, TelemetryConfig};
     pub use crate::workload::{
         ScenarioSpec, TenantClass, TenantIo, TenantSpec, Workload, WorkloadReport,
     };

@@ -54,7 +54,9 @@
 use nesc_core::{FuncId, NescDevice};
 use nesc_sim::perfmon::{series_json, utilization_ppm, SeriesKind};
 use nesc_sim::{AnomalyEvent, Histogram, Sampler, SeriesId, SimDuration, SloRule, SloWatchdog};
-use nesc_sim::{FlightConfig, FlightHandle, Obs, Probe, SimTime, Tracer};
+use nesc_sim::{
+    FlightConfig, FlightHandle, FlightRecorder, FlightSnapshot, Obs, Probe, SimTime, Tracer,
+};
 
 use crate::system::DiskId;
 
@@ -182,7 +184,42 @@ pub struct Telemetry {
     /// this subsystem, the device and its own I/O paths.
     probe: Probe,
     /// The forensic dump captured when the watchdog first fired, if any.
-    forensic: Option<serde_json::Value>,
+    forensic: Option<ForensicSnapshot>,
+}
+
+/// The forensic dump: the state of every observability channel when the
+/// watchdog first fired. It is a typed copy — the triggering anomaly, the
+/// series as of the breach, and the flight ring and exemplars — rendered
+/// only when a reader asks, by [`to_json`](Self::to_json).
+#[derive(Debug, Clone)]
+pub struct ForensicSnapshot {
+    /// The anomaly that triggered the capture.
+    pub anomaly: AnomalyEvent,
+    /// Every series as of the breach ([`series_json`]).
+    pub series: serde_json::Value,
+    /// The flight ring and exemplars as of the breach.
+    pub flight: FlightSnapshot,
+}
+
+impl ForensicSnapshot {
+    /// Renders the deterministic dump: `{anomaly, series, flight}`.
+    pub fn to_json(&self) -> serde_json::Value {
+        let a = &self.anomaly;
+        serde_json::json!({
+            "anomaly": {
+                "rule": a.rule.clone(),
+                "rule_index": a.rule_index,
+                "text": a.text.clone(),
+                "series": a.series.clone(),
+                "window": a.window,
+                "at_ns": a.at.as_nanos(),
+                "value": a.value,
+                "consecutive": a.consecutive,
+            },
+            "series": self.series.clone(),
+            "flight": self.flight.to_json(),
+        })
+    }
 }
 
 /// Growth of a monotonic busy-time counter since the previous window.
@@ -396,9 +433,14 @@ impl Telemetry {
             // The first anomaly snapshots the forensic dump — after the
             // window's exemplar fold, so the dump holds the breaching
             // window's worst requests.
-            if self.probe.flight().is_enabled() && self.forensic.is_none() {
-                if let Some(first) = self.watchdog.anomalies().get(fired) {
-                    self.forensic = Some(self.forensic_json(first));
+            if self.forensic.is_none() {
+                if let Some(anomaly) = self.watchdog.anomalies().get(fired) {
+                    let flight = self.probe.flight().with(FlightRecorder::snapshot);
+                    self.forensic = flight.map(|flight| ForensicSnapshot {
+                        anomaly: anomaly.clone(),
+                        series: series_json(&self.sampler),
+                        flight,
+                    });
                 }
             }
         }
@@ -406,26 +448,6 @@ impl Telemetry {
             .sampler
             .window_end(self.sampler.closed_windows())
             .as_nanos();
-    }
-
-    /// Assembles the deterministic forensic dump: the triggering anomaly,
-    /// the active window series, and the flight ring + exemplars as of
-    /// the breach.
-    fn forensic_json(&self, a: &AnomalyEvent) -> serde_json::Value {
-        serde_json::json!({
-            "anomaly": {
-                "rule": a.rule.clone(),
-                "rule_index": a.rule_index,
-                "text": a.text.clone(),
-                "series": a.series.clone(),
-                "window": a.window,
-                "at_ns": a.at.as_nanos(),
-                "value": a.value,
-                "consecutive": a.consecutive,
-            },
-            "series": series_json(&self.sampler),
-            "flight": self.probe.flight().snapshot_json(),
-        })
     }
 
     /// The sampler (series, windows, exporters).
@@ -456,7 +478,7 @@ impl Telemetry {
     }
 
     /// The forensic dump captured when the watchdog first fired, if any.
-    pub fn forensic_dump(&self) -> Option<&serde_json::Value> {
+    pub fn forensic_dump(&self) -> Option<&ForensicSnapshot> {
         self.forensic.as_ref()
     }
 }
@@ -622,9 +644,53 @@ mod tests {
             "tracing is on, so exemplars keep span trees"
         );
         let dump = tel.forensic_dump().expect("first anomaly captured a dump");
+        let dump = dump.to_json();
         for key in ["anomaly", "series", "flight"] {
             assert!(dump.get(key).is_some(), "dump missing {key}");
         }
+    }
+
+    #[test]
+    fn the_forensic_dump_is_a_copy_of_the_breach() {
+        let cfg = TelemetryConfig::windowed(SimDuration::from_micros(25))
+            .rule_text("hv.vf0.requests above 0 for 3")
+            .flight(FlightConfig::default().capacity(64).exemplar_windows(2));
+        let mut sys = SystemBuilder::new()
+            .capacity_blocks(64 * 1024)
+            .tracing(true)
+            .telemetry(cfg)
+            .build();
+        let d = sys.quick_disk(DiskKind::NescDirect, "a.img", 1 << 20).disk;
+        fn tel(sys: &System) -> &Telemetry {
+            sys.telemetry().expect("telemetry enabled")
+        }
+        let total = |sys: &System| tel(sys).flight().with(|r| r.total()).expect("enabled");
+        let mut breach = None;
+        for i in 0..400u64 {
+            sys.write(d, (i % 16) * 4096, &[1u8; 4096]);
+            sys.think(SimDuration::from_micros(10));
+            let Some(dump) = tel(&sys).forensic_dump() else {
+                continue;
+            };
+            let (rendered, at_total, window) = breach.get_or_insert_with(|| {
+                let text = serde_json::to_string(&dump.to_json()).expect("render");
+                (text, dump.flight.total, dump.anomaly.window)
+            });
+            // Done once the ring has wrapped past every breach-time event
+            // and the breach windows' exemplars are evicted.
+            let wrapped = total(&sys) > *at_total + 64;
+            let evicted = tel(&sys)
+                .flight()
+                .with(|r| r.exemplars().iter().all(|x| x.window > *window))
+                .expect("enabled");
+            if wrapped && evicted {
+                let again = serde_json::to_string(&dump.to_json()).expect("render");
+                assert_eq!(&again, rendered, "the dump moved with the live recorder");
+                assert_eq!(dump.flight.total, *at_total, "the breach-time count");
+                return;
+            }
+        }
+        panic!("the run must trip the rule, wrap the ring and evict the exemplars");
     }
 
     #[test]

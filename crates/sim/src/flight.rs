@@ -19,13 +19,18 @@
 //!   hands that window's [`Completion`]s to
 //!   [`FlightRecorder::close_window`], which keeps the worst-K by latency
 //!   and snapshots their span subtrees through the caller's capture (the
-//!   probe passes [`Tracer::subtree`](crate::Tracer::subtree)) — so the
-//!   p99-busting requests keep full traces while everything else stays
-//!   coarse.
+//!   probe passes [`Tracer::subtree`](crate::Tracer::subtree), whose pass
+//!   starts at the root, so a capture costs the spans recorded since the
+//!   request began, not the whole undrained log) — so the p99-busting
+//!   requests keep full traces while everything else stays coarse.
+//! * **Snapshots** — [`FlightRecorder::snapshot`] copies the ring and the
+//!   exemplars into a typed [`FlightSnapshot`]; nothing is rendered until
+//!   a reader calls [`FlightSnapshot::to_json`], the one renderer of
+//!   flight rows and exemplar spans.
 //! * **Determinism** — everything is driven by simulated time and
 //!   integer state; the same seed produces a byte-identical
-//!   [`FlightRecorder::snapshot_json`], which is what makes the forensic
-//!   dump golden-gateable.
+//!   [`FlightSnapshot::to_json`], which is what makes the forensic dump
+//!   golden-gateable.
 //!
 //! # Example
 //!
@@ -344,17 +349,63 @@ impl FlightRecorder {
         self.exemplars.borrow()
     }
 
-    /// Serializes the full recorder state as deterministic JSON: the ring
-    /// metadata, every retained event as a compact `[t_ns, kind, func, a,
-    /// b]` integer row, and the exemplars with their span subtrees.
+    /// Copies the recorder state out: the ring metadata, the retained
+    /// events oldest first and the retained exemplars. The copy is typed
+    /// and unrendered; [`FlightSnapshot::to_json`] renders it.
+    pub fn snapshot(&self) -> FlightSnapshot {
+        FlightSnapshot {
+            capacity: self.capacity(),
+            total: self.total(),
+            dropped: self.dropped(),
+            events: self.events().collect(),
+            exemplars: self.exemplars().iter().cloned().collect(),
+        }
+    }
+
+    /// The recorder state as deterministic JSON (see
+    /// [`FlightSnapshot::to_json`]).
     pub fn snapshot_json(&self) -> serde_json::Value {
+        self.snapshot().to_json()
+    }
+
+    /// Stable FNV-1a hash over the serialized snapshot — the section hash
+    /// the divergence self-check folds in.
+    pub fn digest_hash(&self) -> u64 {
+        let json = serde_json::to_string(&self.snapshot_json()).unwrap_or_default();
+        fnv1a(json.as_bytes())
+    }
+}
+
+/// A copy of the recorder state at one instant, kept as typed rows until
+/// it is read: taking one copies the ring and the exemplars, and
+/// rendering is paid only by [`to_json`](Self::to_json).
+#[derive(Debug, Clone)]
+pub struct FlightSnapshot {
+    /// Ring capacity in slots.
+    pub capacity: usize,
+    /// Events ever appended.
+    pub total: u64,
+    /// Events overwritten by ring wrap-around.
+    pub dropped: u64,
+    /// The retained events, oldest first.
+    pub events: Vec<FlightEvent>,
+    /// The retained exemplars, oldest window first.
+    pub exemplars: Vec<Exemplar>,
+}
+
+impl FlightSnapshot {
+    /// Renders the snapshot as deterministic JSON: the ring metadata,
+    /// every retained event as a compact `[t_ns, kind, func, a, b]`
+    /// integer row, and the exemplars with their span subtrees. The one
+    /// renderer of flight rows and exemplar spans.
+    pub fn to_json(&self) -> serde_json::Value {
         let events: Vec<serde_json::Value> = self
-            .events()
+            .events
+            .iter()
             .map(|e| serde_json::json!([e.t_ns, e.kind as u8, e.func, e.a, e.b]))
             .collect();
         let exemplars: Vec<serde_json::Value> = self
             .exemplars
-            .borrow()
             .iter()
             .map(|x| {
                 let spans: Vec<serde_json::Value> = x
@@ -389,19 +440,12 @@ impl FlightRecorder {
             })
             .collect();
         serde_json::json!({
-            "capacity": self.capacity(),
-            "total": self.total.get(),
-            "dropped": self.dropped(),
+            "capacity": self.capacity,
+            "total": self.total,
+            "dropped": self.dropped,
             "events": events,
             "exemplars": exemplars,
         })
-    }
-
-    /// Stable FNV-1a hash over the serialized snapshot — the section hash
-    /// the divergence self-check folds in.
-    pub fn digest_hash(&self) -> u64 {
-        let json = serde_json::to_string(&self.snapshot_json()).unwrap_or_default();
-        fnv1a(json.as_bytes())
     }
 }
 

@@ -80,6 +80,7 @@ pub mod trace;
 
 pub use flight::{
     Exemplar, FlightConfig, FlightEvent, FlightEventKind, FlightHandle, FlightRecorder,
+    FlightSnapshot,
 };
 pub use gen::{BurstyArrivals, ZipfLike};
 pub use hash::{IntHashBuilder, IntHasher};

@@ -251,6 +251,11 @@ impl Tracer {
     /// while the log keeps recording (and a later [`take_spans`]
     /// (Self::take_spans) still returns everything).
     ///
+    /// Spans are stored in id order and parents always precede their
+    /// children, so the root's descendants all come after it: the pass
+    /// starts at the root and costs O(spans recorded since the root), not
+    /// O(log) — at a window close, about one window's worth.
+    ///
     /// Returns an empty vector when disabled, when `root` is
     /// [`SpanId::NONE`], or when the root was already drained.
     pub fn subtree(&self, root: SpanId) -> Vec<Span> {
@@ -261,23 +266,24 @@ impl Tracer {
         if !root.is_some() || root.0 <= log.drained {
             return Vec::new();
         }
-        // Spans are stored in id order and parents always precede their
-        // children, so one forward pass over the undrained window finds
-        // the whole subtree.
-        let mut keep = vec![false; log.spans.len()];
+        let tail = log
+            .spans
+            .get((root.0 - log.drained - 1) as usize..)
+            .unwrap_or_default();
+        // `keep[i]`: whether span `root + i` is in the subtree.
+        let mut keep = Vec::with_capacity(tail.len());
         let mut out = Vec::new();
-        for (i, s) in log.spans.iter().enumerate() {
-            let parent_kept = s.parent.0 > log.drained
-                && keep
-                    .get((s.parent.0 - log.drained - 1) as usize)
-                    .copied()
-                    .unwrap_or(false);
-            if s.id == root || parent_kept {
-                if let Some(slot) = keep.get_mut(i) {
-                    *slot = true;
-                }
+        for s in tail {
+            let kept = keep.is_empty()
+                || s.parent.0 >= root.0
+                    && keep
+                        .get((s.parent.0 - root.0) as usize)
+                        .copied()
+                        .unwrap_or(false);
+            if kept {
                 out.push(s.clone());
             }
+            keep.push(kept);
         }
         out
     }
@@ -513,6 +519,8 @@ pub fn validate_chrome_trace(doc: &serde_json::Value) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
@@ -596,6 +604,104 @@ mod tests {
         let spans = tr.take_spans();
         assert_eq!(spans[0].attr("run"), Some(64));
         assert_eq!(spans[0].attr("missing"), None);
+    }
+
+    /// The undrained log, read without draining it.
+    fn undrained(tr: &Tracer) -> (Vec<Span>, u64) {
+        let log = tr.inner.as_ref().expect("enabled").borrow();
+        (log.spans.clone(), log.drained)
+    }
+
+    /// The full-log reference pass: one forward pass over every undrained
+    /// span, keeping the root and every span whose parent is kept.
+    fn reference_subtree(spans: &[Span], root: SpanId) -> Vec<Span> {
+        let mut kept = BTreeSet::new();
+        let mut out = Vec::new();
+        for s in spans {
+            if s.id == root || kept.contains(&s.parent) {
+                kept.insert(s.id);
+                out.push(s.clone());
+            }
+        }
+        out
+    }
+
+    /// The cases a query can hit; the property requires each one.
+    #[derive(Debug, Default)]
+    struct Reached {
+        interleaved: bool,
+        first_after_drain: bool,
+        last_span: bool,
+        non_root: bool,
+        drained_root: bool,
+        none: bool,
+    }
+
+    /// Compares `subtree` with the reference for `SpanId::NONE` and every
+    /// id handed out so far, noting which cases the queries hit.
+    fn check_every_root(tr: &Tracer, reached: &mut Reached) -> Result<(), TestCaseError> {
+        let (spans, drained) = undrained(tr);
+        let last = drained + spans.len() as u64;
+        for id in 0..=last {
+            let root = SpanId(id);
+            let got = tr.subtree(root);
+            prop_assert_eq!(&got, &reference_subtree(&spans, root), "root {}", id);
+            let live = spans.iter().find(|s| s.id == root);
+            reached.none |= id == 0;
+            reached.drained_root |= id != 0 && id <= drained;
+            reached.first_after_drain |= drained > 0 && id == drained + 1 && live.is_some();
+            reached.last_span |= id == last && live.is_some();
+            reached.non_root |= live.is_some_and(|s| s.parent.is_some());
+            if let (Some(first), Some(end)) = (got.first(), got.last()) {
+                reached.interleaved |= end.id.0 - first.id.0 + 1 > got.len() as u64;
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// `subtree` starts at the root yet returns exactly what a pass
+        /// over the whole undrained log keeps, over generated forests:
+        /// interleaved request trees whose spans hang off recent spans
+        /// (drained ones included), with drains between them.
+        #[test]
+        fn prop_subtree_matches_a_full_log_pass(
+            ops in collection::vec((0u8..8, any::<u64>()), 150..300)
+        ) {
+            let tr = Tracer::enabled();
+            let mut reached = Reached::default();
+            let mut next = 1u64;
+            for (i, &(action, pick)) in ops.iter().enumerate() {
+                if action == 0 {
+                    // Query the pre-drain state, then drain.
+                    check_every_root(&tr, &mut reached)?;
+                    tr.take_spans();
+                    continue;
+                }
+                // A quarter of the spans open a request; the rest hang off
+                // one of the eight most recent spans.
+                let back = (pick / 4) % 8;
+                let parent = if pick % 4 == 0 || back >= next - 1 {
+                    SpanId::NONE
+                } else {
+                    SpanId(next - 1 - back)
+                };
+                let id = tr.start(parent, "guest", "op", t(i as u64));
+                tr.attr(id, "op", i as u64);
+                next += 1;
+            }
+            check_every_root(&tr, &mut reached)?;
+            let Reached { interleaved, first_after_drain, last_span, non_root, drained_root, none } =
+                reached;
+            prop_assert!(interleaved, "no interleaved trees");
+            prop_assert!(first_after_drain, "no root right after a drain");
+            prop_assert!(last_span, "no root as the last span");
+            prop_assert!(non_root, "no non-root span as the root");
+            prop_assert!(drained_root, "no drained root");
+            prop_assert!(none, "no SpanId::NONE root");
+        }
     }
 
     #[test]

@@ -109,8 +109,8 @@ impl MixedVfSelfCheck {
         let tel = sys.telemetry().expect("telemetry enabled");
         let forensic = tel
             .forensic_dump()
-            .map(|d| fnv1a(serde_json::to_string(d).unwrap_or_default().as_bytes()))
-            .unwrap_or(0);
+            .map(|d| serde_json::to_string(&d.to_json()).unwrap_or_default())
+            .map_or(0, |json| fnv1a(json.as_bytes()));
         digest.section("forensic", forensic);
         digest.section("telemetry", perfmon::digest_hash(tel.sampler()));
         let spans = system_spans(&mut sys);

@@ -27,9 +27,9 @@ for dir in crates/*/; do
 done
 printf '  %-12s %6d\n' "total" "$total"
 
-echo "non-test lines of the probe-fold and telemetry files:"
+echo "non-test lines of the probe-fold, span-tracer and telemetry files:"
 sum=0
-for f in crates/sim/src/{metrics,flight,perfmon,probe}.rs crates/hypervisor/src/{system,telemetry}.rs; do
+for f in crates/sim/src/{metrics,flight,trace,perfmon,probe}.rs crates/hypervisor/src/{system,telemetry}.rs; do
     n=0
     [ -f "$f" ] && n=$(nontest "$f")
     sum=$((sum + n))

@@ -93,7 +93,7 @@ fn run(ops: &[(usize, usize, bool, u64)]) -> (Vec<Exemplar>, Vec<Span>, Option<S
         .telemetry()
         .expect("telemetry enabled")
         .forensic_dump()
-        .map(|d| serde_json::to_string(d).expect("serialize dump"));
+        .map(|d| serde_json::to_string(&d.to_json()).expect("serialize dump"));
     let spans = sys.take_spans();
     (exemplars, spans, dump)
 }
