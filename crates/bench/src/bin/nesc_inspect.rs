@@ -15,13 +15,18 @@
 //! ```
 //!
 //! The dump defaults to `results/forensic_dump.json` (written by
-//! `nesc-bench run forensics`).
+//! `nesc-bench run forensics`). Its flight section reads back into the
+//! `FlightSnapshot` the dump was written from, and every command is a
+//! query of that model: `why` runs the same checked breakdown the
+//! `forensics` harness does, and `perfetto` renders with the same
+//! span and counter-track renderers as the harness's
+//! `forensic_window_trace.json`, byte for byte.
 
 use std::process::ExitCode;
 
-use nesc_bench::forensic::ForensicDump;
+use nesc_bench::forensic::{window_trace, ForensicDump};
 use nesc_bench::{fmt, table};
-use nesc_sim::FlightEventKind;
+use nesc_sim::{FlightEventKind, FlightSnapshot};
 
 struct Args {
     dump: String,
@@ -109,18 +114,19 @@ fn load(path: &str) -> Result<ForensicDump, ExitCode> {
 }
 
 fn summary(d: &ForensicDump) {
+    let f = &d.flight;
     println!("anomaly : {}", d.anomaly_text);
     println!("series  : {}", d.anomaly_series);
     println!("window  : {}", d.anomaly_window);
     println!(
         "ring    : {} retained / {} appended / {} dropped (capacity {})",
-        d.events.len(),
-        d.total,
-        d.dropped,
-        d.capacity
+        f.events.len(),
+        f.total,
+        f.dropped,
+        f.capacity
     );
-    println!("exemplars: {}", d.exemplars.len());
-    if let Some(w) = d.worst_exemplar() {
+    println!("exemplars: {}", f.exemplars.len());
+    if let Some(w) = f.worst_exemplar() {
         println!(
             "worst   : seq {} on disk {} — {} us",
             w.seq,
@@ -130,10 +136,10 @@ fn summary(d: &ForensicDump) {
     }
 }
 
-fn timeline(d: &ForensicDump, vf: Option<u32>, limit: usize) {
+fn timeline(f: &FlightSnapshot, vf: Option<u32>, limit: usize) {
     let events: Vec<_> = match vf {
-        Some(v) => d.vf_events(v),
-        None => d.events.iter().collect(),
+        Some(v) => f.vf_events(v),
+        None => f.events.iter().collect(),
     };
     let shown = events.len().min(limit);
     let rows: Vec<Vec<String>> = events[events.len() - shown..]
@@ -158,39 +164,31 @@ fn timeline(d: &ForensicDump, vf: Option<u32>, limit: usize) {
     );
 }
 
-/// The "why was this request slow" view. Returns false when the two
-/// independently derived breakdowns disagree — a determinism or
-/// instrumentation bug worth a non-zero exit.
-fn why(d: &ForensicDump) -> bool {
-    let Some(worst) = d.worst_exemplar() else {
+/// The "why was this request slow" view. Returns false when the event-
+/// and span-derived breakdowns disagree or do not sum to the latency — a
+/// determinism or instrumentation bug worth a non-zero exit.
+fn why(f: &FlightSnapshot) -> bool {
+    let Some(worst) = f.worst_exemplar() else {
         eprintln!("dump has no exemplars");
         return false;
     };
-    let Some(from_events) = d.breakdown_from_events(worst.seq) else {
-        eprintln!(
-            "request {}'s anchor events fell out of the ring (capacity {})",
-            worst.seq, d.capacity
-        );
-        return false;
+    let phases = match f.checked_breakdown(worst) {
+        Ok(phases) => phases,
+        Err(e) => {
+            eprintln!("BREAKDOWN MISMATCH: {e}");
+            return false;
+        }
     };
-    let from_spans = ForensicDump::breakdown_from_spans(worst);
-    let mut ok = true;
-    let mut rows = Vec::new();
-    for (name, ev_ns) in &from_events {
-        let sp = from_spans.iter().find(|(n, _)| n == name).map(|(_, d)| *d);
-        let agree = sp == Some(*ev_ns);
-        ok &= agree;
-        rows.push(vec![
-            name.to_string(),
-            fmt(*ev_ns as f64 / 1000.0),
-            sp.map(|ns| fmt(ns as f64 / 1000.0)).unwrap_or("-".into()),
-            format!(
-                "{:.1}",
-                100.0 * *ev_ns as f64 / worst.latency_ns.max(1) as f64
-            ),
-            if agree { "yes" } else { "NO" }.to_string(),
-        ]);
-    }
+    let rows: Vec<Vec<String>> = phases
+        .iter()
+        .map(|&(name, ns)| {
+            vec![
+                name.to_string(),
+                fmt(ns as f64 / 1000.0),
+                format!("{:.1}", 100.0 * ns as f64 / worst.latency_ns.max(1) as f64),
+            ]
+        })
+        .collect();
     print!(
         "{}",
         table(
@@ -201,20 +199,12 @@ fn why(d: &ForensicDump) -> bool {
                 worst.disk,
                 worst.window
             ),
-            &["phase", "events us", "spans us", "% of total", "agree"],
+            &["phase", "us", "% of total"],
             &rows,
         )
     );
-    let total: u64 = from_events.iter().map(|(_, ns)| ns).sum();
-    if total != worst.latency_ns {
-        eprintln!(
-            "phases sum to {} ns but the request took {} ns",
-            total, worst.latency_ns
-        );
-        ok = false;
-    }
     // Contextual evidence: translation activity around the slow request.
-    let walks = d
+    let walks = f
         .events
         .iter()
         .filter(|e| {
@@ -224,16 +214,12 @@ fn why(d: &ForensicDump) -> bool {
         })
         .count();
     println!("\n  context: {walks} BTLB walk/rewalk events in the preceding 1 ms");
-    if ok {
-        println!("  event-derived and span-derived breakdowns agree exactly.");
-    } else {
-        eprintln!("  BREAKDOWN MISMATCH — the two derivations disagree.");
-    }
-    ok
+    println!("  event-derived and span-derived breakdowns agree exactly.");
+    true
 }
 
-fn contention(d: &ForensicDump, top: usize) {
-    let rows: Vec<Vec<String>> = d
+fn contention(f: &FlightSnapshot, top: usize) {
+    let rows: Vec<Vec<String>> = f
         .contention_top_k(top)
         .into_iter()
         .map(|(func, media, link)| {
@@ -256,7 +242,7 @@ fn contention(d: &ForensicDump, top: usize) {
 }
 
 fn perfetto(d: &ForensicDump, out: &str) -> bool {
-    let trace = d.perfetto_json();
+    let trace = window_trace(&d.flight, &d.series);
     match serde_json::to_string_pretty(&trace) {
         Ok(s) => match std::fs::write(out, s) {
             Ok(()) => {
@@ -290,12 +276,12 @@ fn main() -> ExitCode {
             true
         }
         "timeline" => {
-            timeline(&dump, args.vf, args.limit);
+            timeline(&dump.flight, args.vf, args.limit);
             true
         }
-        "why" => why(&dump),
+        "why" => why(&dump.flight),
         "contention" => {
-            contention(&dump, args.top);
+            contention(&dump.flight, args.top);
             true
         }
         "perfetto" => perfetto(&dump, &args.out),

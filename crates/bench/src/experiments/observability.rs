@@ -11,7 +11,7 @@ use nesc_workloads::TenantClass;
 use serde_json::{json, Value};
 
 use super::Out;
-use crate::forensic::ForensicDump;
+use crate::forensic::window_trace;
 use crate::{
     all_paths, drive_mixed, fmt, mixed_vfs, outln, paper_block_sizes, prune_pressure, MIXED_VFS,
 };
@@ -442,7 +442,7 @@ pub fn nesc_report(out: &mut Out) -> Result<(), String> {
     let mixed_anomalies = anomalies_json(tel.anomalies());
     out.file("telemetry_mixed.csv", perfmon::series_csv(sampler));
     let mut trace = chrome_trace_json(&spans);
-    perfmon::merge_counter_tracks(&mut trace, sampler);
+    perfmon::merge_counter_tracks(&mut trace, &mixed_series);
     out.json("telemetry_trace", &trace)?;
 
     // --------------------------------------------- prune-pressure run
@@ -490,12 +490,14 @@ pub fn nesc_report(out: &mut Out) -> Result<(), String> {
 /// The scenario runs **twice** with the same seed and the two serialized
 /// dumps must be byte-identical — the recorder is part of the
 /// deterministic surface. The worst request's event-derived latency
-/// breakdown must match its span tree phase by phase. Writes the dump
-/// verbatim (`forensic_dump.json`) and its re-export as a Perfetto trace
+/// breakdown must match its span tree phase by phase; the checks query
+/// the typed snapshot, which is rendered only for the byte comparison and
+/// the file. Writes the dump (`forensic_dump.json`) and its re-export as a
+/// Perfetto trace
 /// (`forensic_window_trace.json`): exemplar span swimlanes merged with
 /// one counter track per telemetry series.
 pub fn forensics(out: &mut Out) -> Result<(), String> {
-    let dump_string = || -> Result<String, String> {
+    let run = || -> Result<(ForensicSnapshot, String), String> {
         let builder = SystemBuilder::new()
             .tracing(true)
             .telemetry(prune_watch())
@@ -505,13 +507,14 @@ pub fn forensics(out: &mut Out) -> Result<(), String> {
         let dump = tel
             .forensic_dump()
             .ok_or("the prune storm must trip the watchdog")?;
-        serde_json::to_string_pretty(&dump.to_json()).map_err(|e| e.to_string())
+        let text = serde_json::to_string_pretty(&dump.to_json()).map_err(|e| e.to_string())?;
+        Ok((dump.clone(), text))
     };
 
     out.line("Forensics: anomaly-triggered flight-recorder dump");
     out.line("(prune-pressure trigger, tracing + flight recorder on, same-seed double run)");
-    let first = dump_string()?;
-    if first != dump_string()? {
+    let (dump, first) = run()?;
+    if first != run()?.1 {
         return Err("same-seed forensic dumps must be byte-identical".into());
     }
     outln!(
@@ -520,49 +523,33 @@ pub fn forensics(out: &mut Out) -> Result<(), String> {
         first.len()
     );
 
-    let dump = ForensicDump::parse(&first)?;
+    let (anomaly, flight) = (&dump.anomaly, &dump.flight);
     outln!(
         out,
         "  anomaly: {} (series {}, window {})",
-        dump.anomaly_text,
-        dump.anomaly_series,
-        dump.anomaly_window
+        anomaly.text,
+        anomaly.series,
+        anomaly.window
     );
     outln!(
         out,
         "  flight ring: {} events retained ({} appended, {} dropped), {} exemplars",
-        dump.events.len(),
-        dump.total,
-        dump.dropped,
-        dump.exemplars.len()
+        flight.events.len(),
+        flight.total,
+        flight.dropped,
+        flight.exemplars.len()
     );
 
-    let worst = dump.worst_exemplar().ok_or("dump has no exemplars")?;
-    let from_events = dump
-        .breakdown_from_events(worst.seq)
-        .ok_or("the worst request's anchors are not in the ring")?;
-    let from_spans = ForensicDump::breakdown_from_spans(worst);
-    let mut rows = Vec::new();
-    for (name, ev_ns) in &from_events {
-        let sp_ns = from_spans
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, d)| *d);
-        if *ev_ns != sp_ns {
-            return Err(format!(
-                "phase `{name}`: event-derived {ev_ns} ns != span-derived {sp_ns} ns"
-            ));
-        }
-        rows.push(vec![
-            name.to_string(),
-            fmt(*ev_ns as f64 / 1000.0),
-            fmt(sp_ns as f64 / 1000.0),
-        ]);
-    }
-    let total: u64 = from_events.iter().map(|(_, ns)| ns).sum();
-    if total != worst.latency_ns {
-        return Err("phases must tile the request's latency".into());
-    }
+    let worst = flight.worst_exemplar().ok_or("dump has no exemplars")?;
+    // The check makes the event- and span-derived columns equal.
+    let rows: Vec<Vec<String>> = flight
+        .checked_breakdown(worst)?
+        .into_iter()
+        .map(|(name, ns)| {
+            let us = fmt(ns as f64 / 1000.0);
+            vec![name.to_string(), us.clone(), us]
+        })
+        .collect();
     out.table(
         &format!(
             "Worst request: seq {} on disk {} ({} us end-to-end)",
@@ -575,7 +562,7 @@ pub fn forensics(out: &mut Out) -> Result<(), String> {
     );
     out.line("\n  event-derived and span-derived breakdowns agree exactly.");
 
-    let trace = dump.perfetto_json();
+    let trace = window_trace(flight, &dump.series);
     validate_chrome_trace(&trace)?;
     out.file("forensic_dump.json", first);
     out.json("forensic_window_trace", &trace)

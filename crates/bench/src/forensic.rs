@@ -1,17 +1,12 @@
-//! Forensic-dump parsing and query helpers shared by the `forensics`
-//! trigger harness and the `nesc-inspect` CLI.
-//!
-//! The workspace `serde_json` is a deliberately minimal *serialization*
-//! shim — it has no deserializer — so this module carries a small
-//! recursive-descent JSON parser that reads a forensic dump back into
-//! shim [`serde_json::Value`]s, a typed view of the dump
-//! ([`ForensicDump`]), and the query logic `nesc-inspect` exposes:
-//! per-VF timelines, the "why was this request slow" breakdown (derived
-//! two independent ways — from flight events and from the exemplar's
-//! span tree — which must agree exactly), and top-K per-function
-//! media/link contention attribution.
+//! Reading a forensic dump back: a small JSON text parser, which the
+//! golden diff also uses, and [`ForensicDump`], a thin reader of the
+//! dump's three sections. The flight section reads back into the typed
+//! [`FlightSnapshot`] the dump was written from, and the queries
+//! `nesc-inspect` and the `forensics` harness ask — the worst exemplar,
+//! per-VF timelines, the checked phase breakdown, contention — are
+//! methods of that one model.
 
-use nesc_sim::{FlightEvent, FlightEventKind};
+use nesc_sim::{perfmon, FlightSnapshot};
 
 // ---------------------------------------------------------------------------
 // JSON parser (the shim has none)
@@ -230,87 +225,11 @@ impl<'a> Parser<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Value accessors (the shim has only `get`)
+// The dump's sections
 // ---------------------------------------------------------------------------
 
-/// Reads a non-negative integer out of a shim [`serde_json::Value`].
-pub fn as_u64(v: &serde_json::Value) -> Option<u64> {
-    match v {
-        serde_json::Value::Number(serde_json::Number::UInt(u)) => Some(*u),
-        serde_json::Value::Number(serde_json::Number::Int(i)) if *i >= 0 => Some(*i as u64),
-        _ => None,
-    }
-}
-
-/// Reads an array slice out of a shim [`serde_json::Value`].
-pub fn as_array(v: &serde_json::Value) -> Option<&[serde_json::Value]> {
-    match v {
-        serde_json::Value::Array(items) => Some(items),
-        _ => None,
-    }
-}
-
-/// Reads a string slice out of a shim [`serde_json::Value`].
-pub fn as_str(v: &serde_json::Value) -> Option<&str> {
-    match v {
-        serde_json::Value::String(s) => Some(s),
-        _ => None,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Typed dump model
-// ---------------------------------------------------------------------------
-
-/// A span as stored in a dump exemplar (owned strings: the dump is data,
-/// not `&'static str` interned names).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DumpSpan {
-    /// Span id (tracer numbering from the recording run).
-    pub id: u64,
-    /// Parent span id (0 = none).
-    pub parent: u64,
-    /// Layer label (`hv`, `core`, ...).
-    pub layer: String,
-    /// Span name (`device_wait`, `doorbell`, ...).
-    pub name: String,
-    /// Start, nanoseconds.
-    pub start_ns: u64,
-    /// End, nanoseconds.
-    pub end_ns: u64,
-    /// Integer attributes in recording order.
-    pub attrs: Vec<(String, u64)>,
-}
-
-impl DumpSpan {
-    /// Span duration in nanoseconds.
-    pub fn duration_ns(&self) -> u64 {
-        self.end_ns.saturating_sub(self.start_ns)
-    }
-}
-
-/// A worst-K exemplar from a dump: identity, latency, and the span
-/// subtree captured at window close.
-#[derive(Debug, Clone)]
-pub struct DumpExemplar {
-    /// Telemetry window the request completed in.
-    pub window: u64,
-    /// Device-wide request sequence number.
-    pub seq: u64,
-    /// Disk id.
-    pub disk: u32,
-    /// Completion time, nanoseconds.
-    pub t_ns: u64,
-    /// End-to-end latency, nanoseconds.
-    pub latency_ns: u64,
-    /// Root span id (0 when tracing was off).
-    pub root: u64,
-    /// Captured span subtree (root first).
-    pub spans: Vec<DumpSpan>,
-}
-
-/// A parsed forensic dump: the triggering anomaly, the flight ring, the
-/// exemplars, and the raw window series (kept as JSON for re-export).
+/// A forensic dump as `Telemetry::forensic_dump` renders it: the
+/// triggering anomaly, the flight snapshot, and the window series.
 #[derive(Debug, Clone)]
 pub struct ForensicDump {
     /// Rule source text of the anomaly that triggered the dump.
@@ -319,279 +238,48 @@ pub struct ForensicDump {
     pub anomaly_series: String,
     /// Window index the rule fired in.
     pub anomaly_window: u64,
-    /// Ring capacity in slots.
-    pub capacity: u64,
-    /// Total events ever appended (≥ retained count when wrapped).
-    pub total: u64,
-    /// Events the ring overwrote.
-    pub dropped: u64,
-    /// Retained events, oldest first.
-    pub events: Vec<FlightEvent>,
-    /// Worst-K exemplars across retained windows.
-    pub exemplars: Vec<DumpExemplar>,
-    /// The `series` subdocument (perfmon `series_json` shape), verbatim.
+    /// The flight ring and exemplars.
+    pub flight: FlightSnapshot,
+    /// The `series` section (perfmon `series_json` shape), verbatim.
     pub series: serde_json::Value,
 }
 
 impl ForensicDump {
-    /// Parses a forensic dump document (as written by the `forensics`
-    /// harness / `Telemetry::forensic_dump`).
+    /// Parses a forensic dump document.
+    ///
+    /// # Errors
+    ///
+    /// The text is not JSON, a section is missing, or its fields are
+    /// malformed ([`FlightSnapshot::from_json`]).
     pub fn parse(text: &str) -> Result<ForensicDump, String> {
         let doc = parse_json(text)?;
-        let anomaly = doc.get("anomaly").ok_or("dump has no `anomaly`")?;
-        let flight = doc.get("flight").ok_or("dump has no `flight`")?;
-        let series = doc
-            .get("series")
-            .cloned()
-            .unwrap_or(serde_json::Value::Null);
-        let field = |v: &serde_json::Value, k: &str| -> Result<u64, String> {
-            v.get(k).and_then(as_u64).ok_or(format!("missing `{k}`"))
+        let section = |k: &str| doc.get(k).ok_or(format!("dump has no `{k}`"));
+        let anomaly = section("anomaly")?;
+        let text = |k: &str| {
+            let v = anomaly.get(k).and_then(serde_json::Value::as_str);
+            v.map(str::to_string)
+                .ok_or(format!("anomaly `{k}` is not a string"))
         };
-        let mut events = Vec::new();
-        for ev in as_array(flight.get("events").ok_or("flight has no `events`")?)
-            .ok_or("`events` is not an array")?
-        {
-            let f = as_array(ev).ok_or("event is not an array")?;
-            if f.len() != 5 {
-                return Err(format!("event has {} fields, want 5", f.len()));
-            }
-            let kind_raw = as_u64(&f[1]).ok_or("event kind not an integer")? as u8;
-            events.push(FlightEvent {
-                t_ns: as_u64(&f[0]).ok_or("event t_ns not an integer")?,
-                kind: FlightEventKind::from_u8(kind_raw)
-                    .ok_or(format!("unknown event kind {kind_raw}"))?,
-                func: as_u64(&f[2]).ok_or("event func not an integer")? as u32,
-                a: as_u64(&f[3]).ok_or("event a not an integer")?,
-                b: as_u64(&f[4]).ok_or("event b not an integer")?,
-            });
-        }
-        let mut exemplars = Vec::new();
-        for ex in as_array(flight.get("exemplars").ok_or("flight has no `exemplars`")?)
-            .ok_or("`exemplars` is not an array")?
-        {
-            let mut spans = Vec::new();
-            for sp in as_array(ex.get("spans").ok_or("exemplar has no `spans`")?)
-                .ok_or("`spans` is not an array")?
-            {
-                let mut attrs = Vec::new();
-                for kv in as_array(sp.get("attrs").ok_or("span has no `attrs`")?)
-                    .ok_or("`attrs` is not an array")?
-                {
-                    let pair = as_array(kv).ok_or("attr is not a pair")?;
-                    attrs.push((
-                        as_str(&pair[0]).ok_or("attr key not a string")?.to_string(),
-                        as_u64(&pair[1]).ok_or("attr value not an integer")?,
-                    ));
-                }
-                spans.push(DumpSpan {
-                    id: field(sp, "id")?,
-                    parent: field(sp, "parent")?,
-                    layer: as_str(sp.get("layer").ok_or("span has no `layer`")?)
-                        .ok_or("`layer` not a string")?
-                        .to_string(),
-                    name: as_str(sp.get("name").ok_or("span has no `name`")?)
-                        .ok_or("`name` not a string")?
-                        .to_string(),
-                    start_ns: field(sp, "start_ns")?,
-                    end_ns: field(sp, "end_ns")?,
-                    attrs,
-                });
-            }
-            exemplars.push(DumpExemplar {
-                window: field(ex, "window")?,
-                seq: field(ex, "seq")?,
-                disk: field(ex, "disk")? as u32,
-                t_ns: field(ex, "t_ns")?,
-                latency_ns: field(ex, "latency_ns")?,
-                root: field(ex, "root")?,
-                spans,
-            });
-        }
         Ok(ForensicDump {
-            anomaly_text: as_str(anomaly.get("text").ok_or("anomaly has no `text`")?)
-                .ok_or("`text` not a string")?
-                .to_string(),
-            anomaly_series: as_str(anomaly.get("series").ok_or("anomaly has no `series`")?)
-                .ok_or("`series` not a string")?
-                .to_string(),
-            anomaly_window: field(anomaly, "window")?,
-            capacity: field(flight, "capacity")?,
-            total: field(flight, "total")?,
-            dropped: field(flight, "dropped")?,
-            events,
-            exemplars,
-            series,
+            anomaly_text: text("text")?,
+            anomaly_series: text("series")?,
+            anomaly_window: anomaly
+                .get("window")
+                .and_then(serde_json::Value::as_u64)
+                .ok_or("anomaly `window` is not an integer")?,
+            flight: FlightSnapshot::from_json(section("flight")?)?,
+            series: section("series")?.clone(),
         })
     }
+}
 
-    /// The retained events attributed to one VF (`func` field), oldest
-    /// first. Walk/translation events carry a level rather than a VF in
-    /// `func` and are excluded.
-    pub fn vf_events(&self, vf: u32) -> Vec<&FlightEvent> {
-        self.events
-            .iter()
-            .filter(|e| e.func == vf && !matches!(e.kind, FlightEventKind::BtlbMiss))
-            .collect()
-    }
-
-    /// The worst exemplar (highest latency; ties break to the earlier
-    /// sequence number, matching the recorder's fold order).
-    pub fn worst_exemplar(&self) -> Option<&DumpExemplar> {
-        self.exemplars
-            .iter()
-            .min_by(|a, b| b.latency_ns.cmp(&a.latency_ns).then(a.seq.cmp(&b.seq)))
-    }
-
-    /// Phase breakdown of request `seq` derived purely from flight
-    /// events — the contract the `RequestStart`/`Doorbell`/
-    /// `RequestComplete` payloads encode for the direct path:
-    ///
-    /// * `guest_submit` — request start to doorbell write begin
-    /// * `doorbell`     — the doorbell MMIO itself
-    /// * `device_wait`  — doorbell done to device completion
-    /// * `guest_complete` — completion processing in the guest
-    ///
-    /// Returns `None` if any of the three anchor events fell out of the
-    /// ring.
-    pub fn breakdown_from_events(&self, seq: u64) -> Option<Vec<(&'static str, u64)>> {
-        let find =
-            |kind: FlightEventKind| self.events.iter().find(|e| e.kind == kind && e.a == seq);
-        let start = find(FlightEventKind::RequestStart)?;
-        let doorbell = find(FlightEventKind::Doorbell)?;
-        let complete = find(FlightEventKind::RequestComplete)?;
-        Some(vec![
-            ("guest_submit", doorbell.b.saturating_sub(start.t_ns)),
-            ("doorbell", doorbell.t_ns.saturating_sub(doorbell.b)),
-            ("device_wait", complete.b.saturating_sub(doorbell.t_ns)),
-            ("guest_complete", complete.t_ns.saturating_sub(complete.b)),
-        ])
-    }
-
-    /// Phase breakdown of an exemplar derived from its captured span
-    /// subtree: the root's direct children, durations summed by name in
-    /// first-appearance order (the same contract as
-    /// `SpanTree::child_breakdown`).
-    pub fn breakdown_from_spans(ex: &DumpExemplar) -> Vec<(String, u64)> {
-        let mut out: Vec<(String, u64)> = Vec::new();
-        for s in ex.spans.iter().filter(|s| s.parent == ex.root) {
-            match out.iter_mut().find(|(n, _)| *n == s.name) {
-                Some((_, total)) => *total += s.duration_ns(),
-                None => out.push((s.name.clone(), s.duration_ns())),
-            }
-        }
-        out
-    }
-
-    /// Per-function busy-time attribution from `MediaService` /
-    /// `LinkService` events: `(func, media_ns, link_ns)` sorted by total
-    /// descending (ties to the lower function id), truncated to `k`.
-    pub fn contention_top_k(&self, k: usize) -> Vec<(u32, u64, u64)> {
-        let mut per_func: Vec<(u32, u64, u64)> = Vec::new();
-        for e in &self.events {
-            let busy = e.t_ns.saturating_sub(e.a);
-            let slot = match per_func.iter_mut().find(|(f, _, _)| *f == e.func) {
-                Some(s) => s,
-                None => {
-                    if !matches!(
-                        e.kind,
-                        FlightEventKind::MediaService | FlightEventKind::LinkService
-                    ) {
-                        continue;
-                    }
-                    per_func.push((e.func, 0, 0));
-                    per_func.last_mut().expect("just pushed")
-                }
-            };
-            match e.kind {
-                FlightEventKind::MediaService => slot.1 += busy,
-                FlightEventKind::LinkService => slot.2 += busy,
-                _ => {}
-            }
-        }
-        per_func.sort_by(|a, b| (b.1 + b.2).cmp(&(a.1 + a.2)).then(a.0.cmp(&b.0)));
-        per_func.truncate(k);
-        per_func
-    }
-
-    /// Re-exports the dump as a Chrome/Perfetto trace document: every
-    /// exemplar span as a complete (`ph:"X"`) event on per-layer
-    /// swimlanes, plus one counter track per window series, so the
-    /// forensic evidence opens as one merged Perfetto view.
-    pub fn perfetto_json(&self) -> serde_json::Value {
-        let mut layers: Vec<&str> = Vec::new();
-        for ex in &self.exemplars {
-            for s in &ex.spans {
-                if !layers.contains(&s.layer.as_str()) {
-                    layers.push(&s.layer);
-                }
-            }
-        }
-        let mut events: Vec<serde_json::Value> = Vec::new();
-        for (tid, layer) in layers.iter().enumerate() {
-            events.push(serde_json::json!({
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 1,
-                "tid": tid + 1,
-                "args": { "name": *layer },
-            }));
-        }
-        for ex in &self.exemplars {
-            for s in &ex.spans {
-                let tid = layers.iter().position(|l| *l == s.layer).unwrap_or(0) + 1;
-                let mut args: Vec<(String, serde_json::Value)> = vec![
-                    ("span".to_string(), serde_json::Value::from(s.id)),
-                    ("parent".to_string(), serde_json::Value::from(s.parent)),
-                    ("exemplar_seq".to_string(), serde_json::Value::from(ex.seq)),
-                ];
-                for (k, v) in &s.attrs {
-                    args.push((k.clone(), serde_json::Value::from(*v)));
-                }
-                events.push(serde_json::json!({
-                    "name": s.name.clone(),
-                    "cat": s.layer.clone(),
-                    "ph": "X",
-                    "ts": s.start_ns as f64 / 1_000.0,
-                    "dur": s.duration_ns() as f64 / 1_000.0,
-                    "pid": 1,
-                    "tid": tid,
-                    "args": serde_json::Value::Object(args),
-                }));
-            }
-        }
-        // Counter tracks from the dump's window series (perfmon
-        // `series_json` shape: interval_ns + per-series samples).
-        if let (Some(interval), Some(series)) = (
-            self.series.get("interval_ns").and_then(as_u64),
-            self.series.get("series").and_then(as_array),
-        ) {
-            for s in series {
-                let (Some(name), Some(first), Some(samples)) = (
-                    s.get("name").and_then(as_str),
-                    s.get("first_window").and_then(as_u64),
-                    s.get("samples").and_then(as_array),
-                ) else {
-                    continue;
-                };
-                for (i, v) in samples.iter().enumerate() {
-                    let Some(v) = as_u64(v) else { continue };
-                    let end_ns = (first + i as u64 + 1) * interval;
-                    events.push(serde_json::json!({
-                        "name": name,
-                        "ph": "C",
-                        "pid": 1,
-                        "tid": 0,
-                        "ts": end_ns as f64 / 1_000.0,
-                        "args": { "value": v },
-                    }));
-                }
-            }
-        }
-        serde_json::json!({
-            "traceEvents": events,
-            "displayTimeUnit": "ns",
-        })
-    }
+/// The forensic window as one Perfetto trace: the exemplar span trees on
+/// per-layer swimlanes ([`FlightSnapshot::exemplar_trace_json`]) with one
+/// counter track per window series merged in.
+pub fn window_trace(flight: &FlightSnapshot, series: &serde_json::Value) -> serde_json::Value {
+    let mut trace = flight.exemplar_trace_json();
+    perfmon::merge_counter_tracks(&mut trace, series);
+    trace
 }
 
 #[cfg(test)]
@@ -630,114 +318,46 @@ mod tests {
         let doc = serde_json::json!({ "s": "héllo→🚀" });
         let text = serde_json::to_string(&doc).unwrap();
         let back = parse_json(&text).unwrap();
-        assert_eq!(as_str(back.get("s").unwrap()), Some("héllo→🚀"));
+        assert_eq!(back.get("s").unwrap().as_str(), Some("héllo→🚀"));
         let escaped = parse_json("\"\\u0041\\u00e9\"").unwrap();
-        assert_eq!(as_str(&escaped), Some("Aé"));
+        assert_eq!(escaped.as_str(), Some("Aé"));
     }
 
-    #[test]
-    fn contention_sums_busy_time_per_func() {
-        let mk = |kind, func, a, t| FlightEvent {
-            t_ns: t,
-            kind,
-            func,
-            a,
-            b: 1,
-        };
-        let dump = ForensicDump {
-            anomaly_text: String::new(),
-            anomaly_series: String::new(),
-            anomaly_window: 0,
-            capacity: 16,
-            total: 4,
-            dropped: 0,
-            events: vec![
-                mk(FlightEventKind::MediaService, 1, 100, 300),
-                mk(FlightEventKind::LinkService, 1, 300, 350),
-                mk(FlightEventKind::MediaService, 2, 400, 450),
-                mk(FlightEventKind::Doorbell, 3, 0, 10),
-            ],
-            exemplars: Vec::new(),
-            series: serde_json::Value::Null,
-        };
-        let top = dump.contention_top_k(10);
-        assert_eq!(top, vec![(1, 200, 50), (2, 50, 0)]);
+    fn committed(name: &str) -> String {
+        let path = format!("{}/../../results/{name}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_to_string(path).unwrap()
     }
 
+    /// The reader is the writer's inverse on the committed dump: its
+    /// flight section reads into a `FlightSnapshot` that renders back
+    /// byte-identically.
     #[test]
-    fn event_breakdown_follows_the_payload_contract() {
-        let dump = ForensicDump {
-            anomaly_text: String::new(),
-            anomaly_series: String::new(),
-            anomaly_window: 0,
-            capacity: 16,
-            total: 3,
-            dropped: 0,
-            events: vec![
-                FlightEvent {
-                    t_ns: 1000,
-                    kind: FlightEventKind::RequestStart,
-                    func: 1,
-                    a: 7,
-                    b: 0,
-                },
-                FlightEvent {
-                    t_ns: 1300,
-                    kind: FlightEventKind::Doorbell,
-                    func: 1,
-                    a: 7,
-                    b: 1200,
-                },
-                FlightEvent {
-                    t_ns: 5000,
-                    kind: FlightEventKind::RequestComplete,
-                    func: 1,
-                    a: 7,
-                    b: 4600,
-                },
-            ],
-            exemplars: Vec::new(),
-            series: serde_json::Value::Null,
-        };
+    fn committed_flight_section_rerenders_byte_identically() {
+        let doc = parse_json(&committed("forensic_dump.json")).unwrap();
+        let flight = doc.get("flight").unwrap();
+        let snap = FlightSnapshot::from_json(flight).unwrap();
+        assert!(!snap.events.is_empty() && !snap.exemplars.is_empty());
         assert_eq!(
-            dump.breakdown_from_events(7),
-            Some(vec![
-                ("guest_submit", 200),
-                ("doorbell", 100),
-                ("device_wait", 3300),
-                ("guest_complete", 400),
-            ])
+            serde_json::to_string_pretty(&snap.to_json()).unwrap(),
+            serde_json::to_string_pretty(flight).unwrap()
         );
-        assert_eq!(dump.breakdown_from_events(8), None);
     }
 
     /// The ring and the span tree are two folds of one probe report, so
     /// every exemplar in the committed dump — not only the worst, which
-    /// `nesc-inspect why` shows — must get the same phase breakdown from
-    /// both.
+    /// `nesc-inspect why` shows — must pass the checked breakdown.
     #[test]
     fn committed_dump_breakdowns_agree_for_every_exemplar() {
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../results/forensic_dump.json"
-        );
-        let text = std::fs::read_to_string(path).unwrap();
-        let dump = ForensicDump::parse(&text).unwrap();
-        assert!(!dump.exemplars.is_empty());
-        for ex in &dump.exemplars {
-            let events = dump.breakdown_from_events(ex.seq).unwrap_or_else(|| {
-                panic!("request {}'s anchor events fell out of the ring", ex.seq)
-            });
-            let events: Vec<(String, u64)> = events
-                .into_iter()
-                .map(|(n, ns)| (n.to_string(), ns))
-                .collect();
-            assert_eq!(
-                events,
-                ForensicDump::breakdown_from_spans(ex),
-                "request {}",
-                ex.seq
-            );
+        let dump = ForensicDump::parse(&committed("forensic_dump.json")).unwrap();
+        assert!(!dump.flight.exemplars.is_empty());
+        for ex in &dump.flight.exemplars {
+            dump.flight.checked_breakdown(ex).unwrap();
         }
+    }
+
+    #[test]
+    fn dump_without_a_section_is_rejected() {
+        let err = ForensicDump::parse(r#"{"flight": {}, "series": {}}"#).unwrap_err();
+        assert_eq!(err, "dump has no `anomaly`");
     }
 }

@@ -271,7 +271,9 @@ impl Telemetry {
     }
 
     /// Registers the per-disk series (`hv.vf<d>.*`; and
-    /// `core.ring_depth.f<f>` when the disk has a VF). A disk attached
+    /// `core.ring_depth.f<f>` when the disk has a VF — once per VF slot,
+    /// so a disk attached into a slot a detach freed reuses the gauge
+    /// already there). A disk attached
     /// after windows have already closed starts sampling at the current
     /// window. Its ring must be empty now (a fresh VF's is, and the system
     /// drains every ring before an I/O call returns): from here on, only
@@ -303,12 +305,13 @@ impl Telemetry {
         self.vfs[d] = Some(vf);
         if let Some(FuncId(f)) = func {
             let name = format!("core.ring_depth.f{f}");
-            let id = self.sampler.register(&name, "entries", SeriesKind::Gauge);
             let f = usize::from(f);
             if self.rings.len() <= f {
                 self.rings.resize(f + 1, None);
             }
-            self.rings[f] = Some(id);
+            let sampler = &mut self.sampler;
+            self.rings[f]
+                .get_or_insert_with(|| sampler.register(&name, "entries", SeriesKind::Gauge));
         }
     }
 

@@ -26,7 +26,11 @@
 //! * **Snapshots** — [`FlightRecorder::snapshot`] copies the ring and the
 //!   exemplars into a typed [`FlightSnapshot`]; nothing is rendered until
 //!   a reader calls [`FlightSnapshot::to_json`], the one renderer of
-//!   flight rows and exemplar spans.
+//!   flight rows and exemplar spans. [`FlightSnapshot::from_json`] beside
+//!   it reads a rendered dump back, so a live snapshot and a dump on disk
+//!   are one model: the forensic queries (worst exemplar, per-VF events,
+//!   the checked phase breakdown, contention) and the Perfetto export of
+//!   the exemplar spans are its methods.
 //! * **Determinism** — everything is driven by simulated time and
 //!   integer state; the same seed produces a byte-identical
 //!   [`FlightSnapshot::to_json`], which is what makes the forensic dump
@@ -47,13 +51,14 @@
 //! ```
 
 use std::cell::{Cell, Ref, RefCell};
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
+use std::sync::{Mutex, PoisonError};
 
 use crate::probe::Completion;
 use crate::selfcheck::fnv1a;
 use crate::time::SimTime;
-use crate::trace::{Span, SpanId};
+use crate::trace::{chrome_trace_json, Span, SpanId, SpanTree};
 
 /// What one ring slot records. The discriminant is the integer stored in
 /// the serialized dump; [`FlightEventKind::from_u8`] decodes it back.
@@ -362,16 +367,10 @@ impl FlightRecorder {
         }
     }
 
-    /// The recorder state as deterministic JSON (see
-    /// [`FlightSnapshot::to_json`]).
-    pub fn snapshot_json(&self) -> serde_json::Value {
-        self.snapshot().to_json()
-    }
-
     /// Stable FNV-1a hash over the serialized snapshot — the section hash
     /// the divergence self-check folds in.
     pub fn digest_hash(&self) -> u64 {
-        let json = serde_json::to_string(&self.snapshot_json()).unwrap_or_default();
+        let json = serde_json::to_string(&self.snapshot().to_json()).unwrap_or_default();
         fnv1a(json.as_bytes())
     }
 }
@@ -447,6 +446,240 @@ impl FlightSnapshot {
             "exemplars": exemplars,
         })
     }
+
+    /// Reads back a document [`to_json`](Self::to_json) rendered, so
+    /// `from_json(&s.to_json())` re-renders byte-identically. Span layers,
+    /// names and attribute keys are interned.
+    ///
+    /// # Errors
+    ///
+    /// The first malformed part: a missing key, a field that is not a
+    /// non-negative integer (or string, for names), an event row without
+    /// exactly 5 fields, or an unknown event kind.
+    pub fn from_json(doc: &serde_json::Value) -> Result<FlightSnapshot, String> {
+        let int = |v: &serde_json::Value, key: &str| uint(field(v, key)?, key);
+        let name = |v: &serde_json::Value, key: &str| text(field(v, key)?, key);
+        let event = |row: &serde_json::Value| {
+            let row = list(row, "event")?;
+            let [t_ns, kind, func, a, b] = row else {
+                return Err(format!("event has {} fields, want 5", row.len()));
+            };
+            let kind = uint(kind, "kind")?;
+            Ok(FlightEvent {
+                t_ns: uint(t_ns, "t_ns")?,
+                kind: u8::try_from(kind)
+                    .ok()
+                    .and_then(FlightEventKind::from_u8)
+                    .ok_or_else(|| format!("unknown event kind {kind}"))?,
+                func: narrow(uint(func, "func")?, "func")?,
+                a: uint(a, "a")?,
+                b: uint(b, "b")?,
+            })
+        };
+        let span = |s: &serde_json::Value| {
+            let attr = |kv: &serde_json::Value| match list(kv, "attr")? {
+                [k, v] => Ok((text(k, "attr key")?, uint(v, "attr value")?)),
+                kv => Err(format!("attr has {} fields, want 2", kv.len())),
+            };
+            let attrs = list(field(s, "attrs")?, "attrs")?.iter().map(attr);
+            // nesc-lint::allow(D5): rebuilds spans the tracer recorded, ids
+            // and parents as the dump carries them.
+            Ok(Span {
+                id: SpanId(int(s, "id")?),
+                parent: SpanId(int(s, "parent")?),
+                layer: name(s, "layer")?,
+                name: name(s, "name")?,
+                start: SimTime::from_nanos(int(s, "start_ns")?),
+                end: SimTime::from_nanos(int(s, "end_ns")?),
+                attrs: attrs.collect::<Result<_, String>>()?,
+            })
+        };
+        let exemplar = |x: &serde_json::Value| {
+            let spans = list(field(x, "spans")?, "spans")?.iter().map(span);
+            Ok(Exemplar {
+                window: int(x, "window")?,
+                seq: int(x, "seq")?,
+                disk: narrow(int(x, "disk")?, "disk")?,
+                t_ns: int(x, "t_ns")?,
+                latency_ns: int(x, "latency_ns")?,
+                root: int(x, "root")?,
+                spans: spans.collect::<Result<_, String>>()?,
+            })
+        };
+        let events = list(field(doc, "events")?, "events")?.iter().map(event);
+        let exemplars = list(field(doc, "exemplars")?, "exemplars")?.iter();
+        Ok(FlightSnapshot {
+            capacity: narrow(int(doc, "capacity")?, "capacity")?,
+            total: int(doc, "total")?,
+            dropped: int(doc, "dropped")?,
+            events: events.collect::<Result<_, String>>()?,
+            exemplars: exemplars.map(exemplar).collect::<Result<_, String>>()?,
+        })
+    }
+
+    /// The worst exemplar: highest latency, ties to the earlier sequence
+    /// number (the recorder's fold order).
+    pub fn worst_exemplar(&self) -> Option<&Exemplar> {
+        self.exemplars
+            .iter()
+            .min_by(|a, b| b.latency_ns.cmp(&a.latency_ns).then(a.seq.cmp(&b.seq)))
+    }
+
+    /// The retained events attributed to VF `vf`, oldest first. A
+    /// `BtlbMiss` carries a nesting level in `func`, not a VF, and is
+    /// left out.
+    pub fn vf_events(&self, vf: u32) -> Vec<&FlightEvent> {
+        self.events
+            .iter()
+            .filter(|e| e.func == vf && e.kind != FlightEventKind::BtlbMiss)
+            .collect()
+    }
+
+    /// Phase breakdown of request `seq` from its ring events alone, by
+    /// the `RequestStart`/`Doorbell`/`RequestComplete` payload contract:
+    ///
+    /// * `guest_submit` — request start to the doorbell write's start
+    /// * `doorbell` — the doorbell MMIO itself
+    /// * `device_wait` — doorbell landed to device completion
+    /// * `guest_complete` — completion processing in the guest
+    ///
+    /// `None` if any of the three anchors fell out of the ring.
+    pub fn breakdown_from_events(&self, seq: u64) -> Option<Vec<(&'static str, u64)>> {
+        let find =
+            |kind: FlightEventKind| self.events.iter().find(|e| e.kind == kind && e.a == seq);
+        let start = find(FlightEventKind::RequestStart)?;
+        let doorbell = find(FlightEventKind::Doorbell)?;
+        let complete = find(FlightEventKind::RequestComplete)?;
+        Some(vec![
+            ("guest_submit", doorbell.b.saturating_sub(start.t_ns)),
+            ("doorbell", doorbell.t_ns.saturating_sub(doorbell.b)),
+            ("device_wait", complete.b.saturating_sub(doorbell.t_ns)),
+            ("guest_complete", complete.t_ns.saturating_sub(complete.b)),
+        ])
+    }
+
+    /// Why `ex` was slow: its phases derived from the ring
+    /// ([`breakdown_from_events`](Self::breakdown_from_events)) and from
+    /// its span tree ([`SpanTree::child_breakdown`] of the root), which
+    /// must agree phase by phase and sum to the request's latency — the
+    /// ring and the spans are two folds of one probe report.
+    ///
+    /// # Errors
+    ///
+    /// The anchors fell out of the ring, the two derivations disagree,
+    /// or the phases do not sum to the latency.
+    pub fn checked_breakdown(&self, ex: &Exemplar) -> Result<Vec<(&'static str, u64)>, String> {
+        let events = self.breakdown_from_events(ex.seq).ok_or_else(|| {
+            format!(
+                "request {}'s anchor events fell out of the ring (capacity {})",
+                ex.seq, self.capacity
+            )
+        })?;
+        let spans: Vec<(&'static str, u64)> = SpanTree::new(ex.spans.clone())
+            .child_breakdown(SpanId(ex.root))
+            .into_iter()
+            .map(|(name, _, ns)| (name, ns))
+            .collect();
+        if events != spans {
+            return Err(format!(
+                "request {}: event-derived phases {events:?} != span-derived {spans:?}",
+                ex.seq
+            ));
+        }
+        let total: u64 = events.iter().map(|&(_, ns)| ns).sum();
+        if total != ex.latency_ns {
+            return Err(format!(
+                "request {}: phases sum to {total} ns but it took {} ns",
+                ex.seq, ex.latency_ns
+            ));
+        }
+        Ok(events)
+    }
+
+    /// Per-function busy time from `MediaService`/`LinkService` events:
+    /// `(func, media_ns, link_ns)`, largest total first (ties to the lower
+    /// function id), at most `k` rows.
+    pub fn contention_top_k(&self, k: usize) -> Vec<(u32, u64, u64)> {
+        let mut per_func: Vec<(u32, u64, u64)> = Vec::new();
+        for e in &self.events {
+            let busy = e.t_ns.saturating_sub(e.a);
+            let (media, link) = match e.kind {
+                FlightEventKind::MediaService => (busy, 0),
+                FlightEventKind::LinkService => (0, busy),
+                _ => continue,
+            };
+            match per_func.iter_mut().find(|(f, _, _)| *f == e.func) {
+                Some(slot) => (slot.1, slot.2) = (slot.1 + media, slot.2 + link),
+                None => per_func.push((e.func, media, link)),
+            }
+        }
+        per_func.sort_by(|a, b| (b.1 + b.2).cmp(&(a.1 + a.2)).then(a.0.cmp(&b.0)));
+        per_func.truncate(k);
+        per_func
+    }
+
+    /// The exemplar spans as one Chrome/Perfetto trace
+    /// ([`chrome_trace_json`]), each span tagged with its request's
+    /// `exemplar_seq` ahead of its own attributes.
+    pub fn exemplar_trace_json(&self) -> serde_json::Value {
+        let spans: Vec<Span> = self
+            .exemplars
+            .iter()
+            .flat_map(|x| {
+                x.spans.iter().map(|s| {
+                    let mut s = s.clone();
+                    s.attrs.insert(0, ("exemplar_seq", x.seq));
+                    s
+                })
+            })
+            .collect();
+        chrome_trace_json(&spans)
+    }
+}
+
+/// `v[key]`, or an error naming the missing key.
+fn field<'a>(v: &'a serde_json::Value, key: &str) -> Result<&'a serde_json::Value, String> {
+    v.get(key).ok_or_else(|| format!("missing `{key}`"))
+}
+
+/// `v` as a non-negative integer; `what` names it in the error.
+fn uint(v: &serde_json::Value, what: &str) -> Result<u64, String> {
+    v.as_u64()
+        .ok_or_else(|| format!("`{what}` is not a non-negative integer"))
+}
+
+/// `v` as an array; `what` names it in the error.
+fn list<'a>(v: &'a serde_json::Value, what: &str) -> Result<&'a [serde_json::Value], String> {
+    v.as_array()
+        .map(Vec::as_slice)
+        .ok_or_else(|| format!("`{what}` is not an array"))
+}
+
+/// `v` as an interned string; `what` names it in the error.
+fn text(v: &serde_json::Value, what: &str) -> Result<&'static str, String> {
+    v.as_str()
+        .map(intern)
+        .ok_or_else(|| format!("`{what}` is not a string"))
+}
+
+/// `v` narrowed to the field's type; `what` names it in the error.
+fn narrow<T: TryFrom<u64>>(v: u64, what: &str) -> Result<T, String> {
+    T::try_from(v).map_err(|_| format!("`{what}` {v} is out of range"))
+}
+
+/// The `'static` copy of `s`. Each distinct string is leaked once per
+/// process: a dump names a few dozen layers, span names and attribute
+/// keys, which [`Span`] holds as `&'static str`. Every insert leaves the
+/// pool valid, so a lock poisoned by a panicking reader is still usable.
+fn intern(s: &str) -> &'static str {
+    static POOL: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    let mut pool = POOL.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(&interned) = pool.get(s) {
+        return interned;
+    }
+    let interned: &'static str = Box::leak(s.into());
+    pool.insert(interned);
+    interned
 }
 
 /// A cheaply cloneable recorder handle, mirroring [`Tracer`](crate::Tracer):
@@ -488,11 +721,6 @@ impl FlightHandle {
         self.inner.as_deref()
     }
 
-    /// The serialized recorder state, if enabled.
-    pub fn snapshot_json(&self) -> Option<serde_json::Value> {
-        self.with(FlightRecorder::snapshot_json)
-    }
-
     /// Stable hash of the recorder state (0 when disabled).
     pub fn digest_hash(&self) -> u64 {
         self.with(FlightRecorder::digest_hash).unwrap_or(0)
@@ -524,7 +752,7 @@ mod tests {
         let h = FlightHandle::disabled();
         assert!(!h.is_enabled());
         assert_eq!(h.with(|r| r.total()), None);
-        assert_eq!(h.snapshot_json(), None);
+        assert!(h.with(FlightRecorder::snapshot).is_none());
         assert_eq!(h.digest_hash(), 0);
     }
 
@@ -607,7 +835,7 @@ mod tests {
             r.append(t(5), FlightEventKind::RequestStart, 1, 42, 0);
             r.append(t(9), FlightEventKind::Doorbell, 1, 42, 5);
             r.close_window(0, &mut [done(50, 42, 45, SpanId::NONE)], |_| Vec::new());
-            serde_json::to_string(&r.snapshot_json()).unwrap()
+            serde_json::to_string(&r.snapshot().to_json()).unwrap()
         };
         let a = run();
         assert_eq!(a, run(), "same inputs, byte-identical snapshot");
@@ -615,7 +843,7 @@ mod tests {
         let r = FlightRecorder::new(FlightConfig::default().capacity(8));
         r.append(t(5), FlightEventKind::RequestStart, 1, 42, 0);
         r.append(t(9), FlightEventKind::Doorbell, 1, 42, 5);
-        let snapshot = r.snapshot_json();
+        let snapshot = r.snapshot().to_json();
         let Some(serde_json::Value::Array(events)) = snapshot.get("events") else {
             panic!("snapshot has no events array");
         };
@@ -640,5 +868,160 @@ mod tests {
             assert!(!kind.as_str().is_empty());
         }
         assert_eq!(FlightEventKind::from_u8(11), None);
+    }
+
+    /// A snapshot with a wrapped ring, an exemplar with spans and one
+    /// captured with tracing off.
+    fn synthetic_snapshot() -> FlightSnapshot {
+        use crate::trace::Tracer;
+        let tracer = Tracer::enabled();
+        let root = tracer.start(SpanId::NONE, "guest", "request", t(0));
+        let child = tracer.span(root, "core", "device_wait", t(10), t(90));
+        tracer.attr(child, "blocks", 4);
+        tracer.attr(child, "disk", 1);
+        tracer.end(root, t(100));
+        let r = FlightRecorder::new(FlightConfig::default().capacity(4));
+        for i in 0..6u64 {
+            r.append(t(i), FlightEventKind::from_u8(i as u8).unwrap(), 3, i, 7);
+        }
+        let mut done = [done(100, 7, 100, root), done(120, 8, 20, SpanId::NONE)];
+        r.close_window(0, &mut done, |root| tracer.subtree(root));
+        r.snapshot()
+    }
+
+    #[test]
+    fn snapshot_roundtrips_through_json() {
+        let snap = synthetic_snapshot();
+        assert_eq!(snap.dropped, 2, "the ring wrapped");
+        assert!(snap.exemplars[1].spans.is_empty());
+        let doc = snap.to_json();
+        let back = FlightSnapshot::from_json(&doc).unwrap();
+        assert_eq!(back.events, snap.events);
+        assert_eq!(back.exemplars[0].spans, snap.exemplars[0].spans);
+        assert_eq!(
+            serde_json::to_string_pretty(&back.to_json()).unwrap(),
+            serde_json::to_string_pretty(&doc).unwrap()
+        );
+    }
+
+    #[test]
+    fn reader_rejects_malformed_rows() {
+        let doc = synthetic_snapshot().to_json();
+        let with_events = |events: serde_json::Value| {
+            let mut d = doc.clone();
+            *d.get_mut("events").unwrap() = events;
+            FlightSnapshot::from_json(&d).unwrap_err()
+        };
+        let short = with_events(serde_json::json!([[1, 2, 3, 4]]));
+        assert_eq!(short, "event has 4 fields, want 5");
+        let kind = with_events(serde_json::json!([[1, 11, 3, 4, 5]]));
+        assert_eq!(kind, "unknown event kind 11");
+        let wide_kind = with_events(serde_json::json!([[1, 257, 3, 4, 5]]));
+        assert_eq!(wide_kind, "unknown event kind 257");
+        let negative = with_events(serde_json::json!([[1, 2, -3, 4, 5]]));
+        assert_eq!(negative, "`func` is not a non-negative integer");
+        let text = with_events(serde_json::json!([[1, 2, 3, "a", 5]]));
+        assert_eq!(text, "`a` is not a non-negative integer");
+        let mut missing = doc.clone();
+        let serde_json::Value::Object(pairs) = &mut missing else {
+            unreachable!()
+        };
+        pairs.retain(|(k, _)| k != "dropped");
+        let err = FlightSnapshot::from_json(&missing).unwrap_err();
+        assert_eq!(err, "missing `dropped`");
+    }
+
+    #[test]
+    fn contention_sums_busy_time_per_func() {
+        let mk = |kind, func, a, t_ns| FlightEvent {
+            t_ns,
+            kind,
+            func,
+            a,
+            b: 1,
+        };
+        let snap = FlightSnapshot {
+            capacity: 16,
+            total: 4,
+            dropped: 0,
+            events: vec![
+                mk(FlightEventKind::MediaService, 1, 100, 300),
+                mk(FlightEventKind::LinkService, 1, 300, 350),
+                mk(FlightEventKind::MediaService, 2, 400, 450),
+                mk(FlightEventKind::Doorbell, 3, 0, 10),
+            ],
+            exemplars: Vec::new(),
+        };
+        assert_eq!(snap.contention_top_k(10), vec![(1, 200, 50), (2, 50, 0)]);
+        assert_eq!(snap.contention_top_k(1), vec![(1, 200, 50)]);
+    }
+
+    #[test]
+    fn event_breakdown_follows_the_payload_contract() {
+        let mk = |t_ns, kind, b| FlightEvent {
+            t_ns,
+            kind,
+            func: 1,
+            a: 7,
+            b,
+        };
+        let snap = FlightSnapshot {
+            capacity: 16,
+            total: 3,
+            dropped: 0,
+            events: vec![
+                mk(1000, FlightEventKind::RequestStart, 0),
+                mk(1300, FlightEventKind::Doorbell, 1200),
+                mk(5000, FlightEventKind::RequestComplete, 4600),
+            ],
+            exemplars: Vec::new(),
+        };
+        assert_eq!(
+            snap.breakdown_from_events(7),
+            Some(vec![
+                ("guest_submit", 200),
+                ("doorbell", 100),
+                ("device_wait", 3300),
+                ("guest_complete", 400),
+            ])
+        );
+        assert_eq!(snap.breakdown_from_events(8), None);
+    }
+
+    #[test]
+    fn checked_breakdown_needs_both_derivations_to_agree_and_tile() {
+        use crate::trace::Tracer;
+        let tracer = Tracer::enabled();
+        let root = tracer.start(SpanId::NONE, "guest", "request", t(1000));
+        tracer.span(root, "guest", "guest_submit", t(1000), t(1200));
+        tracer.span(root, "pcie", "doorbell", t(1200), t(1300));
+        tracer.span(root, "core", "device_wait", t(1300), t(4600));
+        tracer.span(root, "guest", "guest_complete", t(4600), t(5000));
+        tracer.end(root, t(5000));
+        let r = FlightRecorder::new(FlightConfig::default());
+        r.append(t(1000), FlightEventKind::RequestStart, 1, 7, 0);
+        r.append(t(1300), FlightEventKind::Doorbell, 1, 7, 1200);
+        r.append(t(5000), FlightEventKind::RequestComplete, 1, 7, 4600);
+        r.close_window(0, &mut [done(5000, 7, 4000, root)], |root| {
+            tracer.subtree(root)
+        });
+        let mut snap = r.snapshot();
+        let ex = snap.exemplars[0].clone();
+        let phases = snap.checked_breakdown(&ex).unwrap();
+        assert_eq!(phases.iter().map(|&(_, ns)| ns).sum::<u64>(), 4000);
+        let mut short = ex.clone();
+        short.latency_ns = 3999;
+        assert!(snap
+            .checked_breakdown(&short)
+            .unwrap_err()
+            .contains("sum to 4000"));
+        let mut pruned = ex.clone();
+        pruned.spans.pop();
+        assert!(snap.checked_breakdown(&pruned).unwrap_err().contains("!="));
+        snap.events.remove(1);
+        assert!(snap
+            .checked_breakdown(&ex)
+            .unwrap_err()
+            .contains("fell out"));
     }
 }

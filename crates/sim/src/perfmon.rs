@@ -26,9 +26,10 @@
 //! rules ("p99 above X for 3 consecutive windows", optionally guarded by a
 //! second condition) that emit deterministic [`AnomalyEvent`]s — and the
 //! exporters: [`series_json`] / [`series_csv`] for `results/`, and
-//! [`merge_counter_tracks`] which appends Perfetto `ph:"C"` counter tracks
-//! to an existing Chrome-trace document so the time series render
-//! alongside the span swimlanes.
+//! [`merge_counter_tracks`] which renders a `series_json` document (a live
+//! sampler's, or the one a forensic dump carries) as Perfetto `ph:"C"`
+//! counter tracks appended to an existing Chrome-trace document, so the
+//! time series render alongside the span swimlanes.
 //!
 //! # Example
 //!
@@ -882,35 +883,43 @@ pub fn series_csv(sampler: &Sampler) -> String {
     out
 }
 
-/// Generates Perfetto counter-track events (`ph:"C"`) for every retained
-/// sample of every series — one counter track per series name, timestamped
-/// at each window's end.
-pub fn counter_track_events(sampler: &Sampler) -> Vec<serde_json::Value> {
-    let mut events = Vec::new();
-    for c in by_name(sampler) {
-        for (w, v) in c.samples() {
+/// Appends Perfetto counter tracks (`ph:"C"`) to an existing Chrome-trace
+/// document (as produced by [`chrome_trace_json`]) so span swimlanes and
+/// telemetry time series open in one Perfetto view: one track per series
+/// of `series`, a [`series_json`] document — from a live sampler or
+/// carried by a forensic dump — with one event per retained window,
+/// timestamped at the window's end. No-op if the document has no
+/// `traceEvents` array or `series` is not such a document.
+///
+/// [`chrome_trace_json`]: crate::trace::chrome_trace_json
+pub fn merge_counter_tracks(doc: &mut serde_json::Value, series: &serde_json::Value) {
+    let (Some(serde_json::Value::Array(events)), Some(interval), Some(all)) = (
+        doc.get_mut("traceEvents"),
+        series
+            .get("interval_ns")
+            .and_then(serde_json::Value::as_u64),
+        series.get("series").and_then(serde_json::Value::as_array),
+    ) else {
+        return;
+    };
+    for s in all {
+        let (Some(name), Some(first), Some(samples)) = (
+            s.get("name").and_then(serde_json::Value::as_str),
+            s.get("first_window").and_then(serde_json::Value::as_u64),
+            s.get("samples").and_then(serde_json::Value::as_array),
+        ) else {
+            continue;
+        };
+        for (w, v) in (first..).zip(samples) {
             events.push(serde_json::json!({
-                "name": c.name(),
+                "name": name,
                 "ph": "C",
                 "pid": 1,
                 "tid": 0,
-                "ts": sampler.window_end(w).as_nanos() as f64 / 1_000.0,
+                "ts": ((w + 1) * interval) as f64 / 1_000.0,
                 "args": { "value": v },
             }));
         }
-    }
-    events
-}
-
-/// Appends the sampler's counter tracks to an existing Chrome-trace
-/// document (as produced by [`chrome_trace_json`]) so span swimlanes and
-/// telemetry time series open in one Perfetto view. No-op if the document
-/// has no `traceEvents` array.
-///
-/// [`chrome_trace_json`]: crate::trace::chrome_trace_json
-pub fn merge_counter_tracks(doc: &mut serde_json::Value, sampler: &Sampler) {
-    if let Some(serde_json::Value::Array(events)) = doc.get_mut("traceEvents") {
-        events.extend(counter_track_events(sampler));
     }
 }
 
@@ -1408,11 +1417,6 @@ mod tests {
             }
             assert_eq!(series_json(&sparse), series_json(&dense), "seed {seed}");
             assert_eq!(series_csv(&sparse), series_csv(&dense), "seed {seed}");
-            assert_eq!(
-                counter_track_events(&sparse),
-                counter_track_events(&dense),
-                "seed {seed}"
-            );
             assert!(
                 sparse.samples_committed() < dense.samples_committed(),
                 "seed {seed}: the sparse sampler skipped nothing"
@@ -1473,7 +1477,7 @@ mod tests {
             _ => panic!("missing traceEvents"),
         };
         let before = count(&doc);
-        merge_counter_tracks(&mut doc, &s);
+        merge_counter_tracks(&mut doc, &series_json(&s));
         assert_eq!(count(&doc), before + 2);
         validate_chrome_trace(&doc).expect("merged document stays valid");
         let Some(serde_json::Value::Array(events)) = doc.get("traceEvents") else {
@@ -1482,5 +1486,8 @@ mod tests {
         let c = events.last().unwrap();
         assert_eq!(c.get("ph"), Some(&serde_json::Value::from("C")));
         assert_eq!(c.get("name"), Some(&serde_json::Value::from("core.depth")));
+        // Window 1 ends at 20 ns = 0.02 us and sampled 2.
+        assert_eq!(c.get("ts"), Some(&serde_json::Value::from(0.02)));
+        assert_eq!(c.get("args"), Some(&serde_json::json!({ "value": 2u64 })));
     }
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Report-only size census: non-test lines per crate and for the files the
-# observability refactors shrink, plus the number of probe emission sites
+# Report-only size census: non-test lines per crate, for the files the
+# observability refactors shrink and for the forensic dump's model and its
+# readers, plus the number of probe emission sites
 # (`probe.report(` / `probe.pass(` calls outside comments, a call split
 # across lines included) per file. A file's non-test lines are the lines
 # above its first `#[cfg(test)]` (the whole file if it has none). Never
@@ -27,15 +28,25 @@ for dir in crates/*/; do
 done
 printf '  %-12s %6d\n' "total" "$total"
 
+# Non-test lines of each named file (0 if absent), then their total.
+census() {
+    local sum=0 n f
+    for f in "$@"; do
+        n=0
+        [ -f "$f" ] && n=$(nontest "$f")
+        sum=$((sum + n))
+        printf '  %-44s %6d\n' "$f" "$n"
+    done
+    printf '  %-44s %6d\n' "total" "$sum"
+}
+
 echo "non-test lines of the probe-fold, span-tracer and telemetry files:"
-sum=0
-for f in crates/sim/src/{metrics,flight,trace,perfmon,probe}.rs crates/hypervisor/src/{system,telemetry}.rs; do
-    n=0
-    [ -f "$f" ] && n=$(nontest "$f")
-    sum=$((sum + n))
-    printf '  %-36s %6d\n' "$f" "$n"
-done
-printf '  %-36s %6d\n' "total" "$sum"
+census crates/sim/src/{metrics,flight,trace,perfmon,probe}.rs crates/hypervisor/src/{system,telemetry}.rs
+
+echo "non-test lines of the forensic-dump model, its renderers and readers:"
+census crates/sim/src/{flight,trace,perfmon}.rs shims/serde_json/src/lib.rs \
+    crates/bench/src/forensic.rs crates/bench/src/bin/nesc_inspect.rs \
+    crates/bench/src/experiments/observability.rs
 
 echo "probe emission sites (non-test probe.report( / probe.pass( calls) per file:"
 find crates -path '*/src/*' -name '*.rs' | sort | xargs perl -0777 -ne '

@@ -4,10 +4,12 @@
 //! is unreachable. The repo only uses `serde_json` to build result objects
 //! with the `json!` macro and serialize them with `to_string_pretty`, so
 //! this shim implements exactly that: a [`Value`] tree (object keys kept in
-//! insertion order so emitted files are deterministic), `From` conversions
-//! for the primitive types the benches use, a recursive `json!` macro, and
-//! a pretty printer with 2-space indentation and standard JSON string
-//! escaping. There is no deserialization and no serde `Serialize` bridge.
+//! insertion order so emitted files are deterministic) with the real
+//! crate's `get`/`as_u64`/`as_str`/`as_array` accessors, `From`
+//! conversions for the primitive types the benches use, a recursive
+//! `json!` macro, and a pretty printer with 2-space indentation and
+//! standard JSON string escaping. There is no deserialization and no
+//! serde `Serialize` bridge.
 
 use std::fmt;
 
@@ -160,6 +162,31 @@ impl Value {
     pub fn get_mut(&mut self, key: &str) -> Option<&mut Value> {
         match self {
             Value::Object(pairs) => pairs.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The number as a `u64`, if it is a non-negative integer.
+    pub fn as_u64(&self) -> Option<u64> {
+        match *self {
+            Value::Number(Number::UInt(u)) => Some(u),
+            Value::Number(Number::Int(i)) => u64::try_from(i).ok(),
+            _ => None,
+        }
+    }
+
+    /// The string slice, if the value is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::String(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The elements, if the value is an array.
+    pub fn as_array(&self) -> Option<&Vec<Value>> {
+        match self {
+            Value::Array(items) => Some(items),
             _ => None,
         }
     }
@@ -502,6 +529,20 @@ mod tests {
         assert_eq!(v.get("inner"), Some(&json!([1, 2])));
         assert_eq!(v.get("opt"), Some(&Value::Null));
         assert_eq!(v.get("missing"), None);
+    }
+
+    #[test]
+    fn accessors_follow_serde_json() {
+        let v = json!({ "u": 7u64, "i": 3i64, "neg": -1i64, "f": 1.0f64, "s": "x", "a": [1, 2] });
+        let get = |k: &str| v.get(k).unwrap();
+        assert_eq!(get("u").as_u64(), Some(7));
+        assert_eq!(get("i").as_u64(), Some(3));
+        assert_eq!(get("neg").as_u64(), None);
+        assert_eq!(get("f").as_u64(), None);
+        assert_eq!(get("s").as_str(), Some("x"));
+        assert_eq!(get("u").as_str(), None);
+        assert_eq!(get("a").as_array(), Some(&vec![json!(1), json!(2)]));
+        assert_eq!(get("s").as_array(), None);
     }
 
     #[test]

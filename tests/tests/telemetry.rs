@@ -144,3 +144,42 @@ fn windowed_request_counters_match_span_log() {
         assert_eq!(counted, roots, "vf{vf} request count");
     }
 }
+
+/// A VF slot freed by `detach` and taken again by the next attach keeps
+/// one ring-depth gauge: the re-attach reuses `core.ring_depth.f1`
+/// instead of registering a second series of that name, and the one
+/// series is the one the window close samples.
+#[test]
+fn reattaching_into_a_reused_vf_slot_keeps_one_ring_gauge() {
+    use nesc_extent::Vlba;
+    use nesc_storage::{BlockRequest, RequestId};
+    let mut sys = SystemBuilder::new()
+        .telemetry(TelemetryConfig::windowed(SimDuration::from_micros(
+            INTERVAL_US,
+        )))
+        .build();
+    let first = sys.quick_disk(DiskKind::NescDirect, "a.img", 1 << 20).disk;
+    let vf = sys.disk_vf(first).expect("a NeSC disk has a VF");
+    sys.write(first, 0, &[1u8; 4096]);
+    sys.think(SimDuration::from_micros(2 * INTERVAL_US));
+    sys.detach(first);
+    let second = sys.quick_disk(DiskKind::NescDirect, "b.img", 1 << 20).disk;
+    assert_eq!(sys.disk_vf(second), Some(vf), "the freed slot is reused");
+    let name = format!("core.ring_depth.f{}", vf.0);
+    assert_eq!(name, "core.ring_depth.f1");
+    // Leave one request queued on the re-attached VF's ring across a
+    // window close.
+    let buf = sys.memory().borrow_mut().alloc(4096, 8);
+    let now = sys.now();
+    let req = BlockRequest::new(RequestId(1 << 40), BlockOp::Write, Vlba(0), 1);
+    sys.device_mut().submit(now, vf, req, buf);
+    sys.think(SimDuration::from_micros(2 * INTERVAL_US));
+    let sampler = sys.telemetry().expect("telemetry enabled").sampler();
+    let named = sampler.series().filter(|s| s.name() == name).count();
+    assert_eq!(named, 1, "one series named {name}");
+    let ring = sampler.series_by_name(&name).expect("ring gauge");
+    assert!(
+        ring.samples().any(|(_, depth)| depth == 1),
+        "the queued request shows in {name}"
+    );
+}
