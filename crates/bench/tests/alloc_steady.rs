@@ -1,9 +1,9 @@
 //! Zero-allocation assertion for the steady-state device loop.
 //!
-//! The calendar-wheel scheduler, the reusable output partition buffer, and
-//! the struct-of-arrays per-function counters exist so that once every
-//! ring, bucket, and scratch vector has grown to its working size, driving
-//! the device allocates *nothing*. This harness pins that property with a
+//! The single-slot multiplexer schedule, the reusable output partition
+//! buffer, and the struct-of-arrays per-function counters exist so that
+//! once every ring and scratch vector has grown to its working size,
+//! driving the device allocates *nothing*. This harness pins that property with a
 //! counting `#[global_allocator]`: warm the device until every container
 //! has seen its peak occupancy, then run the same loop again under the
 //! counter and demand zero `alloc`/`realloc` calls.

@@ -31,7 +31,7 @@ use std::rc::Rc;
 
 use nesc_extent::{validate_ring_tail, walk_run, Plba, Untrusted, Vlba, WalkOutcome};
 use nesc_pcie::{HostAddr, HostMemory, PcieLink};
-use nesc_sim::{EventQueue, Obs, Pipe, Probe, ReadyTable, ServiceUnit, SimDuration, SimTime};
+use nesc_sim::{Obs, Pipe, Probe, ReadyTable, ServiceUnit, SimDuration, SimTime};
 use nesc_storage::{BlockOp, BlockRequest, BlockStore, Media, RequestId, StoreError, BLOCK_SIZE};
 
 use crate::btlb::Btlb;
@@ -159,11 +159,6 @@ impl fmt::Display for VfError {
 
 impl std::error::Error for VfError {}
 
-#[derive(Debug)]
-enum Event {
-    MuxTick,
-}
-
 /// Result of translating the first block of an extent *run* — a maximal
 /// span of consecutive vLBAs that resolves through the same BTLB entries
 /// (or the same walked extents, or the same hole) at every nesting level,
@@ -219,13 +214,15 @@ pub struct NescDevice {
     engine_write: Pipe,
     link: PcieLink,
     btlb: Btlb,
-    events: EventQueue<Event>,
     outputs: Vec<NescOutput>,
     /// Reusable partition buffer for [`Self::advance_into`]: outputs
     /// beyond the horizon are parked here, then swapped back into
     /// `outputs` — no per-call allocation.
     outputs_later: Vec<NescOutput>,
-    mux_scheduled: bool,
+    /// The pending multiplexer tick — the only event the device schedules
+    /// (every unit's timing is computed arithmetically). Set only while
+    /// `None`, so a pending tick is never pulled earlier.
+    mux_at: Option<SimTime>,
     /// While a VF is stalled on a miss, the (shared) translation pipeline
     /// is blocked; only the PF's OOB channel makes progress.
     stalled_func: Option<FuncId>,
@@ -292,10 +289,9 @@ impl NescDevice {
             engine_write,
             link,
             btlb,
-            events: EventQueue::new(),
             outputs: Vec::new(),
             outputs_later: Vec::new(),
-            mux_scheduled: false,
+            mux_at: None,
             stalled_func: None,
             stall_level: None,
             stats: DeviceStats::default(),
@@ -726,10 +722,8 @@ impl NescDevice {
     /// this entry point.
     // nesc-lint: hot
     pub fn advance_into(&mut self, until: SimTime, out: &mut Vec<NescOutput>) {
-        while let Some((t, ev)) = self.events.pop_due(until) {
-            match ev {
-                Event::MuxTick => self.mux_tick(t),
-            }
+        while let Some(t) = self.mux_at.filter(|&t| t <= until) {
+            self.mux_tick(t);
         }
         // Outputs computed eagerly may lie beyond the horizon; hold them
         // in the reusable partition buffer.
@@ -766,12 +760,8 @@ impl NescDevice {
     /// Earliest time at which the device has something to do or report,
     /// for glue loops that want to step exactly to the next event.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        let ev = self.events.peek_time();
-        let out = self.outputs.iter().map(NescOutput::at).min();
-        match (ev, out) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        let outputs = self.outputs.iter().map(NescOutput::at);
+        outputs.chain(self.mux_at).min()
     }
 
     // ------------------------------------------------------------------
@@ -779,10 +769,7 @@ impl NescDevice {
     // ------------------------------------------------------------------
 
     fn schedule_mux(&mut self, at: SimTime) {
-        if !self.mux_scheduled {
-            self.events.push(at, Event::MuxTick);
-            self.mux_scheduled = true;
-        }
+        self.mux_at.get_or_insert(at);
     }
 
     /// Synchronizes one function's entry in the ready table with its
@@ -798,7 +785,7 @@ impl NescDevice {
     }
 
     fn mux_tick(&mut self, now: SimTime) {
-        self.mux_scheduled = false;
+        self.mux_at = None;
         if self.stalled_func.is_some() {
             // Translation pipeline blocked; the resume path re-kicks us.
             return;
@@ -2396,6 +2383,270 @@ mod tests {
             buf,
         );
         assert_eq!(dev.next_event_time(), Some(SimTime::from_nanos(100)));
+    }
+
+    #[test]
+    fn a_pending_mux_tick_is_never_pulled_earlier() {
+        let (mem, mut dev) = setup();
+        let vf = make_vf(
+            &mem,
+            &mut dev,
+            &[ExtentMapping::new(Vlba(0), Plba(0), 4)],
+            4,
+        );
+        let buf = alloc_buf(&mem, 4);
+        let read = |id| BlockRequest::new(RequestId(id), BlockOp::Read, Vlba(0), 4);
+        let t0 = SimTime::from_nanos(1_000);
+        dev.submit(t0, vf, read(1), buf);
+        // The first dispatch holds the mux for its split cost; the next
+        // tick is scheduled at the mux's `svc.end`.
+        assert!(dev.advance(t0).is_empty());
+        assert_eq!(dev.ring_depth(vf), 0);
+        let cfg = dev.config();
+        let tick = t0 + cfg.mux_per_request + cfg.split_per_block * 4;
+        assert_eq!(dev.next_event_time(), Some(tick));
+        // A doorbell stamped before that tick leaves it where it is...
+        dev.submit(t0 + SimDuration::from_nanos(10), vf, read(2), buf);
+        assert_eq!(dev.next_event_time(), Some(tick));
+        // ...so advancing to just before it dispatches nothing.
+        assert!(dev
+            .advance(SimTime::from_nanos(tick.as_nanos() - 1))
+            .is_empty());
+        assert_eq!(dev.ring_depth(vf), 1);
+        dev.advance(tick);
+        assert_eq!(dev.ring_depth(vf), 0);
+    }
+
+    #[test]
+    fn a_tick_before_the_next_doorbell_sleeps_until_it_lands() {
+        let (mem, mut dev) = setup();
+        let vf = make_vf(
+            &mem,
+            &mut dev,
+            &[ExtentMapping::new(Vlba(0), Plba(0), 4)],
+            4,
+        );
+        let buf = alloc_buf(&mem, 4);
+        let read = |id| BlockRequest::new(RequestId(id), BlockOp::Read, Vlba(0), 4);
+        let t0 = SimTime::from_nanos(1_000);
+        dev.submit(t0, vf, read(1), buf);
+        dev.advance(t0);
+        let cfg = dev.config();
+        let tick = t0 + cfg.mux_per_request + cfg.split_per_block * 4;
+        // A doorbell stamped after the pending tick: the tick fires with
+        // nothing arrived and re-arms at the doorbell, not before.
+        let late = tick + SimDuration::from_millis(1);
+        dev.submit(late, vf, read(2), buf);
+        assert_eq!(dev.next_event_time(), Some(tick));
+        dev.advance(tick);
+        assert_eq!(dev.mux_at, Some(late), "re-armed at the doorbell");
+        let outs = dev.advance(SimTime::from_nanos(late.as_nanos() - 1));
+        assert!(
+            matches!(
+                outs.as_slice(),
+                [NescOutput::Completion {
+                    id: RequestId(1),
+                    ..
+                }]
+            ),
+            "only the first request completes before the doorbell: {outs:?}"
+        );
+        assert_eq!(dev.ring_depth(vf), 1);
+        assert_eq!(dev.next_event_time(), Some(late));
+        dev.advance(late);
+        assert_eq!(dev.ring_depth(vf), 0);
+    }
+
+    #[test]
+    fn a_drained_mux_wakes_at_the_next_doorbell() {
+        let (mem, mut dev) = setup();
+        let vf = make_vf(
+            &mem,
+            &mut dev,
+            &[ExtentMapping::new(Vlba(0), Plba(0), 4)],
+            4,
+        );
+        let buf = alloc_buf(&mem, 4);
+        let read = |id| BlockRequest::new(RequestId(id), BlockOp::Read, Vlba(0), 4);
+        dev.submit(SimTime::ZERO, vf, read(1), buf);
+        assert_eq!(dev.advance(HORIZON).len(), 1);
+        // The tick after the last dispatch found nothing and left no tick
+        // pending.
+        assert_eq!(dev.next_event_time(), None);
+        let t1 = SimTime::from_nanos(500_000);
+        dev.submit(t1, vf, read(2), buf);
+        assert_eq!(dev.next_event_time(), Some(t1));
+        assert!(dev.advance(t1).is_empty());
+        assert_eq!(dev.ring_depth(vf), 0, "dispatched at its doorbell");
+    }
+
+    #[test]
+    fn stepping_to_next_event_time_matches_one_advance() {
+        fn loaded() -> NescDevice {
+            let (mem, mut dev) = setup();
+            let buf = alloc_buf(&mem, 8);
+            for f in 0..3u64 {
+                let vf = make_vf(
+                    &mem,
+                    &mut dev,
+                    &[ExtentMapping::new(Vlba(0), Plba(200 * f), 64)],
+                    64,
+                );
+                for i in 0..6u64 {
+                    let op = if (f + i) % 2 == 0 {
+                        BlockOp::Read
+                    } else {
+                        BlockOp::Write
+                    };
+                    let req = BlockRequest::new(RequestId(f * 10 + i), op, Vlba(8 * i), 1 + i);
+                    dev.submit(SimTime::from_nanos(700 * i + 50 * f), vf, req, buf);
+                }
+            }
+            dev
+        }
+        let mut whole = loaded();
+        let expected = whole.advance(HORIZON);
+        assert_eq!(expected.len(), 18);
+
+        let mut stepped = loaded();
+        let mut got = Vec::new();
+        while let Some(t) = stepped.next_event_time() {
+            got.extend(stepped.advance(t));
+            // Everything at or before `t` has run: the next event, if
+            // any, lies strictly later, so the loop always progresses.
+            assert!(stepped.next_event_time().is_none_or(|n| n > t));
+        }
+        assert_eq!(got, expected);
+        assert_eq!(stepped.stats(), whole.stats());
+    }
+
+    #[test]
+    fn a_stalled_pipeline_parks_the_mux_until_the_rewalk() {
+        let (mem, mut dev) = setup();
+        let missing = make_vf(&mem, &mut dev, &[], 8);
+        let mapped = make_vf(
+            &mem,
+            &mut dev,
+            &[ExtentMapping::new(Vlba(0), Plba(300), 1)],
+            1,
+        );
+        let buf = alloc_buf(&mem, 1);
+        dev.submit(
+            SimTime::ZERO,
+            missing,
+            BlockRequest::new(RequestId(1), BlockOp::Write, Vlba(0), 1),
+            buf,
+        );
+        let irq_at = dev.advance(HORIZON).first().map(NescOutput::at).unwrap();
+        // A doorbell on another VF arms a tick, which finds the pipeline
+        // stalled and leaves the slot empty: nothing is pending.
+        let t1 = irq_at + SimDuration::from_micros(5);
+        dev.submit(
+            t1,
+            mapped,
+            BlockRequest::new(RequestId(2), BlockOp::Read, Vlba(0), 1),
+            buf,
+        );
+        assert_eq!(dev.next_event_time(), Some(t1));
+        assert!(dev.advance(HORIZON).is_empty());
+        assert_eq!(dev.next_event_time(), None);
+        assert_eq!(dev.ring_depth(mapped), 1);
+
+        // The rewalk resumes the stalled write and re-arms the mux.
+        let tree: ExtentTree = [ExtentMapping::new(Vlba(0), Plba(200), 1)]
+            .into_iter()
+            .collect();
+        let root = tree.serialize(&mut mem.borrow_mut());
+        let resume_at = t1 + SimDuration::from_micros(20);
+        dev.mmio_write(missing, offsets::EXTENT_TREE_ROOT, root, resume_at);
+        dev.mmio_write(missing, offsets::REWALK_TREE, 1, resume_at);
+        assert_eq!(dev.next_event_time(), Some(resume_at));
+        let done: Vec<u64> = dev
+            .advance(HORIZON)
+            .iter()
+            .filter_map(|o| match o {
+                NescOutput::Completion { id, status, .. } => {
+                    assert_eq!(*status, CompletionStatus::Ok);
+                    Some(id.0)
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(done.len(), 2, "both requests complete: {done:?}");
+        assert_eq!(dev.ring_depth(mapped), 0);
+    }
+
+    proptest::proptest! {
+        /// Where a caller pauses does not change what the device does: a
+        /// device advanced only once, after every doorbell, and a twin
+        /// advanced between doorbells — to arbitrary points short of the
+        /// next doorbell or through each `next_event_time` — emit the same
+        /// outputs in the same order and end with the same counters.
+        #[test]
+        fn prop_advance_granularity_does_not_change_outputs(
+            reqs in proptest::collection::vec(
+                (0u16..3, 0u64..3_000, 0u64..56, 1u64..9, 0u8..2, 0u64..24),
+                1..40,
+            ),
+        ) {
+            let build = || {
+                let (mem, mut dev) = setup();
+                let buf = alloc_buf(&mem, 8);
+                let vfs: Vec<FuncId> = (0..3u64)
+                    .map(|f| {
+                        make_vf(
+                            &mem,
+                            &mut dev,
+                            &[ExtentMapping::new(Vlba(0), Plba(100 * f), 64)],
+                            64,
+                        )
+                    })
+                    .collect();
+                (dev, vfs, buf)
+            };
+            let (mut whole, vfs, buf) = build();
+            let (mut stepped, _, _) = build();
+            let mut got = Vec::new();
+            let mut now = SimTime::ZERO;
+            for (i, &(f, gap, lba, blocks, write, pause)) in reqs.iter().enumerate() {
+                let prev = now;
+                now += SimDuration::from_nanos(gap);
+                if now > prev {
+                    // Pause strictly before the doorbell: a tick at its
+                    // own time would otherwise run before it rings.
+                    let short = now.as_nanos() - 1;
+                    match pause / 8 {
+                        1 => {
+                            let span = short - prev.as_nanos();
+                            let at = prev.as_nanos() + span * (pause % 8) / 8;
+                            got.extend(stepped.advance(SimTime::from_nanos(at)));
+                        }
+                        2 => {
+                            while let Some(t) = stepped
+                                .next_event_time()
+                                .filter(|t| t.as_nanos() <= short)
+                            {
+                                got.extend(stepped.advance(t));
+                                let next = stepped.next_event_time();
+                                proptest::prop_assert!(next.is_none_or(|n| n > t));
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+                let op = if write == 1 { BlockOp::Write } else { BlockOp::Read };
+                let req = BlockRequest::new(RequestId(i as u64), op, Vlba(lba), blocks);
+                let vf = vfs[f as usize];
+                whole.submit(now, vf, req, buf);
+                stepped.submit(now, vf, req, buf);
+            }
+            got.extend(stepped.advance(HORIZON));
+            let expected = whole.advance(HORIZON);
+            proptest::prop_assert_eq!(expected.len(), reqs.len());
+            proptest::prop_assert_eq!(got, expected);
+            proptest::prop_assert_eq!(stepped.stats(), whole.stats());
+            proptest::prop_assert_eq!(stepped.btlb().hits(), whole.btlb().hits());
+        }
     }
 
     // --- Run-batching edge cases -------------------------------------

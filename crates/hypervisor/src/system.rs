@@ -279,7 +279,9 @@ impl System {
     /// Enables telemetry: installs the perfmon sampler + SLO watchdog and
     /// registers per-disk series for every already-attached disk (disks
     /// attached later register at attach time). Replaces any previous
-    /// telemetry state.
+    /// telemetry state. Windows start at time 0, but each reports only
+    /// what happens after this call: the windows already past close
+    /// reading 0.
     pub fn set_telemetry(&mut self, cfg: TelemetryConfig) {
         let mut tel = Telemetry::new(cfg);
         for (i, d) in self.disks.iter().enumerate() {
@@ -291,6 +293,9 @@ impl System {
         // and its window list starts with this telemetry.
         self.install_probe(self.probe.tracer().clone());
         self.probe.open_windows();
+        if let Some(tel) = self.telemetry.as_mut() {
+            tel.start_at(self.now, &self.dev);
+        }
     }
 
     /// The flight-recorder handle (disabled unless telemetry configured

@@ -16,8 +16,8 @@
 //! request joins the shared [`Probe`]'s window list (one fixed-size
 //! [`Completion`](nesc_sim::Completion) per request, from its `Finished`
 //! report) and the miss handler's `Rewalk` reports feed the probe's
-//! rewalk tally; the completion path then makes a single integer compare
-//! against the cached next window end ([`Telemetry::due`]). Only when a
+//! rewalk tally; the completion path then makes a single compare against
+//! the sampler's next window end ([`Telemetry::due`]). Only when a
 //! completion (or idle think time) crosses a window boundary does
 //! [`Telemetry::poll`] run: for every window whose end has passed it has
 //! the probe split off that window's completions, folds them into the
@@ -168,9 +168,6 @@ pub struct Telemetry {
     /// sampled non-zero at the last one. A close adds the functions a
     /// request was queued on since.
     funcs: Vec<u32>,
-    /// Cached end of the oldest unclosed window, in nanoseconds — the hot
-    /// path's single-compare test for "is any window due".
-    next_due_ns: u64,
     // Previous cumulative raws for windowed-ratio gauges.
     prev_btlb_lookups: u64,
     prev_btlb_hits: u64,
@@ -240,7 +237,6 @@ impl Telemetry {
         }
         let ops = SeriesKind::Counter;
         let gauge = SeriesKind::Gauge;
-        let next_due_ns = (SimTime::ZERO + cfg.interval).as_nanos();
         Telemetry {
             s_btlb_lookups: sampler.register("core.btlb_lookups", "ops", ops),
             s_btlb_hits: sampler.register("core.btlb_hits", "ops", ops),
@@ -258,7 +254,6 @@ impl Telemetry {
             rings: Vec::new(),
             disks: Vec::new(),
             funcs: Vec::new(),
-            next_due_ns,
             prev_btlb_lookups: 0,
             prev_btlb_hits: 0,
             prev_walk_busy: SimDuration::ZERO,
@@ -320,7 +315,30 @@ impl Telemetry {
     // nesc-lint: hot
     #[inline]
     pub fn due(&self, now: SimTime) -> bool {
-        now.as_nanos() >= self.next_due_ns
+        now >= self.sampler.next_close()
+    }
+
+    /// Starts sampling at `now`: the device's and the probe's cumulative
+    /// values so far become the baseline later windows report deltas
+    /// from, and every window ending by `now` closes empty. The probe must
+    /// be the shared one, its window list just opened.
+    pub fn start_at(&mut self, now: SimTime, dev: &NescDevice) {
+        let stats = dev.stats();
+        let counters = [
+            (self.s_btlb_lookups, stats.btlb_lookups),
+            (self.s_btlb_hits, stats.btlb_hits),
+            (self.s_miss_irqs, stats.miss_interrupts),
+            (self.s_rewalks, self.probe.rewalks()),
+        ];
+        for (id, raw) in counters {
+            self.sampler.rebase(id, raw);
+        }
+        self.prev_btlb_lookups = stats.btlb_lookups;
+        self.prev_btlb_hits = stats.btlb_hits;
+        self.prev_walk_busy = dev.walk_busy_time();
+        self.prev_media_busy = dev.media_busy_time();
+        (self.prev_link_up, self.prev_link_down) = dev.link_busy_time();
+        self.poll(now, dev);
     }
 
     /// Closes every window whose end time has passed, sampling the fixed
@@ -447,10 +465,6 @@ impl Telemetry {
                 }
             }
         }
-        self.next_due_ns = self
-            .sampler
-            .window_end(self.sampler.closed_windows())
-            .as_nanos();
     }
 
     /// The sampler (series, windows, exporters).
@@ -752,6 +766,50 @@ mod tests {
         });
         let want = vec![(0, 4, 60), (1, 2, 150), (1, 1, 100), (2, 3, 250)];
         assert_eq!(exemplars, Some(want), "ranked by latency within a window");
+    }
+
+    #[test]
+    fn due_is_the_samplers_next_close() {
+        let t = SimTime::from_nanos;
+        let mut tel = Telemetry::new(TelemetryConfig::windowed(SimDuration::from_nanos(100)));
+        let sys = SystemBuilder::new().capacity_blocks(64 * 1024).build();
+        assert!(!tel.due(t(99)));
+        assert!(tel.due(t(100)), "window 0 ends at 100 ns");
+        // Starting at 250 ns closes windows 0 and 1; window 2 is next.
+        tel.start_at(t(250), sys.device());
+        assert_eq!(tel.sampler().closed_windows(), 2);
+        assert_eq!(tel.sampler().next_close(), t(300));
+        assert!(!tel.due(t(299)));
+        assert!(tel.due(t(300)));
+        tel.poll(t(420), sys.device());
+        assert_eq!(tel.sampler().next_close(), t(500));
+        assert!(!tel.due(t(499)));
+        assert!(tel.due(t(500)));
+    }
+
+    #[test]
+    fn start_at_closes_the_past_windows_empty() {
+        // A device with history: lookups, hits, busy walk/media/link time.
+        let mut sys = SystemBuilder::new().capacity_blocks(64 * 1024).build();
+        let a = sys.quick_disk(DiskKind::NescDirect, "a.img", 1 << 20).disk;
+        for i in 0..16u64 {
+            sys.write(a, i * 4096, &[i as u8; 4096]);
+        }
+        assert!(sys.device().stats().btlb_lookups > 0);
+        let interval = SimDuration::from_micros(5);
+        let mut tel = Telemetry::new(TelemetryConfig::windowed(interval));
+        let now = sys.now();
+        tel.start_at(now, sys.device());
+        let past = now.as_nanos() / interval.as_nanos();
+        assert!(past > 1, "the history spans several windows");
+        // An idle stretch after the start adds nothing either.
+        tel.poll(now + interval * 3, sys.device());
+        let sampler = tel.sampler();
+        assert_eq!(sampler.closed_windows(), past + 3);
+        for s in sampler.series() {
+            let booked: Vec<_> = s.samples().filter(|&(_, v)| v != 0).collect();
+            assert!(booked.is_empty(), "{} booked {booked:?}", s.name());
+        }
     }
 
     #[test]

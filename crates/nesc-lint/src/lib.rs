@@ -115,7 +115,7 @@ pub fn classify(rel: &Path) -> Option<LintContext> {
         path: s.clone(),
         scheduling_core: matches!(
             s.as_str(),
-            "crates/sim/src/queue.rs" | "crates/sim/src/time.rs" | "crates/sim/src/sched.rs"
+            "crates/sim/src/time.rs" | "crates/sim/src/sched.rs"
         ),
         trace_impl: s == "crates/sim/src/trace.rs",
         time_impl: s == "crates/sim/src/time.rs",
@@ -128,7 +128,6 @@ pub fn classify(rel: &Path) -> Option<LintContext> {
             "crates/core/src/device.rs"
                 | "crates/core/src/btlb.rs"
                 | "crates/core/src/function.rs"
-                | "crates/sim/src/queue.rs"
                 | "crates/sim/src/flight.rs"
                 | "crates/sim/src/probe.rs"
                 | "crates/hypervisor/src/system.rs"
@@ -331,7 +330,7 @@ mod tests {
         assert!(classify(Path::new("shims/criterion/src/lib.rs")).is_none());
         assert!(classify(Path::new("crates/nesc-lint/tests/fixtures/d1.rs")).is_none());
         assert!(classify(Path::new("crates/sim/src/lib.rs")).is_some());
-        let q = classify(Path::new("crates/sim/src/queue.rs")).unwrap();
+        let q = classify(Path::new("crates/sim/src/sched.rs")).unwrap();
         assert!(q.scheduling_core);
         let t = classify(Path::new("crates/sim/src/trace.rs")).unwrap();
         assert!(t.trace_impl && !t.scheduling_core);
@@ -368,7 +367,7 @@ mod tests {
         // Bench harnesses and the sim core move no addresses.
         let b = classify(Path::new("crates/bench/src/hotpath.rs")).unwrap();
         assert!(!b.address_crate);
-        let s = classify(Path::new("crates/sim/src/queue.rs")).unwrap();
+        let s = classify(Path::new("crates/sim/src/sched.rs")).unwrap();
         assert!(!s.address_crate);
     }
 

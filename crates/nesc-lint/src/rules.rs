@@ -195,7 +195,7 @@ pub struct LintContext {
     /// Path label used in diagnostics.
     pub path: String,
     /// D4 applies: this file is part of the event-scheduling core
-    /// (`nesc-sim`'s `time.rs`, `queue.rs`, `sched.rs`).
+    /// (`nesc-sim`'s `time.rs`, `sched.rs`).
     pub scheduling_core: bool,
     /// D5 exempt: this file *is* the tracer implementation.
     pub trace_impl: bool,

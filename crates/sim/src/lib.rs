@@ -8,14 +8,14 @@
 //! in software:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time.
-//! * [`EventQueue`] — a stable (FIFO-on-tie) queue of timed events: a
-//!   monotonic fast lane plus a calendar wheel for out-of-order pushes;
-//!   each subsystem model drains its own typed queue, or a top-level glue
-//!   loop drains one queue of a system-wide event enum.
 //! * [`resource`] — *timeline resources*: bandwidth pipes and serial service
 //!   units that answer "if work arrives at `t`, when does it finish?" while
 //!   correctly accounting for busy periods. These model PCIe links, DMA
-//!   engines, storage media and CPU software layers.
+//!   engines, storage media and CPU software layers. Because every unit's
+//!   timing is computed arithmetically, a model keeps at most its next tick
+//!   (the device's multiplexer tick, the sampler's next window close) in
+//!   one field instead of an event queue, which a glue loop reads to step
+//!   exactly to the next event.
 //! * [`stats`] — histograms, percentile summaries and throughput meters used
 //!   by the benchmark harnesses to regenerate the paper's figures.
 //! * [`trace`] — the hierarchical span tracer every simulated layer reports
@@ -51,17 +51,16 @@
 //! # Example
 //!
 //! ```
-//! use nesc_sim::{EventQueue, SimTime, SimDuration};
+//! use nesc_sim::{ServiceUnit, SimDuration, SimTime};
 //!
-//! #[derive(Debug, PartialEq)]
-//! enum Ev { Ping, Pong }
-//!
-//! let mut q = EventQueue::new();
-//! q.push(SimTime::ZERO + SimDuration::from_micros(5), Ev::Pong);
-//! q.push(SimTime::ZERO + SimDuration::from_micros(1), Ev::Ping);
-//! let (t, ev) = q.pop().unwrap();
-//! assert_eq!(ev, Ev::Ping);
-//! assert_eq!(t.as_nanos(), 1_000);
+//! // A serial unit (the VF multiplexer, a host CPU core) answers "work
+//! // arriving at `t` finishes when?" without scheduling any event.
+//! let mut mux = ServiceUnit::new();
+//! let first = mux.serve(SimTime::ZERO, SimDuration::from_micros(2));
+//! let second = mux.serve(SimTime::from_nanos(500), SimDuration::from_micros(1));
+//! assert_eq!(second.start, first.end); // queued behind the first
+//! assert_eq!(second.end.as_nanos(), 3_000);
+//! assert_eq!(mux.busy_time(), SimDuration::from_micros(3));
 //! ```
 
 pub mod flight;
@@ -69,7 +68,6 @@ pub mod gen;
 pub mod hash;
 pub mod perfmon;
 pub mod probe;
-pub mod queue;
 pub mod resource;
 pub mod rng;
 pub mod sched;
@@ -86,7 +84,6 @@ pub use gen::{BurstyArrivals, ZipfLike};
 pub use hash::{IntHashBuilder, IntHasher};
 pub use perfmon::{AnomalyEvent, Sampler, SeriesId, SeriesKind, SloRule, SloWatchdog, TimeSeries};
 pub use probe::{Completion, Obs, Pass, PathTotals, Probe, Via};
-pub use queue::EventQueue;
 pub use resource::{Pipe, ServiceUnit};
 pub use rng::SimRng;
 pub use sched::{ReadyTable, RoundRobin};

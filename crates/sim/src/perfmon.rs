@@ -8,10 +8,10 @@
 //!
 //! Determinism is structural, not aspirational:
 //!
-//! * windows are driven entirely by the simulated clock — the sampler owns
-//!   an [`EventQueue`] of tick events and closes a window only when its
-//!   owner observes simulated time passing the window end ([`Sampler::due`]);
-//!   no wall clock is ever read (nesc-lint D1);
+//! * windows are driven entirely by the simulated clock — a window closes
+//!   only when its owner reports simulated time reaching its end
+//!   ([`Sampler::due`]), which the sampler keeps as a single next-close
+//!   time ([`Sampler::next_close`]); no wall clock is ever read (nesc-lint D1);
 //! * every stored sample is a `u64` (nanoseconds, bytes, operations, or
 //!   parts-per-million for utilizations), so exports are byte-stable and no
 //!   float ever feeds back into scheduling (nesc-lint D4);
@@ -60,7 +60,6 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
-use crate::queue::EventQueue;
 use crate::selfcheck::fnv1a;
 use crate::time::{SimDuration, SimTime};
 
@@ -185,19 +184,12 @@ impl<'a> TimeSeries<'a> {
     }
 }
 
-/// The sampler's tick event: closing of one window.
-#[derive(Debug, Clone, Copy)]
-struct Tick {
-    window: u64,
-}
-
 /// A deterministic windowed sampler.
 ///
 /// The sampler never reads a clock: its owner calls [`due`](Self::due) with
-/// the current *simulated* time, and the sampler pops tick events off its
-/// internal [`EventQueue`] — one per elapsed window — handing back each
-/// window end so the owner can snapshot its probes via
-/// [`sample`](Self::sample). Window `k` covers simulated time
+/// the current *simulated* time, and the sampler closes each elapsed
+/// window in turn, handing back its end so the owner can snapshot its
+/// probes via [`sample`](Self::sample). Window `k` covers simulated time
 /// `[k·interval, (k+1)·interval)`; an observation at exactly `k·interval`
 /// therefore belongs to window `k` (the close for window `k-1` fires
 /// first).
@@ -213,7 +205,8 @@ pub struct Sampler {
     series: Vec<SeriesRing>,
     /// Name → id of the first series registered under that name.
     index: BTreeMap<String, SeriesId>,
-    ticks: EventQueue<Tick>,
+    /// End of the oldest unclosed window, `window_end(closed)`.
+    next_close: SimTime,
     /// Windows closed so far; window `closed - 1` is the one being (or
     /// last) sampled.
     closed: u64,
@@ -236,14 +229,12 @@ impl Sampler {
         debug_assert!(capacity > 0, "ring capacity must be positive");
         let interval = interval.max(SimDuration::from_nanos(1));
         let capacity = capacity.max(1);
-        let mut ticks = EventQueue::new();
-        ticks.push(SimTime::ZERO + interval, Tick { window: 0 });
         Sampler {
             interval,
             capacity,
             series: Vec::new(),
             index: BTreeMap::new(),
-            ticks,
+            next_close: SimTime::ZERO + interval,
             closed: 0,
             nonzero_ids: Vec::new(),
             committed: 0,
@@ -263,6 +254,12 @@ impl Sampler {
     /// Windows closed so far.
     pub fn closed_windows(&self) -> u64 {
         self.closed
+    }
+
+    /// End of the oldest unclosed window: the earliest simulated time at
+    /// which [`due`](Self::due) closes one.
+    pub fn next_close(&self) -> SimTime {
+        self.next_close
     }
 
     /// Samples committed through [`sample`](Self::sample) so far, zeros
@@ -285,7 +282,7 @@ impl Sampler {
     /// closed simply starts at the current window (earlier windows have no
     /// sample for it); from then on it reads 0 in every window it is not
     /// sampled in, like every other series. A counter's first sample is
-    /// its raw cumulative value.
+    /// its raw cumulative value, or its delta from a [`rebase`](Self::rebase).
     pub fn register(&mut self, name: &str, unit: &'static str, kind: SeriesKind) -> SeriesId {
         debug_assert!(!self.index.contains_key(name), "duplicate series {name}");
         let id = SeriesId(self.series.len());
@@ -302,7 +299,16 @@ impl Sampler {
         id
     }
 
-    /// Pops the next due window close: if simulated time `now` has reached
+    /// Sets a counter's previous raw value, so its next sample is the delta
+    /// from `raw`: an owner that starts sampling mid-run baselines its
+    /// cumulative probes here.
+    pub fn rebase(&mut self, id: SeriesId, raw: u64) {
+        if let Some(ring) = self.series.get_mut(id.0) {
+            ring.last_raw = raw;
+        }
+    }
+
+    /// Closes the next due window: if simulated time `now` has reached
     /// (or passed) the end of the oldest unclosed window, that window is
     /// closed and its end time returned; the owner then
     /// [`sample`](Self::sample)s the series that may be non-zero in it
@@ -314,17 +320,11 @@ impl Sampler {
     /// in order: counter series record their delta in the first catch-up
     /// window and zeros after; gauges repeat the snapshotted value.
     pub fn due(&mut self, now: SimTime) -> Option<SimTime> {
-        let (t, tick) = self.ticks.pop_due(now)?;
-        self.ticks.push(
-            t + self.interval,
-            Tick {
-                window: tick.window + 1,
-            },
-        );
-        debug_assert_eq!(tick.window, self.closed, "windows close in order");
-        self.closed = tick.window + 1;
+        let end = Some(self.next_close).filter(|&end| end <= now)?;
+        self.next_close = end + self.interval;
+        self.closed += 1;
         self.nonzero_ids.clear();
-        Some(t)
+        Some(end)
     }
 
     /// Commits the raw probe value for the window just closed by
@@ -1025,6 +1025,95 @@ mod tests {
         assert_eq!(ring.first_window(), 2);
         assert_eq!(ring.samples().collect::<Vec<_>>(), vec![(2, 40)]);
         assert_eq!(ring.value_at(1), None);
+    }
+
+    #[test]
+    fn next_close_is_the_end_of_the_oldest_unclosed_window() {
+        let mut s = Sampler::new(dur(25), 8);
+        assert_eq!(s.next_close(), t(25));
+        assert_eq!(s.next_close(), s.window_end(0));
+        // A close moves it by one interval; a refused `due` leaves it.
+        assert_eq!(s.due(t(24)), None);
+        assert_eq!(s.next_close(), t(25));
+        assert_eq!(s.due(t(60)), Some(t(25)));
+        assert_eq!(s.next_close(), t(50));
+        assert_eq!(s.due(t(60)), Some(t(50)));
+        assert_eq!(s.due(t(60)), None);
+        assert_eq!(s.next_close(), t(75));
+        assert_eq!(s.next_close(), s.window_end(s.closed_windows()));
+    }
+
+    #[test]
+    fn rebase_sets_the_baseline_of_the_next_counter_delta() {
+        let mut s = Sampler::new(dur(10), 8);
+        let c = s.register("c", "ops", SeriesKind::Counter);
+        let g = s.register("g", "n", SeriesKind::Gauge);
+        // An owner attaching mid-run: 100 ops happened before it.
+        s.rebase(c, 100);
+        s.rebase(g, 100);
+        assert!(s.due(t(10)).is_some());
+        s.sample(c, 130);
+        s.sample(g, 7);
+        assert!(s.due(t(20)).is_some());
+        s.sample(c, 131);
+        s.sample(g, 7);
+        // A rebase between windows re-anchors the delta.
+        s.rebase(c, 200);
+        assert!(s.due(t(30)).is_some());
+        s.sample(c, 205);
+        let counter = s.series_by_name("c").unwrap();
+        assert_eq!(
+            counter.samples().collect::<Vec<_>>(),
+            vec![(0, 30), (1, 1), (2, 5)]
+        );
+        let gauge = s.series_by_name("g").unwrap();
+        assert_eq!(
+            gauge.samples().collect::<Vec<_>>(),
+            vec![(0, 7), (1, 7), (2, 0)],
+            "a gauge stores raw values whatever its baseline"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "SimTime overflow")]
+    fn a_next_close_past_the_end_of_time_panics() {
+        let mut s = Sampler::new(dur(u64::MAX / 2 + 1), 8);
+        // Closing window 0 would schedule window 1's close past u64::MAX.
+        let _ = s.due(t(u64::MAX));
+    }
+
+    proptest::proptest! {
+        /// However far apart the owner's `due` loops run, they close
+        /// exactly the windows ended by each `now`, in order, each at
+        /// `window_end`, and a counter sampled with one cumulative raw per
+        /// loop books the whole delta once.
+        #[test]
+        fn prop_due_closes_exactly_the_windows_ended_by_now(
+            interval in 1u64..300,
+            steps in proptest::collection::vec((0u64..900, 0u64..50), 1..40),
+        ) {
+            let mut s = Sampler::new(dur(interval), 1 << 16);
+            let c = s.register("c", "ops", SeriesKind::Counter);
+            let (mut now, mut raw, mut last_sampled) = (0u64, 0u64, 0u64);
+            for &(gap, ops) in &steps {
+                now += gap;
+                raw += ops;
+                let before = s.closed_windows();
+                let mut ends = Vec::new();
+                while let Some(end) = s.due(t(now)) {
+                    ends.push(end);
+                    s.sample(c, raw);
+                    last_sampled = raw;
+                }
+                let after = now / interval;
+                proptest::prop_assert_eq!(s.closed_windows(), after);
+                let want: Vec<SimTime> = (before..after).map(|w| t((w + 1) * interval)).collect();
+                proptest::prop_assert_eq!(ends, want);
+                proptest::prop_assert_eq!(s.next_close(), t((after + 1) * interval));
+            }
+            let booked: u64 = s.series_by_name("c").unwrap().samples().map(|(_, v)| v).sum();
+            proptest::prop_assert_eq!(booked, last_sampled);
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Report-only size census: non-test lines per crate, for the files the
-# observability refactors shrink and for the forensic dump's model and its
-# readers, plus the number of probe emission sites
-# (`probe.report(` / `probe.pass(` calls outside comments, a call split
-# across lines included) per file. A file's non-test lines are the lines
+# observability refactors shrink, for the forensic dump's model and its
+# readers and for the scheduling substrate, plus the number of probe
+# emission sites (`probe.report(` / `probe.pass(` calls outside comments,
+# a call split across lines included) per file. A file's non-test lines are the lines
 # above its first `#[cfg(test)]` (the whole file if it has none). Never
 # fails on the numbers; it only prints them.
 #
@@ -47,6 +47,9 @@ echo "non-test lines of the forensic-dump model, its renderers and readers:"
 census crates/sim/src/{flight,trace,perfmon}.rs shims/serde_json/src/lib.rs \
     crates/bench/src/forensic.rs crates/bench/src/bin/nesc_inspect.rs \
     crates/bench/src/experiments/observability.rs
+
+echo "non-test lines of the scheduling substrate (a deleted file reads 0):"
+census crates/sim/src/{queue,sched,time}.rs crates/core/src/device.rs
 
 echo "probe emission sites (non-test probe.report( / probe.pass( calls) per file:"
 find crates -path '*/src/*' -name '*.rs' | sort | xargs perl -0777 -ne '
