@@ -8,16 +8,22 @@
 //! has seen its peak occupancy, then run the same loop again under the
 //! counter and demand zero `alloc`/`realloc` calls.
 //!
+//! The span tracer gets the same treatment: a span stores its attributes
+//! inline, so tracing a request allocates nothing beyond the span log's
+//! own growth.
+//!
 //! The counter lives in its own integration-test binary because a global
 //! allocator is process-wide; keeping it here means the unit suites run on
-//! the system allocator untouched.
+//! the system allocator untouched. The tests take turns (`SERIAL`) so one
+//! never counts the other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use nesc_bench::hotpath::{build_device, HotpathConfig, DEVICE_BLOCKS};
 use nesc_core::NescOutput;
-use nesc_sim::{SimDuration, SimRng, SimTime};
+use nesc_sim::{FlightHandle, Obs, Pass, Probe, SimDuration, SimRng, SimTime, Tracer, Via};
 use nesc_storage::{BlockOp, BlockRequest, RequestId};
 
 /// Counts allocator calls while armed; delegates everything to [`System`].
@@ -59,6 +65,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Holds the allocation counter for one test.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Runs `requests` requests of `cfg`'s stream shape through `advance_into`
 /// with the caller's reused output buffer, continuing the request index and
@@ -103,6 +116,7 @@ fn drive(
 /// allocations, for both stream shapes and with the BTLB on and off.
 #[test]
 fn steady_state_device_loop_is_allocation_free() {
+    let _serial = serial();
     TRACE.store(std::env::var_os("ALLOC_TRACE").is_some(), Ordering::SeqCst);
     for (sequential, btlb_entries) in [(true, 8usize), (true, 0), (false, 8)] {
         let cfg = HotpathConfig {
@@ -136,4 +150,64 @@ fn steady_state_device_loop_is_allocation_free() {
             "steady-state loop allocated {n} times (sequential={sequential}, btlb={btlb_entries})"
         );
     }
+}
+
+/// Reports request `i`'s observations: the direct request of the probe's
+/// fold-table script, which stalls on a miss and resumes — 16 spans, 11 of
+/// them with attributes.
+fn observe_request(probe: &Probe, i: u64) {
+    let t = |ns: u64| SimTime::from_nanos(i * 1000 + ns);
+    let id = i + 1;
+    for obs in [
+        Obs::Issued(Via::Direct, 2, id, 4096, true, t(100)),
+        Obs::Rang(3, id, t(110), t(120)),
+        Obs::DescriptorFetch(32, t(120), t(125)),
+        Obs::Queued(3, id, 1, t(125)),
+        Obs::Dispatched(3, id, 8, t(125), t(130), t(131)),
+        Obs::DeviceOpen(3, id, 8, t(125), t(140)),
+        Obs::Walk(2, Some((3, 4096)), t(140), t(150)),
+        Obs::Translate(8, 1, t(140), t(150)),
+        Obs::Walk(2, None, t(150), t(155)),
+        Obs::DmaRead(Pass(8, 512, t(155), t(170))),
+        Obs::MediaPass(Pass(8, 512, t(170), t(190))),
+        Obs::DeviceStalled(t(195)),
+        Obs::Rewalk(3, 2, t(195), t(205)),
+        Obs::DeviceResume(3, id, 8, t(210)),
+        Obs::DmaWrite(Pass(2, 512, t(210), t(220))),
+        Obs::ZeroFill(Pass(1, 512, t(220), t(225))),
+        Obs::DeviceDone(t(230)),
+        Obs::Answered(t(230), t(240)),
+        Obs::Finished(false, t(240)),
+    ] {
+        probe.report(obs);
+    }
+}
+
+/// Allocations a traced run makes that do not grow with its span count:
+/// the probe's first id binding and the first samples of its latency
+/// histograms.
+const FIXED_ALLOCS: u64 = 4;
+
+/// Tracing 1024 requests allocates only as the span log doubles, plus
+/// [`FIXED_ALLOCS`]: recording a span, its attributes included, never
+/// touches the heap.
+#[test]
+fn traced_requests_allocate_only_as_the_span_log_grows() {
+    let _serial = serial();
+    let probe = Probe::new(Tracer::enabled(), FlightHandle::disabled());
+    ALLOCS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    for i in 0..1024 {
+        observe_request(&probe, i);
+    }
+    ARMED.store(false, Ordering::SeqCst);
+    let n = ALLOCS.load(Ordering::SeqCst);
+    let spans = probe.tracer().len() as u64;
+    assert_eq!(spans, 1024 * 16);
+    // One allocation for the log's first slots, one per doubling after.
+    let doublings = u64::from(spans.next_power_of_two().ilog2());
+    assert!(
+        n <= doublings + FIXED_ALLOCS,
+        "{n} allocations for {spans} spans: more than {doublings} log doublings + {FIXED_ALLOCS}"
+    );
 }

@@ -193,6 +193,9 @@ pub struct System {
     /// always-on tally of finished requests, plus the span tracer and the
     /// telemetry's flight recorder (off until either is enabled).
     probe: Probe,
+    /// Span ids handed out before tracing was last switched off; a
+    /// re-enabled tracer continues after them.
+    span_ids: u64,
     /// Deterministic time-series sampling + SLO watchdog (None = off; the
     /// request path pays one `Option` check when disabled).
     telemetry: Option<Telemetry>,
@@ -228,6 +231,7 @@ impl System {
             next_req: 1,
             completed: BTreeMap::new(),
             probe: Probe::default(),
+            span_ids: 0,
             telemetry: None,
         }
     }
@@ -241,9 +245,22 @@ impl System {
     /// Enabling installs a fresh shared tracer in the probe the hypervisor,
     /// device and telemetry report through (so PCIe / translation / media
     /// spans stitch under the same request roots); disabling swaps in a
-    /// no-op tracer.
+    /// no-op tracer. Switching to the state tracing is already in changes
+    /// nothing. A re-enabled tracer's span ids continue after the earlier
+    /// tracers', so a root id held from before (an unclosed window's
+    /// completion) reads as drained instead of naming a new span.
     pub fn set_tracing(&mut self, on: bool) {
-        self.install_probe(on.then(Tracer::enabled).unwrap_or_default());
+        let tracer = self.probe.tracer();
+        if on == tracer.is_enabled() {
+            return;
+        }
+        let tracer = if on {
+            Tracer::enabled_after(self.span_ids)
+        } else {
+            self.span_ids = tracer.minted();
+            Tracer::disabled()
+        };
+        self.install_probe(tracer);
     }
 
     /// Rewires the probe to `tracer` and the telemetry's flight recorder,

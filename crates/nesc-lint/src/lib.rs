@@ -130,6 +130,7 @@ pub fn classify(rel: &Path) -> Option<LintContext> {
                 | "crates/core/src/function.rs"
                 | "crates/sim/src/flight.rs"
                 | "crates/sim/src/probe.rs"
+                | "crates/sim/src/trace.rs"
                 | "crates/hypervisor/src/system.rs"
                 | "crates/hypervisor/src/telemetry.rs"
         ),
@@ -333,7 +334,7 @@ mod tests {
         let q = classify(Path::new("crates/sim/src/sched.rs")).unwrap();
         assert!(q.scheduling_core);
         let t = classify(Path::new("crates/sim/src/trace.rs")).unwrap();
-        assert!(t.trace_impl && !t.scheduling_core);
+        assert!(t.trace_impl && t.device_loop && !t.scheduling_core);
         let ti = classify(Path::new("crates/sim/src/time.rs")).unwrap();
         assert!(ti.time_impl && ti.scheduling_core);
         let dev = classify(Path::new("crates/core/src/device.rs")).unwrap();

@@ -353,13 +353,15 @@ struct Directive {
 }
 
 /// The last line of the statement or braced item starting at `from_line`:
-/// the matching `}` of the first `{` encountered, or `from_line` itself if
-/// a top-level `;` (or nothing) comes first.
+/// the matching `}` of the first `{` encountered, or the line of the
+/// first top-level `;` if that comes first (or the last line, if neither
+/// does). A `;` inside parentheses or brackets — an array type
+/// `[T; N]` in a signature, an array literal `[0; 4]` — is not top-level.
 fn item_end_line(tokens: &[Tok], from_line: u32) -> u32 {
     let Some(start) = tokens.iter().position(|t| t.line >= from_line) else {
         return from_line;
     };
-    let mut depth = 0i32;
+    let (mut depth, mut nest) = (0i32, 0i32);
     for t in &tokens[start..] {
         match t.kind {
             TokKind::Punct('{') => depth += 1,
@@ -369,7 +371,9 @@ fn item_end_line(tokens: &[Tok], from_line: u32) -> u32 {
                     return t.line;
                 }
             }
-            TokKind::Punct(';') if depth == 0 => return t.line,
+            TokKind::Punct('(' | '[') => nest += 1,
+            TokKind::Punct(')' | ']') => nest -= 1,
+            TokKind::Punct(';') if depth == 0 && nest <= 0 => return t.line,
             _ => {}
         }
     }

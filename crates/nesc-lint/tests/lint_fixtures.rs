@@ -10,7 +10,7 @@
 
 use std::path::Path;
 
-use nesc_lint::{lint_source, LintContext, Rule};
+use nesc_lint::{classify, lint_source, LintContext, Rule};
 
 fn lint_fixture(name: &str) -> Vec<(u32, Rule)> {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -117,6 +117,21 @@ fn d7_flags_allocating_flight_append_but_not_fixed_slot() {
         lint_fixture("d7_flight_append.rs"),
         vec![(6, Rule::D7), (7, Rule::D7), (8, Rule::P2)]
     );
+}
+
+#[test]
+fn d7_flags_a_heap_grown_span_in_the_tracer_append() {
+    // Linted in the scope the real tracer gets: the `Vec::new()` attribute
+    // list (line 13) is D7 and the log index (line 15) P2; the inline
+    // `span` below them stays clean.
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/d7_tracer_append.rs");
+    let src = std::fs::read_to_string(path).expect("read d7_tracer_append.rs");
+    let ctx = classify(Path::new("crates/sim/src/trace.rs")).expect("trace.rs is linted");
+    let diags: Vec<(u32, Rule)> = lint_source(&ctx, &src)
+        .into_iter()
+        .map(|d| (d.line, d.rule))
+        .collect();
+    assert_eq!(diags, vec![(13, Rule::D7), (15, Rule::P2)]);
 }
 
 #[test]

@@ -58,7 +58,7 @@ use std::sync::{Mutex, PoisonError};
 use crate::probe::Completion;
 use crate::selfcheck::fnv1a;
 use crate::time::SimTime;
-use crate::trace::{chrome_trace_json, Span, SpanId, SpanTree};
+use crate::trace::{chrome_trace_json, Attrs, Span, SpanId, SpanTree, SPAN_ATTRS};
 
 /// What one ring slot records. The discriminant is the integer stored in
 /// the serialized dump; [`FlightEventKind::from_u8`] decodes it back.
@@ -455,7 +455,8 @@ impl FlightSnapshot {
     ///
     /// The first malformed part: a missing key, a field that is not a
     /// non-negative integer (or string, for names), an event row without
-    /// exactly 5 fields, or an unknown event kind.
+    /// exactly 5 fields, an unknown event kind, or a span with more
+    /// attributes than [`SPAN_ATTRS`] (named by its id).
     pub fn from_json(doc: &serde_json::Value) -> Result<FlightSnapshot, String> {
         let int = |v: &serde_json::Value, key: &str| uint(field(v, key)?, key);
         let name = |v: &serde_json::Value, key: &str| text(field(v, key)?, key);
@@ -477,21 +478,27 @@ impl FlightSnapshot {
             })
         };
         let span = |s: &serde_json::Value| {
-            let attr = |kv: &serde_json::Value| match list(kv, "attr")? {
-                [k, v] => Ok((text(k, "attr key")?, uint(v, "attr value")?)),
-                kv => Err(format!("attr has {} fields, want 2", kv.len())),
-            };
-            let attrs = list(field(s, "attrs")?, "attrs")?.iter().map(attr);
+            let id = int(s, "id")?;
+            let mut attrs = Attrs::default();
+            for kv in list(field(s, "attrs")?, "attrs")? {
+                let (k, v) = match list(kv, "attr")? {
+                    [k, v] => (text(k, "attr key")?, uint(v, "attr value")?),
+                    kv => return Err(format!("attr has {} fields, want 2", kv.len())),
+                };
+                if !attrs.push(k, v) {
+                    return Err(format!("span {id} has more than {SPAN_ATTRS} attrs"));
+                }
+            }
             // nesc-lint::allow(D5): rebuilds spans the tracer recorded, ids
             // and parents as the dump carries them.
             Ok(Span {
-                id: SpanId(int(s, "id")?),
+                id: SpanId(id),
                 parent: SpanId(int(s, "parent")?),
                 layer: name(s, "layer")?,
                 name: name(s, "name")?,
                 start: SimTime::from_nanos(int(s, "start_ns")?),
                 end: SimTime::from_nanos(int(s, "end_ns")?),
-                attrs: attrs.collect::<Result<_, String>>()?,
+                attrs,
             })
         };
         let exemplar = |x: &serde_json::Value| {
@@ -620,15 +627,21 @@ impl FlightSnapshot {
 
     /// The exemplar spans as one Chrome/Perfetto trace
     /// ([`chrome_trace_json`]), each span tagged with its request's
-    /// `exemplar_seq` ahead of its own attributes.
+    /// `exemplar_seq` ahead of its own attributes. The probe's exemplar
+    /// spans carry at most 4, so the tag always fits; a span read from
+    /// elsewhere that fills every slot keeps the tag and drops its last.
     pub fn exemplar_trace_json(&self) -> serde_json::Value {
         let spans: Vec<Span> = self
             .exemplars
             .iter()
             .flat_map(|x| {
                 x.spans.iter().map(|s| {
-                    let mut s = s.clone();
-                    s.attrs.insert(0, ("exemplar_seq", x.seq));
+                    let mut attrs = Attrs::from([("exemplar_seq", x.seq)]);
+                    for &(k, v) in s.attrs.iter() {
+                        let _ = attrs.push(k, v);
+                    }
+                    let mut s = *s;
+                    s.attrs = attrs;
                     s
                 })
             })
@@ -809,12 +822,11 @@ mod tests {
     fn exemplars_capture_span_subtrees() {
         use crate::trace::Tracer;
         let tracer = Tracer::enabled();
-        let root = tracer.start(SpanId::NONE, "guest", "request", t(0));
-        let child = tracer.span(root, "core", "device", t(10), t(90));
-        tracer.attr(child, "blocks", 4);
+        let root = tracer.start(SpanId::NONE, "guest", "request", t(0), []);
+        tracer.span(root, "core", "device", t(10), t(90), [("blocks", 4)]);
         tracer.end(root, t(100));
         // An unrelated root must not leak into the subtree.
-        tracer.span(SpanId::NONE, "guest", "request", t(200), t(300));
+        tracer.span(SpanId::NONE, "guest", "request", t(200), t(300), []);
         let r = FlightRecorder::new(FlightConfig::default());
         r.close_window(0, &mut [done(100, 7, 100, root)], |root| {
             tracer.subtree(root)
@@ -875,10 +887,9 @@ mod tests {
     fn synthetic_snapshot() -> FlightSnapshot {
         use crate::trace::Tracer;
         let tracer = Tracer::enabled();
-        let root = tracer.start(SpanId::NONE, "guest", "request", t(0));
-        let child = tracer.span(root, "core", "device_wait", t(10), t(90));
-        tracer.attr(child, "blocks", 4);
-        tracer.attr(child, "disk", 1);
+        let root = tracer.start(SpanId::NONE, "guest", "request", t(0), []);
+        let attrs = [("blocks", 4), ("disk", 1)];
+        tracer.span(root, "core", "device_wait", t(10), t(90), attrs);
         tracer.end(root, t(100));
         let r = FlightRecorder::new(FlightConfig::default().capacity(4));
         for i in 0..6u64 {
@@ -929,6 +940,32 @@ mod tests {
         pairs.retain(|(k, _)| k != "dropped");
         let err = FlightSnapshot::from_json(&missing).unwrap_err();
         assert_eq!(err, "missing `dropped`");
+    }
+
+    #[test]
+    fn reader_rejects_a_span_wider_than_the_inline_attrs() {
+        let doc = synthetic_snapshot().to_json();
+        // The second span of the first exemplar (id 2), with `n` attrs.
+        let with_attrs = |n: u64| {
+            use serde_json::Value::Array;
+            let mut d = doc.clone();
+            let Some(Array(exemplars)) = d.get_mut("exemplars") else {
+                panic!("no exemplars array")
+            };
+            let Some(Array(spans)) = exemplars[0].get_mut("spans") else {
+                panic!("no spans array")
+            };
+            let span = &mut spans[1];
+            assert_eq!(span.get("id"), Some(&serde_json::Value::from(2u64)));
+            let keys = ["a", "b", "c", "d", "e", "f"];
+            let attrs = (0..n).map(|i| serde_json::json!([keys[i as usize], i]));
+            *span.get_mut("attrs").unwrap() = Array(attrs.collect());
+            FlightSnapshot::from_json(&d)
+        };
+        let full = with_attrs(SPAN_ATTRS as u64).unwrap();
+        assert_eq!(full.exemplars[0].spans[1].attrs.len(), SPAN_ATTRS);
+        let err = with_attrs(SPAN_ATTRS as u64 + 1).unwrap_err();
+        assert_eq!(err, "span 2 has more than 5 attrs");
     }
 
     #[test]
@@ -992,11 +1029,11 @@ mod tests {
     fn checked_breakdown_needs_both_derivations_to_agree_and_tile() {
         use crate::trace::Tracer;
         let tracer = Tracer::enabled();
-        let root = tracer.start(SpanId::NONE, "guest", "request", t(1000));
-        tracer.span(root, "guest", "guest_submit", t(1000), t(1200));
-        tracer.span(root, "pcie", "doorbell", t(1200), t(1300));
-        tracer.span(root, "core", "device_wait", t(1300), t(4600));
-        tracer.span(root, "guest", "guest_complete", t(4600), t(5000));
+        let root = tracer.start(SpanId::NONE, "guest", "request", t(1000), []);
+        tracer.span(root, "guest", "guest_submit", t(1000), t(1200), []);
+        tracer.span(root, "pcie", "doorbell", t(1200), t(1300), []);
+        tracer.span(root, "core", "device_wait", t(1300), t(4600), []);
+        tracer.span(root, "guest", "guest_complete", t(4600), t(5000), []);
         tracer.end(root, t(5000));
         let r = FlightRecorder::new(FlightConfig::default());
         r.append(t(1000), FlightEventKind::RequestStart, 1, 7, 0);

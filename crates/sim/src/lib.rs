@@ -90,4 +90,6 @@ pub use sched::{ReadyTable, RoundRobin};
 pub use selfcheck::{Divergence, EventRecord, RunDigest};
 pub use stats::{Histogram, Summary, Throughput};
 pub use time::{SimDuration, SimTime};
-pub use trace::{chrome_trace_json, validate_chrome_trace, Span, SpanId, SpanTree, Tracer};
+pub use trace::{
+    chrome_trace_json, validate_chrome_trace, Attrs, Span, SpanId, SpanTree, Tracer, SPAN_ATTRS,
+};

@@ -1552,7 +1552,7 @@ mod tests {
     #[test]
     fn counter_tracks_merge_into_valid_chrome_trace() {
         let tracer = crate::trace::Tracer::enabled();
-        let span = tracer.start(crate::trace::SpanId::NONE, "core", "device", t(0));
+        let span = tracer.start(crate::trace::SpanId::NONE, "core", "device", t(0), []);
         tracer.end(span, t(25));
         let mut s = Sampler::new(dur(10), 4);
         let g = s.register("core.depth", "n", SeriesKind::Gauge);

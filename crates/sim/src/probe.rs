@@ -398,30 +398,32 @@ impl Probe {
         match obs {
             Obs::Issued(_, disk, _, bytes, write, at) => {
                 let layer = if host { "hypervisor" } else { "guest" };
-                let s = t.start(SpanId::NONE, layer, "request", at);
-                t.attr(s, "disk", u64::from(disk));
-                t.attr(s, "bytes", bytes);
-                t.attr(s, "write", u64::from(write));
+                let attrs = [
+                    ("disk", u64::from(disk)),
+                    ("bytes", bytes),
+                    ("write", u64::from(write)),
+                ];
+                let s = t.start(SpanId::NONE, layer, "request", at, attrs);
                 open.root.set(s);
             }
             Obs::Rang(_, id, rang, landed) => {
                 let layer = if host { "hypervisor" } else { "guest" };
                 let name = if host { "host_submit" } else { "guest_submit" };
-                t.span(root, layer, name, issue, rang);
-                t.span(root, "pcie", "doorbell", rang, landed);
-                let wait = t.start(root, "core", "device_wait", landed);
+                t.span(root, layer, name, issue, rang, []);
+                t.span(root, "pcie", "doorbell", rang, landed, []);
+                let wait = t.start(root, "core", "device_wait", landed, []);
                 open.wait.set(wait);
                 open.parents.borrow_mut().insert(id, wait);
             }
             Obs::Backend(trapped, kicked, served) => {
-                t.span(root, "guest", "guest_submit", issue, trapped);
+                t.span(root, "guest", "guest_submit", issue, trapped, []);
                 let virtio = path == Some(Via::Virtio);
                 let layer = if virtio { "virtio" } else { "hypervisor" };
                 let name = if virtio { "kick" } else { "trap_emulate" };
-                t.span(root, layer, name, trapped, kicked);
-                t.span(root, "hypervisor", "host_backend", kicked, served);
+                t.span(root, layer, name, trapped, kicked, []);
+                t.span(root, "hypervisor", "host_backend", kicked, served, []);
             }
-            Obs::Awaiting(at) => open.wait.set(t.start(root, "core", "device_wait", at)),
+            Obs::Awaiting(at) => open.wait.set(t.start(root, "core", "device_wait", at, [])),
             Obs::Forwarded(id) => {
                 open.parents.borrow_mut().insert(id, open.wait.get());
             }
@@ -437,7 +439,7 @@ impl Probe {
                 } else {
                     "guest_complete"
                 };
-                t.span(root, layer, name, device_done, done);
+                t.span(root, layer, name, device_done, done, []);
             }
             Obs::Finished(failed, done) => {
                 t.attr(root, "failed", u64::from(failed));
@@ -445,28 +447,32 @@ impl Probe {
                 open.root.set(SpanId::NONE);
             }
             Obs::Anomaly(a) => {
-                let s = t.span(SpanId::NONE, "telemetry", "anomaly", a.start, a.at);
-                t.attr(s, "rule", a.rule_index as u64);
-                t.attr(s, "rule_text_hash", fnv1a(a.text.as_bytes()));
-                t.attr(s, "window", a.window);
-                t.attr(s, "value", a.value);
-                t.attr(s, "threshold", a.threshold);
+                let attrs = [
+                    ("rule", a.rule_index as u64),
+                    ("rule_text_hash", fnv1a(a.text.as_bytes())),
+                    ("window", a.window),
+                    ("value", a.value),
+                    ("threshold", a.threshold),
+                ];
+                t.span(SpanId::NONE, "telemetry", "anomaly", a.start, a.at, attrs);
             }
             Obs::DeviceOpen(func, id, blocks, arrived, start) => {
-                let s = t.start(open.parent_of(id), "core", "device", arrived);
-                if func != 0 {
-                    t.attr(s, "func", u64::from(func));
-                }
-                t.attr(s, "blocks", blocks);
+                let parent = open.parent_of(id);
+                let s = if func != 0 {
+                    let attrs = [("func", u64::from(func)), ("blocks", blocks)];
+                    t.start(parent, "core", "device", arrived, attrs)
+                } else {
+                    t.start(parent, "core", "device", arrived, [("blocks", blocks)])
+                };
                 if start > arrived {
-                    t.span(s, "core", "queue", arrived, start);
+                    t.span(s, "core", "queue", arrived, start, []);
                 }
                 open.device.set(s);
             }
             Obs::DeviceResume(func, id, blocks, at) => {
-                let s = t.start(open.parent_of(id), "core", "device_resume", at);
-                t.attr(s, "func", u64::from(func));
-                t.attr(s, "blocks", blocks);
+                let parent = open.parent_of(id);
+                let attrs = [("func", u64::from(func)), ("blocks", blocks)];
+                let s = t.start(parent, "core", "device_resume", at, attrs);
                 open.device.set(s);
             }
             Obs::DeviceDone(at) => t.end(open.device.replace(SpanId::NONE), at),
@@ -475,29 +481,25 @@ impl Probe {
                 t.end(open.device.replace(SpanId::NONE), at);
             }
             Obs::Translate(run, levels, start, end) => {
-                let s = t.span(dev, "core", "translate", start, end);
-                t.attr(s, "run", run);
-                t.attr(s, "levels", levels);
+                let attrs = [("run", run), ("levels", levels)];
+                t.span(dev, "core", "translate", start, end, attrs);
             }
             Obs::Walk(levels, _, start, end) => {
-                let s = t.span(dev, "extent", "walk", start, end);
-                t.attr(s, "levels", u64::from(levels));
+                let attrs = [("levels", u64::from(levels))];
+                t.span(dev, "extent", "walk", start, end, attrs);
             }
             Obs::MediaPass(Pass(blocks, _, start, end)) => {
-                let s = t.span(dev, "storage", "media", start, end);
-                t.attr(s, "blocks", blocks);
+                t.span(dev, "storage", "media", start, end, [("blocks", blocks)]);
             }
             Obs::DmaRead(p) | Obs::DmaWrite(p) | Obs::ZeroFill(p) => {
                 let Pass(blocks, block_bytes, start, end) = p;
                 let read = matches!(obs, Obs::DmaRead(_));
                 let name = if read { "dma_read" } else { "dma_write" };
-                let s = t.span(dev, "pcie", name, start, end);
-                t.attr(s, "bytes", block_bytes * blocks);
-                t.attr(s, "transfers", blocks);
+                let attrs = [("bytes", block_bytes * blocks), ("transfers", blocks)];
+                t.span(dev, "pcie", name, start, end, attrs);
             }
             Obs::DescriptorFetch(bytes, start, end) => {
-                let s = t.span(dev, "pcie", "dma_read", start, end);
-                t.attr(s, "bytes", bytes);
+                t.span(dev, "pcie", "dma_read", start, end, [("bytes", bytes)]);
             }
             Obs::Rewalk(..) | Obs::Queued(..) | Obs::Dispatched(..) => {}
         }
@@ -908,7 +910,7 @@ mod tests {
     fn fold_table_under_every_setting() {
         let spans = |out: &Out| {
             let rows = out.spans.iter().map(|s| {
-                let attrs: Vec<(&str, u64)> = s.attrs.clone();
+                let attrs: Vec<(&str, u64)> = s.attrs.to_vec();
                 let (start, end) = (s.start.as_nanos(), s.end.as_nanos());
                 (s.id.0, s.parent.0, s.layer, s.name, start, end, attrs)
             });

@@ -149,7 +149,7 @@ impl RunDigest {
             let mut payload = fnv1a_word(FNV_OFFSET, s.id.0);
             payload = fnv1a_word(payload, s.parent.0);
             payload = fnv1a_word(payload, s.end.as_nanos());
-            for (k, v) in &s.attrs {
+            for (k, v) in s.attrs.iter() {
                 payload = fnv1a_word(payload, fnv1a(k.as_bytes()));
                 payload = fnv1a_word(payload, *v);
             }
@@ -482,8 +482,8 @@ mod tests {
     fn span_records_and_tree_section() {
         use crate::trace::{SpanId, Tracer};
         let tr = Tracer::enabled();
-        let root = tr.start(SpanId::NONE, "guest", "request", t(0));
-        let child = tr.start(root, "pcie", "dma", t(10));
+        let root = tr.start(SpanId::NONE, "guest", "request", t(0), []);
+        let child = tr.start(root, "pcie", "dma", t(10), []);
         tr.end(child, t(40));
         tr.end(root, t(100));
         let spans = tr.take_spans();

@@ -10,10 +10,15 @@
 //! [`Probe`](crate::Probe)'s fold:
 //!
 //! * [`Span`] — one timed interval on one layer, with a parent link and
-//!   `key=value` attributes, forming a tree per request;
+//!   up to [`SPAN_ATTRS`] `key=value` [`Attrs`] stored inline, forming a
+//!   tree per request. A span is `Copy` and owns no heap memory, so
+//!   recording one is a fixed-size append and copying one (exemplar
+//!   capture) is a fixed-size move;
 //! * [`Tracer`] — a cheaply cloneable handle shared by all layers. A
 //!   disabled tracer is a `None` and every operation is a no-op, so the
-//!   hot path pays only a branch when tracing is off;
+//!   hot path pays only a branch when tracing is off. Enabled, a span is
+//!   written whole, with the attributes known when it opens, under one
+//!   borrow of the log;
 //! * [`SpanTree`] — an index over a drained span list for breakdown
 //!   harnesses and invariant checks;
 //! * [`chrome_trace_json`] — Chrome/Perfetto `traceEvents` export.
@@ -28,20 +33,24 @@
 //! ```
 //! use nesc_sim::{SimTime, Tracer, SpanId};
 //!
+//! let t = SimTime::from_nanos;
 //! let tracer = Tracer::enabled();
-//! let root = tracer.start(SpanId::NONE, "guest", "request", SimTime::from_nanos(0));
-//! let child = tracer.start(root, "pcie", "doorbell", SimTime::from_nanos(10));
-//! tracer.end(child, SimTime::from_nanos(30));
-//! tracer.attr(root, "bytes", 4096);
-//! tracer.end(root, SimTime::from_nanos(100));
+//! let root = tracer.start(SpanId::NONE, "guest", "request", t(0), [("bytes", 4096)]);
+//! tracer.span(root, "pcie", "doorbell", t(10), t(30), []);
+//! // A late attribute, known only when the request finishes.
+//! tracer.attr(root, "failed", 0);
+//! tracer.end(root, t(100));
 //! let spans = tracer.take_spans();
 //! assert_eq!(spans.len(), 2);
 //! assert_eq!(spans[0].layer, "guest");
+//! assert_eq!(*spans[0].attrs, [("bytes", 4096), ("failed", 0)]);
 //! assert_eq!(spans[1].parent, spans[0].id);
 //! ```
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::fmt;
+use std::ops::Deref;
 use std::rc::Rc;
 
 use crate::hash::IntHashBuilder;
@@ -63,8 +72,86 @@ impl SpanId {
     }
 }
 
+/// The most attributes one span holds: the widest spans carry 5 —
+/// `telemetry:anomaly`, and a request root's 4 plus the `exemplar_seq`
+/// the exemplar trace export puts ahead of them.
+pub const SPAN_ATTRS: usize = 5;
+
+/// A span's `key=value` attributes, stored inline: at most
+/// [`SPAN_ATTRS`], so a span owns no heap memory. Derefs to the
+/// attributes set, in the order they were added; equality and `Debug`
+/// see only those.
+///
+/// An array wider than the capacity does not compile:
+///
+/// ```compile_fail
+/// let kv = [("a", 1), ("b", 2), ("c", 3), ("d", 4), ("e", 5), ("f", 6)];
+/// let _ = nesc_sim::Attrs::from(kv);
+/// ```
+#[derive(Clone, Copy, Default)]
+pub struct Attrs {
+    len: usize,
+    slots: [(&'static str, u64); SPAN_ATTRS],
+}
+
+/// Compile-time proof that `N` attributes fit in a span.
+struct Fits<const N: usize>;
+
+impl<const N: usize> Fits<N> {
+    const OK: () = assert!(N <= SPAN_ATTRS, "more attributes than a span holds");
+}
+
+impl Attrs {
+    /// Appends `key=value`. Returns `false`, leaving the list as it was,
+    /// when all [`SPAN_ATTRS`] slots are taken.
+    #[must_use]
+    pub fn push(&mut self, key: &'static str, value: u64) -> bool {
+        let Some(slot) = self.slots.get_mut(self.len) else {
+            return false;
+        };
+        *slot = (key, value);
+        self.len += 1;
+        true
+    }
+}
+
+/// The attributes of an array, in order; an array wider than
+/// [`SPAN_ATTRS`] does not compile.
+impl<const N: usize> From<[(&'static str, u64); N]> for Attrs {
+    fn from(kv: [(&'static str, u64); N]) -> Self {
+        let () = Fits::<N>::OK;
+        let mut slots = [("", 0); SPAN_ATTRS];
+        for (slot, kv) in slots.iter_mut().zip(kv) {
+            *slot = kv;
+        }
+        Attrs { len: N, slots }
+    }
+}
+
+impl Deref for Attrs {
+    type Target = [(&'static str, u64)];
+
+    fn deref(&self) -> &Self::Target {
+        self.slots.get(..self.len).unwrap_or_default()
+    }
+}
+
+impl PartialEq for Attrs {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Attrs {}
+
+impl fmt::Debug for Attrs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// One recorded interval in the span tree.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     /// This span's id (sequential from 1, in creation order).
     pub id: SpanId,
@@ -79,8 +166,9 @@ pub struct Span {
     pub start: SimTime,
     /// Simulated end time (equals `start` until [`Tracer::end`] is called).
     pub end: SimTime,
-    /// `key=value` attributes attached via [`Tracer::attr`].
-    pub attrs: Vec<(&'static str, u64)>,
+    /// `key=value` attributes: those given when the span opened, then
+    /// any added by [`Tracer::attr`].
+    pub attrs: Attrs,
 }
 
 impl Span {
@@ -100,7 +188,8 @@ struct TraceLog {
     spans: Vec<Span>,
     next_id: u64,
     /// Ids `1..=drained` were taken by earlier [`Tracer::take_spans`]
-    /// calls; mutations aimed at them are ignored.
+    /// calls, or by the tracers this one continues after; mutations aimed
+    /// at them are ignored.
     drained: u64,
 }
 
@@ -110,6 +199,30 @@ impl TraceLog {
             return None;
         }
         self.spans.get_mut((id.0 - self.drained - 1) as usize)
+    }
+
+    /// Appends a span under the next id.
+    fn record(
+        &mut self,
+        parent: SpanId,
+        layer: &'static str,
+        name: &'static str,
+        start: SimTime,
+        end: SimTime,
+        attrs: Attrs,
+    ) -> SpanId {
+        let id = SpanId(self.next_id);
+        self.next_id += 1;
+        self.spans.push(Span {
+            id,
+            parent,
+            layer,
+            name,
+            start,
+            end,
+            attrs,
+        });
+        id
     }
 }
 
@@ -127,9 +240,18 @@ pub struct Tracer {
 impl Tracer {
     /// A recording tracer.
     pub fn enabled() -> Self {
+        Tracer::enabled_after(0)
+    }
+
+    /// A recording tracer whose ids continue after the `minted` ones
+    /// earlier tracers handed out: its first span gets id `minted + 1`,
+    /// and ids up to `minted` read as drained. A tracer re-enabled this
+    /// way never gives a second span an id a stale reference still holds.
+    pub fn enabled_after(minted: u64) -> Self {
         Tracer {
             inner: Some(Rc::new(RefCell::new(TraceLog {
-                next_id: 1,
+                next_id: minted + 1,
+                drained: minted,
                 ..TraceLog::default()
             }))),
         }
@@ -146,30 +268,32 @@ impl Tracer {
         self.inner.is_some()
     }
 
-    /// Opens a span. Returns [`SpanId::NONE`] when disabled.
-    pub fn start(
+    /// Span ids handed out so far, those this tracer continues after
+    /// included; 0 when disabled.
+    pub fn minted(&self) -> u64 {
+        self.inner
+            .as_ref()
+            .map_or(0, |inner| inner.borrow().next_id - 1)
+    }
+
+    /// Opens a span with the attributes known at `at`. Returns
+    /// [`SpanId::NONE`] when disabled.
+    // nesc-lint: hot
+    pub fn start<const N: usize>(
         &self,
         parent: SpanId,
         layer: &'static str,
         name: &'static str,
         at: SimTime,
+        attrs: [(&'static str, u64); N],
     ) -> SpanId {
         let Some(inner) = &self.inner else {
             return SpanId::NONE;
         };
-        let mut log = inner.borrow_mut();
-        let id = SpanId(log.next_id);
-        log.next_id += 1;
-        log.spans.push(Span {
-            id,
-            parent,
-            layer,
-            name,
-            start: at,
-            end: at,
-            attrs: Vec::new(),
-        });
-        id
+        let attrs = Attrs::from(attrs);
+        inner
+            .borrow_mut()
+            .record(parent, layer, name, at, at, attrs)
     }
 
     /// Closes a span at `at`.
@@ -192,27 +316,45 @@ impl Tracer {
         }
     }
 
-    /// Records a complete span in one call.
-    pub fn span(
+    /// Records a complete span in one call, with its attributes.
+    // nesc-lint: hot
+    pub fn span<const N: usize>(
         &self,
         parent: SpanId,
         layer: &'static str,
         name: &'static str,
         start: SimTime,
         end: SimTime,
+        attrs: [(&'static str, u64); N],
     ) -> SpanId {
-        let id = self.start(parent, layer, name, start);
-        self.end(id, end);
-        id
+        let Some(inner) = &self.inner else {
+            return SpanId::NONE;
+        };
+        debug_assert!(
+            end >= start,
+            "span {layer}:{name} ends at {end} before it started at {start}"
+        );
+        let attrs = Attrs::from(attrs);
+        inner
+            .borrow_mut()
+            .record(parent, layer, name, start, end, attrs)
     }
 
-    /// Attaches a `key=value` attribute to a span.
+    /// Attaches a `key=value` attribute known only after the span opened.
+    /// A span already holding [`SPAN_ATTRS`] is left as it was (and
+    /// debug-asserts).
+    // nesc-lint: hot
     pub fn attr(&self, id: SpanId, key: &'static str, value: u64) {
         let Some(inner) = &self.inner else {
             return;
         };
         if let Some(span) = inner.borrow_mut().span_mut(id) {
-            span.attrs.push((key, value));
+            let fits = span.attrs.push(key, value);
+            debug_assert!(
+                fits,
+                "span {}:{} has no room for attribute {key}",
+                span.layer, span.name
+            );
         }
     }
 
@@ -244,7 +386,7 @@ impl Tracer {
         }
     }
 
-    /// Clones the subtree rooted at `root` — the root span plus every
+    /// Copies the subtree rooted at `root` — the root span plus every
     /// not-yet-drained descendant, in creation (id) order — *without*
     /// draining the log. This is what the flight recorder's exemplar
     /// capture uses: the worst-K requests get their full trees copied out
@@ -281,7 +423,7 @@ impl Tracer {
                         .copied()
                         .unwrap_or(false);
             if kept {
-                out.push(s.clone());
+                out.push(*s);
             }
             keep.push(kept);
         }
@@ -298,6 +440,8 @@ pub struct SpanTree {
     roots: Vec<usize>,
     /// Parent span id -> `spans` indices of its children, creation order.
     children: HashMap<u64, Vec<usize>, IntHashBuilder>,
+    /// Span id -> `spans` index of the first span with that id.
+    index: HashMap<u64, usize, IntHashBuilder>,
 }
 
 impl SpanTree {
@@ -305,7 +449,9 @@ impl SpanTree {
     pub fn new(spans: Vec<Span>) -> Self {
         let mut roots = Vec::new();
         let mut children: HashMap<u64, Vec<usize>, IntHashBuilder> = HashMap::default();
+        let mut index: HashMap<u64, usize, IntHashBuilder> = HashMap::default();
         for (i, s) in spans.iter().enumerate() {
+            index.entry(s.id.0).or_insert(i);
             if s.parent.is_some() {
                 children.entry(s.parent.0).or_default().push(i);
             } else {
@@ -316,7 +462,13 @@ impl SpanTree {
             spans,
             roots,
             children,
+            index,
         }
+    }
+
+    /// The span with id `id`, if the forest has one.
+    fn get(&self, id: SpanId) -> Option<&Span> {
+        self.index.get(&id.0).and_then(|&i| self.spans.get(i))
     }
 
     /// All spans, in creation order.
@@ -362,7 +514,7 @@ impl SpanTree {
                         s.id.0, s.parent.0
                     ));
                 }
-                let Some(p) = self.spans.iter().find(|p| p.id == s.parent) else {
+                let Some(p) = self.get(s.parent) else {
                     return Err(format!(
                         "span {} has dangling parent {}",
                         s.id.0, s.parent.0
@@ -390,7 +542,7 @@ impl SpanTree {
     ///
     /// A description of the first gap or overlap.
     pub fn check_partition(&self, root: SpanId) -> Result<(), String> {
-        let Some(r) = self.spans.iter().find(|s| s.id == root) else {
+        let Some(r) = self.get(root) else {
             return Err(format!("no span {}", root.0));
         };
         let kids: Vec<&Span> = self.children(root).collect();
@@ -461,7 +613,7 @@ pub fn chrome_trace_json(spans: &[Span]) -> serde_json::Value {
             ("span".to_string(), serde_json::Value::from(s.id.0)),
             ("parent".to_string(), serde_json::Value::from(s.parent.0)),
         ];
-        for (k, v) in &s.attrs {
+        for (k, v) in s.attrs.iter() {
             args.push((k.to_string(), serde_json::Value::from(*v)));
         }
         events.push(serde_json::json!({
@@ -530,7 +682,7 @@ mod tests {
     fn disabled_tracer_is_noop() {
         let tr = Tracer::disabled();
         assert!(!tr.is_enabled());
-        let id = tr.start(SpanId::NONE, "guest", "request", t(0));
+        let id = tr.start(SpanId::NONE, "guest", "request", t(0), []);
         assert_eq!(id, SpanId::NONE);
         tr.end(id, t(10));
         tr.attr(id, "k", 1);
@@ -540,8 +692,8 @@ mod tests {
     #[test]
     fn spans_nest_and_ids_are_sequential() {
         let tr = Tracer::enabled();
-        let root = tr.start(SpanId::NONE, "guest", "request", t(0));
-        let a = tr.start(root, "core", "device", t(10));
+        let root = tr.start(SpanId::NONE, "guest", "request", t(0), []);
+        let a = tr.start(root, "core", "device", t(10), []);
         tr.end(a, t(50));
         tr.end(root, t(60));
         let spans = tr.take_spans();
@@ -555,9 +707,9 @@ mod tests {
     #[test]
     fn partition_check_catches_gaps() {
         let tr = Tracer::enabled();
-        let root = tr.start(SpanId::NONE, "guest", "request", t(0));
-        tr.span(root, "guest", "submit", t(0), t(10));
-        tr.span(root, "core", "device", t(10), t(90));
+        let root = tr.start(SpanId::NONE, "guest", "request", t(0), []);
+        tr.span(root, "guest", "submit", t(0), t(10), []);
+        tr.span(root, "core", "device", t(10), t(90), []);
         tr.end(root, t(100));
         let tree = SpanTree::new(tr.take_spans());
         let err = tree.check_partition(SpanId(1)).unwrap_err();
@@ -567,10 +719,10 @@ mod tests {
     #[test]
     fn partition_check_accepts_tiling() {
         let tr = Tracer::enabled();
-        let root = tr.start(SpanId::NONE, "guest", "request", t(5));
-        tr.span(root, "guest", "submit", t(5), t(10));
-        tr.span(root, "core", "device", t(10), t(90));
-        tr.span(root, "guest", "complete", t(90), t(100));
+        let root = tr.start(SpanId::NONE, "guest", "request", t(5), []);
+        tr.span(root, "guest", "submit", t(5), t(10), []);
+        tr.span(root, "core", "device", t(10), t(90), []);
+        tr.span(root, "guest", "complete", t(90), t(100), []);
         tr.end(root, t(100));
         let tree = SpanTree::new(tr.take_spans());
         tree.check_partition(SpanId(1)).unwrap();
@@ -582,9 +734,8 @@ mod tests {
     #[test]
     fn chrome_export_validates() {
         let tr = Tracer::enabled();
-        let root = tr.start(SpanId::NONE, "guest", "request", t(0));
-        let dev = tr.start(root, "core", "device", t(100));
-        tr.attr(dev, "blocks", 4);
+        let root = tr.start(SpanId::NONE, "guest", "request", t(0), []);
+        let dev = tr.start(root, "core", "device", t(100), [("blocks", 4)]);
         tr.end(dev, t(900));
         tr.end(root, t(1000));
         let doc = chrome_trace_json(&tr.take_spans());
@@ -598,12 +749,108 @@ mod tests {
     #[test]
     fn attrs_readable_back() {
         let tr = Tracer::enabled();
-        let s = tr.start(SpanId::NONE, "core", "translate", t(0));
-        tr.attr(s, "run", 64);
+        let s = tr.start(SpanId::NONE, "core", "device", t(0), [("blocks", 8)]);
+        tr.attr(s, "stalled", 1);
         tr.end(s, t(10));
+        tr.span(
+            s,
+            "core",
+            "translate",
+            t(0),
+            t(5),
+            [("run", 64), ("levels", 2)],
+        );
         let spans = tr.take_spans();
-        assert_eq!(spans[0].attr("run"), Some(64));
-        assert_eq!(spans[0].attr("missing"), None);
+        assert_eq!(*spans[0].attrs, [("blocks", 8), ("stalled", 1)]);
+        assert_eq!(spans[1].attr("run"), Some(64));
+        assert_eq!(spans[1].attr("missing"), None);
+    }
+
+    #[test]
+    fn attrs_compare_and_print_only_what_is_set() {
+        let mut a = Attrs::from([("x", 1)]);
+        let b = Attrs::from([("x", 1)]);
+        assert_eq!(a, b);
+        assert_eq!(format!("{a:?}"), r#"[("x", 1)]"#);
+        assert_eq!(Attrs::default(), Attrs::from([]));
+        assert!(a.push("y", 2));
+        assert_ne!(a, b);
+        // A full list refuses the next attribute and keeps what it had.
+        let mut full = Attrs::from([("a", 1), ("b", 2), ("c", 3), ("d", 4), ("e", 5)]);
+        let before = full;
+        assert!(!full.push("f", 6));
+        assert_eq!(full, before);
+        assert_eq!(full.len(), SPAN_ATTRS);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "no room for attribute f")]
+    fn attr_past_capacity_debug_asserts() {
+        let tr = Tracer::enabled();
+        let kv = [("a", 1), ("b", 2), ("c", 3), ("d", 4), ("e", 5)];
+        let s = tr.start(SpanId::NONE, "telemetry", "anomaly", t(0), kv);
+        tr.attr(s, "f", 6);
+    }
+
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn attr_past_capacity_leaves_the_span_as_it_was() {
+        let tr = Tracer::enabled();
+        let kv = [("a", 1), ("b", 2), ("c", 3), ("d", 4), ("e", 5)];
+        let s = tr.start(SpanId::NONE, "telemetry", "anomaly", t(0), kv);
+        tr.attr(s, "f", 6);
+        assert_eq!(*tr.take_spans()[0].attrs, kv);
+    }
+
+    #[test]
+    fn span_is_one_record_like_start_then_end() {
+        let (a, b) = (Tracer::enabled(), Tracer::enabled());
+        a.span(
+            SpanId::NONE,
+            "pcie",
+            "dma_read",
+            t(3),
+            t(9),
+            [("bytes", 512)],
+        );
+        let s = b.start(SpanId::NONE, "pcie", "dma_read", t(3), [("bytes", 512)]);
+        b.end(s, t(9));
+        assert_eq!(a.take_spans(), b.take_spans());
+    }
+
+    #[test]
+    fn a_tracer_enabled_after_others_continues_their_ids() {
+        let old = Tracer::enabled();
+        let stale = old.start(SpanId::NONE, "guest", "request", t(0), []);
+        old.span(stale, "pcie", "doorbell", t(0), t(5), []);
+        assert_eq!(old.minted(), 2);
+        let tr = Tracer::enabled_after(old.minted());
+        let root = tr.start(SpanId::NONE, "guest", "request", t(10), []);
+        assert_eq!(root, SpanId(3), "ids continue after the earlier tracer's");
+        // The stale root reads as drained: no subtree, no mutation.
+        assert!(tr.subtree(stale).is_empty());
+        tr.attr(stale, "failed", 1);
+        tr.end(stale, t(99));
+        tr.end(root, t(20));
+        assert_eq!(tr.subtree(root).len(), 1);
+        assert_eq!(tr.minted(), 3);
+        let spans = tr.take_spans();
+        assert_eq!((spans.len(), spans[0].id, spans[0].end), (1, root, t(20)));
+        assert_eq!(Tracer::disabled().minted(), 0);
+    }
+
+    #[test]
+    fn nesting_check_reports_a_dangling_parent() {
+        let tr = Tracer::enabled();
+        let root = tr.start(SpanId::NONE, "guest", "request", t(0), []);
+        tr.span(root, "core", "device", t(10), t(20), []);
+        tr.end(root, t(30));
+        let mut spans = tr.take_spans();
+        SpanTree::new(spans.clone()).check_nesting().unwrap();
+        spans.remove(0);
+        let err = SpanTree::new(spans).check_nesting().unwrap_err();
+        assert_eq!(err, "span 2 has dangling parent 1");
     }
 
     /// The undrained log, read without draining it.
@@ -620,7 +867,7 @@ mod tests {
         for s in spans {
             if s.id == root || kept.contains(&s.parent) {
                 kept.insert(s.id);
-                out.push(s.clone());
+                out.push(*s);
             }
         }
         out
@@ -688,8 +935,7 @@ mod tests {
                 } else {
                     SpanId(next - 1 - back)
                 };
-                let id = tr.start(parent, "guest", "op", t(i as u64));
-                tr.attr(id, "op", i as u64);
+                tr.start(parent, "guest", "op", t(i as u64), [("op", i as u64)]);
                 next += 1;
             }
             check_every_root(&tr, &mut reached)?;
@@ -707,9 +953,9 @@ mod tests {
     #[test]
     fn draining_preserves_id_continuity() {
         let tr = Tracer::enabled();
-        tr.span(SpanId::NONE, "guest", "a", t(0), t(1));
+        tr.span(SpanId::NONE, "guest", "a", t(0), t(1), []);
         let first = tr.take_spans();
-        tr.span(SpanId::NONE, "guest", "b", t(2), t(3));
+        tr.span(SpanId::NONE, "guest", "b", t(2), t(3), []);
         let second = tr.take_spans();
         assert_eq!(first[0].id, SpanId(1));
         assert_eq!(second[0].id, SpanId(2));

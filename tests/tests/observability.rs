@@ -186,12 +186,7 @@ fn write_failure_still_tiles_and_flags_the_root() {
             .is_err()
         {
             let tree = SpanTree::new(sys.take_spans());
-            let root = tree
-                .roots()
-                .filter(|s| s.name == "request")
-                .last()
-                .unwrap()
-                .clone();
+            let root = *tree.roots().filter(|s| s.name == "request").last().unwrap();
             tree.check_partition(root.id).expect("failure still tiles");
             failed_root = Some(root);
             break;
