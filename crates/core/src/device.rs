@@ -36,7 +36,7 @@ use nesc_storage::{BlockOp, BlockRequest, BlockStore, Media, RequestId, StoreErr
 
 use crate::btlb::Btlb;
 use crate::config::NescConfig;
-use crate::function::{FunctionContext, FunctionKind, PendingRequest, StalledRequest};
+use crate::function::{FunctionContext, FunctionKind, PendingRequest};
 use crate::regs::{self, offsets, FunctionRegisters};
 use crate::ring::RingState;
 use crate::stats::{DeviceStats, FuncStats};
@@ -182,6 +182,21 @@ struct RunTranslation {
     hole_levels: u32,
 }
 
+/// The one request parked on a translation miss. While it is set the
+/// multiplexer dispatches nothing, so no second request can stall.
+#[derive(Debug, Clone, Copy)]
+struct Stall {
+    /// The function the request was submitted to.
+    requester: FuncId,
+    /// The function whose tree missed: the requester, or for a nested VF
+    /// the ancestor whose level missed. Its owner got the interrupt.
+    level: FuncId,
+    /// The parked request.
+    pending: PendingRequest,
+    /// Index of the first block that has not completed (the miss point).
+    resume_block: u64,
+}
+
 #[derive(Debug, Clone, Copy)]
 enum Translated {
     Mapped(Plba),
@@ -202,7 +217,7 @@ pub struct NescDevice {
     functions: Vec<FunctionContext>,
     /// Incremental dispatch state for the VF multiplexer: per-priority
     /// ready bitmaps plus a min-heap of future arrivals, maintained by
-    /// [`Self::refresh_ready`] at every queue/stall/liveness/priority
+    /// [`Self::refresh_ready`] at every queue/liveness/priority
     /// mutation so a tick never scans all functions (O(changed state) at
     /// 1000+ VFs).
     mux_ready: ReadyTable,
@@ -223,12 +238,9 @@ pub struct NescDevice {
     /// (every unit's timing is computed arithmetically). Set only while
     /// `None`, so a pending tick is never pulled earlier.
     mux_at: Option<SimTime>,
-    /// While a VF is stalled on a miss, the (shared) translation pipeline
-    /// is blocked; only the PF's OOB channel makes progress.
-    stalled_func: Option<FuncId>,
-    /// The function whose *tree* the stall is waiting on (differs from
-    /// `stalled_func` for nested VFs, where a parent level can miss).
-    stall_level: Option<FuncId>,
+    /// While a request is stalled on a miss, the (shared) translation
+    /// pipeline is blocked; only the PF's OOB channel makes progress.
+    stall: Option<Stall>,
     stats: DeviceStats,
     /// Per-function service counters, struct-of-arrays by dense func id.
     func_stats: FuncStats,
@@ -248,7 +260,7 @@ impl fmt::Debug for NescDevice {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NescDevice")
             .field("functions", &self.functions.len())
-            .field("stalled", &self.stalled_func)
+            .field("stall", &self.stall)
             .field("stats", &self.stats)
             .finish()
     }
@@ -292,8 +304,7 @@ impl NescDevice {
             outputs: Vec::new(),
             outputs_later: Vec::new(),
             mux_at: None,
-            stalled_func: None,
-            stall_level: None,
+            stall: None,
             stats: DeviceStats::default(),
             func_stats: FuncStats::with_len(1),
             probe: Probe::default(),
@@ -471,11 +482,7 @@ impl NescDevice {
         let ctx = self.vf_mut(func)?;
         ctx.alive = false;
         ctx.queue.clear();
-        ctx.stalled = None;
-        if self.stalled_func == Some(func) {
-            self.stalled_func = None;
-            self.stall_level = None;
-        }
+        self.take_stall(func);
         self.refresh_ready(func.0 as usize);
         self.btlb.flush_func(func.0);
         Ok(())
@@ -684,27 +691,21 @@ impl NescDevice {
     }
 
     /// The hypervisor signals that it could *not* allocate space for the
-    /// function's stalled write (quota exhausted / device full): the
-    /// request completes with [`CompletionStatus::WriteFailed`].
+    /// stalled write (quota exhausted / device full): the request completes
+    /// with [`CompletionStatus::WriteFailed`]. `func` may name the
+    /// requester or the level whose tree missed, as for `RewalkTree`.
     pub fn fail_stalled(&mut self, func: FuncId, now: SimTime) {
-        let Some(ctx) = self.functions.get_mut(func.0 as usize) else {
+        let Some(st) = self.take_stall(func) else {
             return;
         };
-        if let Some(st) = ctx.stalled.take() {
-            self.outputs.push(NescOutput::Completion {
-                at: now + self.cfg.interrupt_cost,
-                func,
-                id: st.pending.req.id,
-                status: CompletionStatus::WriteFailed,
-            });
-            self.stats.requests_failed += 1;
-            if self.stalled_func == Some(func) {
-                self.stalled_func = None;
-                self.stall_level = None;
-            }
-            self.refresh_ready(func.0 as usize);
-            self.schedule_mux(now);
-        }
+        self.outputs.push(NescOutput::Completion {
+            at: now + self.cfg.interrupt_cost,
+            func: st.requester,
+            id: st.pending.req.id,
+            status: CompletionStatus::WriteFailed,
+        });
+        self.stats.requests_failed += 1;
+        self.schedule_mux(now);
     }
 
     /// Advances internal machinery to `until` and returns every output
@@ -774,7 +775,7 @@ impl NescDevice {
 
     /// Synchronizes one function's entry in the ready table with its
     /// visible dispatch state. Must run after every mutation of the
-    /// function's queue front, stall flag, liveness, or priority — the
+    /// function's queue front, liveness, or priority — the
     /// table is what [`Self::mux_tick`] dispatches from, in place of a
     /// per-tick scan over all functions.
     fn refresh_ready(&mut self, idx: usize) {
@@ -786,13 +787,13 @@ impl NescDevice {
 
     fn mux_tick(&mut self, now: SimTime) {
         self.mux_at = None;
-        if self.stalled_func.is_some() {
+        if self.stall.is_some() {
             // Translation pipeline blocked; the resume path re-kicks us.
             return;
         }
         // QoS: serve the most urgent (lowest-numbered) priority class with
         // pending work; round-robin within the class (paper §IV-D). The
-        // ready table is maintained incrementally at every queue/stall
+        // ready table is maintained incrementally at every queue/liveness
         // mutation; here we only promote arrivals that matured by `now`
         // (reading each function's current priority class) and pick.
         let funcs = &self.functions;
@@ -827,43 +828,25 @@ impl NescDevice {
         self.schedule_mux(svc.end);
     }
 
+    /// Takes the parked request if `func` names it: as its requester, or
+    /// as the level whose tree missed (a parent, for nested VFs), which is
+    /// where the interrupt went and where the host answers.
+    fn take_stall(&mut self, func: FuncId) -> Option<Stall> {
+        self.stall
+            .take_if(|st| st.requester == func || st.level == func)
+    }
+
     fn resume_stalled(&mut self, func: FuncId, now: SimTime) {
-        // The rewalk doorbell may land on the *level* whose tree missed
-        // (a parent, for nested VFs); the parked request lives on the
-        // requester.
-        let requester = if self
-            .functions
-            .get(func.0 as usize)
-            .is_some_and(|c| c.stalled.is_some())
-        {
-            func
-        } else if self.stall_level == Some(func) {
-            match self.stalled_func {
-                Some(r) => r,
-                None => return,
-            }
-        } else {
+        let Some(st) = self.take_stall(func) else {
             return;
         };
         if let Some(ctx) = self.functions.get_mut(func.0 as usize) {
             ctx.regs.rewalk_tree = 0;
         }
-        let Some(ctx) = self.functions.get_mut(requester.0 as usize) else {
-            return;
-        };
-        let Some(st) = ctx.stalled.take() else {
-            return;
-        };
-        if self.stalled_func == Some(requester) {
-            self.stalled_func = None;
-            self.stall_level = None;
-        }
-        let func = requester;
         // Re-issue the stalled request to the walk unit from the miss
         // point; the paper guarantees the retried lookup now succeeds
         // (unless the host pruned again, in which case we stall again).
-        self.process_vf_request(now, func, st.pending, st.resume_block, true);
-        self.refresh_ready(func.0 as usize);
+        self.process_vf_request(now, st.requester, st.pending, st.resume_block, true);
         self.schedule_mux(now);
     }
 
@@ -926,7 +909,6 @@ impl NescDevice {
         }
         let mut tr_ready = start;
         let mut last_done = start;
-        let mut blocks_done = 0u64;
         let lookup_cost = self.cfg.btlb_lookup;
         // A zero-capacity BTLB rebounds every run to one block *after*
         // translation (`rebound_run`); clamping up front makes the batched
@@ -1014,7 +996,6 @@ impl NescDevice {
                         self.complete(t_err, func, req.id, CompletionStatus::DeviceError);
                         return;
                     }
-                    blocks_done += rt.run;
                     i += rt.run;
                 }
                 Translated::Hole { level, lba } => {
@@ -1051,8 +1032,6 @@ impl NescDevice {
                         tr_ready = svc.end;
                         self.btlb.credit_hits(extra * (rt.chain_levels - 1));
                         self.btlb.credit_misses(extra);
-                        self.stats.walks += extra;
-                        self.stats.walk_levels += rt.hole_levels as u64 * extra;
                         svc.start
                     } else {
                         tr_ready
@@ -1080,7 +1059,6 @@ impl NescDevice {
                         last_done = last_done.max(done);
                     }
                     self.time_scratch = times;
-                    blocks_done += rt.run;
                     i += rt.run;
                 }
                 Translated::Pruned { level, lba } => {
@@ -1104,8 +1082,10 @@ impl NescDevice {
                 }
             }
         }
-        self.count_blocks(req.op, blocks_done);
-        self.func_stats.credit(func.0 as usize, 1, blocks_done);
+        // The loop covered every block, including those moved before a
+        // stall, so the whole request counts.
+        self.count_blocks(req.op, req.block_count);
+        self.func_stats.credit(func.0 as usize, 1, req.block_count);
         self.complete(last_done, func, req.id, CompletionStatus::Ok);
     }
 
@@ -1145,8 +1125,6 @@ impl NescDevice {
                 }
                 None => {
                     let wr = walk_run(&self.mem.borrow(), root, lba, run);
-                    self.stats.walks += 1;
-                    self.stats.walk_levels += wr.result.levels as u64;
                     let miss = (u32::from(level.0), lba.byte_offset());
                     let t_walk = self.run_walk_dmas(lookup.end, wr.result.levels, Some(miss));
                     match wr.result.outcome {
@@ -1276,7 +1254,8 @@ impl NescDevice {
     /// Runs the chained tree-node DMAs of one walk on the least-loaded walk
     /// slot; returns when the walk resolves. `miss` names the nesting
     /// level and vLBA byte offset of the BTLB miss that caused the walk
-    /// (`None` for a hole re-walk).
+    /// (`None` for a hole re-walk). Every walk the device makes passes
+    /// here once, so this is where walks are counted.
     ///
     /// Each level costs one host-memory read round trip plus the node's
     /// wire time. The slot is occupied for the whole chain, so the number
@@ -1289,6 +1268,8 @@ impl NescDevice {
         let per_level = self.cfg.link.read_round_trip
             + self.cfg.link.wire_time(self.cfg.tree_node_bytes)
             + self.cfg.walk_level_processing;
+        self.stats.walks += 1;
+        self.stats.walk_levels += levels as u64;
         let slot = self.walk_slots.iter_mut().min_by_key(|s| s.free_at());
         debug_assert!(slot.is_some(), "walk_overlap >= 1");
         let Some(slot) = slot else {
@@ -1434,13 +1415,12 @@ impl NescDevice {
         let lvl = &mut self.functions[level.0 as usize];
         lvl.regs.miss_address = vlba_bytes;
         lvl.regs.miss_size = miss_bytes.min(u32::MAX as u64) as u32;
-        self.functions[func.0 as usize].stalled = Some(StalledRequest {
+        self.stall = Some(Stall {
+            requester: func,
+            level,
             pending,
             resume_block,
-            stalled_at: at,
         });
-        self.stalled_func = Some(func);
-        self.stall_level = Some(level);
         self.stats.miss_interrupts += 1;
         let at = at + self.cfg.interrupt_cost;
         self.outputs.push(NescOutput::HostInterrupt {
@@ -2341,6 +2321,108 @@ mod tests {
             })
         ));
         assert_eq!(dev.store().read_block(Plba(200)).unwrap(), vec![0x3D; 1024]);
+    }
+
+    #[test]
+    fn a_failed_parent_level_miss_completes_and_frees_the_pipeline() {
+        let (mem, mut dev) = setup();
+        // Thin parent, nested disk mapped into it, and an unrelated VF.
+        let parent = make_vf(&mem, &mut dev, &[], 32);
+        let l2: ExtentTree = [ExtentMapping::new(Vlba(0), Plba(4), 4)]
+            .into_iter()
+            .collect();
+        let l2_root = l2.serialize(&mut mem.borrow_mut());
+        let nested = dev.create_nested_vf(parent, l2_root, 4).unwrap();
+        let other = make_vf(
+            &mem,
+            &mut dev,
+            &[ExtentMapping::new(Vlba(0), Plba(300), 4)],
+            4,
+        );
+        let buf = alloc_buf(&mem, 1);
+        dev.submit(
+            SimTime::ZERO,
+            nested,
+            BlockRequest::new(RequestId(1), BlockOp::Write, Vlba(0), 1),
+            buf,
+        );
+        let outs = dev.advance(HORIZON);
+        let Some(&NescOutput::HostInterrupt { at, func, .. }) = outs.last() else {
+            panic!("parent-level miss must interrupt: {outs:?}");
+        };
+        assert_eq!(func, parent, "the interrupt names the level that missed");
+        // Another VF's request queues behind the stalled pipeline.
+        dev.submit(
+            at,
+            other,
+            BlockRequest::new(RequestId(2), BlockOp::Read, Vlba(0), 1),
+            buf,
+        );
+        assert_eq!(dev.advance(HORIZON), vec![], "the stall blocks the mux");
+        // The host cannot allocate and answers on the function it was
+        // interrupted for: the parent.
+        dev.fail_stalled(func, at);
+        let done: Vec<_> = dev
+            .advance(HORIZON)
+            .into_iter()
+            .filter_map(|o| match o {
+                NescOutput::Completion {
+                    func, id, status, ..
+                } => Some((func, id, status)),
+                NescOutput::HostInterrupt { .. } => None,
+            })
+            .collect();
+        assert_eq!(
+            done,
+            vec![
+                (nested, RequestId(1), CompletionStatus::WriteFailed),
+                (other, RequestId(2), CompletionStatus::Ok),
+            ]
+        );
+        assert_eq!(dev.stats().requests_failed, 1);
+    }
+
+    #[test]
+    fn a_stall_mid_run_counts_every_block_of_the_request() {
+        let (mem, mut dev) = setup();
+        // Only vLBA [0,2) is mapped: a 4-block write moves two blocks,
+        // stalls at vLBA 2, and moves the other two after the rewalk.
+        let vf = make_vf(
+            &mem,
+            &mut dev,
+            &[ExtentMapping::new(Vlba(0), Plba(100), 2)],
+            8,
+        );
+        let buf = alloc_buf(&mem, 4);
+        dev.submit(
+            SimTime::ZERO,
+            vf,
+            BlockRequest::new(RequestId(1), BlockOp::Write, Vlba(0), 4),
+            buf,
+        );
+        let outs = dev.advance(HORIZON);
+        let Some(&NescOutput::HostInterrupt { at, .. }) = outs.last() else {
+            panic!("mid-request write miss must interrupt: {outs:?}");
+        };
+        let tree: ExtentTree = [
+            ExtentMapping::new(Vlba(0), Plba(100), 2),
+            ExtentMapping::new(Vlba(2), Plba(200), 2),
+        ]
+        .into_iter()
+        .collect();
+        let root = tree.serialize(&mut mem.borrow_mut());
+        dev.mmio_write(vf, offsets::EXTENT_TREE_ROOT, root, at);
+        dev.mmio_write(vf, offsets::REWALK_TREE, 1, at);
+        let outs = dev.advance(HORIZON);
+        assert!(matches!(
+            outs.last(),
+            Some(NescOutput::Completion {
+                status: CompletionStatus::Ok,
+                ..
+            })
+        ));
+        let counted = (dev.stats().blocks_written, dev.function_counters(vf));
+        assert_eq!(counted, (4, (1, 4)), "(blocks_written, (requests, blocks))");
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Per-function state.
 //!
 //! The device "must maintain a separate context for each PCIe device (PF
-//! and VFs)" (paper §V): its register window, its client request queue, and
-//! — for VFs whose write translation missed — the stalled request awaiting
-//! the hypervisor's `RewalkTree` signal.
+//! and VFs)" (paper §V): its register window and its client request queue.
+//! The one request parked on a translation miss is device state, not
+//! per-function state: the multiplexer dispatches nothing while it waits,
+//! so there is never a second.
 
 use std::collections::VecDeque;
 
@@ -34,17 +35,6 @@ pub struct PendingRequest {
     pub arrived: SimTime,
 }
 
-/// A request parked mid-flight on a translation miss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StalledRequest {
-    /// The original pending request.
-    pub pending: PendingRequest,
-    /// Index of the first block that has not completed (the miss point).
-    pub resume_block: u64,
-    /// When the device parked it.
-    pub stalled_at: SimTime,
-}
-
 /// Default QoS priority assigned to new functions.
 pub const DEFAULT_PRIORITY: u8 = 1;
 /// Number of priority classes supported (0..NUM_PRIORITIES).
@@ -59,8 +49,6 @@ pub struct FunctionContext {
     pub regs: FunctionRegisters,
     /// Client request queue, drained round-robin by the multiplexer.
     pub queue: VecDeque<PendingRequest>,
-    /// A write (or pruned read) stalled on a translation miss.
-    pub stalled: Option<StalledRequest>,
     /// Cleared when the hypervisor deletes the VF; dead slots reject I/O
     /// and can be reused for new VFs.
     pub alive: bool,
@@ -83,7 +71,6 @@ impl FunctionContext {
             kind,
             regs,
             queue: VecDeque::new(),
-            stalled: None,
             alive: true,
             priority: DEFAULT_PRIORITY,
             ring_head: 0,
@@ -95,13 +82,13 @@ impl FunctionContext {
     /// (a queued request only becomes visible once its doorbell write has
     /// arrived).
     pub fn dispatchable_at(&self, now: SimTime) -> bool {
-        self.alive && self.stalled.is_none() && self.queue.front().is_some_and(|p| p.arrived <= now)
+        self.alive && self.queue.front().is_some_and(|p| p.arrived <= now)
     }
 
     /// Arrival time of the oldest queued request, if any (used by the
     /// multiplexer to sleep until the next doorbell).
     pub fn next_arrival(&self) -> Option<SimTime> {
-        if !self.alive || self.stalled.is_some() {
+        if !self.alive {
             return None;
         }
         self.queue.front().map(|p| p.arrived)
@@ -132,17 +119,6 @@ mod tests {
             "requests are invisible before their doorbell arrives"
         );
         assert_eq!(f.next_arrival(), Some(SimTime::from_nanos(50)));
-        f.stalled = Some(StalledRequest {
-            pending,
-            resume_block: 0,
-            stalled_at: SimTime::ZERO,
-        });
-        assert!(
-            !f.dispatchable_at(now),
-            "stalled function must not dispatch"
-        );
-        assert_eq!(f.next_arrival(), None);
-        f.stalled = None;
         f.alive = false;
         assert!(!f.dispatchable_at(now), "dead function must not dispatch");
     }

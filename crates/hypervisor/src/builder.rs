@@ -21,9 +21,7 @@
 //! ```
 
 use nesc_core::NescConfig;
-use nesc_pcie::LinkParams;
 use nesc_sim::{FlightConfig, SimDuration};
-use nesc_storage::Media;
 
 use crate::costs::SoftwareCosts;
 use crate::system::System;
@@ -86,28 +84,9 @@ impl SystemBuilder {
         self
     }
 
-    /// BTLB capacity in entries (0 disables caching).
-    pub fn btlb_entries(mut self, entries: usize) -> Self {
-        self.cfg.btlb_entries = entries;
-        self
-    }
-
     /// Maximum number of live virtual functions.
     pub fn max_vfs(mut self, max_vfs: u16) -> Self {
         self.cfg.max_vfs = max_vfs;
-        self
-    }
-
-    /// Replaces the storage medium (e.g. `Media::Flash(FlashMedia::pcie_ssd())`
-    /// for the extension studies).
-    pub fn media(mut self, media: Media) -> Self {
-        self.cfg.media = media;
-        self
-    }
-
-    /// Replaces the PCIe link parameters (e.g. [`LinkParams::gen3_x8`]).
-    pub fn link(mut self, link: LinkParams) -> Self {
-        self.cfg.link = link;
         self
     }
 
@@ -246,8 +225,11 @@ mod tests {
     #[test]
     fn builder_knobs_apply() {
         let sys = SystemBuilder::new()
+            .config(NescConfig {
+                btlb_entries: 4,
+                ..NescConfig::prototype()
+            })
             .capacity_blocks(32 * 1024)
-            .btlb_entries(4)
             .max_vfs(3)
             .tracing(true)
             .build();

@@ -26,7 +26,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use nesc_core::ring::{RingDescriptor, DESCRIPTOR_BYTES};
-use nesc_core::{CompletionStatus, FuncId, IrqReason, NescConfig, NescDevice, NescOutput};
+use nesc_core::{CompletionStatus, FuncId, IrqReason, NescConfig, NescDevice, NescOutput, VfError};
 use nesc_extent::{Plba, Untrusted, Vlba};
 use nesc_fs::{Filesystem, FsError, Ino};
 use nesc_pcie::{HostAddr, HostMemory};
@@ -466,8 +466,7 @@ impl System {
         };
         let (vf, ring_base) = if kind == DiskKind::NescDirect {
             let ino = ino.ok_or(NescError::Device)?;
-            let tree = self.fs.extent_tree(ino)?.clone();
-            let root = tree.serialize(&mut self.mem.borrow_mut());
+            let root = self.serialize_image(ino)?;
             let vf = self.dev.create_vf(root, size_blocks)?;
             // The guest driver allocates its command ring and programs the
             // VF's ring registers (paper §V's DMA ring buffer).
@@ -622,20 +621,34 @@ impl System {
                 // enough.
             }
         }
-        let tree = match self.fs.extent_tree(ino) {
-            Ok(t) => t.clone(),
+        match self.install_tree(func, ino) {
+            Ok(Ok(())) => {}
+            Ok(Err(_)) => {
+                debug_assert!(false, "VF is live during miss handling");
+                return;
+            }
             Err(_) => {
                 debug_assert!(false, "image exists");
                 return;
             }
-        };
-        let root = tree.serialize(&mut self.mem.borrow_mut());
-        if self.dev.set_tree_root(func, root).is_err() {
-            debug_assert!(false, "VF is live during miss handling");
-            return;
         }
         self.dev
             .mmio_write(func, nesc_core::regs::offsets::REWALK_TREE, 1, t);
+    }
+
+    /// Serializes `ino`'s extent tree (from the filesystem's copy, in
+    /// place) into host memory and returns its root.
+    fn serialize_image(&self, ino: Ino) -> Result<HostAddr, FsError> {
+        let tree = self.fs.extent_tree(ino)?;
+        Ok(tree.serialize(&mut self.mem.borrow_mut()))
+    }
+
+    /// Points `vf` at a fresh serialization of `ino`'s tree, flushing its
+    /// cached translations: the one way a rebuilt tree reaches the device.
+    /// The outer error is the image lookup's, the inner the device's.
+    fn install_tree(&mut self, vf: FuncId, ino: Ino) -> Result<Result<(), VfError>, FsError> {
+        let root = self.serialize_image(ino)?;
+        Ok(self.dev.set_tree_root(vf, root))
     }
 
     fn wait_for(&mut self, id: RequestId) -> (SimTime, CompletionStatus) {
@@ -1388,10 +1401,8 @@ impl System {
         for d in disks {
             if let Some(vf) = self.disks[d.0].vf {
                 let ino = self.disks[d.0].ino.expect("file-backed");
-                let tree = self.fs.extent_tree(ino).expect("image exists").clone();
-                let root = tree.serialize(&mut self.mem.borrow_mut());
-                self.dev
-                    .set_tree_root(vf, root)
+                self.install_tree(vf, ino)
+                    .expect("image exists")
                     .expect("VF is live during dedup");
             }
         }
@@ -1466,9 +1477,7 @@ impl System {
         let new_blocks = new_size_bytes.div_ceil(BLOCK_SIZE);
         self.disks[disk.0].size_blocks = new_blocks;
         if let Some(vf) = self.disks[disk.0].vf {
-            let tree = self.fs.extent_tree(ino)?.clone();
-            let root = tree.serialize(&mut self.mem.borrow_mut());
-            let set = self.dev.set_tree_root(vf, root);
+            let set = self.install_tree(vf, ino)?;
             debug_assert!(set.is_ok(), "VF is live");
             self.dev.mmio_write(
                 vf,
@@ -1753,6 +1762,75 @@ mod tests {
         // Data inside the shrunk size survives.
         sys.read(disk, 0, &mut buf);
         assert!(buf.iter().all(|&b| b == 7));
+    }
+
+    /// Walks the tree the device holds for `disk`'s VF at every vLBA of
+    /// the disk and requires the pLBA (or hole) the filesystem's tree
+    /// gives there.
+    fn assert_installed_tree_matches_image(sys: &System, disk: DiskId, trigger: &str) {
+        use nesc_extent::{walk_run, WalkOutcome};
+        let vf = sys.disk_vf(disk).expect("NeSC disk");
+        let ino = sys.disk_image(disk).expect("file-backed disk");
+        let root = sys
+            .device()
+            .mmio_read(vf, nesc_core::regs::offsets::EXTENT_TREE_ROOT);
+        let tree = sys.host_fs().extent_tree(ino).unwrap();
+        let mem = sys.memory();
+        let mem = mem.borrow();
+        for v in 0..sys.disk_size_blocks(disk) {
+            let vlba = Vlba(v);
+            let device = match walk_run(&mem, root, vlba, 1).result.outcome {
+                WalkOutcome::Mapped(e) => e.translate(vlba),
+                WalkOutcome::Hole => None,
+                other => panic!("after {trigger}: vLBA {v} walks to {other:?}"),
+            };
+            let host = tree.lookup(vlba).and_then(|e| e.translate(vlba));
+            assert_eq!(device, host, "after {trigger}: vLBA {v}");
+        }
+    }
+
+    #[test]
+    fn every_tree_install_matches_the_filesystem() {
+        let mut sys = small_system();
+        // Interleaved single-block allocations fragment both images, so
+        // their trees have internal (prunable) levels.
+        let vm = sys.create_vm();
+        let a = sys.create_image("ia.img", 1 << 20, false).unwrap();
+        let b = sys.create_image("ib.img", 1 << 20, false).unwrap();
+        for v in 0..256u64 {
+            sys.host_fs_mut().allocate_range(a, Vlba(v), 1).unwrap();
+            sys.host_fs_mut().allocate_range(b, Vlba(v), 1).unwrap();
+        }
+        let da = sys.attach(vm, DiskKind::NescDirect, Some(a));
+        let db = sys.attach(vm, DiskKind::NescDirect, Some(b));
+        assert_installed_tree_matches_image(&sys, da, "attach");
+
+        let irqs = sys.device().stats().miss_interrupts;
+        sys.write(da, 512 << 10, &[0x5A; 4096]);
+        assert!(sys.device().stats().miss_interrupts > irqs);
+        assert_installed_tree_matches_image(&sys, da, "a write-miss rewalk");
+
+        assert!(sys.prune_image_mapping(da, Vlba(0)), "tree is prunable");
+        let irqs = sys.device().stats().miss_interrupts;
+        sys.read(da, 0, &mut [0u8; 1024]);
+        assert!(sys.device().stats().miss_interrupts > irqs);
+        assert_installed_tree_matches_image(&sys, da, "a prune and rewalk");
+
+        sys.resize(da, 2 << 20).unwrap();
+        assert_installed_tree_matches_image(&sys, da, "growing resize");
+        sys.resize(da, 128 << 10).unwrap();
+        assert_installed_tree_matches_image(&sys, da, "shrinking resize");
+        // Growing back must not resurrect the truncated mappings.
+        sys.resize(da, 1 << 20).unwrap();
+        assert_installed_tree_matches_image(&sys, da, "regrowing resize");
+
+        let golden: Vec<u8> = (0..64 * 1024u32).map(|i| (i % 13) as u8).collect();
+        sys.write(da, 0, &golden);
+        sys.write(db, 0, &golden);
+        let report = sys.dedup_images(&[da, db]);
+        assert!(report.deduped_blocks >= 64, "{report:?}");
+        assert_installed_tree_matches_image(&sys, da, "dedup");
+        assert_installed_tree_matches_image(&sys, db, "dedup");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Report-only size census: non-test lines per crate, for the files the
 # observability refactors shrink, for the forensic dump's model and its
-# readers and for the scheduling substrate, plus the number of probe
+# readers, for the scheduling substrate and for the miss path (with its
+# count of tree serializations), plus the number of probe
 # emission sites (`probe.report(` / `probe.pass(` calls outside comments,
 # a call split across lines included) per file. A file's non-test lines are the lines
 # above its first `#[cfg(test)]` (the whole file if it has none). Never
@@ -50,6 +51,15 @@ census crates/sim/src/{flight,trace,perfmon}.rs shims/serde_json/src/lib.rs \
 
 echo "non-test lines of the scheduling substrate (a deleted file reads 0):"
 census crates/sim/src/{queue,sched,time}.rs crates/core/src/device.rs
+
+echo "non-test lines of the miss path (device stall slot, function contexts, tree installs):"
+census crates/core/src/{device,function}.rs crates/hypervisor/src/system.rs
+
+# Non-test `.serialize(` calls in system.rs: every device-visible tree
+# goes through one (`System::serialize_image`).
+printf '  %-44s %6d\n' "non-test .serialize( calls in system.rs" \
+    "$(awk '/^#\[cfg\(test\)\]/ { exit } /\.serialize\(/ { n++ } END { print n + 0 }' \
+        crates/hypervisor/src/system.rs)"
 
 echo "probe emission sites (non-test probe.report( / probe.pass( calls) per file:"
 find crates -path '*/src/*' -name '*.rs' | sort | xargs perl -0777 -ne '
