@@ -175,7 +175,7 @@ fn observe_request(probe: &Probe, i: u64) {
         Obs::DeviceResume(3, id, 8, t(210)),
         Obs::DmaWrite(Pass(2, 512, t(210), t(220))),
         Obs::ZeroFill(Pass(1, 512, t(220), t(225))),
-        Obs::DeviceDone(t(230)),
+        Obs::DeviceDone(Some((true, 8)), t(230)),
         Obs::Answered(t(230), t(240)),
         Obs::Finished(false, t(240)),
     ] {

@@ -128,6 +128,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "walk unit")]
     fn degenerate_config_rejected() {
         let mut c = NescConfig::prototype();

@@ -31,7 +31,7 @@ use std::rc::Rc;
 
 use nesc_extent::{validate_ring_tail, walk_run, Plba, Untrusted, Vlba, WalkOutcome};
 use nesc_pcie::{HostAddr, HostMemory, PcieLink};
-use nesc_sim::{Obs, Pipe, Probe, ReadyTable, ServiceUnit, SimDuration, SimTime};
+use nesc_sim::{DeviceStats, Obs, Pipe, Probe, ReadyTable, ServiceUnit, SimDuration, SimTime};
 use nesc_storage::{BlockOp, BlockRequest, BlockStore, Media, RequestId, StoreError, BLOCK_SIZE};
 
 use crate::btlb::Btlb;
@@ -39,7 +39,7 @@ use crate::config::NescConfig;
 use crate::function::{FunctionContext, FunctionKind, PendingRequest};
 use crate::regs::{self, offsets, FunctionRegisters};
 use crate::ring::RingState;
-use crate::stats::{DeviceStats, FuncStats};
+use crate::stats::FuncStats;
 
 /// Index of a function on the device; `FuncId(0)` is always the PF.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -241,11 +241,11 @@ pub struct NescDevice {
     /// While a request is stalled on a miss, the (shared) translation
     /// pipeline is blocked; only the PF's OOB channel makes progress.
     stall: Option<Stall>,
-    stats: DeviceStats,
     /// Per-function service counters, struct-of-arrays by dense func id.
     func_stats: FuncStats,
-    /// The lifecycle probe shared with the hypervisor (off unless
-    /// tracing or the flight recorder is on).
+    /// The lifecycle probe shared with the hypervisor: its always-on
+    /// tally holds the device's counters; its spans and ring rows are off
+    /// unless tracing or the flight recorder is on.
     probe: Probe,
     /// Reusable record of the nesting levels visited by one translation:
     /// `(func, vlba at that level, plba it translated to)`.
@@ -261,7 +261,7 @@ impl fmt::Debug for NescDevice {
         f.debug_struct("NescDevice")
             .field("functions", &self.functions.len())
             .field("stall", &self.stall)
-            .field("stats", &self.stats)
+            .field("stats", &Self::stats(self))
             .finish()
     }
 }
@@ -305,7 +305,6 @@ impl NescDevice {
             outputs_later: Vec::new(),
             mux_at: None,
             stall: None,
-            stats: DeviceStats::default(),
             func_stats: FuncStats::with_len(1),
             probe: Probe::default(),
             chain_scratch: Vec::new(),
@@ -334,11 +333,12 @@ impl NescDevice {
         &mut self.store
     }
 
-    /// Cumulative statistics. The BTLB lookup/hit counters are synced from
-    /// the BTLB's authoritative per-block counters here, so the per-block
+    /// Cumulative statistics, as the probe's tally folded them from the
+    /// device's reports. The BTLB lookup/hit counters are synced from the
+    /// BTLB's authoritative per-block counters here, so the per-block
     /// translation path never touches a second counter pair.
     pub fn stats(&self) -> DeviceStats {
-        let mut s = self.stats;
+        let mut s = self.probe.device_stats();
         s.btlb_hits = self.btlb.hits();
         s.btlb_lookups = self.btlb.hits() + self.btlb.misses();
         s
@@ -354,6 +354,10 @@ impl NescDevice {
     /// translation, walk, media and DMA passes, completion or stall — is
     /// reported to it once, and it records the spans (under whatever
     /// span the submitter bound to the request id) and ring events.
+    ///
+    /// The probe's tally holds the device's counters, so
+    /// [`stats`](Self::stats) reads this probe's: hand over a clone that
+    /// keeps the current tally ([`Probe::rewired`]) to keep them.
     pub fn set_probe(&mut self, probe: Probe) {
         self.probe = probe;
     }
@@ -616,12 +620,7 @@ impl NescDevice {
         for d in descriptors {
             match d.to_request() {
                 Ok(req) => self.submit(fetch_done, func, req, d.buffer),
-                Err(_) => self.outputs.push(NescOutput::Completion {
-                    at: fetch_done,
-                    func,
-                    id: d.id,
-                    status: CompletionStatus::DeviceError,
-                }),
+                Err(_) => self.reject(fetch_done, func, d.id),
             }
         }
     }
@@ -638,24 +637,10 @@ impl NescDevice {
     /// BAR would master-abort); a completion with an error is produced so
     /// callers never hang.
     pub fn submit(&mut self, now: SimTime, func: FuncId, req: BlockRequest, buf: HostAddr) {
-        let Some(ctx) = self.functions.get(func.0 as usize) else {
-            self.outputs.push(NescOutput::Completion {
-                at: now,
-                func,
-                id: req.id,
-                status: CompletionStatus::DeviceError,
-            });
+        let Some(ctx) = self.functions.get(func.0 as usize).filter(|f| f.alive) else {
+            self.reject(now, func, req.id);
             return;
         };
-        if !ctx.alive {
-            self.outputs.push(NescOutput::Completion {
-                at: now,
-                func,
-                id: req.id,
-                status: CompletionStatus::DeviceError,
-            });
-            return;
-        }
         let pending = PendingRequest {
             req,
             buf,
@@ -664,7 +649,6 @@ impl NescDevice {
         if ctx.kind == FunctionKind::Physical {
             // Out-of-band: bypass the mux and translation entirely.
             let svc = self.oob.serve(now, self.cfg.oob_per_request);
-            self.stats.oob_requests += 1;
             self.process_pf_request(svc.end, pending);
         } else {
             let rid = pending.req.id;
@@ -698,13 +682,8 @@ impl NescDevice {
         let Some(st) = self.take_stall(func) else {
             return;
         };
-        self.outputs.push(NescOutput::Completion {
-            at: now + self.cfg.interrupt_cost,
-            func: st.requester,
-            id: st.pending.req.id,
-            status: CompletionStatus::WriteFailed,
-        });
-        self.stats.requests_failed += 1;
+        let req = st.pending.req;
+        self.complete(now, st.requester, req, CompletionStatus::WriteFailed);
         self.schedule_mux(now);
     }
 
@@ -856,7 +835,7 @@ impl NescDevice {
         self.probe
             .report(Obs::DeviceOpen(0, id, blocks, pending.arrived, start));
         if req.end_lba() > Vlba(self.cfg.capacity_blocks) {
-            self.complete(start, self.pf(), req.id, CompletionStatus::OutOfRange);
+            self.complete(start, self.pf(), req, CompletionStatus::OutOfRange);
             return;
         }
         // PF requests are untranslated — the PF's frame is the identity
@@ -871,7 +850,7 @@ impl NescDevice {
                 .move_run_data(req.op, plba, pending.buf, 0, req.block_count)
                 .is_err()
         {
-            self.complete(start, self.pf(), req.id, CompletionStatus::DeviceError);
+            self.complete(start, self.pf(), req, CompletionStatus::DeviceError);
             return;
         }
         let mut times = std::mem::take(&mut self.time_scratch);
@@ -880,9 +859,7 @@ impl NescDevice {
         self.transfer_run_timing(req.op, plba, &mut times);
         let last_done = times.last().copied().unwrap_or(start);
         self.time_scratch = times;
-        self.count_blocks(req.op, req.block_count);
-        self.func_stats.credit(0, 1, req.block_count);
-        self.complete(last_done, self.pf(), req.id, CompletionStatus::Ok);
+        self.complete(last_done, self.pf(), req, CompletionStatus::Ok);
     }
 
     /// Runs a VF request through translation and transfer from block
@@ -904,7 +881,7 @@ impl NescDevice {
         });
         let regs_size = self.functions[func.0 as usize].regs.device_size_blocks;
         if req.end_lba() > Vlba(regs_size) {
-            self.complete(start, func, req.id, CompletionStatus::OutOfRange);
+            self.complete(start, func, req, CompletionStatus::OutOfRange);
             return;
         }
         let mut tr_ready = start;
@@ -963,7 +940,7 @@ impl NescDevice {
                     {
                         // Unreachable by construction (`valid` is bounded
                         // by capacity), but fail like the old loop would.
-                        self.complete(rt.at, func, req.id, CompletionStatus::DeviceError);
+                        self.complete(rt.at, func, req, CompletionStatus::DeviceError);
                         return;
                     }
                     // Block j's chain resolves j * chain_levels lookups
@@ -993,7 +970,7 @@ impl NescDevice {
                         } else {
                             batch_start + lookup_cost * (valid * rt.chain_levels)
                         };
-                        self.complete(t_err, func, req.id, CompletionStatus::DeviceError);
+                        self.complete(t_err, func, req, CompletionStatus::DeviceError);
                         return;
                     }
                     i += rt.run;
@@ -1039,7 +1016,6 @@ impl NescDevice {
                     self.mem
                         .borrow_mut()
                         .fill_zero(pending.buf + i * BLOCK_SIZE, rt.run * BLOCK_SIZE);
-                    self.stats.zero_fill_blocks += rt.run;
                     // Per-block walk-slot occupancy stays a loop (slots are
                     // chosen least-loaded per walk), but the engine and
                     // link passes over the resulting ready times batch.
@@ -1073,20 +1049,18 @@ impl NescDevice {
                     return;
                 }
                 Translated::Corrupt => {
-                    self.complete(rt.at, func, req.id, CompletionStatus::DeviceError);
+                    self.complete(rt.at, func, req, CompletionStatus::DeviceError);
                     return;
                 }
                 Translated::BeyondParent => {
-                    self.complete(rt.at, func, req.id, CompletionStatus::OutOfRange);
+                    self.complete(rt.at, func, req, CompletionStatus::OutOfRange);
                     return;
                 }
             }
         }
         // The loop covered every block, including those moved before a
         // stall, so the whole request counts.
-        self.count_blocks(req.op, req.block_count);
-        self.func_stats.credit(func.0 as usize, 1, req.block_count);
-        self.complete(last_done, func, req.id, CompletionStatus::Ok);
+        self.complete(last_done, func, req, CompletionStatus::Ok);
     }
 
     /// Translates an extent run starting at `vlba` through the function's
@@ -1268,15 +1242,10 @@ impl NescDevice {
         let per_level = self.cfg.link.read_round_trip
             + self.cfg.link.wire_time(self.cfg.tree_node_bytes)
             + self.cfg.walk_level_processing;
-        self.stats.walks += 1;
-        self.stats.walk_levels += levels as u64;
         let slot = self.walk_slots.iter_mut().min_by_key(|s| s.free_at());
         debug_assert!(slot.is_some(), "walk_overlap >= 1");
-        let Some(slot) = slot else {
-            // Degenerate config with zero walk slots: charge nothing.
-            return ready;
-        };
-        let end = slot.serve(ready, per_level * levels as u64).end;
+        // A degenerate config with zero walk slots charges nothing.
+        let end = slot.map_or(ready, |s| s.serve(ready, per_level * levels as u64).end);
         self.probe.report(Obs::Walk(levels, miss, ready, end));
         end
     }
@@ -1421,7 +1390,6 @@ impl NescDevice {
             pending,
             resume_block,
         });
-        self.stats.miss_interrupts += 1;
         let at = at + self.cfg.interrupt_cost;
         self.outputs.push(NescOutput::HostInterrupt {
             at,
@@ -1431,26 +1399,42 @@ impl NescDevice {
         self.probe.report(Obs::DeviceStalled(at));
     }
 
-    fn complete(&mut self, at: SimTime, func: FuncId, id: RequestId, status: CompletionStatus) {
-        match status {
-            CompletionStatus::Ok => self.stats.requests_completed += 1,
-            _ => self.stats.requests_failed += 1,
-        }
+    /// Ends a request the device took: its completion interrupt fires
+    /// `interrupt_cost` after `at`, and an OK one credits its function
+    /// with its blocks.
+    fn complete(&mut self, at: SimTime, func: FuncId, req: BlockRequest, status: CompletionStatus) {
+        let moved = (status == CompletionStatus::Ok).then(|| {
+            self.func_stats.credit(func.0 as usize, 1, req.block_count);
+            (req.op == BlockOp::Write, req.block_count)
+        });
         let at = at + self.cfg.interrupt_cost;
+        self.respond(at, func, req.id, status, moved);
+    }
+
+    /// Rejects a submission the device cannot take (an unknown or dead
+    /// function, a malformed ring descriptor): it fails at `at`, with no
+    /// interrupt cost.
+    fn reject(&mut self, at: SimTime, func: FuncId, id: RequestId) {
+        self.respond(at, func, id, CompletionStatus::DeviceError, None);
+    }
+
+    /// Emits a completion and reports it; `moved` is an OK request's
+    /// `(write, blocks)`.
+    fn respond(
+        &mut self,
+        at: SimTime,
+        func: FuncId,
+        id: RequestId,
+        status: CompletionStatus,
+        moved: Option<(bool, u64)>,
+    ) {
         self.outputs.push(NescOutput::Completion {
             at,
             func,
             id,
             status,
         });
-        self.probe.report(Obs::DeviceDone(at));
-    }
-
-    fn count_blocks(&mut self, op: BlockOp, n: u64) {
-        match op {
-            BlockOp::Read => self.stats.blocks_read += n,
-            BlockOp::Write => self.stats.blocks_written += n,
-        }
+        self.probe.report(Obs::DeviceDone(moved, at));
     }
 }
 
@@ -1627,6 +1611,37 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn a_failed_stall_counts_once_and_closes_no_span() {
+        use nesc_sim::{FlightHandle, Tracer};
+        let (mem, mut dev) = setup();
+        dev.set_probe(Probe::new(Tracer::enabled(), FlightHandle::disabled()));
+        let vf = make_vf(&mem, &mut dev, &[], 8);
+        let buf = alloc_buf(&mem, 1);
+        let req = BlockRequest::new(RequestId(4), BlockOp::Write, Vlba(0), 1);
+        dev.submit(SimTime::ZERO, vf, req, buf);
+        let outs = dev.advance(HORIZON);
+        let irq_at = outs.iter().find(|o| !o.is_completion()).expect("irq").at();
+        let failed_at = irq_at + SimDuration::from_micros(5);
+        dev.fail_stalled(vf, failed_at);
+        let outs = dev.advance(HORIZON);
+        let done = failed_at + dev.config().interrupt_cost;
+        assert_eq!(outs.iter().map(NescOutput::at).collect::<Vec<_>>(), [done]);
+        let s = dev.stats();
+        assert_eq!((s.miss_interrupts, s.requests_failed), (1, 1));
+        assert_eq!((s.requests_completed, s.blocks_written), (0, 0));
+        assert_eq!(
+            dev.function_counters(vf),
+            (0, 0),
+            "a failed write moves nothing"
+        );
+        // The stall closed the device span; the failure leaves it be.
+        let spans = dev.probe.tracer().take_spans();
+        let device = spans.iter().find(|sp| sp.name == "device").expect("span");
+        assert_eq!((device.end, device.attr("stalled")), (irq_at, Some(1)));
+        assert!(spans.iter().all(|sp| sp.end <= irq_at));
     }
 
     #[test]
@@ -1862,6 +1877,53 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn rejected_submissions_count_as_failed() {
+        use crate::ring::{RingDescriptor, DESCRIPTOR_BYTES};
+        use nesc_sim::{FlightHandle, Tracer};
+        let (mem, mut dev) = setup();
+        dev.set_probe(Probe::new(Tracer::enabled(), FlightHandle::disabled()));
+        let vf = make_vf(
+            &mem,
+            &mut dev,
+            &[ExtentMapping::new(Vlba(0), Plba(0), 8)],
+            8,
+        );
+        let dead = make_vf(&mem, &mut dev, &[], 1);
+        dev.delete_vf(dead).unwrap();
+        let buf = alloc_buf(&mem, 2);
+        let t = SimTime::from_nanos(1000);
+        let req = BlockRequest::new(RequestId(1), BlockOp::Read, Vlba(0), 1);
+        dev.submit(t, dead, req, buf);
+        // A ring descriptor whose range wraps the vLBA space.
+        let ring_base = mem.borrow_mut().alloc(2 * DESCRIPTOR_BYTES, 4096);
+        dev.mmio_write(vf, offsets::RING_BASE, ring_base, SimTime::ZERO);
+        dev.mmio_write(vf, offsets::RING_ENTRIES, 2, SimTime::ZERO);
+        let bad = RingDescriptor::new(BlockOp::Read, RequestId(2), Vlba(u64::MAX), 2, buf);
+        mem.borrow_mut().write(ring_base, &bad.encode());
+        dev.mmio_write(vf, offsets::RING_TAIL, 1, t);
+        let outs: Vec<_> = dev
+            .advance(HORIZON)
+            .into_iter()
+            .filter_map(|o| match o {
+                NescOutput::Completion { at, id, status, .. } => Some((at, id.0, status)),
+                NescOutput::HostInterrupt { .. } => None,
+            })
+            .collect();
+        // Both fail where they were rejected, with no interrupt cost: the
+        // dead function's at submission, the descriptor once its fetch
+        // lands.
+        assert_eq!(outs.len(), 2);
+        assert_eq!(outs[0], (t, 1, CompletionStatus::DeviceError));
+        let (fetched, id, status) = outs[1];
+        let fetch = dev.probe.tracer().take_spans();
+        assert_eq!((fetch.len(), fetch[0].name), (1, "dma_read"));
+        assert_eq!(fetched, fetch[0].end, "no interrupt cost after the fetch");
+        assert_eq!((id, status), (2, CompletionStatus::DeviceError));
+        let stats = dev.stats();
+        assert_eq!((stats.requests_failed, stats.requests_completed), (2, 0));
     }
 
     #[test]

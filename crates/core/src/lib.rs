@@ -81,6 +81,7 @@ pub use btlb::Btlb;
 pub use config::NescConfig;
 pub use device::{CompletionStatus, FuncId, IrqReason, NescDevice, NescOutput, VfError};
 pub use function::{FunctionContext, FunctionKind};
+pub use nesc_sim::DeviceStats;
 pub use regs::FunctionRegisters;
 pub use ring::{RingDescriptor, RingState};
-pub use stats::{DeviceStats, FuncStats};
+pub use stats::FuncStats;

@@ -1,63 +1,12 @@
-//! Device statistics.
+//! Per-function service counters.
 //!
-//! Counters the benchmark harnesses and ablation studies read out:
-//! translation behaviour (walks, levels, BTLB hits), data movement, and
-//! miss-interrupt traffic. Device-wide aggregates live in the flat
-//! [`DeviceStats`]; per-function service counters live in [`FuncStats`],
-//! a struct-of-arrays indexed by dense function id so the request
-//! completion path touches two adjacent `u64` slots instead of a wide
-//! per-function context struct.
-
-/// Cumulative counters of one [`NescDevice`][crate::NescDevice].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DeviceStats {
-    /// Requests completed successfully.
-    pub requests_completed: u64,
-    /// Requests completed with an error status.
-    pub requests_failed: u64,
-    /// 1 KiB blocks read from the medium.
-    pub blocks_read: u64,
-    /// 1 KiB blocks written to the medium.
-    pub blocks_written: u64,
-    /// Hole reads served by zero-fill DMA (no media access).
-    pub zero_fill_blocks: u64,
-    /// Per-block BTLB lookups (every translated block consults the BTLB).
-    pub btlb_lookups: u64,
-    /// Per-block BTLB lookups satisfied from a cached extent.
-    pub btlb_hits: u64,
-    /// Block walks executed (BTLB misses that reached the walk unit).
-    pub walks: u64,
-    /// Total tree levels traversed across all walks (each level is one
-    /// host-memory DMA).
-    pub walk_levels: u64,
-    /// Write-miss / pruned-mapping interrupts raised to the hypervisor.
-    pub miss_interrupts: u64,
-    /// Requests the PF pushed through the out-of-band channel.
-    pub oob_requests: u64,
-}
-
-impl DeviceStats {
-    /// Mean levels per walk (0 if no walk happened) — the depth the
-    /// translation actually paid, used by the tree-depth ablation.
-    pub fn mean_walk_depth(&self) -> f64 {
-        if self.walks == 0 {
-            0.0
-        } else {
-            self.walk_levels as f64 / self.walks as f64
-        }
-    }
-
-    /// Fraction of per-block BTLB lookups that hit (0 if none happened) —
-    /// the windowed deltas of the underlying counters feed the perfmon
-    /// BTLB probe.
-    pub fn btlb_hit_ratio(&self) -> f64 {
-        if self.btlb_lookups == 0 {
-            0.0
-        } else {
-            self.btlb_hits as f64 / self.btlb_lookups as f64
-        }
-    }
-}
+//! The device-wide aggregates ([`DeviceStats`][crate::DeviceStats]) are
+//! folded by the probe's tally from the device's reports. The
+//! per-function counters stay here, in [`FuncStats`], a struct-of-arrays
+//! indexed by dense function id so the request completion path touches
+//! two adjacent `u64` slots instead of a wide per-function context
+//! struct; they reset when a VF slot is reused, which the probe does not
+//! see.
 
 /// Per-function service counters in struct-of-arrays layout, indexed by
 /// dense function id (the device's function table index). The hot
@@ -131,27 +80,5 @@ mod tests {
         f.reset(1);
         assert_eq!(f.get(1), (0, 0));
         f.reset(17); // out of range is a no-op
-    }
-
-    #[test]
-    fn mean_walk_depth_handles_empty() {
-        assert_eq!(DeviceStats::default().mean_walk_depth(), 0.0);
-        let s = DeviceStats {
-            walks: 4,
-            walk_levels: 10,
-            ..Default::default()
-        };
-        assert!((s.mean_walk_depth() - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn btlb_hit_ratio_handles_empty() {
-        assert_eq!(DeviceStats::default().btlb_hit_ratio(), 0.0);
-        let s = DeviceStats {
-            btlb_lookups: 8,
-            btlb_hits: 6,
-            ..Default::default()
-        };
-        assert!((s.btlb_hit_ratio() - 0.75).abs() < 1e-12);
     }
 }

@@ -291,6 +291,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "double free")]
     fn double_free_panics() {
         let mut a = BitmapAllocator::new(10);

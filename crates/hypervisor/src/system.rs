@@ -190,8 +190,9 @@ pub struct System {
     next_req: u64,
     completed: BTreeMap<RequestId, (SimTime, CompletionStatus)>,
     /// The lifecycle probe shared with the device and telemetry: the
-    /// always-on tally of finished requests, plus the span tracer and the
-    /// telemetry's flight recorder (off until either is enabled).
+    /// always-on tally of finished requests and device counters, plus the
+    /// span tracer and the telemetry's flight recorder (off until either
+    /// is enabled).
     probe: Probe,
     /// Span ids handed out before tracing was last switched off; a
     /// re-enabled tracer continues after them.
@@ -216,7 +217,10 @@ impl System {
     /// the whole physical device.
     pub fn new(dev_cfg: NescConfig, costs: SoftwareCosts) -> Self {
         let mem = Rc::new(RefCell::new(HostMemory::new()));
-        let dev = NescDevice::new(dev_cfg, Rc::clone(&mem));
+        // One tally from the start: the device's counters live in it.
+        let probe = Probe::default();
+        let mut dev = NescDevice::new(dev_cfg, Rc::clone(&mem));
+        dev.set_probe(probe.clone());
         let fs = Filesystem::format(dev.config().capacity_blocks);
         System {
             mem,
@@ -230,7 +234,7 @@ impl System {
             now: SimTime::ZERO,
             next_req: 1,
             completed: BTreeMap::new(),
-            probe: Probe::default(),
+            probe,
             span_ids: 0,
             telemetry: None,
         }
@@ -1714,19 +1718,26 @@ mod tests {
         let mut sys = small_system();
         let disk = sys.quick_disk(DiskKind::Virtio, "m.img", 1 << 20).disk;
         let requests = |sys: &System| sys.path_totals(DiskKind::Virtio).requests;
+        // The device's counters are the same tally's: (completed, written).
+        let device = |sys: &System| {
+            let s = sys.device().stats();
+            (s.requests_completed, s.blocks_written)
+        };
         sys.write(disk, 0, &[1u8; 1024]);
         // Each switch rewires the probe; the tally moves with it.
         sys.set_tracing(true);
-        assert_eq!(requests(&sys), 1);
+        assert_eq!((requests(&sys), device(&sys)), (1, (1, 1)));
         sys.write(disk, 0, &[2u8; 1024]);
         sys.set_telemetry(TelemetryConfig::windowed(SimDuration::from_micros(10)));
-        assert_eq!(requests(&sys), 2);
+        assert_eq!((requests(&sys), device(&sys)), (2, (2, 2)));
         sys.write(disk, 0, &[3u8; 1024]);
         sys.set_tracing(false);
+        assert_eq!(device(&sys), (3, 3));
         sys.write(disk, 0, &[4u8; 1024]);
         let totals = sys.path_totals(DiskKind::Virtio);
         assert_eq!((totals.requests, totals.bytes), (4, 4 * 1024));
         assert_eq!(totals.latency_ns.count(), 4);
+        assert_eq!(device(&sys), (4, 4));
         // Telemetry windows see only what finished after it attached, and
         // the tracing switch in between lost none of that either.
         sys.think(SimDuration::from_micros(100));
@@ -1737,6 +1748,51 @@ mod tests {
             .map(|s| s.samples().map(|(_, v)| v).sum())
             .unwrap_or(0);
         assert_eq!(windowed, 2);
+    }
+
+    /// One workload with hole reads, a write miss, a prune and a
+    /// paravirtual disk leaves the same device counters whichever
+    /// observability channels are on: the tally folds them either way.
+    #[test]
+    fn device_counters_are_the_same_under_every_channel_setting() {
+        let run = |tracing: bool, recording: bool| {
+            let mut sys = small_system();
+            sys.set_tracing(tracing);
+            if recording {
+                let cfg = TelemetryConfig::windowed(SimDuration::from_micros(10));
+                sys.set_telemetry(cfg.flight(nesc_sim::FlightConfig::default()));
+            }
+            // Interleaved single-block allocations give the image a
+            // prunable tree; its tail past 128 KiB stays a hole.
+            let vm = sys.create_vm();
+            let img = sys.create_image("c.img", 1 << 20, false).unwrap();
+            let other = sys.create_image("o.img", 1 << 20, false).unwrap();
+            for v in 0..128u64 {
+                sys.host_fs_mut().allocate_range(img, Vlba(v), 1).unwrap();
+                sys.host_fs_mut().allocate_range(other, Vlba(v), 1).unwrap();
+            }
+            let direct = sys.attach(vm, DiskKind::NescDirect, Some(img));
+            let virtio = sys.quick_disk(DiskKind::Virtio, "v.img", 1 << 20).disk;
+            let mut buf = vec![0u8; 8192];
+            sys.read(direct, 512 << 10, &mut buf);
+            sys.write(direct, 512 << 10, &[7; 4096]);
+            assert!(sys.prune_image_mapping(direct, Vlba(0)), "tree is prunable");
+            sys.read(direct, 0, &mut buf);
+            sys.write(virtio, 0, &[3; 4096]);
+            sys.read(virtio, 0, &mut buf);
+            assert_eq!(sys.tracer().is_enabled(), tracing);
+            assert_eq!(sys.flight().is_enabled(), recording);
+            sys.device().stats()
+        };
+        let off = run(false, false);
+        assert_eq!(off.zero_fill_blocks, 8, "the 8 KiB hole read");
+        assert_eq!(off.miss_interrupts, 2, "the write miss and the prune");
+        assert_eq!(off.requests_failed, 0);
+        assert!(off.walks > 0 && off.oob_requests > 0 && off.blocks_read > 0);
+        for (tracing, recording) in [(true, false), (false, true), (true, true)] {
+            let on = run(tracing, recording);
+            assert_eq!(on, off, "tracing {tracing}, recording {recording}");
+        }
     }
 
     #[test]

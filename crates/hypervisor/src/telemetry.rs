@@ -168,9 +168,7 @@ pub struct Telemetry {
     /// sampled non-zero at the last one. A close adds the functions a
     /// request was queued on since.
     funcs: Vec<u32>,
-    // Previous cumulative raws for windowed-ratio gauges.
-    prev_btlb_lookups: u64,
-    prev_btlb_hits: u64,
+    // Previous cumulative busy times for windowed-utilization gauges.
     prev_walk_busy: SimDuration,
     prev_media_busy: SimDuration,
     prev_link_up: SimDuration,
@@ -254,8 +252,6 @@ impl Telemetry {
             rings: Vec::new(),
             disks: Vec::new(),
             funcs: Vec::new(),
-            prev_btlb_lookups: 0,
-            prev_btlb_hits: 0,
             prev_walk_busy: SimDuration::ZERO,
             prev_media_busy: SimDuration::ZERO,
             prev_link_up: SimDuration::ZERO,
@@ -333,8 +329,6 @@ impl Telemetry {
         for (id, raw) in counters {
             self.sampler.rebase(id, raw);
         }
-        self.prev_btlb_lookups = stats.btlb_lookups;
-        self.prev_btlb_hits = stats.btlb_hits;
         self.prev_walk_busy = dev.walk_busy_time();
         self.prev_media_busy = dev.media_busy_time();
         (self.prev_link_up, self.prev_link_down) = dev.link_busy_time();
@@ -380,14 +374,12 @@ impl Telemetry {
                 });
             let interval = self.sampler.interval();
             let stats = dev.stats();
-            self.sampler.sample(self.s_btlb_lookups, stats.btlb_lookups);
-            self.sampler.sample(self.s_btlb_hits, stats.btlb_hits);
-            let dl = stats.btlb_lookups - self.prev_btlb_lookups;
-            let dh = stats.btlb_hits - self.prev_btlb_hits;
+            // The hit ratio over the window, from the two deltas just
+            // committed.
+            let dl = self.sampler.sample(self.s_btlb_lookups, stats.btlb_lookups);
+            let dh = self.sampler.sample(self.s_btlb_hits, stats.btlb_hits);
             let hit_ppm = (dh * 1_000_000).checked_div(dl).unwrap_or(0);
             self.sampler.sample(self.s_btlb_hit_ppm, hit_ppm);
-            self.prev_btlb_lookups = stats.btlb_lookups;
-            self.prev_btlb_hits = stats.btlb_hits;
             self.sampler.sample(self.s_miss_irqs, stats.miss_interrupts);
 
             // Busy-time deltas over the window, normalized to ppm. Work is

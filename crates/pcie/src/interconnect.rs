@@ -233,6 +233,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "duplicate BDF")]
     fn duplicate_attach_panics() {
         let mut ic = Interconnect::new();

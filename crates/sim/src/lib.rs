@@ -83,7 +83,7 @@ pub use flight::{
 pub use gen::{BurstyArrivals, ZipfLike};
 pub use hash::{IntHashBuilder, IntHasher};
 pub use perfmon::{AnomalyEvent, Sampler, SeriesId, SeriesKind, SloRule, SloWatchdog, TimeSeries};
-pub use probe::{Completion, Obs, Pass, PathTotals, Probe, Via};
+pub use probe::{Completion, DeviceStats, Obs, Pass, PathTotals, Probe, Via};
 pub use resource::{Pipe, ServiceUnit};
 pub use rng::SimRng;
 pub use sched::{ReadyTable, RoundRobin};

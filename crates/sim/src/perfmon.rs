@@ -328,17 +328,17 @@ impl Sampler {
     }
 
     /// Commits the raw probe value for the window just closed by
-    /// [`due`](Self::due). Gauges store `raw`; counters store the delta
-    /// since the previous sample's raw value. Only a non-zero value is
-    /// stored.
+    /// [`due`](Self::due) and returns the committed value: gauges commit
+    /// `raw`; counters the delta since the previous sample's raw value.
+    /// Only a non-zero value is stored.
     ///
-    /// A sample outside a window close (a contract violation) is dropped;
-    /// debug builds assert that each series receives at most one sample
-    /// per closed window.
-    pub fn sample(&mut self, id: SeriesId, raw: u64) {
+    /// A sample outside a window close (a contract violation) is dropped
+    /// and returns 0; debug builds assert that each series receives at
+    /// most one sample per closed window.
+    pub fn sample(&mut self, id: SeriesId, raw: u64) -> u64 {
         debug_assert!(self.closed > 0, "sample() outside a window close");
         let Some(window) = self.closed.checked_sub(1) else {
-            return;
+            return 0;
         };
         let s = &mut self.series[id.0];
         debug_assert!(
@@ -354,7 +354,7 @@ impl Sampler {
         };
         s.last_raw = raw;
         if value == 0 {
-            return;
+            return 0;
         }
         let floor = self.closed.saturating_sub(self.capacity as u64);
         while s.nonzero.front().is_some_and(|&(w, _)| w < floor) {
@@ -362,6 +362,7 @@ impl Sampler {
         }
         s.nonzero.push_back((window, value));
         self.nonzero_ids.push(id);
+        value
     }
 
     fn view<'a>(&self, ring: &'a SeriesRing) -> TimeSeries<'a> {
@@ -974,10 +975,11 @@ mod tests {
         let mut s = Sampler::new(dur(10), 8);
         let c = s.register("c", "ops", SeriesKind::Counter);
         let g = s.register("g", "n", SeriesKind::Gauge);
-        for (now, raw) in [(10u64, 5u64), (20, 5), (30, 12)] {
+        // Each sample returns what it committed.
+        for (now, raw, delta) in [(10u64, 5u64, 5u64), (20, 5, 0), (30, 12, 7)] {
             assert!(s.due(t(now)).is_some());
-            s.sample(c, raw);
-            s.sample(g, raw);
+            assert_eq!(s.sample(c, raw), delta);
+            assert_eq!(s.sample(g, raw), raw);
         }
         let c = s.series_by_name("c").unwrap();
         assert_eq!(

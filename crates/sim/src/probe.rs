@@ -6,11 +6,13 @@
 //! ways: spans on the [`Tracer`], rows in the flight ring
 //! ([`FlightHandle`]), and the *tally* — per-path [`PathTotals`], the
 //! window list of [`Completion`]s, the functions queued on since the last
-//! window close and the rewalk counts. Each variant's docs give its fold;
-//! DESIGN.md §7 tabulates them. The tally is always on and sees only
-//! `Issued`, `Queued`, `Finished` and `Rewalk`; the span and ring folds
-//! are on exactly when a channel is, and off, every other report is one
-//! branch. The probe owns the state the layers used to thread by
+//! window close, the rewalk counts and the device's [`DeviceStats`].
+//! Each variant's docs give its fold; DESIGN.md §7 tabulates them. The
+//! tally is always on and sees the request lifecycle (`Issued`, `Queued`,
+//! `Finished`, `Rewalk`) and the device's counted facts (`DeviceOpen`,
+//! `DeviceDone`, `DeviceStalled`, `Walk`, `ZeroFill`); the span and ring
+//! folds are on exactly when a channel is, and off, every other report is
+//! one branch. The probe owns the state the layers used to thread by
 //! hand: the issued request and its root span, the open `device_wait` and
 //! device spans, and the request id → parent span bindings.
 //!
@@ -25,10 +27,11 @@
 //! let t = SimTime::from_nanos;
 //! probe.report(Obs::Queued(1, 7, 1, t(10)));
 //! probe.report(Obs::DeviceOpen(1, 7, 2, t(10), t(40)));
-//! probe.report(Obs::DeviceDone(t(90)));
+//! probe.report(Obs::DeviceDone(Some((true, 2)), t(90)));
 //! let spans = probe.tracer().take_spans();
 //! assert_eq!((spans[0].name, spans[1].name), ("device", "queue"));
 //! assert_eq!(probe.flight().with(|r| r.total()), Some(1));
+//! assert_eq!(probe.device_stats().blocks_written, 2);
 //! probe.report(Obs::Issued(Via::Virtio, 0, 8, 512, false, t(100)));
 //! probe.report(Obs::Finished(false, t(130)));
 //! assert_eq!(probe.totals(Via::Virtio).latency_ns.max(), 30);
@@ -127,26 +130,32 @@ pub enum Obs<'a> {
     /// blocks)`.
     Dispatched(u32, u64, u64, SimTime, SimTime, SimTime),
     /// `(func, id, blocks, arrived, start)`: the device began a request.
-    /// Opens the device span `core:device` at `arrived` under the span
-    /// bound to `id` {func (VFs only), blocks}, with a `core:queue` child
-    /// up to `start` if it waited.
+    /// The tally counts a PF request (`func` 0) as out-of-band. Opens the
+    /// device span `core:device` at `arrived` under the span bound to `id`
+    /// {func (VFs only), blocks}, with a `core:queue` child up to `start`
+    /// if it waited.
     DeviceOpen(u32, u64, u64, SimTime, SimTime),
     /// `(func, id, blocks, at)`: the device resumed a request stalled on
     /// a miss. Opens the device span `core:device_resume` under the span
     /// bound to `id` {func, blocks}; no queue child.
     DeviceResume(u32, u64, u64, SimTime),
-    /// `(at)`: the request completed; closes the device span.
-    DeviceDone(SimTime),
-    /// `(at)`: the request stalled on a miss interrupt; the device span
-    /// gets {stalled=1} and closes.
+    /// `(moved, at)`: the device completed a request; `moved` is the
+    /// `(write, blocks)` of an OK one, `None` for a failed one. The tally
+    /// counts it completed, with its blocks read or written, or failed.
+    /// Closes the device span, if one is open: a failed stalled request's
+    /// closed at its stall, and a rejected submission never opened one.
+    DeviceDone(Option<(bool, u64)>, SimTime),
+    /// `(at)`: the request stalled on a miss interrupt. The tally counts
+    /// the interrupt; the device span gets {stalled=1} and closes.
     DeviceStalled(SimTime),
     /// `(run, levels, start, end)`: one run translated. `core:translate`
     /// under the device span {run, levels}.
     Translate(u64, u64, SimTime, SimTime),
     /// `(levels, miss, start, end)`: one extent walk; `miss` is the BTLB
     /// miss behind it (nesting level, vLBA byte offset), `None` for a hole
-    /// re-walk. `extent:walk` under the device span {levels}; ring, misses
-    /// only: `BtlbMiss(end; level, vlba, levels)`.
+    /// re-walk. The tally counts the walk and its levels. `extent:walk`
+    /// under the device span {levels}; ring, misses only: `BtlbMiss(end;
+    /// level, vlba, levels)`.
     Walk(u32, Option<(u32, u64)>, SimTime, SimTime),
     /// A media pass. `storage:media` under the device span {blocks};
     /// ring: `MediaService(end; func, start, blocks)`.
@@ -157,8 +166,9 @@ pub enum Obs<'a> {
     /// A device-to-host DMA pass. `pcie:dma_write` under the device span
     /// {bytes, transfers}; ring: `LinkService(end; func, start, blocks)`.
     DmaWrite(Pass),
-    /// A hole read's zero-fill DMA. `pcie:dma_write` under the device
-    /// span {bytes, transfers}; no ring row.
+    /// A hole read's zero-fill DMA. The tally counts its blocks.
+    /// `pcie:dma_write` under the device span {bytes, transfers}; no ring
+    /// row.
     ZeroFill(Pass),
     /// `(bytes, start, end)`: one coalesced command-descriptor fetch.
     /// `pcie:dma_read` under the device span, if any {bytes}.
@@ -196,6 +206,49 @@ pub struct PathTotals {
     pub latency_ns: Histogram,
 }
 
+/// Cumulative counters of one device, re-exported as
+/// `nesc_core::DeviceStats`. The tally folds every field but the two BTLB
+/// ones from the device's reports; the device fills those from its BTLB's
+/// own per-block counters when it hands the counters out.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DeviceStats {
+    /// Requests completed successfully.
+    pub requests_completed: u64,
+    /// Requests completed with an error status.
+    pub requests_failed: u64,
+    /// 1 KiB blocks read from the medium.
+    pub blocks_read: u64,
+    /// 1 KiB blocks written to the medium.
+    pub blocks_written: u64,
+    /// Hole reads served by zero-fill DMA (no media access).
+    pub zero_fill_blocks: u64,
+    /// Per-block BTLB lookups (every translated block consults the BTLB).
+    pub btlb_lookups: u64,
+    /// Per-block BTLB lookups satisfied from a cached extent.
+    pub btlb_hits: u64,
+    /// Block walks executed (BTLB misses that reached the walk unit).
+    pub walks: u64,
+    /// Total tree levels traversed across all walks (each level is one
+    /// host-memory DMA).
+    pub walk_levels: u64,
+    /// Write-miss / pruned-mapping interrupts raised to the hypervisor.
+    pub miss_interrupts: u64,
+    /// Requests the PF pushed through the out-of-band channel.
+    pub oob_requests: u64,
+}
+
+impl DeviceStats {
+    /// Mean levels per walk (0 if no walk happened) — the depth the
+    /// translation actually paid, used by the tree-depth ablation.
+    pub fn mean_walk_depth(&self) -> f64 {
+        if self.walks == 0 {
+            0.0
+        } else {
+            self.walk_levels as f64 / self.walks as f64
+        }
+    }
+}
+
 /// The issued request: its path, disk, sequence id, bytes and issue time.
 type Issued = (Option<Via>, u32, u64, u64, SimTime);
 
@@ -221,6 +274,8 @@ struct Tally {
     rewalks: Cell<u64>,
     /// Rewalk service latencies of the open window.
     rewalk_ns: RefCell<Histogram>,
+    /// The device's counters (BTLB fields unused).
+    device: Cell<DeviceStats>,
 }
 
 /// Span and ring state shared by every clone of an on probe.
@@ -298,18 +353,21 @@ impl Probe {
         self.tally.rewalks.get()
     }
 
-    /// Reports one observation. Only `Issued`, `Queued`, `Finished` and
-    /// `Rewalk` reach the tally; any other report is a single branch when
+    /// The device counters folded so far; the BTLB fields read 0 (the
+    /// device fills them).
+    pub fn device_stats(&self) -> DeviceStats {
+        self.tally.device.get()
+    }
+
+    /// Reports one observation. The variants the tally folds reach it
+    /// whatever the channels; any other report is a single branch when
     /// the channels are off.
     #[inline(always)]
     pub fn report(&self, obs: Obs<'_>) {
         let open = self.open.as_deref();
         // Tally first: a `Finished` completion reads the root the span
         // fold then closes.
-        if let Obs::Issued(..) | Obs::Queued(..) | Obs::Finished(..) | Obs::Rewalk(..) = obs {
-            let root = open.map_or(SpanId::NONE, |o| o.root.get());
-            tally(&self.tally, root, obs);
-        }
+        tally(&self.tally, open, obs);
         if let Some(open) = open {
             self.fold(open, obs);
         }
@@ -326,7 +384,7 @@ impl Probe {
         times: &mut [SimTime],
         run: impl FnOnce(&mut [SimTime]),
     ) {
-        let start = self.open.as_ref().and_then(|_| times.first().copied());
+        let start = times.first().copied();
         run(times);
         if let (Some(start), Some(&end)) = (start, times.last()) {
             self.report(obs(Pass(times.len() as u64, block_bytes, start, end)));
@@ -475,7 +533,7 @@ impl Probe {
                 let s = t.start(parent, "core", "device_resume", at, attrs);
                 open.device.set(s);
             }
-            Obs::DeviceDone(at) => t.end(open.device.replace(SpanId::NONE), at),
+            Obs::DeviceDone(_, at) => t.end(open.device.replace(SpanId::NONE), at),
             Obs::DeviceStalled(at) => {
                 t.attr(dev, "stalled", 1);
                 t.end(open.device.replace(SpanId::NONE), at);
@@ -506,6 +564,16 @@ impl Probe {
     }
 }
 
+impl Tally {
+    /// Folds one device fact into the device counters.
+    #[inline(always)]
+    fn count(&self, fact: impl FnOnce(&mut DeviceStats)) {
+        let mut d = self.device.get();
+        fact(&mut d);
+        self.device.set(d);
+    }
+}
+
 impl Open {
     /// The span a device request's span opens under.
     fn parent_of(&self, id: u64) -> SpanId {
@@ -514,17 +582,19 @@ impl Open {
     }
 }
 
-/// The tally half of the fold: one `Cell` store per issue; while
-/// windowed, one push per queued request; per finish, one totals update
-/// and, while windowed, one fixed-size push.
+/// The tally half of the fold: one `Cell` store per issue and per
+/// counted device fact; while windowed, one push per queued request; per
+/// finish, one totals update and, while windowed, one fixed-size push.
+/// Every other variant matches nothing.
 // nesc-lint: hot
 #[inline(always)]
-fn tally(t: &Tally, root: SpanId, obs: Obs<'_>) {
+fn tally(t: &Tally, open: Option<&Open>, obs: Obs<'_>) {
     match obs {
         Obs::Issued(path, disk, seq, bytes, _, at) => {
             t.issued.set((Some(path), disk, seq, bytes, at))
         }
         Obs::Finished(failed, done) => {
+            let root = open.map_or(SpanId::NONE, |o| o.root.get());
             let (path, disk, seq, bytes, issue) = t.issued.get();
             let latency_ns = done.saturating_since(issue).as_nanos();
             let mut paths = t.paths.borrow_mut();
@@ -555,6 +625,24 @@ fn tally(t: &Tally, root: SpanId, obs: Obs<'_>) {
             let latency = served.saturating_since(irq_at).as_nanos();
             t.rewalk_ns.borrow_mut().record(latency);
         }
+        Obs::DeviceOpen(0, ..) => t.count(|d| d.oob_requests += 1),
+        Obs::DeviceDone(moved, _) => t.count(|d| match moved {
+            Some((write, blocks)) => {
+                d.requests_completed += 1;
+                if write {
+                    d.blocks_written += blocks;
+                } else {
+                    d.blocks_read += blocks;
+                }
+            }
+            None => d.requests_failed += 1,
+        }),
+        Obs::DeviceStalled(_) => t.count(|d| d.miss_interrupts += 1),
+        Obs::Walk(levels, ..) => t.count(|d| {
+            d.walks += 1;
+            d.walk_levels += u64::from(levels);
+        }),
+        Obs::ZeroFill(Pass(blocks, ..)) => t.count(|d| d.zero_fill_blocks += blocks),
         _ => {}
     }
 }
@@ -625,8 +713,9 @@ mod tests {
     }
 
     /// Every observation variant, in the order the layers report them: a
-    /// direct request that stalls on a miss and resumes, a host request, a
-    /// virtio request, an emulated write that fails before the device,
+    /// direct request that stalls on a miss and resumes, a host request
+    /// the device fails, a virtio request, an emulated write the device
+    /// rejects at submission (so no device span is open when it answers),
     /// and a watchdog anomaly.
     fn script(a: &AnomalyEvent) -> Vec<Obs<'_>> {
         use Obs::*;
@@ -647,13 +736,13 @@ mod tests {
             DeviceResume(3, 5, 8, t(210)),
             DmaWrite(Pass(2, 512, t(210), t(220))),
             ZeroFill(Pass(1, 512, t(220), t(225))),
-            DeviceDone(t(230)),
+            DeviceDone(Some((true, 8)), t(230)),
             Answered(t(230), t(240)),
             Finished(false, t(240)),
             Issued(Via::Host, 0, 6, 512, false, t(300)),
             Rang(0, 6, t(310), t(320)),
             DeviceOpen(0, 6, 1, t(320), t(320)),
-            DeviceDone(t(330)),
+            DeviceDone(None, t(330)),
             Answered(t(330), t(335)),
             Finished(true, t(335)),
             Issued(Via::Virtio, 1, 7, 8192, false, t(400)),
@@ -661,11 +750,12 @@ mod tests {
             Awaiting(t(430)),
             Forwarded(7),
             DeviceOpen(0, 7, 2, t(431), t(431)),
-            DeviceDone(t(440)),
+            DeviceDone(Some((false, 2)), t(440)),
             Answered(t(440), t(450)),
             Finished(false, t(450)),
             Issued(Via::Emulated, 1, 8, 512, true, t(500)),
             Backend(t(505), t(515), t(520)),
+            DeviceDone(None, t(520)),
             Answered(t(520), t(530)),
             Finished(true, t(530)),
             Anomaly(a),
@@ -824,18 +914,34 @@ mod tests {
         (1, 512, 1, 0, 0),
     ];
 
+    /// The device counters the script leaves (BTLB fields unfolded).
+    const WANT_DEVICE: DeviceStats = DeviceStats {
+        requests_completed: 2,
+        requests_failed: 2,
+        blocks_read: 2,
+        blocks_written: 8,
+        zero_fill_blocks: 1,
+        btlb_lookups: 0,
+        btlb_hits: 0,
+        walks: 2,
+        walk_levels: 4,
+        miss_interrupts: 1,
+        oob_requests: 2,
+    };
+
     struct Out {
         spans: Vec<Span>,
         rows: Vec<FlightEvent>,
         /// Exemplars as `(seq, disk, latency, root)`.
         notes: Vec<(u64, u32, u64, u64)>,
         /// The tally: the window's completions, the functions queued on,
-        /// the per-path totals, and the rewalk count with the window's
-        /// largest rewalk latency.
+        /// the per-path totals, the rewalk count with the window's
+        /// largest rewalk latency, and the device counters.
         done: Vec<Done>,
         queued: Vec<u32>,
         totals: Vec<(u64, u64, u64, u64, u64)>,
         rewalks: (u64, u64),
+        device: DeviceStats,
     }
 
     /// Runs the script with each channel on or off.
@@ -895,6 +1001,7 @@ mod tests {
             queued,
             totals,
             rewalks,
+            device: probe.device_stats(),
         }
     }
 
@@ -961,6 +1068,7 @@ mod tests {
             assert_eq!(out.queued, vec![3], "the one queued request's function");
             assert_eq!(out.totals, WANT_TOTALS.to_vec(), "the per-path totals");
             assert_eq!(out.rewalks, (1, 10), "one 10 ns rewalk");
+            assert_eq!(out.device, WANT_DEVICE, "the device counters");
         }
         assert_eq!(spans(&traced), want, "tracing only: the span table");
         assert!(traced.rows.is_empty() && traced.notes.is_empty());
@@ -1120,7 +1228,7 @@ mod tests {
     }
 
     #[test]
-    fn pass_reports_only_nonempty_runs_and_only_when_on() {
+    fn pass_reports_only_nonempty_runs() {
         let probe = Probe::new(Tracer::enabled(), FlightHandle::disabled());
         let mut times = [t(1), t(2)];
         probe.pass(Obs::MediaPass, 512, &mut times, |ts| {
@@ -1132,9 +1240,24 @@ mod tests {
         assert_eq!(spans.len(), 1, "an empty run reports nothing");
         assert_eq!((spans[0].start, spans[0].end), (t(1), t(12)));
         assert_eq!(spans[0].attr("blocks"), Some(2));
-        // Off, the unit still runs.
+        // Off, the unit still runs, and a pass the tally counts reaches it.
+        let off = Probe::default();
         let mut times = [t(1)];
-        Probe::default().pass(Obs::MediaPass, 512, &mut times, |ts| ts[0] = t(9));
+        off.pass(Obs::MediaPass, 512, &mut times, |ts| ts[0] = t(9));
         assert_eq!(times, [t(9)]);
+        off.pass(Obs::ZeroFill, 512, &mut [t(1), t(2), t(3)], |_| {});
+        off.pass(Obs::ZeroFill, 512, &mut [], |_| {});
+        assert_eq!(off.device_stats().zero_fill_blocks, 3);
+    }
+
+    #[test]
+    fn mean_walk_depth_handles_empty() {
+        assert_eq!(DeviceStats::default().mean_walk_depth(), 0.0);
+        let s = DeviceStats {
+            walks: 4,
+            walk_levels: 10,
+            ..Default::default()
+        };
+        assert!((s.mean_walk_depth() - 2.5).abs() < 1e-12);
     }
 }

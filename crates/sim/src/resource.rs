@@ -27,13 +27,6 @@ pub struct Service {
     pub end: SimTime,
 }
 
-impl Service {
-    /// Queueing delay experienced before service began.
-    pub fn wait_since(&self, arrival: SimTime) -> SimDuration {
-        self.start.saturating_since(arrival)
-    }
-}
-
 /// A FIFO, bandwidth-limited resource (a link, a DMA engine, a disk's media
 /// channel).
 ///
@@ -81,17 +74,6 @@ impl Pipe {
     /// Bandwidth in bytes per second.
     pub fn bandwidth(&self) -> u64 {
         self.bytes_per_sec
-    }
-
-    /// Changes the bandwidth for subsequent transfers (used by the Fig. 2
-    /// device-speed sweep).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes_per_sec` is zero.
-    pub fn set_bandwidth(&mut self, bytes_per_sec: u64) {
-        assert!(bytes_per_sec > 0, "pipe bandwidth must be positive");
-        self.bytes_per_sec = bytes_per_sec;
     }
 
     /// Serves a transfer of `bytes` arriving at `now`; returns its service
@@ -220,11 +202,6 @@ impl ServiceUnit {
         self.free_at
     }
 
-    /// Whether the unit is idle at `now`.
-    pub fn is_idle(&self, now: SimTime) -> bool {
-        self.free_at <= now
-    }
-
     /// Total time spent serving.
     pub fn busy_time(&self) -> SimDuration {
         self.busy
@@ -233,15 +210,6 @@ impl ServiceUnit {
     /// Number of items served.
     pub fn served(&self) -> u64 {
         self.served
-    }
-
-    /// Fraction of `[SimTime::ZERO, now]` spent busy.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        if now == SimTime::ZERO {
-            0.0
-        } else {
-            self.busy.as_secs_f64() / now.saturating_since(SimTime::ZERO).as_secs_f64()
-        }
     }
 }
 
@@ -260,6 +228,7 @@ mod tests {
         assert_eq!(b.end.as_nanos(), 2000);
         assert_eq!(p.bytes_moved(), 2000);
         assert_eq!(p.transfers(), 2);
+        assert_eq!(p.bandwidth(), 1_000_000_000);
     }
 
     #[test]
@@ -278,15 +247,6 @@ mod tests {
         assert_eq!(a.end.as_nanos(), 500);
         let b = p.transfer(SimTime::ZERO, 0);
         assert_eq!(b.end.as_nanos(), 1000);
-    }
-
-    #[test]
-    fn pipe_set_bandwidth() {
-        let mut p = Pipe::new(100, SimDuration::ZERO);
-        p.set_bandwidth(1_000_000_000);
-        let s = p.transfer(SimTime::ZERO, 1000);
-        assert_eq!(s.end.as_nanos(), 1000);
-        assert_eq!(p.bandwidth(), 1_000_000_000);
     }
 
     #[test]
@@ -309,18 +269,10 @@ mod tests {
         let a = u.serve(SimTime::ZERO, SimDuration::from_nanos(100));
         let b = u.serve(SimTime::from_nanos(10), SimDuration::from_nanos(100));
         assert_eq!(a.end, b.start);
-        assert_eq!(b.wait_since(SimTime::from_nanos(10)).as_nanos(), 90);
+        let wait = b.start.saturating_since(SimTime::from_nanos(10));
+        assert_eq!(wait.as_nanos(), 90);
         assert_eq!(u.served(), 2);
-        assert!(u.is_idle(SimTime::from_nanos(1000)));
-    }
-
-    #[test]
-    fn utilization_bounds() {
-        let mut u = ServiceUnit::new();
-        u.serve(SimTime::ZERO, SimDuration::from_nanos(500));
-        let util = u.utilization(SimTime::from_nanos(1000));
-        assert!((util - 0.5).abs() < 1e-9);
-        assert_eq!(ServiceUnit::new().utilization(SimTime::ZERO), 0.0);
+        assert_eq!(u.free_at(), b.end);
     }
 
     proptest! {

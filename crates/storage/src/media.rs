@@ -69,11 +69,6 @@ impl RamMedia {
         RamMedia::new(SimDuration::from_nanos(60), 6_400_000_000)
     }
 
-    /// A host ramdisk as used in Fig. 2 (system DDR3-1333, ~10.6 GB/s).
-    pub fn host_ramdisk() -> Self {
-        RamMedia::new(SimDuration::from_nanos(50), 10_600_000_000)
-    }
-
     /// Sets (or clears) a bandwidth throttle in bytes/second, emulating a
     /// device of that speed — the method behind the paper's Fig. 2. A zero
     /// throttle (a contract violation) is treated as 1 B/s.
@@ -185,11 +180,6 @@ impl FlashMedia {
             SimDuration::from_micros(200),
             800_000_000,
         )
-    }
-
-    /// Number of channels.
-    pub fn channel_count(&self) -> usize {
-        self.channels.len()
     }
 
     /// Cumulative busy time summed over all channels.

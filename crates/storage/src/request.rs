@@ -131,6 +131,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "at least one block")]
     fn zero_blocks_rejected() {
         BlockRequest::new(RequestId(0), BlockOp::Read, Vlba(0), 0);

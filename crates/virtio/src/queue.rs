@@ -349,6 +349,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "2^n")]
     fn non_pow2_size_rejected() {
         Virtqueue::new(3);
