@@ -91,18 +91,26 @@ impl NescConfig {
         }
     }
 
-    /// Validates internal consistency: debug builds reject degenerate
-    /// parameters (zero bandwidth, no VFs, no walk slots) at construction
-    /// time. Release builds let the lower layers clamp — every consumer of
-    /// these parameters degrades a zero to its smallest legal value.
+    /// Validates internal consistency: rejects degenerate parameters
+    /// (zero bandwidth, no VFs, no walk slots) at construction time, in
+    /// every build. A zero would not fail later on its own: with no walk
+    /// slots, for one, every walk would be charged 0 ns and a run would
+    /// print timings instead of failing. The check runs once per device.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the first degenerate parameter.
+    // nesc-lint::allow(P1): construction-time check of the device's
+    // configuration, run once per device before any request; a
+    // degenerate value must stop the run, not time it at 0 ns.
     pub fn validate(&self) {
-        debug_assert!(self.capacity_blocks > 0, "device needs capacity");
-        debug_assert!(self.max_vfs > 0, "device must support VFs");
-        debug_assert!(self.dma_read_bytes_per_sec > 0, "DMA read bandwidth");
-        debug_assert!(self.dma_write_bytes_per_sec > 0, "DMA write bandwidth");
-        debug_assert!(self.walk_overlap > 0, "walk unit needs at least one slot");
-        debug_assert!(self.tree_node_bytes > 0, "tree nodes have a size");
-        debug_assert!(self.max_run_blocks > 0, "runs cover at least one block");
+        assert!(self.capacity_blocks > 0, "device needs capacity");
+        assert!(self.max_vfs > 0, "device must support VFs");
+        assert!(self.dma_read_bytes_per_sec > 0, "DMA read bandwidth");
+        assert!(self.dma_write_bytes_per_sec > 0, "DMA write bandwidth");
+        assert!(self.walk_overlap > 0, "walk unit needs at least one slot");
+        assert!(self.tree_node_bytes > 0, "tree nodes have a size");
+        assert!(self.max_run_blocks > 0, "runs cover at least one block");
     }
 }
 
@@ -128,7 +136,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "walk unit")]
     fn degenerate_config_rejected() {
         let mut c = NescConfig::prototype();

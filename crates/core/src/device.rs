@@ -588,7 +588,7 @@ impl NescDevice {
     /// fields fail validation complete with `DeviceError` instead of
     /// being silently dropped, so drivers never hang waiting on them.
     fn consume_ring(&mut self, func: FuncId, tail: Untrusted<u32>, now: SimTime) {
-        let (descriptors, fetch_done) = {
+        let (slots, fetch_done) = {
             let ctx = &mut self.functions[func.0 as usize];
             if !ctx.alive {
                 return;
@@ -604,10 +604,11 @@ impl NescDevice {
             let Ok(tail) = validate_ring_tail(tail, ctx.regs.ring_entries) else {
                 return;
             };
-            let descriptors = ring.consume(&self.mem.borrow(), tail);
+            let slots = ring.consume(&self.mem.borrow(), tail);
             ctx.ring_head = ring.head;
-            // One descriptor-fetch DMA covers the batch (devices coalesce).
-            let bytes = descriptors.len() as u64 * crate::ring::DESCRIPTOR_BYTES;
+            // One descriptor-fetch DMA covers every slot consumed, valid or
+            // not (devices coalesce).
+            let bytes = slots.len() as u64 * crate::ring::DESCRIPTOR_BYTES;
             let fetch_done = if bytes > 0 {
                 let end = self.link.dma_read(now, bytes).complete;
                 self.probe.report(Obs::DescriptorFetch(bytes, now, end));
@@ -615,12 +616,14 @@ impl NescDevice {
             } else {
                 now
             };
-            (descriptors, fetch_done)
+            (slots, fetch_done)
         };
-        for d in descriptors {
-            match d.to_request() {
-                Ok(req) => self.submit(fetch_done, func, req, d.buffer),
-                Err(_) => self.reject(fetch_done, func, d.id),
+        for slot in slots {
+            let request =
+                slot.and_then(|d| d.to_request().map(|req| (req, d.buffer)).map_err(|_| d.id));
+            match request {
+                Ok((req, buf)) => self.submit(fetch_done, func, req, buf),
+                Err(id) => self.reject(fetch_done, func, id),
             }
         }
     }
@@ -1924,6 +1927,37 @@ mod tests {
         assert_eq!((id, status), (2, CompletionStatus::DeviceError));
         let stats = dev.stats();
         assert_eq!((stats.requests_failed, stats.requests_completed), (2, 0));
+    }
+
+    #[test]
+    fn undecodable_ring_descriptor_completes_with_an_error() {
+        use crate::ring::{RingDescriptor, DESCRIPTOR_BYTES};
+        let (mem, mut dev) = setup();
+        let vf = make_vf(
+            &mem,
+            &mut dev,
+            &[ExtentMapping::new(Vlba(0), Plba(0), 8)],
+            8,
+        );
+        let buf = alloc_buf(&mem, 1);
+        let ring_base = mem.borrow_mut().alloc(2 * DESCRIPTOR_BYTES, 4096);
+        dev.mmio_write(vf, offsets::RING_BASE, ring_base, SimTime::ZERO);
+        dev.mmio_write(vf, offsets::RING_ENTRIES, 2, SimTime::ZERO);
+        // Opcode 9 names no operation.
+        let mut bad = RingDescriptor::new(BlockOp::Read, RequestId(7), Vlba(0), 1, buf).encode();
+        bad[0] = 9;
+        mem.borrow_mut().write(ring_base, &bad);
+        dev.mmio_write(vf, offsets::RING_TAIL, 1, SimTime::ZERO);
+        let outs: Vec<_> = dev
+            .advance(HORIZON)
+            .into_iter()
+            .filter_map(|o| match o {
+                NescOutput::Completion { id, status, .. } => Some((id.0, status)),
+                NescOutput::HostInterrupt { .. } => None,
+            })
+            .collect();
+        assert_eq!(outs, vec![(7, CompletionStatus::DeviceError)]);
+        assert_eq!(dev.stats().requests_failed, 1);
     }
 
     #[test]

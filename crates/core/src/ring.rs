@@ -104,11 +104,18 @@ impl RingDescriptor {
         }
         Some(RingDescriptor {
             op,
-            id: RequestId(le64(8)?),
+            id: Self::wire_id(b),
             lba: Untrusted::new(Vlba(le64(16)?)),
             count: Untrusted::new(count),
             buffer: le64(32)?,
         })
+    }
+
+    /// The id field of the wire form, readable whether or not the rest
+    /// decodes: a malformed descriptor still completes under its id.
+    fn wire_id(b: &[u8; DESCRIPTOR_BYTES as usize]) -> RequestId {
+        let id = b.get(8..16).and_then(|s| s.try_into().ok());
+        RequestId(id.map_or(0, u64::from_le_bytes))
     }
 
     /// The block request this descriptor describes, released through the
@@ -148,10 +155,15 @@ impl RingState {
     }
 
     /// Consumes descriptors from `head` up to `tail`, decoding each from
-    /// host memory. Malformed descriptors are skipped (a real device sets
-    /// an error bit; the model counts on the driver being sane and simply
-    /// drops them).
-    pub fn consume(&mut self, mem: &HostMemory, tail: u32) -> Vec<RingDescriptor> {
+    /// host memory: one entry per slot consumed, in ring order. A slot
+    /// that does not decode (an unknown opcode, a zero count) comes back
+    /// as its id, so the device can complete it with an error instead of
+    /// dropping it and leaving the driver waiting.
+    pub fn consume(
+        &mut self,
+        mem: &HostMemory,
+        tail: u32,
+    ) -> Vec<Result<RingDescriptor, RequestId>> {
         let mut out = Vec::new();
         if !self.is_configured() {
             return out;
@@ -161,9 +173,7 @@ impl RingState {
             let slot = self.head % self.entries;
             let mut buf = [0u8; DESCRIPTOR_BYTES as usize];
             mem.read(self.base + slot as u64 * DESCRIPTOR_BYTES, &mut buf);
-            if let Some(d) = RingDescriptor::decode(&buf) {
-                out.push(d);
-            }
+            out.push(RingDescriptor::decode(&buf).ok_or_else(|| RingDescriptor::wire_id(&buf)));
             self.head = (self.head + 1) % self.entries;
         }
         out
@@ -223,17 +233,35 @@ mod tests {
         for s in 0..3 {
             write_desc(&mut mem, s, s + 1);
         }
-        let got = ring.consume(&mem, 3);
-        assert_eq!(
-            got.iter().map(|d| d.id.0).collect::<Vec<_>>(),
-            vec![1, 2, 3]
-        );
+        let ids = |got: Vec<Result<RingDescriptor, RequestId>>| {
+            got.into_iter()
+                .map(|d| d.map(|d| d.id.0))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(ids(ring.consume(&mem, 3)), vec![Ok(1), Ok(2), Ok(3)]);
         // Wrap: slots 3, 0 → tail=1.
         write_desc(&mut mem, 3, 4);
         write_desc(&mut mem, 0, 5);
-        let got = ring.consume(&mem, 1);
-        assert_eq!(got.iter().map(|d| d.id.0).collect::<Vec<_>>(), vec![4, 5]);
+        assert_eq!(ids(ring.consume(&mem, 1)), vec![Ok(4), Ok(5)]);
         assert_eq!(ring.head, 1);
+    }
+
+    #[test]
+    fn malformed_slots_come_back_with_their_id() {
+        let mut mem = HostMemory::new();
+        let base = mem.alloc(4 * DESCRIPTOR_BYTES, 64);
+        let mut ring = RingState {
+            base,
+            entries: 4,
+            head: 0,
+        };
+        let good = RingDescriptor::new(BlockOp::Read, RequestId(1), Vlba(0), 1, 0x8000);
+        let mut bad = RingDescriptor::new(BlockOp::Read, RequestId(2), Vlba(0), 1, 0x8000).encode();
+        bad[0] = 9;
+        mem.write(base, &good.encode());
+        mem.write(base + DESCRIPTOR_BYTES, &bad);
+        assert_eq!(ring.consume(&mem, 2), vec![Ok(good), Err(RequestId(2))]);
+        assert_eq!(ring.head, 2);
     }
 
     #[test]

@@ -266,14 +266,12 @@ pub fn decode(buf: &[u8; NODE_SIZE]) -> Result<Node, LayoutError> {
 }
 
 /// Byte offset of the `child` pointer of internal entry `i` — used to
-/// overwrite a pointer with NULL when pruning in place.
-///
-/// # Panics
-///
-/// Panics if `i >= FANOUT`.
+/// overwrite a pointer in place, with NULL when pruning and with a new
+/// leaf when re-linking. An `i` beyond the node (a contract violation:
+/// callers index entries they decoded) is clamped to the last entry.
 pub fn child_ptr_offset(i: usize) -> usize {
-    assert!(i < FANOUT, "entry index out of range");
-    HEADER_SIZE + i * ENTRY_SIZE + 16
+    debug_assert!(i < FANOUT, "entry index out of range: {i}");
+    HEADER_SIZE + i.min(FANOUT - 1) * ENTRY_SIZE + 16
 }
 
 #[cfg(test)]

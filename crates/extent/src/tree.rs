@@ -16,8 +16,9 @@
 
 use nesc_pcie::{HostAddr, HostMemory};
 
-use crate::layout::{self, NodeEntry, FANOUT, NODE_SIZE};
+use crate::layout::{self, Node, NodeEntry, FANOUT, NODE_SIZE};
 use crate::types::{ExtentMapping, Vlba};
+use crate::walk::read_node;
 
 /// Error inserting an extent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -227,6 +228,77 @@ impl ExtentTree {
         level[0].0
     }
 
+    /// Repairs a serialization of this tree that
+    /// [`prune_covering`](crate::prune_covering) has cut: every NULL child
+    /// pointer of the last internal level gets a freshly encoded leaf for
+    /// the `FANOUT`-aligned chunk of extents it stands for, so the tree at
+    /// `root` walks exactly as a new [`serialize`](Self::serialize) would.
+    /// Only the internal levels are read, and one leaf is written per
+    /// pruned slot. A tree with nothing pruned is already whole: `true`,
+    /// nothing written.
+    ///
+    /// Returns `false` and writes nothing if the tree at `root` is not a
+    /// serialization of this mapping cut only at its leaf pointers: a
+    /// depth-1 tree, a node that does not decode or is not internal, a
+    /// NULL above the last internal level, a leaf count that differs, or a
+    /// pruned entry whose first block or end differs from its chunk's.
+    /// Unpruned leaves are not read, so the caller must know by other
+    /// means (the hypervisor's mapping generation) that the mapping is the
+    /// one `root` was serialized from.
+    pub fn relink_pruned(&self, mem: &mut HostMemory, root: HostAddr) -> bool {
+        let depth = self.serialized_depth();
+        if depth < 2 {
+            return false;
+        }
+        // Descend to the last internal level, left to right.
+        let mut level = vec![root];
+        for _ in 2..depth {
+            let mut next = Vec::with_capacity(level.len() * FANOUT);
+            for &addr in &level {
+                let Ok(Node::Internal(entries)) = read_node(mem, addr) else {
+                    return false;
+                };
+                if entries.iter().any(NodeEntry::is_pruned) {
+                    return false;
+                }
+                next.extend(entries.iter().map(|e| e.child));
+            }
+            level = next;
+        }
+        // Entry `k` of the last internal level (counted across its nodes)
+        // points at the leaf holding chunk `k` of the extents.
+        let chunks = self.extents.len().div_ceil(FANOUT);
+        let mut pruned: Vec<(HostAddr, &[ExtentMapping])> = Vec::new();
+        let mut k = 0;
+        for &addr in &level {
+            let Ok(Node::Internal(entries)) = read_node(mem, addr) else {
+                return false;
+            };
+            for (i, e) in entries.iter().enumerate() {
+                if e.is_pruned() {
+                    let Some(chunk) = self.extents.chunks(FANOUT).nth(k) else {
+                        return false;
+                    };
+                    let end = chunk[chunk.len() - 1].end_logical();
+                    if chunk[0].logical != e.first_logical || end != e.end_logical() {
+                        return false;
+                    }
+                    pruned.push((addr + layout::child_ptr_offset(i) as u64, chunk));
+                }
+                k += 1;
+            }
+        }
+        if k != chunks {
+            return false;
+        }
+        for (slot, chunk) in pruned {
+            let leaf = mem.alloc(NODE_SIZE as u64, 64);
+            mem.write(leaf, &layout::encode_leaf(chunk));
+            mem.write_u64(slot, leaf);
+        }
+        true
+    }
+
     /// The depth (node reads per cold walk) this tree serializes to.
     pub fn serialized_depth(&self) -> u32 {
         let mut nodes = self.extents.len().max(1).div_ceil(FANOUT);
@@ -357,6 +429,120 @@ mod tests {
         assert_eq!(t.serialized_depth(), 1);
     }
 
+    /// Every node of the tree at `root`, level by level from the root,
+    /// with child addresses zeroed so two serializations compare by
+    /// content. Panics on a NULL child pointer.
+    fn levels(mem: &HostMemory, root: HostAddr) -> Vec<Vec<Node>> {
+        let mut out = Vec::new();
+        let mut level = vec![root];
+        while !level.is_empty() {
+            let (mut nodes, mut next) = (Vec::new(), Vec::new());
+            for &addr in &level {
+                match read_node(mem, addr).expect("node decodes") {
+                    Node::Internal(entries) => {
+                        assert!(!entries.iter().any(NodeEntry::is_pruned), "a NULL survived");
+                        next.extend(entries.iter().map(|e| e.child));
+                        let unlinked = |i: usize| NodeEntry {
+                            child: 0,
+                            ..entries[i]
+                        };
+                        nodes.push(Node::Internal(layout::NodeList::from_fn(
+                            entries.len(),
+                            unlinked,
+                        )));
+                    }
+                    leaf => nodes.push(leaf),
+                }
+            }
+            out.push(nodes);
+            level = next;
+        }
+        out
+    }
+
+    /// `n` one-block extents, each followed by a one-block hole and
+    /// physically apart, so none merge.
+    fn fragmented(n: u64) -> ExtentTree {
+        (0..n)
+            .map(|i| ExtentMapping::new(Vlba(i * 2), Plba(i * 3 + 7), 1))
+            .collect()
+    }
+
+    /// Extents laid out from `(gap, len)` pairs: each extent starts `gap`
+    /// blocks after the previous one ends, and none are physically
+    /// adjacent, so none merge.
+    fn shaped(shape: &[(u64, u64)]) -> ExtentTree {
+        let mut cursor = 0;
+        shape
+            .iter()
+            .enumerate()
+            .map(|(i, &(gap, len))| {
+                let e = ExtentMapping::new(Vlba(cursor + gap), Plba(i as u64 * 16 + 7), len);
+                cursor += gap + len;
+                e
+            })
+            .collect()
+    }
+
+    /// Runs `f` on `mem` and requires it to leave the bytes of `[lo, hi)`
+    /// unchanged, fault in no page and allocate nothing; returns `f`'s
+    /// result.
+    fn untouched<R>(
+        mem: &mut HostMemory,
+        (lo, hi): (HostAddr, HostAddr),
+        f: impl FnOnce(&mut HostMemory) -> R,
+    ) -> R {
+        let bytes = mem.read_vec(lo, (hi - lo) as usize);
+        let (pages, next) = (mem.resident_pages(), mem.alloc(1, 1));
+        let r = f(mem);
+        assert!(
+            mem.read_vec(lo, (hi - lo) as usize) == bytes,
+            "bytes changed"
+        );
+        assert_eq!(mem.resident_pages(), pages, "pages faulted in");
+        assert_eq!(mem.alloc(1, 1), next + 1, "memory allocated");
+        r
+    }
+
+    /// Serializes `t` into `mem`, returning the root and the address range
+    /// the serialization occupies.
+    fn serialize_bounded(t: &ExtentTree, mem: &mut HostMemory) -> (HostAddr, (HostAddr, HostAddr)) {
+        let lo = mem.alloc(1, 1);
+        let root = t.serialize(mem);
+        (root, (lo, mem.alloc(1, 1)))
+    }
+
+    #[test]
+    fn relink_restores_every_pruned_leaf() {
+        let t = fragmented(500);
+        let mut mem = HostMemory::new();
+        let (root, span) = serialize_bounded(&t, &mut mem);
+        let whole = levels(&mem, root);
+        for v in [0, 2, 400, 998] {
+            assert!(crate::prune_covering(&mut mem, root, Vlba(v)));
+        }
+        assert!(t.relink_pruned(&mut mem, root));
+        assert_eq!(levels(&mem, root), whole);
+        // A whole tree needs no repair and gets no writes.
+        assert!(untouched(&mut mem, span, |m| t.relink_pruned(m, root)));
+    }
+
+    #[test]
+    fn relink_refuses_what_it_cannot_repair() {
+        // A single leaf has no pointer to repair.
+        let leaf = fragmented(FANOUT as u64);
+        let mut mem = HostMemory::new();
+        let (root, span) = serialize_bounded(&leaf, &mut mem);
+        assert!(!untouched(&mut mem, span, |m| leaf.relink_pruned(m, root)));
+        // A NULL above the last internal level: the lost subtree holds
+        // internal nodes, which a repair does not rebuild.
+        let t = fragmented((FANOUT * FANOUT) as u64 + 1);
+        assert_eq!(t.serialized_depth(), 3);
+        let (root, span) = serialize_bounded(&t, &mut mem);
+        mem.write_u64(root + layout::child_ptr_offset(0) as u64, 0);
+        assert!(!untouched(&mut mem, span, |m| t.relink_pruned(m, root)));
+    }
+
     proptest! {
         /// lookup() agrees with a brute-force reference map built from the
         /// same random (disjoint) extents.
@@ -381,6 +567,53 @@ mod tests {
                 let got = t.lookup(Vlba(v)).and_then(|e| e.translate(Vlba(v)));
                 prop_assert_eq!(got, reference.get(&v).map(|&p| Plba(p)));
             }
+        }
+
+        /// A repaired tree equals a fresh serialization node for node
+        /// (child addresses aside), for random fragmented trees of depth
+        /// 2 and 3 and random sets of prunes.
+        #[test]
+        fn prop_relink_equals_serialize(
+            shape in proptest::collection::vec((1u64..4, 1u64..5), FANOUT + 1..1_000),
+            victims in proptest::collection::vec(0u64..1_000_000, 1..12),
+        ) {
+            let t = shaped(&shape);
+            prop_assert!((2..=3).contains(&t.serialized_depth()));
+            let mut mem = HostMemory::new();
+            let root = t.serialize(&mut mem);
+            let end = t.logical_end().0;
+            for &v in &victims {
+                crate::prune_covering(&mut mem, root, Vlba(v % end));
+            }
+            prop_assert!(t.relink_pruned(&mut mem, root));
+            let mut fresh = HostMemory::new();
+            let fresh_root = t.serialize(&mut fresh);
+            prop_assert_eq!(levels(&mem, root), levels(&fresh, fresh_root));
+        }
+
+        /// After an insert that shifts the chunk boundaries under a pruned
+        /// slot, the old serialization no longer fits the mapping: the
+        /// repair refuses and leaves memory byte-unchanged.
+        #[test]
+        fn prop_relink_refuses_a_changed_mapping(
+            shape in proptest::collection::vec((1u64..4, 1u64..5), FANOUT + 1..1_000),
+            victim in 0usize..1_000,
+            at in 0usize..1_000,
+        ) {
+            let mut t = shaped(&shape);
+            let mut mem = HostMemory::new();
+            let (root, span) = serialize_bounded(&t, &mut mem);
+            let victim = victim % t.extent_count();
+            let pruned_at = t.iter().nth(victim).unwrap().logical;
+            prop_assert!(crate::prune_covering(&mut mem, root, pruned_at));
+            // A one-block extent in the hole just before the pruned
+            // chunk's first extent or an earlier one (every gap is at
+            // least one block): the chunk now starts one extent earlier.
+            let chunk_first = victim / FANOUT * FANOUT;
+            let before = t.iter().nth(at % (chunk_first + 1)).unwrap();
+            let hole = Vlba(before.logical.0 - 1);
+            t.insert(ExtentMapping::new(hole, Plba(u64::MAX / 2), 1)).unwrap();
+            prop_assert!(!untouched(&mut mem, span, |m| t.relink_pruned(m, root)));
         }
 
         /// remove_range never leaves blocks mapped inside the removed range

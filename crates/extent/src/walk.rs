@@ -48,7 +48,7 @@ pub struct WalkResult {
     pub levels: u32,
 }
 
-fn read_node(mem: &HostMemory, addr: HostAddr) -> Result<Node, LayoutError> {
+pub(crate) fn read_node(mem: &HostMemory, addr: HostAddr) -> Result<Node, LayoutError> {
     let mut buf = [0u8; NODE_SIZE];
     mem.read(addr, &mut buf);
     layout::decode(&buf)

@@ -325,6 +325,18 @@ impl Filesystem {
         Ok(self.inode(ino)?.extents())
     }
 
+    /// The file's mapping generation ([`Inode::mapping_generation`]): it
+    /// moves whenever the file's extents may have changed, so a
+    /// serialization taken at an equal generation still matches
+    /// [`extent_tree`](Filesystem::extent_tree).
+    ///
+    /// # Errors
+    ///
+    /// [`FsError::BadInode`] if the inode is not live.
+    pub fn mapping_generation(&self, ino: Ino) -> Result<u64, FsError> {
+        Ok(self.inode(ino)?.mapping_generation())
+    }
+
     /// Sets the logical size without allocating (POSIX `ftruncate` up:
     /// the tail is a hole). Shrinking punches away blocks past the end.
     ///

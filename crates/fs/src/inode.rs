@@ -4,6 +4,11 @@
 //! and the part of the filesystem NeSC cares about: "each file is
 //! associated with an extent tree (pointed to by the file's inode) that
 //! maps file offsets to physical blocks" (paper §IV-B).
+//!
+//! Every mutable borrow of the extents bumps the inode's mapping
+//! generation, so a holder of a serialized copy of the tree (the
+//! hypervisor's device-visible trees) can tell whether the mapping has
+//! changed since it serialized.
 
 use nesc_extent::{ExtentTree, Plba, Vlba};
 
@@ -12,6 +17,8 @@ use nesc_extent::{ExtentTree, Plba, Vlba};
 pub struct Inode {
     size_bytes: u64,
     extents: ExtentTree,
+    /// Bumped by every [`Inode::extents_mut`] borrow.
+    generation: u64,
 }
 
 impl Inode {
@@ -38,9 +45,19 @@ impl Inode {
         &self.extents
     }
 
-    /// Mutable access for the filesystem's allocation paths.
+    /// Mutable access for the filesystem's allocation paths: the one way
+    /// to change the mapping, so it advances the
+    /// [`mapping_generation`](Inode::mapping_generation) (whether or not
+    /// the borrower then changes anything).
     pub fn extents_mut(&mut self) -> &mut ExtentTree {
+        self.generation += 1;
         &mut self.extents
+    }
+
+    /// The mapping generation: equal values mean the extents have not
+    /// been borrowed mutably in between, so the mapping is unchanged.
+    pub fn mapping_generation(&self) -> u64 {
+        self.generation
     }
 
     /// The physical block backing file block `v`, if allocated.
@@ -78,5 +95,16 @@ mod tests {
         assert_eq!(ino.block_at(Vlba(4)), None);
         assert_eq!(ino.allocated_blocks(), 4);
         assert_eq!(ino.size_bytes(), 4096);
+    }
+
+    #[test]
+    fn mapping_generation_moves_with_every_mutable_borrow() {
+        let mut ino = Inode::new();
+        let g0 = ino.mapping_generation();
+        ino.set_size_bytes(1 << 20);
+        let _ = ino.extents().lookup(Vlba(0));
+        assert_eq!(ino.mapping_generation(), g0, "size and reads keep it");
+        ino.extents_mut().remove_range(Vlba(0), 1);
+        assert_eq!(ino.mapping_generation(), g0 + 1);
     }
 }

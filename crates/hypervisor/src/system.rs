@@ -14,8 +14,9 @@
 //!   Fig. 2/10 bandwidth measurements;
 //! * the hypervisor's NeSC **miss handler**: on a `WriteMiss` or
 //!   `MappingPruned` interrupt it allocates backing blocks in the host
-//!   filesystem, rebuilds and re-serializes the VF's extent tree, updates
-//!   `ExtentTreeRoot`, and signals `RewalkTree` (paper Fig. 5b).
+//!   filesystem, re-links the pruned leaves of the VF's extent tree (or,
+//!   if the image's mapping changed, re-serializes the whole tree),
+//!   updates `ExtentTreeRoot`, and signals `RewalkTree` (paper Fig. 5b).
 //!
 //! All calls advance one global simulated clock; per-VM vCPUs and per-disk
 //! host backend threads are FIFO service units, so concurrency and
@@ -146,6 +147,10 @@ struct Disk {
     ino: Option<Ino>,
     /// Assigned virtual function (NescDirect only).
     vf: Option<FuncId>,
+    /// The image's mapping generation the VF's tree was last serialized
+    /// at (NescDirect only): while the image's generation still equals
+    /// it, only prunes can have changed the installed tree.
+    tree_generation: u64,
     size_blocks: u64,
     /// The host I/O thread serving this disk's paravirtual requests.
     backend: ServiceUnit,
@@ -468,9 +473,10 @@ impl System {
                 mem.alloc(8, 8),
             )
         };
-        let (vf, ring_base) = if kind == DiskKind::NescDirect {
+        let (vf, ring_base, tree_generation) = if kind == DiskKind::NescDirect {
             let ino = ino.ok_or(NescError::Device)?;
             let root = self.serialize_image(ino)?;
+            let generation = self.fs.mapping_generation(ino)?;
             let vf = self.dev.create_vf(root, size_blocks)?;
             // The guest driver allocates its command ring and programs the
             // VF's ring registers (paper §V's DMA ring buffer).
@@ -486,9 +492,9 @@ impl System {
                 RING_ENTRIES as u64,
                 self.now,
             );
-            (Some(vf), ring_base)
+            (Some(vf), ring_base, generation)
         } else {
-            (None, 0)
+            (None, 0, 0)
         };
         let vq = (kind == DiskKind::Virtio).then(|| Virtqueue::new(128));
         self.disks.push(Disk {
@@ -496,6 +502,7 @@ impl System {
             vm,
             ino,
             vf,
+            tree_generation,
             size_blocks,
             backend: ServiceUnit::new(),
             vq,
@@ -621,11 +628,11 @@ impl System {
             }
             IrqReason::MappingPruned { .. } => {
                 // The mapping exists in the filesystem; only the
-                // device-visible tree was pruned. Rebuilding below is
-                // enough.
+                // device-visible tree was pruned. Re-linking the pruned
+                // leaves below is enough.
             }
         }
-        match self.install_tree(func, ino) {
+        match self.install_tree(disk_id, func, ino) {
             Ok(Ok(())) => {}
             Ok(Err(_)) => {
                 debug_assert!(false, "VF is live during miss handling");
@@ -647,11 +654,36 @@ impl System {
         Ok(tree.serialize(&mut self.mem.borrow_mut()))
     }
 
-    /// Points `vf` at a fresh serialization of `ino`'s tree, flushing its
-    /// cached translations: the one way a rebuilt tree reaches the device.
-    /// The outer error is the image lookup's, the inner the device's.
-    fn install_tree(&mut self, vf: FuncId, ino: Ino) -> Result<Result<(), VfError>, FsError> {
-        let root = self.serialize_image(ino)?;
+    /// Points `disk`'s VF at a tree matching its image `ino`, flushing the
+    /// VF's cached translations: the one way a repaired or rebuilt tree
+    /// reaches the device. While the image's mapping generation is the one
+    /// the installed tree was serialized at, only prunes can have cut that
+    /// tree, so its pruned leaves are re-linked in place and the root is
+    /// kept (paper §IV-B: the hypervisor regenerates the pruned part). A
+    /// changed mapping, or a repair that refuses, falls back to a fresh
+    /// serialization. The outer error is the image lookup's, the inner
+    /// the device's.
+    fn install_tree(
+        &mut self,
+        disk: DiskId,
+        vf: FuncId,
+        ino: Ino,
+    ) -> Result<Result<(), VfError>, FsError> {
+        let root = self
+            .dev
+            .mmio_read(vf, nesc_core::regs::offsets::EXTENT_TREE_ROOT);
+        let generation = self.fs.mapping_generation(ino)?;
+        let repaired = self.disks[disk.0].tree_generation == generation
+            && self
+                .fs
+                .extent_tree(ino)?
+                .relink_pruned(&mut self.mem.borrow_mut(), root);
+        let root = if repaired {
+            root
+        } else {
+            self.disks[disk.0].tree_generation = generation;
+            self.serialize_image(ino)?
+        };
         Ok(self.dev.set_tree_root(vf, root))
     }
 
@@ -1364,7 +1396,7 @@ impl System {
     /// device-visible extent subtree covering `vlba` (writes NULL into the
     /// covering node pointer, paper §IV-B). Subsequent device accesses to
     /// that range raise `MappingPruned` interrupts, which the miss handler
-    /// resolves by rebuilding the tree. Returns whether anything was
+    /// resolves by re-linking the pruned leaves. Returns whether anything was
     /// pruned (single-leaf trees have nothing prunable).
     ///
     /// # Panics
@@ -1405,7 +1437,7 @@ impl System {
         for d in disks {
             if let Some(vf) = self.disks[d.0].vf {
                 let ino = self.disks[d.0].ino.expect("file-backed");
-                self.install_tree(vf, ino)
+                self.install_tree(*d, vf, ino)
                     .expect("image exists")
                     .expect("VF is live during dedup");
             }
@@ -1481,7 +1513,7 @@ impl System {
         let new_blocks = new_size_bytes.div_ceil(BLOCK_SIZE);
         self.disks[disk.0].size_blocks = new_blocks;
         if let Some(vf) = self.disks[disk.0].vf {
-            let set = self.install_tree(vf, ino)?;
+            let set = self.install_tree(disk, vf, ino)?;
             debug_assert!(set.is_ok(), "VF is live");
             self.dev.mmio_write(
                 vf,
@@ -1845,6 +1877,31 @@ mod tests {
         }
     }
 
+    /// The root of the tree `disk`'s VF walks.
+    fn tree_root(sys: &System, disk: DiskId) -> HostAddr {
+        let vf = sys.disk_vf(disk).expect("NeSC disk");
+        sys.device()
+            .mmio_read(vf, nesc_core::regs::offsets::EXTENT_TREE_ROOT)
+    }
+
+    /// A NeSC disk over an image of `blocks` one-block extents, allocated
+    /// interleaved with a second image's so none merge and the tree has
+    /// prunable internal levels.
+    fn fragmented_disk(sys: &mut System, blocks: u64) -> DiskId {
+        let vm = sys.create_vm();
+        let a = sys
+            .create_image("frag.img", blocks * BLOCK_SIZE, false)
+            .unwrap();
+        let b = sys
+            .create_image("other.img", blocks * BLOCK_SIZE, false)
+            .unwrap();
+        for v in 0..blocks {
+            sys.host_fs_mut().allocate_range(a, Vlba(v), 1).unwrap();
+            sys.host_fs_mut().allocate_range(b, Vlba(v), 1).unwrap();
+        }
+        sys.attach(vm, DiskKind::NescDirect, Some(a))
+    }
+
     #[test]
     fn every_tree_install_matches_the_filesystem() {
         let mut sys = small_system();
@@ -1872,6 +1929,36 @@ mod tests {
         assert!(sys.device().stats().miss_interrupts > irqs);
         assert_installed_tree_matches_image(&sys, da, "a prune and rewalk");
 
+        // Two prunes in different leaves, then a read of only the first:
+        // the one miss must re-link both, in the tree already installed.
+        let root = tree_root(&sys, da);
+        assert!(sys.prune_image_mapping(da, Vlba(0)));
+        assert!(sys.prune_image_mapping(da, Vlba(200)));
+        let irqs = sys.device().stats().miss_interrupts;
+        sys.read(da, 0, &mut [0u8; 1024]);
+        assert_eq!(sys.device().stats().miss_interrupts, irqs + 1);
+        assert_eq!(tree_root(&sys, da), root, "a prune miss repairs in place");
+        assert_installed_tree_matches_image(&sys, da, "two prunes and one rewalk");
+
+        // A prune, then a block appended behind the device's back: the
+        // pruned chunk still matches, but the installed tree lacks the new
+        // block, so the prune miss must rebuild instead of repairing.
+        assert!(sys.prune_image_mapping(da, Vlba(100)));
+        sys.host_fs_mut().allocate_range(a, Vlba(700), 1).unwrap();
+        sys.read(da, 100 << 10, &mut [0u8; 1024]);
+        assert_ne!(tree_root(&sys, da), root, "a changed mapping rebuilds");
+        assert_installed_tree_matches_image(&sys, da, "a prune after a mapping change");
+
+        // A prune, then a write miss: the mapping changed, so the miss
+        // installs a fresh serialization instead of repairing.
+        let root = tree_root(&sys, da);
+        assert!(sys.prune_image_mapping(da, Vlba(100)));
+        let irqs = sys.device().stats().miss_interrupts;
+        sys.write(da, 800 << 10, &[0xA5; 1024]);
+        assert!(sys.device().stats().miss_interrupts > irqs);
+        assert_ne!(tree_root(&sys, da), root, "a changed mapping rebuilds");
+        assert_installed_tree_matches_image(&sys, da, "a prune and a write miss");
+
         sys.resize(da, 2 << 20).unwrap();
         assert_installed_tree_matches_image(&sys, da, "growing resize");
         sys.resize(da, 128 << 10).unwrap();
@@ -1887,6 +1974,36 @@ mod tests {
         assert!(report.deduped_blocks >= 64, "{report:?}");
         assert_installed_tree_matches_image(&sys, da, "dedup");
         assert_installed_tree_matches_image(&sys, db, "dedup");
+    }
+
+    /// The prune-pressure miss path in host memory: each miss writes one
+    /// 512 B leaf per pruned slot, not a whole new tree, so resident pages
+    /// grow by at most one per 8 re-linked leaves (plus a few for the
+    /// data path's first touches).
+    #[test]
+    fn prune_misses_grow_memory_by_the_leaves_they_relink() {
+        let mut sys = small_system();
+        let disk = fragmented_disk(&mut sys, 4096);
+        let mut rng = nesc_sim::SimRng::seed(7);
+        let mut buf = vec![0u8; 4096];
+        sys.read(disk, 0, &mut buf);
+        let pages = sys.memory().borrow().resident_pages();
+        let irqs = sys.device().stats().miss_interrupts;
+        let mut prunes = 0;
+        for i in 0..4096u64 {
+            if i % 4 == 0 {
+                prunes += u64::from(sys.prune_image_mapping(disk, Vlba(rng.range(0, 4096))));
+            }
+            sys.read(disk, rng.range(0, 1024) * 4096, &mut buf);
+        }
+        let misses = sys.device().stats().miss_interrupts - irqs;
+        assert!(misses > 64, "the loop storms the miss path: {misses}");
+        let grown = (sys.memory().borrow().resident_pages() - pages) as u64;
+        assert!(
+            grown <= prunes.div_ceil(8) + 4,
+            "{grown} pages for {prunes} prunes and {misses} misses"
+        );
+        assert_installed_tree_matches_image(&sys, disk, "the prune storm");
     }
 
     #[test]

@@ -2,12 +2,12 @@
 # Report-only size census: non-test lines per crate, for the files the
 # observability refactors shrink, for the forensic dump's model and its
 # readers, for the scheduling substrate and for the miss path (with its
-# count of tree serializations and of device counter writes), plus the
-# number of probe
-# emission sites (`probe.report(` / `probe.pass(` calls outside comments,
-# a call split across lines included) per file. A file's non-test lines are the lines
-# above its first `#[cfg(test)]` (the whole file if it has none). Never
-# fails on the numbers; it only prints them.
+# counts of tree serializations, tree repairs and device counter
+# writes), plus the number of probe emission sites (`probe.report(` /
+# `probe.pass(` calls outside comments, a call split across lines
+# included) per file. A file's non-test lines are the lines above its
+# first `#[cfg(test)]` (the whole file if it has none). Never fails on
+# the numbers; it only prints them.
 #
 # Usage: scripts/loc.sh
 set -euo pipefail
@@ -60,6 +60,12 @@ census crates/core/src/{device,function}.rs crates/hypervisor/src/system.rs
 # goes through one (`System::serialize_image`).
 printf '  %-44s %6d\n' "non-test .serialize( calls in system.rs" \
     "$(awk '/^#\[cfg\(test\)\]/ { exit } /\.serialize\(/ { n++ } END { print n + 0 }' \
+        crates/hypervisor/src/system.rs)"
+
+# Non-test `relink_pruned(` call sites in system.rs: a prune miss repairs
+# the installed tree in one place (`System::install_tree`).
+printf '  %-44s %6d\n' "non-test relink_pruned( calls in system.rs" \
+    "$(awk '/^#\[cfg\(test\)\]/ { exit } /relink_pruned\(/ { n++ } END { print n + 0 }' \
         crates/hypervisor/src/system.rs)"
 
 # Non-test device counter writes (`self.stats.`) in device.rs: the
