@@ -10,7 +10,9 @@
 //!
 //! The span tracer gets the same treatment: a span stores its attributes
 //! inline, so tracing a request allocates nothing beyond the span log's
-//! own growth.
+//! own growth. So does the whole NeSC-direct path through `System`: the
+//! doorbell consumes descriptors into a retained buffer and the pump
+//! drains the device into another.
 //!
 //! The counter lives in its own integration-test binary because a global
 //! allocator is process-wide; keeping it here means the unit suites run on
@@ -23,6 +25,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use nesc_bench::hotpath::{build_device, HotpathConfig, DEVICE_BLOCKS};
 use nesc_core::NescOutput;
+use nesc_hypervisor::{DiskKind, System as NescSystem};
 use nesc_sim::{FlightHandle, Obs, Pass, Probe, SimDuration, SimRng, SimTime, Tracer, Via};
 use nesc_storage::{BlockOp, BlockRequest, RequestId};
 
@@ -204,10 +207,52 @@ fn traced_requests_allocate_only_as_the_span_log_grows() {
     let n = ALLOCS.load(Ordering::SeqCst);
     let spans = probe.tracer().len() as u64;
     assert_eq!(spans, 1024 * 16);
-    // One allocation for the log's first slots, one per doubling after.
+    // The bound a doubling log needs: one allocation for its first slots,
+    // one per doubling after. The segmented log makes one per segment plus
+    // its segment list's growth, fewer.
     let doublings = u64::from(spans.next_power_of_two().ilog2());
     assert!(
         n <= doublings + FIXED_ALLOCS,
         "{n} allocations for {spans} spans: more than {doublings} log doublings + {FIXED_ALLOCS}"
+    );
+}
+
+/// After warm-up, synchronous NeSC-direct reads and writes of blocks that
+/// are already written allocate nothing, end to end through `System`:
+/// guest buffer, ring descriptor, doorbell, device, pump and completion.
+#[test]
+fn direct_rereads_and_rewrites_through_the_system_are_allocation_free() {
+    let _serial = serial();
+    const DISK_BYTES: u64 = 256 << 10;
+    const REQ_BYTES: u64 = 4096;
+    let mut sys = NescSystem::builder().build();
+    let disk = sys.quick_disk(DiskKind::NescDirect, "img", DISK_BYTES).disk;
+    let data = vec![0x5Au8; REQ_BYTES as usize];
+    let mut out = vec![0u8; REQ_BYTES as usize];
+    let mut pass = |sys: &mut NescSystem| {
+        for i in 0..DISK_BYTES / REQ_BYTES {
+            // Odd offsets straddle a block boundary: partial blocks too.
+            let offset = i * REQ_BYTES + if i % 2 == 1 { 512 } else { 0 };
+            let len = if i % 2 == 1 {
+                REQ_BYTES as usize - 512
+            } else {
+                REQ_BYTES as usize
+            };
+            sys.write(disk, offset, &data[..len]);
+            sys.read(disk, offset, &mut out[..len]);
+            assert_eq!(out[..len], data[..len]);
+        }
+    };
+    // Warm-up: every block written once, every buffer and map at size.
+    pass(&mut sys);
+    pass(&mut sys);
+    ALLOCS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    pass(&mut sys);
+    ARMED.store(false, Ordering::SeqCst);
+    let n = ALLOCS.load(Ordering::SeqCst);
+    assert_eq!(
+        n, 0,
+        "{n} allocations re-reading and re-writing written blocks"
     );
 }

@@ -38,7 +38,7 @@ use crate::btlb::Btlb;
 use crate::config::NescConfig;
 use crate::function::{FunctionContext, FunctionKind, PendingRequest};
 use crate::regs::{self, offsets, FunctionRegisters};
-use crate::ring::RingState;
+use crate::ring::{RingDescriptor, RingState};
 use crate::stats::FuncStats;
 
 /// Index of a function on the device; `FuncId(0)` is always the PF.
@@ -195,7 +195,17 @@ struct Stall {
     pending: PendingRequest,
     /// Index of the first block that has not completed (the miss point).
     resume_block: u64,
+    /// How many times in a row the request stalled again at the same
+    /// block after the host answered `RewalkTree`.
+    restalls: u32,
 }
+
+/// Re-stalls at one block a parked request may take before it fails with
+/// [`CompletionStatus::DeviceError`]. A host answer that repairs the tree
+/// lets the retried walk past the miss, or (for a nested VF) on to the
+/// next level's miss, so more than this many in a row means the host
+/// answers without repairing, and retrying would hang the request.
+const MAX_RESTALLS: u32 = 16;
 
 #[derive(Debug, Clone, Copy)]
 enum Translated {
@@ -250,6 +260,8 @@ pub struct NescDevice {
     /// Reusable record of the nesting levels visited by one translation:
     /// `(func, vlba at that level, plba it translated to)`.
     chain_scratch: Vec<(u16, Vlba, Plba)>,
+    /// Reusable buffer for the descriptors one doorbell consumes.
+    ring_scratch: Vec<Result<RingDescriptor, RequestId>>,
     /// Reusable per-run timestamp buffer: filled with each block's
     /// translation-done time, transformed in place into completion times by
     /// the batched media/engine/link passes.
@@ -308,6 +320,7 @@ impl NescDevice {
             func_stats: FuncStats::with_len(1),
             probe: Probe::default(),
             chain_scratch: Vec::new(),
+            ring_scratch: Vec::new(),
             time_scratch: Vec::new(),
         }
     }
@@ -505,6 +518,13 @@ impl NescDevice {
         Ok(())
     }
 
+    /// Flushes the translations cached for `func`'s tree: its own, and
+    /// those its nested children cache for its level (they file them under
+    /// `func`'s id).
+    pub fn flush_btlb_func(&mut self, func: FuncId) {
+        self.btlb.flush_func(func.0);
+    }
+
     /// PF-initiated global BTLB flush ("to preserve meta-data consistency"
     /// across hypervisor optimizations such as deduplication).
     pub fn flush_btlb(&mut self) {
@@ -604,7 +624,8 @@ impl NescDevice {
             let Ok(tail) = validate_ring_tail(tail, ctx.regs.ring_entries) else {
                 return;
             };
-            let slots = ring.consume(&self.mem.borrow(), tail);
+            let mut slots = std::mem::take(&mut self.ring_scratch);
+            ring.consume(&self.mem.borrow(), tail, &mut slots);
             ctx.ring_head = ring.head;
             // One descriptor-fetch DMA covers every slot consumed, valid or
             // not (devices coalesce).
@@ -618,7 +639,7 @@ impl NescDevice {
             };
             (slots, fetch_done)
         };
-        for slot in slots {
+        for &slot in &slots {
             let request =
                 slot.and_then(|d| d.to_request().map(|req| (req, d.buffer)).map_err(|_| d.id));
             match request {
@@ -626,6 +647,7 @@ impl NescDevice {
                 Err(id) => self.reject(fetch_done, func, id),
             }
         }
+        self.ring_scratch = slots;
     }
 
     // ------------------------------------------------------------------
@@ -805,7 +827,7 @@ impl NescDevice {
         let (f, id, blocks, arrived) = (pick as u32, req.id.0, req.block_count, pending.arrived);
         self.probe
             .report(Obs::Dispatched(f, id, blocks, arrived, now, svc.start));
-        self.process_vf_request(svc.end, FuncId(pick as u16), pending, 0, false);
+        self.process_vf_request(svc.end, FuncId(pick as u16), pending, 0, None);
         self.refresh_ready(pick);
         self.schedule_mux(svc.end);
     }
@@ -828,7 +850,8 @@ impl NescDevice {
         // Re-issue the stalled request to the walk unit from the miss
         // point; the paper guarantees the retried lookup now succeeds
         // (unless the host pruned again, in which case we stall again).
-        self.process_vf_request(now, st.requester, st.pending, st.resume_block, true);
+        let (requester, pending, from) = (st.requester, st.pending, st.resume_block);
+        self.process_vf_request(now, requester, pending, from, Some(st.restalls));
         self.schedule_mux(now);
     }
 
@@ -866,18 +889,26 @@ impl NescDevice {
     }
 
     /// Runs a VF request through translation and transfer from block
-    /// `from_block`; a `resumed` request continues after a miss stall.
+    /// `from_block`. A resumed request continues after a miss stall;
+    /// `restalls` is `None` for a first dispatch, else the stall's count of
+    /// re-stalls at its block.
     fn process_vf_request(
         &mut self,
         start: SimTime,
         func: FuncId,
         pending: PendingRequest,
         from_block: u64,
-        resumed: bool,
+        restalls: Option<u32>,
     ) {
         let req = pending.req;
         let (f, id, blocks) = (u32::from(func.0), req.id.0, req.block_count);
-        self.probe.report(if resumed {
+        // A stall before any block of this pass completed makes no
+        // progress on the one it resumed from.
+        let restalls_at = |i: u64| match restalls {
+            Some(n) if i == from_block => n + 1,
+            _ => 0,
+        };
+        self.probe.report(if restalls.is_some() {
             Obs::DeviceResume(f, id, blocks, start)
         } else {
             Obs::DeviceOpen(f, id, blocks, pending.arrived, start)
@@ -989,7 +1020,7 @@ impl NescDevice {
                             func,
                             level,
                             pending,
-                            i,
+                            (i, restalls_at(i)),
                             rt.at,
                             IrqReason::WriteMiss {
                                 miss_vlba: lba,
@@ -1045,7 +1076,7 @@ impl NescDevice {
                         func,
                         level,
                         pending,
-                        i,
+                        (i, restalls_at(i)),
                         rt.at,
                         IrqReason::MappingPruned { vlba: lba },
                     );
@@ -1255,12 +1286,13 @@ impl NescDevice {
 
     /// Moves `blocks` consecutive blocks between the store and host memory
     /// — the wall-clock half of a run transfer. Bytes move in a single
-    /// copy: reads render store blocks straight into the backing host
-    /// pages, writes DMA host bytes straight into the store's block
-    /// buffers; no staging buffer in between. `Err` carries the store's
-    /// typed error for an invalid physical range (corrupt tree / bad PF
-    /// request); the range is validated atomically up front and nothing
-    /// simulated happens here.
+    /// copy per contiguous span: reads render each written span of a store
+    /// chunk straight into the backing host pages, writes DMA host bytes
+    /// straight into each chunk's destination; no staging buffer in
+    /// between, and one store probe per chunk the run touches. `Err`
+    /// carries the store's typed error for an invalid physical range
+    /// (corrupt tree / bad PF request); the range is validated atomically
+    /// up front and nothing simulated happens here.
     fn move_run_data(
         &mut self,
         op: BlockOp,
@@ -1270,47 +1302,36 @@ impl NescDevice {
         blocks: u64,
     ) -> Result<(), StoreError> {
         let host_addr = buf + block_index * BLOCK_SIZE;
-        self.store.check_range(plba, blocks)?;
         match op {
             BlockOp::Read => {
                 let store = &self.store;
                 let mut mem = self.mem.borrow_mut();
                 if !store.maybe_written_in(plba, blocks) {
                     // The whole run is provably unwritten: one sparse
-                    // zero-fill (per destination page, not per block)
-                    // replaces the per-block store probes below.
+                    // zero-fill (per destination page) and no store probe.
+                    store.check_range(plba, blocks)?;
                     mem.fill_zero(host_addr, blocks * BLOCK_SIZE);
-                } else {
-                    for k in 0..blocks {
-                        let a = host_addr + k * BLOCK_SIZE;
-                        match store.block(plba.offset(k)) {
-                            // Written blocks move their actual bytes;
-                            // reading a never-written (all-zero) block
-                            // zero-fills sparsely, so untouched destination
-                            // pages stay unmaterialized.
-                            Some(b) => mem.write(a, b),
-                            None => mem.fill_zero(a, BLOCK_SIZE),
-                        }
-                    }
+                    return Ok(());
                 }
+                store.read_run(plba, blocks, |first, n, data| {
+                    let a = host_addr + first * BLOCK_SIZE;
+                    match data {
+                        // Written blocks move their actual bytes; reading
+                        // never-written (all-zero) blocks zero-fills
+                        // sparsely, so untouched destination pages stay
+                        // unmaterialized.
+                        Some(bytes) => mem.write(a, bytes),
+                        None => mem.fill_zero(a, n * BLOCK_SIZE),
+                    }
+                })
             }
             BlockOp::Write => {
                 let mem = self.mem.borrow();
-                for k in 0..blocks {
-                    match self.store.block_mut(plba.offset(k)) {
-                        Ok(dst) => mem.read(host_addr + k * BLOCK_SIZE, dst),
-                        Err(e) => {
-                            // check_range validated the whole run; a block
-                            // failing mid-run means the store changed under
-                            // us. Surface the device error.
-                            debug_assert!(false, "range checked above: {e}");
-                            return Err(e);
-                        }
-                    }
-                }
+                self.store.write_run(plba, blocks, |first, dst| {
+                    mem.read(host_addr + first * BLOCK_SIZE, dst)
+                })
             }
         }
-        Ok(())
     }
 
     /// The simulated-timing half of a run's transfer: media, DMA engine,
@@ -1365,15 +1386,22 @@ impl NescDevice {
         run.min(max_blocks).max(1)
     }
 
+    /// Parks `pending` at block `resume_block` (stalled `restalls` times
+    /// in a row there) and interrupts the owner of `level`'s tree — or,
+    /// past [`MAX_RESTALLS`], fails the request instead.
     fn stall(
         &mut self,
         func: FuncId,
         level: FuncId,
         pending: PendingRequest,
-        resume_block: u64,
+        (resume_block, restalls): (u64, u32),
         at: SimTime,
         reason: IrqReason,
     ) {
+        if restalls > MAX_RESTALLS {
+            self.complete(at, func, pending.req, CompletionStatus::DeviceError);
+            return;
+        }
         let vlba_bytes = match reason {
             IrqReason::WriteMiss { miss_vlba, .. } => miss_vlba.byte_offset(),
             IrqReason::MappingPruned { vlba } => vlba.byte_offset(),
@@ -1392,6 +1420,7 @@ impl NescDevice {
             level,
             pending,
             resume_block,
+            restalls,
         });
         let at = at + self.cfg.interrupt_cost;
         self.outputs.push(NescOutput::HostInterrupt {
@@ -1688,6 +1717,45 @@ mod tests {
         assert_eq!(dev.store().read_block(Plba(9)).unwrap(), vec![0x77; 1024]);
         assert_eq!(dev.stats().oob_requests, 1);
         assert_eq!(dev.stats().walks, 0, "PF never walks a tree");
+    }
+
+    #[test]
+    fn a_run_read_leaves_the_never_written_part_unmaterialized() {
+        let (mem, mut dev) = setup();
+        // One 16-block chunk: blocks 0..4 (the first destination page) and
+        // block 12 (in the last page) written, the rest never written.
+        let vf = make_vf(
+            &mem,
+            &mut dev,
+            &[ExtentMapping::new(Vlba(0), Plba(32), 16)],
+            16,
+        );
+        let bs = BLOCK_SIZE as usize;
+        dev.store_mut()
+            .write_range(Plba(32), &[0xAB; 4 * 1024])
+            .unwrap();
+        dev.store_mut()
+            .write_block(Plba(44), &[0xCD; 1024])
+            .unwrap();
+        let buf = mem.borrow_mut().alloc(16 * BLOCK_SIZE, 4096);
+        let pages = mem.borrow().resident_pages();
+        dev.submit(
+            SimTime::ZERO,
+            vf,
+            BlockRequest::new(RequestId(1), BlockOp::Read, Vlba(0), 16),
+            buf,
+        );
+        assert!(dev.advance(HORIZON)[0].is_completion());
+        assert_eq!(
+            mem.borrow().resident_pages(),
+            pages + 2,
+            "only the two pages holding written blocks materialize"
+        );
+        let got = mem.borrow().read_vec(buf, 16 * bs);
+        assert!(got[..4 * bs].iter().all(|&b| b == 0xAB));
+        assert!(got[4 * bs..12 * bs].iter().all(|&b| b == 0));
+        assert!(got[12 * bs..13 * bs].iter().all(|&b| b == 0xCD));
+        assert!(got[13 * bs..].iter().all(|&b| b == 0));
     }
 
     #[test]
@@ -2519,6 +2587,77 @@ mod tests {
         ));
         let counted = (dev.stats().blocks_written, dev.function_counters(vf));
         assert_eq!(counted, (4, (1, 4)), "(blocks_written, (requests, blocks))");
+    }
+
+    #[test]
+    fn a_miss_the_host_never_repairs_fails_the_request() {
+        let (mem, mut dev) = setup();
+        // vLBA 4 of A is a hole: a write there misses, and the host below
+        // answers every miss with `RewalkTree` without mapping it.
+        let a = make_vf(
+            &mem,
+            &mut dev,
+            &[ExtentMapping::new(Vlba(0), Plba(100), 2)],
+            8,
+        );
+        let b = make_vf(
+            &mem,
+            &mut dev,
+            &[ExtentMapping::new(Vlba(0), Plba(200), 2)],
+            8,
+        );
+        let buf = alloc_buf(&mem, 2);
+        dev.submit(
+            SimTime::ZERO,
+            a,
+            BlockRequest::new(RequestId(1), BlockOp::Write, Vlba(4), 1),
+            buf,
+        );
+        let mut outs = dev.advance(HORIZON);
+        let Some(&NescOutput::HostInterrupt { at, .. }) = outs.first() else {
+            panic!("a write into a hole must interrupt: {outs:?}");
+        };
+        // B's request queues behind A's parked one.
+        dev.submit(
+            at,
+            b,
+            BlockRequest::new(RequestId(2), BlockOp::Read, Vlba(0), 1),
+            buf + BLOCK_SIZE,
+        );
+        let mut interrupts = 0;
+        let mut done = Vec::new();
+        while !outs.is_empty() {
+            assert!(
+                interrupts <= 4 * MAX_RESTALLS,
+                "the parked request re-stalls forever"
+            );
+            for o in std::mem::take(&mut outs) {
+                match o {
+                    NescOutput::HostInterrupt { at, func, .. } => {
+                        assert_eq!(func, a);
+                        interrupts += 1;
+                        dev.mmio_write(a, offsets::REWALK_TREE, 1, at);
+                    }
+                    NescOutput::Completion {
+                        func, id, status, ..
+                    } => done.push((func, id, status)),
+                }
+            }
+            outs = dev.advance(HORIZON);
+        }
+        assert_eq!(
+            interrupts,
+            MAX_RESTALLS + 1,
+            "the first stall, then the re-stalls"
+        );
+        assert_eq!(
+            done,
+            vec![
+                (a, RequestId(1), CompletionStatus::DeviceError),
+                (b, RequestId(2), CompletionStatus::Ok),
+            ]
+        );
+        assert_eq!(dev.stats().requests_failed, 1);
     }
 
     #[test]

@@ -155,18 +155,20 @@ impl RingState {
     }
 
     /// Consumes descriptors from `head` up to `tail`, decoding each from
-    /// host memory: one entry per slot consumed, in ring order. A slot
-    /// that does not decode (an unknown opcode, a zero count) comes back
-    /// as its id, so the device can complete it with an error instead of
-    /// dropping it and leaving the driver waiting.
+    /// host memory into `out` (cleared first, so a caller can reuse it):
+    /// one entry per slot consumed, in ring order. A slot that does not
+    /// decode (an unknown opcode, a zero count) comes back as its id, so
+    /// the device can complete it with an error instead of dropping it and
+    /// leaving the driver waiting.
     pub fn consume(
         &mut self,
         mem: &HostMemory,
         tail: u32,
-    ) -> Vec<Result<RingDescriptor, RequestId>> {
-        let mut out = Vec::new();
+        out: &mut Vec<Result<RingDescriptor, RequestId>>,
+    ) {
+        out.clear();
         if !self.is_configured() {
-            return out;
+            return;
         }
         let tail = tail % self.entries;
         while self.head != tail {
@@ -176,7 +178,6 @@ impl RingState {
             out.push(RingDescriptor::decode(&buf).ok_or_else(|| RingDescriptor::wire_id(&buf)));
             self.head = (self.head + 1) % self.entries;
         }
-        out
     }
 }
 
@@ -184,6 +185,17 @@ impl RingState {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// What one `consume` call leaves in its output buffer.
+    fn consumed(
+        ring: &mut RingState,
+        mem: &HostMemory,
+        tail: u32,
+    ) -> Vec<Result<RingDescriptor, RequestId>> {
+        let mut out = Vec::new();
+        ring.consume(mem, tail, &mut out);
+        out
+    }
 
     #[test]
     fn descriptor_roundtrip() {
@@ -238,11 +250,11 @@ mod tests {
                 .map(|d| d.map(|d| d.id.0))
                 .collect::<Vec<_>>()
         };
-        assert_eq!(ids(ring.consume(&mem, 3)), vec![Ok(1), Ok(2), Ok(3)]);
+        assert_eq!(ids(consumed(&mut ring, &mem, 3)), vec![Ok(1), Ok(2), Ok(3)]);
         // Wrap: slots 3, 0 → tail=1.
         write_desc(&mut mem, 3, 4);
         write_desc(&mut mem, 0, 5);
-        assert_eq!(ids(ring.consume(&mem, 1)), vec![Ok(4), Ok(5)]);
+        assert_eq!(ids(consumed(&mut ring, &mem, 1)), vec![Ok(4), Ok(5)]);
         assert_eq!(ring.head, 1);
     }
 
@@ -260,7 +272,10 @@ mod tests {
         bad[0] = 9;
         mem.write(base, &good.encode());
         mem.write(base + DESCRIPTOR_BYTES, &bad);
-        assert_eq!(ring.consume(&mem, 2), vec![Ok(good), Err(RequestId(2))]);
+        assert_eq!(
+            consumed(&mut ring, &mem, 2),
+            vec![Ok(good), Err(RequestId(2))]
+        );
         assert_eq!(ring.head, 2);
     }
 
@@ -269,14 +284,17 @@ mod tests {
         let mem = HostMemory::new();
         let mut ring = RingState::default();
         assert!(!ring.is_configured());
-        assert!(ring.consume(&mem, 3).is_empty());
+        // A reused buffer is cleared even when nothing is consumed.
+        let mut out = vec![Err(RequestId(7))];
+        ring.consume(&mem, 3, &mut out);
+        assert!(out.is_empty());
         // Non-power-of-two entries are also rejected.
         let mut bad = RingState {
             base: 0x1000,
             entries: 3,
             head: 0,
         };
-        assert!(bad.consume(&mem, 1).is_empty());
+        assert!(consumed(&mut bad, &mem, 1).is_empty());
     }
 
     proptest! {

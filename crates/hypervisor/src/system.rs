@@ -194,6 +194,8 @@ pub struct System {
     now: SimTime,
     next_req: u64,
     completed: BTreeMap<RequestId, (SimTime, CompletionStatus)>,
+    /// Reusable buffer the pump drains the device's outputs into.
+    outputs: Vec<NescOutput>,
     /// The lifecycle probe shared with the device and telemetry: the
     /// always-on tally of finished requests and device counters, plus the
     /// span tracer and the telemetry's flight recorder (off until either
@@ -239,6 +241,7 @@ impl System {
             now: SimTime::ZERO,
             next_req: 1,
             completed: BTreeMap::new(),
+            outputs: Vec::new(),
             probe,
             span_ids: 0,
             telemetry: None,
@@ -576,12 +579,14 @@ impl System {
     // ------------------------------------------------------------------
 
     fn pump(&mut self) {
+        let mut outs = std::mem::take(&mut self.outputs);
         loop {
-            let outs = self.dev.advance(HORIZON);
+            outs.clear();
+            self.dev.advance_into(HORIZON, &mut outs);
             if outs.is_empty() {
                 break;
             }
-            for o in outs {
+            for &o in &outs {
                 match o {
                     NescOutput::Completion { at, id, status, .. } => {
                         self.completed.insert(id, (at, status));
@@ -592,6 +597,7 @@ impl System {
                 }
             }
         }
+        self.outputs = outs;
     }
 
     /// The hypervisor's interrupt handler for NeSC translation misses
@@ -1222,8 +1228,7 @@ impl System {
         // Extract the bytes from the guest buffer.
         let d = &self.disks[disk.0];
         let in_block = offset % BLOCK_SIZE;
-        let got = self.mem.borrow().read_vec(d.buf + in_block, out.len());
-        out.copy_from_slice(&got);
+        self.mem.borrow().read(d.buf + in_block, out);
         Ok(done - start)
     }
 
@@ -1409,8 +1414,9 @@ impl System {
             .mmio_read(vf, nesc_core::regs::offsets::EXTENT_TREE_ROOT);
         let pruned = nesc_extent::prune_covering(&mut self.mem.borrow_mut(), root, vlba);
         if pruned {
-            // Cached translations for the pruned range must not survive.
-            self.dev.flush_btlb();
+            // Cached translations for the pruned range must not survive;
+            // only this VF's tree changed, so other tenants keep theirs.
+            self.dev.flush_btlb_func(vf);
         }
         pruned
     }
@@ -1702,6 +1708,40 @@ mod tests {
             sys.device().stats().miss_interrupts > irqs_before,
             "the pruned walk must have interrupted the hypervisor"
         );
+    }
+
+    #[test]
+    fn a_prune_keeps_other_tenants_translations() {
+        let mut sys = small_system();
+        let vm = sys.create_vm();
+        let a = sys.create_image("pa.img", 1 << 20, false).unwrap();
+        let b = sys.create_image("pb.img", 1 << 20, false).unwrap();
+        for v in 0..256u64 {
+            sys.host_fs_mut().allocate_range(a, Vlba(v), 1).unwrap();
+            sys.host_fs_mut().allocate_range(b, Vlba(v), 1).unwrap();
+        }
+        let da = sys.attach(vm, DiskKind::NescDirect, Some(a));
+        let db = sys.attach(vm, DiskKind::NescDirect, Some(b));
+        let mut out = [0u8; 1024];
+        // Warm B's translation of its first block.
+        sys.read(db, 0, &mut out);
+        let stats = sys.device().stats();
+        sys.read(db, 0, &mut out);
+        let hit = sys.device().stats();
+        assert_eq!(hit.btlb_hits, stats.btlb_hits + 1, "B's block is cached");
+        assert_eq!(hit.walks, stats.walks);
+        assert!(sys.prune_image_mapping(da, Vlba(0)), "A's tree is prunable");
+        sys.read(db, 0, &mut out);
+        let after = sys.device().stats();
+        assert_eq!(
+            after.btlb_hits,
+            hit.btlb_hits + 1,
+            "B still hits after A's prune"
+        );
+        assert_eq!(after.walks, hit.walks, "B walks nothing after A's prune");
+        // A's own cached translations are gone: its read misses and walks.
+        sys.read(da, 0, &mut out);
+        assert!(sys.device().stats().miss_interrupts > after.miss_interrupts);
     }
 
     #[test]

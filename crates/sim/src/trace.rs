@@ -183,9 +183,17 @@ impl Span {
     }
 }
 
+/// Spans per segment of the span log (3 MiB of spans): more than a
+/// traced run usually records between drains, so a drain usually hands
+/// back its one segment without a copy.
+const SEGMENT_SPANS: usize = 16384;
+
 #[derive(Debug, Default)]
 struct TraceLog {
-    spans: Vec<Span>,
+    /// The recorded spans in id order, in segments of [`SEGMENT_SPANS`]
+    /// allocated at full size and never grown, so recording a span never
+    /// moves the ones before it; only the last segment has free room.
+    segments: Vec<Vec<Span>>,
     next_id: u64,
     /// Ids `1..=drained` were taken by earlier [`Tracer::take_spans`]
     /// calls, or by the tracers this one continues after; mutations aimed
@@ -194,11 +202,32 @@ struct TraceLog {
 }
 
 impl TraceLog {
+    fn len(&self) -> usize {
+        self.segments.last().map_or(0, |last| {
+            (self.segments.len() - 1) * SEGMENT_SPANS + last.len()
+        })
+    }
+
+    /// The log's position of span `id`, if it was not drained.
+    fn index(&self, id: SpanId) -> Option<usize> {
+        (id.0 > self.drained).then(|| (id.0 - self.drained - 1) as usize)
+    }
+
     fn span_mut(&mut self, id: SpanId) -> Option<&mut Span> {
-        if id.0 <= self.drained {
-            return None;
-        }
-        self.spans.get_mut((id.0 - self.drained - 1) as usize)
+        let i = self.index(id)?;
+        self.segments
+            .get_mut(i / SEGMENT_SPANS)?
+            .get_mut(i % SEGMENT_SPANS)
+    }
+
+    /// The spans from log position `i` on, in id order.
+    fn spans_from(&self, i: usize) -> impl Iterator<Item = &Span> {
+        let skip = i % SEGMENT_SPANS;
+        self.segments
+            .iter()
+            .skip(i / SEGMENT_SPANS)
+            .enumerate()
+            .flat_map(move |(j, seg)| seg.get(if j == 0 { skip } else { 0 }..).unwrap_or_default())
     }
 
     /// Appends a span under the next id.
@@ -213,7 +242,7 @@ impl TraceLog {
     ) -> SpanId {
         let id = SpanId(self.next_id);
         self.next_id += 1;
-        self.spans.push(Span {
+        let span = Span {
             id,
             parent,
             layer,
@@ -221,7 +250,15 @@ impl TraceLog {
             start,
             end,
             attrs,
-        });
+        };
+        match self.segments.last_mut() {
+            Some(last) if last.len() < SEGMENT_SPANS => last.push(span),
+            _ => {
+                let mut segment = Vec::with_capacity(SEGMENT_SPANS);
+                segment.push(span);
+                self.segments.push(segment);
+            }
+        }
         id
     }
 }
@@ -361,7 +398,7 @@ impl Tracer {
     /// Number of spans recorded so far.
     pub fn len(&self) -> usize {
         match &self.inner {
-            Some(inner) => inner.borrow().spans.len(),
+            Some(inner) => inner.borrow().len(),
             None => 0,
         }
     }
@@ -380,7 +417,15 @@ impl Tracer {
             Some(inner) => {
                 let mut log = inner.borrow_mut();
                 log.drained = log.next_id - 1;
-                std::mem::take(&mut log.spans)
+                // The first segment becomes the result; only later ones
+                // are copied.
+                std::mem::take(&mut log.segments)
+                    .into_iter()
+                    .reduce(|mut spans, segment| {
+                        spans.extend(segment);
+                        spans
+                    })
+                    .unwrap_or_default()
             }
             None => Vec::new(),
         }
@@ -405,17 +450,13 @@ impl Tracer {
             return Vec::new();
         };
         let log = inner.borrow();
-        if !root.is_some() || root.0 <= log.drained {
+        let Some(first) = log.index(root).filter(|_| root.is_some()) else {
             return Vec::new();
-        }
-        let tail = log
-            .spans
-            .get((root.0 - log.drained - 1) as usize..)
-            .unwrap_or_default();
+        };
         // `keep[i]`: whether span `root + i` is in the subtree.
-        let mut keep = Vec::with_capacity(tail.len());
+        let mut keep = Vec::with_capacity(log.len().saturating_sub(first));
         let mut out = Vec::new();
-        for s in tail {
+        for s in log.spans_from(first) {
             let kept = keep.is_empty()
                 || s.parent.0 >= root.0
                     && keep
@@ -856,7 +897,7 @@ mod tests {
     /// The undrained log, read without draining it.
     fn undrained(tr: &Tracer) -> (Vec<Span>, u64) {
         let log = tr.inner.as_ref().expect("enabled").borrow();
-        (log.spans.clone(), log.drained)
+        (log.segments.concat(), log.drained)
     }
 
     /// The full-log reference pass: one forward pass over every undrained
@@ -948,6 +989,47 @@ mod tests {
             prop_assert!(drained_root, "no drained root");
             prop_assert!(none, "no SpanId::NONE root");
         }
+    }
+
+    /// A log longer than one segment reads, annotates and drains as one
+    /// sequence: a root at a segment's last slot keeps the children
+    /// recorded in the next segment.
+    #[test]
+    fn a_log_spanning_segments_reads_as_one_sequence() {
+        let tr = Tracer::enabled();
+        let n = 2 * SEGMENT_SPANS + 10;
+        let mut root = SpanId::NONE;
+        for i in 0..n {
+            let id = tr.start(SpanId::NONE, "guest", "op", t(i as u64), []);
+            if i == SEGMENT_SPANS - 1 {
+                root = id;
+            }
+        }
+        // Children of the straddling root land in the next segments.
+        let kids: Vec<SpanId> = (0..3)
+            .map(|_| tr.start(root, "core", "kid", t(n as u64), []))
+            .collect();
+        tr.end(root, t(n as u64 + 1));
+        tr.attr(kids[2], "k", 7);
+        tr.attr(SpanId(n as u64), "last", 1);
+        let (spans, _) = undrained(&tr);
+        assert_eq!(tr.len(), n + 3);
+        let sub = tr.subtree(root);
+        assert_eq!(sub, reference_subtree(&spans, root));
+        assert_eq!(sub.len(), 4);
+        assert_eq!(sub[0].end, t(n as u64 + 1));
+        assert_eq!(sub[3].attr("k"), Some(7));
+        let drained = tr.take_spans();
+        assert_eq!(drained, spans);
+        assert!(drained
+            .iter()
+            .enumerate()
+            .all(|(i, s)| s.id == SpanId(i as u64 + 1)));
+        assert_eq!(drained[n - 1].attr("last"), Some(1));
+        assert!(tr.is_empty());
+        let next = tr.start(SpanId::NONE, "guest", "op", t(0), []);
+        assert_eq!(next, SpanId(n as u64 + 4));
+        assert_eq!(tr.subtree(next).len(), 1);
     }
 
     #[test]

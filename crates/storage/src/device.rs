@@ -19,7 +19,61 @@ use nesc_sim::IntHashBuilder;
 
 use crate::request::BLOCK_SIZE;
 
+/// Blocks per chunk: the store allocates, maps and copies data in aligned
+/// groups of this many blocks (16 KiB). A run of `n` blocks touches at
+/// most `⌈n / CHUNK_BLOCKS⌉ + 1` chunks, so it costs that many map probes
+/// at most.
+const CHUNK_BLOCKS: u64 = 16;
+
+/// Bytes per chunk.
+const CHUNK_BYTES: u64 = CHUNK_BLOCKS * BLOCK_SIZE;
+
+/// One aligned group of [`CHUNK_BLOCKS`] blocks: the bytes of all of them
+/// in block order, and which of them have ever been written. Bytes of a
+/// never-written block are zero.
+struct Chunk {
+    /// Bit `k` is set once block `k` of the chunk has been written.
+    written: u16,
+    bytes: Box<[u8]>,
+}
+
+impl Chunk {
+    fn new() -> Self {
+        Chunk {
+            written: 0,
+            bytes: vec![0u8; CHUNK_BYTES as usize].into_boxed_slice(),
+        }
+    }
+
+    /// Length of the stretch of blocks starting at `first` (and ending
+    /// before `end`) whose written bits all equal block `first`'s, and
+    /// whether that stretch is written.
+    fn stretch(&self, first: usize, end: usize) -> (usize, bool) {
+        let bits = u32::from(self.written) >> first;
+        let set = bits & 1 == 1;
+        // Bits above the chunk read as unwritten, so a written stretch
+        // ends at the chunk's end at the latest.
+        let same = if set { !bits } else { bits };
+        ((same.trailing_zeros() as usize).min(end - first), set)
+    }
+
+    /// Marks blocks `first..end` of the chunk written; returns how many
+    /// were not written before.
+    fn mark(&mut self, first: usize, end: usize) -> usize {
+        let mask = (((1u32 << (end - first)) - 1) << first) as u16;
+        let fresh = (mask & !self.written).count_ones() as usize;
+        self.written |= mask;
+        fresh
+    }
+}
+
 /// Sparse block-granular storage contents with a fixed capacity.
+///
+/// Data lives in aligned chunks of 16 blocks (16 KiB), allocated on
+/// first write: a chunk holds its blocks' bytes contiguously plus a
+/// written bitmap, so a block is still "never written" (reads as zeros,
+/// [`block`](BlockStore::block) gives `None`) until a write covers it,
+/// even inside an allocated chunk.
 ///
 /// # Example
 ///
@@ -33,10 +87,12 @@ use crate::request::BLOCK_SIZE;
 /// assert!(store.read_block(Plba(9999)).is_err()); // beyond capacity
 /// ```
 pub struct BlockStore {
-    // One lookup per block moved on the data path; keyed by pLBA with a
+    // One lookup per chunk a run touches; keyed by chunk index with a
     // cheap deterministic integer hasher for the same reason as host
     // memory's page map.
-    blocks: HashMap<Plba, Box<[u8]>, IntHashBuilder>,
+    chunks: HashMap<u64, Chunk, IntHashBuilder>,
+    /// Blocks written at least once, across all chunks.
+    resident: usize,
     capacity_blocks: u64,
     /// One past the last valid physical block; cached so range checks are
     /// typed comparisons instead of repeated re-derivations.
@@ -52,7 +108,7 @@ impl fmt::Debug for BlockStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BlockStore")
             .field("capacity_blocks", &self.capacity_blocks)
-            .field("resident_blocks", &self.blocks.len())
+            .field("resident_blocks", &self.resident)
             .finish()
     }
 }
@@ -89,13 +145,29 @@ impl fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
+/// The chunk holding `lba` and the block's index within it.
+fn locate(lba: Plba) -> (u64, usize) {
+    let byte = lba.byte_offset();
+    (
+        byte / CHUNK_BYTES,
+        ((byte % CHUNK_BYTES) / BLOCK_SIZE) as usize,
+    )
+}
+
+/// Byte range of blocks `first..end` within a chunk.
+fn byte_span(first: usize, end: usize) -> std::ops::Range<usize> {
+    let bs = BLOCK_SIZE as usize;
+    first * bs..end * bs
+}
+
 impl BlockStore {
     /// Creates an empty store of `capacity_blocks` 1 KiB blocks. A zero
     /// capacity (a contract violation) is widened to one block.
     pub fn new(capacity_blocks: u64) -> Self {
         debug_assert!(capacity_blocks > 0, "device needs at least one block");
         BlockStore {
-            blocks: HashMap::default(),
+            chunks: HashMap::default(),
+            resident: 0,
             capacity_blocks: capacity_blocks.max(1),
             // nesc-lint::allow(T2): the media edge *defines* the physical
             // space — device geometry is where pLBAs originate, not a
@@ -105,11 +177,11 @@ impl BlockStore {
         }
     }
 
-    /// Widens the written bounds to include `lba`.
-    fn note_written(&mut self, lba: Plba) {
+    /// Widens the written bounds to include `first..=last`.
+    fn note_written(&mut self, first: Plba, last: Plba) {
         self.written_bounds = Some(match self.written_bounds {
-            None => (lba, lba),
-            Some((lo, hi)) => (lo.min(lba), hi.max(lba)),
+            None => (first, last),
+            Some((lo, hi)) => (lo.min(first), hi.max(last)),
         });
     }
 
@@ -140,11 +212,9 @@ impl BlockStore {
     ///
     /// [`StoreError::OutOfRange`] if `lba` is beyond capacity.
     pub fn read_block(&self, lba: Plba) -> Result<Vec<u8>, StoreError> {
-        self.check(lba)?;
-        Ok(match self.blocks.get(&lba) {
-            Some(b) => b.to_vec(),
-            None => vec![0u8; BLOCK_SIZE as usize],
-        })
+        let mut out = vec![0u8; BLOCK_SIZE as usize];
+        self.read_range(lba, 1, &mut out)?;
+        Ok(out)
     }
 
     /// Writes one block.
@@ -158,15 +228,12 @@ impl BlockStore {
         if data.len() != BLOCK_SIZE as usize {
             return Err(StoreError::BadLength { len: data.len() });
         }
-        self.blocks.insert(lba, data.into());
-        self.note_written(lba);
-        Ok(())
+        self.write_range(lba, data)
     }
 
     /// Reads `blocks` consecutive blocks starting at `lba` into `out`,
     /// which must be exactly `blocks * BLOCK_SIZE` bytes. Unwritten blocks
-    /// read as zeros. One call replaces a per-block `read_block` loop (and
-    /// its per-block `Vec` allocation) on the batched data path.
+    /// read as zeros.
     ///
     /// # Errors
     ///
@@ -178,14 +245,13 @@ impl BlockStore {
         if out.len() as u64 != blocks * BLOCK_SIZE {
             return Err(StoreError::BadLength { len: out.len() });
         }
-        let bs = BLOCK_SIZE as usize;
-        for (i, chunk) in out.chunks_exact_mut(bs).enumerate() {
-            match self.blocks.get(&lba.offset(i as u64)) {
-                Some(b) => chunk.copy_from_slice(b),
-                None => chunk.fill(0),
+        self.read_run(lba, blocks, |first, n, data| {
+            let dst = &mut out[byte_span(first as usize, (first + n) as usize)];
+            match data {
+                Some(src) => dst.copy_from_slice(src),
+                None => dst.fill(0),
             }
-        }
-        Ok(())
+        })
     }
 
     /// Writes `data` (a whole number of blocks) at consecutive addresses
@@ -202,59 +268,125 @@ impl BlockStore {
             return Err(StoreError::BadLength { len: data.len() });
         }
         let blocks = (data.len() / bs) as u64;
+        self.write_run(lba, blocks, |first, dst| {
+            let at = first as usize * bs;
+            dst.copy_from_slice(&data[at..at + dst.len()]);
+        })
+    }
+
+    /// Reads `blocks` consecutive blocks starting at `lba` as spans: calls
+    /// `f(first, n, data)` for each maximal stretch of blocks inside one
+    /// chunk that are all written (`data` is their `n * BLOCK_SIZE`
+    /// contiguous bytes) or all never written (`data` is `None`; they read
+    /// as zeros), in address order. `first` counts blocks from `lba`.
+    /// One map probe per chunk the run touches.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::OutOfRange`] naming the first out-of-range block if the
+    /// range crosses capacity (`f` is not called).
+    pub fn read_run(
+        &self,
+        lba: Plba,
+        blocks: u64,
+        mut f: impl FnMut(u64, u64, Option<&[u8]>),
+    ) -> Result<(), StoreError> {
         self.check_range(lba, blocks)?;
-        self.note_written(lba);
-        self.note_written(lba.offset(blocks - 1));
-        for (i, chunk) in data.chunks_exact(bs).enumerate() {
-            // Reuse the existing allocation on rewrite instead of boxing a
-            // fresh block per insert.
-            match self.blocks.entry(lba.offset(i as u64)) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    e.get_mut().copy_from_slice(chunk)
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(chunk.into());
+        let (mut chunk, mut first) = locate(lba);
+        let mut done = 0u64;
+        while done < blocks {
+            let end = (first as u64 + blocks - done).min(CHUNK_BLOCKS) as usize;
+            match self.chunks.get(&chunk) {
+                None => f(done, (end - first) as u64, None),
+                Some(c) => {
+                    let mut k = first;
+                    while k < end {
+                        let (n, written) = c.stretch(k, end);
+                        let at = done + (k - first) as u64;
+                        let data = written.then(|| &c.bytes[byte_span(k, k + n)]);
+                        f(at, n as u64, data);
+                        k += n;
+                    }
                 }
             }
+            done += (end - first) as u64;
+            chunk += 1;
+            first = 0;
+        }
+        Ok(())
+    }
+
+    /// Writes `blocks` consecutive blocks starting at `lba` in place: marks
+    /// them written and calls `f(first, dst)` with each chunk's contiguous
+    /// destination bytes for them, in address order (`first` counts blocks
+    /// from `lba`). The caller must fill every byte of every `dst`, as a
+    /// [`write_range`](BlockStore::write_range) of the run would. One map
+    /// probe per chunk the run touches.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::OutOfRange`] naming the first out-of-range block if the
+    /// range crosses capacity (nothing is written, `f` is not called).
+    pub fn write_run(
+        &mut self,
+        lba: Plba,
+        blocks: u64,
+        mut f: impl FnMut(u64, &mut [u8]),
+    ) -> Result<(), StoreError> {
+        self.check_range(lba, blocks)?;
+        self.note_written(lba, lba.offset(blocks - 1));
+        let (mut chunk, mut first) = locate(lba);
+        let mut done = 0u64;
+        while done < blocks {
+            let end = (first as u64 + blocks - done).min(CHUNK_BLOCKS) as usize;
+            let c = self.chunks.entry(chunk).or_insert_with(Chunk::new);
+            self.resident += c.mark(first, end);
+            f(done, &mut c.bytes[byte_span(first, end)]);
+            done += (end - first) as u64;
+            chunk += 1;
+            first = 0;
         }
         Ok(())
     }
 
     /// Borrows one block's bytes, or `None` if the block has never been
-    /// written (it reads as zeros). No capacity check — callers on the
-    /// batched data path validate the whole range up front with
-    /// [`check_range`](BlockStore::check_range).
+    /// written (it reads as zeros) or lies beyond capacity.
     pub fn block(&self, lba: Plba) -> Option<&[u8]> {
-        self.blocks.get(&lba).map(|b| &b[..])
+        if lba >= self.end {
+            return None;
+        }
+        let (chunk, k) = locate(lba);
+        let c = self.chunks.get(&chunk)?;
+        (c.written >> k & 1 == 1).then(|| &c.bytes[byte_span(k, k + 1)])
     }
 
-    /// Mutably borrows one block, allocating it zeroed on first touch —
-    /// the no-copy destination for DMA-sized writes (the caller overwrites
-    /// all [`BLOCK_SIZE`] bytes in place instead of staging a buffer).
+    /// Mutably borrows one block, marking it written (it reads as zeros
+    /// until the caller fills it) — an in-place destination for a
+    /// one-block write.
     ///
     /// # Errors
     ///
     /// [`StoreError::OutOfRange`] if `lba` is beyond capacity.
     pub fn block_mut(&mut self, lba: Plba) -> Result<&mut [u8], StoreError> {
         self.check(lba)?;
-        self.note_written(lba);
-        Ok(self
-            .blocks
-            .entry(lba)
-            .or_insert_with(|| vec![0u8; BLOCK_SIZE as usize].into_boxed_slice()))
+        self.note_written(lba, lba);
+        let (chunk, k) = locate(lba);
+        let c = self.chunks.entry(chunk).or_insert_with(Chunk::new);
+        self.resident += c.mark(k, k + 1);
+        Ok(&mut c.bytes[byte_span(k, k + 1)])
     }
 
     /// Whether a block has ever been written.
     pub fn is_written(&self, lba: Plba) -> bool {
-        self.blocks.contains_key(&lba)
+        self.block(lba).is_some()
     }
 
     /// Conservative residency filter: `false` means *no* block in
     /// `[lba, lba + blocks)` has ever been written (the whole run reads as
     /// zeros); `true` means some block in the range *may* be resident.
     /// Constant time — it compares against the store's written bounds
-    /// rather than probing per block, so the batched read path can replace
-    /// `blocks` hash probes with one sparse zero-fill on cold ranges.
+    /// rather than probing, so the batched read path can replace a run's
+    /// chunk probes with one sparse zero-fill on cold ranges.
     pub fn maybe_written_in(&self, lba: Plba, blocks: u64) -> bool {
         match self.written_bounds {
             None => false,
@@ -270,7 +402,7 @@ impl BlockStore {
 
     /// Number of blocks that have been written at least once.
     pub fn resident_blocks(&self) -> usize {
-        self.blocks.len()
+        self.resident
     }
 
     /// Validates that `blocks` consecutive blocks starting at `lba` lie
@@ -310,6 +442,7 @@ impl BlockStore {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     #[test]
     fn unwritten_reads_zero() {
@@ -400,6 +533,131 @@ mod tests {
         let store = BlockStore::new(4);
         assert!(store.check_range(Plba(u64::MAX - 1), 4).is_err());
         assert!(store.check_range(Plba(0), 0).is_err());
+    }
+
+    /// Capacity of the model store: three chunks and part of a fourth, so
+    /// the capacity edge falls inside a chunk.
+    const MODEL_BLOCKS: u64 = 3 * CHUNK_BLOCKS + 5;
+
+    /// Block `lba`'s bytes as written by a writer seeded with `seed`:
+    /// distinct per block and per byte, so a misplaced copy shows.
+    fn pattern(lba: u64, seed: u8) -> Vec<u8> {
+        (0..BLOCK_SIZE)
+            .map(|j| seed.wrapping_add((lba * 31 + j) as u8))
+            .collect()
+    }
+
+    /// The model's bytes of `n` blocks from `lba`.
+    fn model_bytes(model: &HashMap<u64, Vec<u8>>, lba: u64, n: u64) -> Vec<u8> {
+        (lba..lba + n)
+            .flat_map(|b| {
+                model
+                    .get(&b)
+                    .cloned()
+                    .unwrap_or_else(|| vec![0; BLOCK_SIZE as usize])
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// The chunked store behaves like a map of independent blocks:
+        /// every operation agrees with a per-block reference model on the
+        /// bytes, `is_written` and `resident_blocks`, including runs that
+        /// cross chunk boundaries or the capacity edge; a run read hands
+        /// back maximal spans inside one chunk each.
+        #[test]
+        fn prop_chunked_store_matches_a_block_map(
+            ops in proptest::collection::vec(
+                (0u8..5, 0..MODEL_BLOCKS + 3, 1..2 * CHUNK_BLOCKS + 4, any::<u8>()),
+                1..60,
+            )
+        ) {
+            let mut store = BlockStore::new(MODEL_BLOCKS);
+            let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
+            let bs = BLOCK_SIZE as usize;
+            // Each op: write_block, write_range, block_mut, read_range or
+            // read_run, at block `l`, over `n` blocks, with byte seed `seed`.
+            for (kind, l, n, seed) in ops {
+                match kind {
+                    0 => {
+                        let r = store.write_block(Plba(l), &pattern(l, seed));
+                        prop_assert_eq!(r.is_ok(), l < MODEL_BLOCKS);
+                        if r.is_ok() {
+                            model.insert(l, pattern(l, seed));
+                        }
+                    }
+                    1 => {
+                        let data: Vec<u8> = (l..l + n).flat_map(|b| pattern(b, seed)).collect();
+                        let r = store.write_range(Plba(l), &data);
+                        prop_assert_eq!(r.is_ok(), l + n <= MODEL_BLOCKS);
+                        if r.is_ok() {
+                            for b in l..l + n {
+                                model.insert(b, pattern(b, seed));
+                            }
+                        }
+                    }
+                    2 => match store.block_mut(Plba(l)) {
+                        Ok(dst) => {
+                            prop_assert!(l < MODEL_BLOCKS);
+                            prop_assert_eq!(&dst[..], &model_bytes(&model, l, 1)[..]);
+                            dst.copy_from_slice(&pattern(l, seed));
+                            model.insert(l, pattern(l, seed));
+                        }
+                        Err(_) => prop_assert!(l >= MODEL_BLOCKS),
+                    },
+                    3 => {
+                        let mut out = vec![0xEEu8; n as usize * bs];
+                        let r = store.read_range(Plba(l), n, &mut out);
+                        prop_assert_eq!(r.is_ok(), l + n <= MODEL_BLOCKS);
+                        if r.is_ok() {
+                            prop_assert_eq!(out, model_bytes(&model, l, n));
+                        }
+                    }
+                    _ => {
+                        let mut spans = Vec::new();
+                        let r = store.read_run(Plba(l), n, |first, len, data| {
+                            spans.push((first, len, data.map(<[u8]>::to_vec)));
+                        });
+                        prop_assert_eq!(r.is_ok(), l + n <= MODEL_BLOCKS);
+                        prop_assert!(r.is_ok() || spans.is_empty());
+                        let mut next = 0;
+                        let mut prev: Option<(u64, bool)> = None;
+                        for (first, len, data) in spans {
+                            let (lo, hi) = (l + first, l + first + len);
+                            prop_assert_eq!(first, next, "spans tile the run in order");
+                            prop_assert!(len > 0);
+                            prop_assert_eq!(lo / CHUNK_BLOCKS, (hi - 1) / CHUNK_BLOCKS, "inside a chunk");
+                            let written = data.is_some();
+                            for b in lo..hi {
+                                prop_assert_eq!(model.contains_key(&b), written, "block {}", b);
+                            }
+                            if let Some(bytes) = data {
+                                prop_assert_eq!(bytes, model_bytes(&model, lo, len));
+                            }
+                            if let Some((chunk, was_written)) = prev {
+                                prop_assert!(
+                                    chunk != lo / CHUNK_BLOCKS || was_written != written,
+                                    "spans are maximal within a chunk"
+                                );
+                            }
+                            prev = Some(((hi - 1) / CHUNK_BLOCKS, written));
+                            next = first + len;
+                        }
+                        prop_assert_eq!(next, if r.is_ok() { n } else { 0 });
+                    }
+                }
+            }
+            prop_assert_eq!(store.resident_blocks(), model.len());
+            for l in 0..MODEL_BLOCKS + 2 {
+                let written = model.contains_key(&l);
+                prop_assert_eq!(store.is_written(Plba(l)), written);
+                prop_assert_eq!(store.block(Plba(l)).map(<[u8]>::to_vec), model.get(&l).cloned());
+                if l < MODEL_BLOCKS {
+                    prop_assert_eq!(store.read_block(Plba(l)).unwrap(), model_bytes(&model, l, 1));
+                }
+            }
+        }
+
     }
 
     proptest! {

@@ -6,8 +6,9 @@
 # writes), plus the number of probe emission sites (`probe.report(` /
 # `probe.pass(` calls outside comments, a call split across lines
 # included) per file. A file's non-test lines are the lines above its
-# first `#[cfg(test)]` (the whole file if it has none). Never fails on
-# the numbers; it only prints them.
+# first `#[cfg(test)]` (the whole file if it has none). Also counts the
+# device's per-block store calls. Never fails on the numbers; it only
+# prints them.
 #
 # Usage: scripts/loc.sh
 set -euo pipefail
@@ -72,6 +73,13 @@ printf '  %-44s %6d\n' "non-test relink_pruned( calls in system.rs" \
 # device reports, the probe's tally counts, so this stays 0.
 printf '  %-44s %6d\n' "non-test self.stats. writes in device.rs" \
     "$(awk '/^#\[cfg\(test\)\]/ { exit } /self\.stats\./ { n++ } END { print n + 0 }' \
+        crates/core/src/device.rs)"
+
+# Non-test per-block store calls (`.block(` / `.block_mut(`) in the
+# device: runs move through the store's chunk-granular run primitives, so
+# this stays 0.
+printf '  %-44s %6d\n' "non-test per-block store calls in device.rs" \
+    "$(awk '/^#\[cfg\(test\)\]/ { exit } /\.block(_mut)?\(/ { n++ } END { print n + 0 }' \
         crates/core/src/device.rs)"
 
 echo "probe emission sites (non-test probe.report( / probe.pass( calls) per file:"
