@@ -212,7 +212,8 @@ fn hole_run(vlba: Vlba, bound: u64, max_blocks: u64) -> u64 {
 /// Prunes the subtree covering `vlba`: finds the deepest internal node on
 /// the walk path and overwrites the covering entry's child pointer with
 /// NULL, in place. Returns `true` if something was pruned; `false` if the
-/// tree is a single leaf (nothing prunable) or the address is a hole.
+/// tree is a single leaf (nothing prunable), the address is a hole, or the
+/// covering slot is already NULL (nothing changed).
 ///
 /// This is the hypervisor-side "memory pressure" operation the paper
 /// describes; the read/write paths then observe [`WalkOutcome::Pruned`].
@@ -233,11 +234,8 @@ pub fn prune_covering(mem: &mut HostMemory, root: HostAddr, vlba: Vlba) -> bool 
                     .filter(|(_, e)| vlba < e.end_logical());
                 match hit {
                     None => return false,
-                    Some((i, e)) if e.is_pruned() => {
-                        // Already pruned at this level.
-                        let _ = i;
-                        return true;
-                    }
+                    // Already pruned at this level: nothing changes.
+                    Some((_, e)) if e.is_pruned() => return false,
                     Some((i, e)) => {
                         // If the child is a leaf, prune here; otherwise
                         // descend to prune as deep as possible (minimizes
@@ -342,8 +340,25 @@ mod tests {
             walk(&mem, root, far).outcome,
             WalkOutcome::Mapped(_)
         ));
-        // Re-pruning the same range is idempotent.
-        assert!(prune_covering(&mut mem, root, victim));
+        // Re-pruning the same range changes nothing and says so.
+        assert!(!prune_covering(&mut mem, root, victim));
+    }
+
+    #[test]
+    fn a_second_prune_of_the_same_vlba_reports_nothing() {
+        let tree = fragmented_tree(FANOUT as u64 * 3);
+        let mut mem = HostMemory::new();
+        let root = tree.serialize(&mut mem);
+        let before = walk(&mem, root, Vlba(0)).outcome;
+        assert!(prune_covering(&mut mem, root, Vlba(0)), "first prune cuts");
+        let pruned = walk(&mem, root, Vlba(0)).outcome;
+        assert_ne!(pruned, before);
+        // Every vLBA under the slot the first prune cut, mapped or a hole
+        // between its extents, now finds nothing to prune.
+        for v in [0, 1, 2] {
+            assert!(!prune_covering(&mut mem, root, Vlba(v)), "vLBA {v}");
+        }
+        assert_eq!(walk(&mem, root, Vlba(0)).outcome, pruned);
     }
 
     #[test]
