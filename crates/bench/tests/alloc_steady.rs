@@ -12,7 +12,11 @@
 //! inline, so tracing a request allocates nothing beyond the span log's
 //! own growth. So does the whole NeSC-direct path through `System`: the
 //! doorbell consumes descriptors into a retained buffer and the pump
-//! drains the device into another.
+//! drains the device into another. And so do the two paravirtual paths,
+//! virtio and full emulation: the virtio chain lives inline or in a kept
+//! buffer, and the host backend keeps its image-run list, reads only a
+//! write's partial edge blocks, straight into the bounce, and copies the
+//! bounce to the guest page to page.
 //!
 //! The counter lives in its own integration-test binary because a global
 //! allocator is process-wide; keeping it here means the unit suites run on
@@ -217,16 +221,16 @@ fn traced_requests_allocate_only_as_the_span_log_grows() {
     );
 }
 
-/// After warm-up, synchronous NeSC-direct reads and writes of blocks that
-/// are already written allocate nothing, end to end through `System`:
-/// guest buffer, ring descriptor, doorbell, device, pump and completion.
-#[test]
-fn direct_rereads_and_rewrites_through_the_system_are_allocation_free() {
-    let _serial = serial();
+/// Synchronous requests through `System` that re-read and re-write the
+/// blocks of a `kind` disk, warmed until every block is written and every
+/// buffer and map is at size: the allocations of one more pass of 64
+/// writes and 64 reads of 4 KiB, aligned and straddling a block boundary
+/// in turn.
+fn steady_pass_allocations(kind: DiskKind) -> u64 {
     const DISK_BYTES: u64 = 256 << 10;
     const REQ_BYTES: u64 = 4096;
     let mut sys = NescSystem::builder().build();
-    let disk = sys.quick_disk(DiskKind::NescDirect, "img", DISK_BYTES).disk;
+    let disk = sys.quick_disk(kind, "img", DISK_BYTES).disk;
     let data = vec![0x5Au8; REQ_BYTES as usize];
     let mut out = vec![0u8; REQ_BYTES as usize];
     let mut pass = |sys: &mut NescSystem| {
@@ -250,9 +254,36 @@ fn direct_rereads_and_rewrites_through_the_system_are_allocation_free() {
     ARMED.store(true, Ordering::SeqCst);
     pass(&mut sys);
     ARMED.store(false, Ordering::SeqCst);
-    let n = ALLOCS.load(Ordering::SeqCst);
+    ALLOCS.load(Ordering::SeqCst)
+}
+
+/// After warm-up, synchronous NeSC-direct reads and writes of blocks that
+/// are already written allocate nothing, end to end through `System`:
+/// guest buffer, ring descriptor, doorbell, device, pump and completion.
+#[test]
+fn direct_rereads_and_rewrites_through_the_system_are_allocation_free() {
+    let _serial = serial();
+    let n = steady_pass_allocations(DiskKind::NescDirect);
     assert_eq!(
         n, 0,
         "{n} allocations re-reading and re-writing written blocks"
     );
+}
+
+/// The paravirtual paths are as allocation-free in steady state: a virtio
+/// request's chain is built inline, linked and popped into a kept buffer
+/// and its header parsed on the stack; the backend of both paths looks
+/// its image runs up into a kept buffer, reads a write's edge blocks
+/// straight into the bounce and copies a read's bounce page to page.
+#[test]
+fn paravirt_rereads_and_rewrites_through_the_system_are_allocation_free() {
+    let _serial = serial();
+    TRACE.store(std::env::var_os("ALLOC_TRACE").is_some(), Ordering::SeqCst);
+    for kind in [DiskKind::Virtio, DiskKind::Emulated] {
+        let n = steady_pass_allocations(kind);
+        assert_eq!(
+            n, 0,
+            "{n} allocations re-reading and re-writing written blocks on {kind:?}"
+        );
+    }
 }

@@ -166,6 +166,53 @@ impl HostMemory {
         }
     }
 
+    /// Copies `len` bytes from `src` to `dst` page to page: one
+    /// `copy_from_slice` per piece bounded by a source and a destination
+    /// page, with no staging buffer. A piece whose source page was never
+    /// written reads as zeros, so it zeroes a present destination page in
+    /// place and leaves an absent one absent, as
+    /// [`fill_zero`](HostMemory::fill_zero) does; any other destination
+    /// page is allocated on demand. Observationally identical to
+    /// `write(dst, &read_vec(src, len))`, overlapping ranges included (a
+    /// destination that starts inside the source is staged through a
+    /// vector, the one case a forward page walk would overwrite bytes it
+    /// has yet to read).
+    pub fn copy(&mut self, src: HostAddr, dst: HostAddr, len: u64) {
+        if dst > src && dst - src < len {
+            let staged = self.read_vec(src, len as usize);
+            self.write(dst, &staged);
+            return;
+        }
+        let mut off = 0u64;
+        while off < len {
+            let (s, d) = (src + off, dst + off);
+            let (s_page, d_page) = (s >> PAGE_SHIFT, d >> PAGE_SHIFT);
+            let (si, di) = (
+                (s as usize) & (PAGE_SIZE - 1),
+                (d as usize) & (PAGE_SIZE - 1),
+            );
+            let n = ((PAGE_SIZE - si.max(di)) as u64).min(len - off) as usize;
+            if s_page == d_page {
+                // An absent page reads as zeros on both sides already.
+                if let Some(p) = self.pages.get_mut(&s_page) {
+                    p.copy_within(si..si + n, di);
+                }
+            } else {
+                match self.pages.get_disjoint_mut([&s_page, &d_page]) {
+                    [Some(sp), Some(dp)] => dp[di..di + n].copy_from_slice(&sp[si..si + n]),
+                    [None, Some(dp)] => dp[di..di + n].fill(0),
+                    [None, None] => {}
+                    [Some(sp), None] => {
+                        let mut page = Box::new([0u8; PAGE_SIZE]);
+                        page[di..di + n].copy_from_slice(&sp[si..si + n]);
+                        self.pages.insert(d_page, page);
+                    }
+                }
+            }
+            off += n as u64;
+        }
+    }
+
     /// Fills `len` bytes at `addr` with `byte`.
     pub fn fill(&mut self, addr: HostAddr, len: u64, byte: u8) {
         // Chunked so a large fill does not materialize one huge buffer.
@@ -302,7 +349,94 @@ mod tests {
         assert_eq!(mem.read_vec(0x3000 + 3 * PAGE_SIZE as u64 + 17, 1)[0], 0);
     }
 
+    /// `mem` after copying the model's way: stage the source, write it.
+    fn model_copy(mem: &HostMemory, src: HostAddr, dst: HostAddr, len: u64) -> HostMemory {
+        let mut model = HostMemory::new();
+        for (&page, bytes) in &mem.pages {
+            model.write(page << PAGE_SHIFT, &bytes[..]);
+        }
+        let staged = model.read_vec(src, len as usize);
+        model.write(dst, &staged);
+        model
+    }
+
+    #[test]
+    fn copy_across_differently_misaligned_pages() {
+        let mut mem = HostMemory::new();
+        let page = PAGE_SIZE as u64;
+        // Source starts 100 bytes before a page end, destination 3000:
+        // the pieces split at both sides' page boundaries.
+        let (src, dst, len) = (page * 4 - 100, page * 9 - 3000, 2 * page + 500);
+        let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+        mem.write(src, &data);
+        mem.copy(src, dst, len);
+        assert_eq!(mem.read_vec(dst, len as usize), data);
+        // The bytes around the destination are untouched zeros.
+        assert_eq!(mem.read_vec(dst - 1, 1), [0]);
+        assert_eq!(mem.read_vec(dst + len, 1), [0]);
+        // The source is unchanged.
+        assert_eq!(mem.read_vec(src, len as usize), data);
+    }
+
+    #[test]
+    fn copy_within_one_page_matches_the_model_both_ways() {
+        let base = PAGE_SIZE as u64 * 5;
+        for (src, dst) in [
+            (base + 10, base + 700),
+            (base + 700, base + 10),
+            (base + 40, base),
+            (base, base + 40),
+        ] {
+            let mut mem = HostMemory::new();
+            let data: Vec<u8> = (0..1000u32).map(|i| (i * 7) as u8).collect();
+            mem.write(base, &data);
+            let want = model_copy(&mem, src, dst, 300);
+            mem.copy(src, dst, 300);
+            assert_eq!(mem.read_vec(base, 2000), want.read_vec(base, 2000));
+        }
+    }
+
+    #[test]
+    fn copy_from_unwritten_memory_zeroes_without_allocating() {
+        let mut mem = HostMemory::new();
+        let page = PAGE_SIZE as u64;
+        let (src, dst) = (page * 20 + 123, page * 40 + 3000);
+        // An absent destination stays absent...
+        mem.copy(src, dst, 3 * page);
+        assert_eq!(mem.resident_pages(), 0);
+        assert!(mem.read_vec(dst, 3 * PAGE_SIZE).iter().all(|&b| b == 0));
+        // ...and a present one is zeroed, beside bytes the copy misses.
+        mem.fill(dst - 10, 3 * page + 20, 0xCC);
+        let resident = mem.resident_pages();
+        mem.copy(src, dst, 3 * page);
+        assert_eq!(mem.resident_pages(), resident);
+        assert!(mem.read_vec(dst, 3 * PAGE_SIZE).iter().all(|&b| b == 0));
+        assert_eq!(mem.read_vec(dst - 10, 10), [0xCC; 10]);
+        assert_eq!(mem.read_vec(dst + 3 * page, 10), [0xCC; 10]);
+    }
+
     proptest! {
+        /// A page-to-page copy leaves memory reading exactly as staging
+        /// the source through a vector and writing it back does, for any
+        /// sparse contents, alignments and overlap; it never materializes
+        /// a page the model would not.
+        #[test]
+        fn prop_copy_matches_staged_model(
+            writes in proptest::collection::vec((0u64..40_000, 1usize..6000), 0..6),
+            src in 0u64..40_000,
+            dst in 0u64..40_000,
+            len in 0u64..12_000,
+        ) {
+            let mut mem = HostMemory::new();
+            for (k, &(addr, n)) in writes.iter().enumerate() {
+                mem.write(addr, &vec![k as u8 + 1; n]);
+            }
+            let want = model_copy(&mem, src, dst, len);
+            mem.copy(src, dst, len);
+            prop_assert_eq!(mem.read_vec(0, 60_000), want.read_vec(0, 60_000));
+            prop_assert!(mem.resident_pages() <= want.resident_pages());
+        }
+
         /// What you write is what you read, at arbitrary (mis)alignments.
         #[test]
         fn prop_write_read_roundtrip(

@@ -102,6 +102,23 @@ pub struct BlkRequest {
     pub status: HostAddr,
 }
 
+/// The descriptor chain a virtio-blk driver publishes: header, data
+/// (absent for `Flush`) and status, held inline. Derefs to the chain's
+/// descriptors in order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlkChain {
+    descriptors: [Descriptor; 3],
+    len: usize,
+}
+
+impl std::ops::Deref for BlkChain {
+    type Target = [Descriptor];
+
+    fn deref(&self) -> &[Descriptor] {
+        &self.descriptors[..self.len]
+    }
+}
+
 /// Chain-decoding error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParseError {
@@ -179,29 +196,37 @@ impl BlkRequest {
     ///
     /// For `Flush`, `data`/`len` are ignored and the chain is header +
     /// status only.
-    pub fn build_chain(&self, mem: &mut HostMemory, header_addr: HostAddr) -> Vec<Descriptor> {
+    pub fn build_chain(&self, mem: &mut HostMemory, header_addr: HostAddr) -> BlkChain {
         let mut header = [0u8; 16];
         header[0..4].copy_from_slice(&self.rtype.code().to_le_bytes());
         header[8..16].copy_from_slice(&self.sector.into_unchecked().to_le_bytes());
         mem.write(header_addr, &header);
-        let mut chain = vec![Descriptor {
+        let header = Descriptor {
             addr: header_addr,
             len: 16,
             device_writes: false,
-        }];
-        if self.rtype != BlkRequestType::Flush {
-            chain.push(Descriptor {
-                addr: self.data,
-                len: self.len.into_unchecked(),
-                device_writes: self.rtype == BlkRequestType::In,
-            });
-        }
-        chain.push(Descriptor {
+        };
+        let status = Descriptor {
             addr: self.status,
             len: 1,
             device_writes: true,
-        });
-        chain
+        };
+        if self.rtype == BlkRequestType::Flush {
+            // The third slot is unused; it repeats the status descriptor.
+            return BlkChain {
+                descriptors: [header, status, status],
+                len: 2,
+            };
+        }
+        let data = Descriptor {
+            addr: self.data,
+            len: self.len.into_unchecked(),
+            device_writes: self.rtype == BlkRequestType::In,
+        };
+        BlkChain {
+            descriptors: [header, data, status],
+            len: 3,
+        }
     }
 
     /// Backend side: decodes a popped chain back into a request, reading
@@ -219,17 +244,11 @@ impl BlkRequest {
         if header.len != 16 || header.device_writes {
             return Err(ParseError::BadLayout);
         }
-        let bytes = mem.read_vec(header.addr, 16);
-        let code = bytes
-            .get(0..4)
-            .and_then(|s| s.try_into().ok())
-            .map(u32::from_le_bytes)
-            .ok_or(ParseError::BadLayout)?;
-        let sector = bytes
-            .get(8..16)
-            .and_then(|s| s.try_into().ok())
-            .map(u64::from_le_bytes)
-            .ok_or(ParseError::BadLayout)?;
+        let mut bytes = [0u8; 16];
+        mem.read(header.addr, &mut bytes);
+        let [c0, c1, c2, c3, _, _, _, _, sector @ ..] = bytes;
+        let code = u32::from_le_bytes([c0, c1, c2, c3]);
+        let sector = u64::from_le_bytes(sector);
         let rtype = BlkRequestType::from_code(code).ok_or(ParseError::BadType { code })?;
         match (rtype, rest) {
             (BlkRequestType::Flush, [status]) if status.device_writes && status.len == 1 => {

@@ -25,5 +25,5 @@
 pub mod blk;
 pub mod queue;
 
-pub use blk::{BlkRequest, BlkRequestType, BlkStatus};
+pub use blk::{BlkChain, BlkRequest, BlkRequestType, BlkStatus};
 pub use queue::{Chain, QueueError, UsedElem, Virtqueue};

@@ -21,8 +21,10 @@ pub struct Descriptor {
     pub device_writes: bool,
 }
 
-/// A descriptor chain as popped by the device side.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A descriptor chain as popped by the device side. A backend keeps one
+/// and hands it to every [`Virtqueue::pop_avail`], which refills its
+/// descriptor buffer in place.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Chain {
     /// Index of the head descriptor (token for `push_used`).
     pub head: u16,
@@ -97,7 +99,7 @@ struct Slot {
 /// # Example
 ///
 /// ```
-/// use nesc_virtio::{Virtqueue, queue::Descriptor};
+/// use nesc_virtio::{Chain, Virtqueue, queue::Descriptor};
 ///
 /// let mut vq = Virtqueue::new(8);
 /// let head = vq.add_chain(&[
@@ -105,8 +107,9 @@ struct Slot {
 ///     Descriptor { addr: 0x2000, len: 4096, device_writes: true },
 ///     Descriptor { addr: 0x3000, len: 1, device_writes: true },
 /// ]).unwrap();
-/// // Device side:
-/// let chain = vq.pop_avail().unwrap();
+/// // Device side, into a chain buffer it keeps:
+/// let mut chain = Chain::default();
+/// assert!(vq.pop_avail(&mut chain));
 /// assert_eq!(chain.head, head);
 /// assert_eq!(chain.writable_bytes(), 4097);
 /// vq.push_used(chain.head, 4097);
@@ -163,36 +166,27 @@ impl Virtqueue {
         if chain.is_empty() {
             return Err(QueueError::EmptyChain);
         }
-        if chain.len() > self.free.len() {
-            return Err(QueueError::Full {
-                needed: chain.len(),
-                free: self.free.len(),
-            });
-        }
-        let mut indices: Vec<u16> = Vec::with_capacity(chain.len());
-        for _ in 0..chain.len() {
-            match self.free.pop() {
-                Some(idx) => indices.push(idx),
-                None => {
-                    // The free count said there was room — the free list is
-                    // out of sync. Roll back and report the ring full.
-                    debug_assert!(false, "free list shorter than free count");
-                    let needed = chain.len();
-                    self.free.append(&mut indices);
-                    return Err(QueueError::Full {
-                        needed,
-                        free: self.free.len(),
-                    });
-                }
-            }
-        }
-        for (i, (&idx, &desc)) in indices.iter().zip(chain.iter()).enumerate() {
+        let full = QueueError::Full {
+            needed: chain.len(),
+            free: self.free.len(),
+        };
+        let Some(base) = self.free.len().checked_sub(chain.len()) else {
+            return Err(full);
+        };
+        // The chain takes the free list's top entries in pop order, each
+        // descriptor linked to the one taken after it.
+        let mut taken = self.free[base..].iter().rev().copied().peekable();
+        let Some(&head) = taken.peek() else {
+            return Err(full);
+        };
+        for &desc in chain {
+            let Some(idx) = taken.next() else { break };
             self.slots[idx as usize] = Some(Slot {
                 desc,
-                next: indices.get(i + 1).copied(),
+                next: taken.peek().copied(),
             });
         }
-        let head = indices[0];
+        self.free.truncate(base);
         self.avail.push_back(head);
         Ok(head)
     }
@@ -208,20 +202,25 @@ impl Virtqueue {
         self.kicks
     }
 
-    /// Device side: pops the next available chain, if any. A published
-    /// chain with a missing link (a protocol violation) reads as absent.
-    pub fn pop_avail(&mut self) -> Option<Chain> {
-        let head = self.avail.pop_front()?;
-        let mut descriptors = Vec::new();
+    /// Device side: pops the next available chain into `chain`, reusing
+    /// its descriptor buffer, and returns whether there was one. A
+    /// published chain with a missing link (a protocol violation) reads as
+    /// absent.
+    pub fn pop_avail(&mut self, chain: &mut Chain) -> bool {
+        let Some(head) = self.avail.pop_front() else {
+            return false;
+        };
+        chain.head = head;
+        chain.descriptors.clear();
         let mut cur = Some(head);
         while let Some(idx) = cur {
             let slot = self.slots.get(idx as usize).copied().flatten();
             debug_assert!(slot.is_some(), "published chain is intact");
-            let slot = slot?;
-            descriptors.push(slot.desc);
+            let Some(slot) = slot else { return false };
+            chain.descriptors.push(slot.desc);
             cur = slot.next;
         }
-        Some(Chain { head, descriptors })
+        true
     }
 
     /// Device side: marks a chain as used (completed), writing back how
@@ -265,6 +264,12 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Pops the next chain into a fresh buffer.
+    fn pop(vq: &mut Virtqueue) -> Option<Chain> {
+        let mut chain = Chain::default();
+        vq.pop_avail(&mut chain).then_some(chain)
+    }
+
     fn d(addr: u64, len: u32, w: bool) -> Descriptor {
         Descriptor {
             addr,
@@ -279,13 +284,34 @@ mod tests {
         let head = vq
             .add_chain(&[d(1, 16, false), d(2, 512, true), d(3, 1, true)])
             .unwrap();
-        let chain = vq.pop_avail().unwrap();
+        let chain = pop(&mut vq).unwrap();
         assert_eq!(chain.head, head);
         assert_eq!(chain.descriptors.len(), 3);
         assert_eq!(chain.descriptors[0].addr, 1);
         assert_eq!(chain.descriptors[2].addr, 3);
         assert_eq!(chain.readable_bytes(), 16);
         assert_eq!(chain.writable_bytes(), 513);
+    }
+
+    #[test]
+    fn a_kept_chain_buffer_is_refilled_by_each_pop() {
+        let mut vq = Virtqueue::new(8);
+        // A fresh ring hands out descriptors 0, 1, 2, ... in order.
+        let a = vq
+            .add_chain(&[d(1, 16, false), d(2, 512, true), d(3, 1, true)])
+            .unwrap();
+        let b = vq.add_chain(&[d(4, 16, false), d(5, 1, true)]).unwrap();
+        assert_eq!((a, b), (0, 3));
+        let mut chain = Chain::default();
+        assert!(vq.pop_avail(&mut chain));
+        assert_eq!(
+            chain.descriptors,
+            [d(1, 16, false), d(2, 512, true), d(3, 1, true)]
+        );
+        assert!(vq.pop_avail(&mut chain));
+        assert_eq!(chain.head, b);
+        assert_eq!(chain.descriptors, [d(4, 16, false), d(5, 1, true)]);
+        assert!(!vq.pop_avail(&mut chain));
     }
 
     #[test]
@@ -297,7 +323,7 @@ mod tests {
             vq.add_chain(&[d(5, 1, false)]),
             Err(QueueError::Full { needed: 1, free: 0 })
         );
-        let c1 = vq.pop_avail().unwrap();
+        let c1 = pop(&mut vq).unwrap();
         assert_eq!(c1.head, h1);
         vq.push_used(c1.head, 0);
         assert_eq!(
@@ -318,9 +344,9 @@ mod tests {
         let a = vq.add_chain(&[d(1, 1, false)]).unwrap();
         let b = vq.add_chain(&[d(2, 1, false)]).unwrap();
         assert_eq!(vq.avail_len(), 2);
-        assert_eq!(vq.pop_avail().unwrap().head, a);
-        assert_eq!(vq.pop_avail().unwrap().head, b);
-        assert!(vq.pop_avail().is_none());
+        assert_eq!(pop(&mut vq).unwrap().head, a);
+        assert_eq!(pop(&mut vq).unwrap().head, b);
+        assert!(pop(&mut vq).is_none());
     }
 
     #[test]
@@ -330,7 +356,7 @@ mod tests {
         vq.kick();
         assert_eq!(vq.kicks(), 2);
         let h = vq.add_chain(&[d(1, 1, true)]).unwrap();
-        let c = vq.pop_avail().unwrap();
+        let c = pop(&mut vq).unwrap();
         vq.push_used(c.head, 1);
         assert_eq!(vq.interrupts(), 1);
         assert_eq!(
@@ -364,7 +390,7 @@ mod tests {
             let mut live: Vec<(u16, usize)> = Vec::new(); // (head, len)
             for &(chain_len, complete) in &ops {
                 if complete {
-                    if let Some(chain) = vq.pop_avail() {
+                    if let Some(chain) = pop(&mut vq) {
                         let expect = live.iter().position(|&(h, _)| h == chain.head).unwrap();
                         let (_, len) = live.remove(expect);
                         prop_assert_eq!(chain.descriptors.len(), len);
