@@ -15,6 +15,8 @@
 //! mappings were evicted under memory pressure and the device must
 //! interrupt the host to regenerate them (paper §IV-B).
 
+use nesc_pcie::{HostAddr, HostMemory};
+
 use crate::types::{ExtentMapping, Plba, Vlba};
 
 /// Serialized node size in bytes — one DMA read per level of the walk.
@@ -102,82 +104,6 @@ impl std::fmt::Display for LayoutError {
 
 impl std::error::Error for LayoutError {}
 
-/// Fixed-capacity inline list of decoded node entries. A node holds at
-/// most [`FANOUT`] entries, so decoding never needs the heap — the walk
-/// unit's hot loop reads nodes without touching the allocator. Derefs to a
-/// slice of the live entries.
-#[derive(Debug, Clone, Copy)]
-pub struct NodeList<T> {
-    items: [T; FANOUT],
-    len: usize,
-}
-
-impl<T: Copy + Default> NodeList<T> {
-    /// Builds a list of `len` entries, entry `i` produced by `f(i)`.
-    /// A `len` beyond [`FANOUT`] (a contract violation: [`decode`] bounds
-    /// the count first) is truncated.
-    pub fn from_fn(len: usize, mut f: impl FnMut(usize) -> T) -> Self {
-        debug_assert!(len <= FANOUT, "node overflow: {len}");
-        let len = len.min(FANOUT);
-        let mut items = [T::default(); FANOUT];
-        for (i, slot) in items[..len].iter_mut().enumerate() {
-            *slot = f(i);
-        }
-        NodeList { items, len }
-    }
-}
-
-impl<T> std::ops::Deref for NodeList<T> {
-    type Target = [T];
-    fn deref(&self) -> &[T] {
-        &self.items[..self.len]
-    }
-}
-
-impl<T: PartialEq> PartialEq for NodeList<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.items[..self.len] == other.items[..other.len]
-    }
-}
-
-impl<T: Eq> Eq for NodeList<T> {}
-
-impl<T: PartialEq> PartialEq<[T]> for NodeList<T> {
-    fn eq(&self, other: &[T]) -> bool {
-        &self.items[..self.len] == other
-    }
-}
-
-impl<T: PartialEq> PartialEq<Vec<T>> for NodeList<T> {
-    fn eq(&self, other: &Vec<T>) -> bool {
-        &self.items[..self.len] == other.as_slice()
-    }
-}
-
-/// A decoded node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Node {
-    /// Internal node with child pointers.
-    Internal(NodeList<NodeEntry>),
-    /// Leaf node with extent pointers.
-    Leaf(NodeList<ExtentMapping>),
-}
-
-impl Node {
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        match self {
-            Node::Internal(v) => v.len(),
-            Node::Leaf(v) => v.len(),
-        }
-    }
-
-    /// Whether the node has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// Encodes an internal node. More than [`FANOUT`] entries (a contract
 /// violation: the builder splits nodes first) are truncated.
 pub fn encode_internal(entries: &[NodeEntry]) -> [u8; NODE_SIZE] {
@@ -216,53 +142,110 @@ fn write_header(buf: &mut [u8; NODE_SIZE], kind: NodeKind, count: u32) {
     buf[4..8].copy_from_slice(&count.to_le_bytes());
 }
 
-/// Decodes a node buffer.
-///
-/// # Errors
-///
-/// Returns a [`LayoutError`] if the header is malformed — the device treats
-/// this as a fatal tree-corruption condition.
-pub fn decode(buf: &[u8; NODE_SIZE]) -> Result<Node, LayoutError> {
-    let magic = u16::from_le_bytes([buf[0], buf[1]]);
-    if magic != MAGIC {
-        return Err(LayoutError::BadMagic { found: magic });
-    }
-    let kind = u16::from_le_bytes([buf[2], buf[3]]);
-    let count = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]);
-    if count as usize > FANOUT {
-        return Err(LayoutError::BadCount { found: count });
-    }
-    let read_u64 = |off: usize| {
-        // The count check above bounds every entry offset inside the node.
-        let mut w = [0u8; 8];
-        w.copy_from_slice(&buf[off..off + 8]);
-        u64::from_le_bytes(w)
-    };
-    match kind {
-        1 => {
-            let entries = NodeList::from_fn(count as usize, |i| {
-                let off = HEADER_SIZE + i * ENTRY_SIZE;
-                NodeEntry {
-                    first_logical: Vlba(read_u64(off)),
-                    blocks: read_u64(off + 8),
-                    child: read_u64(off + 16),
-                }
-            });
-            Ok(Node::Internal(entries))
+/// A serialized node read where it lives: the header is checked once, and
+/// an entry is decoded only when asked for. The walk unit matches a vLBA
+/// against a node's first-logical keys alone (one binary search), so a
+/// level costs the header and about `log2(FANOUT)` key loads, not a copy
+/// of the node.
+#[derive(Debug, Clone, Copy)]
+pub struct NodeView<'a> {
+    kind: NodeKind,
+    /// The live entries' raw bytes, `entry_count` of them.
+    entries: &'a [[u8; ENTRY_SIZE]],
+}
+
+impl<'a> NodeView<'a> {
+    /// Checks a node's header: magic first, then the entry count, then the
+    /// kind.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`LayoutError`] if the header is malformed — the device
+    /// treats this as a fatal tree-corruption condition.
+    pub fn parse(buf: &'a [u8; NODE_SIZE]) -> Result<Self, LayoutError> {
+        let magic = u16::from_le_bytes([buf[0], buf[1]]);
+        if magic != MAGIC {
+            return Err(LayoutError::BadMagic { found: magic });
         }
-        2 => {
-            let extents = NodeList::from_fn(count as usize, |i| {
-                let off = HEADER_SIZE + i * ENTRY_SIZE;
-                ExtentMapping {
-                    logical: Vlba(read_u64(off)),
-                    len: read_u64(off + 8),
-                    physical: Plba(read_u64(off + 16)),
-                }
-            });
-            Ok(Node::Leaf(extents))
+        let kind = u16::from_le_bytes([buf[2], buf[3]]);
+        let count = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]);
+        if count as usize > FANOUT {
+            return Err(LayoutError::BadCount { found: count });
         }
-        other => Err(LayoutError::BadKind { found: other }),
+        let kind = match kind {
+            1 => NodeKind::Internal,
+            2 => NodeKind::Leaf,
+            other => return Err(LayoutError::BadKind { found: other }),
+        };
+        // FANOUT whole entries follow the header, and the count check
+        // above keeps the live prefix inside them.
+        let (all, _) = buf[HEADER_SIZE..].as_chunks::<ENTRY_SIZE>();
+        let entries = all.get(..count as usize).unwrap_or(&[]);
+        Ok(NodeView { kind, entries })
     }
+
+    /// Parses the node at `addr` in `mem`, in place unless it straddles a
+    /// page boundary, in which case it is first copied into `scratch`
+    /// ([`HostMemory::read_in_place`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`parse`](Self::parse).
+    pub fn read(
+        mem: &'a HostMemory,
+        addr: HostAddr,
+        scratch: &'a mut [u8; NODE_SIZE],
+    ) -> Result<Self, LayoutError> {
+        Self::parse(mem.read_in_place(addr, scratch))
+    }
+
+    /// What the node's entries are.
+    pub fn kind(&self) -> NodeKind {
+        self.kind
+    }
+
+    /// The number of leading entries whose first logical block is at most
+    /// `vlba`: `partition_point` over the keys, so the covering candidate
+    /// is the entry before it. Reads only the keys it probes.
+    pub fn search(&self, vlba: Vlba) -> usize {
+        self.entries.partition_point(|e| word(e, 0) <= vlba.0)
+    }
+
+    /// The first logical block of entry `i`, if the node has one.
+    pub fn first_logical(&self, i: usize) -> Option<Vlba> {
+        self.entries.get(i).map(|e| Vlba(word(e, 0)))
+    }
+
+    /// Entry `i` read as an internal node's child pointer entry.
+    pub fn entry(&self, i: usize) -> Option<NodeEntry> {
+        self.entries.get(i).map(|e| NodeEntry {
+            first_logical: Vlba(word(e, 0)),
+            blocks: word(e, 1),
+            child: word(e, 2),
+        })
+    }
+
+    /// Entry `i` read as a leaf's extent.
+    pub fn extent(&self, i: usize) -> Option<ExtentMapping> {
+        self.entries.get(i).map(|e| ExtentMapping {
+            logical: Vlba(word(e, 0)),
+            len: word(e, 1),
+            physical: Plba(word(e, 2)),
+        })
+    }
+
+    /// Every entry, in order, read as internal node entries.
+    pub fn entries(&self) -> impl Iterator<Item = NodeEntry> + 'a {
+        let view = *self;
+        (0..view.entries.len()).filter_map(move |i| view.entry(i))
+    }
+}
+
+/// Little-endian `u64` field `k` (0..3) of a raw entry.
+fn word(e: &[u8; ENTRY_SIZE], k: usize) -> u64 {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(&e[8 * k..8 * k + 8]);
+    u64::from_le_bytes(w)
 }
 
 /// Byte offset of the `child` pointer of internal entry `i` — used to
@@ -279,6 +262,11 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Every entry of `node`, read as a leaf's extents.
+    fn leaf_extents(node: &NodeView<'_>) -> Vec<ExtentMapping> {
+        (0..FANOUT).map_while(|i| node.extent(i)).collect()
+    }
+
     #[test]
     fn fanout_is_twenty() {
         assert_eq!(FANOUT, 20);
@@ -291,10 +279,11 @@ mod tests {
             ExtentMapping::new(Vlba(8), Plba(200), 2),
         ];
         let buf = encode_leaf(&extents);
-        match decode(&buf).unwrap() {
-            Node::Leaf(got) => assert_eq!(got, extents),
-            other => panic!("decoded wrong kind: {other:?}"),
-        }
+        let node = NodeView::parse(&buf).unwrap();
+        assert_eq!(node.kind(), NodeKind::Leaf);
+        assert_eq!(leaf_extents(&node), extents);
+        assert_eq!(node.first_logical(1), Some(Vlba(8)));
+        assert_eq!(node.extent(2), None);
     }
 
     #[test]
@@ -312,22 +301,22 @@ mod tests {
             },
         ];
         let buf = encode_internal(&entries);
-        match decode(&buf).unwrap() {
-            Node::Internal(got) => {
-                assert_eq!(got, entries);
-                assert!(!got[0].is_pruned());
-                assert!(got[1].is_pruned());
-                assert_eq!(got[0].end_logical(), Vlba(100));
-            }
-            other => panic!("decoded wrong kind: {other:?}"),
-        }
+        let node = NodeView::parse(&buf).unwrap();
+        assert_eq!(node.kind(), NodeKind::Internal);
+        let got: Vec<NodeEntry> = node.entries().collect();
+        assert_eq!(got, entries);
+        assert!(!got[0].is_pruned());
+        assert!(got[1].is_pruned());
+        assert_eq!(got[0].end_logical(), Vlba(100));
+        assert_eq!(node.entry(1), Some(entries[1]));
+        assert_eq!(node.entry(2), None);
     }
 
     #[test]
     fn bad_magic_rejected() {
         let buf = [0u8; NODE_SIZE];
         assert_eq!(
-            decode(&buf).unwrap_err(),
+            NodeView::parse(&buf).unwrap_err(),
             LayoutError::BadMagic { found: 0 }
         );
     }
@@ -337,7 +326,7 @@ mod tests {
         let mut buf = encode_leaf(&[]);
         buf[2] = 9;
         assert!(matches!(
-            decode(&buf).unwrap_err(),
+            NodeView::parse(&buf).unwrap_err(),
             LayoutError::BadKind { found: 9 }
         ));
     }
@@ -347,17 +336,47 @@ mod tests {
         let mut buf = encode_leaf(&[]);
         buf[4] = (FANOUT + 1) as u8;
         assert!(matches!(
-            decode(&buf).unwrap_err(),
+            NodeView::parse(&buf).unwrap_err(),
+            LayoutError::BadCount { .. }
+        ));
+        // The count is checked before the kind.
+        buf[2] = 9;
+        assert!(matches!(
+            NodeView::parse(&buf).unwrap_err(),
             LayoutError::BadCount { .. }
         ));
     }
 
     #[test]
-    fn node_empty_and_len() {
+    fn an_empty_node_has_no_entries() {
         let buf = encode_leaf(&[]);
-        let node = decode(&buf).unwrap();
-        assert!(node.is_empty());
-        assert_eq!(node.len(), 0);
+        let node = NodeView::parse(&buf).unwrap();
+        assert_eq!(node.entries().count(), 0);
+        assert_eq!(node.search(Vlba(5)), 0);
+        assert_eq!(node.first_logical(0), None);
+    }
+
+    #[test]
+    fn search_counts_keys_at_or_below() {
+        let extents: Vec<ExtentMapping> = (0..FANOUT as u64)
+            .map(|i| ExtentMapping::new(Vlba(i * 10), Plba(i), 1))
+            .collect();
+        let buf = encode_leaf(&extents);
+        let node = NodeView::parse(&buf).unwrap();
+        for (v, want) in [(0, 1), (9, 1), (10, 2), (190, FANOUT), (u64::MAX, FANOUT)] {
+            assert_eq!(node.search(Vlba(v)), want, "vLBA {v}");
+        }
+    }
+
+    #[test]
+    fn a_node_across_a_page_boundary_reads_through_scratch() {
+        let mut mem = HostMemory::new();
+        let extents = [ExtentMapping::new(Vlba(3), Plba(9), 2)];
+        let addr = 2 * 4096 - 64;
+        mem.write(addr, &encode_leaf(&extents));
+        let mut scratch = [0u8; NODE_SIZE];
+        let node = NodeView::read(&mem, addr, &mut scratch).unwrap();
+        assert_eq!(leaf_extents(&node), extents);
     }
 
     #[test]
@@ -384,10 +403,9 @@ mod tests {
                 .map(|&(l, p, n)| ExtentMapping::new(Vlba(l), Plba(p), n))
                 .collect();
             let buf = encode_leaf(&extents);
-            match decode(&buf).unwrap() {
-                Node::Leaf(got) => prop_assert_eq!(got, extents),
-                other => return Err(TestCaseError::fail(format!("wrong kind: {other:?}"))),
-            }
+            let node = NodeView::parse(&buf).unwrap();
+            prop_assert_eq!(node.kind(), NodeKind::Leaf);
+            prop_assert_eq!(leaf_extents(&node), extents);
         }
     }
 }

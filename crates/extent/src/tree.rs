@@ -16,9 +16,8 @@
 
 use nesc_pcie::{HostAddr, HostMemory};
 
-use crate::layout::{self, Node, NodeEntry, FANOUT, NODE_SIZE};
+use crate::layout::{self, NodeEntry, NodeKind, NodeView, FANOUT, NODE_SIZE};
 use crate::types::{ExtentMapping, Vlba};
-use crate::walk::read_node;
 
 /// Error inserting an extent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,6 +153,13 @@ impl ExtentTree {
             .filter(|e| e.contains(v))
     }
 
+    /// The first block of the first extent that starts after `v`, if any:
+    /// for an unmapped `v`, where the hole at `v` ends.
+    pub fn next_start_after(&self, v: Vlba) -> Option<Vlba> {
+        let pos = self.extents.partition_point(|e| e.logical <= v);
+        self.extents.get(pos).map(|e| e.logical)
+    }
+
     /// Unmaps `[start, start+len)`, splitting extents as needed (hole
     /// punching / truncation). Blocks already unmapped are ignored.
     pub fn remove_range(&mut self, start: Vlba, len: u64) {
@@ -250,18 +256,19 @@ impl ExtentTree {
         if depth < 2 {
             return false;
         }
+        let mut scratch = [0u8; NODE_SIZE];
         // Descend to the last internal level, left to right.
         let mut level = vec![root];
         for _ in 2..depth {
             let mut next = Vec::with_capacity(level.len() * FANOUT);
             for &addr in &level {
-                let Ok(Node::Internal(entries)) = read_node(mem, addr) else {
+                let Some(node) = internal(mem, addr, &mut scratch) else {
                     return false;
                 };
-                if entries.iter().any(NodeEntry::is_pruned) {
+                if node.entries().any(|e| e.is_pruned()) {
                     return false;
                 }
-                next.extend(entries.iter().map(|e| e.child));
+                next.extend(node.entries().map(|e| e.child));
             }
             level = next;
         }
@@ -271,10 +278,10 @@ impl ExtentTree {
         let mut pruned: Vec<(HostAddr, &[ExtentMapping])> = Vec::new();
         let mut k = 0;
         for &addr in &level {
-            let Ok(Node::Internal(entries)) = read_node(mem, addr) else {
+            let Some(node) = internal(mem, addr, &mut scratch) else {
                 return false;
             };
-            for (i, e) in entries.iter().enumerate() {
+            for (i, e) in node.entries().enumerate() {
                 if e.is_pruned() {
                     let Some(chunk) = self.extents.chunks(FANOUT).nth(k) else {
                         return false;
@@ -309,6 +316,18 @@ impl ExtentTree {
         }
         depth
     }
+}
+
+/// The internal node at `addr`, or `None` if it does not parse or is a
+/// leaf.
+fn internal<'a>(
+    mem: &'a HostMemory,
+    addr: HostAddr,
+    scratch: &'a mut [u8; NODE_SIZE],
+) -> Option<NodeView<'a>> {
+    NodeView::read(mem, addr, scratch)
+        .ok()
+        .filter(|n| n.kind() == NodeKind::Internal)
 }
 
 impl FromIterator<ExtentMapping> for ExtentTree {
@@ -382,6 +401,26 @@ mod tests {
     }
 
     #[test]
+    fn next_start_after_ends_each_hole() {
+        let t: ExtentTree = [
+            ExtentMapping::new(Vlba(3), Plba(10), 2),
+            ExtentMapping::new(Vlba(10), Plba(20), 2),
+        ]
+        .into_iter()
+        .collect();
+        for (v, want) in [
+            (0, Some(3)),
+            (2, Some(3)),
+            (3, Some(10)),
+            (5, Some(10)),
+            (10, None),
+            (99, None),
+        ] {
+            assert_eq!(t.next_start_after(Vlba(v)), want.map(Vlba), "vLBA {v}");
+        }
+    }
+
+    #[test]
     fn remove_range_splits() {
         let mut t = ExtentTree::new();
         t.insert(ExtentMapping::new(Vlba(0), Plba(100), 10))
@@ -429,29 +468,35 @@ mod tests {
         assert_eq!(t.serialized_depth(), 1);
     }
 
+    /// A node's entries, as [`levels`] compares them.
+    #[derive(Debug, PartialEq, Eq)]
+    enum Flat {
+        Internal(Vec<NodeEntry>),
+        Leaf(Vec<ExtentMapping>),
+    }
+
     /// Every node of the tree at `root`, level by level from the root,
     /// with child addresses zeroed so two serializations compare by
     /// content. Panics on a NULL child pointer.
-    fn levels(mem: &HostMemory, root: HostAddr) -> Vec<Vec<Node>> {
+    fn levels(mem: &HostMemory, root: HostAddr) -> Vec<Vec<Flat>> {
         let mut out = Vec::new();
         let mut level = vec![root];
+        let mut scratch = [0u8; NODE_SIZE];
         while !level.is_empty() {
             let (mut nodes, mut next) = (Vec::new(), Vec::new());
             for &addr in &level {
-                match read_node(mem, addr).expect("node decodes") {
-                    Node::Internal(entries) => {
-                        assert!(!entries.iter().any(NodeEntry::is_pruned), "a NULL survived");
-                        next.extend(entries.iter().map(|e| e.child));
-                        let unlinked = |i: usize| NodeEntry {
-                            child: 0,
-                            ..entries[i]
-                        };
-                        nodes.push(Node::Internal(layout::NodeList::from_fn(
-                            entries.len(),
-                            unlinked,
-                        )));
+                let node = NodeView::read(mem, addr, &mut scratch).expect("node parses");
+                match node.kind() {
+                    NodeKind::Internal => {
+                        assert!(!node.entries().any(|e| e.is_pruned()), "a NULL survived");
+                        next.extend(node.entries().map(|e| e.child));
+                        let unlinked = node.entries().map(|e| NodeEntry { child: 0, ..e });
+                        nodes.push(Flat::Internal(unlinked.collect()));
                     }
-                    leaf => nodes.push(leaf),
+                    NodeKind::Leaf => {
+                        let extents = (0..FANOUT).map_while(|i| node.extent(i));
+                        nodes.push(Flat::Leaf(extents.collect()));
+                    }
                 }
             }
             out.push(nodes);

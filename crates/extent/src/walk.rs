@@ -10,11 +10,14 @@
 //!
 //! The function here is the *functional* walk; the controller model in
 //! `nesc-core` charges one tree-node DMA per level reported in
-//! [`WalkResult::levels`].
+//! [`WalkResult::levels`]. Like the hardware, it reads each node where it
+//! lives ([`NodeView`]): the header is checked, one binary search over the
+//! entries' first-logical keys picks the candidate, and only that entry is
+//! decoded. A node is copied only when it straddles a host page boundary.
 
 use nesc_pcie::{HostAddr, HostMemory};
 
-use crate::layout::{self, LayoutError, Node, NODE_SIZE};
+use crate::layout::{self, LayoutError, NodeEntry, NodeKind, NodeView, NODE_SIZE};
 use crate::types::{ExtentMapping, Vlba};
 
 /// Outcome of walking a serialized extent tree for one vLBA.
@@ -46,12 +49,6 @@ pub struct WalkResult {
     /// Number of nodes read — the number of DMA round trips the hardware
     /// pays for this walk.
     pub levels: u32,
-}
-
-pub(crate) fn read_node(mem: &HostMemory, addr: HostAddr) -> Result<Node, LayoutError> {
-    let mut buf = [0u8; NODE_SIZE];
-    mem.read(addr, &mut buf);
-    layout::decode(&buf)
 }
 
 /// Result of one run-sized walk: the outcome for the probed vLBA plus how
@@ -123,9 +120,10 @@ pub fn walk_run(mem: &HostMemory, root: HostAddr, vlba: Vlba, max_blocks: u64) -
     // through; a hole span must not cross it, or later blocks of the span
     // would walk a different path (different levels, different nodes).
     let mut path_bound = u64::MAX;
+    let mut scratch = [0u8; NODE_SIZE];
     loop {
         levels += 1;
-        let node = match read_node(mem, addr) {
+        let node = match NodeView::read(mem, addr, &mut scratch) {
             Ok(n) => n,
             Err(e) => {
                 return WalkRun {
@@ -137,70 +135,66 @@ pub fn walk_run(mem: &HostMemory, root: HostAddr, vlba: Vlba, max_blocks: u64) -
                 }
             }
         };
-        match node {
-            Node::Leaf(extents) => {
-                let pos = extents.partition_point(|e| e.logical <= vlba);
+        let pos = node.search(vlba);
+        // A hole at `vlba` ends at the next entry's start, or at the
+        // subtree's coverage bound if no entry follows.
+        let bound = node
+            .first_logical(pos)
+            .map_or(path_bound, |next| next.0.min(path_bound));
+        match node.kind() {
+            NodeKind::Leaf => {
                 let hit = pos
                     .checked_sub(1)
-                    .map(|i| extents[i])
+                    .and_then(|i| node.extent(i))
                     .filter(|e| e.contains(vlba));
                 let (outcome, run) = match hit {
                     Some(e) => (WalkOutcome::Mapped(e), e.covered_run(vlba, max_blocks)),
-                    None => {
-                        // The hole runs to the next extent in this leaf, or
-                        // to the subtree's coverage bound if none follows.
-                        let bound = extents
-                            .get(pos)
-                            .map_or(path_bound, |e| e.logical.0.min(path_bound));
-                        (WalkOutcome::Hole, hole_run(vlba, bound, max_blocks))
-                    }
+                    None => (WalkOutcome::Hole, hole_run(vlba, bound, max_blocks)),
                 };
                 return WalkRun {
                     result: WalkResult { outcome, levels },
                     run,
                 };
             }
-            Node::Internal(entries) => {
-                let pos = entries.partition_point(|e| e.first_logical <= vlba);
-                let hit = pos
-                    .checked_sub(1)
-                    .map(|i| (i, entries[i]))
-                    .filter(|(_, e)| vlba < e.end_logical());
-                match hit {
-                    Some((i, e)) if e.is_pruned() => {
-                        return WalkRun {
-                            result: WalkResult {
-                                outcome: WalkOutcome::Pruned {
-                                    node: addr,
-                                    entry: i,
-                                },
-                                levels,
+            NodeKind::Internal => match covering_entry(&node, pos, vlba) {
+                Some((i, e)) if e.is_pruned() => {
+                    return WalkRun {
+                        result: WalkResult {
+                            outcome: WalkOutcome::Pruned {
+                                node: addr,
+                                entry: i,
                             },
-                            run: 1,
-                        }
-                    }
-                    Some((_, e)) => {
-                        path_bound = path_bound.min(e.end_logical().0);
-                        addr = e.child;
-                    }
-                    None => {
-                        // Gap between entries: every block up to the next
-                        // entry's start resolves Hole at this very node.
-                        let bound = entries
-                            .get(pos)
-                            .map_or(path_bound, |e| e.first_logical.0.min(path_bound));
-                        return WalkRun {
-                            result: WalkResult {
-                                outcome: WalkOutcome::Hole,
-                                levels,
-                            },
-                            run: hole_run(vlba, bound, max_blocks),
-                        };
+                            levels,
+                        },
+                        run: 1,
                     }
                 }
-            }
+                Some((_, e)) => {
+                    path_bound = path_bound.min(e.end_logical().0);
+                    addr = e.child;
+                }
+                // Gap between entries: the hole resolves at this very node.
+                None => {
+                    return WalkRun {
+                        result: WalkResult {
+                            outcome: WalkOutcome::Hole,
+                            levels,
+                        },
+                        run: hole_run(vlba, bound, max_blocks),
+                    };
+                }
+            },
         }
     }
+}
+
+/// The entry of internal `node` whose range covers `vlba`, with its index,
+/// given `pos = node.search(vlba)`.
+fn covering_entry(node: &NodeView<'_>, pos: usize, vlba: Vlba) -> Option<(usize, NodeEntry)> {
+    let i = pos.checked_sub(1)?;
+    node.entry(i)
+        .filter(|e| vlba < e.end_logical())
+        .map(|e| (i, e))
 }
 
 /// Span of a hole starting at `vlba` that ends before `bound`, capped at
@@ -218,39 +212,257 @@ fn hole_run(vlba: Vlba, bound: u64, max_blocks: u64) -> u64 {
 /// This is the hypervisor-side "memory pressure" operation the paper
 /// describes; the read/write paths then observe [`WalkOutcome::Pruned`].
 pub fn prune_covering(mem: &mut HostMemory, root: HostAddr, vlba: Vlba) -> bool {
+    // Walk down to the covering leaf, one read per node, remembering the
+    // child pointer slot that led to the current node: when the walk
+    // reaches a leaf, that slot is the deepest prunable one (which
+    // minimizes the mappings lost).
+    let mut slot = None;
     let mut addr = root;
+    let mut scratch = [0u8; NODE_SIZE];
     loop {
-        let node = match read_node(mem, addr) {
-            Ok(n) => n,
-            Err(_) => return false,
+        let Ok(node) = NodeView::read(mem, addr, &mut scratch) else {
+            return false;
         };
-        match node {
-            Node::Leaf(_) => return false,
-            Node::Internal(entries) => {
-                let pos = entries.partition_point(|e| e.first_logical <= vlba);
-                let hit = pos
-                    .checked_sub(1)
-                    .map(|i| (i, entries[i]))
-                    .filter(|(_, e)| vlba < e.end_logical());
-                match hit {
-                    None => return false,
-                    // Already pruned at this level: nothing changes.
-                    Some((_, e)) if e.is_pruned() => return false,
-                    Some((i, e)) => {
-                        // If the child is a leaf, prune here; otherwise
-                        // descend to prune as deep as possible (minimizes
-                        // the mappings lost).
-                        let child_is_leaf = matches!(read_node(mem, e.child), Ok(Node::Leaf(_)));
-                        if child_is_leaf {
-                            let off = addr + layout::child_ptr_offset(i) as u64;
-                            mem.write_u64(off, 0);
-                            return true;
+        if node.kind() == NodeKind::Leaf {
+            break;
+        }
+        match covering_entry(&node, node.search(vlba), vlba) {
+            // A hole, or already pruned at this level: nothing changes.
+            None => return false,
+            Some((_, e)) if e.is_pruned() => return false,
+            Some((i, e)) => {
+                slot = Some(addr + layout::child_ptr_offset(i) as u64);
+                addr = e.child;
+            }
+        }
+    }
+    // A root that is itself a leaf has no pointer to cut.
+    let Some(slot) = slot else {
+        return false;
+    };
+    mem.write_u64(slot, 0);
+    true
+}
+
+#[cfg(test)]
+pub(crate) mod reference {
+    //! Reference model for the in-place readers: every node is copied out
+    //! of host memory and all of its entries decoded before a binary
+    //! search over the decoded list. The walk, the prune and the re-link
+    //! below read nodes only this way; the tests require the in-place
+    //! readers to agree with them.
+
+    use super::*;
+    use crate::layout::{ENTRY_SIZE, FANOUT, HEADER_SIZE};
+    use crate::tree::ExtentTree;
+    use crate::types::Plba;
+
+    const MAGIC: u16 = 0x4E53;
+
+    /// A fully decoded node.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Node {
+        Internal(Vec<NodeEntry>),
+        Leaf(Vec<ExtentMapping>),
+    }
+
+    pub fn decode(buf: &[u8; NODE_SIZE]) -> Result<Node, LayoutError> {
+        let magic = u16::from_le_bytes([buf[0], buf[1]]);
+        if magic != MAGIC {
+            return Err(LayoutError::BadMagic { found: magic });
+        }
+        let kind = u16::from_le_bytes([buf[2], buf[3]]);
+        let count = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]);
+        if count as usize > FANOUT {
+            return Err(LayoutError::BadCount { found: count });
+        }
+        let word = |off: usize| u64::from_le_bytes(buf[off..off + 8].try_into().unwrap());
+        let offs = (0..count as usize).map(|i| HEADER_SIZE + i * ENTRY_SIZE);
+        match kind {
+            1 => Ok(Node::Internal(
+                offs.map(|off| NodeEntry {
+                    first_logical: Vlba(word(off)),
+                    blocks: word(off + 8),
+                    child: word(off + 16),
+                })
+                .collect(),
+            )),
+            2 => Ok(Node::Leaf(
+                offs.map(|off| ExtentMapping {
+                    logical: Vlba(word(off)),
+                    len: word(off + 8),
+                    physical: Plba(word(off + 16)),
+                })
+                .collect(),
+            )),
+            other => Err(LayoutError::BadKind { found: other }),
+        }
+    }
+
+    pub fn read_node(mem: &HostMemory, addr: HostAddr) -> Result<Node, LayoutError> {
+        let mut buf = [0u8; NODE_SIZE];
+        mem.read(addr, &mut buf);
+        decode(&buf)
+    }
+
+    pub fn walk_run(mem: &HostMemory, root: HostAddr, vlba: Vlba, max_blocks: u64) -> WalkRun {
+        let max_blocks = max_blocks.max(1);
+        let (mut addr, mut levels, mut path_bound) = (root, 0u32, u64::MAX);
+        let done = |outcome, levels, run| WalkRun {
+            result: WalkResult { outcome, levels },
+            run,
+        };
+        loop {
+            levels += 1;
+            match read_node(mem, addr) {
+                Err(e) => return done(WalkOutcome::Corrupt(e), levels, 1),
+                Ok(Node::Leaf(extents)) => {
+                    let pos = extents.partition_point(|e| e.logical <= vlba);
+                    let hit = pos
+                        .checked_sub(1)
+                        .map(|i| extents[i])
+                        .filter(|e| e.contains(vlba));
+                    return match hit {
+                        Some(e) => done(
+                            WalkOutcome::Mapped(e),
+                            levels,
+                            e.covered_run(vlba, max_blocks),
+                        ),
+                        None => {
+                            let bound = extents
+                                .get(pos)
+                                .map_or(path_bound, |e| e.logical.0.min(path_bound));
+                            done(WalkOutcome::Hole, levels, hole_run(vlba, bound, max_blocks))
                         }
-                        addr = e.child;
+                    };
+                }
+                Ok(Node::Internal(entries)) => {
+                    let pos = entries.partition_point(|e| e.first_logical <= vlba);
+                    let hit = pos
+                        .checked_sub(1)
+                        .map(|i| (i, entries[i]))
+                        .filter(|(_, e)| vlba < e.end_logical());
+                    match hit {
+                        Some((i, e)) if e.is_pruned() => {
+                            return done(
+                                WalkOutcome::Pruned {
+                                    node: addr,
+                                    entry: i,
+                                },
+                                levels,
+                                1,
+                            )
+                        }
+                        Some((_, e)) => {
+                            path_bound = path_bound.min(e.end_logical().0);
+                            addr = e.child;
+                        }
+                        None => {
+                            let bound = entries
+                                .get(pos)
+                                .map_or(path_bound, |e| e.first_logical.0.min(path_bound));
+                            return done(
+                                WalkOutcome::Hole,
+                                levels,
+                                hole_run(vlba, bound, max_blocks),
+                            );
+                        }
                     }
                 }
             }
         }
+    }
+
+    /// Reads the covering child once to see whether it is a leaf, and
+    /// again on descending into it.
+    pub fn prune_covering(mem: &mut HostMemory, root: HostAddr, vlba: Vlba) -> bool {
+        let mut addr = root;
+        loop {
+            let Ok(Node::Internal(entries)) = read_node(mem, addr) else {
+                return false;
+            };
+            let pos = entries.partition_point(|e| e.first_logical <= vlba);
+            let hit = pos
+                .checked_sub(1)
+                .map(|i| (i, entries[i]))
+                .filter(|(_, e)| vlba < e.end_logical());
+            match hit {
+                None => return false,
+                Some((_, e)) if e.is_pruned() => return false,
+                Some((i, e)) => {
+                    if matches!(read_node(mem, e.child), Ok(Node::Leaf(_))) {
+                        mem.write_u64(addr + layout::child_ptr_offset(i) as u64, 0);
+                        return true;
+                    }
+                    addr = e.child;
+                }
+            }
+        }
+    }
+
+    pub fn relink_pruned(tree: &ExtentTree, mem: &mut HostMemory, root: HostAddr) -> bool {
+        let extents: Vec<ExtentMapping> = tree.iter().copied().collect();
+        let depth = tree.serialized_depth();
+        if depth < 2 {
+            return false;
+        }
+        let mut level = vec![root];
+        for _ in 2..depth {
+            let mut next = Vec::new();
+            for &addr in &level {
+                let Ok(Node::Internal(entries)) = read_node(mem, addr) else {
+                    return false;
+                };
+                if entries.iter().any(NodeEntry::is_pruned) {
+                    return false;
+                }
+                next.extend(entries.iter().map(|e| e.child));
+            }
+            level = next;
+        }
+        let mut pruned: Vec<(HostAddr, &[ExtentMapping])> = Vec::new();
+        let mut k = 0;
+        for &addr in &level {
+            let Ok(Node::Internal(entries)) = read_node(mem, addr) else {
+                return false;
+            };
+            for (i, e) in entries.iter().enumerate() {
+                if e.is_pruned() {
+                    let Some(chunk) = extents.chunks(FANOUT).nth(k) else {
+                        return false;
+                    };
+                    let end = chunk[chunk.len() - 1].end_logical();
+                    if chunk[0].logical != e.first_logical || end != e.end_logical() {
+                        return false;
+                    }
+                    pruned.push((addr + layout::child_ptr_offset(i) as u64, chunk));
+                }
+                k += 1;
+            }
+        }
+        if k != extents.len().div_ceil(FANOUT) {
+            return false;
+        }
+        for (slot, chunk) in pruned {
+            let leaf = mem.alloc(NODE_SIZE as u64, 64);
+            mem.write(leaf, &layout::encode_leaf(chunk));
+            mem.write_u64(slot, leaf);
+        }
+        true
+    }
+
+    /// The address of every node reachable from `root` through non-NULL
+    /// child pointers of nodes that decode, root first.
+    pub fn nodes(mem: &HostMemory, root: HostAddr) -> Vec<HostAddr> {
+        let mut out = vec![root];
+        let mut i = 0;
+        while let Some(&addr) = out.get(i) {
+            if let Ok(Node::Internal(entries)) = read_node(mem, addr) {
+                out.extend(entries.iter().filter(|e| !e.is_pruned()).map(|e| e.child));
+            }
+            i += 1;
+        }
+        out
     }
 }
 
@@ -260,6 +472,7 @@ mod tests {
     use crate::layout::FANOUT;
     use crate::tree::ExtentTree;
     use crate::types::Plba;
+    use crate::walk::reference;
     use proptest::prelude::*;
 
     fn fragmented_tree(n: u64) -> ExtentTree {
@@ -452,6 +665,177 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Extents laid out from `(gap, len)` pairs, each `gap` blocks after
+    /// the previous one ends, physically far above every tree node (a leaf
+    /// whose kind is corrupted to internal points its "children" there)
+    /// and apart, so none merge.
+    fn shaped(shape: &[(u64, u64)]) -> ExtentTree {
+        let mut cursor = 0;
+        shape
+            .iter()
+            .enumerate()
+            .map(|(i, &(gap, len))| {
+                let e =
+                    ExtentMapping::new(Vlba(cursor + gap), Plba((1 << 40) + i as u64 * 16), len);
+                cursor += gap + len;
+                e
+            })
+            .collect()
+    }
+
+    /// Two host memories holding the same serialization of `t`, placed
+    /// after `pad` bytes so nodes fall at different page offsets: the
+    /// first for the in-place readers, the second for the reference.
+    /// Returns them, the root and the start of the serialization.
+    fn twins(t: &ExtentTree, pad: u64) -> (HostMemory, HostMemory, HostAddr, HostAddr) {
+        let build = || {
+            let mut mem = HostMemory::new();
+            let lo = mem.alloc(pad, 1);
+            let root = t.serialize(&mut mem);
+            (mem, root, lo)
+        };
+        let ((a, root, lo), (b, _, _)) = (build(), build());
+        (a, b, root, lo)
+    }
+
+    /// Everything from `lo` to the allocators' next free byte must be
+    /// equal in both memories, and so must the allocators.
+    fn same_bytes(
+        a: &mut HostMemory,
+        b: &mut HostMemory,
+        lo: HostAddr,
+    ) -> Result<(), TestCaseError> {
+        let hi = a.alloc(1, 1);
+        prop_assert_eq!(hi, b.alloc(1, 1));
+        prop_assert!(a.read_vec(lo, (hi - lo) as usize) == b.read_vec(lo, (hi - lo) as usize));
+        prop_assert_eq!(a.resident_pages(), b.resident_pages());
+        Ok(())
+    }
+
+    /// Every probe walks to the same outcome, run and level count on both.
+    fn same_walks(
+        a: &HostMemory,
+        b: &HostMemory,
+        root: HostAddr,
+        probes: &[(u64, u64)],
+        end: u64,
+    ) -> Result<(), TestCaseError> {
+        for &(v, max) in probes {
+            let v = Vlba(v % (end + 64));
+            prop_assert_eq!(
+                walk_run(a, root, v, max),
+                reference::walk_run(b, root, v, max)
+            );
+        }
+        Ok(())
+    }
+
+    /// Prunes `victims` on both, then re-links both: every return value,
+    /// every byte written and every walk agrees along the way.
+    fn same_prunes_and_relink(
+        t: &ExtentTree,
+        (a, b): (&mut HostMemory, &mut HostMemory),
+        (root, lo): (HostAddr, HostAddr),
+        victims: &[u64],
+        probes: &[(u64, u64)],
+    ) -> Result<(), TestCaseError> {
+        let end = t.logical_end().0.max(1);
+        for &v in victims {
+            let v = Vlba(v % end);
+            prop_assert_eq!(
+                prune_covering(a, root, v),
+                reference::prune_covering(b, root, v)
+            );
+        }
+        same_bytes(a, b, lo)?;
+        same_walks(a, b, root, probes, end)?;
+        prop_assert_eq!(
+            t.relink_pruned(a, root),
+            reference::relink_pruned(t, b, root)
+        );
+        same_bytes(a, b, lo)?;
+        same_walks(a, b, root, probes, end)
+    }
+
+    #[test]
+    fn a_root_on_an_unmaterialized_page_is_corrupt_on_both() {
+        let mut mem = HostMemory::new();
+        let root = ExtentTree::new().serialize(&mut mem);
+        for addr in [0x50_0000, 0x50_0000 + 4096 - 64, root + 4096] {
+            let got = walk_run(&mem, addr, Vlba(3), 8);
+            assert_eq!(got, reference::walk_run(&mem, addr, Vlba(3), 8));
+            assert_eq!(
+                got.result.outcome,
+                WalkOutcome::Corrupt(LayoutError::BadMagic { found: 0 })
+            );
+            assert!(!prune_covering(&mut mem, addr, Vlba(3)));
+        }
+        assert_eq!(mem.resident_pages(), 1, "reads fault no page in");
+    }
+
+    #[test]
+    fn a_root_across_a_page_boundary_walks_as_the_reference() {
+        let t = fragmented_tree((FANOUT * FANOUT) as u64 + 1);
+        let straddles = (0..64u64).map(|k| k * 64).find_map(|pad| {
+            let (a, b, root, lo) = twins(&t, pad);
+            (root % 4096 > 4096 - NODE_SIZE as u64).then_some((a, b, root, lo))
+        });
+        let (mut a, mut b, root, lo) = straddles.expect("some pad puts the root across a page");
+        let probes: Vec<(u64, u64)> = (0..900).map(|v| (v, 1 + v % 70)).collect();
+        same_prunes_and_relink(&t, (&mut a, &mut b), (root, lo), &[0, 1, 405, 799], &probes)
+            .unwrap();
+    }
+
+    proptest! {
+        /// The in-place readers agree with the decode-then-search
+        /// reference on random trees of depth 1 to 3 at random page
+        /// offsets: every walk (outcome, run and levels), every prune's
+        /// answer and bytes, and the re-link after them.
+        #[test]
+        fn prop_in_place_readers_match_the_reference(
+            shape in proptest::collection::vec((0u64..4, 1u64..5), 1..1_000),
+            pad in 0u64..4096,
+            victims in proptest::collection::vec(0u64..1_000_000, 0..12),
+            probes in proptest::collection::vec((0u64..1_000_000, 1u64..100), 1..40),
+        ) {
+            let t = shaped(&shape);
+            let (mut a, mut b, root, lo) = twins(&t, pad);
+            same_walks(&a, &b, root, &probes, t.logical_end().0)?;
+            same_prunes_and_relink(&t, (&mut a, &mut b), (root, lo), &victims, &probes)?;
+        }
+
+        /// The same agreement after one header field or key of one node is
+        /// corrupted: a bad magic, kind or count, a key that breaks the
+        /// node's order, or a child pointer into an unmaterialized page.
+        #[test]
+        fn prop_corrupt_nodes_read_as_the_reference(
+            shape in proptest::collection::vec((0u64..4, 1u64..5), 1..1_000),
+            pad in 0u64..4096,
+            (which, field, value) in (0usize..10_000, 0u8..5, any::<u64>()),
+            entry in 0usize..FANOUT,
+            victims in proptest::collection::vec(0u64..1_000_000, 0..6),
+            probes in proptest::collection::vec((0u64..1_000_000, 1u64..100), 1..40),
+        ) {
+            let t = shaped(&shape);
+            let (mut a, mut b, root, lo) = twins(&t, pad);
+            let nodes = reference::nodes(&b, root);
+            let node = nodes[which % nodes.len()];
+            let at = |off: usize| node + off as u64;
+            let key = at(layout::HEADER_SIZE + entry * layout::ENTRY_SIZE);
+            for mem in [&mut a, &mut b] {
+                match field {
+                    0 => mem.write(at(0), &(value as u16).to_le_bytes()),
+                    1 => mem.write(at(2), &(value as u16 % 4).to_le_bytes()),
+                    2 => mem.write_u32(at(4), value as u32 % (FANOUT as u32 + 3)),
+                    3 => mem.write_u64(key, value % (t.logical_end().0 + 64)),
+                    _ => mem.write_u64(key + 16, (1 << 41) + value % (1 << 30)),
+                }
+            }
+            same_walks(&a, &b, root, &probes, t.logical_end().0)?;
+            same_prunes_and_relink(&t, (&mut a, &mut b), (root, lo), &victims, &probes)?;
         }
     }
 

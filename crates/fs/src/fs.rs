@@ -388,13 +388,13 @@ impl Filesystem {
                 v = e.end_logical().min(end);
                 continue;
             }
-            // Length of the unmapped stretch (up to end or next mapping).
-            let mut run_len = 0u64;
-            let mut probe = v;
-            while probe < end && self.inode(ino)?.extents().lookup(probe).is_none() {
-                run_len += 1;
-                probe = probe.offset(1);
-            }
+            // The unmapped stretch runs to the next mapping or to `end`.
+            let stretch_end = self
+                .inode(ino)?
+                .extents()
+                .next_start_after(v)
+                .map_or(end, |next| next.min(end));
+            let run_len = stretch_end.distance_from(v);
             // Goal: extend the file contiguously after its previous block.
             let goal = if v.0 > 0 {
                 self.inode(ino)?
@@ -413,7 +413,7 @@ impl Filesystem {
                 logical = logical.offset(run.len);
                 allocated += run.len;
             }
-            v = probe;
+            v = stretch_end;
         }
         let bytes = self.journal.commit().map(|c| c.bytes).unwrap_or(0);
         Ok(MutationStats {
@@ -840,7 +840,80 @@ mod tests {
         ));
     }
 
+    /// Reference model of `allocate_range` that finds where an unmapped
+    /// stretch ends by looking up each of its blocks in turn.
+    fn allocate_range_per_block(
+        fs: &mut Filesystem,
+        ino: Ino,
+        start: Vlba,
+        blocks: u64,
+    ) -> Result<MutationStats, FsError> {
+        fs.inode(ino)?;
+        let mut allocated = 0u64;
+        let mut v = start;
+        let end = start.offset(blocks);
+        while v < end {
+            if let Some(e) = fs.inode(ino)?.extents().lookup(v) {
+                v = e.end_logical().min(end);
+                continue;
+            }
+            let mut run_len = 0u64;
+            let mut probe = v;
+            while probe < end && fs.inode(ino)?.extents().lookup(probe).is_none() {
+                run_len += 1;
+                probe = probe.offset(1);
+            }
+            let goal = if v.0 > 0 {
+                fs.inode(ino)?.block_at(Vlba(v.0 - 1)).map(|p| p.offset(1))
+            } else {
+                None
+            };
+            let mut logical = v;
+            for run in fs.allocator.allocate(run_len, goal)? {
+                let mapping = ExtentMapping::new(logical, run.start, run.len);
+                fs.inode_mut(ino)?.extents_mut().insert(mapping)?;
+                fs.journal.append(JournalRecord::AddExtent { ino, mapping });
+                logical = logical.offset(run.len);
+                allocated += run.len;
+            }
+            v = probe;
+        }
+        let bytes = fs.journal.commit().map(|c| c.bytes).unwrap_or(0);
+        Ok(MutationStats {
+            allocated_blocks: allocated,
+            journal_bytes: bytes,
+        })
+    }
+
     proptest! {
+        /// On a file fragmented by random allocations and punched holes,
+        /// `allocate_range` leaves the same extents, journal records,
+        /// free space and `MutationStats` (or error) as the per-block
+        /// reference, call after call, out of space included.
+        #[test]
+        fn prop_allocate_range_matches_per_block(
+            ops in proptest::collection::vec((any::<bool>(), 0u64..600, 1u64..200), 1..40),
+        ) {
+            let (mut fs, mut reference) = (Filesystem::format(600), Filesystem::format(600));
+            let ino = fs.create("f").unwrap();
+            prop_assert_eq!(reference.create("f").unwrap(), ino);
+            for &(punch, start, blocks) in &ops {
+                let (start, ours, theirs) = (Vlba(start), &mut fs, &mut reference);
+                if punch {
+                    prop_assert_eq!(ours.punch_hole(ino, start, blocks), theirs.punch_hole(ino, start, blocks));
+                } else {
+                    prop_assert_eq!(
+                        ours.allocate_range(ino, start, blocks),
+                        allocate_range_per_block(theirs, ino, start, blocks)
+                    );
+                }
+                prop_assert_eq!(fs.extent_tree(ino).unwrap(), reference.extent_tree(ino).unwrap());
+                prop_assert!(fs.journal().committed_records().eq(reference.journal().committed_records()));
+                prop_assert_eq!(fs.journal().pending_records(), reference.journal().pending_records());
+                prop_assert_eq!(fs.free_blocks(), reference.free_blocks());
+            }
+        }
+
         /// Random writes at random offsets: the filesystem agrees with an
         /// in-memory reference file byte-for-byte.
         #[test]

@@ -103,6 +103,36 @@ impl HostMemory {
         }
     }
 
+    /// The `N` bytes at `addr`, borrowed where they live when the range
+    /// lies inside one page: a resident page lends its own bytes, an
+    /// unmaterialized one reads as zeros without a copy. A range that
+    /// crosses a page boundary is copied into `scratch` by
+    /// [`read`](HostMemory::read), which is returned instead. Either way
+    /// the bytes equal what `read(addr, scratch)` would leave in `scratch`;
+    /// `scratch` itself is written only on the fallback.
+    pub fn read_in_place<'a, const N: usize>(
+        &'a self,
+        addr: HostAddr,
+        scratch: &'a mut [u8; N],
+    ) -> &'a [u8; N] {
+        static ZEROS: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+        let in_page = (addr as usize) & (PAGE_SIZE - 1);
+        if in_page + N <= PAGE_SIZE {
+            let page = match self.pages.get(&(addr >> PAGE_SHIFT)) {
+                Some(p) => &p[..],
+                None => &ZEROS[..],
+            };
+            if let Some(bytes) = page
+                .get(in_page..in_page + N)
+                .and_then(|s| s.try_into().ok())
+            {
+                return bytes;
+            }
+        }
+        self.read(addr, scratch);
+        scratch
+    }
+
     /// Writes `data` starting at `addr`, allocating backing pages on demand.
     pub fn write(&mut self, addr: HostAddr, data: &[u8]) {
         let mut off = 0usize;
@@ -349,6 +379,29 @@ mod tests {
         assert_eq!(mem.read_vec(0x3000 + 3 * PAGE_SIZE as u64 + 17, 1)[0], 0);
     }
 
+    #[test]
+    fn read_in_place_borrows_within_a_page_and_copies_across() {
+        let mut mem = HostMemory::new();
+        let page = PAGE_SIZE as u64;
+        let data: Vec<u8> = (0..2 * PAGE_SIZE).map(|i| (i % 253) as u8 + 1).collect();
+        mem.write(page * 3, &data);
+        // Inside a resident page: the page's own bytes, scratch untouched.
+        let mut scratch = [0xEEu8; 64];
+        let got = mem.read_in_place(page * 3 + 100, &mut scratch);
+        assert_eq!(got[..], data[100..164]);
+        assert!(!std::ptr::eq(got, &scratch));
+        assert_eq!(scratch, [0xEE; 64]);
+        // Across the boundary: copied into scratch.
+        let got = *mem.read_in_place(page * 4 - 32, &mut scratch);
+        assert_eq!(got[..], data[PAGE_SIZE - 32..PAGE_SIZE + 32]);
+        assert_eq!(scratch, got);
+        // An unmaterialized page reads as zeros and stays absent.
+        let mut scratch = [0xEEu8; 64];
+        assert_eq!(*mem.read_in_place(page * 9 + 8, &mut scratch), [0; 64]);
+        assert_eq!(scratch, [0xEE; 64]);
+        assert_eq!(mem.resident_pages(), 2);
+    }
+
     /// `mem` after copying the model's way: stage the source, write it.
     fn model_copy(mem: &HostMemory, src: HostAddr, dst: HostAddr, len: u64) -> HostMemory {
         let mut model = HostMemory::new();
@@ -435,6 +488,22 @@ mod tests {
             mem.copy(src, dst, len);
             prop_assert_eq!(mem.read_vec(0, 60_000), want.read_vec(0, 60_000));
             prop_assert!(mem.resident_pages() <= want.resident_pages());
+        }
+
+        /// A borrowed read equals a copying one at any address, over
+        /// resident, absent and half-resident ranges alike.
+        #[test]
+        fn prop_read_in_place_matches_read(
+            writes in proptest::collection::vec((0u64..20_000, 1usize..3000), 0..4),
+            addr in 0u64..24_000,
+        ) {
+            let mut mem = HostMemory::new();
+            for (k, &(at, n)) in writes.iter().enumerate() {
+                mem.write(at, &vec![k as u8 + 1; n]);
+            }
+            let mut scratch = [0u8; 512];
+            let got = *mem.read_in_place(addr, &mut scratch);
+            prop_assert_eq!(got.to_vec(), mem.read_vec(addr, 512));
         }
 
         /// What you write is what you read, at arbitrary (mis)alignments.

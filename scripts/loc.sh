@@ -7,8 +7,8 @@
 # `probe.pass(` calls outside comments, a call split across lines
 # included) per file. A file's non-test lines are the lines above its
 # first `#[cfg(test)]` (the whole file if it has none). Also counts the
-# device's per-block store calls. Never fails on the numbers; it only
-# prints them.
+# device's per-block store calls and the extent crate's full-node copies.
+# Never fails on the numbers; it only prints them.
 #
 # Usage: scripts/loc.sh
 set -euo pipefail
@@ -84,6 +84,17 @@ for f in crates/core/src/device.rs crates/hypervisor/src/system.rs; do
     printf '  %-44s %6d\n' "non-test per-block store calls in $(basename "$f")" \
         "$(awk '/^#\[cfg\(test\)\]/ { exit } /\.(read_|write_)?block(_mut)?\(/ { n++ } END { print n + 0 }' "$f")"
 done
+
+# Non-test full-node copies in the extent crate (`read_node(` /
+# `decode(` call sites, their definitions aside): the walk, the prune and
+# the re-link read tree nodes in place (`layout::NodeView`), so this
+# stays 0.
+printf '  %-44s %6d\n' "non-test node copies in crates/extent" \
+    "$(find crates/extent/src -name '*.rs' | sort | xargs perl -0777 -ne '
+        s/^#\[cfg\(test\)\].*//ms;
+        s{^\s*//.*$}{}mg;
+        $t += () = /(?<!fn )\b(?:read_node|decode)\(/g;
+        END { print $t + 0 }')"
 
 echo "probe emission sites (non-test probe.report( / probe.pass( calls) per file:"
 find crates -path '*/src/*' -name '*.rs' | sort | xargs perl -0777 -ne '

@@ -338,8 +338,10 @@ pub mod prelude {
     pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, proptest};
 }
 
-/// Defines property tests. Each `fn` inside becomes a `#[test]` that runs
-/// the body against `cases` deterministic samples of its strategies.
+/// Defines property tests. Each `fn` inside runs the body against `cases`
+/// deterministic samples of its strategies. As with the real crate, the
+/// caller writes `#[test]` on each property; the macro adds none of its
+/// own, so a property is registered with the test harness exactly once.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -350,7 +352,6 @@ macro_rules! proptest {
     ) => {
         $(
             $(#[$meta])*
-            #[test]
             #[allow(unreachable_code)]
             fn $name() {
                 let config: $crate::test_runner::ProptestConfig = $cfg;
@@ -533,6 +534,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(8))]
         /// The macro itself works end to end, including tuple and vec
         /// strategies and early Err returns.
+        #[test]
         fn self_test(
             (a, b) in (0u64..100, 1u64..50),
             v in collection::vec(any::<u8>(), 1..10),
