@@ -193,6 +193,40 @@ mod tests {
     }
 
     #[test]
+    fn prune_pressure_misses_only_when_it_prunes() {
+        let (calm, calm_us) = prune_pressure(SystemBuilder::new(), 0);
+        let (pruned, pruned_us) = prune_pressure(SystemBuilder::new(), 8);
+        let (calm, pruned) = (calm.device().stats(), pruned.device().stats());
+        for s in [&calm, &pruned] {
+            assert_eq!((s.requests_completed, s.requests_failed), (256, 0));
+            assert!(
+                s.mean_walk_depth() >= 2.0,
+                "the interleaved image is a deep tree"
+            );
+        }
+        assert_eq!(calm.miss_interrupts, 0, "a preallocated image never misses");
+        assert!(pruned.miss_interrupts > 0);
+        assert!(pruned.walks > calm.walks);
+        assert!(pruned_us > calm_us);
+    }
+
+    #[test]
+    fn drive_mixed_replays_its_seed() {
+        let run = |seed| {
+            let (mut sys, disks) = mixed_vfs(SystemBuilder::new());
+            assert_eq!(disks.len(), MIXED_VFS);
+            let lat = drive_mixed(&mut sys, &disks, seed, 40, 20);
+            (lat, sys.device().stats().requests_completed)
+        };
+        let (a, done) = run(3);
+        assert_eq!(a.len(), 40);
+        assert!(done >= 40, "every request reached the device");
+        assert!(a.iter().all(|&ns| ns > 0));
+        assert_eq!(run(3).0, a, "same seed, same latencies");
+        assert_ne!(run(4).0, a);
+    }
+
+    #[test]
     fn block_sizes_match_paper_range() {
         let sizes = paper_block_sizes();
         assert_eq!(*sizes.first().unwrap(), 512);

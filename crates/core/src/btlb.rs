@@ -359,6 +359,25 @@ mod tests {
     }
 
     #[test]
+    fn covered_at_reports_the_rest_of_the_extent_without_counting() {
+        let mut b = Btlb::new(4);
+        b.insert(1, ext(10, 500, 8));
+        assert_eq!(b.covered_at(1, Vlba(10)), Some((Plba(500), 8)));
+        assert_eq!(b.covered_at(1, Vlba(13)), Some((Plba(503), 5)));
+        assert_eq!(b.covered_at(1, Vlba(17)), Some((Plba(507), 1)));
+        assert_eq!(b.covered_at(1, Vlba(18)), None);
+        assert_eq!(b.covered_at(0, Vlba(13)), None, "another function's tree");
+        assert_eq!(b.covered_at(9, Vlba(13)), None, "a function never seen");
+        assert!(b.covers(1, Vlba(12)));
+        assert_eq!((b.hits(), b.misses()), (0, 0));
+        // It agrees with the counting probe, uncapped.
+        assert_eq!(
+            b.lookup_run(1, Vlba(13), u64::MAX),
+            b.covered_at(1, Vlba(13))
+        );
+    }
+
+    #[test]
     fn fifo_eviction_order_across_functions_and_flushes() {
         // Regression for the indexed representation: FIFO age is global
         // across functions, and flush_func tombstones must not change

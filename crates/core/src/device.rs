@@ -2294,6 +2294,113 @@ mod tests {
         assert_eq!(read(2, 4), (0, 4), "the cached extent serves all four");
     }
 
+    /// Serves a `blocks`-block read of `vf` at `lba` to completion and
+    /// returns the walks it took.
+    fn walks_to_read(
+        (mem, dev): (&Rc<RefCell<HostMemory>>, &mut NescDevice),
+        vf: FuncId,
+        id: u64,
+        lba: u64,
+        blocks: u64,
+    ) -> u64 {
+        let walks0 = dev.stats().walks;
+        let buf = alloc_buf(mem, blocks);
+        let req = BlockRequest::new(RequestId(id), BlockOp::Read, Vlba(lba), blocks);
+        // 10 ms apart: each request arrives at an idle device.
+        dev.submit(SimTime::from_nanos(id * 10_000_000), vf, req, buf);
+        let outs = dev.advance(HORIZON);
+        assert!(matches!(
+            outs.as_slice(),
+            [NescOutput::Completion {
+                status: CompletionStatus::Ok,
+                ..
+            }]
+        ));
+        dev.stats().walks - walks0
+    }
+
+    #[test]
+    fn flushing_one_function_keeps_the_others_translations() {
+        let (mem, mut dev) = setup();
+        let a = make_vf(
+            &mem,
+            &mut dev,
+            &[ExtentMapping::new(Vlba(0), Plba(0), 8)],
+            8,
+        );
+        let b = make_vf(
+            &mem,
+            &mut dev,
+            &[ExtentMapping::new(Vlba(0), Plba(8), 8)],
+            8,
+        );
+        assert_eq!(walks_to_read((&mem, &mut dev), a, 1, 0, 2), 1);
+        assert_eq!(walks_to_read((&mem, &mut dev), b, 2, 0, 2), 1);
+        dev.flush_btlb_func(a);
+        assert_eq!(
+            walks_to_read((&mem, &mut dev), a, 3, 2, 2),
+            1,
+            "a's extent was dropped"
+        );
+        assert_eq!(
+            walks_to_read((&mem, &mut dev), b, 4, 2, 2),
+            0,
+            "b's extent is still cached"
+        );
+    }
+
+    #[test]
+    fn a_global_flush_drops_every_functions_translations() {
+        let (mem, mut dev) = setup();
+        let a = make_vf(
+            &mem,
+            &mut dev,
+            &[ExtentMapping::new(Vlba(0), Plba(0), 8)],
+            8,
+        );
+        let b = make_vf(
+            &mem,
+            &mut dev,
+            &[ExtentMapping::new(Vlba(0), Plba(8), 8)],
+            8,
+        );
+        walks_to_read((&mem, &mut dev), a, 1, 0, 1);
+        walks_to_read((&mem, &mut dev), b, 2, 0, 1);
+        dev.flush_btlb();
+        assert_eq!(dev.btlb().len(), 0);
+        assert_eq!(walks_to_read((&mem, &mut dev), a, 3, 1, 1), 1);
+        assert_eq!(walks_to_read((&mem, &mut dev), b, 4, 1, 1), 1);
+    }
+
+    #[test]
+    fn busy_time_probes_grow_with_served_work() {
+        let (mem, mut dev) = setup();
+        assert_eq!(dev.walk_slot_count(), dev.config().walk_overlap);
+        assert_eq!(dev.walk_busy_time(), SimDuration::ZERO);
+        assert_eq!(dev.media_busy_time(), SimDuration::ZERO);
+        assert_eq!(dev.link_busy_time(), (SimDuration::ZERO, SimDuration::ZERO));
+        let vf = make_vf(
+            &mem,
+            &mut dev,
+            &[ExtentMapping::new(Vlba(0), Plba(0), 8)],
+            8,
+        );
+        assert_eq!(walks_to_read((&mem, &mut dev), vf, 1, 0, 4), 1);
+        let (walk, media, (up, _)) = (
+            dev.walk_busy_time(),
+            dev.media_busy_time(),
+            dev.link_busy_time(),
+        );
+        assert!(walk > SimDuration::ZERO, "the miss walked the tree");
+        assert!(media > SimDuration::ZERO);
+        assert!(up > SimDuration::ZERO, "read data went up to the host");
+        // A BTLB hit adds media and link time but no walk time.
+        assert_eq!(walks_to_read((&mem, &mut dev), vf, 2, 4, 4), 0);
+        assert_eq!(dev.walk_busy_time(), walk);
+        assert!(dev.media_busy_time() > media);
+        assert!(dev.link_busy_time().0 > up);
+    }
+
     #[test]
     fn command_ring_end_to_end() {
         use crate::ring::{RingDescriptor, DESCRIPTOR_BYTES};

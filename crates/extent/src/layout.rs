@@ -147,6 +147,23 @@ fn write_header(buf: &mut [u8; NODE_SIZE], kind: NodeKind, count: u32) {
 /// against a node's first-logical keys alone (one binary search), so a
 /// level costs the header and about `log2(FANOUT)` key loads, not a copy
 /// of the node.
+///
+/// # Example
+///
+/// ```
+/// use nesc_extent::layout::{encode_leaf, NodeView};
+/// use nesc_extent::{ExtentMapping, NodeKind, Plba, Vlba};
+///
+/// let buf = encode_leaf(&[
+///     ExtentMapping::new(Vlba(0), Plba(100), 4),
+///     ExtentMapping::new(Vlba(10), Plba(200), 2),
+/// ]);
+/// let node = NodeView::parse(&buf).unwrap();
+/// assert_eq!(node.kind(), NodeKind::Leaf);
+/// // vLBA 11 is at or past both keys: the candidate is entry 1.
+/// assert_eq!(node.search(Vlba(11)), 2);
+/// assert_eq!(node.extent(1).unwrap().translate(Vlba(11)), Some(Plba(201)));
+/// ```
 #[derive(Debug, Clone, Copy)]
 pub struct NodeView<'a> {
     kind: NodeKind,
@@ -345,6 +362,56 @@ mod tests {
             NodeView::parse(&buf).unwrap_err(),
             LayoutError::BadCount { .. }
         ));
+    }
+
+    #[test]
+    fn the_magic_is_checked_before_the_count_and_kind() {
+        let mut buf = encode_leaf(&[]);
+        buf[0] ^= 0xFF;
+        buf[2] = 9;
+        buf[4] = (FANOUT + 1) as u8;
+        let found = u16::from_le_bytes([buf[0], buf[1]]);
+        assert_eq!(
+            NodeView::parse(&buf).unwrap_err(),
+            LayoutError::BadMagic { found }
+        );
+    }
+
+    #[test]
+    fn a_full_node_parses_every_entry() {
+        let entries: Vec<NodeEntry> = (0..FANOUT as u64)
+            .map(|i| NodeEntry {
+                first_logical: Vlba(i * 8),
+                blocks: 8,
+                child: 0x1000 + i * 0x200,
+            })
+            .collect();
+        let buf = encode_internal(&entries);
+        let node = NodeView::parse(&buf).unwrap();
+        assert_eq!(node.entries().collect::<Vec<_>>(), entries);
+        assert_eq!(node.entry(FANOUT - 1), entries.last().copied());
+        assert_eq!(node.entry(FANOUT), None);
+        // A count of exactly FANOUT is the largest that parses.
+        let mut buf = buf;
+        buf[4] = FANOUT as u8;
+        assert!(NodeView::parse(&buf).is_ok());
+    }
+
+    #[test]
+    fn layout_errors_name_the_value_found() {
+        let shown = [
+            LayoutError::BadMagic { found: 0xBEEF }.to_string(),
+            LayoutError::BadKind { found: 7 }.to_string(),
+            LayoutError::BadCount { found: 21 }.to_string(),
+        ];
+        assert_eq!(
+            shown,
+            [
+                "bad node magic 0xbeef",
+                "bad node kind 7",
+                "bad entry count 21"
+            ]
+        );
     }
 
     #[test]

@@ -155,6 +155,14 @@ impl ExtentTree {
 
     /// The first block of the first extent that starts after `v`, if any:
     /// for an unmapped `v`, where the hole at `v` ends.
+    ///
+    /// ```
+    /// use nesc_extent::{ExtentMapping, ExtentTree, Plba, Vlba};
+    ///
+    /// let t: ExtentTree = [ExtentMapping::new(Vlba(8), Plba(0), 4)].into_iter().collect();
+    /// assert_eq!(t.next_start_after(Vlba(2)), Some(Vlba(8))); // the hole 2..8
+    /// assert_eq!(t.next_start_after(Vlba(8)), None);
+    /// ```
     pub fn next_start_after(&self, v: Vlba) -> Option<Vlba> {
         let pos = self.extents.partition_point(|e| e.logical <= v);
         self.extents.get(pos).map(|e| e.logical)
@@ -418,6 +426,27 @@ mod tests {
         ] {
             assert_eq!(t.next_start_after(Vlba(v)), want.map(Vlba), "vLBA {v}");
         }
+    }
+
+    #[test]
+    fn from_extents_sorts_merges_and_reports_the_first_overlap() {
+        let t = ExtentTree::from_extents([
+            ExtentMapping::new(Vlba(10), Plba(110), 4),
+            ExtentMapping::new(Vlba(0), Plba(100), 4),
+            ExtentMapping::new(Vlba(4), Plba(104), 2),
+        ])
+        .unwrap();
+        assert_eq!(t.extent_count(), 2, "vLBA 0..6 merges into one extent");
+        assert_eq!(t.lookup(Vlba(5)).map(|e| e.len), Some(6));
+        assert_eq!(t.next_start_after(Vlba(6)), Some(Vlba(10)));
+        let existing = ExtentMapping::new(Vlba(0), Plba(100), 4);
+        let rejected = ExtentMapping::new(Vlba(3), Plba(500), 2);
+        let later = ExtentMapping::new(Vlba(2), Plba(900), 1);
+        assert_eq!(
+            ExtentTree::from_extents([existing, rejected, later]).unwrap_err(),
+            InsertError::Overlap { existing, rejected }
+        );
+        assert_eq!(ExtentTree::new().next_start_after(Vlba(0)), None);
     }
 
     #[test]

@@ -575,6 +575,61 @@ mod tests {
     }
 
     #[test]
+    fn a_prune_cuts_the_deepest_slot_of_a_three_level_tree() {
+        let tree = fragmented_tree((FANOUT * FANOUT) as u64 + 1);
+        assert_eq!(tree.serialized_depth(), 3);
+        let mut mem = HostMemory::new();
+        let root = tree.serialize(&mut mem);
+        assert!(prune_covering(&mut mem, root, Vlba(0)));
+        let r = walk(&mem, root, Vlba(0));
+        assert_eq!(r.levels, 2, "the NULL sits in a level-2 node");
+        assert!(matches!(r.outcome, WalkOutcome::Pruned { node, entry: 0 } if node != root));
+        // Only the first leaf was cut: its neighbour under the same
+        // level-2 node still translates.
+        let next_leaf = Vlba(FANOUT as u64 * 2);
+        let r = walk(&mem, root, next_leaf);
+        assert!(matches!(r.outcome, WalkOutcome::Mapped(_)));
+        assert_eq!(r.levels, 3);
+    }
+
+    #[test]
+    fn a_gap_between_subtrees_is_a_hole_at_the_internal_node() {
+        // Two full leaves: vLBA 0..39 and 1000..1039, every other block
+        // mapped.
+        let tree: ExtentTree = (0..FANOUT as u64)
+            .chain(500..500 + FANOUT as u64)
+            .map(|i| ExtentMapping::new(Vlba(i * 2), Plba(i * 3 + 7), 1))
+            .collect();
+        let mut mem = HostMemory::new();
+        let root = tree.serialize(&mut mem);
+        assert_eq!(tree.serialized_depth(), 2);
+        // Between the subtrees the root alone answers, and the hole runs
+        // to the second subtree's first block.
+        let r = walk_run(&mem, root, Vlba(500), 10_000);
+        assert_eq!(
+            (r.result.outcome, r.result.levels, r.run),
+            (WalkOutcome::Hole, 1, 500)
+        );
+        let r = walk_run(&mem, root, Vlba(39), 10_000);
+        assert_eq!(
+            (r.result.outcome, r.result.levels, r.run),
+            (WalkOutcome::Hole, 1, 961)
+        );
+        // Inside the first subtree the leaf answers, bounded by its next key.
+        let r = walk_run(&mem, root, Vlba(37), 10_000);
+        assert_eq!(
+            (r.result.outcome, r.result.levels, r.run),
+            (WalkOutcome::Hole, 2, 1)
+        );
+        // A gap has no covering slot, so nothing is pruned.
+        assert!(!prune_covering(&mut mem, root, Vlba(500)));
+        assert!(matches!(
+            walk(&mem, root, Vlba(1000)).outcome,
+            WalkOutcome::Mapped(_)
+        ));
+    }
+
+    #[test]
     fn prune_single_leaf_impossible() {
         let tree = fragmented_tree(3);
         let mut mem = HostMemory::new();

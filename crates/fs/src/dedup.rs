@@ -173,6 +173,34 @@ mod tests {
     }
 
     #[test]
+    fn a_block_is_shared_until_one_sharer_is_left() {
+        let (mut store, mut fs) = setup();
+        let content = vec![0x77; BLOCK_SIZE as usize];
+        let a = fill(&mut fs, &mut store, "a", &content);
+        let b = fill(&mut fs, &mut store, "b", &content);
+        let b_before = fs.extent_tree(b).unwrap().lookup(Vlba(0)).unwrap().physical;
+        assert!(!fs.is_shared(b_before));
+        fs.dedup(&mut store, &[a, b]).unwrap();
+        let block = |fs: &Filesystem, ino| {
+            fs.extent_tree(ino)
+                .unwrap()
+                .lookup(Vlba(0))
+                .map(|e| e.physical)
+        };
+        let p = block(&fs, a).unwrap();
+        assert_eq!(block(&fs, b), Some(p), "both files map one copy");
+        assert!(fs.is_shared(p));
+        assert!(!fs.is_shared(b_before), "the freed duplicate is not shared");
+        let free = fs.free_blocks();
+        fs.unlink("a").unwrap();
+        assert!(!fs.is_shared(p), "one sharer left");
+        assert_eq!(fs.free_blocks(), free, "b still holds the block");
+        assert_eq!(fs.read(&mut store, b, 0, content.len()).unwrap(), content);
+        fs.unlink("b").unwrap();
+        assert_eq!(fs.free_blocks(), free + 1);
+    }
+
+    #[test]
     fn truncate_of_sharer_is_safe() {
         let (mut store, mut fs) = setup();
         let content = vec![0x31; 4 * BLOCK_SIZE as usize];

@@ -798,6 +798,69 @@ mod tests {
     }
 
     #[test]
+    fn allocate_range_fills_each_hole_between_existing_extents() {
+        let (_, mut fs) = setup();
+        let ino = fs.create("f").unwrap();
+        fs.allocate_range(ino, Vlba(2), 3).unwrap();
+        fs.allocate_range(ino, Vlba(8), 2).unwrap();
+        let committed = fs.journal().committed_records().count();
+        // Holes 0..2, 5..8 and 10..12: one extent record each.
+        let s = fs.allocate_range(ino, Vlba(0), 12).unwrap();
+        assert_eq!(s.allocated_blocks, 2 + 3 + 2);
+        let added = fs.journal().committed_records().count() - committed;
+        assert_eq!(added, 3);
+        let tree = fs.extent_tree(ino).unwrap();
+        assert_eq!(tree.mapped_blocks(), 12);
+        assert!((0..12).all(|v| tree.lookup(Vlba(v)).is_some()));
+        assert!(tree.lookup(Vlba(12)).is_none());
+    }
+
+    #[test]
+    fn allocate_range_stops_a_hole_at_the_range_end() {
+        let (_, mut fs) = setup();
+        let ino = fs.create("f").unwrap();
+        fs.allocate_range(ino, Vlba(20), 4).unwrap();
+        // The hole at 10 runs to 20, but the range ends at 13.
+        let s = fs.allocate_range(ino, Vlba(10), 3).unwrap();
+        assert_eq!(s.allocated_blocks, 3);
+        let tree = fs.extent_tree(ino).unwrap();
+        assert_eq!(tree.mapped_blocks(), 7);
+        assert!(tree.lookup(Vlba(12)).is_some());
+        assert!((13..20).all(|v| tree.lookup(Vlba(v)).is_none()));
+        // A range that starts inside a mapping allocates only past it.
+        let s = fs.allocate_range(ino, Vlba(22), 4).unwrap();
+        assert_eq!(s.allocated_blocks, 2);
+        assert_eq!(fs.extent_tree(ino).unwrap().logical_end(), Vlba(26));
+    }
+
+    #[test]
+    fn allocate_range_extends_a_file_from_its_previous_block() {
+        let (_, mut fs) = setup();
+        let (f, g) = (fs.create("f").unwrap(), fs.create("g").unwrap());
+        fs.allocate_range(f, Vlba(0), 4).unwrap();
+        fs.allocate_range(g, Vlba(0), 4).unwrap();
+        let after_f = fs
+            .extent_tree(f)
+            .unwrap()
+            .lookup(Vlba(3))
+            .unwrap()
+            .end_physical();
+        assert_eq!(
+            fs.extent_tree(g)
+                .unwrap()
+                .lookup(Vlba(0))
+                .map(|e| e.physical),
+            Some(after_f),
+            "g took the blocks right after f"
+        );
+        fs.unlink("g").unwrap();
+        // The goal is the block after vLBA 3's, free again: f grows in place.
+        fs.allocate_range(f, Vlba(4), 4).unwrap();
+        let tree = fs.extent_tree(f).unwrap();
+        assert_eq!((tree.extent_count(), tree.mapped_blocks()), (1, 8));
+    }
+
+    #[test]
     fn no_space_is_surfaced() {
         let mut fs = Filesystem::format(32);
         let ino = fs.create("f").unwrap();

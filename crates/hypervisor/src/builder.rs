@@ -222,6 +222,41 @@ mod tests {
         let _ = SystemBuilder::new().slo_rule("this is not a rule");
     }
 
+    /// Write then read latency of 16 KiB on a fresh NeSC-direct disk.
+    fn direct_latencies(builder: SystemBuilder) -> (SimDuration, SimDuration) {
+        let mut sys = builder.capacity_blocks(64 * 1024).build();
+        let disk = sys.quick_disk(DiskKind::NescDirect, "a.img", 1 << 20).disk;
+        let data = vec![3u8; 16 * 1024];
+        let wrote = sys.write(disk, 0, &data);
+        let mut out = vec![0u8; data.len()];
+        let read = sys.read(disk, 0, &mut out);
+        assert_eq!(out, data);
+        (wrote, read)
+    }
+
+    #[test]
+    fn the_trampoline_adds_a_copy_to_direct_reads_and_writes() {
+        let (w, r) = direct_latencies(SystemBuilder::new());
+        let (tw, tr) = direct_latencies(SystemBuilder::new().with_trampoline());
+        assert!(tw > w, "write {tw:?} vs {w:?}");
+        assert!(tr > r, "read {tr:?} vs {r:?}");
+    }
+
+    #[test]
+    fn a_media_throttle_slows_device_transfers() {
+        let (w, r) = direct_latencies(SystemBuilder::new());
+        let (sw, sr) = direct_latencies(SystemBuilder::new().media_throttle(50_000_000));
+        // 16 KiB at 50 MB/s is ~330 us of medium time alone.
+        assert!(
+            sw > w + SimDuration::from_micros(300),
+            "write {sw:?} vs {w:?}"
+        );
+        assert!(
+            sr > r + SimDuration::from_micros(300),
+            "read {sr:?} vs {r:?}"
+        );
+    }
+
     #[test]
     fn builder_knobs_apply() {
         let sys = SystemBuilder::new()

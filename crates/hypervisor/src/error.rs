@@ -119,6 +119,41 @@ mod tests {
     }
 
     #[test]
+    fn lower_layer_errors_collapse_into_the_public_categories() {
+        use nesc_extent::{GuestFault, Plba};
+        use nesc_fs::FsError;
+        use nesc_storage::StoreError;
+        let no_space = FsError::NoSpace {
+            requested: 8,
+            free: 2,
+        };
+        assert_eq!(NescError::from(no_space), NescError::WriteFailed);
+        let exists = FsError::Exists {
+            name: "a.img".to_string(),
+        };
+        assert_eq!(NescError::from(exists), NescError::Device);
+        let beyond = StoreError::OutOfRange {
+            lba: Plba(9),
+            capacity: 4,
+        };
+        assert_eq!(NescError::from(beyond), NescError::OutOfRange);
+        let short = StoreError::BadLength { len: 3 };
+        assert_eq!(NescError::from(short), NescError::Device);
+        assert_eq!(
+            NescError::from(nesc_core::VfError::NotAVf),
+            NescError::Device
+        );
+        let empty = nesc_virtio::QueueError::EmptyChain;
+        assert_eq!(NescError::from(empty), NescError::Device);
+        let fault = GuestFault::ZeroLength;
+        assert_eq!(NescError::from(fault), NescError::Guest(fault));
+        assert_eq!(
+            NescError::Guest(fault).to_string(),
+            format!("guest input rejected: {fault}")
+        );
+    }
+
+    #[test]
     fn display_is_human_readable() {
         assert!(NescError::WriteFailed
             .to_string()

@@ -1591,6 +1591,51 @@ mod tests {
     }
 
     #[test]
+    fn provisioning_failures_are_reported_not_panicked() {
+        let mut cfg = NescConfig::prototype();
+        cfg.capacity_blocks = 64 * 1024;
+        cfg.max_vfs = 1;
+        let mut sys = System::new(cfg, SoftwareCosts::calibrated());
+        let vm = sys.create_vm();
+        assert_eq!(
+            sys.try_attach(vm, DiskKind::Virtio, None),
+            Err(NescError::Device),
+            "a file-backed disk needs an image"
+        );
+        let first = sys.try_quick_disk(DiskKind::NescDirect, "a.img", 1 << 20);
+        assert!(first.is_ok());
+        assert_eq!(
+            sys.try_quick_disk(DiskKind::Virtio, "a.img", 1 << 20).err(),
+            Some(NescError::Device),
+            "the image name is taken"
+        );
+        assert_eq!(
+            sys.try_quick_disk(DiskKind::NescDirect, "b.img", 1 << 20)
+                .err(),
+            Some(NescError::Device),
+            "the only VF is in use"
+        );
+        // A host-raw disk needs neither an image nor a VF.
+        assert!(sys.try_attach(vm, DiskKind::HostRaw, None).is_ok());
+    }
+
+    #[test]
+    fn each_disk_belongs_to_the_vm_it_was_attached_to() {
+        let mut sys = small_system();
+        let (vm0, vm1) = (sys.create_vm(), sys.create_vm());
+        let img = sys.create_image("a.img", 1 << 20, true).unwrap();
+        let d0 = sys
+            .try_attach(vm1, DiskKind::NescDirect, Some(img))
+            .unwrap();
+        let d1 = sys.try_attach(vm0, DiskKind::HostRaw, None).unwrap();
+        assert_eq!((sys.disk_vm(d0), sys.disk_vm(d1)), (vm1, vm0));
+        let p = sys.quick_disk(DiskKind::Emulated, "b.img", 1 << 20);
+        assert_eq!(sys.disk_vm(p.disk), p.vm);
+        assert_ne!(p.vm, vm0);
+        assert_ne!(p.vm, vm1);
+    }
+
+    #[test]
     fn all_paths_roundtrip_data() {
         for (kind, name) in [
             (DiskKind::NescDirect, "n.img"),

@@ -250,6 +250,29 @@ mod tests {
     }
 
     #[test]
+    fn a_malformed_entry_is_consumed_as_none() {
+        let mut mem = HostMemory::new();
+        let mut sq = SubmissionQueue::new(&mut mem, 8);
+        for i in 1..=3 {
+            sq.push(&mut mem, sqe(i)).unwrap();
+        }
+        // Slot 1 gets an opcode no controller knows.
+        mem.write(sq.base + SQE_BYTES, &[0xFF]);
+        assert_eq!(sq.pop_raw(&mem).map(|e| e.cid), Some(Untrusted::new(1)));
+        assert_eq!(sq.pop_raw(&mem), None);
+        assert_eq!((sq.head(), sq.len()), (2, 1), "the bad slot was consumed");
+        assert_eq!(sq.pop_raw(&mem).map(|e| e.cid), Some(Untrusted::new(3)));
+        assert_eq!(sq.pop_raw(&mem), None, "empty");
+        assert_eq!(sq.head(), 3);
+        // `pop` steps over a bad entry to the next good one.
+        sq.push(&mut mem, sqe(4)).unwrap();
+        sq.push(&mut mem, sqe(5)).unwrap();
+        mem.write(sq.base + 3 * SQE_BYTES, &[0xFF]);
+        assert_eq!(sq.pop(&mem).map(|e| e.cid), Some(Untrusted::new(5)));
+        assert!(sq.is_empty());
+    }
+
+    #[test]
     fn cq_phase_wraparound() {
         let mut mem = HostMemory::new();
         let mut cq = CompletionQueue::new(&mut mem, 4);

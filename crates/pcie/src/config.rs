@@ -202,6 +202,16 @@ mod tests {
     }
 
     #[test]
+    fn capability_reports_its_geometry_whatever_is_enabled() {
+        let mut cap = SriovCapability::new(16, 1, 1, 8192);
+        assert_eq!((cap.total_vfs(), cap.vf_bar_size()), (16, 8192));
+        cap.enable(3).unwrap();
+        assert!(cap.enable(17).is_err());
+        assert_eq!(cap.num_vfs(), 3, "a refused enable keeps the old count");
+        assert_eq!((cap.total_vfs(), cap.vf_bar_size()), (16, 8192));
+    }
+
+    #[test]
     fn enable_beyond_capability_fails() {
         let mut cap = SriovCapability::new(8, 1, 1, 4096);
         let err = cap.enable(9).unwrap_err();

@@ -351,6 +351,56 @@ mod tests {
         );
     }
 
+    /// Issue times with gaps and bursts, so a run both queues and idles.
+    fn issue_times() -> Vec<SimTime> {
+        [0, 0, 10, 5_000, 5_000, 5_001, 40_000, 40_000]
+            .map(SimTime::from_nanos)
+            .to_vec()
+    }
+
+    #[test]
+    fn a_dma_write_run_matches_one_write_per_element() {
+        let (mut run, mut each) = (
+            PcieLink::new(LinkParams::gen2_x8()),
+            PcieLink::new(LinkParams::gen2_x8()),
+        );
+        let mut times = issue_times();
+        run.dma_write_run(4096, &mut times);
+        let want: Vec<SimTime> = issue_times()
+            .into_iter()
+            .map(|t| each.dma_write(t, 4096).complete)
+            .collect();
+        assert_eq!(times, want);
+        assert_eq!(run.upstream_busy(), each.upstream_busy());
+        assert_eq!(run.downstream_busy(), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn a_dma_read_run_matches_one_read_per_element() {
+        let (mut run, mut each) = (
+            PcieLink::new(LinkParams::gen3_x8()),
+            PcieLink::new(LinkParams::gen3_x8()),
+        );
+        let mut times = issue_times();
+        run.dma_read_run(512, &mut times);
+        let want: Vec<SimTime> = issue_times()
+            .into_iter()
+            .map(|t| each.dma_read(t, 512).complete)
+            .collect();
+        assert_eq!(times, want);
+        assert_eq!(run.upstream_busy(), each.upstream_busy());
+        assert_eq!(run.downstream_busy(), each.downstream_busy());
+    }
+
+    #[test]
+    fn lane_bandwidth_rises_with_the_generation() {
+        let lane = |g: LinkGeneration| g.lane_bytes_per_sec();
+        assert_eq!(lane(LinkGeneration::Gen1) * 2, lane(LinkGeneration::Gen2));
+        assert!(lane(LinkGeneration::Gen3) > lane(LinkGeneration::Gen2));
+        let x8 = LinkParams::gen3_x8();
+        assert_eq!(x8.bandwidth(), lane(LinkGeneration::Gen3) * 8);
+    }
+
     #[test]
     fn mmio_read_round_trip_exceeds_write() {
         let mut link = PcieLink::new(LinkParams::gen2_x8());

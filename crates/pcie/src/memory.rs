@@ -110,6 +110,18 @@ impl HostMemory {
     /// [`read`](HostMemory::read), which is returned instead. Either way
     /// the bytes equal what `read(addr, scratch)` would leave in `scratch`;
     /// `scratch` itself is written only on the fallback.
+    ///
+    /// ```
+    /// use nesc_pcie::HostMemory;
+    ///
+    /// let mut mem = HostMemory::new();
+    /// mem.write(0x1000, &[1, 2, 3, 4]);
+    /// let mut scratch = [0u8; 4];
+    /// assert_eq!(mem.read_in_place(0x1000, &mut scratch), &[1, 2, 3, 4]);
+    /// assert_eq!(scratch, [0; 4], "lent from the page, not copied");
+    /// // Across a page boundary the bytes come back through `scratch`.
+    /// assert_eq!(mem.read_in_place(0xFFE, &mut scratch), &[0, 0, 1, 2]);
+    /// ```
     pub fn read_in_place<'a, const N: usize>(
         &'a self,
         addr: HostAddr,
@@ -400,6 +412,34 @@ mod tests {
         assert_eq!(*mem.read_in_place(page * 9 + 8, &mut scratch), [0; 64]);
         assert_eq!(scratch, [0xEE; 64]);
         assert_eq!(mem.resident_pages(), 2);
+    }
+
+    #[test]
+    fn read_in_place_borrows_a_range_that_ends_at_the_page_end() {
+        let mut mem = HostMemory::new();
+        let page = PAGE_SIZE as u64;
+        mem.write(page * 2 - 64, &[7u8; 64]);
+        let mut scratch = [0xEEu8; 64];
+        let got = mem.read_in_place(page * 2 - 64, &mut scratch);
+        assert_eq!(*got, [7u8; 64]);
+        assert!(
+            !std::ptr::eq(got, &scratch),
+            "the last bytes of a page are lent"
+        );
+        assert_eq!(scratch, [0xEE; 64]);
+    }
+
+    #[test]
+    fn read_in_place_across_a_half_resident_boundary_zeroes_the_absent_side() {
+        let mut mem = HostMemory::new();
+        let page = PAGE_SIZE as u64;
+        // Only the page after the boundary is resident.
+        mem.write(page * 6, &[5u8; 16]);
+        let mut scratch = [0xEEu8; 32];
+        let got = *mem.read_in_place(page * 6 - 16, &mut scratch);
+        assert_eq!(got[..16], [0; 16]);
+        assert_eq!(got[16..], [5; 16]);
+        assert_eq!(mem.resident_pages(), 1, "reading materializes nothing");
     }
 
     /// `mem` after copying the model's way: stage the source, write it.

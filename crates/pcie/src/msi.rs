@@ -60,4 +60,25 @@ mod tests {
         assert_eq!(a.vector(), 3);
         assert_eq!(a.source(), Bdf::new(1, 0, 0));
     }
+
+    #[test]
+    fn vectors_order_by_source_then_vector() {
+        let mut v = [
+            MsiVector::new(Bdf::new(2, 0, 0), 0),
+            MsiVector::new(Bdf::new(1, 0, 1), 0),
+            MsiVector::new(Bdf::new(1, 0, 0), 7),
+            MsiVector::new(Bdf::new(1, 0, 0), 2),
+        ];
+        v.sort();
+        let shown: Vec<String> = v.iter().map(ToString::to_string).collect();
+        assert_eq!(
+            shown,
+            [
+                "msi(01:00.0/2)",
+                "msi(01:00.0/7)",
+                "msi(01:00.1/0)",
+                "msi(02:00.0/0)"
+            ]
+        );
+    }
 }

@@ -872,6 +872,91 @@ mod tests {
         }
     }
 
+    fn exemplar(seq: u64, latency_ns: u64, spans: Vec<Span>) -> Exemplar {
+        Exemplar {
+            window: 0,
+            seq,
+            disk: 0,
+            t_ns: 1_000,
+            latency_ns,
+            root: spans.first().map_or(0, |s| s.id.0),
+            spans,
+        }
+    }
+
+    fn snapshot(events: Vec<FlightEvent>, exemplars: Vec<Exemplar>) -> FlightSnapshot {
+        FlightSnapshot {
+            capacity: 16,
+            total: events.len() as u64,
+            dropped: 0,
+            events,
+            exemplars,
+        }
+    }
+
+    #[test]
+    fn the_worst_exemplar_is_the_slowest_then_the_earliest() {
+        let snap = snapshot(
+            Vec::new(),
+            vec![
+                exemplar(5, 300, Vec::new()),
+                exemplar(4, 900, Vec::new()),
+                exemplar(2, 900, Vec::new()),
+                exemplar(1, 100, Vec::new()),
+            ],
+        );
+        assert_eq!(snap.worst_exemplar().map(|x| x.seq), Some(2));
+        assert!(snapshot(Vec::new(), Vec::new()).worst_exemplar().is_none());
+    }
+
+    #[test]
+    fn vf_events_leave_out_btlb_misses() {
+        let ev = |t_ns, kind, func| FlightEvent {
+            t_ns,
+            kind,
+            func,
+            a: 0,
+            b: 0,
+        };
+        let snap = snapshot(
+            vec![
+                ev(1, FlightEventKind::RequestStart, 2),
+                ev(2, FlightEventKind::BtlbMiss, 2),
+                ev(3, FlightEventKind::Doorbell, 1),
+                ev(4, FlightEventKind::RequestComplete, 2),
+            ],
+            Vec::new(),
+        );
+        let times: Vec<u64> = snap.vf_events(2).iter().map(|e| e.t_ns).collect();
+        assert_eq!(times, vec![1, 4], "a miss's func is a nesting level");
+        assert!(snap.vf_events(7).is_empty());
+    }
+
+    #[test]
+    fn the_exemplar_trace_tags_each_span_with_its_request() {
+        use crate::trace::Tracer;
+        let tracer = Tracer::enabled();
+        let root = tracer.start(SpanId::NONE, "guest", "request", t(0), []);
+        tracer.span(root, "core", "device", t(10), t(90), [("blocks", 4)]);
+        tracer.end(root, t(100));
+        let snap = snapshot(Vec::new(), vec![exemplar(42, 100, tracer.subtree(root))]);
+        let doc = snap.exemplar_trace_json();
+        let Some(serde_json::Value::Array(events)) = doc.get("traceEvents") else {
+            panic!("no traceEvents array");
+        };
+        let spans: Vec<&serde_json::Value> = events
+            .iter()
+            .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X"))
+            .collect();
+        assert_eq!(spans.len(), 2);
+        for s in &spans {
+            let args = s.get("args").unwrap();
+            assert_eq!(args.get("exemplar_seq").and_then(|v| v.as_u64()), Some(42));
+        }
+        let device = spans[1].get("args").unwrap();
+        assert_eq!(device.get("blocks").and_then(|v| v.as_u64()), Some(4));
+    }
+
     #[test]
     fn kind_roundtrips_through_u8() {
         for k in 0..=10u8 {

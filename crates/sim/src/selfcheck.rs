@@ -397,6 +397,21 @@ mod tests {
     }
 
     #[test]
+    fn folding_a_word_hashes_its_little_endian_bytes() {
+        assert_eq!(fnv1a(&[]), FNV_OFFSET);
+        // The published FNV-1a 64 value of "a".
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        let word = 0x0102_0304_0506_0708u64;
+        let mut bytes = b"prefix".to_vec();
+        bytes.extend_from_slice(&word.to_le_bytes());
+        assert_eq!(fnv1a_word(fnv1a(b"prefix"), word), fnv1a(&bytes));
+        assert_ne!(
+            fnv1a_word(FNV_OFFSET, word),
+            fnv1a_word(FNV_OFFSET, word.swap_bytes())
+        );
+    }
+
+    #[test]
     fn identical_runs_match() {
         let mk = || {
             let mut d = RunDigest::new(3);

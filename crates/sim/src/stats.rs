@@ -413,6 +413,23 @@ mod tests {
     }
 
     #[test]
+    fn median_is_the_middle_sample_and_durations_record_nanoseconds() {
+        let (mut by_value, mut by_duration) = (Histogram::new(), Histogram::new());
+        for v in (1..=101).rev() {
+            by_value.record(v);
+            by_duration.record_duration(SimDuration::from_nanos(v));
+        }
+        assert_eq!(by_value.median(), 51, "small values are exact");
+        by_duration.record_duration(SimDuration::from_micros(3));
+        by_value.record(3_000);
+        assert_eq!(by_duration.count(), by_value.count());
+        assert_eq!(by_duration.max(), 3_000);
+        assert_eq!(by_duration.median(), by_value.median());
+        assert_eq!(by_duration.mean(), by_value.mean());
+        assert_eq!(Histogram::new().median(), 0);
+    }
+
+    #[test]
     fn histogram_empty() {
         let h = Histogram::new();
         assert_eq!(h.count(), 0);

@@ -535,6 +535,52 @@ mod tests {
         assert!(store.check_range(Plba(0), 0).is_err());
     }
 
+    #[test]
+    fn maybe_written_in_is_false_only_outside_the_written_bounds() {
+        let mut store = BlockStore::new(4 * CHUNK_BLOCKS);
+        assert!(!store.maybe_written_in(Plba(0), 4 * CHUNK_BLOCKS));
+        let block = vec![1u8; BLOCK_SIZE as usize];
+        store.write_block(Plba(20), &block).unwrap();
+        store.write_block(Plba(40), &block).unwrap();
+        assert!(!store.maybe_written_in(Plba(0), 20), "ends just before 20");
+        assert!(store.maybe_written_in(Plba(0), 21));
+        assert!(
+            store.maybe_written_in(Plba(30), 2),
+            "between bounds: may be"
+        );
+        assert!(store.maybe_written_in(Plba(40), 1));
+        assert!(!store.maybe_written_in(Plba(41), 10));
+        assert!(store.maybe_written_in(Plba(0), u64::MAX), "a wrapping end");
+    }
+
+    #[test]
+    fn write_run_hands_out_one_destination_per_chunk() {
+        let mut store = BlockStore::new(4 * CHUNK_BLOCKS);
+        let bs = BLOCK_SIZE as usize;
+        let lba = CHUNK_BLOCKS - 3;
+        let mut calls = Vec::new();
+        store
+            .write_run(Plba(lba), CHUNK_BLOCKS + 5, |first, dst| {
+                calls.push((first, dst.len() / bs));
+                dst.fill(first as u8 + 1);
+            })
+            .unwrap();
+        assert_eq!(
+            calls,
+            vec![(0, 3), (3, CHUNK_BLOCKS as usize), (3 + CHUNK_BLOCKS, 2)]
+        );
+        assert_eq!(store.resident_blocks() as u64, CHUNK_BLOCKS + 5);
+        assert_eq!(store.block(Plba(lba)).unwrap()[0], 1);
+        assert_eq!(store.block(Plba(CHUNK_BLOCKS)).unwrap()[0], 4);
+        assert!(!store.is_written(Plba(lba - 1)));
+        // A run that crosses capacity calls nothing and writes nothing.
+        let mut called = false;
+        let err = store.write_run(Plba(4 * CHUNK_BLOCKS - 1), 2, |_, _| called = true);
+        assert!(err.is_err());
+        assert!(!called);
+        assert_eq!(store.resident_blocks() as u64, CHUNK_BLOCKS + 5);
+    }
+
     /// Capacity of the model store: three chunks and part of a fourth, so
     /// the capacity edge falls inside a chunk.
     const MODEL_BLOCKS: u64 = 3 * CHUNK_BLOCKS + 5;

@@ -378,6 +378,52 @@ mod tests {
         assert_eq!(again.end - again.start, full, "evicted page re-reads array");
     }
 
+    /// Arrival times with gaps and bursts, so a run both queues and idles.
+    fn arrivals() -> Vec<SimTime> {
+        [0, 0, 100, 90_000, 90_000, 2_000_000]
+            .map(SimTime::from_nanos)
+            .to_vec()
+    }
+
+    #[test]
+    fn a_ram_access_run_matches_one_access_per_element() {
+        let (mut run, mut each) = (
+            Media::Ram(RamMedia::vc707_ddr3()),
+            Media::Ram(RamMedia::vc707_ddr3()),
+        );
+        let mut times = arrivals();
+        run.access_run(BlockOp::Write, 0, 4096, 4096, &mut times);
+        let want: Vec<SimTime> = arrivals()
+            .into_iter()
+            .enumerate()
+            .map(|(j, t)| each.access(t, BlockOp::Write, j as u64 * 4096, 4096).end)
+            .collect();
+        assert_eq!(times, want);
+        assert_eq!(run.busy_time(), each.busy_time());
+    }
+
+    #[test]
+    fn a_flash_access_run_replays_the_page_buffer_per_element() {
+        let (mut run, mut each) = (
+            Media::Flash(FlashMedia::pcie_ssd()),
+            Media::Flash(FlashMedia::pcie_ssd()),
+        );
+        // 1 KiB steps: several elements share a page, so buffer hits
+        // depend on the order the run replays them in.
+        let mut times = arrivals();
+        run.access_run(BlockOp::Read, 1 << 20, 1024, 1024, &mut times);
+        let want: Vec<SimTime> = arrivals()
+            .into_iter()
+            .enumerate()
+            .map(|(j, t)| {
+                let addr = (1 << 20) + j as u64 * 1024;
+                each.access(t, BlockOp::Read, addr, 1024).end
+            })
+            .collect();
+        assert_eq!(times, want);
+        assert_eq!(run.busy_time(), each.busy_time());
+    }
+
     #[test]
     fn media_enum_dispatch() {
         let mut m = Media::Ram(RamMedia::vc707_ddr3());

@@ -329,6 +329,16 @@ mod tests {
     }
 
     #[test]
+    fn status_bytes_follow_the_virtio_spec() {
+        let all = [BlkStatus::Ok, BlkStatus::IoErr, BlkStatus::Unsupported];
+        assert_eq!(all.map(BlkStatus::byte), [0, 1, 2]);
+        for s in all {
+            assert_eq!(BlkStatus::from_byte(s.byte()), Some(s));
+        }
+        assert!((3..=u8::MAX).all(|b| BlkStatus::from_byte(b).is_none()));
+    }
+
+    #[test]
     fn sector_maps_to_containing_virtual_block() {
         // Sector 3 is 1536 bytes in: mid-block for 1 KiB blocks.
         let req = BlkRequest::new(BlkRequestType::In, 3, 0, 512, 0);

@@ -568,6 +568,64 @@ mod tests {
     }
 
     #[test]
+    fn the_tape_follows_each_populations_disk_write_fraction_and_skew() {
+        let scenario = Scenario::new(
+            ScenarioSpec::new("tape")
+                .seed(5)
+                .tenants(
+                    TenantSpec::steady(2)
+                        .requests(40)
+                        .disk_bytes(32 * 1024)
+                        .write_permille(0),
+                )
+                .tenants(TenantSpec::noisy(1).requests(40).write_permille(1000))
+                .tenants(TenantSpec::steady(1).requests(200).skew(100, 999)),
+        );
+        let flat = scenario.flatten().expect("valid spec");
+        let (tape, tenant_of) = scenario.generate_tape(&flat, SimTime::ZERO);
+        assert_eq!(tape.len(), 2 * 40 + 40 + 200);
+        assert!(
+            tape.windows(2).all(|w| w[0].at <= w[1].at),
+            "merged in time order"
+        );
+        let of = |t: u32| {
+            tape.iter()
+                .zip(&tenant_of)
+                .filter(move |&(_, &owner)| owner == t)
+                .map(|(r, _)| r)
+        };
+        for t in 0..2 {
+            assert!(of(t).all(|r| r.op == BlockOp::Read && r.bytes == 4096));
+            assert!(of(t).all(|r| r.offset % 4096 == 0 && r.offset < 32 * 1024));
+        }
+        assert!(of(2).all(|r| r.op == BlockOp::Write && r.bytes == 16 * 1024));
+        // 256 request slots; the hottest tenth takes 999 permille of draws.
+        let hot = of(3).filter(|r| r.offset < 26 * 4096).count();
+        assert!(hot >= 180, "{hot} of 200 requests in the hot tenth");
+    }
+
+    #[test]
+    fn the_datacenter_mix_is_a_thousand_tenants_of_three_classes() {
+        let mix = Scenario::datacenter_mix();
+        let spec = mix.spec();
+        assert_eq!(spec.total_tenants(), 1000);
+        assert_eq!(spec.total_requests(), 850 * 56 + 100 * 48 + 50 * 96);
+        let classes: Vec<(&str, u32)> = spec
+            .tenants
+            .iter()
+            .map(|t| (t.class.label(), t.count))
+            .collect();
+        assert_eq!(
+            classes,
+            vec![("steady", 850), ("bursty", 100), ("noisy", 50)]
+        );
+        assert!(spec
+            .tenants
+            .iter()
+            .all(|t| t.slo_p99.is_none() == (t.class.label() == "noisy")));
+    }
+
+    #[test]
     fn fairness_math() {
         assert_eq!(jain_permille([5, 5, 5, 5].into_iter()), 1000);
         // One tenant absorbs everything: 1000/n.
