@@ -476,15 +476,17 @@ impl NescDevice {
         Ok(child)
     }
 
-    /// Deletes a VF: outstanding queued requests are dropped, its BTLB
-    /// entries flushed, its nested children (if any) deleted recursively,
-    /// and the slot becomes reusable.
+    /// Deletes a VF at `now`: its nested children (if any) are deleted
+    /// first, recursively; its parked request and its queued ones complete
+    /// with [`CompletionStatus::DeviceError`] (a queued one no earlier than
+    /// it reached the device), its BTLB entries are flushed, and the slot
+    /// becomes reusable.
     ///
     /// # Errors
     ///
     /// [`VfError::NotAVf`] for the PF, [`VfError::NoSuchVf`] for dead or
     /// unknown ids.
-    pub fn delete_vf(&mut self, func: FuncId) -> Result<(), VfError> {
+    pub fn delete_vf(&mut self, func: FuncId, now: SimTime) -> Result<(), VfError> {
         // Cascade to nested children first.
         let children: Vec<FuncId> = self
             .functions
@@ -494,12 +496,19 @@ impl NescDevice {
             .map(|(i, _)| FuncId(i as u16))
             .collect();
         for c in children {
-            self.delete_vf(c)?;
+            self.delete_vf(c, now)?;
         }
-        let ctx = self.vf_mut(func)?;
-        ctx.alive = false;
-        ctx.queue.clear();
-        self.take_stall(func);
+        self.vf_mut(func)?.alive = false;
+        if let Some(st) = self.take_stall(func) {
+            let req = st.pending.req;
+            self.complete(now, st.requester, req, CompletionStatus::DeviceError);
+            // The stall held every VF's dispatch; release it.
+            self.schedule_mux(now);
+        }
+        while let Some(p) = self.functions[func.0 as usize].queue.pop_front() {
+            let at = now.max(p.arrived);
+            self.complete(at, func, p.req, CompletionStatus::DeviceError);
+        }
         self.refresh_ready(func.0 as usize);
         self.btlb.flush_func(func.0);
         Ok(())
@@ -1922,17 +1931,20 @@ mod tests {
         let (mem, mut dev) = setup();
         let a = make_vf(&mem, &mut dev, &[], 1);
         assert_eq!(dev.live_vfs(), 1);
-        dev.delete_vf(a).unwrap();
+        dev.delete_vf(a, SimTime::ZERO).unwrap();
         assert_eq!(dev.live_vfs(), 0);
         let b = make_vf(&mem, &mut dev, &[], 1);
         assert_eq!(a, b, "dead slot is reused");
-        assert!(matches!(dev.delete_vf(dev.pf()), Err(VfError::NotAVf)));
         assert!(matches!(
-            dev.delete_vf(FuncId(40)),
+            dev.delete_vf(dev.pf(), SimTime::ZERO),
+            Err(VfError::NotAVf)
+        ));
+        assert!(matches!(
+            dev.delete_vf(FuncId(40), SimTime::ZERO),
             Err(VfError::NoSuchVf { .. })
         ));
         // Submitting to a deleted VF produces an error completion.
-        dev.delete_vf(b).unwrap();
+        dev.delete_vf(b, SimTime::ZERO).unwrap();
         let buf = alloc_buf(&mem, 1);
         dev.submit(
             SimTime::ZERO,
@@ -1963,7 +1975,7 @@ mod tests {
             8,
         );
         let dead = make_vf(&mem, &mut dev, &[], 1);
-        dev.delete_vf(dead).unwrap();
+        dev.delete_vf(dead, SimTime::ZERO).unwrap();
         let buf = alloc_buf(&mem, 2);
         let t = SimTime::from_nanos(1000);
         let req = BlockRequest::new(RequestId(1), BlockOp::Read, Vlba(0), 1);
@@ -2779,14 +2791,73 @@ mod tests {
         let l2 = ExtentTree::new().serialize(&mut mem.borrow_mut());
         let child = dev.create_nested_vf(parent, l2, 4).unwrap();
         assert_eq!(dev.live_vfs(), 2);
-        dev.delete_vf(parent).unwrap();
+        dev.delete_vf(parent, SimTime::ZERO).unwrap();
         assert_eq!(dev.live_vfs(), 0);
         assert!(matches!(
-            dev.delete_vf(child),
+            dev.delete_vf(child, SimTime::ZERO),
             Err(VfError::NoSuchVf { .. })
         ));
         // Nested creation under a dead parent fails.
         assert!(dev.create_nested_vf(parent, l2, 1).is_err());
+    }
+
+    #[test]
+    fn deleting_a_vf_fails_its_parked_and_queued_requests_once() {
+        let (mem, mut dev) = setup();
+        // A thin VF, a nested child mapped into it, and an unrelated VF.
+        let vf = make_vf(&mem, &mut dev, &[], 16);
+        let l2: ExtentTree = [ExtentMapping::new(Vlba(0), Plba(0), 4)]
+            .into_iter()
+            .collect();
+        let l2_root = l2.serialize(&mut mem.borrow_mut());
+        let child = dev.create_nested_vf(vf, l2_root, 4).unwrap();
+        let other = make_vf(
+            &mem,
+            &mut dev,
+            &[ExtentMapping::new(Vlba(0), Plba(300), 4)],
+            4,
+        );
+        let buf = alloc_buf(&mem, 1);
+        let req = |id, op| BlockRequest::new(RequestId(id), op, Vlba(0), 1);
+        // Request 1 parks on a write miss...
+        dev.submit(SimTime::ZERO, vf, req(1, BlockOp::Write), buf);
+        let outs = dev.advance(HORIZON);
+        let Some(&NescOutput::HostInterrupt { at, .. }) = outs.last() else {
+            panic!("a write to a thin VF must interrupt: {outs:?}");
+        };
+        // ...and three queue behind it: two on the VF, one on its child.
+        dev.submit(at, vf, req(2, BlockOp::Read), buf);
+        dev.submit(at, vf, req(3, BlockOp::Write), buf);
+        dev.submit(at, child, req(4, BlockOp::Read), buf);
+        dev.submit(at, other, req(5, BlockOp::Read), buf);
+        assert_eq!(dev.advance(HORIZON), vec![], "the stall blocks the mux");
+        let gone = at + SimDuration::from_nanos(500);
+        dev.delete_vf(vf, gone).unwrap();
+        assert_eq!(dev.live_vfs(), 1, "the child went with its parent");
+        let mut done: Vec<_> = dev
+            .advance(HORIZON)
+            .into_iter()
+            .filter_map(|o| match o {
+                NescOutput::Completion { id, status, .. } => Some((id.0, status)),
+                NescOutput::HostInterrupt { .. } => None,
+            })
+            .collect();
+        done.sort_by_key(|&(id, _)| id);
+        let failed = CompletionStatus::DeviceError;
+        assert_eq!(
+            done,
+            vec![
+                (1, failed),
+                (2, failed),
+                (3, failed),
+                (4, failed),
+                (5, CompletionStatus::Ok),
+            ],
+            "one completion per request; the other VF no longer waits"
+        );
+        assert_eq!(dev.stats().requests_failed, 4);
+        // The parked write never reached the media.
+        assert_eq!(dev.store().resident_blocks(), 0);
     }
 
     #[test]

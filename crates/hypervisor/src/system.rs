@@ -1528,7 +1528,7 @@ impl System {
         d.detached = true;
         if let Some(vf) = d.vf.take() {
             self.func_to_disk.remove(&vf);
-            let deleted = self.dev.delete_vf(vf);
+            let deleted = self.dev.delete_vf(vf, self.now);
             debug_assert!(deleted.is_ok(), "VF was live");
         }
     }
@@ -1869,6 +1869,38 @@ mod tests {
         let disk2 = sys.quick_disk(DiskKind::NescDirect, "d2.img", 1 << 20).disk;
         sys.write(disk2, 0, &[3u8; 1024]);
         assert_eq!(sys.path_totals(DiskKind::NescDirect).requests, 3);
+    }
+
+    #[test]
+    fn every_ring_descriptor_slot_is_line_aligned_in_host_memory() {
+        let mut sys = small_system();
+        let disks: Vec<DiskId> = (0..3)
+            .map(|k| {
+                let name = format!("r{k}.img");
+                sys.quick_disk(DiskKind::NescDirect, &name, 1 << 20).disk
+            })
+            .collect();
+        // Go once round every ring, so each slot's page is resident.
+        let mut out = [0u8; 1024];
+        for &disk in &disks {
+            for i in 0..u64::from(RING_ENTRIES) {
+                sys.read(disk, (i % 64) * 1024, &mut out);
+            }
+        }
+        let mem = sys.memory();
+        let mem = mem.borrow();
+        assert_eq!(DESCRIPTOR_BYTES, 64);
+        for &disk in &disks {
+            let base = sys.disks[disk.0].ring_base;
+            for slot in 0..u64::from(RING_ENTRIES) {
+                let mut scratch = [0u8; 64];
+                let desc = mem.read_in_place(base + slot * DESCRIPTOR_BYTES, &mut scratch);
+                let (at, bytes) = (desc.as_ptr(), *desc);
+                assert_ne!(at, scratch.as_ptr(), "slot {slot} lent in place");
+                assert_eq!(at as usize % 64, 0, "{disk:?} slot {slot} straddles lines");
+                assert_ne!(bytes, [0; 64], "slot {slot} was written");
+            }
+        }
     }
 
     #[test]

@@ -171,18 +171,20 @@ impl NvmeController {
         Ok(nsid)
     }
 
-    /// Admin: deletes a namespace and its VF.
+    /// Admin: deletes a namespace and its VF at `now`. Its commands still
+    /// in the device complete with [`NvmeStatus::InternalError`] at the
+    /// next [`process`](Self::process).
     ///
     /// # Errors
     ///
     /// [`NvmeError::UnknownNamespace`] for dead or unknown ids.
-    pub fn delete_namespace(&mut self, nsid: u32) -> Result<(), NvmeError> {
+    pub fn delete_namespace(&mut self, nsid: u32, now: SimTime) -> Result<(), NvmeError> {
         let ns = self
             .namespaces
             .remove(&nsid)
             .ok_or(NvmeError::UnknownNamespace { nsid })?;
         self.dev
-            .delete_vf(ns.func)
+            .delete_vf(ns.func, now)
             .map_err(|_| NvmeError::UnknownNamespace { nsid })?;
         Ok(())
     }
@@ -575,10 +577,10 @@ mod tests {
     fn namespace_lifecycle() {
         let (mem, mut ctrl, ns, qid) = setup();
         assert!(ctrl.identify(ns).is_some());
-        ctrl.delete_namespace(ns).unwrap();
+        ctrl.delete_namespace(ns, SimTime::ZERO).unwrap();
         assert!(ctrl.identify(ns).is_none());
         assert_eq!(
-            ctrl.delete_namespace(ns),
+            ctrl.delete_namespace(ns, SimTime::ZERO),
             Err(NvmeError::UnknownNamespace { nsid: ns })
         );
         // Commands to a deleted namespace fail cleanly.
@@ -598,6 +600,27 @@ mod tests {
             )
             .unwrap();
         assert_eq!(done[0].0.status, NvmeStatus::InvalidNamespace);
+    }
+
+    #[test]
+    fn deleting_a_namespace_fails_its_commands_in_flight() {
+        let (mem, mut ctrl, ns, qid) = setup();
+        let buf = mem.borrow_mut().alloc(4096, 4096);
+        for cid in 1..=3 {
+            let sqe = SubmissionEntry::new(NvmeOpcode::Read, cid, ns, buf, Vlba(0), 0);
+            ctrl.push(qid, sqe).unwrap();
+        }
+        // The device has the commands queued, not yet served.
+        ctrl.ring_doorbell(qid, SimTime::ZERO).unwrap();
+        ctrl.delete_namespace(ns, SimTime::ZERO).unwrap();
+        let done = ctrl.process(SimTime::from_nanos(u64::MAX / 4));
+        let got: Vec<_> = done.iter().map(|(e, _, q)| (e.cid, e.status, *q)).collect();
+        let failed = NvmeStatus::InternalError;
+        assert_eq!(
+            got,
+            vec![(1, failed, qid), (2, failed, qid), (3, failed, qid)]
+        );
+        assert!(ctrl.reap(qid).is_some(), "each failure is posted to the CQ");
     }
 
     #[test]

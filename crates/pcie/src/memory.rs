@@ -24,6 +24,23 @@ pub type HostAddr = u64;
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 
+/// One resident 4 KiB page, on a host cache-line boundary.
+///
+/// The simulated addresses the data path uses are line-aligned (ring
+/// descriptors, buffers, tree nodes), so a 64-byte-aligned page keeps
+/// them line-aligned on the host too: a 64-byte descriptor read is one
+/// host line, and a copy between two pages is co-aligned. Plain
+/// `Box<[u8; PAGE_SIZE]>` comes from malloc at any 16-byte offset, and
+/// three descriptors in four then straddle two lines (DESIGN.md §10).
+#[repr(C, align(64))]
+struct Page([u8; PAGE_SIZE]);
+
+impl Page {
+    fn zeroed() -> Box<Page> {
+        Box::new(Page([0; PAGE_SIZE]))
+    }
+}
+
 /// Sparse byte-addressable host memory with a bump allocator for buffer and
 /// table placement.
 ///
@@ -42,7 +59,7 @@ pub struct HostMemory {
     // Keyed by page number with a cheap deterministic integer hasher: the
     // data path pays one lookup per page moved, and SipHash would dominate
     // the batched transfer loop.
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>, IntHashBuilder>,
+    pages: HashMap<u64, Box<Page>, IntHashBuilder>,
     next_free: HostAddr,
 }
 
@@ -96,7 +113,7 @@ impl HostMemory {
             let in_page = (a as usize) & (PAGE_SIZE - 1);
             let n = (PAGE_SIZE - in_page).min(buf.len() - off);
             match self.pages.get(&page) {
-                Some(p) => buf[off..off + n].copy_from_slice(&p[in_page..in_page + n]),
+                Some(p) => buf[off..off + n].copy_from_slice(&p.0[in_page..in_page + n]),
                 None => buf[off..off + n].fill(0),
             }
             off += n;
@@ -127,12 +144,12 @@ impl HostMemory {
         addr: HostAddr,
         scratch: &'a mut [u8; N],
     ) -> &'a [u8; N] {
-        static ZEROS: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+        static ZEROS: Page = Page([0; PAGE_SIZE]);
         let in_page = (addr as usize) & (PAGE_SIZE - 1);
         if in_page + N <= PAGE_SIZE {
             let page = match self.pages.get(&(addr >> PAGE_SHIFT)) {
-                Some(p) => &p[..],
-                None => &ZEROS[..],
+                Some(p) => &p.0[..],
+                None => &ZEROS.0[..],
             };
             if let Some(bytes) = page
                 .get(in_page..in_page + N)
@@ -153,11 +170,8 @@ impl HostMemory {
             let page = a >> PAGE_SHIFT;
             let in_page = (a as usize) & (PAGE_SIZE - 1);
             let n = (PAGE_SIZE - in_page).min(data.len() - off);
-            let p = self
-                .pages
-                .entry(page)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-            p[in_page..in_page + n].copy_from_slice(&data[off..off + n]);
+            let p = self.pages.entry(page).or_insert_with(Page::zeroed);
+            p.0[in_page..in_page + n].copy_from_slice(&data[off..off + n]);
             off += n;
         }
     }
@@ -177,11 +191,8 @@ impl HostMemory {
             let page = a >> PAGE_SHIFT;
             let in_page = (a as usize) & (PAGE_SIZE - 1);
             let n = (PAGE_SIZE - in_page).min(len - off);
-            let p = self
-                .pages
-                .entry(page)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-            f(off, &mut p[in_page..in_page + n]);
+            let p = self.pages.entry(page).or_insert_with(Page::zeroed);
+            f(off, &mut p.0[in_page..in_page + n]);
             off += n;
         }
     }
@@ -202,7 +213,7 @@ impl HostMemory {
             let in_page = (a as usize) & (PAGE_SIZE - 1);
             let n = ((PAGE_SIZE - in_page) as u64).min(len - off);
             if let Some(p) = self.pages.get_mut(&page) {
-                p[in_page..in_page + n as usize].fill(0);
+                p.0[in_page..in_page + n as usize].fill(0);
             }
             off += n;
         }
@@ -237,16 +248,16 @@ impl HostMemory {
             if s_page == d_page {
                 // An absent page reads as zeros on both sides already.
                 if let Some(p) = self.pages.get_mut(&s_page) {
-                    p.copy_within(si..si + n, di);
+                    p.0.copy_within(si..si + n, di);
                 }
             } else {
                 match self.pages.get_disjoint_mut([&s_page, &d_page]) {
-                    [Some(sp), Some(dp)] => dp[di..di + n].copy_from_slice(&sp[si..si + n]),
-                    [None, Some(dp)] => dp[di..di + n].fill(0),
+                    [Some(sp), Some(dp)] => dp.0[di..di + n].copy_from_slice(&sp.0[si..si + n]),
+                    [None, Some(dp)] => dp.0[di..di + n].fill(0),
                     [None, None] => {}
                     [Some(sp), None] => {
-                        let mut page = Box::new([0u8; PAGE_SIZE]);
-                        page[di..di + n].copy_from_slice(&sp[si..si + n]);
+                        let mut page = Page::zeroed();
+                        page.0[di..di + n].copy_from_slice(&sp.0[si..si + n]);
                         self.pages.insert(d_page, page);
                     }
                 }
@@ -415,6 +426,31 @@ mod tests {
     }
 
     #[test]
+    fn resident_pages_lend_line_aligned_bytes() {
+        let mut mem = HostMemory::new();
+        let page = PAGE_SIZE as u64;
+        // Enough pages that malloc's 16-byte granularity would show.
+        for k in 0..64 {
+            mem.write(page * (k + 1), &[k as u8 + 1; PAGE_SIZE]);
+        }
+        for k in 0..64 {
+            for line in [0, 1, 17, 63] {
+                let addr = page * (k + 1) + line * 64;
+                let mut scratch = [0u8; 64];
+                let got = mem.read_in_place(addr, &mut scratch);
+                let (at, bytes) = (got.as_ptr(), *got);
+                assert_ne!(at, scratch.as_ptr(), "lent from the page");
+                assert_eq!(at as usize % 64, 0, "page {k} line {line}");
+                assert_eq!(bytes, [k as u8 + 1; 64]);
+            }
+        }
+        // An absent page lends its zeros on a line boundary too.
+        let mut scratch = [0u8; 64];
+        let got = mem.read_in_place(page * 100 + 128, &mut scratch);
+        assert_eq!(got.as_ptr() as usize % 64, 0);
+    }
+
+    #[test]
     fn read_in_place_borrows_a_range_that_ends_at_the_page_end() {
         let mut mem = HostMemory::new();
         let page = PAGE_SIZE as u64;
@@ -446,7 +482,7 @@ mod tests {
     fn model_copy(mem: &HostMemory, src: HostAddr, dst: HostAddr, len: u64) -> HostMemory {
         let mut model = HostMemory::new();
         for (&page, bytes) in &mem.pages {
-            model.write(page << PAGE_SHIFT, &bytes[..]);
+            model.write(page << PAGE_SHIFT, &bytes.0);
         }
         let staged = model.read_vec(src, len as usize);
         model.write(dst, &staged);

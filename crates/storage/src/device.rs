@@ -28,20 +28,26 @@ const CHUNK_BLOCKS: u64 = 16;
 /// Bytes per chunk.
 const CHUNK_BYTES: u64 = CHUNK_BLOCKS * BLOCK_SIZE;
 
+/// A chunk's bytes, on a host cache-line boundary, so that a copy
+/// between a chunk and a (likewise aligned) host-memory page moves whole
+/// lines on both sides (DESIGN.md §15).
+#[repr(C, align(64))]
+struct ChunkBytes([u8; CHUNK_BYTES as usize]);
+
 /// One aligned group of [`CHUNK_BLOCKS`] blocks: the bytes of all of them
 /// in block order, and which of them have ever been written. Bytes of a
 /// never-written block are zero.
 struct Chunk {
     /// Bit `k` is set once block `k` of the chunk has been written.
     written: u16,
-    bytes: Box<[u8]>,
+    bytes: Box<ChunkBytes>,
 }
 
 impl Chunk {
     fn new() -> Self {
         Chunk {
             written: 0,
-            bytes: vec![0u8; CHUNK_BYTES as usize].into_boxed_slice(),
+            bytes: Box::new(ChunkBytes([0; CHUNK_BYTES as usize])),
         }
     }
 
@@ -303,7 +309,7 @@ impl BlockStore {
                     while k < end {
                         let (n, written) = c.stretch(k, end);
                         let at = done + (k - first) as u64;
-                        let data = written.then(|| &c.bytes[byte_span(k, k + n)]);
+                        let data = written.then(|| &c.bytes.0[byte_span(k, k + n)]);
                         f(at, n as u64, data);
                         k += n;
                     }
@@ -341,7 +347,7 @@ impl BlockStore {
             let end = (first as u64 + blocks - done).min(CHUNK_BLOCKS) as usize;
             let c = self.chunks.entry(chunk).or_insert_with(Chunk::new);
             self.resident += c.mark(first, end);
-            f(done, &mut c.bytes[byte_span(first, end)]);
+            f(done, &mut c.bytes.0[byte_span(first, end)]);
             done += (end - first) as u64;
             chunk += 1;
             first = 0;
@@ -357,7 +363,7 @@ impl BlockStore {
         }
         let (chunk, k) = locate(lba);
         let c = self.chunks.get(&chunk)?;
-        (c.written >> k & 1 == 1).then(|| &c.bytes[byte_span(k, k + 1)])
+        (c.written >> k & 1 == 1).then(|| &c.bytes.0[byte_span(k, k + 1)])
     }
 
     /// Mutably borrows one block, marking it written (it reads as zeros
@@ -373,7 +379,7 @@ impl BlockStore {
         let (chunk, k) = locate(lba);
         let c = self.chunks.entry(chunk).or_insert_with(Chunk::new);
         self.resident += c.mark(k, k + 1);
-        Ok(&mut c.bytes[byte_span(k, k + 1)])
+        Ok(&mut c.bytes.0[byte_span(k, k + 1)])
     }
 
     /// Whether a block has ever been written.
@@ -403,6 +409,13 @@ impl BlockStore {
     /// Number of blocks that have been written at least once.
     pub fn resident_blocks(&self) -> usize {
         self.resident
+    }
+
+    /// Host bytes the store holds for its contents: one whole chunk per
+    /// chunk any write touched, so at least the written bytes and at most
+    /// [`CHUNK_BLOCKS`] times them.
+    pub fn resident_bytes(&self) -> u64 {
+        self.chunks.len() as u64 * CHUNK_BYTES
     }
 
     /// Validates that `blocks` consecutive blocks starting at `lba` lie
@@ -579,6 +592,55 @@ mod tests {
         assert!(err.is_err());
         assert!(!called);
         assert_eq!(store.resident_blocks() as u64, CHUNK_BLOCKS + 5);
+    }
+
+    #[test]
+    fn written_blocks_are_lent_line_aligned() {
+        let mut store = BlockStore::new(64 * CHUNK_BLOCKS);
+        let block = vec![0x5Au8; BLOCK_SIZE as usize];
+        // Enough chunks that malloc's 16-byte granularity would show, at
+        // every block position within a chunk.
+        for k in 0..64 {
+            store
+                .write_block(Plba(k * CHUNK_BLOCKS + k % CHUNK_BLOCKS), &block)
+                .unwrap();
+        }
+        for k in 0..64 {
+            let got = store
+                .block(Plba(k * CHUNK_BLOCKS + k % CHUNK_BLOCKS))
+                .unwrap();
+            assert_eq!(got.as_ptr() as usize % 64, 0, "chunk {k}");
+            assert_eq!(got, &block[..]);
+        }
+    }
+
+    #[test]
+    fn resident_bytes_round_writes_up_to_whole_chunks() {
+        let bs = BLOCK_SIZE as usize;
+        // Contiguous writes: the written bytes, rounded up to a chunk.
+        let mut store = BlockStore::new(8 * CHUNK_BLOCKS);
+        assert_eq!(store.resident_bytes(), 0);
+        store.write_range(Plba(0), &vec![1u8; 37 * bs]).unwrap();
+        assert_eq!(
+            store.resident_bytes(),
+            37u64.div_ceil(CHUNK_BLOCKS) * CHUNK_BYTES
+        );
+        store.write_range(Plba(37), &vec![2u8; 11 * bs]).unwrap();
+        assert_eq!(
+            store.resident_bytes(),
+            48 * BLOCK_SIZE,
+            "three chunks, full"
+        );
+        // One block per chunk: a whole chunk per written block.
+        let mut store = BlockStore::new(8 * CHUNK_BLOCKS);
+        for k in 0..8 {
+            store.block_mut(Plba(k * CHUNK_BLOCKS + 3)).unwrap().fill(3);
+        }
+        let written = store.resident_blocks() as u64 * BLOCK_SIZE;
+        assert_eq!(store.resident_bytes(), CHUNK_BLOCKS * written);
+        // Rewriting a resident block adds nothing.
+        store.write_block(Plba(3), &vec![4u8; bs]).unwrap();
+        assert_eq!(store.resident_bytes(), 8 * CHUNK_BYTES);
     }
 
     /// Capacity of the model store: three chunks and part of a fourth, so

@@ -72,7 +72,7 @@ fn max_namespaces_then_exhaustion() {
     let tree = ExtentTree::new().serialize(&mut mem.borrow_mut());
     assert!(ctrl.create_namespace(tree, 1).is_err());
     // Deleting one frees a slot.
-    ctrl.delete_namespace(1).unwrap();
+    ctrl.delete_namespace(1, SimTime::ZERO).unwrap();
     assert!(ctrl.create_namespace(tree, 1).is_ok());
 }
 
