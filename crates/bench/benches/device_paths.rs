@@ -102,23 +102,18 @@ fn bench_filesystem(c: &mut Criterion) {
 
 fn bench_interfaces(c: &mut Criterion) {
     use nesc_core::ring::{RingDescriptor, DESCRIPTOR_BYTES};
+    use nesc_hypervisor::System;
     use nesc_nvme::{NvmeController, NvmeOpcode, SubmissionEntry};
 
     let mut group = c.benchmark_group("interfaces");
     group.sample_size(20);
     group.throughput(Throughput::Bytes(4096));
     group.bench_function("nvme_4k_read", |b| {
-        let mem = Rc::new(RefCell::new(HostMemory::new()));
-        let mut cfg = NescConfig::prototype();
-        cfg.capacity_blocks = 64 * 1024;
-        let mut ctrl = NvmeController::new(cfg, Rc::clone(&mem));
-        let tree: ExtentTree = [ExtentMapping::new(Vlba(0), Plba(0), 32 * 1024)]
-            .into_iter()
-            .collect();
-        let root = tree.serialize(&mut mem.borrow_mut());
-        let ns = ctrl.create_namespace(root, 32 * 1024).unwrap();
+        let sys = System::builder().capacity_blocks(64 * 1024).build();
+        let mut ctrl = NvmeController::new(sys);
+        let ns = ctrl.create_namespace("bench.img", 32 * 1024, true).unwrap();
         let qid = ctrl.create_queue_pair(64);
-        let buf = mem.borrow_mut().alloc(4096, 4096);
+        let buf = ctrl.system().memory().borrow_mut().alloc(4096, 4096);
         let mut t = SimTime::ZERO;
         let mut i = 0u64;
         b.iter(|| {

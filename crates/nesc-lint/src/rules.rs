@@ -245,8 +245,8 @@ impl LintContext {
 /// nesc_*` or an inline `nesc_*::` path) only the crates listed as its
 /// dependencies here. The table mirrors the workspace `Cargo.toml` edges
 /// on purpose — `sim` and `pcie`/`extent` sit at the bottom, `hypervisor`
-/// and `workloads` at the top, and the harness crates (`bench`) see
-/// everything — so an upward or cyclic `use` fails the lint even before
+/// and its front-ends (`nvme`, `accel`) and `workloads` at the top, and
+/// the harness crates (`bench`) see everything — so an upward or cyclic `use` fails the lint even before
 /// Cargo would reject the dependency edge it implies.
 pub const LAYERING: &[(&str, &[&str])] = &[
     ("nesc_sim", &[]),
@@ -270,6 +270,7 @@ pub const LAYERING: &[(&str, &[&str])] = &[
             "nesc_core",
             "nesc_storage",
             "nesc_extent",
+            "nesc_hypervisor",
         ],
     ),
     (
@@ -280,6 +281,7 @@ pub const LAYERING: &[(&str, &[&str])] = &[
             "nesc_core",
             "nesc_storage",
             "nesc_extent",
+            "nesc_hypervisor",
         ],
     ),
     (

@@ -16,9 +16,10 @@
 //! extent tree. The queue mechanics are real: submission and completion
 //! rings live in host memory as encoded bytes ([`SubmissionQueue`] /
 //! [`CompletionQueue`], 64-byte SQEs, 16-byte CQEs with a phase bit), the
-//! driver rings a doorbell, and the controller decodes commands, pushes
-//! them through the underlying [`NescDevice`](nesc_core::NescDevice), and
-//! posts completions.
+//! driver rings a doorbell, and the controller decodes commands, puts
+//! them on the namespaces' VF command rings of one
+//! [`System`](nesc_hypervisor::System) (whose hypervisor serves their
+//! translation misses, thin namespaces included), and posts completions.
 //!
 //! The layout follows NVMe's structure (opcode/CID/NSID/PRP/SLBA/NLB
 //! fields at their customary offsets) but is deliberately a *subset*: one

@@ -135,11 +135,6 @@ impl SubmissionQueue {
     pub fn head(&self) -> u16 {
         self.head
     }
-
-    /// Current tail (the doorbell value).
-    pub fn tail(&self) -> u16 {
-        self.tail
-    }
 }
 
 /// A completion ring with phase-bit semantics.

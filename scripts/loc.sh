@@ -7,7 +7,9 @@
 # `probe.pass(` calls outside comments, a call split across lines
 # included) per file. A file's non-test lines are the lines above its
 # first `#[cfg(test)]` (the whole file if it has none). Also counts the
-# device's per-block store calls and the extent crate's full-node copies.
+# device's per-block store calls and the extent crate's full-node copies,
+# and, outside crates/core, the `REWALK_TREE` writers and the device
+# `advance` call sites.
 # Never fails on the numbers; it only prints them.
 #
 # Usage: scripts/loc.sh
@@ -95,6 +97,24 @@ printf '  %-44s %6d\n' "non-test node copies in crates/extent" \
         s{^\s*//.*$}{}mg;
         $t += () = /(?<!fn )\b(?:read_node|decode)\(/g;
         END { print $t + 0 }')"
+
+# Per file outside crates/core: non-test `REWALK_TREE` writers (the
+# hypervisor's miss handler is the one) and non-test `.advance(` /
+# `.advance_into(` call sites (the NVMe and accelerator front-ends reach
+# the device through `System`, so they have none).
+nontest_sites() {
+    find crates -path '*/src/*' -name '*.rs' -not -path 'crates/core/*' | sort |
+        PATTERN="$1" xargs perl -0777 -ne '
+            s/^#\[cfg\(test\)\].*//ms;
+            s{^\s*//.*$}{}mg;
+            my $n = () = /$ENV{PATTERN}/g;
+            if ($n) { printf "  %-44s %6d\n", $ARGV, $n; $t += $n }
+            END { printf "  %-44s %6d\n", "total", $t + 0 }'
+}
+echo "non-test REWALK_TREE writers outside crates/core, per file:"
+nontest_sites '\bREWALK_TREE\b'
+echo "non-test .advance( / .advance_into( calls outside crates/core, per file:"
+nontest_sites '\.advance(?:_into)?\('
 
 echo "probe emission sites (non-test probe.report( / probe.pass( calls) per file:"
 find crates -path '*/src/*' -name '*.rs' | sort | xargs perl -0777 -ne '

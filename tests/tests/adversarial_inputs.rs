@@ -25,6 +25,7 @@ use nesc_extent::{
     validate_chain_len, validate_count, validate_nlb, validate_ring_tail, validate_sector,
     validate_slba, ExtentMapping, ExtentTree, GuestFault, Plba, Untrusted, Vlba,
 };
+use nesc_hypervisor::System;
 use nesc_nvme::{NvmeController, NvmeOpcode, NvmeStatus, SubmissionEntry};
 use nesc_pcie::HostMemory;
 use nesc_sim::{SimRng, SimTime};
@@ -63,15 +64,8 @@ fn garbage_sqe_bytes_decode_or_reject() {
 }
 
 fn nvme_setup() -> (NvmeController, u32, u16) {
-    let mem = Rc::new(RefCell::new(HostMemory::new()));
-    let mut cfg = NescConfig::prototype();
-    cfg.capacity_blocks = 8192;
-    let mut ctrl = NvmeController::new(cfg, Rc::clone(&mem));
-    let tree: ExtentTree = [ExtentMapping::new(Vlba(0), Plba(100), 64)]
-        .into_iter()
-        .collect();
-    let root = tree.serialize(&mut mem.borrow_mut());
-    let ns = ctrl.create_namespace(root, 64).unwrap();
+    let mut ctrl = NvmeController::new(System::builder().capacity_blocks(8192).build());
+    let ns = ctrl.create_namespace("ns.img", 64, true).unwrap();
     let qid = ctrl.create_queue_pair(8);
     (ctrl, ns, qid)
 }
@@ -82,7 +76,7 @@ fn nvme_setup() -> (NvmeController, u32, u16) {
 #[test]
 fn boundary_lba_ranges_yield_typed_statuses() {
     let (mut ctrl, ns, qid) = nvme_setup();
-    let buf = 0x20_0000;
+    let buf = ctrl.system().memory().borrow_mut().alloc(4096, 4096);
     let cases: &[(u64, u32, NvmeStatus)] = &[
         (0, 0, NvmeStatus::Success),               // first block
         (63, 0, NvmeStatus::Success),              // last block

@@ -4,38 +4,27 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use nesc_core::NescConfig;
-use nesc_extent::{ExtentMapping, ExtentTree, Plba, Vlba};
-use nesc_nvme::{NvmeController, NvmeOpcode, SubmissionEntry};
+use nesc_extent::Vlba;
+use nesc_hypervisor::System;
+use nesc_nvme::{NvmeController, NvmeOpcode, NvmeStatus, SubmissionEntry};
 use nesc_pcie::HostMemory;
 use nesc_sim::SimTime;
 use proptest::prelude::*;
 
 fn controller(capacity_blocks: u64) -> (Rc<RefCell<HostMemory>>, NvmeController) {
-    let mem = Rc::new(RefCell::new(HostMemory::new()));
-    let mut cfg = NescConfig::prototype();
-    cfg.capacity_blocks = capacity_blocks;
-    let ctrl = NvmeController::new(cfg, Rc::clone(&mem));
-    (mem, ctrl)
+    let sys = System::builder().capacity_blocks(capacity_blocks).build();
+    (sys.memory(), NvmeController::new(sys))
 }
 
-fn contiguous_ns(
-    mem: &Rc<RefCell<HostMemory>>,
-    ctrl: &mut NvmeController,
-    base: u64,
-    blocks: u64,
-) -> u32 {
-    let tree: ExtentTree = [ExtentMapping::new(Vlba(0), Plba(base), blocks)]
-        .into_iter()
-        .collect();
-    let root = tree.serialize(&mut mem.borrow_mut());
-    ctrl.create_namespace(root, blocks).unwrap()
+/// A namespace of `blocks` over a new image file, preallocated or thin.
+fn namespace(ctrl: &mut NvmeController, name: &str, blocks: u64, prealloc: bool) -> u32 {
+    ctrl.create_namespace(name, blocks, prealloc).unwrap()
 }
 
 #[test]
 fn sustained_load_wraps_the_rings_many_times() {
     let (mem, mut ctrl) = controller(16 * 1024);
-    let ns = contiguous_ns(&mem, &mut ctrl, 0, 1024);
+    let ns = namespace(&mut ctrl, "ns.img", 1024, true);
     let qid = ctrl.create_queue_pair(4); // tiny ring: wraps every 3 commands
     let buf = mem.borrow_mut().alloc(1024, 4096);
     let mut t = SimTime::ZERO;
@@ -59,27 +48,26 @@ fn sustained_load_wraps_the_rings_many_times() {
         assert!(done[0].0.status.is_success(), "iteration {i}");
         t = done[0].1;
     }
-    assert_eq!(ctrl.device().stats().requests_completed, 64);
+    assert_eq!(ctrl.system().device().stats().requests_completed, 64);
 }
 
 #[test]
 fn max_namespaces_then_exhaustion() {
-    let (mem, mut ctrl) = controller(128 * 1024);
-    let max = ctrl.device().config().max_vfs;
-    for i in 0..max as u64 {
-        contiguous_ns(&mem, &mut ctrl, i * 16, 16);
+    let (_mem, mut ctrl) = controller(128 * 1024);
+    let max = ctrl.system().device().config().max_vfs;
+    for i in 0..max {
+        namespace(&mut ctrl, &format!("ns{i}.img"), 16, true);
     }
-    let tree = ExtentTree::new().serialize(&mut mem.borrow_mut());
-    assert!(ctrl.create_namespace(tree, 1).is_err());
+    assert!(ctrl.create_namespace("one-more.img", 1, true).is_err());
     // Deleting one frees a slot.
     ctrl.delete_namespace(1, SimTime::ZERO).unwrap();
-    assert!(ctrl.create_namespace(tree, 1).is_ok());
+    assert!(ctrl.create_namespace("reuse.img", 1, true).is_ok());
 }
 
 #[test]
 fn interleaved_queues_complete_independently() {
     let (mem, mut ctrl) = controller(16 * 1024);
-    let ns = contiguous_ns(&mem, &mut ctrl, 0, 1024);
+    let ns = namespace(&mut ctrl, "ns.img", 1024, true);
     let q_a = ctrl.create_queue_pair(8);
     let q_b = ctrl.create_queue_pair(8);
     let buf = mem.borrow_mut().alloc(4096, 4096);
@@ -93,7 +81,7 @@ fn interleaved_queues_complete_independently() {
     }
     ctrl.ring_doorbell(q_a, SimTime::ZERO).unwrap();
     ctrl.ring_doorbell(q_b, SimTime::ZERO).unwrap();
-    ctrl.process(SimTime::from_nanos(u64::MAX / 4));
+    ctrl.process();
     let reap_ids = |ctrl: &mut NvmeController, q: u16| {
         let mut v = Vec::new();
         while let Some(c) = ctrl.reap(q) {
@@ -105,46 +93,91 @@ fn interleaved_queues_complete_independently() {
     assert_eq!(reap_ids(&mut ctrl, q_b), vec![2, 4]);
 }
 
+/// A thin namespace's first write takes the miss path: the system's
+/// hypervisor backs the block and the command completes like any other.
+#[test]
+fn a_write_to_a_thin_namespace_completes_and_reads_back() {
+    let (mem, mut ctrl) = controller(16 * 1024);
+    let ns = namespace(&mut ctrl, "thin.img", 64, false);
+    let qid = ctrl.create_queue_pair(8);
+    let (wbuf, rbuf) = {
+        let mut mem = mem.borrow_mut();
+        (mem.alloc(2048, 4096), mem.alloc(2048, 4096))
+    };
+    mem.borrow_mut().write(wbuf, &[0x5A; 2048]);
+    let write = SubmissionEntry::new(NvmeOpcode::Write, 1, ns, wbuf, Vlba(10), 1);
+    let done = ctrl
+        .submit_and_process(SimTime::ZERO, qid, &[write])
+        .unwrap();
+    assert_eq!(done.len(), 1);
+    assert_eq!(done[0].0.status, NvmeStatus::Success);
+    let read = SubmissionEntry::new(NvmeOpcode::Read, 2, ns, rbuf, Vlba(10), 1);
+    let done = ctrl.submit_and_process(done[0].1, qid, &[read]).unwrap();
+    assert_eq!(done[0].0.status, NvmeStatus::Success);
+    assert_eq!(mem.borrow().read_vec(rbuf, 2048), vec![0x5A; 2048]);
+}
+
+/// One doorbell can carry more commands than a VF ring has slots: the
+/// controller's batch reaches the device one ring-full at a time.
+#[test]
+fn a_batch_longer_than_the_vf_ring_completes() {
+    let (mem, mut ctrl) = controller(16 * 1024);
+    let ns = namespace(&mut ctrl, "ns.img", 1024, true);
+    let qid = ctrl.create_queue_pair(512);
+    let buf = mem.borrow_mut().alloc(1024, 4096);
+    for cid in 0..300u16 {
+        let sqe = SubmissionEntry::new(NvmeOpcode::Read, cid, ns, buf, Vlba(u64::from(cid)), 0);
+        ctrl.push(qid, sqe).unwrap();
+    }
+    ctrl.ring_doorbell(qid, SimTime::ZERO).unwrap();
+    let done = ctrl.process();
+    assert_eq!(done.len(), 300);
+    assert!(done.iter().all(|(e, _, _)| e.status == NvmeStatus::Success));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Random write/read command streams against a reference byte model.
+    /// Random write/read command streams against a reference byte model,
+    /// on a preallocated and on a thin namespace.
     #[test]
     fn prop_namespace_matches_reference(
         ops in proptest::collection::vec((0u64..60, 1u32..4, any::<u8>(), any::<bool>()), 1..25)
     ) {
-        let (mem, mut ctrl) = controller(16 * 1024);
-        let ns = contiguous_ns(&mem, &mut ctrl, 64, 64);
-        let qid = ctrl.create_queue_pair(16);
-        let buf = mem.borrow_mut().alloc(4096, 4096);
-        let mut reference = vec![0u8; 64 * 1024];
-        let mut t = SimTime::ZERO;
-        for (i, &(slba, nlb, byte, is_write)) in ops.iter().enumerate() {
-            if slba + nlb as u64 + 1 > 64 {
-                continue;
-            }
-            let bytes = (nlb as usize + 1) * 1024;
-            let op = if is_write {
-                mem.borrow_mut().write(buf, &vec![byte; bytes]);
-                NvmeOpcode::Write
-            } else {
-                NvmeOpcode::Read
-            };
-            let done = ctrl
-                .submit_and_process(
-                    t,
-                    qid,
-                    &[SubmissionEntry::new(op, i as u16, ns, buf, Vlba(slba), nlb)],
-                )
-                .unwrap();
-            prop_assert!(done[0].0.status.is_success());
-            t = done[0].1;
-            let lo = slba as usize * 1024;
-            if is_write {
-                reference[lo..lo + bytes].fill(byte);
-            } else {
-                let got = mem.borrow().read_vec(buf, bytes);
-                prop_assert_eq!(&got[..], &reference[lo..lo + bytes]);
+        for prealloc in [true, false] {
+            let (mem, mut ctrl) = controller(16 * 1024);
+            let ns = namespace(&mut ctrl, "ns.img", 64, prealloc);
+            let qid = ctrl.create_queue_pair(16);
+            let buf = mem.borrow_mut().alloc(4096, 4096);
+            let mut reference = vec![0u8; 64 * 1024];
+            let mut t = SimTime::ZERO;
+            for (i, &(slba, nlb, byte, is_write)) in ops.iter().enumerate() {
+                if slba + nlb as u64 + 1 > 64 {
+                    continue;
+                }
+                let bytes = (nlb as usize + 1) * 1024;
+                let op = if is_write {
+                    mem.borrow_mut().write(buf, &vec![byte; bytes]);
+                    NvmeOpcode::Write
+                } else {
+                    NvmeOpcode::Read
+                };
+                let done = ctrl
+                    .submit_and_process(
+                        t,
+                        qid,
+                        &[SubmissionEntry::new(op, i as u16, ns, buf, Vlba(slba), nlb)],
+                    )
+                    .unwrap();
+                prop_assert!(done[0].0.status.is_success());
+                t = done[0].1;
+                let lo = slba as usize * 1024;
+                if is_write {
+                    reference[lo..lo + bytes].fill(byte);
+                } else {
+                    let got = mem.borrow().read_vec(buf, bytes);
+                    prop_assert_eq!(&got[..], &reference[lo..lo + bytes]);
+                }
             }
         }
     }
