@@ -16,43 +16,60 @@
 //! virtio and full emulation: the virtio chain lives inline or in a kept
 //! buffer, and the host backend keeps its image-run list, reads only a
 //! write's partial edge blocks, straight into the bounce, and copies the
-//! bounce to the guest page to page.
+//! bounce to the guest page to page. Windowed telemetry over many disks
+//! adds nothing either: a window close ranks the window's completions in
+//! a retained buffer and every series ring is at its capacity.
 //!
 //! The counter lives in its own integration-test binary because a global
 //! allocator is process-wide; keeping it here means the unit suites run on
-//! the system allocator untouched. The tests take turns (`SERIAL`) so one
-//! never counts the other's allocations.
+//! the system allocator untouched. A test counts only its own thread's
+//! allocations, and the tests take turns (`SERIAL`) on the one counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use nesc_bench::hotpath::{build_device, HotpathConfig, DEVICE_BLOCKS};
 use nesc_core::NescOutput;
-use nesc_hypervisor::{DiskKind, System as NescSystem};
+use nesc_hypervisor::{DiskKind, System as NescSystem, TelemetryConfig};
 use nesc_sim::{FlightHandle, Obs, Pass, Probe, SimDuration, SimRng, SimTime, Tracer, Via};
 use nesc_storage::{BlockOp, BlockRequest, RequestId};
 
 /// Counts allocator calls while armed; delegates everything to [`System`].
 struct CountingAlloc;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// Whether this thread's allocations count. Per thread, so the test
+    /// harness spawning or reporting another test on its own thread never
+    /// counts against the armed one. A const `Cell` needs no allocation
+    /// and no destructor, so the allocator may read it at any time.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn armed() -> bool {
+    ARMED.try_with(Cell::get).unwrap_or(false)
+}
+
+fn arm(on: bool) {
+    ARMED.with(|a| a.set(on));
+}
 static TRACE: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if armed() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
             if TRACE.load(Ordering::Relaxed) {
-                ARMED.store(false, Ordering::SeqCst);
+                arm(false);
                 eprintln!(
                     "ALLOC size={} align={}\n{}",
                     layout.size(),
                     layout.align(),
                     std::backtrace::Backtrace::force_capture()
                 );
-                ARMED.store(true, Ordering::SeqCst);
+                arm(true);
             }
         }
         unsafe { System.alloc(layout) }
@@ -63,7 +80,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if armed() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -146,11 +163,11 @@ fn steady_state_device_loop_is_allocation_free() {
         );
 
         ALLOCS.store(0, Ordering::SeqCst);
-        ARMED.store(true, Ordering::SeqCst);
+        arm(true);
         drive(
             &mut dev, vf, buf, &cfg, &mut rng, &mut t, warm, 256, &mut outs,
         );
-        ARMED.store(false, Ordering::SeqCst);
+        arm(false);
         let n = ALLOCS.load(Ordering::SeqCst);
         assert_eq!(
             n, 0,
@@ -203,11 +220,11 @@ fn traced_requests_allocate_only_as_the_span_log_grows() {
     let _serial = serial();
     let probe = Probe::new(Tracer::enabled(), FlightHandle::disabled());
     ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    arm(true);
     for i in 0..1024 {
         observe_request(&probe, i);
     }
-    ARMED.store(false, Ordering::SeqCst);
+    arm(false);
     let n = ALLOCS.load(Ordering::SeqCst);
     let spans = probe.tracer().len() as u64;
     assert_eq!(spans, 1024 * 16);
@@ -251,9 +268,9 @@ fn steady_pass_allocations(kind: DiskKind) -> u64 {
     pass(&mut sys);
     pass(&mut sys);
     ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    arm(true);
     pass(&mut sys);
-    ARMED.store(false, Ordering::SeqCst);
+    arm(false);
     ALLOCS.load(Ordering::SeqCst)
 }
 
@@ -286,4 +303,60 @@ fn paravirt_rereads_and_rewrites_through_the_system_are_allocation_free() {
             "{n} allocations re-reading and re-writing written blocks on {kind:?}"
         );
     }
+}
+
+/// With telemetry on, a pass over 64 NeSC-direct disks that closes many
+/// windows allocates nothing once warm: the window's completions, the
+/// per-disk latency runs and the ring list are retained buffers, and a
+/// series ring at its capacity overwrites in place.
+#[test]
+fn windowed_telemetry_over_many_disks_is_allocation_free() {
+    const DISKS: usize = 64;
+    const DISK_BYTES: u64 = 64 << 10;
+    const CAPACITY: usize = 16;
+    let _serial = serial();
+    TRACE.store(std::env::var_os("ALLOC_TRACE").is_some(), Ordering::SeqCst);
+    let mut sys = NescSystem::builder()
+        .capacity_blocks((DISK_BYTES / 512) * (DISKS as u64 + 1))
+        .max_vfs(DISKS as u16 + 2)
+        .telemetry(TelemetryConfig::windowed(SimDuration::from_micros(20)).capacity(CAPACITY))
+        .build();
+    let disks: Vec<_> = (0..DISKS)
+        .map(|i| {
+            let name = format!("t{i}.img");
+            sys.quick_disk(DiskKind::NescDirect, &name, DISK_BYTES).disk
+        })
+        .collect();
+    let data = vec![0xA5u8; 4096];
+    let mut out = vec![0u8; 4096];
+    // Every disk sees writes and reads, several to a window.
+    let mut pass = |sys: &mut NescSystem| {
+        for block in 0..4u64 {
+            for &disk in &disks {
+                sys.write(disk, block * 4096, &data);
+                sys.read(disk, block * 4096, &mut out);
+            }
+        }
+    };
+    let closed = |sys: &NescSystem| {
+        let tel = sys.telemetry().expect("telemetry enabled");
+        tel.sampler().closed_windows()
+    };
+    // Warm-up: every block written, every buffer at size, and more
+    // windows closed than a series ring holds.
+    while closed(&sys) < 2 * CAPACITY as u64 {
+        pass(&mut sys);
+    }
+    let before = closed(&sys);
+    ALLOCS.store(0, Ordering::SeqCst);
+    arm(true);
+    pass(&mut sys);
+    arm(false);
+    let n = ALLOCS.load(Ordering::SeqCst);
+    let windows = closed(&sys) - before;
+    assert!(
+        windows >= CAPACITY as u64,
+        "the pass closed only {windows} windows"
+    );
+    assert_eq!(n, 0, "{n} allocations over {windows} telemetry windows");
 }

@@ -8,8 +8,8 @@
 //! * **storage / pcie** — media and link busy time as parts-per-million
 //!   utilization per window;
 //! * **hypervisor** — per-VF windowed request/byte counters and p50/p99
-//!   latency (from a histogram that resets each window), plus the miss
-//!   handler's rewalk service rate and p99.
+//!   latency (from the window's own completions of that disk, sorted),
+//!   plus the miss handler's rewalk service rate and p99.
 //!
 //! Everything is driven by *simulated* time, and sampling is *deferred*
 //! off the hot path. Telemetry keeps no per-request state: each finished
@@ -135,8 +135,6 @@ struct VfSeries {
     /// Cumulative raws feeding the counter series.
     raw_requests: u64,
     raw_bytes: u64,
-    /// Latency samples of the currently open window; reset at each close.
-    hist: Histogram,
 }
 
 /// The assembled telemetry subsystem (see the module docs).
@@ -162,8 +160,13 @@ pub struct Telemetry {
     vfs: Vec<Option<VfSeries>>,
     /// Command-ring depth gauges, indexed by VF function index.
     rings: Vec<Option<SeriesId>>,
-    /// The closing window's disks with a completion (capacity retained).
-    disks: Vec<u32>,
+    /// The closing window's `(disk, latency_ns)` per completion, sorted
+    /// at the close so each disk's latencies form one ascending run
+    /// (capacity retained).
+    done: Vec<(u32, u64)>,
+    /// One disk's run of latencies, copied out of `done` for the
+    /// percentile reads (capacity retained).
+    latencies: Vec<u64>,
     /// Functions whose ring may be non-empty at the next close: those
     /// sampled non-zero at the last one. A close adds the functions a
     /// request was queued on since.
@@ -250,7 +253,8 @@ impl Telemetry {
             watchdog,
             vfs: Vec::new(),
             rings: Vec::new(),
-            disks: Vec::new(),
+            done: Vec::new(),
+            latencies: Vec::new(),
             funcs: Vec::new(),
             prev_walk_busy: SimDuration::ZERO,
             prev_media_busy: SimDuration::ZERO,
@@ -288,7 +292,6 @@ impl Telemetry {
                 .register(&format!("hv.vf{d}.p99_ns"), "ns", SeriesKind::Gauge),
             raw_requests: 0,
             raw_bytes: 0,
-            hist: Histogram::new(),
         };
         if self.vfs.len() <= d {
             self.vfs.resize_with(d + 1, || None);
@@ -344,7 +347,7 @@ impl Telemetry {
     /// A window touches a disk with a completion in it, and a ring that
     /// was pushed to since the previous close or was sampled non-empty at
     /// it: a ring only deepens on a push. Every other per-disk series
-    /// reads 0 (its counter's raw value unchanged, its histogram empty),
+    /// reads 0 (its counter's raw value unchanged, no latency to rank),
     /// which the sampler records for an unsampled series.
     pub fn poll(&mut self, now: SimTime, dev: &NescDevice) {
         if !self.due(now) {
@@ -352,21 +355,16 @@ impl Telemetry {
         }
         while let Some(end) = self.sampler.due(now) {
             let window = self.sampler.closed_windows().saturating_sub(1);
-            let (vfs, disks, funcs) = (&mut self.vfs, &mut self.disks, &mut self.funcs);
+            let (vfs, done, funcs) = (&mut self.vfs, &mut self.done, &mut self.funcs);
             let mut rewalk_p99 = 0;
-            disks.clear();
+            done.clear();
             self.probe
-                .close_window(end.as_nanos(), window, |done, queued, rewalk_ns| {
-                    for c in done {
+                .close_window(end.as_nanos(), window, |completions, queued, rewalk_ns| {
+                    for c in completions {
                         if let Some(Some(vf)) = vfs.get_mut(c.disk as usize) {
-                            // The histogram empties at each close, so the
-                            // disk's first completion lists it.
-                            if vf.hist.count() == 0 {
-                                disks.push(c.disk);
-                            }
                             vf.raw_requests += 1;
                             vf.raw_bytes += c.bytes;
-                            vf.hist.record(c.latency_ns);
+                            done.push((c.disk, c.latency_ns));
                         }
                     }
                     funcs.extend_from_slice(queued);
@@ -414,16 +412,20 @@ impl Telemetry {
             self.sampler.sample(self.s_rewalks, self.probe.rewalks());
             self.sampler.sample(self.s_rewalk_p99, rewalk_p99);
 
-            for &d in &self.disks {
-                let Some(Some(vf)) = self.vfs.get_mut(d as usize) else {
+            // Each disk's completions form one run, its latencies ascending:
+            // the percentiles of a histogram of exactly those samples.
+            self.done.sort_unstable();
+            for run in self.done.chunk_by(|a, b| a.0 == b.0) {
+                let Some(Some(vf)) = self.vfs.get(run[0].0 as usize) else {
                     continue;
                 };
                 self.sampler.sample(vf.requests, vf.raw_requests);
                 self.sampler.sample(vf.bytes, vf.raw_bytes);
-                let (p50, p99) = vf.hist.percentile_pair(50.0, 99.0);
-                self.sampler.sample(vf.p50, p50);
-                self.sampler.sample(vf.p99, p99);
-                vf.hist.reset();
+                self.latencies.clear();
+                self.latencies.extend(run.iter().map(|&(_, ns)| ns));
+                let pct = |p| Histogram::percentile_of_sorted(&self.latencies, p);
+                self.sampler.sample(vf.p50, pct(50.0));
+                self.sampler.sample(vf.p99, pct(99.0));
             }
             self.funcs.sort_unstable();
             // `dedup_by_key`, not `dedup`: nesc-lint's call graph would

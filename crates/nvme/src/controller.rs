@@ -75,6 +75,25 @@ impl From<QueueFull> for NvmeError {
     }
 }
 
+/// Where an accepted command's CQE goes.
+#[derive(Debug, Clone, Copy)]
+struct Accepted {
+    nsid: u32,
+    qid: u16,
+    cid: u16,
+    sq_head: u16,
+}
+
+/// A Flush waiting for the commands its namespace accepted before it.
+#[derive(Debug)]
+struct PendingFlush {
+    cmd: Accepted,
+    /// No earlier than its decode and the namespace's completions so far.
+    at: SimTime,
+    /// The earlier commands still in flight.
+    waits: Vec<RequestId>,
+}
+
 struct QueuePair {
     sq: SubmissionQueue,
     cq: CompletionQueue,
@@ -115,8 +134,12 @@ pub struct NvmeController {
     namespaces: BTreeMap<u32, Namespace>,
     next_nsid: u32,
     qpairs: Vec<QueuePair>,
-    /// Outstanding commands: request id → (qid, cid, sq_head).
-    inflight: BTreeMap<RequestId, (u16, u16, u16)>,
+    /// Outstanding reads and writes by request id.
+    inflight: BTreeMap<RequestId, Accepted>,
+    /// Flushes whose namespace still has earlier commands in flight.
+    flushes: Vec<PendingFlush>,
+    /// Per namespace, the latest completion posted for it.
+    durable: BTreeMap<u32, SimTime>,
     /// Controller firmware cost to decode and dispatch one command.
     cmd_cost: SimDuration,
 }
@@ -143,6 +166,8 @@ impl NvmeController {
             next_nsid: 1,
             qpairs: Vec::new(),
             inflight: BTreeMap::new(),
+            flushes: Vec::new(),
+            durable: BTreeMap::new(),
             cmd_cost: SimDuration::from_nanos(250),
         }
     }
@@ -250,6 +275,9 @@ impl NvmeController {
     /// Rings the submission doorbell at `now`: the controller consumes all
     /// pending SQEs and validates them, then puts each namespace's reads
     /// and writes on its VF ring, one `RING_TAIL` doorbell per namespace.
+    /// A Flush completes once every command its namespace accepted before
+    /// it has: at once if none is in flight, else in the
+    /// [`process`](Self::process) that completes the last of them.
     ///
     /// # Errors
     ///
@@ -258,8 +286,13 @@ impl NvmeController {
         if qid as usize >= self.qpairs.len() {
             return Err(NvmeError::UnknownQueue { qid });
         }
-        // Per namespace: its ring requests and their (cid, sq_head).
-        type Batch = (Vec<(BlockOp, Vlba, u64, HostAddr)>, Vec<(u16, u16)>);
+        // Per namespace: its ring requests, their commands, and its
+        // flushes with the number of requests decoded before each.
+        type Batch = (
+            Vec<(BlockOp, Vlba, u64, HostAddr)>,
+            Vec<Accepted>,
+            Vec<(usize, Accepted, SimTime)>,
+        );
         let mut batches: BTreeMap<u32, Batch> = BTreeMap::new();
         let mut t = now;
         loop {
@@ -269,33 +302,65 @@ impl NvmeController {
             };
             let sq_head = qp.sq.head();
             t += self.cmd_cost;
+            let nsid = sqe.nsid();
             // The cid only flows back into the completion entry (total
             // validation).
             let cid = validate_cid(sqe.cid);
+            let cmd = Accepted {
+                nsid,
+                qid,
+                cid,
+                sq_head,
+            };
             match self.admit(&sqe) {
-                Ok(req) => {
-                    let batch = batches.entry(sqe.nsid()).or_default();
+                Ok(Some(req)) => {
+                    let batch = batches.entry(nsid).or_default();
                     batch.0.push(req);
-                    batch.1.push((cid, sq_head));
+                    batch.1.push(cmd);
+                }
+                Ok(None) => {
+                    let batch = batches.entry(nsid).or_default();
+                    batch.2.push((batch.0.len(), cmd, t));
                 }
                 Err(status) => {
                     self.post(qid, cid, sq_head, status, t);
                 }
             }
         }
-        for (nsid, (reqs, cmds)) in batches {
+        for (nsid, (reqs, cmds, flushes)) in batches {
+            // The namespace's commands from earlier doorbells.
+            let earlier: Vec<RequestId> = self
+                .inflight
+                .iter()
+                .filter(|(_, c)| c.nsid == nsid)
+                .map(|(&id, _)| id)
+                .collect();
             let disk = self.namespaces.get(&nsid).map(|ns| ns.disk);
             let disk = disk.ok_or(NescError::Device);
-            match disk.and_then(|disk| self.sys.submit_direct(disk, t, &reqs)) {
-                Ok(ids) => {
-                    for (id, (cid, sq_head)) in ids.zip(cmds) {
-                        self.inflight.insert(id, (qid, cid, sq_head));
+            let ids: Vec<RequestId> = if reqs.is_empty() {
+                Vec::new()
+            } else {
+                match disk.and_then(|disk| self.sys.submit_direct(disk, t, &reqs)) {
+                    Ok(ids) => ids.collect(),
+                    Err(_) => {
+                        for c in &cmds {
+                            self.post(qid, c.cid, c.sq_head, NvmeStatus::InternalError, t);
+                        }
+                        Vec::new()
                     }
                 }
-                Err(_) => {
-                    for (cid, sq_head) in cmds {
-                        self.post(qid, cid, sq_head, NvmeStatus::InternalError, t);
-                    }
+            };
+            for (&id, &cmd) in ids.iter().zip(&cmds) {
+                self.inflight.insert(id, cmd);
+            }
+            for (before, cmd, at) in flushes {
+                let mut waits = earlier.clone();
+                waits.extend_from_slice(&ids[..before.min(ids.len())]);
+                let at = self.durable.get(&nsid).map_or(at, |&d| at.max(d));
+                if waits.is_empty() {
+                    self.post(qid, cmd.cid, cmd.sq_head, NvmeStatus::Success, at);
+                } else {
+                    self.flushes.push(PendingFlush { cmd, at, waits });
                 }
             }
         }
@@ -303,19 +368,19 @@ impl NvmeController {
     }
 
     /// Validates one SQE against its namespace: a read or write becomes a
-    /// ring request `(op, first block, blocks, buffer)`; anything else is
-    /// the status to post at once (a flush, or a command that fails
-    /// validation).
-    fn admit(&self, sqe: &SubmissionEntry) -> Result<(BlockOp, Vlba, u64, HostAddr), NvmeStatus> {
+    /// ring request `(op, first block, blocks, buffer)` and a flush `None`;
+    /// a command that fails validation is the status to post at once.
+    fn admit(
+        &self,
+        sqe: &SubmissionEntry,
+    ) -> Result<Option<(BlockOp, Vlba, u64, HostAddr)>, NvmeStatus> {
         // The nsid is a lookup key that fails closed.
         let ns = self
             .namespaces
             .get(&sqe.nsid())
             .ok_or(NvmeStatus::InvalidNamespace)?;
         let op = match sqe.opcode {
-            // Completes once prior writes to the namespace are durable;
-            // with the in-order pump this is immediate at reap time.
-            NvmeOpcode::Flush => return Err(NvmeStatus::Success),
+            NvmeOpcode::Flush => return Ok(None),
             NvmeOpcode::Read => BlockOp::Read,
             NvmeOpcode::Write => BlockOp::Write,
         };
@@ -326,7 +391,7 @@ impl NvmeController {
             validate_nlb(sqe.nlb, ns.size_blocks).map_err(|_| NvmeStatus::LbaOutOfRange)?;
         let slba = validate_slba(sqe.slba, blocks, ns.size_blocks)
             .map_err(|_| NvmeStatus::LbaOutOfRange)?;
-        Ok((op, slba, blocks, sqe.prp1))
+        Ok(Some((op, slba, blocks, sqe.prp1)))
     }
 
     /// Posts a completion to a queue's CQ, recording when it completed.
@@ -351,32 +416,51 @@ impl NvmeController {
     }
 
     /// Runs the system to idle (its hypervisor serves every translation
-    /// miss on the way) and posts a CQE for every command that completed.
-    /// Returns `(entry, completion time, qid)` triples in completion
-    /// order.
+    /// miss on the way) and posts a CQE for every command that completed,
+    /// and for every Flush whose earlier commands all have. Returns
+    /// `(entry, completion time, qid)` triples in completion order.
     pub fn process(&mut self) -> Vec<(CompletionEntry, SimTime, u16)> {
-        let mut done = Vec::new();
+        let (mut done, mut finished) = (Vec::new(), BTreeMap::new());
         let sys = &mut self.sys;
         self.inflight
             .retain(|&id, &mut cmd| match sys.take_completion(id) {
                 Some((at, status)) => {
-                    done.push((at, cmd, status));
+                    let st = match status {
+                        CompletionStatus::Ok => NvmeStatus::Success,
+                        CompletionStatus::OutOfRange => NvmeStatus::LbaOutOfRange,
+                        CompletionStatus::WriteFailed => NvmeStatus::CapacityExceeded,
+                        CompletionStatus::DeviceError => NvmeStatus::InternalError,
+                    };
+                    done.push((at, cmd, st));
+                    finished.insert(id, at);
                     false
                 }
                 None => true,
             });
-        // Stable: equal times keep request order.
+        for &(at, cmd, _) in &done {
+            let durable = self.durable.entry(cmd.nsid).or_insert(at);
+            *durable = (*durable).max(at);
+        }
+        // A flush completes with the last of the commands it waits for,
+        // after them in the CQ.
+        self.flushes.retain_mut(|f| {
+            f.waits.retain(|id| match finished.get(id) {
+                Some(&at) => {
+                    f.at = f.at.max(at);
+                    false
+                }
+                None => true,
+            });
+            let ready = f.waits.is_empty();
+            if ready {
+                done.push((f.at, f.cmd, NvmeStatus::Success));
+            }
+            !ready
+        });
+        // Stable: equal times keep request order, flushes last.
         done.sort_by_key(|&(at, ..)| at);
         done.into_iter()
-            .map(|(at, (qid, cid, sq_head), status)| {
-                let st = match status {
-                    CompletionStatus::Ok => NvmeStatus::Success,
-                    CompletionStatus::OutOfRange => NvmeStatus::LbaOutOfRange,
-                    CompletionStatus::WriteFailed => NvmeStatus::CapacityExceeded,
-                    CompletionStatus::DeviceError => NvmeStatus::InternalError,
-                };
-                (self.post(qid, cid, sq_head, st, at), at, qid)
-            })
+            .map(|(at, c, st)| (self.post(c.qid, c.cid, c.sq_head, st, at), at, c.qid))
             .collect()
     }
 
@@ -529,6 +613,55 @@ mod tests {
             .unwrap();
         assert_eq!(done[0].0.cid, 5);
         assert!(done[0].0.status.is_success());
+    }
+
+    #[test]
+    fn a_flush_completes_after_its_namespaces_earlier_commands() {
+        let (mem, mut ctrl, ns, qid) = setup();
+        let other = ctrl.create_namespace("other.img", 64, true).unwrap();
+        let buf = mem.borrow_mut().alloc(16 * 1024, 4096);
+        let write = |cid, nsid, lba, nlb| {
+            SubmissionEntry::new(NvmeOpcode::Write, cid, nsid, buf, Vlba(lba), nlb)
+        };
+        let flush = |cid| SubmissionEntry::new(NvmeOpcode::Flush, cid, ns, 0, Vlba(0), 0);
+        // One doorbell: a 16-block write, a write to another namespace, the
+        // flush, then a write the flush does not wait for.
+        let batch = [
+            write(1, ns, 0, 15),
+            write(2, other, 0, 3),
+            flush(3),
+            write(4, ns, 16, 0),
+        ];
+        let done = ctrl.submit_and_process(SimTime::ZERO, qid, &batch).unwrap();
+        let at = |c: u16| done.iter().find(|(e, _)| e.cid == c).unwrap().1;
+        assert_eq!(done.len(), 4);
+        assert!(done.iter().all(|(e, _)| e.status.is_success()));
+        assert_eq!(at(3), at(1), "the flush completes with the write before it");
+        let order: Vec<u16> = done.iter().map(|(e, _)| e.cid).collect();
+        let pos = |c| order.iter().position(|&x| x == c).unwrap();
+        assert!(
+            pos(3) > pos(1),
+            "posted after the write it waits for: {order:?}"
+        );
+
+        // Across doorbells: a flush rung before the write completes waits
+        // for the next process.
+        let t0 = at(4);
+        ctrl.push(qid, write(5, ns, 32, 15)).unwrap();
+        ctrl.ring_doorbell(qid, t0).unwrap();
+        ctrl.push(qid, flush(6)).unwrap();
+        ctrl.ring_doorbell(qid, t0).unwrap();
+        assert!(ctrl.reap(qid).is_none(), "the flush waits for write 5");
+        let done = ctrl.process();
+        let got: Vec<(u16, SimTime)> = done.iter().map(|&(e, t, _)| (e.cid, t)).collect();
+        assert_eq!(got.len(), 2);
+        assert_eq!((got[1].0, got[1].1), (6, got[0].1), "{got:?}");
+        while ctrl.reap(qid).is_some() {}
+
+        // A flush decoded before a completed write's time still completes
+        // no earlier than it.
+        let done = ctrl.submit_and_process(t0, qid, &[flush(7)]).unwrap();
+        assert_eq!(done[0].1, got[0].1);
     }
 
     #[test]

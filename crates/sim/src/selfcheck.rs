@@ -184,7 +184,7 @@ impl RunDigest {
         let mut h = FNV_OFFSET;
         for t in totals {
             let lat = &t.latency_ns;
-            let (p50, p99) = lat.percentile_pair(50.0, 99.0);
+            let (p50, p99) = (lat.percentile(50.0), lat.percentile(99.0));
             let counts = [t.requests, t.bytes, t.errors, lat.count()];
             let shape = [lat.min(), lat.max(), lat.mean().to_bits(), p50, p99];
             for word in counts.into_iter().chain(shape) {

@@ -167,50 +167,30 @@ impl Histogram {
         self.max
     }
 
+    /// Value at the given percentile of the samples in `sorted` (ascending),
+    /// without building a histogram — exactly `percentile(p)` of a
+    /// histogram holding those samples. The bucket mapping is monotone, so
+    /// the cumulative count first reaches the target rank at the bucket of
+    /// the rank's own sample. The windowed telemetry close path reads
+    /// p50/p99 of each disk's slice of the window this way.
+    ///
+    /// Returns 0 for an empty slice. A percentile outside `[0, 100]` (a
+    /// contract violation) is clamped.
+    pub fn percentile_of_sorted(sorted: &[u64], p: f64) -> u64 {
+        debug_assert!((0.0..=100.0).contains(&p), "percentile out of range: {p}");
+        debug_assert!(sorted.is_sorted(), "samples must be sorted ascending");
+        let p = p.clamp(0.0, 100.0);
+        let (Some(&min), Some(&max)) = (sorted.first(), sorted.last()) else {
+            return 0;
+        };
+        let target = ((p / 100.0) * sorted.len() as f64).ceil().max(1.0) as usize;
+        let v = sorted[target.min(sorted.len()) - 1];
+        bucket_high(bucket_index(v)).min(max).max(min)
+    }
+
     /// Median (p50) sample.
     pub fn median(&self) -> u64 {
         self.percentile(50.0)
-    }
-
-    /// Two percentiles in one bucket scan — exactly
-    /// `(self.percentile(p_lo), self.percentile(p_hi))`, at half the
-    /// traversal cost. The windowed telemetry close path reads p50/p99
-    /// for every disk every window, where the second scan is measurable.
-    /// Out-of-range or out-of-order percentiles (contract violations) are
-    /// clamped and reordered.
-    pub fn percentile_pair(&self, p_lo: f64, p_hi: f64) -> (u64, u64) {
-        debug_assert!(
-            (0.0..=100.0).contains(&p_lo) && (0.0..=100.0).contains(&p_hi),
-            "percentile out of range: {p_lo} {p_hi}"
-        );
-        debug_assert!(
-            p_lo <= p_hi,
-            "percentile pair out of order: {p_lo} > {p_hi}"
-        );
-        let (p_lo, p_hi) = (
-            p_lo.clamp(0.0, 100.0).min(p_hi.clamp(0.0, 100.0)),
-            p_hi.clamp(0.0, 100.0),
-        );
-        if self.total == 0 {
-            return (0, 0);
-        }
-        let target = |p: f64| ((p / 100.0) * self.total as f64).ceil().max(1.0) as u64;
-        let (t_lo, t_hi) = (target(p_lo), target(p_hi));
-        // Buckets before min's are zero (monotone mapping); start there.
-        let start = bucket_index(self.min);
-        let mut seen = 0;
-        let mut lo = None;
-        for (j, &c) in self.counts[start..].iter().enumerate() {
-            seen += c;
-            if lo.is_none() && seen >= t_lo {
-                lo = Some(bucket_high(start + j).min(self.max).max(self.min));
-            }
-            if seen >= t_hi {
-                let hi = bucket_high(start + j).min(self.max).max(self.min);
-                return (lo.unwrap_or(hi), hi);
-            }
-        }
-        (lo.unwrap_or(self.max), self.max)
     }
 
     /// Merges another histogram's samples into this one.
@@ -539,45 +519,85 @@ mod tests {
         assert_eq!(h.max(), fresh.max());
     }
 
-    #[test]
-    fn percentile_pair_empty_is_zero() {
-        assert_eq!(Histogram::new().percentile_pair(50.0, 99.0), (0, 0));
-    }
-
     proptest! {
-        /// `percentile_pair` is exactly two `percentile` calls, and reset
-        /// + re-record matches a fresh histogram, across arbitrary sample
-        /// sets — the equivalences the telemetry close path relies on.
+        /// Reset + re-record matches a fresh histogram across arbitrary
+        /// sample sets — what the per-window rewalk tally relies on.
         #[test]
-        fn prop_percentile_pair_and_reset_equivalences(
+        fn prop_reset_then_record_equals_fresh(
             first in proptest::collection::vec(1u64..u64::MAX / 2, 1..200),
             second in proptest::collection::vec(1u64..u64::MAX / 2, 1..200),
-            lo in 0u8..=100,
-            hi in 0u8..=100,
+            p in 0u8..=100,
         ) {
-            let (lo, hi) = (lo.min(hi) as f64, lo.max(hi) as f64);
+            let p = f64::from(p);
             let mut h = Histogram::new();
             for &v in &first {
                 h.record(v);
             }
-            prop_assert_eq!(
-                h.percentile_pair(lo, hi),
-                (h.percentile(lo), h.percentile(hi))
-            );
             h.reset();
             let mut fresh = Histogram::new();
             for &v in &second {
                 h.record(v);
                 fresh.record(v);
             }
-            prop_assert_eq!(h.percentile_pair(lo, hi), fresh.percentile_pair(lo, hi));
+            prop_assert_eq!(h.percentile(p), fresh.percentile(p));
             prop_assert_eq!(h.count(), fresh.count());
             prop_assert_eq!(h.min(), fresh.min());
             prop_assert_eq!(h.max(), fresh.max());
         }
     }
 
+    #[test]
+    fn percentile_of_sorted_edges() {
+        assert_eq!(Histogram::percentile_of_sorted(&[], 50.0), 0);
+        // One sample: every percentile is that sample's bucket, clamped
+        // to the sample itself.
+        for v in [0u64, 127, 128, 1_000_003, u64::MAX / 2] {
+            for p in [0.0, 50.0, 99.0, 100.0] {
+                assert_eq!(Histogram::percentile_of_sorted(&[v], p), v);
+            }
+        }
+        // Small values are exact: ranks ceil(n·p/100), at least 1.
+        let small: Vec<u64> = (0..100).collect();
+        assert_eq!(Histogram::percentile_of_sorted(&small, 0.0), 0);
+        assert_eq!(Histogram::percentile_of_sorted(&small, 50.0), 49);
+        assert_eq!(Histogram::percentile_of_sorted(&small, 99.0), 98);
+        assert_eq!(Histogram::percentile_of_sorted(&small, 100.0), 99);
+    }
+
+    /// A sample from a `(class, raw)` draw: below 128 (one bucket each),
+    /// a repeated value, mid-range, or within 2^20 of `u64::MAX / 2`.
+    fn mixed_sample((class, raw): (u8, u64)) -> u64 {
+        match class {
+            0 => raw % 128,
+            1 => 4096,
+            2 => 128 + raw % 1_000_000,
+            _ => u64::MAX / 2 - raw % (1 << 20),
+        }
+    }
+
     proptest! {
+        /// The sorted-slice percentile is exactly the histogram's, for the
+        /// fixed percentiles the telemetry reads and for arbitrary ones.
+        #[test]
+        fn prop_percentile_of_sorted_equals_histogram(
+            draws in proptest::collection::vec((0u8..4, any::<u64>()), 1..300),
+            milli_p in 0u32..=100_000,
+        ) {
+            let mut sorted: Vec<u64> = draws.into_iter().map(mixed_sample).collect();
+            let mut h = Histogram::new();
+            for &v in &sorted {
+                h.record(v);
+            }
+            sorted.sort_unstable();
+            for p in [0.0, 50.0, 99.0, 100.0, f64::from(milli_p) / 1000.0] {
+                prop_assert_eq!(
+                    Histogram::percentile_of_sorted(&sorted, p),
+                    h.percentile(p),
+                    "p = {}", p
+                );
+            }
+        }
+
         /// Percentile error is bounded by the log-linear bucket width (<1%).
         #[test]
         fn prop_histogram_relative_error(values in proptest::collection::vec(1u64..u64::MAX / 2, 1..500)) {

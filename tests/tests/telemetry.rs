@@ -2,11 +2,12 @@
 //! gauges must agree with a reference recomputation from the raw span log.
 //!
 //! The sampler and the tracer observe the same requests through different
-//! code paths — the sampler folds each completion into a per-window
-//! histogram at `issue_once` time, the tracer records the request root
-//! span. If windowing (half-open `[k·I, (k+1)·I)` keyed by completion
-//! time), per-VF attribution, or the percentile math ever drift between
-//! the two, these tests catch it on a randomized mixed multi-VF workload.
+//! code paths — the sampler ranks each disk's completions of a window
+//! when the window closes, the tracer records the request root span, and
+//! `run_open_loop` hands each latency to its observer. If windowing
+//! (half-open `[k·I, (k+1)·I)` keyed by completion time), per-VF
+//! attribution, or the percentile math ever drift between them, these
+//! tests catch it on randomized and open-loop multi-VF workloads.
 
 use nesc_hypervisor::prelude::*;
 use nesc_sim::Histogram;
@@ -106,6 +107,99 @@ proptest! {
             }
         }
     }
+}
+
+/// Open-loop traffic over many disks puts several disks and several
+/// completions per disk in one window. Every `(disk, window)` p50/p99
+/// sample must equal the percentile of a reference histogram built from
+/// the latencies `run_open_loop`'s observer saw, a completion at `t`
+/// belonging to the window ending at `W` iff `t < W`.
+#[test]
+fn open_loop_window_percentiles_match_the_observed_latencies() {
+    use nesc_core::CompletionStatus;
+    const DISKS: usize = 12;
+    const REQUESTS: u64 = 1200;
+    const INTERVAL_NS: u64 = 200_000;
+    const DISK_BYTES: u64 = 1 << 20;
+    let mut sys = SystemBuilder::new()
+        .capacity_blocks((DISK_BYTES / 512) * (DISKS as u64 + 1))
+        .max_vfs(DISKS as u16 + 2)
+        .telemetry(TelemetryConfig::windowed(SimDuration::from_nanos(INTERVAL_NS)).capacity(4096))
+        .build();
+    let disks: Vec<DiskId> = (0..DISKS)
+        .map(|i| {
+            let name = format!("ol{i}.img");
+            sys.quick_disk(DiskKind::NescDirect, &name, DISK_BYTES).disk
+        })
+        .collect();
+    // A fixed LCG scatters disks, sizes, offsets and arrival gaps.
+    let mut x = 0x2545_f491_4f6c_dd1d_u64;
+    let mut next = |n: u64| {
+        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        (x >> 33) % n
+    };
+    let mut at = sys.now();
+    let arrivals: Vec<OpenRequest> = (0..REQUESTS)
+        .map(|_| {
+            at += SimDuration::from_nanos(3_000 + next(8_000));
+            let bytes = 1024 << next(4);
+            OpenRequest {
+                disk: disks[next(DISKS as u64) as usize],
+                op: if next(3) == 0 {
+                    BlockOp::Read
+                } else {
+                    BlockOp::Write
+                },
+                offset: next(DISK_BYTES / bytes) * bytes,
+                bytes,
+                at,
+            }
+        })
+        .collect();
+    // The reference: one histogram per (disk, window) of the observed
+    // latencies.
+    let mut reference: std::collections::BTreeMap<(usize, u64), Histogram> = Default::default();
+    sys.run_open_loop(&arrivals, |i, done, latency, status| {
+        assert_eq!(status, CompletionStatus::Ok, "request {i}");
+        let key = (arrivals[i].disk.0, done.as_nanos() / INTERVAL_NS);
+        reference.entry(key).or_default().record(latency.as_nanos());
+    });
+    sys.think(SimDuration::from_nanos(2 * INTERVAL_NS));
+    sys.telemetry_finish();
+
+    let sampler = sys.telemetry().expect("telemetry enabled").sampler();
+    let windows = sampler.closed_windows();
+    let busy = |w: u64| reference.keys().filter(|&&(_, rw)| rw == w).count();
+    assert!(
+        (0..windows).any(|w| busy(w) >= 8),
+        "some window must hold several disks"
+    );
+    assert!(
+        reference.values().any(|h| h.count() >= 4),
+        "some disk must complete several requests in one window"
+    );
+    let mut checked = 0;
+    for disk in &disks {
+        for (p, name) in [(50.0, "p50_ns"), (99.0, "p99_ns")] {
+            let series = format!("hv.vf{}.{name}", disk.0);
+            let ts = sampler.series_by_name(&series).expect("per-VF series");
+            for (w, v) in ts.samples() {
+                let want = reference.get(&(disk.0, w));
+                assert_eq!(
+                    v,
+                    want.map_or(0, |h| h.percentile(p)),
+                    "{series} window {w}"
+                );
+                checked += u64::from(want.is_some());
+            }
+        }
+    }
+    let observed = reference.keys().filter(|&&(_, w)| w < windows).count() as u64;
+    assert_eq!(
+        checked,
+        2 * observed,
+        "every observed (disk, window) sampled"
+    );
 }
 
 /// The same invariant holds for the windowed request counters: summed over
