@@ -380,6 +380,12 @@ mod tests {
         let t_host = host
             .fetch_via_host(SimTime::ZERO, &mut sys2, raw, plba, 16 * 1024, staging)
             .unwrap();
+        let host = sys2.path_totals(DiskKind::HostRaw);
+        assert_eq!(
+            (host.requests, host.bytes),
+            (1, 16 * 1024),
+            "one host request"
+        );
         assert!(
             t_host.as_nanos() > t_direct.as_nanos() * 2,
             "host-mediated {t_host} should dwarf direct {t_direct}"

@@ -201,7 +201,7 @@ fn observe_request(probe: &Probe, i: u64) {
         Obs::ZeroFill(Pass(1, 512, t(220), t(225))),
         Obs::DeviceDone(Some((true, 8)), t(230)),
         Obs::Answered(t(230), t(240)),
-        Obs::Finished(false, t(240)),
+        Obs::Finished(id, false, t(240)),
     ] {
         probe.report(obs);
     }

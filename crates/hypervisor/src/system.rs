@@ -578,12 +578,6 @@ impl System {
         })
     }
 
-    fn fresh_id(&mut self) -> RequestId {
-        let id = RequestId(self.next_req);
-        self.next_req += 1;
-        id
-    }
-
     // ------------------------------------------------------------------
     // Device pump and the NeSC miss handler
     // ------------------------------------------------------------------
@@ -703,11 +697,13 @@ impl System {
         Ok(self.dev.set_tree_root(vf, root))
     }
 
+    /// Runs the device to idle and takes device request `id`'s completion.
     fn wait_for(&mut self, id: RequestId) -> (SimTime, CompletionStatus) {
+        self.pump();
         // A request the device never completed (a model bug, not a modeled
         // outcome) reports a device error at the current clock instead of
         // wedging the run.
-        self.take_completion(id).unwrap_or_else(|| {
+        self.completed.remove(&id).unwrap_or_else(|| {
             debug_assert!(false, "request completed during pump");
             (self.now, CompletionStatus::DeviceError)
         })
@@ -718,7 +714,10 @@ impl System {
     /// `(op, first block, blocks, buffer)` request under a fresh id at
     /// `at`, as descriptors on a NeSC-direct disk's command ring (one tail
     /// doorbell per ring-full) or, on a raw-device disk, to the PF (one
-    /// doorbell each). Returns the ids in order.
+    /// doorbell per batch). Each reports `Issued` at `at` under its disk's
+    /// path (direct, or host for a raw disk) before it is posted, and
+    /// [`take_completion`](Self::take_completion) its `Finished`. Returns
+    /// the ids in order.
     ///
     /// # Errors
     ///
@@ -733,59 +732,80 @@ impl System {
     ) -> Result<impl Iterator<Item = RequestId>, NescError> {
         let d = self.disks.get(disk.0).filter(|d| !d.detached);
         let d = d.filter(|d| d.vf.is_some() || d.kind == DiskKind::HostRaw);
-        let vf = d.ok_or(NescError::Device)?.vf;
+        let via = d.ok_or(NescError::Device)?.kind.via();
         if reqs.iter().any(|r| u32::try_from(r.2).is_err()) {
             return Err(NescError::OutOfRange);
         }
-        let first = self.next_req;
-        let Some(vf) = vf else {
-            let pf = self.dev.pf();
-            for &(op, lba, blocks, buf) in reqs {
-                let (t_db, id) = (self.dev.ring_doorbell(at), self.fresh_id());
-                self.dev
-                    .submit(t_db, pf, BlockRequest::new(id, op, lba, blocks), buf);
-            }
-            return Ok((first..self.next_req).map(RequestId));
-        };
-        for batch in reqs.chunks(RING_ENTRIES as usize - 1) {
-            for &(op, lba, blocks, buf) in batch {
-                // In range: checked above.
-                self.push_descriptor(disk, op, lba, blocks as u32, buf);
-            }
-            let t_db = self.dev.ring_doorbell(at);
-            let tail = self.disks[disk.0].ring_tail;
-            self.dev
-                .mmio_write(vf, nesc_core::regs::offsets::RING_TAIL, tail as u64, t_db);
+        // `post` mints the ids in order from here.
+        let (first, index) = (self.next_req, disk.0 as u32);
+        for (seq, &(op, _, blocks, _)) in (first..).zip(reqs) {
+            let write = op == BlockOp::Write;
+            let issued = Obs::Issued(via, index, seq, blocks * BLOCK_SIZE, write, at);
+            self.probe.report(issued);
         }
+        self.post(disk, at, reqs.iter().copied(), |_, _, _| {});
         Ok((first..self.next_req).map(RequestId))
     }
 
     /// Runs the device to idle, serving its miss interrupts, and takes the
-    /// completion of request `id`: when it completed and with what status.
-    /// `None` if it has not completed, or its completion was taken before.
+    /// completion of front-end request `id`: when it completed and with
+    /// what status. Reports its `Finished`, so its latency runs from its
+    /// submission's `at` to that time, but polls no telemetry (`think` or
+    /// `telemetry_finish` closes the windows). `None` if it has not
+    /// completed, or its completion was taken before.
     pub fn take_completion(&mut self, id: RequestId) -> Option<(SimTime, CompletionStatus)> {
         self.pump();
-        self.completed.remove(&id)
+        let done = self.completed.remove(&id);
+        if let Some((at, status)) = done {
+            let failed = status != CompletionStatus::Ok;
+            self.probe.report(Obs::Finished(id.0, failed, at));
+        }
+        done
     }
 
-    /// The one ring writer, for the guest driver and the front-ends alike:
-    /// writes a descriptor at `disk`'s ring tail under a fresh id and
-    /// advances the tail. The device reads it at the next doorbell.
-    fn push_descriptor(
+    /// The doorbell sequence, one for every requester. On `disk`'s VF each
+    /// request becomes a descriptor at the ring's tail, and each ring-full
+    /// takes one doorbell at `at` and its `RING_TAIL` write; on the PF one
+    /// doorbell at `at`, rung even for an empty batch, carries the batch.
+    /// `each(probe, id, landed)` runs per request under its fresh id before
+    /// the device sees it, so the reports that bind its id go there.
+    fn post(
         &mut self,
         disk: DiskId,
-        op: BlockOp,
-        lba: Vlba,
-        n: u32,
-        buf: HostAddr,
-    ) -> RequestId {
-        let id = self.fresh_id();
-        let d = &mut self.disks[disk.0];
-        let slot = d.ring_base + u64::from(d.ring_tail % RING_ENTRIES) * DESCRIPTOR_BYTES;
-        let desc = RingDescriptor::new(op, id, lba, n, buf);
-        self.mem.borrow_mut().write(slot, &desc.encode());
-        d.ring_tail = (d.ring_tail + 1) % RING_ENTRIES;
-        id
+        at: SimTime,
+        reqs: impl IntoIterator<Item = (BlockOp, Vlba, u64, HostAddr)>,
+        mut each: impl FnMut(&Probe, u64, SimTime),
+    ) {
+        let vf = self.disks[disk.0].vf;
+        let (per_doorbell, mut pf_unrung) = match vf {
+            Some(_) => (RING_ENTRIES as usize - 1, false),
+            None => (usize::MAX, true),
+        };
+        let mut reqs = reqs.into_iter().peekable();
+        while std::mem::take(&mut pf_unrung) || reqs.peek().is_some() {
+            let t_db = self.dev.ring_doorbell(at);
+            for (op, lba, blocks, buf) in reqs.by_ref().take(per_doorbell) {
+                let id = RequestId(self.next_req);
+                self.next_req += 1;
+                each(&self.probe, id.0, t_db);
+                if vf.is_none() {
+                    let (pf, req) = (self.dev.pf(), BlockRequest::new(id, op, lba, blocks));
+                    self.dev.submit(t_db, pf, req, buf);
+                    continue;
+                }
+                let d = &mut self.disks[disk.0];
+                let slot = d.ring_base + u64::from(d.ring_tail % RING_ENTRIES) * DESCRIPTOR_BYTES;
+                // In range: the callers check or bound the block count.
+                let desc = RingDescriptor::new(op, id, lba, blocks as u32, buf);
+                self.mem.borrow_mut().write(slot, &desc.encode());
+                d.ring_tail = (d.ring_tail + 1) % RING_ENTRIES;
+            }
+            if let Some(vf) = vf {
+                let tail = u64::from(self.disks[disk.0].ring_tail);
+                self.dev
+                    .mmio_write(vf, nesc_core::regs::offsets::RING_TAIL, tail, t_db);
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -838,8 +858,9 @@ impl System {
         let (done, status) = match kind {
             // A detached disk fails at once, but still counts as an attempt.
             _ if detached => (issue, CompletionStatus::DeviceError),
-            DiskKind::NescDirect => self.direct_io(disk_id, op, offset, len, issue, data),
-            DiskKind::HostRaw => self.host_io(disk_id, op, offset, len, issue, data),
+            DiskKind::NescDirect | DiskKind::HostRaw => {
+                self.ring_io(disk_id, op, offset, len, issue, data)
+            }
             DiskKind::Virtio | DiskKind::Emulated => {
                 self.paravirt_io(disk_id, op, offset, len, issue, data)
             }
@@ -849,7 +870,7 @@ impl System {
         // *before* the poll below, so a window closing at `done` folds it
         // in.
         self.probe
-            .report(Obs::Finished(status != CompletionStatus::Ok, done));
+            .report(Obs::Finished(seq, status != CompletionStatus::Ok, done));
         // nesc-lint: hot
         if let Some(tel) = self.telemetry.as_mut() {
             if tel.due(done) {
@@ -859,7 +880,10 @@ impl System {
         (done, status)
     }
 
-    fn direct_io(
+    /// The paths with no host backend: a NeSC-direct disk's guest driver
+    /// rings its VF, the host the PF for its raw-device disk. Only a guest
+    /// pays the trampoline and a completion interrupt.
+    fn ring_io(
         &mut self,
         disk_id: DiskId,
         op: BlockOp,
@@ -868,28 +892,33 @@ impl System {
         issue: SimTime,
         data: Option<&[u8]>,
     ) -> (SimTime, CompletionStatus) {
-        let (vm, vf, ino, buf) = {
-            let d = &self.disks[disk_id.0];
-            let (Some(vf), Some(ino)) = (d.vf, d.ino) else {
-                debug_assert!(false, "direct disk has a VF and an image");
-                return (issue, CompletionStatus::DeviceError);
-            };
-            (d.vm, vf, ino, d.buf)
-        };
+        let d = &self.disks[disk_id.0];
+        let (vm, vf, ino, buf) = (d.vm, d.vf, d.ino, d.buf);
         let (first_block, nblocks) = Self::covering(offset, len);
-        // Guest stack + page handling on the vCPU.
-        let submit_cost = self.costs.guest_stack_submit
-            + self.costs.guest_per_page * Self::pages(len)
-            + if op == BlockOp::Write {
-                self.trampoline_time(len)
-            } else {
-                SimDuration::ZERO
-            };
-        let t = self.vms[vm.0].vcpu.serve(issue, submit_cost).end;
-        // Functional: place write data in the guest buffer, over the
-        // current bytes of any partially covered edge block.
+        let (to_dev, from_dev) = match (vf, op) {
+            (None, _) => (SimDuration::ZERO, SimDuration::ZERO),
+            (Some(_), BlockOp::Write) => (self.trampoline_time(len), SimDuration::ZERO),
+            (Some(_), BlockOp::Read) => (SimDuration::ZERO, self.trampoline_time(len)),
+        };
+        // Stack + page handling on the guest's vCPU (the host's CPU).
+        let (cpu, interrupt) = match vf {
+            Some(_) => (&mut self.vms[vm.0].vcpu, self.costs.direct_interrupt),
+            None => (&mut self.host_cpu, SimDuration::ZERO),
+        };
+        let submit_cost =
+            self.costs.guest_stack_submit + self.costs.guest_per_page * Self::pages(len) + to_dev;
+        let t = cpu.serve(issue, submit_cost).end;
+        // nesc-lint::allow(T2): a HostRaw disk *is* the raw device, its byte
+        // offsets physical by definition: the covering block index is minted
+        // as a pLBA right here, at the hypervisor/device boundary.
+        let raw = Plba(first_block);
+        // Functional: place write data in the buffer, over the current
+        // bytes of any partially covered edge block.
         if op == BlockOp::Write {
-            self.load_partial_edges(offset, len, buf, |k| self.image_block(ino, first_block + k));
+            self.load_partial_edges(offset, len, buf, |k| match ino {
+                Some(ino) => self.image_block(ino, first_block + k),
+                None => Some(raw.offset(k)),
+            });
             if let Some(bytes) = data {
                 self.mem
                     .borrow_mut()
@@ -897,13 +926,13 @@ impl System {
             }
         }
         // The guest driver writes a ring descriptor and rings the tail
-        // doorbell; the device DMAs the descriptor and queues the request.
-        let id = self.push_descriptor(disk_id, op, Vlba(first_block), nblocks as u32, buf);
-        let t_db = self.dev.ring_doorbell(t);
-        self.probe.report(Obs::Rang(u32::from(vf.0), id.0, t, t_db));
-        let tail = self.disks[disk_id.0].ring_tail;
-        self.dev
-            .mmio_write(vf, nesc_core::regs::offsets::RING_TAIL, tail as u64, t_db);
+        // doorbell (the host rings the PF); the device queues the request.
+        let func = vf.map_or(0, |vf| u32::from(vf.0));
+        let id = RequestId(self.next_req);
+        let req = (op, Vlba(first_block), nblocks, buf);
+        self.post(disk_id, t, [req], |probe, id, t_db| {
+            probe.report(Obs::Rang(func, id, t, t_db));
+        });
         let (tc, status) = self.wait_for(id);
         // Completion handling is charged additively rather than on the
         // vCPU timeline: serving it there would serialize the *next*
@@ -911,52 +940,7 @@ impl System {
         // requests strictly in program order), destroying the pipelining
         // a real guest gets from handling completions in interrupt
         // context.
-        let done = tc
-            + self.costs.direct_interrupt
-            + self.costs.guest_stack_complete
-            + if op == BlockOp::Read {
-                self.trampoline_time(len)
-            } else {
-                SimDuration::ZERO
-            };
-        self.probe.report(Obs::Answered(tc, done));
-        (done, status)
-    }
-
-    fn host_io(
-        &mut self,
-        disk_id: DiskId,
-        op: BlockOp,
-        offset: u64,
-        len: u64,
-        issue: SimTime,
-        data: Option<&[u8]>,
-    ) -> (SimTime, CompletionStatus) {
-        let buf = self.disks[disk_id.0].buf;
-        let (first_block, nblocks) = Self::covering(offset, len);
-        let submit_cost =
-            self.costs.guest_stack_submit + self.costs.guest_per_page * Self::pages(len);
-        let t = self.host_cpu.serve(issue, submit_cost).end;
-        // nesc-lint::allow(T2): a HostRaw disk *is* the raw device — its
-        // byte offsets are physical by definition, so the covering block
-        // index is minted as a pLBA right here, at the hypervisor/device
-        // boundary.
-        let plba = Plba(first_block);
-        if op == BlockOp::Write {
-            self.load_partial_edges(offset, len, buf, |k| Some(plba.offset(k)));
-            if let Some(bytes) = data {
-                self.mem
-                    .borrow_mut()
-                    .write(buf + offset % BLOCK_SIZE, bytes);
-            }
-        }
-        let t_db = self.dev.ring_doorbell(t);
-        let id = self.fresh_id();
-        self.probe.report(Obs::Rang(0, id.0, t, t_db));
-        self.dev
-            .submit_pf(t_db, BlockRequest::new(id, op, plba, nblocks), buf);
-        let (tc, status) = self.wait_for(id);
-        let done = tc + self.costs.guest_stack_complete;
+        let done = tc + interrupt + self.costs.guest_stack_complete + from_dev;
         self.probe.report(Obs::Answered(tc, done));
         (done, status)
     }
@@ -1092,38 +1076,24 @@ impl System {
                 .borrow_mut()
                 .copy(buf + in_block, bounce + in_block, len);
         }
-        // --- Device I/O through the PF, one request per physical run. ---
-        let mut last = tb;
-        let mut final_status = CompletionStatus::Ok;
-        let mut buf_off = 0u64;
-        let t_db = self.dev.ring_doorbell(tb);
+        // --- Device I/O through the PF, one request per mapped run; the
+        // host page cache serves a hole's zeros without the device. ---
         self.probe.report(Obs::Awaiting(tb));
-        let first_id = self.next_req;
-        for &(plba, run_blocks) in &runs {
-            match plba {
-                Some(p) => {
-                    let id = self.fresh_id();
-                    self.probe.report(Obs::Forwarded(id.0));
-                    self.dev.submit_pf(
-                        t_db,
-                        BlockRequest::new(id, op, p, run_blocks),
-                        bounce + buf_off,
-                    );
-                }
-                None => {
-                    // A hole in the image: the host page cache serves
-                    // zeros without touching the device.
-                    if op == BlockOp::Read {
-                        self.mem
-                            .borrow_mut()
-                            .fill_zero(bounce + buf_off, run_blocks * BLOCK_SIZE);
-                    }
-                }
+        let (first_id, mut at, mem) = (self.next_req, bounce, Rc::clone(&self.mem));
+        let mapped = runs.iter().filter_map(|&(plba, n)| {
+            let run_at = at;
+            at += n * BLOCK_SIZE;
+            if plba.is_none() && op == BlockOp::Read {
+                mem.borrow_mut().fill_zero(run_at, n * BLOCK_SIZE);
             }
-            buf_off += run_blocks * BLOCK_SIZE;
-        }
+            plba.map(|p| (op, p.nested_vlba(), n, run_at))
+        });
+        self.post(disk_id, tb, mapped, |probe, id, _| {
+            probe.report(Obs::Forwarded(id));
+        });
         self.runs = runs;
-        // The loop above minted one id per mapped run, consecutively.
+        // `post` minted one id per mapped run, consecutively.
+        let (mut last, mut final_status) = (tb, CompletionStatus::Ok);
         for id in first_id..self.next_req {
             let (tc, st) = self.wait_for(RequestId(id));
             if !matches!(st, CompletionStatus::Ok) {
@@ -1137,8 +1107,7 @@ impl System {
             self.mem
                 .borrow_mut()
                 .copy(bounce, buf, nblocks * BLOCK_SIZE);
-            let d = &self.disks[disk_id.0];
-            if d.kind == DiskKind::Virtio {
+            if kind == DiskKind::Virtio {
                 // Status byte written by the backend.
                 self.mem
                     .borrow_mut()
@@ -2227,6 +2196,36 @@ mod tests {
             "{grown} pages for {prunes} prunes and {misses} misses"
         );
         assert_installed_tree_matches_image(&sys, disk, "the prune storm");
+    }
+
+    /// A front-end's batch on a raw-device disk takes one PF doorbell: the
+    /// device sees each of its requests arrive when that doorbell lands,
+    /// and each counts as a host request.
+    #[test]
+    fn a_pf_batch_rings_one_doorbell() {
+        let mut sys = small_system();
+        sys.set_tracing(true);
+        let raw = sys.quick_disk(DiskKind::HostRaw, "raw", 0).disk;
+        let buf = sys.memory().borrow_mut().alloc(3 * 4096, 4096);
+        let at = SimTime::from_nanos(1000);
+        let reqs: Vec<_> = (0..3u64)
+            .map(|i| (BlockOp::Read, Vlba(i * 4), 4, buf + i * 4096))
+            .collect();
+        let ids: Vec<RequestId> = sys.submit_direct(raw, at, &reqs).unwrap().collect();
+        for id in ids {
+            let status = sys.take_completion(id).map(|(_, status)| status);
+            assert_eq!(status, Some(CompletionStatus::Ok));
+        }
+        let spans = sys.take_spans();
+        let device = spans
+            .iter()
+            .filter(|s| (s.layer, s.name) == ("core", "device"));
+        let arrivals: Vec<SimTime> = device.map(|s| s.start).collect();
+        assert_eq!(arrivals.len(), 3);
+        assert!(arrivals[0] > at, "the doorbell lands after it is rung");
+        assert!(arrivals.iter().all(|&t| t == arrivals[0]), "{arrivals:?}");
+        let host = sys.path_totals(DiskKind::HostRaw);
+        assert_eq!((host.requests, host.bytes, host.errors), (3, 3 * 4096, 0));
     }
 
     #[test]

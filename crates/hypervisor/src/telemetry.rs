@@ -741,7 +741,7 @@ mod tests {
         let t = SimTime::from_nanos;
         let finish = |seq, issued, done| {
             probe.report(Obs::Issued(Via::Direct, 0, seq, 512, false, t(issued)));
-            probe.report(Obs::Finished(false, t(done)));
+            probe.report(Obs::Finished(seq, false, t(done)));
         };
         finish(1, 10, 100); // exactly at the first window's end: window 1
         finish(2, 20, 150);

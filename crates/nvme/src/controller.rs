@@ -178,6 +178,12 @@ impl NvmeController {
         &self.sys
     }
 
+    /// The system behind the controller, mutably: tracing, telemetry and
+    /// idle time between commands.
+    pub fn system_mut(&mut self) -> &mut System {
+        &mut self.sys
+    }
+
     /// Admin: creates a namespace of `size_blocks` over a new image file
     /// `name`, allocated up front with `prealloc` (thin otherwise: the
     /// hypervisor backs each first write on its miss interrupt).

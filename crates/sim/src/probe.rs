@@ -13,8 +13,10 @@
 //! `DeviceDone`, `DeviceStalled`, `Walk`, `ZeroFill`); the span and ring
 //! folds are on exactly when a channel is, and off, every other report is
 //! one branch. The probe owns the state the layers used to thread by
-//! hand: the issued request and its root span, the open `device_wait` and
-//! device spans, and the request id → parent span bindings.
+//! hand: the requests in flight from `Issued` to `Finished` (the guest's
+//! synchronous path keeps one, a front-end's batch many), each with its
+//! root span, the open `device_wait` and device spans, and the request
+//! id → parent span bindings.
 //!
 //! Positional payloads list identities, then quantities, then times.
 //!
@@ -33,7 +35,7 @@
 //! assert_eq!(probe.flight().with(|r| r.total()), Some(1));
 //! assert_eq!(probe.device_stats().blocks_written, 2);
 //! probe.report(Obs::Issued(Via::Virtio, 0, 8, 512, false, t(100)));
-//! probe.report(Obs::Finished(false, t(130)));
+//! probe.report(Obs::Finished(8, false, t(130)));
 //! assert_eq!(probe.totals(Via::Virtio).latency_ns.max(), 30);
 //! ```
 
@@ -78,9 +80,11 @@ pub struct Pass(pub u64, pub u64, pub SimTime, pub SimTime);
 #[derive(Debug, Clone, Copy)]
 pub enum Obs<'a> {
     /// `(path, disk, seq, bytes, write, at)`: a request was issued; `seq`
-    /// is the first device id it mints. The tally keeps it for
-    /// `Finished`. Opens the root `guest:request` (`hypervisor:request`
-    /// on the host path) {disk, bytes, write}.
+    /// is the first device id it mints. It joins the tally's in-flight
+    /// list until its `Finished`. Opens the root `guest:request`
+    /// (`hypervisor:request` on the host path) {disk, bytes, write}; a
+    /// device request no report bound (a front-end's, whose id is its
+    /// seq) opens its device span under this root.
     Issued(Via, u32, u64, u64, bool, SimTime),
     /// `(func, id, rang, landed)`: the submit stack finished and its
     /// doorbell write landed. Under the root: `guest:guest_submit` (host:
@@ -106,11 +110,13 @@ pub enum Obs<'a> {
     /// the root. Ring, direct only: `RequestComplete(done; func, id,
     /// device_done)`.
     Answered(SimTime, SimTime),
-    /// `(failed, done)`: the request finished. The tally counts it
-    /// against its path (requests, bytes, then errors if it failed, else
-    /// its latency) and, while windowed, adds its [`Completion`] to the
-    /// window list. The root gets {failed} and closes.
-    Finished(bool, SimTime),
+    /// `(seq, failed, done)`: the in-flight request `seq` finished and
+    /// leaves the list. The tally counts it against its path (requests,
+    /// bytes, then errors if it failed, else `done` minus its issue time)
+    /// and, while windowed, adds its [`Completion`] to the window list.
+    /// Its root gets {failed} and closes. A seq not in flight counts
+    /// nothing.
+    Finished(u64, bool, SimTime),
     /// `(func, disk, irq_at, served)`: the miss handler served an
     /// interrupt. The tally counts it and records `served - irq_at` in the
     /// open window's rewalk histogram. Ring: `Rewalk(served; func, irq_at,
@@ -249,14 +255,16 @@ impl DeviceStats {
     }
 }
 
-/// The issued request: its path, disk, sequence id, bytes and issue time.
-type Issued = (Option<Via>, u32, u64, u64, SimTime);
+/// An issued request: its path, disk, sequence id, bytes, issue time and
+/// root span (NONE while tracing is off).
+type Issued = (Via, u32, u64, u64, SimTime, SpanId);
 
 /// The tally, shared by every clone of a probe and kept across
 /// [`Probe::rewired`].
 #[derive(Debug, Default)]
 struct Tally {
-    issued: Cell<Issued>,
+    /// The requests issued and not yet finished (the guest path's last).
+    inflight: RefCell<Vec<Issued>>,
     /// Indexed by `Via as usize`.
     paths: RefCell<[PathTotals; 4]>,
     /// Whether finished requests join the window list.
@@ -281,10 +289,13 @@ struct Tally {
 /// Span and ring state shared by every clone of an on probe.
 #[derive(Debug, Default)]
 struct Open {
+    /// The last issued request's path, disk and issue time: the guest
+    /// path's, whose `Rang`, `Backend` and `Answered` these folds read.
+    issued: Cell<(Option<Via>, u32, SimTime)>,
     /// The function and device id its doorbell submitted.
     submitted: Cell<(u32, u64)>,
+    /// The last issued request's root and open `device_wait` spans.
     root: Cell<SpanId>,
-    /// The root's open `device_wait` span.
     wait: Cell<SpanId>,
     /// The device span of the request in the pipeline, and its function.
     device: Cell<SpanId>,
@@ -365,12 +376,13 @@ impl Probe {
     #[inline(always)]
     pub fn report(&self, obs: Obs<'_>) {
         let open = self.open.as_deref();
-        // Tally first: a `Finished` completion reads the root the span
-        // fold then closes.
-        tally(&self.tally, open, obs);
+        // Folds first: an `Issued` joins the in-flight list with the root
+        // the span fold opened, a `Finished` leaves it after the fold
+        // closed that root.
         if let Some(open) = open {
             self.fold(open, obs);
         }
+        tally(&self.tally, open, obs);
     }
 
     /// Runs one batched unit pass over `times` (each block's entry time
@@ -435,12 +447,13 @@ impl Probe {
     #[inline(always)]
     fn fold(&self, open: &Open, obs: Obs<'_>) {
         match obs {
+            Obs::Issued(via, disk, .., at) => open.issued.set((Some(via), disk, at)),
             Obs::Rang(func, id, _, _) => open.submitted.set((func, id)),
             Obs::DeviceOpen(func, ..) | Obs::DeviceResume(func, ..) => open.func.set(func),
             _ => {}
         }
         if let Some(rec) = self.flight.recorder() {
-            ring(rec, open, self.tally.issued.get(), obs);
+            ring(rec, open, obs);
         }
         if self.tracer.is_enabled() {
             self.spans(open, obs);
@@ -450,7 +463,7 @@ impl Probe {
     #[cold]
     fn spans(&self, open: &Open, obs: Obs<'_>) {
         let t = &self.tracer;
-        let (path, _, _, _, issue) = self.tally.issued.get();
+        let (path, _, issue) = open.issued.get();
         let (root, dev) = (open.root.get(), open.device.get());
         let host = path == Some(Via::Host);
         match obs {
@@ -499,10 +512,10 @@ impl Probe {
                 };
                 t.span(root, layer, name, device_done, done, []);
             }
-            Obs::Finished(failed, done) => {
+            Obs::Finished(seq, failed, done) => {
+                let root = self.tally.root_of(seq);
                 t.attr(root, "failed", u64::from(failed));
                 t.end(root, done);
-                open.root.set(SpanId::NONE);
             }
             Obs::Anomaly(a) => {
                 let attrs = [
@@ -515,7 +528,7 @@ impl Probe {
                 t.span(SpanId::NONE, "telemetry", "anomaly", a.start, a.at, attrs);
             }
             Obs::DeviceOpen(func, id, blocks, arrived, start) => {
-                let parent = open.parent_of(id);
+                let parent = open.parent_of(id, &self.tally);
                 let s = if func != 0 {
                     let attrs = [("func", u64::from(func)), ("blocks", blocks)];
                     t.start(parent, "core", "device", arrived, attrs)
@@ -528,7 +541,7 @@ impl Probe {
                 open.device.set(s);
             }
             Obs::DeviceResume(func, id, blocks, at) => {
-                let parent = open.parent_of(id);
+                let parent = open.parent_of(id, &self.tally);
                 let attrs = [("func", u64::from(func)), ("blocks", blocks)];
                 let s = t.start(parent, "core", "device_resume", at, attrs);
                 open.device.set(s);
@@ -565,6 +578,12 @@ impl Probe {
 }
 
 impl Tally {
+    /// The root span of in-flight request `seq` (NONE if none is).
+    fn root_of(&self, seq: u64) -> SpanId {
+        let issued = self.inflight.borrow().iter().rfind(|r| r.2 == seq).copied();
+        issued.map_or(SpanId::NONE, |r| r.5)
+    }
+
     /// Folds one device fact into the device counters.
     #[inline(always)]
     fn count(&self, fact: impl FnOnce(&mut DeviceStats)) {
@@ -575,30 +594,38 @@ impl Tally {
 }
 
 impl Open {
-    /// The span a device request's span opens under.
-    fn parent_of(&self, id: u64) -> SpanId {
-        let parents = self.parents.borrow();
-        parents.get(&id).copied().unwrap_or(SpanId::NONE)
+    /// The span a device request's span opens under: the one its id is
+    /// bound to, else the root of the in-flight request whose seq it is.
+    fn parent_of(&self, id: u64, tally: &Tally) -> SpanId {
+        let bound = self.parents.borrow().get(&id).copied();
+        bound.unwrap_or_else(|| tally.root_of(id))
     }
 }
 
-/// The tally half of the fold: one `Cell` store per issue and per
-/// counted device fact; while windowed, one push per queued request; per
-/// finish, one totals update and, while windowed, one fixed-size push.
-/// Every other variant matches nothing.
+/// The tally half of the fold: one push per issue and one `Cell` store
+/// per counted device fact; while windowed, one push per queued request;
+/// per finish, one swap-removal (the last entry on the guest path), one totals
+/// update and, while windowed, one fixed-size push. Every other variant
+/// matches nothing.
 // nesc-lint: hot
 #[inline(always)]
 fn tally(t: &Tally, open: Option<&Open>, obs: Obs<'_>) {
     match obs {
         Obs::Issued(path, disk, seq, bytes, _, at) => {
-            t.issued.set((Some(path), disk, seq, bytes, at))
-        }
-        Obs::Finished(failed, done) => {
             let root = open.map_or(SpanId::NONE, |o| o.root.get());
-            let (path, disk, seq, bytes, issue) = t.issued.get();
+            let issued = (path, disk, seq, bytes, at, root);
+            t.inflight.borrow_mut().push(issued);
+        }
+        Obs::Finished(seq, failed, done) => {
+            let mut inflight = t.inflight.borrow_mut();
+            let Some(i) = inflight.iter().rposition(|r| r.2 == seq) else {
+                return;
+            };
+            let (path, disk, seq, bytes, issue, root) = inflight.swap_remove(i);
+            drop(inflight);
             let latency_ns = done.saturating_since(issue).as_nanos();
             let mut paths = t.paths.borrow_mut();
-            if let Some(p) = path.and_then(|path| paths.get_mut(path as usize)) {
+            if let Some(p) = paths.get_mut(path as usize) {
                 p.requests += 1;
                 p.bytes += bytes;
                 if failed {
@@ -651,10 +678,10 @@ fn tally(t: &Tally, open: Option<&Open>, obs: Obs<'_>) {
 /// observation.
 // nesc-lint: hot
 #[inline(always)]
-fn ring(rec: &FlightRecorder, open: &Open, issued: Issued, obs: Obs<'_>) {
+fn ring(rec: &FlightRecorder, open: &Open, obs: Obs<'_>) {
     use FlightEventKind as K;
-    let (path, disk, _, _, issue) = issued;
-    let (direct, f) = (path == Some(Via::Direct), open.func.get());
+    let ((path, disk, issue), f) = (open.issued.get(), open.func.get());
+    let direct = path == Some(Via::Direct);
     match obs {
         Obs::Rang(func, id, rang, landed) if direct => {
             rec.append(issue, K::RequestStart, func, id, u64::from(disk));
@@ -715,8 +742,10 @@ mod tests {
     /// Every observation variant, in the order the layers report them: a
     /// direct request that stalls on a miss and resumes, a host request
     /// the device fails, a virtio request, an emulated write the device
-    /// rejects at submission (so no device span is open when it answers),
-    /// and a watchdog anomaly.
+    /// rejects at submission (so no device span is open when it answers)
+    /// and a second `Finished` for it, which counts nothing; then a
+    /// front-end's batch of two requests on a VF, in flight together and
+    /// finished out of issue order, and a watchdog anomaly.
     fn script(a: &AnomalyEvent) -> Vec<Obs<'_>> {
         use Obs::*;
         vec![
@@ -738,13 +767,13 @@ mod tests {
             ZeroFill(Pass(1, 512, t(220), t(225))),
             DeviceDone(Some((true, 8)), t(230)),
             Answered(t(230), t(240)),
-            Finished(false, t(240)),
+            Finished(5, false, t(240)),
             Issued(Via::Host, 0, 6, 512, false, t(300)),
             Rang(0, 6, t(310), t(320)),
             DeviceOpen(0, 6, 1, t(320), t(320)),
             DeviceDone(None, t(330)),
             Answered(t(330), t(335)),
-            Finished(true, t(335)),
+            Finished(6, true, t(335)),
             Issued(Via::Virtio, 1, 7, 8192, false, t(400)),
             Backend(t(410), t(420), t(430)),
             Awaiting(t(430)),
@@ -752,12 +781,21 @@ mod tests {
             DeviceOpen(0, 7, 2, t(431), t(431)),
             DeviceDone(Some((false, 2)), t(440)),
             Answered(t(440), t(450)),
-            Finished(false, t(450)),
+            Finished(7, false, t(450)),
             Issued(Via::Emulated, 1, 8, 512, true, t(500)),
             Backend(t(505), t(515), t(520)),
             DeviceDone(None, t(520)),
             Answered(t(520), t(530)),
-            Finished(true, t(530)),
+            Finished(8, true, t(530)),
+            Finished(8, false, t(535)),
+            Issued(Via::Direct, 3, 9, 1024, true, t(600)),
+            Issued(Via::Direct, 3, 10, 1024, false, t(600)),
+            DeviceOpen(4, 9, 1, t(610), t(610)),
+            DeviceDone(Some((true, 1)), t(620)),
+            DeviceOpen(4, 10, 1, t(620), t(625)),
+            DeviceDone(Some((false, 1)), t(640)),
+            Finished(10, false, t(640)),
+            Finished(9, false, t(620)),
             Anomaly(a),
         ]
     }
@@ -872,6 +910,39 @@ mod tests {
             (30, "hypervisor", "trap_emulate", 505, 515, &[]),
             (30, "hypervisor", "host_backend", 515, 520, &[]),
             (30, "guest", "guest_complete", 520, 530, &[]),
+            (
+                0,
+                "guest",
+                "request",
+                600,
+                620,
+                &[("disk", 3), ("bytes", 1024), ("write", 1), ("failed", 0)],
+            ),
+            (
+                0,
+                "guest",
+                "request",
+                600,
+                640,
+                &[("disk", 3), ("bytes", 1024), ("write", 0), ("failed", 0)],
+            ),
+            (
+                35,
+                "core",
+                "device",
+                610,
+                620,
+                &[("func", 4), ("blocks", 1)],
+            ),
+            (
+                36,
+                "core",
+                "device",
+                620,
+                640,
+                &[("func", 4), ("blocks", 1)],
+            ),
+            (38, "core", "queue", 620, 625, &[]),
         ]
     }
 
@@ -898,17 +969,19 @@ mod tests {
     type Done = (u64, u64, u32, u64, u64, u64);
 
     /// The window list the script leaves, by sequence id.
-    const WANT_DONE: [Done; 4] = [
+    const WANT_DONE: [Done; 6] = [
         (240, 5, 2, 4096, 140, 1),
         (335, 6, 0, 512, 35, 17),
         (450, 7, 1, 8192, 50, 23),
         (530, 8, 1, 512, 30, 30),
+        (620, 9, 3, 1024, 20, 35),
+        (640, 10, 3, 1024, 40, 36),
     ];
 
     /// The per-path totals the script leaves, in `Via` order:
     /// `(requests, bytes, errors, latencies, max latency)`.
     const WANT_TOTALS: [(u64, u64, u64, u64, u64); 4] = [
-        (1, 4096, 0, 1, 140),
+        (3, 6144, 0, 3, 140),
         (1, 8192, 0, 1, 50),
         (1, 512, 1, 0, 0),
         (1, 512, 1, 0, 0),
@@ -916,10 +989,10 @@ mod tests {
 
     /// The device counters the script leaves (BTLB fields unfolded).
     const WANT_DEVICE: DeviceStats = DeviceStats {
-        requests_completed: 2,
+        requests_completed: 4,
         requests_failed: 2,
-        blocks_read: 2,
-        blocks_written: 8,
+        blocks_read: 3,
+        blocks_written: 9,
         zero_fill_blocks: 1,
         btlb_lookups: 0,
         btlb_hits: 0,
@@ -992,6 +1065,10 @@ mod tests {
             open.is_none_or(|o| o.parents.borrow().is_empty()),
             "every binding is released when its wait closes"
         );
+        assert!(
+            probe.tally.inflight.borrow().is_empty(),
+            "each request finished"
+        );
         let spans = probe.tracer().take_spans();
         Out {
             spans,
@@ -1041,7 +1118,7 @@ mod tests {
         let hash = fnv1a(anomaly().text.as_bytes());
         let attrs = [("rule", 1), ("rule_text_hash", hash), ("window", 9)];
         let attrs = [&attrs[..], &[("value", 7), ("threshold", 5)]].concat();
-        want.push((35, 0, "telemetry", "anomaly", 800, 1000, attrs));
+        want.push((40, 0, "telemetry", "anomaly", 800, 1000, attrs));
         let rows = |out: &Out| {
             let rows = out.rows.iter().map(|e| (e.t_ns, e.kind, e.func, e.a, e.b));
             rows.collect::<Vec<_>>()
@@ -1088,7 +1165,7 @@ mod tests {
     /// Reports one whole 512-byte request on disk 0.
     fn request(probe: &Probe, path: Via, seq: u64, issue: u64, done: u64, failed: bool) {
         probe.report(Obs::Issued(path, 0, seq, 512, false, t(issue)));
-        probe.report(Obs::Finished(failed, t(done)));
+        probe.report(Obs::Finished(seq, failed, t(done)));
     }
 
     /// Closes the window ending at `end_ns`: its completions' sequence ids,

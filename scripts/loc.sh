@@ -8,8 +8,9 @@
 # included) per file. A file's non-test lines are the lines above its
 # first `#[cfg(test)]` (the whole file if it has none). Also counts the
 # device's per-block store calls and the extent crate's full-node copies,
-# and, outside crates/core, the `REWALK_TREE` writers and the device
-# `advance` call sites.
+# and, outside crates/core, the `REWALK_TREE` writers, the device
+# doorbells, `RING_TAIL` writes and PF submits (the doorbell sequence
+# every requester shares), and the device `advance` call sites.
 # Never fails on the numbers; it only prints them.
 #
 # Usage: scripts/loc.sh
@@ -113,6 +114,16 @@ nontest_sites() {
 }
 echo "non-test REWALK_TREE writers outside crates/core, per file:"
 nontest_sites '\bREWALK_TREE\b'
+# The doorbell sequence is written once (`System::post`): one device
+# doorbell, one `RING_TAIL` write and one PF submit in system.rs. A PF
+# submit is a `.submit_pf(` call or a `.submit(` whose function argument
+# is the PF.
+echo "non-test device ring_doorbell( calls outside crates/core, per file:"
+nontest_sites '\bdev(?:ice_mut\(\))?\.ring_doorbell\('
+echo "non-test RING_TAIL writes outside crates/core, per file:"
+nontest_sites '\bRING_TAIL\b'
+echo "non-test PF submits (submit_pf( / submit(_, pf, ..)) outside crates/core, per file:"
+nontest_sites '\.submit_pf\(|\.submit\(\s*[^,()]+,\s*(?:[\w.]+\.)?pf(?:\(\))?\s*,'
 echo "non-test .advance( / .advance_into( calls outside crates/core, per file:"
 nontest_sites '\.advance(?:_into)?\('
 

@@ -5,10 +5,10 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use nesc_extent::Vlba;
-use nesc_hypervisor::System;
+use nesc_hypervisor::{DiskKind, System, TelemetryConfig};
 use nesc_nvme::{NvmeController, NvmeOpcode, NvmeStatus, SubmissionEntry};
 use nesc_pcie::HostMemory;
-use nesc_sim::SimTime;
+use nesc_sim::{SimDuration, SimTime, SpanId, SpanTree};
 use proptest::prelude::*;
 
 fn controller(capacity_blocks: u64) -> (Rc<RefCell<HostMemory>>, NvmeController) {
@@ -133,6 +133,76 @@ fn a_batch_longer_than_the_vf_ring_completes() {
     let done = ctrl.process();
     assert_eq!(done.len(), 300);
     assert!(done.iter().all(|(e, _, _)| e.status == NvmeStatus::Success));
+    let direct = ctrl.system().path_totals(DiskKind::NescDirect);
+    assert_eq!(direct.requests, 300, "every ring-full's requests count");
+}
+
+/// A namespace's commands are requests like a guest's: with telemetry and
+/// tracing on, 8 writes to a thin namespace (each taking the miss path)
+/// count under the direct path, root one span tree each with the device's
+/// span below, and reach the namespace disk's per-disk series.
+#[test]
+fn thin_namespace_writes_are_counted_traced_and_sampled() {
+    let interval = SimDuration::from_micros(10);
+    let sys = System::builder()
+        .capacity_blocks(16 * 1024)
+        .tracing(true)
+        .telemetry(TelemetryConfig::windowed(interval))
+        .build();
+    let mem = sys.memory();
+    let mut ctrl = NvmeController::new(sys);
+    let ns = namespace(&mut ctrl, "thin.img", 64, false);
+    let disk = ctrl.identify(ns).unwrap().disk;
+    let qid = ctrl.create_queue_pair(16);
+    let buf = mem.borrow_mut().alloc(2048, 4096);
+    let writes: Vec<SubmissionEntry> = (0..8u16)
+        .map(|cid| {
+            SubmissionEntry::new(NvmeOpcode::Write, cid, ns, buf, Vlba(u64::from(cid) * 4), 1)
+        })
+        .collect();
+    let done = ctrl
+        .submit_and_process(SimTime::ZERO, qid, &writes)
+        .unwrap();
+    assert_eq!(done.len(), 8);
+    assert!(done.iter().all(|(e, _)| e.status == NvmeStatus::Success));
+    let sys = ctrl.system_mut();
+    assert_eq!(
+        sys.device().stats().miss_interrupts,
+        8,
+        "thin: every write misses"
+    );
+    let direct = sys.path_totals(DiskKind::NescDirect);
+    assert_eq!(
+        (direct.requests, direct.bytes, direct.errors),
+        (8, 8 * 2048, 0)
+    );
+    assert_eq!(direct.latency_ns.count(), 8);
+
+    let tree = SpanTree::new(sys.take_spans());
+    let roots: Vec<SpanId> = tree
+        .roots()
+        .filter(|s| s.name == "request")
+        .map(|s| s.id)
+        .collect();
+    assert_eq!(roots.len(), 8, "one root per command");
+    for root in roots {
+        let (mut stack, mut device) = (vec![root], false);
+        while let Some(id) = stack.pop() {
+            for child in tree.children(id) {
+                device |= (child.layer, child.name) == ("core", "device");
+                stack.push(child.id);
+            }
+        }
+        assert!(device, "root {root:?} has a core:device descendant");
+    }
+
+    let last = done.iter().map(|&(_, at)| at).max().unwrap();
+    sys.think(last.saturating_since(sys.now()) + interval);
+    sys.telemetry_finish();
+    let name = format!("hv.vf{}.requests", disk.0);
+    let sampler = sys.telemetry().unwrap().sampler();
+    let requests = sampler.series_by_name(&name).unwrap();
+    assert_eq!(requests.samples().map(|(_, v)| v).sum::<u64>(), 8);
 }
 
 proptest! {
