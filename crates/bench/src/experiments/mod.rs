@@ -1,20 +1,18 @@
 //! The experiment registry: every result under `results/` is produced by
-//! exactly one entry, and every deterministic entry is a byte-gated
-//! golden.
+//! exactly one entry, and every entry is a byte-gated golden.
 //!
 //! An entry is a function filling an [`Out`] — its table text (written as
 //! `results/<name>.txt`) plus the named JSON/CSV files it declares in
 //! [`Experiment::outputs`]. Entries never touch the filesystem themselves;
 //! [`regenerate`] writes what they produced, and [`check`] regenerates
-//! every [`DETERMINISTIC`] entry into a scratch tree and compares it byte
-//! for byte against the committed `results/`. The [`TIMED`] entries report
-//! host wall clock, so they are run but never compared.
+//! every [`REGISTRY`] entry into a scratch tree and compares it byte for
+//! byte against the committed `results/`. Host time is measured elsewhere
+//! (the `hostbench` package), never here.
 
 mod ablation;
 mod extension;
 mod observability;
 mod paper;
-mod timed;
 
 use std::fs;
 use std::path::Path;
@@ -28,7 +26,6 @@ use ablation::*;
 use extension::*;
 use observability::*;
 use paper::*;
-use timed::*;
 
 /// What one experiment produced: its table text and its named files.
 #[derive(Debug, Default)]
@@ -91,16 +88,11 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    /// Whether the entry is in [`DETERMINISTIC`], so byte-gated.
-    pub fn deterministic(&self) -> bool {
-        DETERMINISTIC.iter().any(|e| e.name == self.name)
-    }
-
-    /// Every file the entry leaves under `results/`: `<name>.txt` (for
-    /// deterministic entries) and its declared outputs.
+    /// Every file the entry leaves under `results/`: `<name>.txt` and its
+    /// declared outputs.
     pub fn files(&self) -> Vec<String> {
-        let text = self.deterministic().then(|| format!("{}.txt", self.name));
-        text.into_iter()
+        let text = format!("{}.txt", self.name);
+        std::iter::once(text)
             .chain(self.outputs.iter().map(|s| s.to_string()))
             .collect()
     }
@@ -112,8 +104,8 @@ macro_rules! entry {
     };
 }
 
-/// Entries whose every output is a function of the code alone.
-pub const DETERMINISTIC: &[Experiment] = &[
+/// Every entry; each output is a function of the code alone.
+pub const REGISTRY: &[Experiment] = &[
     entry!(fig2_direct_speedup, "fig2_direct_speedup.json"),
     entry!(fig9_latency, "fig9_latency.json"),
     entry!(fig10_bandwidth, "fig10_bandwidth.json"),
@@ -150,17 +142,11 @@ pub const DETERMINISTIC: &[Experiment] = &[
     entry!(scale_out, "scale_mixed.json"),
 ];
 
-/// Host wall-clock harnesses: run by `run`, never byte-compared.
-pub const TIMED: &[Experiment] = &[
-    entry!(bench_hotpath, "BENCH_hotpath.json"),
-    entry!(telemetry_overhead, "BENCH_telemetry.json"),
-];
-
-/// Looks an entry up by name in either list; the error lists every name.
+/// Looks an entry up by name; the error lists every name.
 pub fn find(name: &str) -> Result<&'static Experiment, String> {
-    let hit = DETERMINISTIC.iter().chain(TIMED).find(|e| e.name == name);
+    let hit = REGISTRY.iter().find(|e| e.name == name);
     hit.ok_or_else(|| {
-        let names: Vec<&str> = DETERMINISTIC.iter().chain(TIMED).map(|e| e.name).collect();
+        let names: Vec<&str> = REGISTRY.iter().map(|e| e.name).collect();
         format!(
             "unknown experiment `{name}`; valid names: all, {}",
             names.join(", ")
@@ -181,10 +167,8 @@ pub fn regenerate(exp: &Experiment, dir: &Path) -> Result<Out, String> {
         ));
     }
     fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-    let text = exp
-        .deterministic()
-        .then(|| (format!("{}.txt", exp.name), out.text.clone()));
-    for (name, contents) in out.files.iter().cloned().chain(text) {
+    let text = (format!("{}.txt", exp.name), out.text.clone());
+    for (name, contents) in out.files.iter().cloned().chain([text]) {
         let path = dir.join(&name);
         fs::write(&path, contents).map_err(|e| format!("writing {}: {e}", path.display()))?;
     }
@@ -194,9 +178,9 @@ pub fn regenerate(exp: &Experiment, dir: &Path) -> Result<Out, String> {
 /// Where `check` leaves its regenerated tree for inspection.
 pub const CHECK_DIR: &str = "target/nesc-bench-check";
 
-/// The full gate: the divergence self-check, then every deterministic
-/// entry regenerated into [`CHECK_DIR`] and byte-compared against
-/// `golden_dir`. Returns one message per failure.
+/// The full gate: the divergence self-check, then every entry
+/// regenerated into [`CHECK_DIR`] and byte-compared against `golden_dir`.
+/// Returns one message per failure.
 pub fn check(golden_dir: &Path) -> Result<(), Vec<String>> {
     divergence_check().map_err(|e| vec![e])?;
     let dir = Path::new(CHECK_DIR);
@@ -204,7 +188,7 @@ pub fn check(golden_dir: &Path) -> Result<(), Vec<String>> {
         fs::remove_dir_all(dir).map_err(|e| vec![format!("clearing {CHECK_DIR}: {e}")])?;
     }
     let mut failures = Vec::new();
-    for exp in DETERMINISTIC {
+    for exp in REGISTRY {
         if let Err(e) = regenerate(exp, dir) {
             failures.push(e);
             continue;
@@ -222,7 +206,7 @@ pub fn check(golden_dir: &Path) -> Result<(), Vec<String>> {
         }
     }
     if failures.is_empty() {
-        println!("check: every deterministic result regenerated byte-identical");
+        println!("check: every result regenerated byte-identical");
         Ok(())
     } else {
         Err(failures)
@@ -402,30 +386,28 @@ mod tests {
     fn every_result_has_exactly_one_deterministic_producer() {
         // File name -> producing entry; no file twice.
         let mut producers: BTreeMap<String, &Experiment> = BTreeMap::new();
-        for exp in DETERMINISTIC.iter().chain(TIMED) {
+        for exp in REGISTRY {
             for f in exp.files() {
                 let dup = producers.insert(f.clone(), exp).map(|e| e.name);
                 assert!(dup.is_none(), "{f} is written by {dup:?} and {}", exp.name);
             }
         }
+        // Every file under results/ is a golden, except the lint report
+        // (`scripts/check.sh` writes it from `nesc-lint`).
         for entry in fs::read_dir(results_dir()).unwrap() {
             let name = entry.unwrap().file_name().into_string().unwrap();
-            let gated = [".json", ".txt", ".csv"].iter().any(|x| name.ends_with(x))
-                && !name.starts_with("BENCH_")
-                && name != "lint.json";
-            if gated {
-                let det = producers.get(&name).is_some_and(|e| e.deterministic());
-                assert!(det, "results/{name} has no deterministic producer");
+            if name != "lint.json" {
+                let producer = producers.contains_key(&name);
+                assert!(producer, "results/{name} has no registry producer");
             }
         }
     }
 
     #[test]
     fn unknown_name_lists_the_valid_ones() {
-        assert!(find("fig9_latency").unwrap().deterministic());
-        assert!(!find("bench_hotpath").unwrap().deterministic());
+        assert_eq!(find("fig9_latency").unwrap().name, "fig9_latency");
         let err = find("fig99").err().unwrap();
-        assert!(err.contains("fig9_latency") && err.contains("telemetry_overhead"));
+        assert!(err.contains("fig9_latency") && err.contains("scale_out"));
     }
 
     #[test]

@@ -9,7 +9,6 @@
 
 pub mod experiments;
 pub mod forensic;
-pub mod hotpath;
 
 use nesc_extent::Vlba;
 use nesc_hypervisor::{DiskId, DiskKind, System, SystemBuilder, VmId};
@@ -95,9 +94,8 @@ pub fn prune_pressure(builder: SystemBuilder, prune_every: u64) -> (System, f64)
 /// Disks in the [`mixed_vfs`] system.
 pub const MIXED_VFS: usize = 3;
 
-/// The mixed multi-VF system shared by the telemetry dashboard and the
-/// telemetry-overhead harness: [`MIXED_VFS`] 8 MiB NeSC-direct disks on a
-/// 256 Ki-block device built from `builder`.
+/// The mixed multi-VF system of the telemetry dashboard: [`MIXED_VFS`]
+/// 8 MiB NeSC-direct disks on a 256 Ki-block device built from `builder`.
 pub fn mixed_vfs(builder: SystemBuilder) -> (System, Vec<DiskId>) {
     let mut sys = builder.capacity_blocks(256 * 1024).max_vfs(8).build();
     let disks = (0..MIXED_VFS)
@@ -224,6 +222,43 @@ mod tests {
         assert!(a.iter().all(|&ns| ns > 0));
         assert_eq!(run(3).0, a, "same seed, same latencies");
         assert_ne!(run(4).0, a);
+    }
+
+    /// Telemetry and the flight recorder observe a run and never perturb
+    /// it: the mixed workload reads the same per-request latencies with
+    /// telemetry off, sampling every 50 us or 10 us, and at 50 us with
+    /// the recorder on.
+    #[test]
+    fn telemetry_and_the_recorder_leave_simulated_time_alone() {
+        use nesc_hypervisor::TelemetryConfig;
+        use nesc_sim::FlightConfig;
+        const REQUESTS: u64 = 1500;
+        let window = |us| TelemetryConfig::windowed(SimDuration::from_micros(us)).capacity(4096);
+        let run = |tel: Option<TelemetryConfig>| {
+            let builder = SystemBuilder::new();
+            let (mut sys, disks) = mixed_vfs(match tel {
+                Some(cfg) => builder.telemetry(cfg),
+                None => builder,
+            });
+            let latencies = drive_mixed(&mut sys, &disks, 77, REQUESTS, 10);
+            let windows = sys.telemetry().map_or(0, |t| t.sampler().closed_windows());
+            let rows = sys.flight().with(|r| r.total()).unwrap_or(0);
+            (latencies, windows, rows)
+        };
+        let (off, no_windows, no_rows) = run(None);
+        assert_eq!((off.len() as u64, no_windows, no_rows), (REQUESTS, 0, 0));
+        let modes = [
+            window(50),
+            window(10),
+            window(50).flight(FlightConfig::default()),
+        ];
+        for cfg in modes {
+            let recorder = cfg.flight.is_some();
+            let (latencies, windows, rows) = run(Some(cfg));
+            assert!(windows > 0, "the run closed no telemetry window");
+            assert_eq!(rows > 0, recorder, "ring rows only with the recorder");
+            assert!(latencies == off, "telemetry moved simulated latencies");
+        }
     }
 
     #[test]

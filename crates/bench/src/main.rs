@@ -2,11 +2,10 @@
 //!
 //! ```text
 //! nesc-bench run <name|all>      regenerate results/<name>.txt and the entry's
-//!                                files (`all`: every deterministic entry, then
-//!                                the timed ones)
+//!                                files (`all`: every entry)
 //! nesc-bench check               divergence self-check, then regenerate every
-//!                                deterministic entry into target/nesc-bench-check
-//!                                and byte-compare it against results/
+//!                                entry into target/nesc-bench-check and
+//!                                byte-compare it against results/
 //! ```
 //!
 //! Exits 1 when an entry, a write or the check fails, 2 on a usage error
@@ -15,7 +14,7 @@
 use std::path::Path;
 use std::process::ExitCode;
 
-use nesc_bench::experiments::{check, find, regenerate, DETERMINISTIC, TIMED};
+use nesc_bench::experiments::{check, find, regenerate, REGISTRY};
 
 fn usage_error(msg: &str) -> ExitCode {
     eprintln!("nesc-bench: {msg}\nusage: nesc-bench run <name|all> | nesc-bench check");
@@ -27,7 +26,7 @@ fn main() -> ExitCode {
     let result = match args.split_first() {
         Some((cmd, [name])) if cmd == "run" => {
             let selected = if name == "all" {
-                DETERMINISTIC.iter().chain(TIMED).collect()
+                REGISTRY.iter().collect()
             } else {
                 match find(name) {
                     Ok(exp) => vec![exp],

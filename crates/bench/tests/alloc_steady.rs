@@ -26,15 +26,17 @@
 //! allocations, and the tests take turns (`SERIAL`) on the one counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use nesc_bench::hotpath::{build_device, HotpathConfig, DEVICE_BLOCKS};
-use nesc_core::NescOutput;
+use nesc_core::{FuncId, NescConfig, NescDevice, NescOutput};
+use nesc_extent::{ExtentMapping, ExtentTree, Plba, Vlba};
 use nesc_hypervisor::{DiskKind, System as NescSystem, TelemetryConfig};
+use nesc_pcie::{HostAddr, HostMemory};
 use nesc_sim::{FlightHandle, Obs, Pass, Probe, SimDuration, SimRng, SimTime, Tracer, Via};
-use nesc_storage::{BlockOp, BlockRequest, RequestId};
+use nesc_storage::{BlockOp, BlockRequest, RequestId, BLOCK_SIZE};
 
 /// Counts allocator calls while armed; delegates everything to [`System`].
 struct CountingAlloc;
@@ -97,18 +99,48 @@ fn serial() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Runs `requests` requests of `cfg`'s stream shape through `advance_into`
-/// with the caller's reused output buffer, continuing the request index and
-/// clock from `start_i`.
+/// The device loop's VF size in blocks (128 MiB).
+const DEVICE_BLOCKS: u64 = 1 << 17;
+/// Its extent length (2 MiB): every aligned request sits inside one
+/// extent.
+const EXTENT_BLOCKS: u64 = 2048;
+/// Blocks per request of the device loop (64 KiB).
+const REQ_BLOCKS: u64 = 64;
+
+/// A device with one VF mapping [`DEVICE_BLOCKS`] blocks in
+/// [`EXTENT_BLOCKS`]-block extents, shifted so the mapping is not the
+/// identity, and a host buffer for one request.
+fn build_device(btlb_entries: usize) -> (NescDevice, FuncId, HostAddr) {
+    let mem = Rc::new(RefCell::new(HostMemory::new()));
+    let mut cfg = NescConfig::prototype();
+    cfg.capacity_blocks = DEVICE_BLOCKS * 2;
+    cfg.btlb_entries = btlb_entries;
+    let mut dev = NescDevice::new(cfg, Rc::clone(&mem));
+    let tree: ExtentTree = (0..DEVICE_BLOCKS / EXTENT_BLOCKS)
+        .map(|i| {
+            let (v, p) = (i * EXTENT_BLOCKS, i * EXTENT_BLOCKS + DEVICE_BLOCKS / 2);
+            ExtentMapping::new(Vlba(v), Plba(p), EXTENT_BLOCKS)
+        })
+        .collect();
+    let root = tree.serialize(&mut mem.borrow_mut());
+    let vf = dev.create_vf(root, DEVICE_BLOCKS).unwrap();
+    let buf = mem.borrow_mut().alloc(REQ_BLOCKS * BLOCK_SIZE, BLOCK_SIZE);
+    (dev, vf, buf)
+}
+
+/// Runs `requests` reads of [`REQ_BLOCKS`] blocks, sequential (wrapping)
+/// or at random aligned offsets, through `advance_into` with the caller's
+/// reused output buffer, continuing the request index and clock from
+/// `start_i`.
 // allow: the harness must thread every piece of mutable driver state
 // through the armed-allocator window without bundling it into a struct
 // (a struct literal here would itself be a measured allocation site).
 #[allow(clippy::too_many_arguments)]
 fn drive(
-    dev: &mut nesc_core::NescDevice,
-    vf: nesc_core::FuncId,
-    buf: u64,
-    cfg: &HotpathConfig,
+    dev: &mut NescDevice,
+    vf: FuncId,
+    buf: HostAddr,
+    sequential: bool,
     rng: &mut SimRng,
     t: &mut SimTime,
     start_i: u64,
@@ -116,18 +148,19 @@ fn drive(
     outs: &mut Vec<NescOutput>,
 ) {
     let horizon = SimTime::from_nanos(u64::MAX / 4);
-    let slots = DEVICE_BLOCKS / cfg.req_blocks;
+    let slots = DEVICE_BLOCKS / REQ_BLOCKS;
     for i in start_i..start_i + requests {
         *t += SimDuration::from_micros(100);
-        let lba = if cfg.sequential {
-            nesc_extent::Vlba((i % slots) * cfg.req_blocks)
+        let slot = if sequential {
+            i % slots
         } else {
-            nesc_extent::Vlba(rng.range(0, slots) * cfg.req_blocks)
+            rng.range(0, slots)
         };
+        let lba = Vlba(slot * REQ_BLOCKS);
         dev.submit(
             *t,
             vf,
-            BlockRequest::new(RequestId(i + 1), BlockOp::Read, lba, cfg.req_blocks),
+            BlockRequest::new(RequestId(i + 1), BlockOp::Read, lba, REQ_BLOCKS),
             buf,
         );
         outs.clear();
@@ -143,29 +176,22 @@ fn steady_state_device_loop_is_allocation_free() {
     let _serial = serial();
     TRACE.store(std::env::var_os("ALLOC_TRACE").is_some(), Ordering::SeqCst);
     for (sequential, btlb_entries) in [(true, 8usize), (true, 0), (false, 8)] {
-        let cfg = HotpathConfig {
-            btlb_entries,
-            max_run_blocks: u64::MAX,
-            req_blocks: 64,
-            sequential,
-            requests: 0, // unused; drive() takes its own count
-        };
-        let (mut dev, vf, buf) = build_device(cfg.btlb_entries, cfg.max_run_blocks, cfg.req_blocks);
+        let (mut dev, vf, buf) = build_device(btlb_entries);
         let mut rng = SimRng::seed(0x5eed_0dd5);
         let mut t = SimTime::ZERO;
         let mut outs: Vec<NescOutput> = Vec::with_capacity(64);
         // Warm-up: one full wrap of the sequential stream (or the same
         // request count randomly placed) grows every bucket, ring, and
         // scratch vector to its steady size.
-        let warm = DEVICE_BLOCKS / cfg.req_blocks;
+        let warm = DEVICE_BLOCKS / REQ_BLOCKS;
         drive(
-            &mut dev, vf, buf, &cfg, &mut rng, &mut t, 0, warm, &mut outs,
+            &mut dev, vf, buf, sequential, &mut rng, &mut t, 0, warm, &mut outs,
         );
 
         ALLOCS.store(0, Ordering::SeqCst);
         arm(true);
         drive(
-            &mut dev, vf, buf, &cfg, &mut rng, &mut t, warm, 256, &mut outs,
+            &mut dev, vf, buf, sequential, &mut rng, &mut t, warm, 256, &mut outs,
         );
         arm(false);
         let n = ALLOCS.load(Ordering::SeqCst);
@@ -185,7 +211,7 @@ fn observe_request(probe: &Probe, i: u64) {
     for obs in [
         Obs::Issued(Via::Direct, 2, id, 4096, true, t(100)),
         Obs::Rang(3, id, t(110), t(120)),
-        Obs::DescriptorFetch(32, t(120), t(125)),
+        Obs::DescriptorFetch(id, 32, t(120), t(125)),
         Obs::Queued(3, id, 1, t(125)),
         Obs::Dispatched(3, id, 8, t(125), t(130), t(131)),
         Obs::DeviceOpen(3, id, 8, t(125), t(140)),

@@ -43,13 +43,6 @@ pub struct NescConfig {
     pub tree_node_bytes: u64,
     /// Fixed cost to process one walked level beyond the DMA itself.
     pub walk_level_processing: SimDuration,
-    /// Largest extent *run* — span of consecutive blocks resolved by one
-    /// BTLB probe or one tree walk — the data path batches into a single
-    /// translation and storage transfer. Purely a host-side simulation
-    /// batching knob: simulated times and statistics are identical at any
-    /// value. `1` reproduces the historical block-at-a-time loop (useful as
-    /// a benchmarking baseline); the default is effectively unbounded.
-    pub max_run_blocks: u64,
     /// Cost for the PF's out-of-band channel to accept one request.
     pub oob_per_request: SimDuration,
     /// Firmware cost to raise an interrupt (miss or completion MSI).
@@ -73,7 +66,6 @@ impl NescConfig {
             walk_overlap: 2,
             tree_node_bytes: 512,
             walk_level_processing: SimDuration::from_nanos(50),
-            max_run_blocks: u64::MAX,
             oob_per_request: SimDuration::from_nanos(80),
             interrupt_cost: SimDuration::from_nanos(300),
         }
@@ -110,7 +102,6 @@ impl NescConfig {
         assert!(self.dma_write_bytes_per_sec > 0, "DMA write bandwidth");
         assert!(self.walk_overlap > 0, "walk unit needs at least one slot");
         assert!(self.tree_node_bytes > 0, "tree nodes have a size");
-        assert!(self.max_run_blocks > 0, "runs cover at least one block");
     }
 }
 

@@ -266,6 +266,12 @@ pub struct NescDevice {
     /// translation-done time, transformed in place into completion times by
     /// the batched media/engine/link passes.
     time_scratch: Vec<SimTime>,
+    /// Largest extent *run* — consecutive blocks resolved by one BTLB
+    /// probe or one tree walk — batched into one translation and one
+    /// storage transfer. Unbounded; only this module's tests set it, to 1
+    /// for the block-at-a-time reference loop, since simulated results do
+    /// not depend on it.
+    run_cap: u64,
 }
 
 impl fmt::Debug for NescDevice {
@@ -322,6 +328,7 @@ impl NescDevice {
             chain_scratch: Vec::new(),
             ring_scratch: Vec::new(),
             time_scratch: Vec::new(),
+            run_cap: u64::MAX,
         }
     }
 
@@ -637,14 +644,18 @@ impl NescDevice {
             ring.consume(&self.mem.borrow(), tail, &mut slots);
             ctx.ring_head = ring.head;
             // One descriptor-fetch DMA covers every slot consumed, valid or
-            // not (devices coalesce).
-            let bytes = slots.len() as u64 * crate::ring::DESCRIPTOR_BYTES;
-            let fetch_done = if bytes > 0 {
-                let end = self.link.dma_read(now, bytes).complete;
-                self.probe.report(Obs::DescriptorFetch(bytes, now, end));
-                end
-            } else {
-                now
+            // not (devices coalesce); it is reported under the first slot's
+            // request id, which a slot that fails to decode has too.
+            let fetch_done = match slots.first() {
+                Some(&first) => {
+                    let bytes = slots.len() as u64 * crate::ring::DESCRIPTOR_BYTES;
+                    let end = self.link.dma_read(now, bytes).complete;
+                    let id = first.map_or_else(|id| id, |d| d.id);
+                    self.probe
+                        .report(Obs::DescriptorFetch(id.0, bytes, now, end));
+                    end
+                }
+                None => now,
             };
             (slots, fetch_done)
         };
@@ -937,7 +948,7 @@ impl NescDevice {
         let run_cap = if self.btlb.capacity() == 0 {
             1
         } else {
-            self.cfg.max_run_blocks
+            self.run_cap
         };
         let mut i = from_block;
         while i < req.block_count {
@@ -3391,17 +3402,18 @@ mod tests {
         }
     }
 
-    /// Device-level invariance: the same mixed stream must produce
-    /// identical outputs, stats, and stored bytes whatever the run cap —
-    /// run batching is a wall-clock optimization, not a model change.
+    /// Device-level invariance: the same mixed read/write stream over a
+    /// hole must produce identical outputs (completion times included),
+    /// stats (walks included), BTLB hits and stored bytes whatever the run
+    /// cap — run batching is a host-side optimization, not a model change.
     #[test]
     fn mixed_stream_invariant_across_run_caps() {
-        fn run_stream(max_run_blocks: u64) -> (Vec<NescOutput>, DeviceStats, u64, Vec<Vec<u8>>) {
+        fn run_stream(run_cap: u64) -> (Vec<NescOutput>, DeviceStats, u64, Vec<Vec<u8>>) {
             let mem = Rc::new(RefCell::new(HostMemory::new()));
             let mut cfg = NescConfig::prototype();
             cfg.capacity_blocks = 4096;
-            cfg.max_run_blocks = max_run_blocks;
             let mut dev = NescDevice::new(cfg, Rc::clone(&mem));
+            dev.run_cap = run_cap;
             let vf = make_vf(
                 &mem,
                 &mut dev,
@@ -3448,6 +3460,87 @@ mod tests {
             assert_eq!(got.1, baseline.1, "stats differ at run cap {cap}");
             assert_eq!(got.2, baseline.2, "BTLB hits differ at run cap {cap}");
             assert_eq!(got.3, baseline.3, "stored bytes differ at cap {cap}");
+        }
+    }
+
+    /// Run batching on read streams: 16-block reads, sequential and
+    /// random, with BTLB 8 and 0, over 40-block extents so that some
+    /// requests straddle two, must produce identical completions (times
+    /// included), stats (walks included) and BTLB hits at cap 1 and at an
+    /// unbounded cap. Counting `core:translate` spans pins the batching
+    /// itself: one per extent run at an unbounded cap, one per block at
+    /// cap 1 or with no BTLB.
+    #[test]
+    fn batched_and_per_block_agree_on_simulated_results() {
+        const EXTENT: u64 = 40;
+        const EXTENTS: u64 = 25;
+        const REQ: u64 = 16;
+        /// Outputs, stats, BTLB hits, `core:translate` spans and request
+        /// start blocks of 40 `REQ`-block reads at aligned offsets.
+        type ReadRun = (Vec<NescOutput>, DeviceStats, u64, u64, Vec<u64>);
+        fn read_stream(run_cap: u64, btlb: usize, sequential: bool) -> ReadRun {
+            let mem = Rc::new(RefCell::new(HostMemory::new()));
+            let mut cfg = NescConfig::prototype();
+            cfg.capacity_blocks = 4096;
+            cfg.btlb_entries = btlb;
+            let mut dev = NescDevice::new(cfg, Rc::clone(&mem));
+            dev.run_cap = run_cap;
+            let probe = Probe::new(nesc_sim::Tracer::enabled(), Default::default());
+            dev.set_probe(probe.clone());
+            // Physically reversed, so neighbouring extents are not
+            // contiguous on the device.
+            let extents: Vec<ExtentMapping> = (0..EXTENTS)
+                .map(|i| {
+                    let p = 1000 + (EXTENTS - 1 - i) * EXTENT;
+                    ExtentMapping::new(Vlba(i * EXTENT), Plba(p), EXTENT)
+                })
+                .collect();
+            let vf = make_vf(&mem, &mut dev, &extents, EXTENTS * EXTENT);
+            let buf = alloc_buf(&mem, REQ);
+            let mut rng = nesc_sim::SimRng::seed(0x5eed_0dd5);
+            let slots = EXTENTS * EXTENT / REQ;
+            let (mut outs, mut starts) = (Vec::new(), Vec::new());
+            for i in 0..40 {
+                let slot = if sequential {
+                    i % slots
+                } else {
+                    rng.range(0, slots)
+                };
+                starts.push(slot * REQ);
+                let req = BlockRequest::new(RequestId(i + 1), BlockOp::Read, Vlba(slot * REQ), REQ);
+                dev.submit(SimTime::from_nanos((i + 1) * 100_000), vf, req, buf);
+                outs.extend(dev.advance(HORIZON));
+            }
+            let spans = probe.tracer().take_spans();
+            let translates = spans.iter().filter(|s| s.name == "translate").count();
+            (
+                outs,
+                dev.stats(),
+                dev.btlb().hits(),
+                translates as u64,
+                starts,
+            )
+        }
+
+        for sequential in [true, false] {
+            for btlb in [0usize, 8] {
+                let case = format!("sequential={sequential} btlb={btlb}");
+                let per_block = read_stream(1, btlb, sequential);
+                let batched = read_stream(u64::MAX, btlb, sequential);
+                assert_eq!(per_block.0.len(), 40, "{case}: every read completes");
+                assert_eq!(batched.0, per_block.0, "{case}: completions differ");
+                assert_eq!(batched.1, per_block.1, "{case}: stats differ");
+                assert_eq!(batched.2, per_block.2, "{case}: BTLB hits differ");
+                let runs: u64 = if btlb == 0 {
+                    40 * REQ
+                } else {
+                    let extents_of = |s: u64| (s + REQ - 1) / EXTENT - s / EXTENT + 1;
+                    batched.4.iter().map(|&s| extents_of(s)).sum()
+                };
+                assert!(btlb == 0 || runs > 40, "{case}: no request straddles");
+                assert_eq!(per_block.3, 40 * REQ, "{case}: cap 1 translates per block");
+                assert_eq!(batched.3, runs, "{case}: one translate per extent run");
+            }
         }
     }
 }

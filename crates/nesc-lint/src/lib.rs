@@ -91,9 +91,8 @@ pub use rules::{Diagnostic, LintContext, Rule};
 /// fixtures).
 pub fn classify(rel: &Path) -> Option<LintContext> {
     let s = rel.to_string_lossy().replace('\\', "/");
-    // Shims stand in for external crates (criterion needs wall-clock by
-    // nature); target/ is build output; the fixture corpus is deliberately
-    // violating.
+    // Shims stand in for external crates, not simulator code; target/ is
+    // build output; the fixture corpus is deliberately violating.
     if s.starts_with("shims/") || s.starts_with("target/") || s.contains("/fixtures/") {
         return None;
     }
@@ -328,7 +327,7 @@ mod tests {
 
     #[test]
     fn classify_scopes_files() {
-        assert!(classify(Path::new("shims/criterion/src/lib.rs")).is_none());
+        assert!(classify(Path::new("shims/proptest/src/lib.rs")).is_none());
         assert!(classify(Path::new("crates/nesc-lint/tests/fixtures/d1.rs")).is_none());
         assert!(classify(Path::new("crates/sim/src/lib.rs")).is_some());
         let q = classify(Path::new("crates/sim/src/sched.rs")).unwrap();
@@ -366,7 +365,7 @@ mod tests {
         let h = classify(Path::new("crates/hypervisor/src/system.rs")).unwrap();
         assert!(h.address_crate && !h.boundary_module);
         // Bench harnesses and the sim core move no addresses.
-        let b = classify(Path::new("crates/bench/src/hotpath.rs")).unwrap();
+        let b = classify(Path::new("crates/bench/src/forensic.rs")).unwrap();
         assert!(!b.address_crate);
         let s = classify(Path::new("crates/sim/src/sched.rs")).unwrap();
         assert!(!s.address_crate);

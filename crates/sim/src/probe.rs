@@ -176,9 +176,12 @@ pub enum Obs<'a> {
     /// `pcie:dma_write` under the device span {bytes, transfers}; no ring
     /// row.
     ZeroFill(Pass),
-    /// `(bytes, start, end)`: one coalesced command-descriptor fetch.
-    /// `pcie:dma_read` under the device span, if any {bytes}.
-    DescriptorFetch(u64, SimTime, SimTime),
+    /// `(id, bytes, start, end)`: one coalesced command-descriptor fetch;
+    /// `id` is the request id of the first slot fetched. `pcie:dma_read`
+    /// {bytes} under the span bound to `id` (the guest path's
+    /// `device_wait`), else under the root of the in-flight request whose
+    /// seq it is (a front-end's).
+    DescriptorFetch(u64, u64, SimTime, SimTime),
 }
 
 /// One finished request, as the window list holds it.
@@ -569,8 +572,9 @@ impl Probe {
                 let attrs = [("bytes", block_bytes * blocks), ("transfers", blocks)];
                 t.span(dev, "pcie", name, start, end, attrs);
             }
-            Obs::DescriptorFetch(bytes, start, end) => {
-                t.span(dev, "pcie", "dma_read", start, end, [("bytes", bytes)]);
+            Obs::DescriptorFetch(id, bytes, start, end) => {
+                let parent = open.parent_of(id, &self.tally);
+                t.span(parent, "pcie", "dma_read", start, end, [("bytes", bytes)]);
             }
             Obs::Rewalk(..) | Obs::Queued(..) | Obs::Dispatched(..) => {}
         }
@@ -751,7 +755,7 @@ mod tests {
         vec![
             Issued(Via::Direct, 2, 5, 4096, true, t(100)),
             Rang(3, 5, t(110), t(120)),
-            DescriptorFetch(32, t(120), t(125)),
+            DescriptorFetch(5, 32, t(120), t(125)),
             Queued(3, 5, 1, t(125)),
             Dispatched(3, 5, 8, t(125), t(130), t(131)),
             DeviceOpen(3, 5, 8, t(125), t(140)),
@@ -817,7 +821,7 @@ mod tests {
             (1, "guest", "guest_submit", 100, 110, &[]),
             (1, "pcie", "doorbell", 110, 120, &[]),
             (1, "core", "device_wait", 120, 230, &[]),
-            (0, "pcie", "dma_read", 120, 125, &[("bytes", 32)]),
+            (4, "pcie", "dma_read", 120, 125, &[("bytes", 32)]),
             (
                 4,
                 "core",

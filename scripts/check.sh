@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Repo health check: build, test, compile the benches, run the
-# determinism + address-provenance + panic-freedom + layering gates
-# (static lint, with injected-violation self-tests for both the
-# provenance and call-graph passes, + runtime divergence self-check),
-# and prove the refactors did not perturb simulated results (every
-# deterministic result under results/ must regenerate bit-identically).
+# Repo health check: build, test, run the determinism +
+# address-provenance + panic-freedom + layering gates (static lint, with
+# injected-violation self-tests for both the provenance and call-graph
+# passes, + runtime divergence self-check), and prove the refactors did
+# not perturb simulated results (every result under results/ must
+# regenerate bit-identically). Host time is hostbench's to measure
+# (BENCHMARK.json); the only wall-clock bound here is the scale-out
+# gate's 10x-headroom ceiling.
 #
 # Usage: scripts/check.sh
 set -euo pipefail
@@ -29,9 +31,6 @@ cargo build --release --manifest-path hostbench/Cargo.toml
 
 echo "==> cargo test -q"
 cargo test -q
-
-echo "==> cargo bench --no-run (criterion harness compiles; gated offline)"
-cargo bench --no-run -p nesc-bench
 
 echo "==> nesc-lint: determinism + provenance + guest-taint + panic-freedom + layering rules"
 echo "    (D1-D7, T1-T3, G1-G3, A1-A3, P1-P3, L1)"
@@ -92,9 +91,9 @@ printf '%s\n' \
     '}' > "$inject"
 expect_lint_rejects G3 guest-taint
 
-echo "==> nesc-bench check: divergence self-check + every deterministic result byte-identical"
+echo "==> nesc-bench check: divergence self-check + every result byte-identical"
 # Runs the same-seed double-run divergence self-check, then regenerates
-# every deterministic registry entry into target/nesc-bench-check/ (left
+# every registry entry into target/nesc-bench-check/ (left
 # there for inspection) and byte-compares each file against results/. A
 # mismatch names the file and its first divergent JSON path (or line).
 if ! cargo run --release -q -p nesc-bench -- check; then
@@ -144,82 +143,5 @@ if [ "$scale_secs" -gt "$scale_ceiling" ]; then
     exit 1
 fi
 echo "OK: 1000-VF scenario in ${scale_secs}s host (ceiling ${scale_ceiling}s)"
-
-echo "==> throughput gate: hot-path blocks/sec floor (interleaved A/B, min of 5)"
-# The harness itself interleaves per-block/batched repeats and keeps each
-# mode's minimum, so one invocation here is already noise-dodged. Floors
-# are env-overridable for slower CI hosts.
-#   NESC_GATE_NS_PER_BLOCK  — batched ns/block ceiling on seq-64k/btlb8
-#                             (12.5 == the >= 25% improvement over the
-#                             16.653 ns/block BinaryHeap-era baseline,
-#                             == a floor of 80M simulated blocks/sec)
-#   NESC_GATE_SPEEDUP       — batched/per-block floor on every btlb>0 series
-# btlb=0 series execute identical code in both modes (run cap clamps to 1),
-# so they are checked only for parity within noise (>= 0.95).
-cargo run --release -q -p nesc-bench -- run bench_hotpath >/dev/null
-NESC_GATE_NS_PER_BLOCK="${NESC_GATE_NS_PER_BLOCK:-12.5}" \
-NESC_GATE_SPEEDUP="${NESC_GATE_SPEEDUP:-1.2}" \
-python3 - <<'PY'
-import json, os, sys
-data = json.load(open("results/BENCH_hotpath.json"))
-ns_ceiling = float(os.environ["NESC_GATE_NS_PER_BLOCK"])
-speedup_floor = float(os.environ["NESC_GATE_SPEEDUP"])
-fail = []
-for s in data["series"]:
-    key = f"btlb{s['btlb_entries']}/{s['stream']}/{s['request']}"
-    floor = speedup_floor if s["btlb_entries"] > 0 else 0.95
-    if s["speedup"] < floor:
-        fail.append(f"{key}: speedup {s['speedup']:.2f} < floor {floor}")
-    if s["btlb_entries"] == 8 and s["stream"] == "seq" and s["request"] == "64k":
-        ns = s["batched_ns_per_block"]
-        if ns > ns_ceiling:
-            fail.append(f"{key}: batched {ns:.2f} ns/block > ceiling {ns_ceiling}")
-        else:
-            print(f"OK: seq-64k/btlb8 batched {ns:.2f} ns/block "
-                  f"({1e9 / ns / 1e6:.0f}M blocks/sec, ceiling {ns_ceiling} ns)")
-if fail:
-    print("FAIL: hot-path throughput gate:\n  " + "\n  ".join(fail), file=sys.stderr)
-    sys.exit(1)
-print("OK: all series within speedup floors")
-PY
-
-echo "==> telemetry gate: sampler + flight-recorder overhead ceilings at the 50 us interval"
-#   NESC_GATE_TELEMETRY_PCT — max % host overhead with telemetry on at 50 us
-#   NESC_GATE_FLIGHT_PCT    — max % marginal cost of the flight recorder
-#                             over telemetry alone at the same interval
-# The harness interleaves 200 short rounds per mode and compares
-# quiet-decile costs, but a busy host can still poison one measurement;
-# one full re-measurement is allowed before the gate fails.
-for attempt in 1 2; do
-    cargo run --release -q -p nesc-bench -- run telemetry_overhead >/dev/null
-    if NESC_GATE_TELEMETRY_PCT="${NESC_GATE_TELEMETRY_PCT:-20}" \
-       NESC_GATE_FLIGHT_PCT="${NESC_GATE_FLIGHT_PCT:-5}" \
-       python3 - <<'PY'
-import json, os, sys
-data = json.load(open("results/BENCH_telemetry.json"))
-tel_ceiling = float(os.environ["NESC_GATE_TELEMETRY_PCT"])
-fl_ceiling = float(os.environ["NESC_GATE_FLIGHT_PCT"])
-tel = data["overhead_50us_percent"]
-fl = data["overhead_flight_percent"]
-fail = []
-if tel > tel_ceiling:
-    fail.append(f"telemetry overhead at 50 us is {tel:.1f}% > ceiling {tel_ceiling}%")
-if fl > fl_ceiling:
-    fail.append(f"flight recorder marginal cost is {fl:.1f}% > ceiling {fl_ceiling}%")
-if fail:
-    print("FAIL: " + "; ".join(fail), file=sys.stderr)
-    sys.exit(1)
-print(f"OK: telemetry overhead {tel:.1f}% (ceiling {tel_ceiling}%), "
-      f"flight recorder marginal {fl:.1f}% (ceiling {fl_ceiling}%)")
-PY
-    then
-        break
-    elif [ "$attempt" -eq 2 ]; then
-        echo "FAIL: overhead gate failed on both measurements" >&2
-        exit 1
-    else
-        echo "    overhead gate missed once; re-measuring (noisy host?)"
-    fi
-done
 
 echo "==> all checks passed"

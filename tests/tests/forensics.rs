@@ -219,3 +219,43 @@ fn re_enabled_tracing_never_lends_a_root_id_to_another_request() {
     own_trees(&on_again);
     assert!(on_again.iter().all(|(_, _, spans)| !spans.is_empty()));
 }
+
+/// A warm NeSC-direct 4 KiB read of written blocks appends exactly the
+/// ring rows the probe's ring fold documents for it: `RequestStart` and
+/// `Doorbell` for its doorbell, `QueueEnter`, `QueueExit` and
+/// `SchedDispatch` in the device queue, one `MediaService` and one
+/// `LinkService` for its one run, and `RequestComplete`. The BTLB hit
+/// adds no `BtlbMiss`, and the descriptor fetch no row.
+#[test]
+fn a_warm_direct_read_appends_the_documented_ring_rows() {
+    use FlightEventKind as K;
+    let tel = TelemetryConfig::windowed(SimDuration::from_micros(INTERVAL_US))
+        .flight(FlightConfig::default());
+    let mut sys = SystemBuilder::new().telemetry(tel).build();
+    let disk = sys
+        .quick_disk(DiskKind::NescDirect, "warm.img", 1 << 20)
+        .disk;
+    let mut buf = vec![0x5Au8; 4096];
+    sys.write(disk, 0, &buf);
+    sys.read(disk, 0, &mut buf);
+    let total = |sys: &System| sys.flight().with(|r| r.total()).unwrap();
+    let before = total(&sys);
+    sys.read(disk, 0, &mut buf);
+    let appended = (total(&sys) - before) as usize;
+    let rows: Vec<FlightEvent> = sys.flight().with(|r| r.events().collect()).unwrap();
+    let kinds: Vec<FlightEventKind> = rows[rows.len() - appended..]
+        .iter()
+        .map(|e| e.kind)
+        .collect();
+    let want = [
+        K::RequestStart,
+        K::Doorbell,
+        K::QueueEnter,
+        K::QueueExit,
+        K::SchedDispatch,
+        K::MediaService,
+        K::LinkService,
+        K::RequestComplete,
+    ];
+    assert_eq!(kinds, want);
+}

@@ -285,3 +285,69 @@ fn stalled_requests_reopen_as_resume_spans() {
     );
     assert!(resume.start >= stalled.end);
 }
+
+/// Every span belongs to a request's tree, except a watchdog anomaly's:
+/// the roots are the requests of all four guest paths and of a
+/// front-end's batch (NVMe writes to a thin namespace, which miss), and
+/// the anomaly those misses trip. A command-descriptor fetch opens under
+/// the request whose descriptor it fetched first.
+#[test]
+fn every_root_span_is_a_request_or_an_anomaly() {
+    use nesc_extent::Vlba;
+    use nesc_nvme::{NvmeController, NvmeOpcode, NvmeStatus, SubmissionEntry};
+
+    let interval = SimDuration::from_micros(10);
+    let mut sys = SystemBuilder::new()
+        .capacity_blocks(64 * 1024)
+        .tracing(true)
+        .telemetry(
+            TelemetryConfig::windowed(interval).rule_text("core.miss_interrupts above 0 for 1"),
+        )
+        .build();
+    for kind in [
+        DiskKind::NescDirect,
+        DiskKind::Virtio,
+        DiskKind::Emulated,
+        DiskKind::HostRaw,
+    ] {
+        let disk = sys.quick_disk(kind, &format!("{kind:?}.img"), 1 << 20).disk;
+        run_small_workload(&mut sys, disk);
+    }
+    let mem = sys.memory();
+    let mut ctrl = NvmeController::new(sys);
+    let ns = ctrl.create_namespace("thin.img", 64, false).unwrap();
+    let qid = ctrl.create_queue_pair(16);
+    let buf = mem.borrow_mut().alloc(2048, 4096);
+    let writes: Vec<SubmissionEntry> = (0..4u16)
+        .map(|cid| {
+            SubmissionEntry::new(NvmeOpcode::Write, cid, ns, buf, Vlba(u64::from(cid) * 4), 1)
+        })
+        .collect();
+    let now = ctrl.system_mut().now();
+    let done = ctrl.submit_and_process(now, qid, &writes).unwrap();
+    assert!(done.iter().all(|(e, _)| e.status == NvmeStatus::Success));
+    let sys = ctrl.system_mut();
+    sys.think(SimDuration::from_micros(100));
+    sys.telemetry_finish();
+
+    let tree = SpanTree::new(sys.take_spans());
+    tree.check_nesting().expect("nested");
+    let mut roots = std::collections::BTreeMap::new();
+    for root in tree.roots() {
+        *roots.entry((root.layer, root.name)).or_insert(0) += 1;
+    }
+    let want = [
+        ("guest", "request"),
+        ("hypervisor", "request"),
+        ("telemetry", "anomaly"),
+    ];
+    assert_eq!(roots.keys().copied().collect::<Vec<_>>(), want, "{roots:?}");
+    // 3 requests on each guest path and 4 front-end writes.
+    assert_eq!(roots[&("guest", "request")], 3 * 3 + 4);
+    let fetches = tree
+        .spans()
+        .iter()
+        .filter(|s| s.name == "dma_read" && s.attr("transfers").is_none())
+        .count();
+    assert!(fetches >= 4, "{fetches} descriptor fetches");
+}
