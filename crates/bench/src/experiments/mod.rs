@@ -237,7 +237,9 @@ pub fn divergence_check() -> Result<(), String> {
 
 /// Compares a regenerated file against its golden; the error names the
 /// file and, for JSON, the first divergent path (else the first
-/// divergent line).
+/// divergent line). A JSON path through an array element with a `name`
+/// member also names that element (and a perfmon series' sample its
+/// window); a CSV line names its column and the row's first cell.
 pub fn compare_files(golden: &Path, fresh: &Path) -> Result<(), String> {
     let read = |p: &Path| fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()));
     let (want, got) = (read(golden)?, read(fresh)?);
@@ -246,8 +248,11 @@ pub fn compare_files(golden: &Path, fresh: &Path) -> Result<(), String> {
     }
     let is_json = golden.extension().is_some_and(|e| e == "json");
     let at = match (is_json, parse_json(&want), parse_json(&got)) {
-        (true, Ok(w), Ok(g)) => match first_divergent_path(&w, &g) {
-            Some(path) => format!("first divergent JSON path {path}"),
+        (true, Ok(w), Ok(g)) => match divergence(&w, &g) {
+            Some((path, Some(element))) => {
+                format!("first divergent JSON path {path} ({element})")
+            }
+            Some((path, None)) => format!("first divergent JSON path {path}"),
             None => "same JSON value, different bytes".to_string(),
         },
         _ => {
@@ -256,7 +261,11 @@ pub fn compare_files(golden: &Path, fresh: &Path) -> Result<(), String> {
                 .zip(got.lines())
                 .position(|(w, g)| w != g)
                 .unwrap_or_else(|| want.lines().count().min(got.lines().count()));
-            format!("first divergent line {}", line + 1)
+            let is_csv = golden.extension().is_some_and(|e| e == "csv");
+            match is_csv.then(|| csv_cell(&want, &got, line)).flatten() {
+                Some(cell) => format!("first divergent line {} ({cell})", line + 1),
+                None => format!("first divergent line {}", line + 1),
+            }
         }
     };
     Err(format!(
@@ -271,7 +280,14 @@ pub fn compare_files(golden: &Path, fresh: &Path) -> Result<(), String> {
 /// compared in order, so a renamed, missing or reordered key is reported
 /// at the first position where the key sequences part.
 pub fn first_divergent_path(want: &Value, got: &Value) -> Option<String> {
-    fn walk(want: &Value, got: &Value, path: String) -> Option<String> {
+    divergence(want, got).map(|(path, _)| path)
+}
+
+/// [`first_divergent_path`], plus a label for the innermost array
+/// element on the path that has a `name` member: `"<name>"`, and for a
+/// perfmon series' `samples[k]` also `window <first_window + k>`.
+fn divergence(want: &Value, got: &Value) -> Option<(String, Option<String>)> {
+    fn walk(want: &Value, got: &Value, path: String) -> Option<(String, Option<String>)> {
         match (want, got) {
             (Value::Object(w), Value::Object(g)) => {
                 for (i, (key, wv)) in w.iter().enumerate() {
@@ -281,23 +297,56 @@ pub fn first_divergent_path(want: &Value, got: &Value) -> Option<String> {
                                 return Some(p);
                             }
                         }
-                        _ => return Some(format!("{path}.{key}")),
+                        _ => return Some((format!("{path}.{key}"), None)),
                     }
                 }
-                g.get(w.len()).map(|(key, _)| format!("{path}.{key}"))
+                g.get(w.len())
+                    .map(|(key, _)| (format!("{path}.{key}"), None))
             }
             (Value::Array(w), Value::Array(g)) => {
                 for (i, (wv, gv)) in w.iter().zip(g).enumerate() {
-                    if let Some(p) = walk(wv, gv, format!("{path}[{i}]")) {
-                        return Some(p);
+                    let here = format!("{path}[{i}]");
+                    if let Some((p, label)) = walk(wv, gv, here.clone()) {
+                        let label = label.or_else(|| element_label(wv, &p[here.len()..]));
+                        return Some((p, label));
                     }
                 }
-                (w.len() != g.len()).then(|| format!("{path}[{}]", w.len().min(g.len())))
+                let short = w.len().min(g.len());
+                (w.len() != g.len()).then(|| (format!("{path}[{short}]"), None))
             }
-            _ => (want != got).then_some(path),
+            _ => (want != got).then_some((path, None)),
         }
     }
     walk(want, got, "$".to_string())
+}
+
+/// The label of an array element with a `name` member; `rest` is the
+/// divergent path below the element.
+fn element_label(element: &Value, rest: &str) -> Option<String> {
+    let name = element.get("name")?.as_str()?;
+    let sample = rest
+        .strip_prefix(".samples[")
+        .and_then(|r| r.strip_suffix(']'));
+    let first = element.get("first_window").and_then(Value::as_u64);
+    match sample.and_then(|k| k.parse::<u64>().ok()).zip(first) {
+        Some((k, first)) => Some(format!("{name:?}, window {}", first + k)),
+        None => Some(format!("{name:?}")),
+    }
+}
+
+/// For a CSV data line (`line`, 0-based) that differs: its first
+/// divergent cell's column header and the row's first cell
+/// (`column "<header>", <first header> <first cell>`).
+fn csv_cell(want: &str, got: &str, line: usize) -> Option<String> {
+    if line == 0 {
+        return None;
+    }
+    let header: Vec<&str> = want.lines().next()?.split(',').collect();
+    let w: Vec<&str> = want.lines().nth(line)?.split(',').collect();
+    let g: Vec<&str> = got.lines().nth(line)?.split(',').collect();
+    let col = (0..w.len().max(g.len())).find(|&i| w.get(i) != g.get(i))?;
+    let (column, first) = (header.get(col)?, header.first()?);
+    Some(format!("column {column:?}, {first} {}", w.first()?))
 }
 
 #[cfg(test)]
@@ -379,6 +428,43 @@ mod tests {
         fs::write(&b, "one\nTWO\nthree\n").unwrap();
         let err = compare_files(&a, &b).unwrap_err();
         assert!(err.ends_with("first divergent line 2"), "{err}");
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn mismatch_names_the_series_and_window() {
+        let dir = scratch("named");
+        // A perfmon export: series 1 diverges at its third retained window.
+        let (a, b) = (dir.join("a.json"), dir.join("b.json"));
+        let series = r#"{"windows": 9, "series": [
+            {"name": "core.btlb_hits", "first_window": 4, "samples": [1, 2, 3]},
+            {"name": "hv.vf3.p99_ns", "first_window": 5, "samples": [4, 5, 6]}]}"#;
+        fs::write(&a, series).unwrap();
+        fs::write(&b, series.replace("5, 6", "5, 7")).unwrap();
+        let err = compare_files(&a, &b).unwrap_err();
+        let want = r#"$.series[1].samples[2] ("hv.vf3.p99_ns", window 7)"#;
+        assert!(err.ends_with(want), "{err}");
+        // A named element's other members name it without a window.
+        fs::write(
+            &b,
+            series.replace("\"first_window\": 5", "\"first_window\": 6"),
+        )
+        .unwrap();
+        let err = compare_files(&a, &b).unwrap_err();
+        assert!(
+            err.ends_with(r#"$.series[1].first_window ("hv.vf3.p99_ns")"#),
+            "{err}"
+        );
+
+        // The CSV export: the diverging cell's column and the row's window.
+        let (a, b) = (dir.join("a.csv"), dir.join("b.csv"));
+        fs::write(&a, "window,end_ns,x.ops,y.ops\n3,40,1,2\n4,50,1,2\n").unwrap();
+        fs::write(&b, "window,end_ns,x.ops,y.ops\n3,40,1,2\n4,50,1,9\n").unwrap();
+        let err = compare_files(&a, &b).unwrap_err();
+        assert!(
+            err.ends_with(r#"first divergent line 3 (column "y.ops", window 4)"#),
+            "{err}"
+        );
         fs::remove_dir_all(dir).unwrap();
     }
 

@@ -333,8 +333,9 @@ fn paravirt_rereads_and_rewrites_through_the_system_are_allocation_free() {
 
 /// With telemetry on, a pass over 64 NeSC-direct disks that closes many
 /// windows allocates nothing once warm: the window's completions, the
-/// per-disk latency runs and the ring list are retained buffers, and a
-/// series ring at its capacity overwrites in place.
+/// per-disk latency runs and the ring list are retained buffers, and the
+/// sampler's row log, which evicts a window's rows as it leaves
+/// retention, reuses the room they free.
 #[test]
 fn windowed_telemetry_over_many_disks_is_allocation_free() {
     const DISKS: usize = 64;

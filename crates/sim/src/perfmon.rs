@@ -18,9 +18,11 @@
 //! * a series is sampled at most once per closed window and reads 0 in a
 //!   window it is not sampled in (a counter keeps its previous raw value),
 //!   so an owner samples only what may be non-zero and two same-seed runs
-//!   still produce identical series. Only non-zero samples are stored,
-//!   tagged with their window; every accessor and exporter fills in the
-//!   zeros, walking each series' stored samples once.
+//!   still produce identical series. Only non-zero samples are stored:
+//!   one row each in a sampler-wide log, in sampling order, linked to its
+//!   series' previous row. Accessors and exporters walk a series' links
+//!   back from its newest row and fill in the zeros, so reading the
+//!   newest window costs one row.
 //!
 //! On top of the series sit the [`SloWatchdog`] — declarative threshold
 //! rules ("p99 above X for 3 consecutive windows", optionally guarded by a
@@ -87,23 +89,41 @@ impl SeriesKind {
     }
 }
 
-/// One registered series: its identity, counter-delta state, and the
-/// non-zero samples of its retained windows.
-#[derive(Debug)]
-struct SeriesRing {
-    name: String,
-    unit: &'static str,
+/// No row: the end of a series' row chain.
+const NO_ROW: u64 = u64::MAX;
+
+/// What sampling one series reads and writes; its identity lives apart,
+/// in [`SeriesName`], so a window close touches only these records.
+#[derive(Debug, Clone, Copy)]
+struct SeriesState {
     kind: SeriesKind,
     /// The first window the series has a sample for (windows closed when
     /// it was registered).
     registered: u64,
-    /// The next window the series may be sampled in (at-most-once state).
-    next: u64,
-    /// `(window, value)` of every non-zero sample, oldest first; windows
-    /// the ring has since evicted are dropped at the next push.
-    nonzero: VecDeque<(u64, u64)>,
     /// Raw value at the previous sample (counter-delta state).
     last_raw: u64,
+    /// Row number of the series' newest stored sample (`NO_ROW`: none).
+    newest: u64,
+    /// The next window the series may be sampled in (at-most-once state).
+    #[cfg(debug_assertions)]
+    next: u64,
+}
+
+/// A series' identity: read by lookups and exporters, never by a sample.
+#[derive(Debug)]
+struct SeriesName {
+    name: String,
+    unit: &'static str,
+}
+
+/// One stored (non-zero) sample in the sampler's row log.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    window: u64,
+    value: u64,
+    /// Row number of the same series' previous stored sample (`NO_ROW`:
+    /// none). A link to an evicted row ends the chain too.
+    prev: u64,
 }
 
 /// One series as its sampler sees it: a borrowed view that fills in the
@@ -113,31 +133,29 @@ struct SeriesRing {
 /// series was registered.
 #[derive(Debug, Clone, Copy)]
 pub struct TimeSeries<'a> {
-    ring: &'a SeriesRing,
-    /// The sampler's closed-window count.
-    closed: u64,
-    capacity: u64,
+    sampler: &'a Sampler,
+    id: usize,
 }
 
 impl<'a> TimeSeries<'a> {
     /// Series name (e.g. `"core.btlb_hits"`).
     pub fn name(self) -> &'a str {
-        &self.ring.name
+        &self.sampler.names[self.id].name
     }
 
     /// Unit label (e.g. `"ops"`, `"ns"`, `"ppm"`).
     pub fn unit(self) -> &'static str {
-        self.ring.unit
+        self.sampler.names[self.id].unit
     }
 
     /// Gauge or counter-delta.
     pub fn kind(self) -> SeriesKind {
-        self.ring.kind
+        self.sampler.series[self.id].kind
     }
 
-    /// Number of windows currently retained (≤ ring capacity).
+    /// Number of windows currently retained (≤ the sampler's capacity).
     pub fn len(self) -> usize {
-        (self.closed - self.first_window()) as usize
+        (self.sampler.closed - self.first_window()) as usize
     }
 
     /// Whether no window has closed since the series was registered.
@@ -147,39 +165,42 @@ impl<'a> TimeSeries<'a> {
 
     /// Window index of the oldest retained sample.
     pub fn first_window(self) -> u64 {
-        let floor = self.closed.saturating_sub(self.capacity);
-        self.ring.registered.max(floor)
+        let s = self.sampler;
+        let floor = s.closed.saturating_sub(s.capacity as u64);
+        s.series[self.id].registered.max(floor)
+    }
+
+    /// `(window, value)` of every stored sample, newest first: the
+    /// series' row chain. Only retained windows are still in the log.
+    fn stored(self) -> impl Iterator<Item = (u64, u64)> + 'a {
+        let s = self.sampler;
+        let newest = s.row(s.series[self.id].newest);
+        std::iter::successors(newest, move |r| s.row(r.prev)).map(|r| (r.window, r.value))
     }
 
     /// Iterates `(window_index, value)` pairs of every retained window,
-    /// oldest first, walking the stored samples once.
+    /// oldest first, walking the series' row chain once.
     pub fn samples(self) -> impl Iterator<Item = (u64, u64)> + 'a {
-        let first = self.first_window();
-        let mut stored = self
-            .ring
-            .nonzero
-            .iter()
-            .skip_while(move |&&(w, _)| w < first)
-            .peekable();
-        (first..self.closed).map(move |w| {
-            let v = stored.next_if(|&&(at, _)| at == w).map_or(0, |&(_, v)| v);
+        let mut stored: Vec<(u64, u64)> = self.stored().collect();
+        (self.first_window()..self.sampler.closed).map(move |w| {
+            let v = stored.pop_if(|&mut (at, _)| at == w).map_or(0, |(_, v)| v);
             (w, v)
         })
     }
 
-    /// The sample for `window`, if still retained.
+    /// The sample for `window`, if still retained: the newest window's
+    /// costs one row.
     pub fn value_at(self, window: u64) -> Option<u64> {
-        if window < self.first_window() || window >= self.closed {
+        if window < self.first_window() || window >= self.sampler.closed {
             return None;
         }
-        let stored = &self.ring.nonzero;
-        let found = stored.binary_search_by_key(&window, |&(w, _)| w);
-        Some(found.map_or(0, |i| stored[i].1))
+        let found = self.stored().find(|&(w, _)| w <= window);
+        Some(found.filter(|&(w, _)| w == window).map_or(0, |(_, v)| v))
     }
 
     /// The most recent `(window_index, value)` pair.
     pub fn latest(self) -> Option<(u64, u64)> {
-        let w = self.closed.checked_sub(1)?;
+        let w = self.sampler.closed.checked_sub(1)?;
         self.value_at(w).map(|v| (w, v))
     }
 }
@@ -197,14 +218,22 @@ impl<'a> TimeSeries<'a> {
 /// A series is sampled at most once per closed window, and one left
 /// unsampled reads 0 for that window; a counter left unsampled keeps its
 /// previous raw value. So a window close costs what its owner samples,
-/// not what it registered: only non-zero samples are stored.
+/// not what it registered: only non-zero samples are stored, each as one
+/// row appended to a single log.
 #[derive(Debug)]
 pub struct Sampler {
     interval: SimDuration,
     capacity: usize,
-    series: Vec<SeriesRing>,
+    /// Per series, in registration order: its sampling state ...
+    series: Vec<SeriesState>,
+    /// ... and its identity.
+    names: Vec<SeriesName>,
     /// Name → id of the first series registered under that name.
     index: BTreeMap<String, SeriesId>,
+    /// Every stored sample of the retained windows, in sampling order.
+    rows: VecDeque<Row>,
+    /// Row number of `rows[0]` (rows evicted so far).
+    first_row: u64,
     /// End of the oldest unclosed window, `window_end(closed)`.
     next_close: SimTime,
     /// Windows closed so far; window `closed - 1` is the one being (or
@@ -233,7 +262,10 @@ impl Sampler {
             interval,
             capacity,
             series: Vec::new(),
+            names: Vec::new(),
             index: BTreeMap::new(),
+            rows: VecDeque::new(),
+            first_row: 0,
             next_close: SimTime::ZERO + interval,
             closed: 0,
             nonzero_ids: Vec::new(),
@@ -246,7 +278,7 @@ impl Sampler {
         self.interval
     }
 
-    /// Ring capacity per series.
+    /// Windows retained per series.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -287,14 +319,17 @@ impl Sampler {
         debug_assert!(!self.index.contains_key(name), "duplicate series {name}");
         let id = SeriesId(self.series.len());
         self.index.entry(name.to_string()).or_insert(id);
-        self.series.push(SeriesRing {
-            name: name.to_string(),
-            unit,
+        self.series.push(SeriesState {
             kind,
             registered: self.closed,
-            next: self.closed,
-            nonzero: VecDeque::new(),
             last_raw: 0,
+            newest: NO_ROW,
+            #[cfg(debug_assertions)]
+            next: self.closed,
+        });
+        self.names.push(SeriesName {
+            name: name.to_string(),
+            unit,
         });
         id
     }
@@ -303,14 +338,15 @@ impl Sampler {
     /// from `raw`: an owner that starts sampling mid-run baselines its
     /// cumulative probes here.
     pub fn rebase(&mut self, id: SeriesId, raw: u64) {
-        if let Some(ring) = self.series.get_mut(id.0) {
-            ring.last_raw = raw;
+        if let Some(s) = self.series.get_mut(id.0) {
+            s.last_raw = raw;
         }
     }
 
     /// Closes the next due window: if simulated time `now` has reached
     /// (or passed) the end of the oldest unclosed window, that window is
-    /// closed and its end time returned; the owner then
+    /// closed (the rows of the window it pushes out of retention are
+    /// evicted) and its end time returned; the owner then
     /// [`sample`](Self::sample)s the series that may be non-zero in it
     /// before calling `due` again. Returns `None` when no window end has
     /// been reached.
@@ -323,6 +359,11 @@ impl Sampler {
         let end = Some(self.next_close).filter(|&end| end <= now)?;
         self.next_close = end + self.interval;
         self.closed += 1;
+        let floor = self.closed.saturating_sub(self.capacity as u64);
+        while self.rows.front().is_some_and(|r| r.window < floor) {
+            self.rows.pop_front();
+            self.first_row += 1;
+        }
         self.nonzero_ids.clear();
         Some(end)
     }
@@ -341,12 +382,15 @@ impl Sampler {
             return 0;
         };
         let s = &mut self.series[id.0];
-        debug_assert!(
-            s.next <= window,
-            "series {} must be sampled at most once per closed window",
-            s.name
-        );
-        s.next = window + 1;
+        #[cfg(debug_assertions)]
+        {
+            debug_assert!(
+                s.next <= window,
+                "series {} must be sampled at most once per closed window",
+                self.names[id.0].name
+            );
+            s.next = window + 1;
+        }
         self.committed += 1;
         let value = match s.kind {
             SeriesKind::Gauge => raw,
@@ -356,26 +400,25 @@ impl Sampler {
         if value == 0 {
             return 0;
         }
-        let floor = self.closed.saturating_sub(self.capacity as u64);
-        while s.nonzero.front().is_some_and(|&(w, _)| w < floor) {
-            s.nonzero.pop_front();
-        }
-        s.nonzero.push_back((window, value));
+        let prev = std::mem::replace(&mut s.newest, self.first_row + self.rows.len() as u64);
+        self.rows.push_back(Row {
+            window,
+            value,
+            prev,
+        });
         self.nonzero_ids.push(id);
         value
     }
 
-    fn view<'a>(&self, ring: &'a SeriesRing) -> TimeSeries<'a> {
-        TimeSeries {
-            ring,
-            closed: self.closed,
-            capacity: self.capacity as u64,
-        }
+    /// Row number `n`, if it is still in the log.
+    fn row(&self, n: u64) -> Option<&Row> {
+        self.rows
+            .get(usize::try_from(n.checked_sub(self.first_row)?).ok()?)
     }
 
     /// All series, in registration order.
     pub fn series(&self) -> impl Iterator<Item = TimeSeries<'_>> + '_ {
-        self.series.iter().map(|ring| self.view(ring))
+        (0..self.series.len()).map(|id| TimeSeries { sampler: self, id })
     }
 
     /// The id of the series registered under `name` (the first one, should
@@ -390,7 +433,10 @@ impl Sampler {
     }
 
     fn get(&self, id: SeriesId) -> Option<TimeSeries<'_>> {
-        self.series.get(id.0).map(|ring| self.view(ring))
+        (id.0 < self.series.len()).then_some(TimeSeries {
+            sampler: self,
+            id: id.0,
+        })
     }
 }
 
@@ -685,8 +731,11 @@ pub struct SloWatchdog {
     /// The sampler's series count when `resolved` was filled; `None`
     /// until the first evaluation and after every `add_rule`.
     resolved_for: Option<usize>,
-    /// Series id → the rules reading it (filled with `resolved`).
-    rules_of: Vec<Vec<usize>>,
+    /// The rules reading series `id` are
+    /// `rule_list[rule_start[id]..rule_start[id + 1]]`, ascending (both
+    /// filled with `resolved`).
+    rule_start: Vec<usize>,
+    rule_list: Vec<usize>,
     /// Rules that hold in a window where their series all read 0.
     zero_holding: Vec<usize>,
     /// Rules whose streak is above 0, ascending.
@@ -738,14 +787,18 @@ impl SloWatchdog {
                 guard: r.guard.as_ref().and_then(|g| sampler.series_id(&g.series)),
             })
             .collect();
-        self.rules_of = vec![Vec::new(); sampler.series.len()];
+        // (series, rule) per condition, sorted: the index's entries.
+        let mut reads = Vec::new();
         for (i, ids) in self.resolved.iter().enumerate() {
             for id in [ids.primary, ids.guard].into_iter().flatten() {
-                if let Some(rules) = self.rules_of.get_mut(id.0) {
-                    rules.push(i);
-                }
+                reads.push((id.0, i));
             }
         }
+        reads.sort_unstable();
+        self.rule_list = reads.iter().map(|&(_, i)| i).collect();
+        self.rule_start = (0..=sampler.series.len())
+            .map(|id| reads.partition_point(|&(at, _)| at < id))
+            .collect();
         self.zero_holding = (self.rules.iter().enumerate())
             .filter(|(_, r)| {
                 r.primary.holds_on_zero() && r.guard.as_ref().is_none_or(Condition::holds_on_zero)
@@ -775,7 +828,9 @@ impl SloWatchdog {
         due.append(&mut self.streaking);
         due.extend_from_slice(&self.zero_holding);
         for id in &sampler.nonzero_ids {
-            due.extend_from_slice(self.rules_of.get(id.0).map_or(&[], Vec::as_slice));
+            if let Some(&[lo, hi]) = self.rule_start.get(id.0..id.0 + 2) {
+                due.extend_from_slice(&self.rule_list[lo..hi]);
+            }
         }
         due.sort_unstable();
         // `dedup_by_key`, not `dedup`: nesc-lint's call graph would resolve
@@ -835,8 +890,8 @@ fn by_name(sampler: &Sampler) -> Vec<TimeSeries<'_>> {
 
 /// Serializes every series as JSON: the interval, windows closed, and per
 /// series (sorted by name) its kind, unit, first retained window and the
-/// sample ring. All values are integers, so the output is byte-stable for
-/// a deterministic run.
+/// retained samples. All values are integers, so the output is byte-stable
+/// for a deterministic run.
 pub fn series_json(sampler: &Sampler) -> serde_json::Value {
     let series: Vec<serde_json::Value> = by_name(sampler)
         .into_iter()
@@ -859,7 +914,7 @@ pub fn series_json(sampler: &Sampler) -> serde_json::Value {
 
 /// Renders every series as CSV: one row per retained window
 /// (`window,end_ns` then one column per series, sorted by name; windows a
-/// ring has already evicted render as empty cells).
+/// series no longer retains render as empty cells).
 pub fn series_csv(sampler: &Sampler) -> String {
     let cols = by_name(sampler);
     let mut out = String::from("window,end_ns");
@@ -930,6 +985,209 @@ pub fn merge_counter_tracks(doc: &mut serde_json::Value, series: &serde_json::Va
 pub fn digest_hash(sampler: &Sampler) -> u64 {
     let json = serde_json::to_string(&series_json(sampler)).expect("series serialize");
     fnv1a(json.as_bytes())
+}
+
+#[cfg(test)]
+pub(crate) mod reference {
+    //! Reference model for the row log: the sampler as it was with one
+    //! ring of `(window, value)` pairs per series, each evicted lazily at
+    //! its next push. The tests require the row log to agree with it on
+    //! every accessor and exporter.
+
+    use super::{SeriesKind, SimDuration, SimTime};
+    use std::collections::VecDeque;
+
+    #[derive(Debug)]
+    struct SeriesRing {
+        name: String,
+        unit: &'static str,
+        kind: SeriesKind,
+        registered: u64,
+        nonzero: VecDeque<(u64, u64)>,
+        last_raw: u64,
+    }
+
+    /// A borrowed view of one ring.
+    #[derive(Debug, Clone, Copy)]
+    pub struct TimeSeries<'a> {
+        ring: &'a SeriesRing,
+        closed: u64,
+        capacity: u64,
+    }
+
+    impl<'a> TimeSeries<'a> {
+        pub fn name(self) -> &'a str {
+            &self.ring.name
+        }
+
+        pub fn len(self) -> usize {
+            (self.closed - self.first_window()) as usize
+        }
+
+        pub fn first_window(self) -> u64 {
+            let floor = self.closed.saturating_sub(self.capacity);
+            self.ring.registered.max(floor)
+        }
+
+        pub fn samples(self) -> impl Iterator<Item = (u64, u64)> + 'a {
+            let first = self.first_window();
+            let mut stored = (self.ring.nonzero.iter())
+                .skip_while(move |&&(w, _)| w < first)
+                .peekable();
+            (first..self.closed).map(move |w| {
+                let v = stored.next_if(|&&(at, _)| at == w).map_or(0, |&(_, v)| v);
+                (w, v)
+            })
+        }
+
+        pub fn value_at(self, window: u64) -> Option<u64> {
+            if window < self.first_window() || window >= self.closed {
+                return None;
+            }
+            let stored = &self.ring.nonzero;
+            let found = stored.binary_search_by_key(&window, |&(w, _)| w);
+            Some(found.map_or(0, |i| stored[i].1))
+        }
+
+        pub fn latest(self) -> Option<(u64, u64)> {
+            let w = self.closed.checked_sub(1)?;
+            self.value_at(w).map(|v| (w, v))
+        }
+    }
+
+    /// The per-series-ring sampler (ids are indices into `series`).
+    #[derive(Debug)]
+    pub struct Sampler {
+        interval: SimDuration,
+        capacity: usize,
+        series: Vec<SeriesRing>,
+        next_close: SimTime,
+        closed: u64,
+    }
+
+    impl Sampler {
+        pub fn new(interval: SimDuration, capacity: usize) -> Self {
+            Sampler {
+                interval,
+                capacity,
+                series: Vec::new(),
+                next_close: SimTime::ZERO + interval,
+                closed: 0,
+            }
+        }
+
+        pub fn interval(&self) -> SimDuration {
+            self.interval
+        }
+
+        pub fn closed_windows(&self) -> u64 {
+            self.closed
+        }
+
+        pub fn register(&mut self, name: &str, unit: &'static str, kind: SeriesKind) -> usize {
+            self.series.push(SeriesRing {
+                name: name.to_string(),
+                unit,
+                kind,
+                registered: self.closed,
+                nonzero: VecDeque::new(),
+                last_raw: 0,
+            });
+            self.series.len() - 1
+        }
+
+        pub fn rebase(&mut self, id: usize, raw: u64) {
+            self.series[id].last_raw = raw;
+        }
+
+        pub fn due(&mut self, now: SimTime) -> Option<SimTime> {
+            let end = Some(self.next_close).filter(|&end| end <= now)?;
+            self.next_close = end + self.interval;
+            self.closed += 1;
+            Some(end)
+        }
+
+        pub fn sample(&mut self, id: usize, raw: u64) -> u64 {
+            let window = self.closed - 1;
+            let s = &mut self.series[id];
+            let value = match s.kind {
+                SeriesKind::Gauge => raw,
+                SeriesKind::Counter => raw.saturating_sub(s.last_raw),
+            };
+            s.last_raw = raw;
+            if value == 0 {
+                return 0;
+            }
+            let floor = self.closed.saturating_sub(self.capacity as u64);
+            while s.nonzero.front().is_some_and(|&(w, _)| w < floor) {
+                s.nonzero.pop_front();
+            }
+            s.nonzero.push_back((window, value));
+            value
+        }
+
+        pub fn series(&self) -> impl Iterator<Item = TimeSeries<'_>> + '_ {
+            self.series.iter().map(|ring| TimeSeries {
+                ring,
+                closed: self.closed,
+                capacity: self.capacity as u64,
+            })
+        }
+
+        pub fn get(&self, id: usize) -> TimeSeries<'_> {
+            self.series().nth(id).expect("registered series")
+        }
+    }
+
+    fn by_name(sampler: &Sampler) -> Vec<TimeSeries<'_>> {
+        let mut cols: Vec<TimeSeries<'_>> = sampler.series().collect();
+        cols.sort_by(|a, b| a.name().cmp(b.name()));
+        cols
+    }
+
+    pub fn series_json(sampler: &Sampler) -> serde_json::Value {
+        let series: Vec<serde_json::Value> = by_name(sampler)
+            .into_iter()
+            .map(|s| {
+                serde_json::json!({
+                    "name": s.name(),
+                    "unit": s.ring.unit,
+                    "kind": s.ring.kind.as_str(),
+                    "first_window": s.first_window(),
+                    "samples": s.samples().map(|(_, v)| v).collect::<Vec<u64>>(),
+                })
+            })
+            .collect();
+        serde_json::json!({
+            "interval_ns": sampler.interval.as_nanos(),
+            "windows": sampler.closed,
+            "series": series,
+        })
+    }
+
+    pub fn series_csv(sampler: &Sampler) -> String {
+        let cols = by_name(sampler);
+        let mut out = String::from("window,end_ns");
+        for c in &cols {
+            out.push(',');
+            out.push_str(c.name());
+        }
+        out.push('\n');
+        let first = cols.iter().map(|c| c.first_window()).min().unwrap_or(0);
+        let mut cursors: Vec<_> = cols.iter().map(|c| c.samples().peekable()).collect();
+        for w in first..sampler.closed {
+            let end = SimTime::ZERO + sampler.interval * (w + 1);
+            out.push_str(&format!("{w},{}", end.as_nanos()));
+            for cursor in &mut cursors {
+                out.push(',');
+                if let Some((_, v)) = cursor.next_if(|&(at, _)| at == w) {
+                    out.push_str(&v.to_string());
+                }
+            }
+            out.push('\n');
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -1250,6 +1508,43 @@ mod tests {
         assert_eq!(s.series_id("missing"), None);
     }
 
+    /// What the reference evaluator reads of a sampler: the row log's or
+    /// the reference model's.
+    trait Windowed {
+        fn closed_windows(&self) -> u64;
+        fn interval(&self) -> SimDuration;
+        /// Series `series`' value in `window`, found by a scan by name.
+        fn value(&self, series: &str, window: u64) -> Option<u64>;
+    }
+
+    impl Windowed for Sampler {
+        fn closed_windows(&self) -> u64 {
+            Sampler::closed_windows(self)
+        }
+
+        fn interval(&self) -> SimDuration {
+            Sampler::interval(self)
+        }
+
+        fn value(&self, series: &str, window: u64) -> Option<u64> {
+            self.series().find(|s| s.name() == series)?.value_at(window)
+        }
+    }
+
+    impl Windowed for reference::Sampler {
+        fn closed_windows(&self) -> u64 {
+            reference::Sampler::closed_windows(self)
+        }
+
+        fn interval(&self) -> SimDuration {
+            reference::Sampler::interval(self)
+        }
+
+        fn value(&self, series: &str, window: u64) -> Option<u64> {
+            self.series().find(|s| s.name() == series)?.value_at(window)
+        }
+    }
+
     /// Reference evaluator: the watchdog as it was before rules resolved
     /// to series ids, scanning the series table by name for every
     /// condition in every window.
@@ -1266,13 +1561,12 @@ mod tests {
             self.streaks.push(0);
         }
 
-        fn holds(sampler: &Sampler, c: &Condition, window: u64) -> Option<u64> {
-            let series = sampler.series().find(|s| s.name() == c.series)?;
-            let v = series.value_at(window)?;
+        fn holds(sampler: &impl Windowed, c: &Condition, window: u64) -> Option<u64> {
+            let v = sampler.value(&c.series, window)?;
             c.cmp.test(v, c.threshold).then_some(v)
         }
 
-        fn evaluate(&mut self, sampler: &Sampler) {
+        fn evaluate(&mut self, sampler: &impl Windowed) {
             let Some(window) = sampler.closed_windows().checked_sub(1) else {
                 return;
             };
@@ -1294,8 +1588,9 @@ mod tests {
                         text: rule.to_string(),
                         series: rule.primary.series.clone(),
                         window,
-                        at: sampler.window_end(window),
-                        start: sampler.window_start(window + 1 - u64::from(rule.consecutive)),
+                        at: SimTime::ZERO + sampler.interval() * (window + 1),
+                        start: SimTime::ZERO
+                            + sampler.interval() * (window + 1 - u64::from(rule.consecutive)),
                         value: v,
                         threshold: rule.primary.threshold,
                         consecutive: rule.consecutive,
@@ -1518,6 +1813,138 @@ mod tests {
         assert!(catch_up > 0, "no poll closed several windows");
         assert!(zero_primary > 0, "no rule fired on a primary reading 0");
         assert!(zero_guard > 0, "no rule fired on a guard reading 0");
+    }
+
+    proptest::proptest! {
+        /// Random sequences of registrations, rebases, rules and polls run
+        /// through the row log and the per-series-ring reference; after
+        /// every operation both agree on every accessor, both exporters
+        /// and the watchdog's anomalies. A poll may close several windows
+        /// (an idle stretch); a closing window skips a series or samples
+        /// it, a counter standing still (a zero delta) and a gauge reading
+        /// 0 included.
+        #[test]
+        fn prop_row_log_matches_per_series_rings(
+            capacity in 1usize..5,
+            seed in 0u64..1 << 40,
+            ops in proptest::collection::vec((0u8..6, 0u64..16, 0u64..12), 1..80),
+        ) {
+            let mut rng = SimRng::seed(seed);
+            let mut log = Sampler::new(dur(10), capacity);
+            let mut model = reference::Sampler::new(dur(10), capacity);
+            let (mut wd, mut model_wd) = (SloWatchdog::new(), NameScanWatchdog::default());
+            // Per registered series: its id, kind and raw probe value.
+            let mut series: Vec<(SeriesId, SeriesKind, u64)> = Vec::new();
+            let mut now = 0;
+            for &(op, x, y) in &ops {
+                match op {
+                    0 if series.len() < 8 => {
+                        let kind = [SeriesKind::Gauge, SeriesKind::Counter][x as usize % 2];
+                        let name = format!("s{}", series.len());
+                        let id = log.register(&name, "n", kind);
+                        proptest::prop_assert_eq!(model.register(&name, "n", kind), id.0);
+                        series.push((id, kind, 0));
+                    }
+                    1 if !series.is_empty() => {
+                        let k = x as usize % series.len();
+                        let (id, _, raw) = &mut series[k];
+                        *raw = y;
+                        log.rebase(*id, y);
+                        model.rebase(id.0, y);
+                    }
+                    2 => {
+                        let rule = gen_rule(&mut rng);
+                        wd.add_rule(rule.clone());
+                        model_wd.add_rule(rule);
+                    }
+                    _ => {
+                        // Mostly within the window or into the next; from
+                        // x = 12 on, an idle stretch of 2 to 5 windows.
+                        now += if x < 12 { y } else { 10 * (x - 10) + y };
+                        while let Some(end) = log.due(t(now)) {
+                            proptest::prop_assert_eq!(model.due(t(now)), Some(end));
+                            for (id, kind, raw) in &mut series {
+                                match (rng.range(0, 4), *kind) {
+                                    (0, _) => continue,
+                                    (1, SeriesKind::Gauge) => *raw = 0,
+                                    (1, SeriesKind::Counter) => {}
+                                    (_, SeriesKind::Gauge) => *raw = rng.range(0, 4),
+                                    (_, SeriesKind::Counter) => *raw += rng.range(0, 4),
+                                }
+                                proptest::prop_assert_eq!(log.sample(*id, *raw), model.sample(id.0, *raw));
+                            }
+                            wd.evaluate(&log);
+                            model_wd.evaluate(&model);
+                            proptest::prop_assert_eq!(wd.anomalies(), &model_wd.anomalies[..]);
+                        }
+                        proptest::prop_assert_eq!(model.due(t(now)), None);
+                    }
+                }
+                for &(id, _, _) in &series {
+                    let (a, b) = (log.get(id).unwrap(), model.get(id.0));
+                    proptest::prop_assert_eq!(
+                        a.samples().collect::<Vec<_>>(),
+                        b.samples().collect::<Vec<_>>()
+                    );
+                    proptest::prop_assert_eq!(
+                        (a.first_window(), a.len(), a.latest()),
+                        (b.first_window(), b.len(), b.latest())
+                    );
+                    // Every retained window and one past each end.
+                    for w in a.first_window().saturating_sub(1)..=log.closed_windows() {
+                        proptest::prop_assert_eq!(a.value_at(w), b.value_at(w), "window {}", w);
+                    }
+                }
+                proptest::prop_assert_eq!(
+                    serde_json::to_string(&series_json(&log)).unwrap(),
+                    serde_json::to_string(&reference::series_json(&model)).unwrap()
+                );
+                proptest::prop_assert_eq!(series_csv(&log), reference::series_csv(&model));
+            }
+        }
+    }
+
+    #[test]
+    fn the_row_log_holds_only_the_non_zero_samples_of_retained_windows() {
+        const CAPACITY: u64 = 8;
+        let mut s = Sampler::new(dur(10), CAPACITY as usize);
+        let gauges: Vec<SeriesId> = (0..6)
+            .map(|k| s.register(&format!("g{k}"), "n", SeriesKind::Gauge))
+            .collect();
+        let counter = s.register("c", "ops", SeriesKind::Counter);
+        // A fixed pattern: in every window two gauges read 0, two are left
+        // unsampled and two read non-zero; the counter moves every other
+        // window. So every 8 retained windows hold 20 non-zero samples.
+        let poll = |s: &mut Sampler, w: u64| {
+            assert!(s.due(t((w + 1) * 10)).is_some());
+            for (k, &id) in (0..).zip(&gauges) {
+                match (w + k) % 3 {
+                    0 => {}
+                    r => {
+                        s.sample(id, (r - 1) * (k + 1));
+                    }
+                }
+            }
+            s.sample(counter, w / 2);
+        };
+        let stored = |s: &Sampler| {
+            let nonzero = s
+                .series()
+                .map(|ts| ts.samples().filter(|&(_, v)| v != 0).count());
+            nonzero.sum::<usize>()
+        };
+        let warm = 10 * CAPACITY;
+        for w in 0..warm {
+            poll(&mut s, w);
+        }
+        let (rows, room) = (s.rows.len(), s.rows.capacity());
+        assert_eq!((rows, stored(&s)), (20, 20));
+        for w in warm..warm + 2 * CAPACITY {
+            poll(&mut s, w);
+            assert_eq!(s.rows.len(), stored(&s), "window {w}");
+            assert_eq!(s.rows.len(), rows, "window {w}");
+            assert_eq!(s.rows.capacity(), room, "the log grew at window {w}");
+        }
     }
 
     #[test]

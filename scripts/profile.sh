@@ -8,10 +8,14 @@
 # is charged to "[library] <- call site in function from its caller":
 # the call site is the word at the stack pointer, the caller the first
 # saved frame. Set-up and the warm-up round are sampled too.
-# Never run by check.sh; it prints numbers and gates nothing.
+# With FOCUS=<frame> (a function name or its trailing path, e.g.
+# `Telemetry::poll`) it then breaks down the samples under that frame:
+# its share of all samples, its direct callees and the self frames below
+# it. Never run by check.sh; it prints numbers and gates nothing.
 #
 # Usage: scripts/profile.sh <workload> [seconds]   (default 10 s)
 #        TOP=40 SEED=7 scripts/profile.sh fleet_250 5
+#        FOCUS=Telemetry::poll scripts/profile.sh fleet 8
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,10 +36,10 @@ echo "==> sampling $workload for ${seconds} s" >&2
 PROFILE_OUT=$samples LD_PRELOAD=$(realpath "$dir/sampler.so") "$exe" \
     --workload "$workload" --seed "${SEED:-7}" --seconds "$seconds" --trace 0 | tail -n 1
 
-python3 - "$samples" "$exe" "${TOP:-25}" <<'PY'
+python3 - "$samples" "$exe" "${TOP:-25}" "${FOCUS:-}" <<'PY'
 import collections, os, re, struct, subprocess, sys
 
-path, exe, top = sys.argv[1], sys.argv[2], int(sys.argv[3])
+path, exe, top, focus = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
 raw = open(path, "rb").read()
 words = struct.unpack(f"<{len(raw) // 8}Q", raw)
 samples, i = [], 0
@@ -93,6 +97,8 @@ def frames(a):
     return chains.get(a) or [hex(a)]
 
 selfc, incl = collections.Counter(), collections.Counter()
+# Per sample: its self label and its own frames, innermost first.
+labelled = []
 for s, stack in parsed:
     if isinstance(s, str):
         # A library leaf: name the call site (inlined helper and
@@ -109,6 +115,7 @@ for s, stack in parsed:
     if "main" in names:
         names = names[: names.index("main")]
     incl.update({label} | set(names))
+    labelled.append((label, names))
 
 total = len(parsed)
 print(f"{total} samples ({total / 1e4:.1f} s at 10 kHz)")
@@ -116,4 +123,23 @@ for title, counts in (("self", selfc), ("inclusive", incl)):
     print(f"\ntop {top} {title} frames:")
     for name, n in counts.most_common(top):
         print(f"  {100 * n / total:6.2f}%  {name}")
+
+if focus:
+    def is_focus(name):
+        return name == focus or name.endswith("::" + focus)
+    callees, leaves = collections.Counter(), collections.Counter()
+    for label, names in labelled:
+        at = [i for i, f in enumerate(names) if is_focus(f)]
+        if not at:
+            continue
+        j = at[-1]  # the outermost activation
+        callee = names[j - 1] if j > 0 else ("(self)" if label == names[0] else label)
+        callees[callee] += 1
+        leaves[label] += 1
+    under = sum(leaves.values())
+    print(f"\nfocus {focus}: {under} samples, {100 * under / max(total, 1):.2f}% of all")
+    for title, counts in (("direct callees", callees), ("self frames below it", leaves)):
+        print(f"\n{title} (% of all, % of {focus}):")
+        for name, n in counts.most_common(top):
+            print(f"  {100 * n / total:6.2f}%  {100 * n / under:6.2f}%  {name}")
 PY
