@@ -20,6 +20,10 @@
 //! adds nothing either: a window close ranks the window's completions in
 //! a retained buffer and every series ring is at its capacity.
 //!
+//! Growing a file by single blocks, as a miss-driven image fills, costs
+//! its allocations exactly: one run list per call and the doublings of
+//! the journal's one record log, not a record list per commit.
+//!
 //! The counter lives in its own integration-test binary because a global
 //! allocator is process-wide; keeping it here means the unit suites run on
 //! the system allocator untouched. A test counts only its own thread's
@@ -33,6 +37,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use nesc_core::{FuncId, NescConfig, NescDevice, NescOutput};
 use nesc_extent::{ExtentMapping, ExtentTree, Plba, Vlba};
+use nesc_fs::Filesystem;
 use nesc_hypervisor::{DiskKind, System as NescSystem, TelemetryConfig};
 use nesc_pcie::{HostAddr, HostMemory};
 use nesc_sim::{FlightHandle, Obs, Pass, Probe, SimDuration, SimRng, SimTime, Tracer, Via};
@@ -386,4 +391,41 @@ fn windowed_telemetry_over_many_disks_is_allocation_free() {
         "the pass closed only {windows} windows"
     );
     assert_eq!(n, 0, "{n} allocations over {windows} telemetry windows");
+}
+
+/// 4096 single-block appends to one file, each its own `allocate_range`
+/// call and journal commit, allocate exactly one run list per call
+/// (`BitmapAllocator::allocate`'s result), the file's extent list once
+/// (the appends merge into its one extent), and the doublings of the
+/// journal's record log and of its commit boundaries. A list of records
+/// per transaction would add one allocation per commit.
+#[test]
+fn single_block_file_appends_allocate_a_run_list_each_and_the_journals_doublings() {
+    const APPENDS: u64 = 4096;
+    let _serial = serial();
+    TRACE.store(std::env::var_os("ALLOC_TRACE").is_some(), Ordering::SeqCst);
+    let mut fs = Filesystem::format(1 << 16);
+    // The file's creation commits the journal's first record.
+    let ino = fs.create("f").unwrap();
+    ALLOCS.store(0, Ordering::SeqCst);
+    arm(true);
+    for b in 0..APPENDS {
+        fs.allocate_range(ino, Vlba(b), 1).unwrap();
+    }
+    arm(false);
+    let n = ALLOCS.load(Ordering::SeqCst);
+    assert_eq!(
+        fs.extent_tree(ino).unwrap().extent_count(),
+        1,
+        "appends merge"
+    );
+    assert_eq!(fs.journal().transactions(), APPENDS + 1);
+    // Both lists hold 1 entry, in room for 4, before the appends and
+    // APPENDS + 1 after: they double from 4 up to 8192, 11 times each.
+    let doublings = 2 * u64::from((APPENDS + 1).next_power_of_two().ilog2() - 2);
+    assert_eq!(
+        n,
+        APPENDS + 1 + doublings,
+        "{n} allocations for {APPENDS} single-block appends"
+    );
 }

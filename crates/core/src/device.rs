@@ -26,6 +26,7 @@
 //!   channel so PF traffic keeps flowing. (§V-A)
 
 use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::fmt;
 use std::rc::Rc;
 
@@ -225,6 +226,11 @@ pub struct NescDevice {
     store: BlockStore,
     media: Media,
     functions: Vec<FunctionContext>,
+    /// Live VFs, kept where a slot's `alive` flips (`create_vf`,
+    /// `delete_vf`) so neither counts the table.
+    live_vfs: u16,
+    /// Dead VF slots, reused lowest first.
+    dead_slots: BTreeSet<u16>,
     /// Incremental dispatch state for the VF multiplexer: per-priority
     /// ready bitmaps plus a min-heap of future arrivals, maintained by
     /// [`Self::refresh_ready`] at every queue/liveness/priority
@@ -306,6 +312,8 @@ impl NescDevice {
             store,
             media,
             functions: vec![FunctionContext::new(FunctionKind::Physical, pf_regs)],
+            live_vfs: 0,
+            dead_slots: BTreeSet::new(),
             mux_ready: {
                 let mut rt = ReadyTable::new(crate::function::NUM_PRIORITIES as usize);
                 rt.grow_to(1);
@@ -389,7 +397,7 @@ impl NescDevice {
 
     /// Live VF count.
     pub fn live_vfs(&self) -> u16 {
-        self.functions[1..].iter().filter(|f| f.alive).count() as u16
+        self.live_vfs
     }
 
     // ------------------------------------------------------------------
@@ -440,15 +448,16 @@ impl NescDevice {
     /// [`VfError::Exhausted`] when all VF slots are live.
     pub fn create_vf(&mut self, tree_root: HostAddr, size_blocks: u64) -> Result<FuncId, VfError> {
         let regs = FunctionRegisters::new(tree_root, size_blocks);
-        // Reuse a dead slot if any.
-        if let Some(i) = self.functions[1..].iter().position(|f| !f.alive) {
-            let idx = i + 1;
+        // Reuse the lowest dead slot if any.
+        if let Some(slot) = self.dead_slots.pop_first() {
+            let idx = slot as usize;
             self.functions[idx] = FunctionContext::new(FunctionKind::Virtual, regs);
             self.func_stats.reset(idx);
             self.refresh_ready(idx);
-            return Ok(FuncId(idx as u16));
+            self.live_vfs += 1;
+            return Ok(FuncId(slot));
         }
-        if self.live_vfs() >= self.cfg.max_vfs {
+        if self.live_vfs >= self.cfg.max_vfs {
             return Err(VfError::Exhausted {
                 max_vfs: self.cfg.max_vfs,
             });
@@ -457,6 +466,7 @@ impl NescDevice {
             .push(FunctionContext::new(FunctionKind::Virtual, regs));
         self.mux_ready.grow_to(self.functions.len());
         self.func_stats.grow_to(self.functions.len());
+        self.live_vfs += 1;
         Ok(FuncId((self.functions.len() - 1) as u16))
     }
 
@@ -506,6 +516,8 @@ impl NescDevice {
             self.delete_vf(c, now)?;
         }
         self.vf_mut(func)?.alive = false;
+        self.live_vfs -= 1;
+        self.dead_slots.insert(func.0);
         if let Some(st) = self.take_stall(func) {
             let req = st.pending.req;
             self.complete(now, st.requester, req, CompletionStatus::DeviceError);
@@ -2062,6 +2074,56 @@ mod tests {
             dev.create_vf(root, 1),
             Err(VfError::Exhausted { max_vfs: 64 })
         ));
+    }
+
+    /// Over a seeded run of creates, nested creates and deletes (a
+    /// delete cascades to nested children): the live count equals a count
+    /// of the table, a create takes the lowest dead slot (or a new one),
+    /// and the table is exhausted at `max_vfs` live VFs however it got
+    /// there.
+    #[test]
+    fn vf_slots_track_the_table() {
+        let (mem, mut dev) = setup();
+        let root = ExtentTree::new().serialize(&mut mem.borrow_mut());
+        let max = dev.config().max_vfs;
+        let mut rng = nesc_sim::SimRng::seed(35);
+        let (mut exhausted, mut nested, mut reused) = (0, 0, 0);
+        for step in 0..2_000 {
+            let live: Vec<FuncId> = (1..dev.functions.len())
+                .filter(|&i| dev.functions[i].alive)
+                .map(|i| FuncId(i as u16))
+                .collect();
+            // Grow to the limit, then shrink and regrow.
+            let create = rng.range(0, 100) < if step % 400 < 250 { 80 } else { 30 };
+            if create || live.is_empty() {
+                let lowest_dead = (1..dev.functions.len()).find(|&i| !dev.functions[i].alive);
+                let want = lowest_dead.unwrap_or(dev.functions.len());
+                let got = match live.get(rng.range(0, live.len() as u64 + 1) as usize) {
+                    Some(&parent) if rng.range(0, 3) == 0 => {
+                        nested += 1;
+                        dev.create_nested_vf(parent, root, 1)
+                    }
+                    _ => dev.create_vf(root, 1),
+                };
+                match got {
+                    Ok(f) => {
+                        assert_eq!(f.0 as usize, want, "step {step}: the lowest free slot");
+                        reused += usize::from(lowest_dead.is_some());
+                    }
+                    Err(e) => {
+                        assert_eq!(e, VfError::Exhausted { max_vfs: max });
+                        assert_eq!(live.len(), max as usize, "step {step}");
+                        exhausted += 1;
+                    }
+                }
+            } else {
+                let victim = live[rng.range(0, live.len() as u64) as usize];
+                dev.delete_vf(victim, SimTime::ZERO).unwrap();
+            }
+            let counted = dev.functions[1..].iter().filter(|f| f.alive).count();
+            assert_eq!(dev.live_vfs() as usize, counted, "step {step}");
+        }
+        assert!(exhausted > 0 && nested > 0 && reused > 0);
     }
 
     #[test]

@@ -115,7 +115,7 @@ impl ExtentTree {
     ///
     /// [`InsertError::Overlap`] if the logical range is already mapped.
     pub fn insert(&mut self, ext: ExtentMapping) -> Result<(), InsertError> {
-        let pos = self.extents.partition_point(|e| e.logical < ext.logical);
+        let pos = self.partition_point(|e| e.logical < ext.logical);
         if let Some(prev) = pos.checked_sub(1).and_then(|i| self.extents.get(i)) {
             if prev.overlaps_logical(&ext) {
                 return Err(InsertError::Overlap {
@@ -147,7 +147,7 @@ impl ExtentTree {
 
     /// The extent covering `v`, if mapped.
     pub fn lookup(&self, v: Vlba) -> Option<ExtentMapping> {
-        let pos = self.extents.partition_point(|e| e.logical <= v);
+        let pos = self.partition_point(|e| e.logical <= v);
         pos.checked_sub(1)
             .map(|i| self.extents[i])
             .filter(|e| e.contains(v))
@@ -164,8 +164,19 @@ impl ExtentTree {
     /// assert_eq!(t.next_start_after(Vlba(8)), None);
     /// ```
     pub fn next_start_after(&self, v: Vlba) -> Option<Vlba> {
-        let pos = self.extents.partition_point(|e| e.logical <= v);
+        let pos = self.partition_point(|e| e.logical <= v);
         self.extents.get(pos).map(|e| e.logical)
+    }
+
+    /// `partition_point` over the extents for a predicate that holds on a
+    /// prefix of them, with the last extent checked first: a file grows
+    /// by appending, and an append's search ends past the last extent
+    /// without a binary search.
+    fn partition_point(&self, pred: impl Fn(&ExtentMapping) -> bool) -> usize {
+        match self.extents.last() {
+            Some(last) if pred(last) => self.extents.len(),
+            _ => self.extents.partition_point(pred),
+        }
     }
 
     /// Unmaps `[start, start+len)`, splitting extents as needed (hole
@@ -619,6 +630,48 @@ mod tests {
         assert!(!untouched(&mut mem, span, |m| t.relink_pruned(m, root)));
     }
 
+    /// The searches without the last-extent check: every one a
+    /// `partition_point` over the whole `Vec`.
+    #[derive(Default)]
+    struct BinarySearched(Vec<ExtentMapping>);
+
+    impl BinarySearched {
+        fn insert(&mut self, ext: ExtentMapping) -> Result<(), InsertError> {
+            let v = &mut self.0;
+            let pos = v.partition_point(|e| e.logical < ext.logical);
+            for i in [pos.checked_sub(1), Some(pos)].into_iter().flatten() {
+                if let Some(&existing) = v.get(i).filter(|e| e.overlaps_logical(&ext)) {
+                    return Err(InsertError::Overlap {
+                        existing,
+                        rejected: ext,
+                    });
+                }
+            }
+            v.insert(pos, ext);
+            if pos + 1 < v.len() && v[pos].abuts(&v[pos + 1]) {
+                v[pos].len += v[pos + 1].len;
+                v.remove(pos + 1);
+            }
+            if pos > 0 && v[pos - 1].abuts(&v[pos]) {
+                v[pos - 1].len += v[pos].len;
+                v.remove(pos);
+            }
+            Ok(())
+        }
+
+        fn lookup(&self, v: Vlba) -> Option<ExtentMapping> {
+            let pos = self.0.partition_point(|e| e.logical <= v);
+            pos.checked_sub(1)
+                .map(|i| self.0[i])
+                .filter(|e| e.contains(v))
+        }
+
+        fn next_start_after(&self, v: Vlba) -> Option<Vlba> {
+            let pos = self.0.partition_point(|e| e.logical <= v);
+            self.0.get(pos).map(|e| e.logical)
+        }
+    }
+
     proptest! {
         /// lookup() agrees with a brute-force reference map built from the
         /// same random (disjoint) extents.
@@ -643,6 +696,44 @@ mod tests {
                 let got = t.lookup(Vlba(v)).and_then(|e| e.translate(Vlba(v)));
                 prop_assert_eq!(got, reference.get(&v).map(|&p| Plba(p)));
             }
+        }
+
+        /// Checking the last extent first changes no answer: inserts
+        /// (appends that merge, appends after a hole, appends that overlap
+        /// the tail, inserts into earlier holes), lookups and hole ends,
+        /// from an empty tree on and past the end, equal the
+        /// binary-search-only model's.
+        #[test]
+        fn prop_tail_checked_searches_match_binary_search(
+            ops in proptest::collection::vec((0u8..8, 0u64..6, 1u64..5), 0..80),
+        ) {
+            let (mut t, mut model) = (ExtentTree::new(), BinarySearched::default());
+            let mut phys = 1_000;
+            for &(kind, k, len) in &ops {
+                let end = t.logical_end().0;
+                let logical = match kind {
+                    // Append at the end; physically contiguous, it merges.
+                    0..=2 => end,
+                    // Append after a hole.
+                    3 | 4 => end + k + 1,
+                    // Start inside the last extent: an overlap.
+                    5 => end.saturating_sub(k + 1),
+                    // Anywhere below the end: a hole fills or overlaps.
+                    _ => k * 7 % end.max(1),
+                };
+                if kind > 0 {
+                    phys += 3;
+                }
+                let ext = ExtentMapping::new(Vlba(logical), Plba(phys), len);
+                phys += len;
+                prop_assert_eq!(t.insert(ext), model.insert(ext));
+                prop_assert!(t.iter().eq(model.0.iter()));
+                for v in (0..t.logical_end().0 + 3).chain([u64::MAX / 2]) {
+                    prop_assert_eq!(t.lookup(Vlba(v)), model.lookup(Vlba(v)));
+                    prop_assert_eq!(t.next_start_after(Vlba(v)), model.next_start_after(Vlba(v)));
+                }
+            }
+            prop_assert_eq!(t.lookup(Vlba(0)), model.lookup(Vlba(0)));
         }
 
         /// A repaired tree equals a fresh serialization node for node

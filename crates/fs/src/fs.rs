@@ -378,28 +378,25 @@ impl Filesystem {
         start: Vlba,
         blocks: u64,
     ) -> Result<MutationStats, FsError> {
-        self.inode(ino)?;
+        let inode = self.inodes.get_mut(&ino).ok_or(FsError::BadInode { ino })?;
         let mut allocated = 0u64;
         let mut v = start;
         let end = start.offset(blocks);
         while v < end {
-            if let Some(e) = self.inode(ino)?.extents().lookup(v) {
+            let extents = inode.extents();
+            if let Some(e) = extents.lookup(v) {
                 // Skip over the already-mapped stretch.
                 v = e.end_logical().min(end);
                 continue;
             }
             // The unmapped stretch runs to the next mapping or to `end`.
-            let stretch_end = self
-                .inode(ino)?
-                .extents()
+            let stretch_end = extents
                 .next_start_after(v)
                 .map_or(end, |next| next.min(end));
             let run_len = stretch_end.distance_from(v);
             // Goal: extend the file contiguously after its previous block.
             let goal = if v.0 > 0 {
-                self.inode(ino)?
-                    .block_at(Vlba(v.0 - 1))
-                    .map(|p| p.offset(1))
+                inode.block_at(Vlba(v.0 - 1)).map(|p| p.offset(1))
             } else {
                 None
             };
@@ -407,7 +404,7 @@ impl Filesystem {
             let mut logical = v;
             for run in runs {
                 let mapping = ExtentMapping::new(logical, run.start, run.len);
-                self.inode_mut(ino)?.extents_mut().insert(mapping)?;
+                inode.extents_mut().insert(mapping)?;
                 self.journal
                     .append(JournalRecord::AddExtent { ino, mapping });
                 logical = logical.offset(run.len);

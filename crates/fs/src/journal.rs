@@ -102,8 +102,12 @@ const COMMIT_BLOCK_BYTES: u64 = 1024;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Journal {
-    committed: Vec<Vec<JournalRecord>>,
-    pending: Vec<JournalRecord>,
+    /// Every committed record in commit order, then the open
+    /// transaction's.
+    records: Vec<JournalRecord>,
+    /// Where each committed transaction ends in `records`; the last entry
+    /// is where the open transaction begins.
+    commits: Vec<usize>,
     total_bytes: u64,
 }
 
@@ -113,41 +117,47 @@ impl Journal {
         Self::default()
     }
 
+    /// Length of the committed prefix of `records`.
+    fn committed_len(&self) -> usize {
+        self.commits.last().copied().unwrap_or(0)
+    }
+
     /// Appends a record to the open transaction.
     pub fn append(&mut self, rec: JournalRecord) {
-        self.pending.push(rec);
+        self.records.push(rec);
     }
 
     /// Commits the open transaction; returns `None` if it was empty (ext4
     /// likewise skips empty commits).
     pub fn commit(&mut self) -> Option<CommitInfo> {
-        if self.pending.is_empty() {
+        let open = &self.records[self.committed_len()..];
+        if open.is_empty() {
             return None;
         }
-        let records = std::mem::take(&mut self.pending);
-        let bytes = records.iter().map(JournalRecord::bytes).sum::<u64>() + COMMIT_BLOCK_BYTES;
+        let bytes = open.iter().map(JournalRecord::bytes).sum::<u64>() + COMMIT_BLOCK_BYTES;
+        let records = open.len();
         self.total_bytes += bytes;
-        self.committed.push(records);
+        self.commits.push(self.records.len());
         Some(CommitInfo {
-            sequence: self.committed.len() as u64,
-            records: self.committed.last().map(Vec::len).unwrap_or(0),
+            sequence: self.commits.len() as u64,
+            records,
             bytes,
         })
     }
 
     /// Discards the open transaction, simulating a crash before commit.
     pub fn crash_discard_pending(&mut self) {
-        self.pending.clear();
+        self.records.truncate(self.committed_len());
     }
 
     /// All committed records in commit order, for replay.
     pub fn committed_records(&self) -> impl Iterator<Item = &JournalRecord> {
-        self.committed.iter().flatten()
+        self.records[..self.committed_len()].iter()
     }
 
     /// Committed transaction count.
     pub fn transactions(&self) -> u64 {
-        self.committed.len() as u64
+        self.commits.len() as u64
     }
 
     /// Total journal bytes ever written — drives the timing model's
@@ -158,7 +168,7 @@ impl Journal {
 
     /// Records in the open (uncommitted) transaction.
     pub fn pending_records(&self) -> usize {
-        self.pending.len()
+        self.records.len() - self.committed_len()
     }
 }
 
@@ -221,6 +231,39 @@ mod tests {
             });
             assert_eq!(j.commit().unwrap().sequence, i);
         }
+    }
+
+    #[test]
+    fn transactions_keep_their_boundaries() {
+        let mut j = Journal::new();
+        let size = |size| JournalRecord::SetSize { ino: Ino(1), size };
+        j.append(size(1));
+        j.append(size(2));
+        assert_eq!(j.commit().map(|c| (c.sequence, c.records)), Some((1, 2)));
+        j.append(size(3));
+        assert_eq!(j.commit().map(|c| (c.sequence, c.records)), Some((2, 1)));
+        j.append(size(4));
+        j.append(size(5));
+        j.crash_discard_pending();
+        assert!(
+            j.commit().is_none(),
+            "a discarded transaction commits nothing"
+        );
+        j.append(size(6));
+        assert_eq!(j.pending_records(), 1);
+        let info = j.commit().unwrap();
+        assert_eq!((info.sequence, info.records, info.bytes), (3, 1, 32 + 1024));
+        assert_eq!(j.transactions(), 3);
+        assert_eq!(j.pending_records(), 0);
+        let sizes: Vec<u64> = j
+            .committed_records()
+            .map(|r| match r {
+                JournalRecord::SetSize { size, .. } => *size,
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(sizes, [1, 2, 3, 6]);
+        assert_eq!(j.total_bytes(), 3 * 1024 + 4 * 32);
     }
 
     #[test]

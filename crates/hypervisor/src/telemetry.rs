@@ -762,6 +762,27 @@ mod tests {
         assert_eq!(exemplars, Some(want), "ranked by latency within a window");
     }
 
+    /// `fleet`'s 1000 VF disks register 5 series each beside the 10
+    /// device-wide ones; a lookup by name finds every one of them.
+    #[test]
+    fn every_series_of_a_thousand_vf_disks_is_found_by_name() {
+        let mut tel = Telemetry::new(TelemetryConfig::windowed(SimDuration::from_micros(200)));
+        for d in 0..1000 {
+            tel.register_disk(DiskId(d), Some(FuncId(d as u16 + 1)));
+        }
+        let sampler = tel.sampler();
+        assert_eq!(sampler.series().count(), 10 + 5 * 1000);
+        for s in sampler.series() {
+            let found = sampler.series_by_name(s.name());
+            assert_eq!(
+                found.map(|f| (f.name(), f.unit())),
+                Some((s.name(), s.unit()))
+            );
+        }
+        assert!(sampler.series_by_name("hv.vf1000.requests").is_none());
+        assert!(sampler.series_by_name("core.ring_depth.f0").is_none());
+    }
+
     #[test]
     fn due_is_the_samplers_next_close() {
         let t = SimTime::from_nanos;

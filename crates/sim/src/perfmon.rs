@@ -59,9 +59,10 @@
 //! assert_eq!(ring.samples().collect::<Vec<_>>(), vec![(0, 20), (1, 10)]);
 //! ```
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
+use crate::hash::IntHashBuilder;
 use crate::selfcheck::fnv1a;
 use crate::time::{SimDuration, SimTime};
 
@@ -114,6 +115,50 @@ struct SeriesState {
 struct SeriesName {
     name: String,
     unit: &'static str,
+}
+
+/// Name → id of the first series registered under that name, without a
+/// second copy of any name: each name's FNV-1a hash maps to the newest
+/// series with that hash, which links to the next older one, and a
+/// lookup compares the name against the sampler's `names` array along
+/// that chain.
+#[derive(Debug, Default)]
+struct NameIndex {
+    heads: HashMap<u64, usize, IntHashBuilder>,
+    /// Per series id, the next older indexed series with the same hash.
+    next: Vec<Option<usize>>,
+}
+
+impl NameIndex {
+    fn get(&self, names: &[SeriesName], name: &str) -> Option<SeriesId> {
+        self.find(names, fnv1a(name.as_bytes()), name)
+    }
+
+    fn find(&self, names: &[SeriesName], hash: u64, name: &str) -> Option<SeriesId> {
+        let mut at = self.heads.get(&hash).copied();
+        while let Some(id) = at {
+            if names[id].name == name {
+                return Some(SeriesId(id));
+            }
+            at = self.next[id];
+        }
+        None
+    }
+
+    /// Takes the next series id (`names.len()`) and indexes it under
+    /// `name`, unless an earlier series holds that name.
+    fn push(&mut self, names: &[SeriesName], name: &str) {
+        self.push_hashed(names, fnv1a(name.as_bytes()), name);
+    }
+
+    fn push_hashed(&mut self, names: &[SeriesName], hash: u64, name: &str) {
+        debug_assert_eq!(self.next.len(), names.len(), "one link per series");
+        let older = match self.find(names, hash, name) {
+            None => self.heads.insert(hash, names.len()),
+            Some(_) => None,
+        };
+        self.next.push(older);
+    }
 }
 
 /// One stored (non-zero) sample in the sampler's row log.
@@ -229,7 +274,7 @@ pub struct Sampler {
     /// ... and its identity.
     names: Vec<SeriesName>,
     /// Name → id of the first series registered under that name.
-    index: BTreeMap<String, SeriesId>,
+    index: NameIndex,
     /// Every stored sample of the retained windows, in sampling order.
     rows: VecDeque<Row>,
     /// Row number of `rows[0]` (rows evicted so far).
@@ -263,7 +308,7 @@ impl Sampler {
             capacity,
             series: Vec::new(),
             names: Vec::new(),
-            index: BTreeMap::new(),
+            index: NameIndex::default(),
             rows: VecDeque::new(),
             first_row: 0,
             next_close: SimTime::ZERO + interval,
@@ -316,9 +361,9 @@ impl Sampler {
     /// sampled in, like every other series. A counter's first sample is
     /// its raw cumulative value, or its delta from a [`rebase`](Self::rebase).
     pub fn register(&mut self, name: &str, unit: &'static str, kind: SeriesKind) -> SeriesId {
-        debug_assert!(!self.index.contains_key(name), "duplicate series {name}");
+        debug_assert!(self.series_id(name).is_none(), "duplicate series {name}");
+        self.index.push(&self.names, name);
         let id = SeriesId(self.series.len());
-        self.index.entry(name.to_string()).or_insert(id);
         self.series.push(SeriesState {
             kind,
             registered: self.closed,
@@ -424,7 +469,7 @@ impl Sampler {
     /// The id of the series registered under `name` (the first one, should
     /// a release build register a name twice).
     pub fn series_id(&self, name: &str) -> Option<SeriesId> {
-        self.index.get(name).copied()
+        self.index.get(&self.names, name)
     }
 
     /// Looks up a series by name.
@@ -1506,6 +1551,63 @@ mod tests {
         assert_eq!(s.series_id("dup"), Some(first));
         assert_eq!(s.series_by_name("dup").map(TimeSeries::unit), Some("first"));
         assert_eq!(s.series_id("missing"), None);
+        // Release builds keep the duplicate as a series of its own, which
+        // no lookup reaches; a later name gets the next id.
+        let units: Vec<_> = s.series().map(TimeSeries::unit).collect();
+        let want: &[&str] = if cfg!(debug_assertions) {
+            &["first"]
+        } else {
+            &["first", "second"]
+        };
+        assert_eq!(units, want);
+        let later = s.register("later", "ns", SeriesKind::Gauge);
+        assert_eq!(s.series_id("later"), Some(later));
+        assert_eq!(later, SeriesId(want.len()));
+    }
+
+    /// Names whose hashes collide share a chain, and each still resolves
+    /// to its own first registration.
+    #[test]
+    fn colliding_names_resolve_along_their_chain() {
+        let (mut index, mut names) = (NameIndex::default(), Vec::new());
+        for name in ["a", "b", "a", "c"] {
+            index.push_hashed(&names, 7, name);
+            names.push(SeriesName {
+                name: name.into(),
+                unit: "ops",
+            });
+        }
+        for (name, id) in [("a", 0), ("b", 1), ("c", 3)] {
+            assert_eq!(index.find(&names, 7, name), Some(SeriesId(id)), "{name}");
+            assert_eq!(
+                index.find(&names, 8, name),
+                None,
+                "{name} under another hash"
+            );
+        }
+        assert_eq!(index.find(&names, 7, "d"), None);
+    }
+
+    /// The hashed index finds each of 20 000 distinct names at its own
+    /// id, and no name that was never registered.
+    #[test]
+    fn the_index_finds_every_registered_name() {
+        let mut s = Sampler::new(dur(10), 4);
+        let name = |i: usize| {
+            format!(
+                "hv.vf{}.{}",
+                i / 4,
+                ["requests", "bytes", "p50_ns", "p99_ns"][i % 4]
+            )
+        };
+        let ids: Vec<_> = (0..20_000)
+            .map(|i| s.register(&name(i), "ops", SeriesKind::Counter))
+            .collect();
+        for (i, id) in ids.into_iter().enumerate() {
+            assert_eq!(s.series_id(&name(i)), Some(id));
+        }
+        assert_eq!(s.series_id(&name(20_000)), None);
+        assert_eq!(s.series_id("hv.vf1"), None);
     }
 
     /// What the reference evaluator reads of a sampler: the row log's or

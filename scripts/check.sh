@@ -27,7 +27,17 @@ cargo build --release
 echo "==> cargo build --release (hostbench)"
 # The host-cost benchmark is its own workspace, so the root build never
 # compiles it; build it here so an API change that breaks it shows now.
-cargo build --release --manifest-path hostbench/Cargo.toml
+# Build and run it with BENCHMARK.json's `--config` (its rustflags), so
+# hostbench/target holds the one binary a benchmark run uses instead of
+# two code layouts that rebuild over each other.
+bench_config=$(python3 -c '
+import json
+cmd = json.load(open("BENCHMARK.json"))["command"]
+print(cmd[cmd.index("--config") + 1])')
+hostbench() {
+    cargo --config "$bench_config" "$1" --release -q --manifest-path hostbench/Cargo.toml "${@:2}"
+}
+hostbench build
 
 echo "==> cargo test -q"
 cargo test -q
@@ -108,8 +118,7 @@ echo "==> hostbench smoke: every workload, every layer rung, correct results"
 # with tracing alone and with the recorder alone. Only the workload's own
 # correctness verdict is gated here, never its timings.
 for workload in paper prune_pressure fleet fleet_250; do
-    verdict=$(cargo run --release -q --manifest-path hostbench/Cargo.toml -- \
-        --workload "$workload" --seed 7 --seconds 1 --trace 1 | tail -n 1)
+    verdict=$(hostbench run -- --workload "$workload" --seed 7 --seconds 1 --trace 1 | tail -n 1)
     if [[ "$verdict" != *'"correct": true'* ]]; then
         echo "FAIL: hostbench $workload no longer reproduces its run: $verdict" >&2
         exit 1
