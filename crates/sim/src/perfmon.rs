@@ -2083,7 +2083,8 @@ mod tests {
     #[test]
     fn counter_tracks_merge_into_valid_chrome_trace() {
         let tracer = crate::trace::Tracer::enabled();
-        let span = tracer.start(crate::trace::SpanId::NONE, "core", "device", t(0), []);
+        let kind = crate::trace::SpanKind::Device;
+        let span = tracer.start(crate::trace::SpanId::NONE, kind, t(0), []);
         tracer.end(span, t(25));
         let mut s = Sampler::new(dur(10), 4);
         let g = s.register("core.depth", "n", SeriesKind::Gauge);

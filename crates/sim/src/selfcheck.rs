@@ -150,10 +150,10 @@ impl RunDigest {
             payload = fnv1a_word(payload, s.parent.0);
             payload = fnv1a_word(payload, s.end.as_nanos());
             for (k, v) in s.attrs.iter() {
-                payload = fnv1a_word(payload, fnv1a(k.as_bytes()));
-                payload = fnv1a_word(payload, *v);
+                payload = fnv1a_word(payload, fnv1a(k.as_str().as_bytes()));
+                payload = fnv1a_word(payload, v);
             }
-            let label = format!("span:{}:{}", s.layer, s.name);
+            let label = format!("span:{}", s.kind.as_str());
             self.record(s.start, label, payload);
         }
     }
@@ -495,10 +495,10 @@ mod tests {
 
     #[test]
     fn span_records_and_tree_section() {
-        use crate::trace::{SpanId, Tracer};
+        use crate::trace::{SpanId, SpanKind, Tracer};
         let tr = Tracer::enabled();
-        let root = tr.start(SpanId::NONE, "guest", "request", t(0), []);
-        let child = tr.start(root, "pcie", "dma", t(10), []);
+        let root = tr.start(SpanId::NONE, SpanKind::GuestRequest, t(0), []);
+        let child = tr.start(root, SpanKind::DmaRead, t(10), []);
         tr.end(child, t(40));
         tr.end(root, t(100));
         let spans = tr.take_spans();

@@ -181,7 +181,7 @@ fn thin_namespace_writes_are_counted_traced_and_sampled() {
     let tree = SpanTree::new(sys.take_spans());
     let roots: Vec<SpanId> = tree
         .roots()
-        .filter(|s| s.name == "request")
+        .filter(|s| s.name() == "request")
         .map(|s| s.id)
         .collect();
     assert_eq!(roots.len(), 8, "one root per command");
@@ -189,7 +189,7 @@ fn thin_namespace_writes_are_counted_traced_and_sampled() {
         let (mut stack, mut device) = (vec![root], false);
         while let Some(id) = stack.pop() {
             for child in tree.children(id) {
-                device |= (child.layer, child.name) == ("core", "device");
+                device |= (child.layer(), child.name()) == ("core", "device");
                 stack.push(child.id);
             }
         }

@@ -38,7 +38,7 @@ fn every_path_produces_well_nested_spans() {
         let tree = SpanTree::new(sys.take_spans());
         tree.check_nesting()
             .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
-        let requests = tree.roots().filter(|s| s.name == "request").count();
+        let requests = tree.roots().filter(|s| s.name() == "request").count();
         assert_eq!(requests, 3, "{kind:?}: one root per request");
     }
 }
@@ -56,7 +56,7 @@ fn children_partition_end_to_end_latency_on_every_path() {
         let tree = SpanTree::new(sys.take_spans());
         let root = tree
             .roots()
-            .find(|s| s.name == "request")
+            .find(|s| s.name() == "request")
             .expect("a request root");
         tree.check_partition(root.id)
             .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
@@ -101,13 +101,16 @@ fn golden_trace_of_one_direct_write() {
     let tree = SpanTree::new(sys.take_spans());
     let root = tree
         .roots()
-        .find(|s| s.name == "request")
+        .find(|s| s.name() == "request")
         .expect("request root");
-    assert_eq!(root.layer, "guest");
-    assert_eq!(root.attr("bytes"), Some(4096));
-    assert_eq!(root.attr("write"), Some(1));
-    assert_eq!(root.attr("failed"), Some(0));
-    let skeleton: Vec<(&str, &str)> = tree.children(root.id).map(|s| (s.layer, s.name)).collect();
+    assert_eq!(root.layer(), "guest");
+    assert_eq!(root.attr(AttrKey::Bytes), Some(4096));
+    assert_eq!(root.attr(AttrKey::Write), Some(1));
+    assert_eq!(root.attr(AttrKey::Failed), Some(0));
+    let skeleton: Vec<(&str, &str)> = tree
+        .children(root.id)
+        .map(|s| (s.layer(), s.name()))
+        .collect();
     assert_eq!(
         skeleton,
         vec![
@@ -120,13 +123,13 @@ fn golden_trace_of_one_direct_write() {
     // Under device_wait: the device span, which owns translation and media.
     let dev_wait = tree
         .children(root.id)
-        .find(|s| s.name == "device_wait")
+        .find(|s| s.name() == "device_wait")
         .unwrap();
     let device = tree
         .children(dev_wait.id)
-        .find(|s| s.name == "device")
+        .find(|s| s.name() == "device")
         .expect("device span under device_wait");
-    let inner: Vec<&str> = tree.children(device.id).map(|s| s.name).collect();
+    let inner: Vec<&str> = tree.children(device.id).map(|s| s.name()).collect();
     assert!(inner.contains(&"translate"), "inner spans: {inner:?}");
     assert!(inner.contains(&"media"), "inner spans: {inner:?}");
 }
@@ -136,8 +139,8 @@ fn virtio_and_emulation_attribute_their_software_layers() {
     let (mut sys, disk) = traced(DiskKind::Virtio);
     sys.write(disk, 0, &[1u8; 4096]);
     let tree = SpanTree::new(sys.take_spans());
-    let root = tree.roots().find(|s| s.name == "request").unwrap();
-    let names: Vec<&str> = tree.children(root.id).map(|s| s.name).collect();
+    let root = tree.roots().find(|s| s.name() == "request").unwrap();
+    let names: Vec<&str> = tree.children(root.id).map(|s| s.name()).collect();
     assert_eq!(
         names,
         vec![
@@ -152,8 +155,8 @@ fn virtio_and_emulation_attribute_their_software_layers() {
     let (mut sys, disk) = traced(DiskKind::Emulated);
     sys.write(disk, 0, &[1u8; 4096]);
     let tree = SpanTree::new(sys.take_spans());
-    let root = tree.roots().find(|s| s.name == "request").unwrap();
-    let names: Vec<&str> = tree.children(root.id).map(|s| s.name).collect();
+    let root = tree.roots().find(|s| s.name() == "request").unwrap();
+    let names: Vec<&str> = tree.children(root.id).map(|s| s.name()).collect();
     assert_eq!(
         names,
         vec![
@@ -186,14 +189,18 @@ fn write_failure_still_tiles_and_flags_the_root() {
             .is_err()
         {
             let tree = SpanTree::new(sys.take_spans());
-            let root = *tree.roots().filter(|s| s.name == "request").last().unwrap();
+            let root = *tree
+                .roots()
+                .filter(|s| s.name() == "request")
+                .last()
+                .unwrap();
             tree.check_partition(root.id).expect("failure still tiles");
             failed_root = Some(root);
             break;
         }
     }
     let root = failed_root.expect("the tiny device must fill up");
-    assert_eq!(root.attr("failed"), Some(1));
+    assert_eq!(root.attr(AttrKey::Failed), Some(1));
 }
 
 #[test]
@@ -245,7 +252,7 @@ fn chrome_trace_export_validates_and_covers_all_layers() {
     let events = nesc_sim::validate_chrome_trace(&doc).expect("valid trace-event JSON");
     // One complete event per span plus one thread-name metadata event per
     // distinct layer.
-    let layers: std::collections::BTreeSet<&str> = spans.iter().map(|s| s.layer).collect();
+    let layers: std::collections::BTreeSet<&str> = spans.iter().map(|s| s.layer()).collect();
     assert_eq!(events, spans.len() + layers.len());
     for required in ["guest", "core", "pcie", "storage"] {
         assert!(layers.contains(required), "missing layer {required}");
@@ -272,12 +279,12 @@ fn stalled_requests_reopen_as_resume_spans() {
     let stalled = tree
         .spans()
         .iter()
-        .find(|s| s.name == "device" && s.attr("stalled") == Some(1))
+        .find(|s| s.name() == "device" && s.attr(AttrKey::Stalled) == Some(1))
         .expect("a stalled device span");
     let resume = tree
         .spans()
         .iter()
-        .find(|s| s.name == "device_resume")
+        .find(|s| s.name() == "device_resume")
         .expect("a resume span");
     assert_eq!(
         stalled.parent, resume.parent,
@@ -334,7 +341,7 @@ fn every_root_span_is_a_request_or_an_anomaly() {
     tree.check_nesting().expect("nested");
     let mut roots = std::collections::BTreeMap::new();
     for root in tree.roots() {
-        *roots.entry((root.layer, root.name)).or_insert(0) += 1;
+        *roots.entry((root.layer(), root.name())).or_insert(0) += 1;
     }
     let want = [
         ("guest", "request"),
@@ -347,7 +354,7 @@ fn every_root_span_is_a_request_or_an_anomaly() {
     let fetches = tree
         .spans()
         .iter()
-        .filter(|s| s.name == "dma_read" && s.attr("transfers").is_none())
+        .filter(|s| s.name() == "dma_read" && s.attr(AttrKey::Transfers).is_none())
         .count();
     assert!(fetches >= 4, "{fetches} descriptor fetches");
 }

@@ -40,9 +40,9 @@ fn reference_hists(spans: &[Span], disk: DiskId, windows: u64, interval_ns: u64)
     let mut hists: Vec<Histogram> = (0..windows).map(|_| Histogram::new()).collect();
     for s in spans
         .iter()
-        .filter(|s| s.parent == SpanId::NONE && s.name == "request")
+        .filter(|s| s.parent == SpanId::NONE && s.name() == "request")
     {
-        let d = s.attrs.iter().find(|(k, _)| *k == "disk").map(|&(_, v)| v);
+        let d = s.attr(AttrKey::Disk);
         if d != Some(disk.0 as u64) {
             continue;
         }
@@ -238,8 +238,8 @@ fn windowed_request_counters_match_span_log() {
     for (vf, disk) in disks.iter().enumerate() {
         let roots = spans
             .iter()
-            .filter(|s| s.parent == SpanId::NONE && s.name == "request")
-            .filter(|s| s.attrs.contains(&("disk", disk.0 as u64)))
+            .filter(|s| s.parent == SpanId::NONE && s.name() == "request")
+            .filter(|s| s.attr(AttrKey::Disk) == Some(disk.0 as u64))
             .count() as u64;
         let counted: u64 = sampler
             .series_by_name(&format!("hv.vf{vf}.requests"))
