@@ -6,10 +6,10 @@
 //! commands:
 //!   summary                  dump overview: anomaly, ring, exemplars
 //!   timeline [--vf N] [--limit N]
-//!                            event timeline, optionally one VF's slice
-//!   why                      worst request: phase breakdown derived from
-//!                            flight events, cross-checked against the
-//!                            exemplar's span tree (exit 1 on mismatch)
+//!                            the ring's span rows, optionally one VF's
+//!   why                      worst request: phase breakdown from its span
+//!                            tree, which must tile the request and sum to
+//!                            its tallied latency (exit 1 otherwise)
 //!   contention [--top K]     per-function media/link busy-time attribution
 //!   perfetto [--out PATH]    re-export the dump as a merged Perfetto trace
 //! ```
@@ -26,7 +26,7 @@ use std::process::ExitCode;
 
 use nesc_bench::forensic::{window_trace, ForensicDump};
 use nesc_bench::{fmt, table};
-use nesc_sim::{FlightEventKind, FlightSnapshot};
+use nesc_sim::{FlightSnapshot, SpanKind};
 
 struct Args {
     dump: String,
@@ -119,8 +119,8 @@ fn summary(d: &ForensicDump) {
     println!("series  : {}", d.anomaly_series);
     println!("window  : {}", d.anomaly_window);
     println!(
-        "ring    : {} retained / {} appended / {} dropped (capacity {})",
-        f.events.len(),
+        "ring    : {} rows retained / {} written / {} dropped (capacity {})",
+        f.rows.len(),
         f.total,
         f.dropped,
         f.capacity
@@ -137,36 +137,36 @@ fn summary(d: &ForensicDump) {
 }
 
 fn timeline(f: &FlightSnapshot, vf: Option<u32>, limit: usize) {
-    let events: Vec<_> = match vf {
-        Some(v) => f.vf_events(v),
-        None => f.events.iter().collect(),
+    let spans: Vec<_> = match vf {
+        Some(v) => f.vf_rows(v),
+        None => f.rows.iter().collect(),
     };
-    let shown = events.len().min(limit);
-    let rows: Vec<Vec<String>> = events[events.len() - shown..]
+    let shown = spans.len().min(limit);
+    let rows: Vec<Vec<String>> = spans[spans.len() - shown..]
         .iter()
-        .map(|e| {
+        .map(|s| {
             vec![
-                fmt(e.t_ns as f64 / 1000.0),
-                e.kind.as_str().to_string(),
-                e.func.to_string(),
-                e.a.to_string(),
-                e.b.to_string(),
+                fmt(s.start.as_nanos() as f64 / 1000.0),
+                fmt(s.duration_ns() as f64 / 1000.0),
+                s.kind.as_str().to_string(),
+                s.id.0.to_string(),
+                s.parent.0.to_string(),
             ]
         })
         .collect();
     let title = match vf {
-        Some(v) => format!("Timeline — VF {v} ({} of {} events)", shown, events.len()),
-        None => format!("Timeline ({} of {} events)", shown, events.len()),
+        Some(v) => format!("Timeline — VF {v} ({} of {} rows)", shown, spans.len()),
+        None => format!("Timeline ({} of {} rows)", shown, spans.len()),
     };
     print!(
         "{}",
-        table(&title, &["t us", "event", "func", "a", "b"], &rows)
+        table(&title, &["start us", "us", "span", "id", "parent"], &rows)
     );
 }
 
-/// The "why was this request slow" view. Returns false when the event-
-/// and span-derived breakdowns disagree or do not sum to the latency — a
-/// determinism or instrumentation bug worth a non-zero exit.
+/// The "why was this request slow" view. Returns false when the worst
+/// request's span rows do not tile it or do not sum to its tallied
+/// latency — a determinism or instrumentation bug worth a non-zero exit.
 fn why(f: &FlightSnapshot) -> bool {
     let Some(worst) = f.worst_exemplar() else {
         eprintln!("dump has no exemplars");
@@ -205,16 +205,17 @@ fn why(f: &FlightSnapshot) -> bool {
     );
     // Contextual evidence: translation activity around the slow request.
     let walks = f
-        .events
+        .rows
         .iter()
-        .filter(|e| {
-            matches!(e.kind, FlightEventKind::BtlbMiss | FlightEventKind::Rewalk)
-                && e.t_ns <= worst.t_ns
-                && e.t_ns + 1_000_000 > worst.t_ns
+        .filter(|s| {
+            let end = s.end.as_nanos();
+            matches!(s.kind, SpanKind::Walk | SpanKind::Rewalk)
+                && end <= worst.t_ns
+                && end + 1_000_000 > worst.t_ns
         })
         .count();
-    println!("\n  context: {walks} BTLB walk/rewalk events in the preceding 1 ms");
-    println!("  event-derived and span-derived breakdowns agree exactly.");
+    println!("\n  context: {walks} walk/rewalk rows in the preceding 1 ms");
+    println!("  the span phases tile the request and sum to its tallied latency.");
     true
 }
 

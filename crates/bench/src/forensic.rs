@@ -3,8 +3,8 @@
 //! dump's three sections. The flight section reads back into the typed
 //! [`FlightSnapshot`] the dump was written from, and the queries
 //! `nesc-inspect` and the `forensics` harness ask — the worst exemplar,
-//! per-VF timelines, the checked phase breakdown, contention — are
-//! methods of that one model.
+//! per-VF rows, the checked phase breakdown, contention — are methods of
+//! that one model.
 
 use nesc_sim::{perfmon, FlightSnapshot};
 
@@ -238,7 +238,7 @@ pub struct ForensicDump {
     pub anomaly_series: String,
     /// Window index the rule fired in.
     pub anomaly_window: u64,
-    /// The flight ring and exemplars.
+    /// The flight ring's span rows and the exemplars.
     pub flight: FlightSnapshot,
     /// The `series` section (perfmon `series_json` shape), verbatim.
     pub series: serde_json::Value,
@@ -336,16 +336,16 @@ mod tests {
         let doc = parse_json(&committed("forensic_dump.json")).unwrap();
         let flight = doc.get("flight").unwrap();
         let snap = FlightSnapshot::from_json(flight).unwrap();
-        assert!(!snap.events.is_empty() && !snap.exemplars.is_empty());
+        assert!(!snap.rows.is_empty() && !snap.exemplars.is_empty());
         assert_eq!(
             serde_json::to_string_pretty(&snap.to_json()).unwrap(),
             serde_json::to_string_pretty(flight).unwrap()
         );
     }
 
-    /// The ring and the span tree are two folds of one probe report, so
-    /// every exemplar in the committed dump — not only the worst, which
-    /// `nesc-inspect why` shows — must pass the checked breakdown.
+    /// Every exemplar in the committed dump — not only the worst, which
+    /// `nesc-inspect why` shows — passes the checked breakdown: its span
+    /// rows tile its root and sum to its tallied latency.
     #[test]
     fn committed_dump_breakdowns_agree_for_every_exemplar() {
         let dump = ForensicDump::parse(&committed("forensic_dump.json")).unwrap();

@@ -18,7 +18,9 @@
 //! write's partial edge blocks, straight into the bounce, and copies the
 //! bounce to the guest page to page. Windowed telemetry over many disks
 //! adds nothing either: a window close ranks the window's completions in
-//! a retained buffer and every series ring is at its capacity.
+//! a retained buffer and every series ring is at its capacity. Nor does
+//! the flight recorder with tracing off: its span log keeps no rows of
+//! its own and writes each into the preallocated ring.
 //!
 //! Growing a file by single blocks, as a miss-driven image fills, costs
 //! its allocations exactly: one run list per call and the doublings of
@@ -40,7 +42,9 @@ use nesc_extent::{ExtentMapping, ExtentTree, Plba, Vlba};
 use nesc_fs::Filesystem;
 use nesc_hypervisor::{DiskKind, System as NescSystem, TelemetryConfig};
 use nesc_pcie::{HostAddr, HostMemory};
-use nesc_sim::{FlightHandle, Obs, Pass, Probe, SimDuration, SimRng, SimTime, Tracer, Via};
+use nesc_sim::{
+    FlightConfig, FlightHandle, Obs, Pass, Probe, SimDuration, SimRng, SimTime, Tracer, Via,
+};
 use nesc_storage::{BlockOp, BlockRequest, RequestId, BLOCK_SIZE};
 
 /// Counts allocator calls while armed; delegates everything to [`System`].
@@ -208,7 +212,7 @@ fn steady_state_device_loop_is_allocation_free() {
 }
 
 /// Reports request `i`'s observations: the direct request of the probe's
-/// fold-table script, which stalls on a miss and resumes — 16 spans, 11 of
+/// fold-table script, which stalls on a miss and resumes — 17 spans, 12 of
 /// them with attributes.
 fn observe_request(probe: &Probe, i: u64) {
     let t = |ns: u64| SimTime::from_nanos(i * 1000 + ns);
@@ -218,7 +222,6 @@ fn observe_request(probe: &Probe, i: u64) {
         Obs::Rang(3, id, t(110), t(120)),
         Obs::DescriptorFetch(id, 32, t(120), t(125)),
         Obs::Queued(3, id, 1, t(125)),
-        Obs::Dispatched(3, id, 8, t(125), t(130), t(131)),
         Obs::DeviceOpen(3, id, 8, t(125), t(140)),
         Obs::Walk(2, Some((3, 4096)), t(140), t(150)),
         Obs::Translate(8, 1, t(140), t(150)),
@@ -258,7 +261,7 @@ fn traced_requests_allocate_only_as_the_span_log_grows() {
     arm(false);
     let n = ALLOCS.load(Ordering::SeqCst);
     let spans = probe.tracer().len() as u64;
-    assert_eq!(spans, 1024 * 16);
+    assert_eq!(spans, 1024 * 17);
     // The bound a doubling log needs: one allocation for its first slots,
     // one per doubling after. The segmented log makes one per segment plus
     // its segment list's growth, fewer.
@@ -391,6 +394,53 @@ fn windowed_telemetry_over_many_disks_is_allocation_free() {
         "the pass closed only {windows} windows"
     );
     assert_eq!(n, 0, "{n} allocations over {windows} telemetry windows");
+}
+
+/// With the flight recorder on and tracing off, a pass of NeSC-direct
+/// writes and reads through `System` allocates nothing once the ring has
+/// wrapped: every span row is a store into the preallocated ring, and the
+/// exemplars of each window close fold into retained room.
+#[test]
+fn the_recorder_alone_allocates_nothing_once_its_ring_wraps() {
+    const DISK_BYTES: u64 = 256 << 10;
+    let _serial = serial();
+    TRACE.store(std::env::var_os("ALLOC_TRACE").is_some(), Ordering::SeqCst);
+    let tel = TelemetryConfig::windowed(SimDuration::from_micros(20)).capacity(16);
+    let tel = tel.flight(FlightConfig::default());
+    let mut sys = NescSystem::builder().telemetry(tel).build();
+    let disk = sys
+        .quick_disk(DiskKind::NescDirect, "f.img", DISK_BYTES)
+        .disk;
+    let data = vec![0x3Cu8; 4096];
+    let mut out = vec![0u8; 4096];
+    let mut pass = |sys: &mut NescSystem| {
+        for offset in (0..DISK_BYTES).step_by(4096) {
+            sys.write(disk, offset, &data);
+            sys.read(disk, offset, &mut out);
+        }
+    };
+    let closed = |sys: &NescSystem| sys.telemetry().map_or(0, |t| t.sampler().closed_windows());
+    // Warm-up: every block written, the command ring and the flight ring
+    // wrapped, and more windows closed than the exemplar horizon and a
+    // series ring hold.
+    pass(&mut sys);
+    pass(&mut sys);
+    while closed(&sys) < 32 {
+        pass(&mut sys);
+    }
+    assert!(
+        sys.flight().with(|r| r.dropped()).unwrap() > 0,
+        "the ring wrapped"
+    );
+    let before = sys.flight().with(|r| r.total()).unwrap();
+    ALLOCS.store(0, Ordering::SeqCst);
+    arm(true);
+    pass(&mut sys);
+    arm(false);
+    let n = ALLOCS.load(Ordering::SeqCst);
+    let rows = sys.flight().with(|r| r.total()).unwrap() - before;
+    assert!(rows > 0 && !sys.tracer().is_enabled());
+    assert_eq!(n, 0, "{n} allocations writing {rows} ring rows");
 }
 
 /// 4096 single-block appends to one file, each its own `allocate_range`

@@ -507,7 +507,7 @@ impl NvmeController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nesc_sim::{FlightConfig, FlightEventKind};
+    use nesc_sim::{FlightConfig, SpanKind};
 
     fn system() -> System {
         System::builder().capacity_blocks(8192).build()
@@ -787,9 +787,8 @@ mod tests {
         let sys = ctrl.system();
         assert_eq!(sys.device().stats().miss_interrupts, 1);
         let rewalks = sys.flight().with(|rec| {
-            rec.events()
-                .filter(|e| e.kind == FlightEventKind::Rewalk)
-                .count()
+            let rows = rec.rows();
+            rows.iter().filter(|s| s.kind == SpanKind::Rewalk).count()
         });
         assert_eq!(rewalks, Some(1));
     }

@@ -126,14 +126,16 @@ for workload in paper prune_pressure fleet fleet_250; do
     echo "OK: hostbench $workload correct"
 done
 
-echo "==> nesc-inspect: worst-request breakdown must match its span tree"
-# `why` exits non-zero if the latency breakdown reconstructed from ring
-# events disagrees with the one derived from the exemplar's span tree.
+echo "==> nesc-inspect: worst-request breakdown must match its tallied latency"
+# `why` exits non-zero, naming the request, if the worst exemplar's span
+# phases leave a gap in its root or do not sum to the end-to-end latency
+# the tally timed from its issue and finish.
 if ! cargo run --release -q -p nesc-bench --bin nesc-inspect -- why >/dev/null; then
-    echo "FAIL: nesc-inspect why found an event/span breakdown mismatch" >&2
+    echo "FAIL: nesc-inspect why found the worst request's span phases untiled" >&2
+    echo "      or off its tallied latency" >&2
     exit 1
 fi
-echo "OK: event-derived breakdown matches the span-derived one"
+echo "OK: the worst request's span phases tile it and sum to its tallied latency"
 
 echo "==> scale-out gate: the 1000-VF mixed scenario must finish fast"
 # The full datacenter mix (850 steady + 100 bursty + 50 noisy VFs) must

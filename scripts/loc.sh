@@ -49,6 +49,9 @@ census() {
 echo "non-test lines of the probe-fold, span-tracer and telemetry files:"
 census crates/sim/src/{metrics,flight,trace,perfmon,probe}.rs crates/hypervisor/src/{system,telemetry}.rs
 
+echo "non-test lines of the event model: the flight ring, the span log and the probe fold:"
+census crates/sim/src/{flight,trace,probe}.rs
+
 echo "non-test lines of the forensic-dump model, its renderers and readers:"
 census crates/sim/src/{flight,trace,perfmon}.rs shims/serde_json/src/lib.rs \
     crates/bench/src/forensic.rs crates/bench/src/bin/nesc_inspect.rs \
