@@ -115,8 +115,8 @@ impl TelemetryConfig {
         self.rule(SloRule::parse(text).expect("valid SLO rule"))
     }
 
-    /// Enables the flight recorder: queue/scheduler/BTLB/media/link
-    /// events stream into its ring, worst-K exemplars are retained per
+    /// Enables the flight recorder: its ring keeps the last span rows
+    /// (with tracing off too), worst-K exemplars are retained per
     /// window, and the first watchdog anomaly snapshots a forensic dump.
     pub fn flight(mut self, cfg: FlightConfig) -> Self {
         self.flight = Some(cfg);
@@ -646,7 +646,7 @@ mod tests {
         assert!(!tel.anomalies().is_empty(), "rule must fire");
         let fl = tel.flight();
         assert!(fl.is_enabled());
-        assert!(fl.with(|r| r.total()).unwrap() > 0, "ring recorded events");
+        assert!(fl.with(|r| r.total()).unwrap() > 0, "ring recorded rows");
         let exemplars_with_spans = fl
             .with(|r| r.exemplars().iter().filter(|e| !e.spans.is_empty()).count())
             .unwrap();
