@@ -499,10 +499,10 @@ pub fn nesc_report(out: &mut Out) -> Result<(), String> {
 /// one counter track per telemetry series.
 pub fn forensics(out: &mut Out) -> Result<(), String> {
     let run = || -> Result<(ForensicSnapshot, String), String> {
+        let flight = FlightConfig::default().capacity(16384);
         let builder = SystemBuilder::new()
             .tracing(true)
-            .telemetry(prune_watch())
-            .flight(FlightConfig::default().capacity(16384));
+            .telemetry(prune_watch().flight(flight));
         let (sys, _) = prune_pressure(builder, 4);
         let tel = sys.telemetry().ok_or("telemetry is enabled")?;
         let dump = tel

@@ -384,8 +384,8 @@ impl NescDevice {
     /// span the submitter bound to the request id).
     ///
     /// The probe's tally holds the device's counters, so
-    /// [`stats`](Self::stats) reads this probe's: hand over a clone that
-    /// keeps the current tally ([`Probe::rewired`]) to keep them.
+    /// [`stats`](Self::stats) reads this probe's: a probe with a fresh
+    /// tally starts them from 0.
     pub fn set_probe(&mut self, probe: Probe) {
         self.probe = probe;
     }

@@ -1,10 +1,11 @@
 //! Typed construction of a [`System`].
 //!
 //! [`SystemBuilder`] is the front door of the facade: it gathers the
-//! device configuration, the software cost model, and the observability
-//! options (span tracing, media throttling) into one fluent call chain,
-//! so harnesses and examples don't have to thread `NescConfig` /
-//! `SoftwareCosts` pairs around by hand.
+//! device configuration, the software cost model, media throttling and
+//! the observability channels (span tracing, telemetry, the flight
+//! recorder) into one fluent call chain, so harnesses and examples don't
+//! have to thread `NescConfig` / `SoftwareCosts` pairs around by hand.
+//! The channels are chosen here once: a built system keeps them.
 //!
 //! # Example
 //!
@@ -21,11 +22,11 @@
 //! ```
 
 use nesc_core::NescConfig;
-use nesc_sim::{FlightConfig, SimDuration};
+use nesc_sim::{FlightHandle, Probe, SimDuration, Tracer};
 
 use crate::costs::SoftwareCosts;
 use crate::system::System;
-use crate::telemetry::TelemetryConfig;
+use crate::telemetry::{Telemetry, TelemetryConfig};
 
 /// Fluent builder over [`NescConfig`] + [`SoftwareCosts`] + observability
 /// options. Defaults reproduce the paper's prototype
@@ -107,18 +108,23 @@ impl SystemBuilder {
 
     /// Enables deterministic time-series telemetry: a perfmon sampler
     /// closing windows of `cfg.interval` across every layer, plus the SLO
-    /// watchdog rules in `cfg`. Off by default: disabled telemetry costs
-    /// one `Option` check per request.
-    pub fn telemetry(mut self, cfg: TelemetryConfig) -> Self {
+    /// watchdog rules in `cfg`, and the flight recorder if `cfg.flight`
+    /// configures one. Off by default: disabled telemetry costs one
+    /// `Option` check per request. Rules added before this call are
+    /// kept, in call order, ahead of `cfg`'s own.
+    pub fn telemetry(mut self, mut cfg: TelemetryConfig) -> Self {
+        if let Some(earlier) = self.telemetry.take() {
+            cfg.rules.splice(0..0, earlier.rules);
+        }
         self.telemetry = Some(cfg);
         self
     }
 
     /// Adds one declarative SLO watchdog rule (the `perfmon` rule
     /// grammar, e.g. `"hv.vf3.p99_ns above 500000 for 2"`) at build time.
-    /// Enables telemetry with the default 50 µs window if
-    /// [`telemetry`](Self::telemetry) was not called first; call it
-    /// before this to control the window or capacity.
+    /// Enables telemetry with the default 50 µs window unless
+    /// [`telemetry`](Self::telemetry), called before or after, chooses
+    /// the window.
     ///
     /// # Panics
     ///
@@ -149,38 +155,30 @@ impl SystemBuilder {
         self
     }
 
-    /// Enables the deterministic flight recorder: a bounded ring of
-    /// queue/scheduler/BTLB/media/link events plus worst-K exemplar span
-    /// trees per telemetry window, snapshotted into a forensic dump when
-    /// the SLO watchdog first fires. Enables telemetry with the default
-    /// 50 µs window if [`telemetry`](Self::telemetry) was not called
-    /// first. Does *not* enable span tracing — without a tracer the
-    /// exemplars carry timing and identity but empty span lists.
-    pub fn flight(mut self, cfg: FlightConfig) -> Self {
-        let tel = self
-            .telemetry
-            .take()
-            .unwrap_or_else(|| TelemetryConfig::windowed(SimDuration::from_micros(50)));
-        self.telemetry = Some(tel.flight(cfg));
-        self
-    }
-
-    /// Assembles the system.
+    /// Assembles the system: one probe with the chosen span log and
+    /// flight ring, its window list open when telemetry is on, which the
+    /// system, its device and its telemetry all report through.
     ///
     /// # Panics
     ///
     /// Panics if the accumulated configuration fails
     /// [`NescConfig::validate`].
     pub fn build(self) -> System {
-        let mut sys = System::new(self.cfg, self.costs);
-        if self.tracing {
-            sys.set_tracing(true);
-        }
+        let tracer = if self.tracing {
+            Tracer::enabled()
+        } else {
+            Tracer::disabled()
+        };
+        let flight = self.telemetry.as_ref().and_then(|cfg| cfg.flight);
+        let flight = flight.map(FlightHandle::enabled).unwrap_or_default();
+        let probe = Probe::new(tracer, flight);
+        let telemetry = self.telemetry.map(|cfg| {
+            probe.open_windows();
+            Telemetry::new(cfg, probe.clone())
+        });
+        let mut sys = System::with_channels(self.cfg, self.costs, probe, telemetry);
         if let Some(b) = self.media_throttle {
             sys.device_mut().set_media_throttle(Some(b));
-        }
-        if let Some(cfg) = self.telemetry {
-            sys.set_telemetry(cfg);
         }
         sys
     }
@@ -214,6 +212,24 @@ mod tests {
             .build();
         let tel = sys.telemetry().expect("slo_rules must enable telemetry");
         assert_eq!(tel.watchdog().rules().len(), 2);
+    }
+
+    /// `telemetry` after `slo_rule` chooses the window and keeps the
+    /// earlier rules, in call order, ahead of its own.
+    #[test]
+    fn telemetry_keeps_the_rules_added_before_it() {
+        let cfg = TelemetryConfig::windowed(SimDuration::from_micros(10))
+            .rule_text("hv.vf2.p99_ns above 500000 for 2");
+        let sys = SystemBuilder::new()
+            .slo_rule("hv.vf0.p99_ns above 500000 for 2")
+            .slo_rule("hv.vf1.p99_ns above 500000 for 2")
+            .telemetry(cfg)
+            .build();
+        let tel = sys.telemetry().expect("telemetry enabled");
+        let rules = tel.watchdog().rules().iter();
+        let series: Vec<&str> = rules.map(|r| r.primary.series.as_str()).collect();
+        assert_eq!(series, ["hv.vf0.p99_ns", "hv.vf1.p99_ns", "hv.vf2.p99_ns"]);
+        assert_eq!(tel.sampler().interval(), SimDuration::from_micros(10));
     }
 
     #[test]

@@ -43,7 +43,7 @@ use nesc_virtio::{BlkRequest, BlkRequestType, BlkStatus, Chain, Virtqueue};
 
 use crate::costs::SoftwareCosts;
 use crate::error::NescError;
-use crate::telemetry::{Telemetry, TelemetryConfig};
+use crate::telemetry::Telemetry;
 
 /// Identifier of a guest VM (or the host pseudo-VM for baselines).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -206,12 +206,9 @@ pub struct System {
     chain: Chain,
     /// The lifecycle probe shared with the device and telemetry: the
     /// always-on tally of finished requests and device counters, plus the
-    /// span tracer and the telemetry's flight recorder (off until either
-    /// is enabled).
+    /// span tracer and the telemetry's flight recorder (each off unless
+    /// the system was built with it).
     probe: Probe,
-    /// Span ids handed out so far, as of the last switch of the span
-    /// log; a re-enabled tracer continues after them.
-    span_ids: u64,
     /// Deterministic time-series sampling + SLO watchdog (None = off; the
     /// request path pays one `Option` check when disabled).
     telemetry: Option<Telemetry>,
@@ -229,11 +226,23 @@ impl std::fmt::Debug for System {
 
 impl System {
     /// Builds a system: NeSC device + hypervisor filesystem formatted over
-    /// the whole physical device.
+    /// the whole physical device, with tracing and telemetry off.
     pub fn new(dev_cfg: NescConfig, costs: SoftwareCosts) -> Self {
+        System::with_channels(dev_cfg, costs, Probe::default(), None)
+    }
+
+    /// A system whose layers all report through `probe`, sampled by
+    /// `telemetry` (built over the same probe) when it is on. The
+    /// channels stay as built; [`SystemBuilder`](crate::SystemBuilder)
+    /// chooses them.
+    pub(crate) fn with_channels(
+        dev_cfg: NescConfig,
+        costs: SoftwareCosts,
+        probe: Probe,
+        telemetry: Option<Telemetry>,
+    ) -> Self {
         let mem = Rc::new(RefCell::new(HostMemory::new()));
         // One tally from the start: the device's counters live in it.
-        let probe = Probe::default();
         let mut dev = NescDevice::new(dev_cfg, Rc::clone(&mem));
         dev.set_probe(probe.clone());
         let fs = Filesystem::format(dev.config().capacity_blocks);
@@ -253,8 +262,7 @@ impl System {
             runs: Vec::new(),
             chain: Chain::default(),
             probe,
-            span_ids: 0,
-            telemetry: None,
+            telemetry,
         }
     }
 
@@ -263,43 +271,8 @@ impl System {
         crate::SystemBuilder::new()
     }
 
-    /// Enables or disables span tracing across every layer of the stack.
-    /// Enabling installs a fresh shared tracer in the probe the hypervisor,
-    /// device and telemetry report through (so PCIe / translation / media
-    /// spans stitch under the same request roots); disabling swaps in a
-    /// no-op tracer. Switching to the state tracing is already in changes
-    /// nothing. A re-enabled tracer's span ids continue after the earlier
-    /// tracers', so a root id held from before (an unclosed window's
-    /// completion) reads as drained instead of naming a new span.
-    pub fn set_tracing(&mut self, on: bool) {
-        let tracer = self.probe.tracer();
-        if on == tracer.is_enabled() {
-            return;
-        }
-        // A recorder-only span log mints ids too.
-        self.span_ids = self.span_ids.max(tracer.minted());
-        let tracer = if on {
-            Tracer::enabled_after(self.span_ids)
-        } else {
-            Tracer::disabled()
-        };
-        self.install_probe(tracer);
-    }
-
-    /// Rewires the probe to `tracer` and the telemetry's flight recorder,
-    /// keeping its tally, and hands it to every reporting layer.
-    fn install_probe(&mut self, tracer: Tracer) {
-        let flight = self.telemetry.as_ref().map(Telemetry::flight);
-        let flight = flight.cloned().unwrap_or_default();
-        self.probe = self.probe.rewired(tracer, flight);
-        self.dev.set_probe(self.probe.clone());
-        if let Some(tel) = self.telemetry.as_mut() {
-            tel.set_probe(self.probe.clone());
-        }
-    }
-
-    /// The span tracer (a cheap handle; disabled unless
-    /// [`set_tracing`](Self::set_tracing) enabled it).
+    /// The span tracer (a cheap handle; disabled unless the system was
+    /// built with tracing on).
     pub fn tracer(&self) -> &Tracer {
         self.probe.tracer()
     }
@@ -314,28 +287,6 @@ impl System {
     /// requests (counted whether or not tracing or telemetry is on).
     pub fn path_totals(&self, kind: DiskKind) -> PathTotals {
         self.probe.totals(kind.via())
-    }
-
-    /// Enables telemetry: installs the perfmon sampler + SLO watchdog and
-    /// registers per-disk series for every already-attached disk (disks
-    /// attached later register at attach time). Replaces any previous
-    /// telemetry state. Windows start at time 0, but each reports only
-    /// what happens after this call: the windows already past close
-    /// reading 0.
-    pub fn set_telemetry(&mut self, cfg: TelemetryConfig) {
-        let mut tel = Telemetry::new(cfg);
-        for (i, d) in self.disks.iter().enumerate() {
-            tel.register_disk(DiskId(i), d.vf);
-        }
-        self.telemetry = Some(tel);
-        // One recorder, every layer: the probe records the device's and
-        // the issue path's lifecycle events into the telemetry's ring,
-        // and its window list starts with this telemetry.
-        self.install_probe(self.probe.tracer().clone());
-        self.probe.open_windows();
-        if let Some(tel) = self.telemetry.as_mut() {
-            tel.start_at(self.now, &self.dev);
-        }
     }
 
     /// The flight-recorder handle (disabled unless telemetry configured
@@ -1606,11 +1557,18 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::TelemetryConfig;
+    use crate::SystemBuilder;
 
     fn small_system() -> System {
         let mut cfg = NescConfig::prototype();
         cfg.capacity_blocks = 64 * 1024; // 64 MiB device keeps tests quick
         System::new(cfg, SoftwareCosts::calibrated())
+    }
+
+    /// The builder of [`small_system`], for a test that chooses channels.
+    fn small_builder() -> SystemBuilder {
+        SystemBuilder::new().capacity_blocks(64 * 1024)
     }
 
     #[test]
@@ -1938,55 +1896,18 @@ mod tests {
         }
     }
 
-    #[test]
-    fn switching_channels_mid_run_keeps_the_totals() {
-        let mut sys = small_system();
-        let disk = sys.quick_disk(DiskKind::Virtio, "m.img", 1 << 20).disk;
-        let requests = |sys: &System| sys.path_totals(DiskKind::Virtio).requests;
-        // The device's counters are the same tally's: (completed, written).
-        let device = |sys: &System| {
-            let s = sys.device().stats();
-            (s.requests_completed, s.blocks_written)
-        };
-        sys.write(disk, 0, &[1u8; 1024]);
-        // Each switch rewires the probe; the tally moves with it.
-        sys.set_tracing(true);
-        assert_eq!((requests(&sys), device(&sys)), (1, (1, 1)));
-        sys.write(disk, 0, &[2u8; 1024]);
-        sys.set_telemetry(TelemetryConfig::windowed(SimDuration::from_micros(10)));
-        assert_eq!((requests(&sys), device(&sys)), (2, (2, 2)));
-        sys.write(disk, 0, &[3u8; 1024]);
-        sys.set_tracing(false);
-        assert_eq!(device(&sys), (3, 3));
-        sys.write(disk, 0, &[4u8; 1024]);
-        let totals = sys.path_totals(DiskKind::Virtio);
-        assert_eq!((totals.requests, totals.bytes), (4, 4 * 1024));
-        assert_eq!(totals.latency_ns.count(), 4);
-        assert_eq!(device(&sys), (4, 4));
-        // Telemetry windows see only what finished after it attached, and
-        // the tracing switch in between lost none of that either.
-        sys.think(SimDuration::from_micros(100));
-        sys.telemetry_finish();
-        let sampler = sys.telemetry().map(Telemetry::sampler);
-        let series = sampler.and_then(|s| s.series_by_name("hv.vf0.requests"));
-        let windowed: u64 = series
-            .map(|s| s.samples().map(|(_, v)| v).sum())
-            .unwrap_or(0);
-        assert_eq!(windowed, 2);
-    }
-
     /// One workload with hole reads, a write miss, a prune and a
     /// paravirtual disk leaves the same device counters whichever
     /// observability channels are on: the tally folds them either way.
     #[test]
     fn device_counters_are_the_same_under_every_channel_setting() {
         let run = |tracing: bool, recording: bool| {
-            let mut sys = small_system();
-            sys.set_tracing(tracing);
+            let mut builder = small_builder().tracing(tracing);
             if recording {
                 let cfg = TelemetryConfig::windowed(SimDuration::from_micros(10));
-                sys.set_telemetry(cfg.flight(nesc_sim::FlightConfig::default()));
+                builder = builder.telemetry(cfg.flight(nesc_sim::FlightConfig::default()));
             }
+            let mut sys = builder.build();
             // Interleaved single-block allocations give the image a
             // prunable tree; its tail past 128 KiB stays a hole.
             let vm = sys.create_vm();
@@ -2204,8 +2125,7 @@ mod tests {
     /// and each counts as a host request.
     #[test]
     fn a_pf_batch_rings_one_doorbell() {
-        let mut sys = small_system();
-        sys.set_tracing(true);
+        let mut sys = small_builder().tracing(true).build();
         let raw = sys.quick_disk(DiskKind::HostRaw, "raw", 0).disk;
         let buf = sys.memory().borrow_mut().alloc(3 * 4096, 4096);
         let at = SimTime::from_nanos(1000);

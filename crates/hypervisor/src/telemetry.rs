@@ -54,14 +54,12 @@
 use nesc_core::{FuncId, NescDevice};
 use nesc_sim::perfmon::{series_json, utilization_ppm, SeriesKind};
 use nesc_sim::{AnomalyEvent, Histogram, Sampler, SeriesId, SimDuration, SloRule, SloWatchdog};
-use nesc_sim::{
-    FlightConfig, FlightHandle, FlightRecorder, FlightSnapshot, Obs, Probe, SimTime, Tracer,
-};
+use nesc_sim::{FlightConfig, FlightHandle, FlightRecorder, FlightSnapshot, Obs, Probe, SimTime};
 
 use crate::system::DiskId;
 
-/// Configuration for the telemetry subsystem: sampling interval, ring
-/// capacity per series, and the SLO watchdog rules.
+/// Configuration for the telemetry subsystem: sampling interval, retained
+/// windows, the SLO watchdog rules and the flight recorder.
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
     /// Window length; every series holds one value per window.
@@ -90,7 +88,7 @@ impl TelemetryConfig {
         }
     }
 
-    /// Sets the per-series ring capacity.
+    /// Sets the number of retained windows (older samples are evicted).
     pub fn capacity(mut self, capacity: usize) -> Self {
         self.capacity = capacity;
         self
@@ -226,13 +224,14 @@ fn delta(cur: SimDuration, prev: SimDuration) -> SimDuration {
 }
 
 impl Telemetry {
-    /// Builds the subsystem and registers the fixed (non-per-disk)
-    /// series. Per-disk series are added by
+    /// Builds the subsystem over `probe`, the one the system shares with
+    /// the device (folding into the flight recorder `cfg.flight`
+    /// configures, its window list open), and registers the fixed
+    /// (non-per-disk) series. Per-disk series are added by
     /// [`register_disk`](Self::register_disk) as disks attach.
-    pub fn new(cfg: TelemetryConfig) -> Self {
+    pub fn new(cfg: TelemetryConfig, probe: Probe) -> Self {
         let mut sampler = Sampler::new(cfg.interval, cfg.capacity);
         let mut watchdog = SloWatchdog::new();
-        let flight = cfg.flight.map(FlightHandle::enabled).unwrap_or_default();
         for rule in cfg.rules {
             watchdog.add_rule(rule);
         }
@@ -260,7 +259,7 @@ impl Telemetry {
             prev_media_busy: SimDuration::ZERO,
             prev_link_up: SimDuration::ZERO,
             prev_link_down: SimDuration::ZERO,
-            probe: Probe::new(Tracer::disabled(), flight),
+            probe,
             forensic: None,
         }
     }
@@ -315,27 +314,6 @@ impl Telemetry {
     #[inline]
     pub fn due(&self, now: SimTime) -> bool {
         now >= self.sampler.next_close()
-    }
-
-    /// Starts sampling at `now`: the device's and the probe's cumulative
-    /// values so far become the baseline later windows report deltas
-    /// from, and every window ending by `now` closes empty. The probe must
-    /// be the shared one, its window list just opened.
-    pub fn start_at(&mut self, now: SimTime, dev: &NescDevice) {
-        let stats = dev.stats();
-        let counters = [
-            (self.s_btlb_lookups, stats.btlb_lookups),
-            (self.s_btlb_hits, stats.btlb_hits),
-            (self.s_miss_irqs, stats.miss_interrupts),
-            (self.s_rewalks, self.probe.rewalks()),
-        ];
-        for (id, raw) in counters {
-            self.sampler.rebase(id, raw);
-        }
-        self.prev_walk_busy = dev.walk_busy_time();
-        self.prev_media_busy = dev.media_busy_time();
-        (self.prev_link_up, self.prev_link_down) = dev.link_busy_time();
-        self.poll(now, dev);
     }
 
     /// Closes every window whose end time has passed, sampling the fixed
@@ -481,13 +459,6 @@ impl Telemetry {
         self.probe.flight()
     }
 
-    /// Installs the probe the system shares with the device; it must
-    /// fold into this subsystem's [`flight`](Self::flight) recorder and
-    /// keep the window list ([`Probe::open_windows`]).
-    pub fn set_probe(&mut self, probe: Probe) {
-        self.probe = probe;
-    }
-
     /// The forensic dump captured when the watchdog first fired, if any.
     pub fn forensic_dump(&self) -> Option<&ForensicSnapshot> {
         self.forensic.as_ref()
@@ -498,7 +469,7 @@ impl Telemetry {
 mod tests {
     use super::*;
     use crate::prelude::*;
-    use nesc_sim::{perfmon, Via};
+    use nesc_sim::{perfmon, Tracer, Via};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -732,12 +703,11 @@ mod tests {
     fn completions_land_in_the_window_of_their_own_time() {
         // Windows of 100 ns, a flight recorder keeping the worst two.
         let interval = SimDuration::from_nanos(100);
-        let mut tel =
-            Telemetry::new(TelemetryConfig::windowed(interval).flight(FlightConfig::default()));
-        tel.register_disk(DiskId(0), None);
-        let probe = Probe::new(Tracer::disabled(), tel.flight().clone());
+        let flight = FlightHandle::enabled(FlightConfig::default());
+        let probe = Probe::new(Tracer::disabled(), flight);
         probe.open_windows();
-        tel.set_probe(probe.clone());
+        let mut tel = Telemetry::new(TelemetryConfig::windowed(interval), probe.clone());
+        tel.register_disk(DiskId(0), None);
         let t = SimTime::from_nanos;
         let finish = |seq, issued, done| {
             probe.report(Obs::Issued(Via::Direct, 0, seq, 512, false, t(issued)));
@@ -766,7 +736,8 @@ mod tests {
     /// device-wide ones; a lookup by name finds every one of them.
     #[test]
     fn every_series_of_a_thousand_vf_disks_is_found_by_name() {
-        let mut tel = Telemetry::new(TelemetryConfig::windowed(SimDuration::from_micros(200)));
+        let cfg = TelemetryConfig::windowed(SimDuration::from_micros(200));
+        let mut tel = Telemetry::new(cfg, Probe::default());
         for d in 0..1000 {
             tel.register_disk(DiskId(d), Some(FuncId(d as u16 + 1)));
         }
@@ -786,12 +757,13 @@ mod tests {
     #[test]
     fn due_is_the_samplers_next_close() {
         let t = SimTime::from_nanos;
-        let mut tel = Telemetry::new(TelemetryConfig::windowed(SimDuration::from_nanos(100)));
+        let cfg = TelemetryConfig::windowed(SimDuration::from_nanos(100));
+        let mut tel = Telemetry::new(cfg, Probe::default());
         let sys = SystemBuilder::new().capacity_blocks(64 * 1024).build();
         assert!(!tel.due(t(99)));
         assert!(tel.due(t(100)), "window 0 ends at 100 ns");
-        // Starting at 250 ns closes windows 0 and 1; window 2 is next.
-        tel.start_at(t(250), sys.device());
+        // A poll at 250 ns closes windows 0 and 1; window 2 is next.
+        tel.poll(t(250), sys.device());
         assert_eq!(tel.sampler().closed_windows(), 2);
         assert_eq!(tel.sampler().next_close(), t(300));
         assert!(!tel.due(t(299)));
@@ -800,31 +772,6 @@ mod tests {
         assert_eq!(tel.sampler().next_close(), t(500));
         assert!(!tel.due(t(499)));
         assert!(tel.due(t(500)));
-    }
-
-    #[test]
-    fn start_at_closes_the_past_windows_empty() {
-        // A device with history: lookups, hits, busy walk/media/link time.
-        let mut sys = SystemBuilder::new().capacity_blocks(64 * 1024).build();
-        let a = sys.quick_disk(DiskKind::NescDirect, "a.img", 1 << 20).disk;
-        for i in 0..16u64 {
-            sys.write(a, i * 4096, &[i as u8; 4096]);
-        }
-        assert!(sys.device().stats().btlb_lookups > 0);
-        let interval = SimDuration::from_micros(5);
-        let mut tel = Telemetry::new(TelemetryConfig::windowed(interval));
-        let now = sys.now();
-        tel.start_at(now, sys.device());
-        let past = now.as_nanos() / interval.as_nanos();
-        assert!(past > 1, "the history spans several windows");
-        // An idle stretch after the start adds nothing either.
-        tel.poll(now + interval * 3, sys.device());
-        let sampler = tel.sampler();
-        assert_eq!(sampler.closed_windows(), past + 3);
-        for s in sampler.series() {
-            let booked: Vec<_> = s.samples().filter(|&(_, v)| v != 0).collect();
-            assert!(booked.is_empty(), "{} booked {booked:?}", s.name());
-        }
     }
 
     #[test]
@@ -922,12 +869,12 @@ mod tests {
         let root = tree.serialize(&mut mem.borrow_mut());
         let vf = dev.create_vf(root, 16).expect("a free VF slot");
         let buf = mem.borrow_mut().alloc(4096, 8);
-        let mut tel = Telemetry::new(TelemetryConfig::windowed(SimDuration::from_nanos(100)));
-        tel.register_disk(DiskId(0), Some(vf));
-        let probe = Probe::new(Tracer::disabled(), tel.flight().clone());
+        let probe = Probe::default();
         probe.open_windows();
-        tel.set_probe(probe.clone());
-        dev.set_probe(probe);
+        dev.set_probe(probe.clone());
+        let cfg = TelemetryConfig::windowed(SimDuration::from_nanos(100));
+        let mut tel = Telemetry::new(cfg, probe);
+        tel.register_disk(DiskId(0), Some(vf));
         let t = SimTime::from_nanos;
         // Three requests queue in window 0 and stay queued: no dispatch
         // until the device advances.

@@ -34,7 +34,7 @@
 //!
 //! Method calls whose name matches no workspace function (`.push(` on a
 //! std `Vec`, `.unwrap(` on an `Option`) resolve to the empty target set
-//! and are *dropped* — but counted: [`Graph::unresolved_calls`] surfaces
+//! and are *dropped* — but counted: `Graph::unresolved_calls` surfaces
 //! the drop count in `--format json`, so a growing blind spot is visible
 //! instead of silent.
 //!

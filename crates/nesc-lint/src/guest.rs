@@ -27,7 +27,7 @@
 //!
 //! A function holds taint if (a) a parameter type mentions `Untrusted` or
 //! a marked struct, (b) a raw-integer parameter has a guest-conventional
-//! name ([`GUEST_NAMES`]), or (c) its body calls a marked source function
+//! name (`GUEST_NAMES`), or (c) its body calls a marked source function
 //! — taint then starts at that call site. One taint bit covers the whole
 //! function: any `validate_*(..)` call clears it for the remainder of the
 //! body. That is imprecise in both directions, and both gaps are covered

@@ -507,6 +507,7 @@ impl NvmeController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nesc_hypervisor::TelemetryConfig;
     use nesc_sim::{FlightConfig, SpanKind};
 
     fn system() -> System {
@@ -762,9 +763,10 @@ mod tests {
 
     #[test]
     fn thin_namespace_miss_resolves_via_hypervisor() {
+        let tel = TelemetryConfig::windowed(SimDuration::from_micros(50));
         let sys = System::builder()
             .capacity_blocks(8192)
-            .flight(FlightConfig::default())
+            .telemetry(tel.flight(FlightConfig::default()))
             .build();
         let mut ctrl = NvmeController::new(sys);
         let ns = ctrl.create_namespace("thin.img", 64, false).unwrap();

@@ -90,7 +90,7 @@ impl SubmissionQueue {
     }
 
     /// Driver: writes an entry at the tail and advances it. The caller
-    /// still has to ring the controller's doorbell with [`tail`](Self::tail).
+    /// still has to ring the controller's doorbell with the new tail it returns.
     ///
     /// # Errors
     ///

@@ -359,7 +359,7 @@ impl Sampler {
     /// closed simply starts at the current window (earlier windows have no
     /// sample for it); from then on it reads 0 in every window it is not
     /// sampled in, like every other series. A counter's first sample is
-    /// its raw cumulative value, or its delta from a [`rebase`](Self::rebase).
+    /// its raw cumulative value.
     pub fn register(&mut self, name: &str, unit: &'static str, kind: SeriesKind) -> SeriesId {
         debug_assert!(self.series_id(name).is_none(), "duplicate series {name}");
         self.index.push(&self.names, name);
@@ -377,15 +377,6 @@ impl Sampler {
             unit,
         });
         id
-    }
-
-    /// Sets a counter's previous raw value, so its next sample is the delta
-    /// from `raw`: an owner that starts sampling mid-run baselines its
-    /// cumulative probes here.
-    pub fn rebase(&mut self, id: SeriesId, raw: u64) {
-        if let Some(s) = self.series.get_mut(id.0) {
-            s.last_raw = raw;
-        }
     }
 
     /// Closes the next due window: if simulated time `now` has reached
@@ -1141,10 +1132,6 @@ pub(crate) mod reference {
             self.series.len() - 1
         }
 
-        pub fn rebase(&mut self, id: usize, raw: u64) {
-            self.series[id].last_raw = raw;
-        }
-
         pub fn due(&mut self, now: SimTime) -> Option<SimTime> {
             let end = Some(self.next_close).filter(|&end| end <= now)?;
             self.next_close = end + self.interval;
@@ -1346,37 +1333,6 @@ mod tests {
         assert_eq!(s.due(t(60)), None);
         assert_eq!(s.next_close(), t(75));
         assert_eq!(s.next_close(), s.window_end(s.closed_windows()));
-    }
-
-    #[test]
-    fn rebase_sets_the_baseline_of_the_next_counter_delta() {
-        let mut s = Sampler::new(dur(10), 8);
-        let c = s.register("c", "ops", SeriesKind::Counter);
-        let g = s.register("g", "n", SeriesKind::Gauge);
-        // An owner attaching mid-run: 100 ops happened before it.
-        s.rebase(c, 100);
-        s.rebase(g, 100);
-        assert!(s.due(t(10)).is_some());
-        s.sample(c, 130);
-        s.sample(g, 7);
-        assert!(s.due(t(20)).is_some());
-        s.sample(c, 131);
-        s.sample(g, 7);
-        // A rebase between windows re-anchors the delta.
-        s.rebase(c, 200);
-        assert!(s.due(t(30)).is_some());
-        s.sample(c, 205);
-        let counter = s.series_by_name("c").unwrap();
-        assert_eq!(
-            counter.samples().collect::<Vec<_>>(),
-            vec![(0, 30), (1, 1), (2, 5)]
-        );
-        let gauge = s.series_by_name("g").unwrap();
-        assert_eq!(
-            gauge.samples().collect::<Vec<_>>(),
-            vec![(0, 7), (1, 7), (2, 0)],
-            "a gauge stores raw values whatever its baseline"
-        );
     }
 
     #[test]
@@ -1918,7 +1874,7 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Random sequences of registrations, rebases, rules and polls run
+        /// Random sequences of registrations, raw jumps, rules and polls run
         /// through the row log and the per-series-ring reference; after
         /// every operation both agree on every accessor, both exporters
         /// and the watchdog's anomalies. A poll may close several windows
@@ -1947,12 +1903,10 @@ mod tests {
                         proptest::prop_assert_eq!(model.register(&name, "n", kind), id.0);
                         series.push((id, kind, 0));
                     }
+                    // A raw jump, up or down, seen at the next sample.
                     1 if !series.is_empty() => {
                         let k = x as usize % series.len();
-                        let (id, _, raw) = &mut series[k];
-                        *raw = y;
-                        log.rebase(*id, y);
-                        model.rebase(id.0, y);
+                        series[k].2 = y;
                     }
                     2 => {
                         let rule = gen_rule(&mut rng);

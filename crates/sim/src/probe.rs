@@ -252,8 +252,7 @@ impl DeviceStats {
 /// root span (NONE while tracing is off).
 type Issued = (Via, u32, u64, u64, SimTime, SpanId);
 
-/// The tally, shared by every clone of a probe and kept across
-/// [`Probe::rewired`].
+/// The tally, shared by every clone of a probe.
 #[derive(Debug, Default)]
 struct Tally {
     /// The requests issued and not yet finished (the guest path's last).
@@ -313,22 +312,16 @@ pub struct Probe {
 
 impl Probe {
     /// A probe folding into `tracer` and `flight`, with a fresh tally.
-    pub fn new(tracer: Tracer, flight: FlightHandle) -> Self {
-        Probe::default().rewired(tracer, flight)
-    }
-
-    /// A probe folding into `tracer` and `flight` that keeps this probe's
-    /// tally — how the channels change mid-run without losing counts.
     /// With tracing off and the recorder on, the span log keeps no rows
-    /// of its own and its ids continue after this probe's.
-    pub fn rewired(&self, tracer: Tracer, flight: FlightHandle) -> Self {
-        let tracer = tracer.recording_into(flight.ring(), self.tracer.minted());
+    /// of its own.
+    pub fn new(tracer: Tracer, flight: FlightHandle) -> Self {
+        let tracer = tracer.recording_into(flight.ring());
         let open = tracer.records().then(Rc::default);
         Probe {
             tracer,
             flight,
             open,
-            tally: Rc::clone(&self.tally),
+            tally: Rc::default(),
         }
     }
 
@@ -1150,20 +1143,20 @@ mod tests {
 
     #[test]
     fn clones_and_rewired_probes_share_one_tally() {
-        let probe = Probe::default();
-        request(&probe.clone(), Via::Direct, 1, 0, 10, false);
-        let traced = probe.rewired(Tracer::enabled(), FlightHandle::disabled());
-        request(&traced, Via::Direct, 2, 10, 30, true);
+        let probe = Probe::new(Tracer::enabled(), FlightHandle::disabled());
+        let clone = probe.clone();
+        request(&probe, Via::Direct, 1, 0, 10, false);
+        request(&clone, Via::Direct, 2, 10, 30, true);
         probe.report(Obs::Rewalk(0, 1, t(40), t(45)));
-        for p in [&probe, &traced] {
+        for p in [&probe, &clone] {
             let d = p.totals(Via::Direct);
             assert_eq!((d.requests, d.errors, d.latency_ns.count()), (2, 1, 1));
             assert_eq!(p.rewalks(), 1);
         }
         // The window list is shared too.
-        traced.open_windows();
+        clone.open_windows();
         request(&probe, Via::Direct, 3, 50, 60, false);
-        assert_eq!(close(&traced, 100), (vec![3], 0));
+        assert_eq!(close(&clone, 100), (vec![3], 0));
         let fresh = Probe::new(Tracer::enabled(), FlightHandle::disabled());
         assert_eq!(
             (fresh.totals(Via::Direct).requests, fresh.rewalks()),

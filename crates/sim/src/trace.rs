@@ -382,12 +382,21 @@ struct TraceLog {
     ring: Option<Rc<FlightRecorder>>,
     next_id: u64,
     /// Ids `1..=drained` were taken by earlier [`Tracer::take_spans`]
-    /// calls, or by the tracers this one continues after; mutations of
-    /// the log aimed at them are ignored.
+    /// calls; mutations of the log aimed at them are ignored.
     drained: u64,
 }
 
 impl TraceLog {
+    /// A fresh shared log whose first span gets id 1.
+    fn shared(keep: bool, ring: Option<Rc<FlightRecorder>>) -> Rc<RefCell<TraceLog>> {
+        Rc::new(RefCell::new(TraceLog {
+            keep,
+            ring,
+            next_id: 1,
+            ..TraceLog::default()
+        }))
+    }
+
     fn len(&self) -> usize {
         self.segments.last().map_or(0, |last| {
             (self.segments.len() - 1) * SEGMENT_SPANS + last.len()
@@ -479,43 +488,22 @@ pub struct Tracer {
 impl Tracer {
     /// A recording tracer.
     pub fn enabled() -> Self {
-        Tracer::enabled_after(0)
-    }
-
-    /// A recording tracer whose ids continue after the `minted` ones
-    /// earlier tracers handed out: its first span gets id `minted + 1`,
-    /// and ids up to `minted` read as drained. A tracer re-enabled this
-    /// way never gives a second span an id a stale reference still holds.
-    pub fn enabled_after(minted: u64) -> Self {
         Tracer {
-            inner: Some(Rc::new(RefCell::new(TraceLog {
-                keep: true,
-                next_id: minted + 1,
-                drained: minted,
-                ..TraceLog::default()
-            }))),
+            inner: Some(TraceLog::shared(true, None)),
         }
     }
 
     /// This log, writing a copy of each row it records from now on into
     /// `ring`, or into no ring. A disabled tracer given a ring becomes a
-    /// log that keeps no rows of its own, its ids continuing after
-    /// `minted`.
-    pub(crate) fn recording_into(self, ring: Option<Rc<FlightRecorder>>, minted: u64) -> Tracer {
+    /// log that keeps no rows of its own.
+    pub(crate) fn recording_into(self, ring: Option<Rc<FlightRecorder>>) -> Tracer {
         match self.inner {
             Some(inner) if inner.borrow().keep => {
                 inner.borrow_mut().ring = ring;
                 Tracer { inner: Some(inner) }
             }
             _ => Tracer {
-                inner: ring.map(|ring| {
-                    Rc::new(RefCell::new(TraceLog {
-                        ring: Some(ring),
-                        next_id: minted + 1,
-                        drained: minted,
-                        ..TraceLog::default()
-                    }))
-                }),
+                inner: ring.map(|ring| TraceLog::shared(false, Some(ring))),
             },
         }
     }
@@ -533,14 +521,6 @@ impl Tracer {
     /// Whether spans are minted: tracing or a flight ring is on.
     pub(crate) fn records(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// Span ids handed out so far, those this tracer continues after
-    /// included; 0 when disabled.
-    pub fn minted(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |inner| inner.borrow().next_id - 1)
     }
 
     /// Opens a span with the attributes known at `at`. Returns
@@ -660,8 +640,8 @@ impl Tracer {
     /// not-yet-drained descendant, in creation (id) order — *without*
     /// draining the log. This is what the flight recorder's exemplar
     /// capture uses: the worst-K requests get their full trees copied out
-    /// while the log keeps recording (and a later [`take_spans`]
-    /// (Self::take_spans) still returns everything).
+    /// while the log keeps recording (and a later
+    /// [`take_spans`](Self::take_spans) still returns everything).
     ///
     /// Spans are stored in id order and parents always precede their
     /// children, so the root's descendants all come after it: the pass
@@ -1095,27 +1075,6 @@ mod tests {
         let s = b.start(SpanId::NONE, K::DmaRead, t(3), [(A::Bytes, 512)]);
         b.end(s, t(9));
         assert_eq!(a.take_spans(), b.take_spans());
-    }
-
-    #[test]
-    fn a_tracer_enabled_after_others_continues_their_ids() {
-        let old = Tracer::enabled();
-        let stale = old.start(SpanId::NONE, K::GuestRequest, t(0), []);
-        old.span(stale, K::Doorbell, t(0), t(5), []);
-        assert_eq!(old.minted(), 2);
-        let tr = Tracer::enabled_after(old.minted());
-        let root = tr.start(SpanId::NONE, K::GuestRequest, t(10), []);
-        assert_eq!(root, SpanId(3), "ids continue after the earlier tracer's");
-        // The stale root reads as drained: no subtree, no mutation.
-        assert!(tr.subtree(stale).is_empty());
-        tr.attr(stale, A::Failed, 1);
-        tr.end(stale, t(99));
-        tr.end(root, t(20));
-        assert_eq!(tr.subtree(root).len(), 1);
-        assert_eq!(tr.minted(), 3);
-        let spans = tr.take_spans();
-        assert_eq!((spans.len(), spans[0].id, spans[0].end), (1, root, t(20)));
-        assert_eq!(Tracer::disabled().minted(), 0);
     }
 
     #[test]

@@ -413,7 +413,7 @@ impl BlockStore {
 
     /// Host bytes the store holds for its contents: one whole chunk per
     /// chunk any write touched, so at least the written bytes and at most
-    /// [`CHUNK_BLOCKS`] times them.
+    /// `CHUNK_BLOCKS` times them.
     pub fn resident_bytes(&self) -> u64 {
         self.chunks.len() as u64 * CHUNK_BYTES
     }

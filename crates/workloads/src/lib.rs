@@ -9,17 +9,16 @@
 //! | Postmark        | [`postmark`] | mail-server simulation: create/delete/read/append transactions over many small files |
 //! | MySQL + SysBench OLTP | [`oltp`] | a page-based relational store with a write-ahead log serving point/update transactions |
 //!
-//! All workloads implement the common
-//! [`Workload`](nesc_hypervisor::Workload) trait — deterministic given a
-//! seed, run against a [`TenantIo`](nesc_hypervisor::TenantIo), reporting
-//! a common [`WorkloadReport`] (operations, bytes, latency percentiles,
+//! All workloads implement the common [`Workload`] trait — deterministic
+//! given a seed, run against a [`TenantIo`], reporting a common
+//! [`WorkloadReport`] (operations, bytes, latency percentiles,
 //! throughput).
 //!
 //! The [`scenario`] module scales the same vocabulary out to datacenter
-//! tenancy: a declarative [`ScenarioSpec`](nesc_hypervisor::ScenarioSpec)
-//! describing hundreds-to-thousands of tenant VFs is compiled into one
-//! deterministic open-loop arrival tape and replayed through a single
-//! system, yielding per-tenant latency and fairness metrics.
+//! tenancy: a declarative [`ScenarioSpec`] describing
+//! hundreds-to-thousands of tenant VFs is compiled into one deterministic
+//! open-loop arrival tape and replayed through a single system, yielding
+//! per-tenant latency and fairness metrics.
 
 pub mod dd;
 pub mod fileio;

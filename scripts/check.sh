@@ -21,6 +21,11 @@ scripts/loc.sh
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc -D warnings"
+# Every intra-doc link must resolve to a public item, so a deleted or
+# renamed item cannot leave a dangling link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "==> cargo build --release"
 cargo build --release
 

@@ -46,8 +46,8 @@ census() {
     printf '  %-44s %6d\n' "total" "$sum"
 }
 
-echo "non-test lines of the probe-fold, span-tracer and telemetry files:"
-census crates/sim/src/{metrics,flight,trace,perfmon,probe}.rs crates/hypervisor/src/{system,telemetry}.rs
+echo "non-test lines of the probe-fold, span-tracer and telemetry files and the builder that chooses them:"
+census crates/sim/src/{flight,trace,perfmon,probe}.rs crates/hypervisor/src/{system,telemetry,builder}.rs
 
 echo "non-test lines of the event model: the flight ring, the span log and the probe fold:"
 census crates/sim/src/{flight,trace,probe}.rs

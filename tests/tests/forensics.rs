@@ -159,67 +159,6 @@ fn sustained_burst_produces_a_deterministic_dump() {
     assert_eq!(Some(text), again, "same-seed dump must be byte-identical");
 }
 
-/// The exemplars of a traced system's first 1 ms window after a 32 KiB
-/// write, then `toggle`, then a 512 B write, each as `(seq, root, spans)`
-/// in sequence order.
-fn exemplars_across(toggle: impl Fn(&mut System)) -> Vec<(u64, u64, Vec<Span>)> {
-    let tel = TelemetryConfig::windowed(SimDuration::from_millis(1))
-        .flight(FlightConfig::default().exemplar_k(4));
-    let mut sys = SystemBuilder::new().tracing(true).telemetry(tel).build();
-    let disk = sys
-        .quick_disk(DiskKind::NescDirect, "d.img", DISK_BYTES)
-        .disk;
-    sys.write(disk, 0, &[1u8; 32 * 1024]);
-    toggle(&mut sys);
-    sys.write(disk, 0, &[2u8; 512]);
-    sys.think(SimDuration::from_millis(2));
-    sys.telemetry_finish();
-    let mut out: Vec<_> = sys
-        .flight()
-        .with(|r| {
-            let xs = r.exemplars();
-            xs.iter()
-                .map(|x| (x.seq, x.root, x.spans.clone()))
-                .collect()
-        })
-        .expect("flight recorder enabled");
-    out.sort_by_key(|&(seq, ..)| seq);
-    out
-}
-
-/// Switching tracing off and on again continues span ids, so the request
-/// traced before the switch keeps a root id no later span reuses: its
-/// exemplar captures nothing (its spans left with the old tracer), not
-/// the next request's tree. Switching an already-traced system on keeps
-/// its tracer, so both requests keep their own trees.
-#[test]
-fn re_enabled_tracing_never_lends_a_root_id_to_another_request() {
-    // Every captured tree is the tree of its own request.
-    let own_trees = |xs: &[(u64, u64, Vec<Span>)]| {
-        assert_eq!(xs.len(), 2, "both requests are exemplars");
-        for ((_, root, spans), bytes) in xs.iter().zip([32 * 1024, 512]) {
-            if let Some(first) = spans.first() {
-                assert_eq!(first.id.0, *root, "the tree hangs off its own root");
-                assert_eq!(first.attr(AttrKey::Bytes), Some(bytes));
-            }
-        }
-    };
-    let off_on = exemplars_across(|sys| {
-        sys.set_tracing(false);
-        sys.set_tracing(true);
-    });
-    own_trees(&off_on);
-    assert!(
-        off_on[0].2.is_empty(),
-        "the old tracer's root reads as drained"
-    );
-    assert!(off_on[1].1 > off_on[0].1, "the new root's id comes later");
-    assert!(!off_on[1].2.is_empty());
-    let on_again = exemplars_across(|sys| sys.set_tracing(true));
-    own_trees(&on_again);
-    assert!(on_again.iter().all(|(_, _, spans)| !spans.is_empty()));
-}
-
 /// A warm NeSC-direct 4 KiB read of written blocks appends exactly the
 /// span rows the probe opens for it, in id order: the request root, its
 /// submit stack and doorbell, the `device_wait` holding the descriptor

@@ -289,83 +289,3 @@ fn reattaching_into_a_reused_vf_slot_keeps_one_ring_gauge() {
         "the queued request shows in {name}"
     );
 }
-
-/// Telemetry turned on mid-run reports only what happens after it
-/// attaches: the device's and the probe's cumulative counters and busy
-/// times up to then are its baseline, so the windows already past read 0
-/// and the later windows' BTLB lookups sum to the lookups made since.
-#[test]
-fn telemetry_attached_mid_run_counts_from_the_attach() {
-    const WINDOW_NS: u64 = 10_000;
-    let mut sys = SystemBuilder::new().build();
-    let disk = sys.quick_disk(DiskKind::NescDirect, "m.img", 1 << 20).disk;
-    for i in 0..200u64 {
-        sys.write(disk, (i % 64) * 4096, &[i as u8; 4096]);
-    }
-    let lookups = |sys: &System| sys.device().stats().btlb_lookups;
-    let before = lookups(&sys);
-    assert!(before > 0, "the warm-up made lookups");
-    sys.set_telemetry(TelemetryConfig::windowed(SimDuration::from_nanos(
-        WINDOW_NS,
-    )));
-    let attach_window = sys.now().as_nanos() / WINDOW_NS;
-    assert!(attach_window > 0, "attached after window 0");
-    sys.write(disk, 0, &[0xAB; 4096]);
-    sys.think(SimDuration::from_micros(30));
-    sys.telemetry_finish();
-    let after = lookups(&sys) - before;
-    assert!(after > 0, "the post-attach write made lookups");
-
-    let sampler = sys.telemetry().expect("telemetry enabled").sampler();
-    let device_wide = ["core.", "storage.", "pcie.", "hv.rewalk"];
-    for s in sampler.series() {
-        if !device_wide.iter().any(|p| s.name().starts_with(p)) {
-            continue;
-        }
-        for (w, v) in s.samples().take_while(|&(w, _)| w < attach_window) {
-            assert_eq!(v, 0, "{} in window {w}, before the attach", s.name());
-        }
-    }
-    let counted: u64 = sampler
-        .series_by_name("core.btlb_lookups")
-        .expect("fixed series")
-        .samples()
-        .filter(|&(w, _)| w >= attach_window)
-        .map(|(_, v)| v)
-        .sum();
-    assert_eq!(counted, after, "post-attach windows count the new lookups");
-}
-
-/// Turning telemetry on a second time replaces the first: the new
-/// sampler's baseline is the device at the second attach, not time 0 and
-/// not the first attach, so its BTLB lookups count only what followed it.
-#[test]
-fn reattached_telemetry_counts_from_the_second_attach() {
-    const WINDOW_NS: u64 = 10_000;
-    let windowed = || TelemetryConfig::windowed(SimDuration::from_nanos(WINDOW_NS));
-    let mut sys = SystemBuilder::new().build();
-    let disk = sys.quick_disk(DiskKind::NescDirect, "r.img", 1 << 20).disk;
-    let lookups = |sys: &System| sys.device().stats().btlb_lookups;
-    sys.set_telemetry(windowed());
-    for i in 0..40u64 {
-        sys.write(disk, (i % 16) * 4096, &[i as u8; 4096]);
-    }
-    let at_second = lookups(&sys);
-    sys.set_telemetry(windowed());
-    let attach_window = sys.now().as_nanos() / WINDOW_NS;
-    for i in 0..8u64 {
-        sys.write(disk, i * 4096, &[0xCD; 4096]);
-    }
-    sys.think(SimDuration::from_micros(30));
-    sys.telemetry_finish();
-    let after = lookups(&sys) - at_second;
-    assert!(after > 0 && at_second > 0);
-
-    let sampler = sys.telemetry().expect("telemetry enabled").sampler();
-    let series = sampler
-        .series_by_name("core.btlb_lookups")
-        .expect("fixed series");
-    assert!(series.samples().all(|(w, v)| w >= attach_window || v == 0));
-    let counted: u64 = series.samples().map(|(_, v)| v).sum();
-    assert_eq!(counted, after, "only the lookups after the second attach");
-}
